@@ -20,7 +20,6 @@ def main() -> int:
     parser.add_argument("--max-d", type=int, default=6)
     parser.add_argument("--min-d", type=int, default=2)
     parser.add_argument("--kind", choices=["iet", "quad", "both"], default="both")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     kinds = {
@@ -33,7 +32,7 @@ def main() -> int:
     for kind in kinds:
         for d in range(args.min_d, args.max_d + 1):
             start = time.perf_counter()
-            report = verify_main_theorem(d, kind, workers=args.workers)
+            report = verify_main_theorem(d, kind)
             elapsed = time.perf_counter() - start
             print(f"== {kind.value} d={d}  ({elapsed:.1f}s)")
             for g in report.groups:

@@ -28,6 +28,7 @@ from .combinat import (
     PermKind,
     all_reduced_tables,
     format_perm,
+    irreducible_rows,
     is_irreducible,
     parse,
 )
@@ -182,14 +183,14 @@ def enumerate_irreducible(d: int, kind: PermKind) -> Iterator[GenPerm]:
 
         top = tuple(range(1, d + 1))
         for bottom in permutations(top):
-            p = GenPerm(top, bottom)
-            if is_irreducible(p):
-                yield p
+            if irreducible_rows(top, bottom):
+                yield GenPerm(top, bottom)
     else:
-        for rows in all_reduced_tables(d):
-            p = GenPerm(*rows)
-            if p.kind is PermKind.QUADRATIC and is_irreducible(p):
-                yield p
+        for top, bottom in all_reduced_tables(d):
+            # Only the split l = d with a repetition-free top row is a permutation.
+            is_iet = len(top) == len(bottom) == len(set(top))
+            if not is_iet and irreducible_rows(top, bottom):
+                yield GenPerm(top, bottom)
 
 
 def class_partition(
@@ -261,7 +262,6 @@ def verify_main_theorem(
     d: int,
     kind: PermKind,
     budget: int = 10**7,
-    workers: int = 1,
     only_stratum: Optional[Stratum] = None,
 ) -> TheoremReport:
     """Exhaustively check the class-count structure at one size.
@@ -271,7 +271,7 @@ def verify_main_theorem(
     bijection with the distinct singularity orders via the marked order;
     the stratum passes when its group count matches the classification.
     """
-    perms = list(_enumerate_parallel(d, kind, workers))
+    perms = list(enumerate_irreducible(d, kind))
     if only_stratum is not None:
         perms = [p for p in perms if stratum(p) == only_stratum]
     diagrams = class_partition(perms, budget)
@@ -310,37 +310,6 @@ def verify_main_theorem(
                 )
             )
     return TheoremReport(d, kind, tuple(groups), components_ok)
-
-
-def _enumerate_parallel(d: int, kind: PermKind, workers: int) -> Iterator[GenPerm]:
-    if workers <= 1:
-        yield from enumerate_irreducible(d, kind)
-        return
-    import multiprocessing as mp
-
-    if kind is PermKind.IET:
-        from itertools import permutations
-
-        top = tuple(range(1, d + 1))
-        candidates = [(top, bottom) for bottom in permutations(top)]
-    else:
-        candidates = [
-            rows
-            for rows in all_reduced_tables(d)
-            if GenPerm(*rows).kind is PermKind.QUADRATIC
-        ]
-    try:
-        with mp.Pool(workers) as pool:
-            flags = pool.map(_irreducible_rows, candidates, chunksize=256)
-    except OSError:
-        flags = [_irreducible_rows(rows) for rows in candidates]
-    for rows, flag in zip(candidates, flags):
-        if flag:
-            yield GenPerm(*rows)
-
-
-def _irreducible_rows(rows: Rows) -> bool:
-    return is_irreducible(GenPerm(*rows))
 
 
 def _stratum_class_representatives(st: Stratum, budget: int) -> list[GenPerm]:

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Every command is a thin wrapper over the library; outputs are plain UTF-8.
-Flags have environment-variable twins (``RAUZY_BUDGET``, ``RAUZY_WORKERS``,
-``RAUZY_CACHE_DIR``, ``RAUZY_OUTPUT``).
+Flags have environment-variable twins (``RAUZY_BUDGET``, ``RAUZY_CACHE_DIR``,
+``RAUZY_OUTPUT``).
 """
 from __future__ import annotations
 
@@ -24,13 +24,10 @@ class Config:
     node_budget: int = 10**7
     cache_dir: Optional[str] = None
     output: str = "text"
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.node_budget < 1:
             raise ValueError("budget must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.output not in ("text", "json", "dot"):
             raise ValueError("output must be text, json or dot")
 
@@ -49,12 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=int(_env("RAUZY_BUDGET", 10**7)),
         help="node budget for class enumeration",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=int(_env("RAUZY_WORKERS", 1)),
-        help="worker processes for exhaustive enumeration",
     )
     parser.add_argument(
         "--cache-dir", default=_env("RAUZY_CACHE_DIR", None), help="class cache"
@@ -196,15 +187,13 @@ def cmd_verify(args, config: Config) -> int:
             PermKind.IET if st.kind is StratumKind.ABELIAN else PermKind.QUADRATIC
         )
         report = classes.verify_main_theorem(
-            st.d, kind, config.node_budget, config.workers, only_stratum=st
+            st.d, kind, config.node_budget, only_stratum=st
         )
     else:
         if args.d is None or args.kind is None:
             raise ValueError("need --stratum or both --d and --kind")
         kind = PermKind.IET if args.kind == "iet" else PermKind.QUADRATIC
-        report = classes.verify_main_theorem(
-            args.d, kind, config.node_budget, config.workers
-        )
+        report = classes.verify_main_theorem(args.d, kind, config.node_budget)
     if config.output == "json":
         print(report.to_json())
     else:
@@ -227,7 +216,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             node_budget=args.budget,
             cache_dir=args.cache_dir,
             output=args.output,
-            workers=args.workers,
         )
         handler = {
             "induce": cmd_induce,

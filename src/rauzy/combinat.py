@@ -207,11 +207,66 @@ def row_swap(p: "GenPerm | Rows") -> Rows:
 def is_irreducible(p: GenPerm) -> bool:
     """Whether ``p`` admits a suspension vector (see :mod:`rauzy.suspension`).
 
-    Decided by exact rational feasibility of the suspension conditions.
+    Decided combinatorially on the two rows by :func:`irreducible_rows`.
     """
-    from . import suspension
+    return irreducible_rows(p.top, p.bottom)
 
-    return suspension.has_suspension(p)
+
+def irreducible_rows(top: Sequence[int], bottom: Sequence[int]) -> bool:
+    """Whether the two-to-one table ``top / bottom`` admits a suspension vector.
+
+    Write ``T_i`` for the letter-count vector of ``top[:i]``, ``B_j`` for
+    that of ``bottom[:j]``, and ``T``, ``B`` for the full rows.  The table
+    is reducible exactly when one of the following holds (the corner
+    decomposition of Boissy-Lanneau, "Dynamics and geometry of the
+    Rauzy-Veech induction for quadratic differentials", Ergodic Theory
+    Dynam. Systems 29 (2009), Def. 3.1 and Thm. 3.2):
+
+    (a) ``T - B`` is nonzero and does not take both signs, so no positive
+        lengths balance the two rows;
+    (b) ``T_i = B_j`` for some ``0 < i < l`` and ``0 < j < m``;
+    (c) ``T_a + T_b - T = B_c + B_e - B`` for some ``0 <= a <= b < l`` and
+        ``0 <= c <= e < m``, other than ``a = b = c = e = 0``.
+
+    ``T - B`` is ``+2`` on a letter doubled in the top row, ``-2`` on one
+    doubled in the bottom row and 0 elsewhere, so (a) says that exactly one
+    row repeats a letter.  When neither does, the table is a permutation:
+    (c) then implies (b), and (b) is the classical prefix criterion
+    (Veech, Ann. of Math. 115 (1982)).  Each count vector is packed into
+    one integer, 3 bits per letter; two vectors compared here differ by at
+    most 4 in any entry, so equal packings mean equal vectors.
+    O(l^2 + m^2) on the table.
+
+    >>> irreducible_rows((1, 2, 3, 4), (4, 3, 2, 1))
+    True
+    >>> irreducible_rows((1, 1), (2, 2))
+    False
+    """
+    l, m = len(top), len(bottom)
+    top_doubled = len(set(top)) < l
+    if top_doubled != (len(set(bottom)) < m):
+        return False  # (a)
+    tops = _prefix_counts(top)
+    bottoms = _prefix_counts(bottom)
+    inner = set(tops[1:l])
+    if any(b in inner for b in bottoms[1:m]):
+        return False  # (b)
+    if not top_doubled:
+        return True
+    # (c), with B - T moved to the top side.  T != B here, so the excluded
+    # a = b = c = e = 0 (which reads -T = -B) never matches.
+    shift = bottoms[m] - tops[l]
+    sums = {x + y + shift for i, x in enumerate(tops[:l]) for y in tops[i:l]}
+    pairs = (x + y for j, x in enumerate(bottoms[:m]) for y in bottoms[j:m])
+    return sums.isdisjoint(pairs)
+
+
+def _prefix_counts(row: Sequence[int]) -> list[int]:
+    """Packed letter counts of every prefix of ``row``, 3 bits per letter."""
+    counts = [0]
+    for s in row:
+        counts.append(counts[-1] + (1 << 3 * s))
+    return counts
 
 
 def all_reduced_tables(d: int) -> Iterator[Rows]:

@@ -13,9 +13,14 @@ conditions:
 4. the full top sum equals the full bottom sum.
 
 Feasibility of this system depends only on the permutation; a permutation
-admitting a suspension vector is called irreducible.  The real and
-imaginary parts decouple into two independent linear systems, each decided
-exactly (see :mod:`rauzy.linprog`).
+admitting a suspension vector is called irreducible.  It is decided
+combinatorially on the two rows by :func:`rauzy.combinat.irreducible_rows`,
+which implements the reducibility criterion of Boissy-Lanneau ("Dynamics and
+geometry of the Rauzy-Veech induction for quadratic differentials", Ergodic
+Theory Dynam. Systems 29 (2009), Thm. 3.2).  Witnesses come from the real
+and imaginary parts, which decouple into two independent linear systems
+solved exactly (see :mod:`rauzy.linprog`); a table called irreducible whose
+systems have no solution raises ``RuntimeError``.
 
 Concatenating the ``zeta`` values of each row from a common origin draws
 two broken lines with a common endpoint.  The closed region between them
@@ -43,12 +48,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import gcd
 from random import Random
 from typing import Optional
 
 from . import linprog
-from .combinat import GenPerm
+from .combinat import GenPerm, irreducible_rows
 from .errors import DegeneratePolygon, DimensionMismatch, InvalidSuspension
 
 Point = tuple[Fraction, Fraction]
@@ -150,25 +155,13 @@ def _real_system(p: GenPerm, ims: Optional[list[Fraction]] = None) -> tuple[list
 def _integral_row(coeffs: list[Fraction], const: Fraction = Fraction(0)):
     denom = 1
     for v in list(coeffs) + [const]:
-        denom = denom * v.denominator // _gcd(denom, v.denominator)
+        denom = denom * v.denominator // gcd(denom, v.denominator)
     return (tuple(int(v * denom) for v in coeffs), int(const * denom))
 
 
-@lru_cache(maxsize=None)
-def _has_suspension_rows(top: tuple[int, ...], bottom: tuple[int, ...]) -> bool:
-    p = GenPerm(top, bottom)
-    balance = _occurrence_balance(p)
-    if any(balance):
-        # Positive lengths with zero weighted sum need both signs present.
-        if not (any(b > 0 for b in balance) and any(b < 0 for b in balance)):
-            return False
-    ineqs, eqs = _imag_system(p)
-    return linprog.feasible(p.d, ineqs, eqs)
-
-
 def has_suspension(p: GenPerm) -> bool:
-    """Exact feasibility of the suspension conditions over ``p``."""
-    return _has_suspension_rows(p.top, p.bottom)
+    """Whether the suspension conditions over ``p`` are feasible."""
+    return irreducible_rows(p.top, p.bottom)
 
 
 def _assemble(p: GenPerm, res: list[Fraction], ims: list[Fraction]) -> SuspensionDatum:
@@ -222,16 +215,10 @@ def random_suspension(p: GenPerm, rng: Random) -> Optional[SuspensionDatum]:
         raise RuntimeError(f"fold-guarded length system infeasible for {p}")
     denom = 1
     for v in res + ims:
-        denom = denom * v.denominator // _gcd(denom, v.denominator)
+        denom = denom * v.denominator // gcd(denom, v.denominator)
     res = [v * denom for v in res]
     ims = [v * denom for v in ims]
     return _assemble(p, res, ims)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def check_suspension(p: GenPerm, zeta: SuspensionDatum) -> bool:

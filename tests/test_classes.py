@@ -190,12 +190,6 @@ class TestVerify:
             "ok",
         }
 
-    def test_workers_do_not_change_result(self):
-        for kind, d in ((PermKind.IET, 4), (PermKind.QUADRATIC, 3)):
-            serial = verify_main_theorem(d, kind, workers=1)
-            parallel = verify_main_theorem(d, kind, workers=2)
-            assert serial.to_dict() == parallel.to_dict()
-
     def test_single_stratum_restriction(self):
         from rauzy import parse_stratum
 

@@ -14,13 +14,11 @@ def run_cli(capsys, *argv):
 class TestConfig:
     def test_defaults(self):
         cfg = Config()
-        assert cfg.node_budget == 10**7 and cfg.workers == 1
+        assert cfg.node_budget == 10**7
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Config(node_budget=0)
-        with pytest.raises(ValueError):
-            Config(workers=0)
         with pytest.raises(ValueError):
             Config(output="yaml")
 

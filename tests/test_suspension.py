@@ -19,8 +19,15 @@ from rauzy import (
     polygon_svg,
     random_suspension,
 )
+from rauzy.combinat import all_reduced_tables, reduce
 from rauzy.errors import DimensionMismatch, InvalidSuspension
-from rauzy.suspension import SuspensionDatum, is_embedded
+from rauzy.linprog import feasible
+from rauzy.suspension import (
+    SuspensionDatum,
+    _imag_system,
+    _occurrence_balance,
+    is_embedded,
+)
 
 
 def _datum(*pairs):
@@ -184,3 +191,51 @@ class TestGeometricProfile:
         l, m = p.shape
         assert sum(prof.angles_pi) == l + m - 2
         assert all(a >= 1 for a in prof.angles_pi)
+
+
+def _lp_irreducible(p):
+    """Irreducibility by exact feasibility of the suspension conditions.
+
+    Lengths: positive values with zero balance exist unless the balance is
+    nonzero with one sign.  Heights: Fourier-Motzkin on the imaginary system.
+    """
+    balance = _occurrence_balance(p)
+    if any(balance) and not (max(balance) > 0 > min(balance)):
+        return False
+    return feasible(p.d, *_imag_system(p))
+
+
+def _random_table(rng, d):
+    """Uniform pairing of ``2d`` cells and a uniform split point, reduced."""
+    cells = list(range(2 * d))
+    rng.shuffle(cells)
+    table = [0] * (2 * d)
+    for s in range(d):
+        table[cells[2 * s]] = table[cells[2 * s + 1]] = s + 1
+    split = rng.randint(1, 2 * d - 1)
+    return reduce(table[:split], table[split:])
+
+
+class TestIrreducibilityOracle:
+    """The combinatorial criterion against exact feasibility of the LP."""
+
+    def test_every_reduced_table_through_six_symbols(self):
+        checked, mismatches = 0, []
+        for d in range(2, 7):
+            for top, bottom in all_reduced_tables(d):
+                p = GenPerm(top, bottom)
+                if is_irreducible(p) != _lp_irreducible(p):
+                    mismatches.append(str(p))
+                checked += 1
+        assert checked == 123_669
+        assert mismatches == []
+
+    @pytest.mark.parametrize("d", [7, 8])
+    def test_random_tables(self, d):
+        rng = Random(f"oracle:{d}")
+        mismatches = []
+        for _ in range(5_000):
+            p = _random_table(rng, d)
+            if is_irreducible(p) != _lp_irreducible(p):
+                mismatches.append(str(p))
+        assert mismatches == []
