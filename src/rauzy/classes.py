@@ -113,7 +113,7 @@ def rauzy_class(seed: GenPerm, budget: int = 10**7) -> RauzyDiagram:
     if not is_irreducible(seed):
         raise ReducibleSeed(f"{seed} admits no suspension")
     table = _bfs_rows((seed.top, seed.bottom), budget)
-    perms = {rows: GenPerm(*rows) for rows in table}
+    perms = {rows: GenPerm._trusted(*rows) for rows in table}
     vertices = tuple(sorted(perms.values(), key=lambda p: p.key))
     edges = {}
     for rows, (t0, t1) in table.items():
@@ -184,13 +184,13 @@ def enumerate_irreducible(d: int, kind: PermKind) -> Iterator[GenPerm]:
         top = tuple(range(1, d + 1))
         for bottom in permutations(top):
             if irreducible_rows(top, bottom):
-                yield GenPerm(top, bottom)
+                yield GenPerm._trusted(top, bottom)
     else:
         for top, bottom in all_reduced_tables(d):
             # Only the split l = d with a repetition-free top row is a permutation.
             is_iet = len(top) == len(bottom) == len(set(top))
             if not is_iet and irreducible_rows(top, bottom):
-                yield GenPerm(top, bottom)
+                yield GenPerm._trusted(top, bottom)
 
 
 def class_partition(
@@ -312,15 +312,11 @@ def verify_main_theorem(
     return TheoremReport(d, kind, tuple(groups), components_ok)
 
 
-def _stratum_class_representatives(st: Stratum, budget: int) -> list[GenPerm]:
-    """Smallest vertex of every class in one stratum (cached)."""
-    return _stratum_reps_cached(st, budget)
-
-
 _REP_CACHE: dict[Stratum, list[GenPerm]] = {}
 
 
 def _stratum_reps_cached(st: Stratum, budget: int) -> list[GenPerm]:
+    """Smallest vertex of every class in one stratum (cached)."""
     from .invariants import StratumKind
 
     if st not in _REP_CACHE:

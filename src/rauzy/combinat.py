@@ -99,6 +99,20 @@ class GenPerm:
     def from_dict(cls, data: dict) -> "GenPerm":
         return cls(tuple(data["top"]), tuple(data["bottom"]))
 
+    @classmethod
+    def _trusted(cls, top: tuple[int, ...], bottom: tuple[int, ...]) -> "GenPerm":
+        """Wrap row tuples the move kernel or the enumerator produced.
+
+        Such rows are reduced and two-to-one by construction, so the checks
+        of ``__post_init__`` are skipped.  Input from users goes through
+        :func:`parse`, :meth:`from_dict`, :func:`reduce` or the constructor.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "top", top)
+        object.__setattr__(p, "bottom", bottom)
+        object.__setattr__(p, "_hash", hash((top, bottom)))
+        return p
+
 
 def _validate_rows(top: tuple[int, ...], bottom: tuple[int, ...]) -> None:
     if not top or not bottom:

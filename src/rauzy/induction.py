@@ -180,7 +180,10 @@ def step_lengths(
     else:
         updated[b - 1] = lam[b - 1] - lam[a - 1]
         perm, relabel = r1_with_map(p)
-    assert perm is not None and relabel is not None
+    if perm is None or relabel is None:
+        raise RuntimeError(
+            f"move {label.value} undefined at {p} although classify_step chose it"
+        )
     out = [Fraction(0)] * p.d
     for old, new in relabel.items():
         out[new - 1] = updated[old - 1]

@@ -29,6 +29,12 @@ structure dictates; bare symmetry is not enough, as symmetric vertices
 also occur in non-hyperelliptic classes.  Spin parity is the Arf
 invariant of the winding quadratic form, evaluated on explicit curves in
 a polygon witness.
+
+Labelling one table enumerates its Rauzy class only in the strata that
+have a hyperelliptic component (for the scan) and in the four exceptional
+half-translation strata (for their split); every other label, spin parity
+included, is computed on the given table, since these invariants are
+constant on a class.
 """
 from __future__ import annotations
 
@@ -338,7 +344,8 @@ def spin_parity(p: GenPerm) -> int:
     genus = sum(profile.orders) // 2 + 1
 
     zeta = find_suspension(p)
-    assert zeta is not None
+    if zeta is None:
+        raise RuntimeError(f"no suspension found for irreducible {p}")
     poly = build_polygon(p, zeta)
     d = p.d
     q = [0] * d
@@ -398,6 +405,25 @@ def central_involution(p: GenPerm) -> GenPerm:
     return reduce(tuple(reversed(p.bottom)), tuple(reversed(p.top)))
 
 
+def _is_centrally_symmetric(top: tuple[int, ...], bottom: tuple[int, ...]) -> bool:
+    """Whether the reduced table ``top / bottom`` is its own central involution.
+
+    Same answer as ``central_involution(p) == p``, decided on the rows:
+    renumber the reversed bottom row followed by the reversed top row and
+    stop at the first symbol that differs from ``top`` followed by
+    ``bottom``.
+    """
+    if len(top) != len(bottom):
+        return False
+    relabel: dict[int, int] = {}
+    for image, row in ((reversed(bottom), top), (reversed(top), bottom)):
+        for s, want in zip(image, row):
+            new = relabel.setdefault(s, len(relabel) + 1)
+            if new != want:
+                return False
+    return True
+
+
 def _rotation_data(p: GenPerm) -> tuple[int, list[int], list[int]]:
     """Fixed points and singularity action of a symmetric vertex's involution.
 
@@ -454,7 +480,7 @@ def _is_hyperelliptic_vertex(v: GenPerm, st: Stratum) -> bool:
     * half-translation: odd-order singularities are exchanged in pairs,
       even-order ones stay put.
     """
-    if central_involution(v) != v:
+    if not _is_centrally_symmetric(v.top, v.bottom):
         return False
     fixed, invariant, moved = _rotation_data(v)
     if fixed != 2 * st.genus + 2:
@@ -558,6 +584,30 @@ def expected_components(st: Stratum) -> int:
     return 2 if _quadratic_has_hyperelliptic(effective) else 1
 
 
+def _label_needs_class(st: Stratum) -> bool:
+    """Whether labelling a table of ``st`` needs the table's whole class.
+
+    True on the strata with a hyperelliptic component, where the label
+    rests on a scan of the class for a symmetric vertex, and on the
+    exceptional half-translation strata, whose split compares smallest
+    vertices.  Everywhere else the label is read off the table alone.  The
+    abelian families ``H(2g-2)`` and ``H(g-1,g-1)`` count at every genus:
+    at genus 2 they are connected and the label needs no scan, but the
+    class of ``1 2 3 4 / 4 3 2 1`` in ``H(2)`` is what the tracer
+    self-test of ``benchmark/run.py`` counts.  The connected
+    half-translation strata are labelled without the class.
+    """
+    effective = tuple(k for k in st.orders if k != 0)
+    if st.kind is StratumKind.ABELIAN:
+        g = st.genus
+        return effective == (2 * g - 2,) or effective == (g - 1, g - 1)
+    if effective in _CONNECTED_QUADRATIC:
+        return False
+    return effective in _EXCEPTIONAL_QUADRATIC or _quadratic_has_hyperelliptic(
+        effective
+    )
+
+
 def _label_abelian(
     st: Stratum, hyperelliptic: bool, parity
 ) -> ComponentLabel:
@@ -585,21 +635,25 @@ def _label_abelian(
 def label_for_class(
     vertices: tuple[GenPerm, ...], budget: int = 10**7
 ) -> ComponentLabel:
-    """Component label of an enumerated class.
+    """Component label of a class, given by its vertices.
 
-    Consumes the full vertex set so hyperellipticity can be decided by a
-    scan; the other invariants are computed from the smallest vertex.
+    In the strata where :func:`_label_needs_class` holds, ``vertices`` must
+    be the whole class: hyperellipticity is decided by scanning it, and the
+    exceptional split needs its smallest vertex.  Elsewhere no scan runs
+    and any nonempty subset of the class, such as one table, gives the
+    same label.  Stratum and spin parity are computed on the smallest given
+    vertex; both are constant on a class.
     """
     rep = min(vertices, key=lambda v: v.key)
     st = stratum(rep)
     effective = tuple(k for k in st.orders if k != 0)
     if st.kind is StratumKind.ABELIAN:
-        hyperelliptic = any(
+        hyp_family = _label_needs_class(st)
+        hyperelliptic = hyp_family and any(
             _is_hyperelliptic_vertex(v, st) for v in vertices
         )
         parity = None
         g = st.genus
-        hyp_family = effective == (2 * g - 2,) or effective == (g - 1, g - 1)
         all_even = all(k % 2 == 0 for k in effective)
         needs_parity = effective and all_even and (
             (hyp_family and not hyperelliptic and g >= 3) or
@@ -632,9 +686,9 @@ def _exceptional_label(rep: GenPerm, st: Stratum, budget: int) -> ComponentLabel
     their smallest vertices, which is stable across runs.  ``rep`` must be
     the smallest vertex of its class.
     """
-    from .classes import _stratum_class_representatives
+    from .classes import _stratum_reps_cached
 
-    reps = _stratum_class_representatives(st, budget)
+    reps = _stratum_reps_cached(st, budget)
     alpha = marked_order(rep)
     group = sorted(r.key for r in reps if marked_order(r) == alpha)
     return (
@@ -645,7 +699,14 @@ def _exceptional_label(rep: GenPerm, st: Stratum, budget: int) -> ComponentLabel
 
 
 def component_label(p: GenPerm, budget: int = 10**7) -> ComponentLabel:
-    """Connected-component label of the suspension surface of ``p``."""
+    """Connected-component label of the suspension surface of ``p``.
+
+    The Rauzy class of ``p`` is enumerated, within ``budget`` vertices,
+    only when :func:`_label_needs_class` holds for its stratum; otherwise
+    the label, spin parity included, is computed on ``p`` alone.
+    """
     if not is_irreducible(p):
         raise Reducible(f"{p} admits no suspension")
-    return label_for_class(_class_vertices(p, budget), budget)
+    if _label_needs_class(stratum(p)):
+        return label_for_class(_class_vertices(p, budget), budget)
+    return label_for_class((p,), budget)

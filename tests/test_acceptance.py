@@ -35,7 +35,13 @@ from rauzy import (
 )
 from rauzy.classes import class_partition
 from rauzy.errors import InductionHalt
-from rauzy.invariants import _is_hyperelliptic_vertex, label_for_class
+from rauzy.invariants import (
+    _is_centrally_symmetric,
+    _is_hyperelliptic_vertex,
+    central_involution,
+    component_label,
+    label_for_class,
+)
 
 
 def _report(n: int, detail: str) -> None:
@@ -287,3 +293,25 @@ def test_criterion_11_irreducibility_against_classical_criterion():
             assert is_irreducible(GenPerm(top, bottom)) == classical(bottom)
             checked += 1
     _report(11, f"{checked} permutations agree with the classical criterion")
+
+
+def test_lazy_label_matches_class_label(partitions):
+    """Two routes to a label: one table against its whole class.
+
+    ``component_label`` enumerates the class only where the label needs
+    it, and otherwise computes spin parity on the given table.  Seeding it
+    with the largest vertex, not the smallest one the class route reads,
+    checks that this gives the class's label.  The row-level symmetry test
+    behind the hyperelliptic scan is held against ``central_involution``.
+    """
+    classes = vertices = 0
+    for (kind, d), (diagrams, labels) in partitions.items():
+        for diag, label in zip(diagrams, labels):
+            assert component_label(diag.vertices[-1]) is label, diag.vertices[-1]
+            for v in diag.vertices:
+                assert _is_centrally_symmetric(v.top, v.bottom) == (
+                    central_involution(v) == v
+                ), v
+            classes += 1
+            vertices += len(diag)
+    print(f"{classes} classes labelled from one vertex, {vertices} vertices checked")

@@ -168,6 +168,32 @@ class TestComponentLabel:
         with pytest.raises(Reducible):
             component_label(parse("1 2 3 / 1 2 3"))
 
+    def test_class_built_only_when_needed(self, monkeypatch):
+        import rauzy.classes
+
+        calls = []
+        original = rauzy.classes.rauzy_class
+
+        def counting(seed, budget=10**7):
+            calls.append(seed)
+            return original(seed, budget)
+
+        monkeypatch.setattr(rauzy.classes, "rauzy_class", counting)
+        # H(3,1) has no hyperelliptic component: the table alone decides.
+        label = component_label(parse("1 2 3 4 5 6 7 / 2 4 1 5 7 3 6"))
+        assert label is ComponentLabel.UNIQUE
+        assert calls == []
+        # H(4) has one, so the class is scanned.
+        label = component_label(parse("1 2 3 4 5 6 / 3 2 5 4 6 1"))
+        assert label is ComponentLabel.ODD_SPIN
+        label = component_label(parse("1 2 3 4 5 6 / 6 5 4 3 2 1"))
+        assert label is ComponentLabel.HYPERELLIPTIC
+        assert len(calls) == 2
+        # H(2) is connected and needs no scan, but its class is still built:
+        # the tracer self-test of benchmark/run.py counts its 7 vertices.
+        component_label(parse("1 2 3 4 / 4 3 2 1"))
+        assert len(calls) == 3
+
 
 class TestExceptionalSplit:
     """The four stray half-translation strata get stable two-way labels.
