@@ -16,9 +16,7 @@ stratum must show exactly as many groups as its component count.
 """
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -30,7 +28,6 @@ from .combinat import (
     format_perm,
     irreducible_rows,
     is_irreducible,
-    parse,
 )
 from .errors import BudgetExceeded, ReducibleSeed
 from .induction import _move0_raw, _move1_raw
@@ -349,7 +346,7 @@ def extended_class(p: GenPerm, budget: int = 10**7) -> tuple[RauzyDiagram, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exports and cache
+# Exports
 
 
 def export_dot(diag: RauzyDiagram) -> str:
@@ -391,20 +388,3 @@ def canonical_key(p: GenPerm) -> int:
     for s in p.top + p.bottom:
         packed = (packed << 5) | s
     return packed
-
-
-def cache_path(cache_dir: str, seed: GenPerm) -> str:
-    digest = hashlib.sha256(format_perm(seed).encode()).hexdigest()[:16]
-    name = f"class-d{seed.d}-{seed.kind.value}-{digest}.txt"
-    return os.path.join(cache_dir, name)
-
-
-def save_class(diag: RauzyDiagram, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in diag.vertices:
-            fh.write(format_perm(v) + "\n")
-
-
-def load_class(path: str) -> tuple[GenPerm, ...]:
-    with open(path, encoding="utf-8") as fh:
-        return tuple(parse(line.strip()) for line in fh if line.strip())

@@ -1,8 +1,7 @@
 """Command line front end.
 
 Every command is a thin wrapper over the library; outputs are plain UTF-8.
-Flags have environment-variable twins (``RAUZY_BUDGET``, ``RAUZY_CACHE_DIR``,
-``RAUZY_OUTPUT``).
+Flags have environment-variable twins (``RAUZY_BUDGET``, ``RAUZY_OUTPUT``).
 """
 from __future__ import annotations
 
@@ -22,7 +21,6 @@ from .invariants import StratumKind, parse_stratum
 @dataclass(frozen=True)
 class Config:
     node_budget: int = 10**7
-    cache_dir: Optional[str] = None
     output: str = "text"
 
     def __post_init__(self) -> None:
@@ -46,9 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=int(_env("RAUZY_BUDGET", 10**7)),
         help="node budget for class enumeration",
-    )
-    parser.add_argument(
-        "--cache-dir", default=_env("RAUZY_CACHE_DIR", None), help="class cache"
     )
     parser.add_argument(
         "--output",
@@ -124,21 +119,7 @@ def cmd_invariants(args, config: Config) -> int:
 
 
 def cmd_class(args, config: Config) -> int:
-    p = parse(args.perm)
-    cached: Optional[tuple] = None
-    path = None
-    if config.cache_dir:
-        os.makedirs(config.cache_dir, exist_ok=True)
-        path = classes.cache_path(config.cache_dir, p)
-        if os.path.exists(path):
-            cached = classes.load_class(path)
-    diagram = classes.rauzy_class(p, config.node_budget)
-    if path and cached is None:
-        classes.save_class(diagram, path)
-    if cached is not None and set(cached) != set(diagram.vertices):
-        print("warning: stale cache entry refreshed", file=sys.stderr)
-        classes.save_class(diagram, path)
-
+    diagram = classes.rauzy_class(parse(args.perm), config.node_budget)
     if args.count:
         print(len(diagram))
     elif args.dot or config.output == "dot":
@@ -212,11 +193,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = Config(
-            node_budget=args.budget,
-            cache_dir=args.cache_dir,
-            output=args.output,
-        )
+        config = Config(node_budget=args.budget, output=args.output)
         handler = {
             "induce": cmd_induce,
             "invariants": cmd_invariants,

@@ -27,8 +27,9 @@ them, renumber) whose half-turn involution both has a spherical quotient
 and moves the singularities the way the component's double-cover
 structure dictates; bare symmetry is not enough, as symmetric vertices
 also occur in non-hyperelliptic classes.  Spin parity is the Arf
-invariant of the winding quadratic form, evaluated on explicit curves in
-a polygon witness.
+invariant of the quadratic form that takes the value 1 on every symbol
+curve, over the mod-2 intersection form of those curves (Zorich,
+*J. Mod. Dyn.* 2, 2008, appendix); it needs no polygon witness.
 
 Labelling one table enumerates its Rauzy class only in the strata that
 have a hyperelliptic component (for the scan) and in the four exceptional
@@ -40,12 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from functools import lru_cache
 
 from .combinat import GenPerm, PermKind, is_irreducible, reduce
 from .errors import NotAbelian, OddDegreePresent, Reducible
-from .suspension import build_polygon, find_suspension
 
 # ---------------------------------------------------------------------------
 # Strata
@@ -173,11 +171,14 @@ def _corner_cycles(l: int, m: int, boundary_symbols: list[int]) -> list[list[int
     return cycles
 
 
-@lru_cache(maxsize=65536)
-def _profile_rows(top: tuple[int, ...], bottom: tuple[int, ...]) -> Profile:
-    p = GenPerm(top, bottom)
+def singularity_profile(p: GenPerm) -> Profile:
+    """Combinatorial singularity data of the suspension surface over ``p``."""
+    if p.d < 2:
+        raise ValueError("suspensions over a single interval are degenerate")
+    if not is_irreducible(p):
+        raise Reducible(f"{p} admits no suspension")
     l, m = p.shape
-    boundary = list(bottom) + list(reversed(top))
+    boundary = list(p.bottom) + list(reversed(p.top))
     angles = []
     marked_angle = -1
     for cycle in _corner_cycles(l, m, boundary):
@@ -196,15 +197,6 @@ def _profile_rows(top: tuple[int, ...], bottom: tuple[int, ...]) -> Profile:
         orders = sorted(a - 2 for a in angles)
         marked = marked_angle - 2
     return Profile(tuple(orders), marked)
-
-
-def singularity_profile(p: GenPerm) -> Profile:
-    """Combinatorial singularity data of the suspension surface over ``p``."""
-    if p.d < 2:
-        raise ValueError("suspensions over a single interval are degenerate")
-    if not is_irreducible(p):
-        raise Reducible(f"{p} admits no suspension")
-    return _profile_rows(p.top, p.bottom)
 
 
 def marked_order(p: GenPerm) -> int:
@@ -228,77 +220,6 @@ def stratum(p: GenPerm) -> Stratum:
 
 # ---------------------------------------------------------------------------
 # Spin parity
-
-
-def _winding_index(dirs: list[tuple[Fraction, Fraction]]) -> int:
-    """Exact rotation number of a closed direction sequence.
-
-    Every consecutive turn must be strictly less than a half-turn, which
-    the spin representatives guarantee.  Counts signed crossings of one
-    reference ray chosen non-parallel to every direction.
-    """
-
-    def cross(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    ref = None
-    k = 0
-    while ref is None:
-        k += 1
-        cand = (Fraction(1), Fraction(k))
-        if all(cross(cand, u) != 0 for u in dirs):
-            ref = cand
-    total = 0
-    n = len(dirs)
-    for i in range(n):
-        u = dirs[i]
-        v = dirs[(i + 1) % n]
-        c = cross(u, v)
-        if c > 0:
-            if cross(u, ref) > 0 and cross(ref, v) > 0:
-                total += 1
-        elif c < 0:
-            if cross(v, ref) > 0 and cross(ref, u) > 0:
-                total -= 1
-    return total
-
-
-def _loop_directions(poly, sym: int) -> list[tuple[Fraction, Fraction]]:
-    """Directions along the closed curve of a translation-glued symbol.
-
-    The curve rises vertically from the midpoint of the bottom edge to the
-    curve halfway between the broken lines, follows that midline to below
-    the top edge's midpoint, and rises vertically again; the gluing closes
-    it up without a corner.  No two consecutive directions are opposite,
-    as :func:`_winding_index` requires.
-    """
-    from .suspension import _pl_value
-
-    ti = poly.top_symbols.index(sym)
-    bi = poly.bottom_symbols.index(sym)
-    tx = (poly.top_points[ti][0] + poly.top_points[ti + 1][0]) / 2
-    bx = (poly.bottom_points[bi][0] + poly.bottom_points[bi + 1][0]) / 2
-
-    up = (Fraction(0), Fraction(1))
-    dirs = [up]
-    if bx != tx:
-        xs = sorted(
-            {pt[0] for pt in poly.top_points} | {pt[0] for pt in poly.bottom_points}
-        )
-        walk_x = [bx]
-        if bx < tx:
-            walk_x += [x for x in xs if bx < x < tx]
-        else:
-            walk_x += [x for x in reversed(xs) if tx < x < bx]
-        walk_x.append(tx)
-        mid_pts = [
-            (x, (_pl_value(poly.top_points, x) + _pl_value(poly.bottom_points, x)) / 2)
-            for x in walk_x
-        ]
-        for (x0, y0), (x1, y1) in zip(mid_pts, mid_pts[1:]):
-            dirs.append((x1 - x0, y1 - y0))
-        dirs.append(up)
-    return dirs
 
 
 def _intersection_matrix(p: GenPerm) -> list[int]:
@@ -331,10 +252,26 @@ def _pairing(rows: list[int], u: int, v: int) -> int:
 
 
 def spin_parity(p: GenPerm) -> int:
-    """Arf invariant of the winding quadratic form of the suspension.
+    """Parity of the spin structure of the suspension surface over ``p``.
+
+    Symbol ``i`` gives a closed curve ``c_i`` that rises from the bottom
+    copy of interval ``i`` to its top copy, where the gluing closes it up
+    with no net turn of its tangent.  The quadratic form of the spin
+    structure, ``q(c) = ind(c) + 1 (mod 2)`` with ``ind`` the turning
+    number, therefore takes the value 1 on every ``c_i``.  These curves
+    span the homology mod 2 and ``q(a + b) = q(a) + q(b) + a.b``, so the
+    spin parity is the Arf invariant of the form with ``q(c_i) = 1`` on the
+    mod-2 intersection form of :func:`_intersection_matrix` (Zorich,
+    *J. Mod. Dyn.* 2, 2008, appendix).
 
     Defined for irreducible interval-exchange permutations whose
     singularity degrees are all even; constant on the class.
+
+    >>> from rauzy.combinat import parse
+    >>> spin_parity(parse("1 2 3 4 / 4 3 2 1"))
+    1
+    >>> spin_parity(parse("1 2 3 4 5 6 / 6 5 4 3 2 1"))
+    0
     """
     if p.kind is not PermKind.IET:
         raise NotAbelian(f"{p} is not an interval exchange permutation")
@@ -342,22 +279,12 @@ def spin_parity(p: GenPerm) -> int:
     if any(k % 2 for k in profile.orders):
         raise OddDegreePresent(f"degrees {profile.orders} are not all even")
     genus = sum(profile.orders) // 2 + 1
-
-    zeta = find_suspension(p)
-    if zeta is None:
-        raise RuntimeError(f"no suspension found for irreducible {p}")
-    poly = build_polygon(p, zeta)
     d = p.d
-    q = [0] * d
-    for sym in range(1, d + 1):
-        q[sym - 1] = (_winding_index(_loop_directions(poly, sym)) + 1) % 2
     rows = _intersection_matrix(p)
 
     def q_of(mask: int) -> int:
-        total = 0
         bits = [i for i in range(d) if mask >> i & 1]
-        for i in bits:
-            total ^= q[i]
+        total = len(bits) & 1
         for ai in range(len(bits)):
             for bi in range(ai + 1, len(bits)):
                 total ^= rows[bits[ai]] >> bits[bi] & 1
@@ -392,7 +319,7 @@ def spin_parity(p: GenPerm) -> int:
         )
     for v in basis:
         if q_of(v):
-            raise RuntimeError(f"winding form does not vanish on the radical of {p}")
+            raise RuntimeError(f"spin form does not vanish on the radical of {p}")
     return arf
 
 

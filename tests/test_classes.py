@@ -19,11 +19,8 @@ from rauzy import (
 )
 from rauzy.classes import (
     canonical_key,
-    cache_path,
     class_partition,
     diagram_json,
-    load_class,
-    save_class,
 )
 from rauzy.errors import BudgetExceeded, ReducibleSeed
 from rauzy.induction import r0, r1
@@ -242,9 +239,3 @@ class TestExports:
         perms = list(enumerate_irreducible(4, PermKind.IET))
         keys = {canonical_key(p) for p in perms}
         assert len(keys) == len(perms)
-
-    def test_cache_round_trip(self, tmp_path):
-        diag = rauzy_class(parse("1 1 2 / 2 3 3"))
-        path = cache_path(str(tmp_path), diag.vertices[0])
-        save_class(diag, path)
-        assert set(load_class(path)) == set(diag.vertices)

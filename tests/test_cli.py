@@ -80,15 +80,6 @@ class TestClass:
         payload = json.loads(out)
         assert len(payload["vertices"]) == 4
 
-    def test_cache(self, capsys, tmp_path):
-        args = ("--cache-dir", str(tmp_path), "class", "1 1 2 / 2 3 3", "--count")
-        code, out, _ = run_cli(capsys, *args)
-        assert code == 0 and out.strip() == "4"
-        cached = list(tmp_path.iterdir())
-        assert len(cached) == 1
-        code, out, _ = run_cli(capsys, *args)
-        assert code == 0 and out.strip() == "4"
-
     def test_budget_flag(self, capsys):
         code, _, err = run_cli(
             capsys, "--budget", "3", "class", "1 2 3 4 / 4 3 2 1", "--count"

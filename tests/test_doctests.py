@@ -3,9 +3,10 @@ import doctest
 import rauzy.combinat
 import rauzy.induction
 import rauzy.classes
+import rauzy.invariants
 
 
 def test_docstring_examples():
-    for module in (rauzy.combinat, rauzy.induction, rauzy.classes):
+    for module in (rauzy.combinat, rauzy.induction, rauzy.classes, rauzy.invariants):
         failures, _ = doctest.testmod(module)
         assert failures == 0, module.__name__
