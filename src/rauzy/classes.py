@@ -24,13 +24,14 @@ from typing import Iterable, Iterator, Optional
 from .combinat import (
     GenPerm,
     PermKind,
+    Rows,
     all_reduced_tables,
     format_perm,
     irreducible_rows,
     is_irreducible,
 )
 from .errors import BudgetExceeded, ReducibleSeed
-from .induction import _move0_raw, _move1_raw
+from .induction import _moved_rows
 from .invariants import (
     ComponentLabel,
     Stratum,
@@ -40,24 +41,6 @@ from .invariants import (
     marked_order,
     stratum,
 )
-
-Rows = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _moved_rows(rows: Rows, which: int) -> Optional[Rows]:
-    raw = _move0_raw(*rows) if which == 0 else _move1_raw(*rows)
-    if raw is None:
-        return None
-    relabel: dict[int, int] = {}
-    out = []
-    for row in raw:
-        new_row = []
-        for s in row:
-            if s not in relabel:
-                relabel[s] = len(relabel) + 1
-            new_row.append(relabel[s])
-        out.append(tuple(new_row))
-    return (out[0], out[1])
 
 
 @dataclass(frozen=True)
@@ -87,7 +70,8 @@ def _bfs_rows(seed: Rows, budget: int) -> dict[Rows, tuple[Optional[Rows], Optio
         rows = queue.popleft()
         targets = []
         for which in (0, 1):
-            nxt = _moved_rows(rows, which)
+            moved = _moved_rows(rows, which)
+            nxt = None if moved is None else moved[0]
             targets.append(nxt)
             if nxt is not None and nxt not in seen:
                 if len(seen) >= budget:
@@ -137,8 +121,11 @@ def same_class_bfs(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
     while queue:
         rows = queue.popleft()
         for which in (0, 1):
-            nxt = _moved_rows(rows, which)
-            if nxt is None or nxt in seen:
+            moved = _moved_rows(rows, which)
+            if moved is None:
+                continue
+            nxt = moved[0]
+            if nxt in seen:
                 continue
             if nxt == target:
                 return True

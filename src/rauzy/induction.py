@@ -20,7 +20,8 @@ return value (``None``) rather than an error: class enumeration treats
 vertices with missing edges as such.
 
 All length and suspension updates are exact rational arithmetic; halting
-is detected by exact equality.
+is detected by exact equality.  :func:`rv_step` compares and subtracts the
+suspension vector's parts as integers over their common denominator.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .combinat import GenPerm, Rows, format_perm, reduce_with_map, row_swap
+from .combinat import GenPerm, Rows, format_perm
 from .errors import (
     DimensionMismatch,
     InductionHalt,
@@ -38,7 +39,7 @@ from .errors import (
     InvalidSuspension,
     UndefinedMove,
 )
-from .suspension import SuspensionDatum, check_suspension
+from .suspension import SuspensionDatum, _valid_parts
 
 
 class MoveLabel(Enum):
@@ -50,16 +51,19 @@ def _move0_raw(top: tuple[int, ...], bottom: tuple[int, ...]) -> Optional[Rows]:
     """Raw move 0 on a two-to-one table; None when undefined."""
     winner = top[-1]
     loser = bottom[-1]
-    if winner in bottom[:-1]:
+    if winner == loser:
+        return None
+    # The winner's other occurrence is in ``bottom[:-1]`` or in ``top[:-1]``.
+    if winner in bottom:
         k = bottom.index(winner)
         new_bottom = bottom[: k + 1] + (loser,) + bottom[k + 1 : -1]
         return (top, new_bottom)
-    if winner in top[:-1]:
-        rest = bottom[:-1]
-        if any(rest.count(s) == 2 for s in set(rest)):
-            k = top.index(winner)
-            new_top = top[:k] + (loser,) + top[k:]
-            return (new_top, rest)
+    rest = bottom[:-1]
+    # Some symbol has both occurrences in ``rest`` iff ``rest`` repeats one.
+    if len(set(rest)) < len(rest):
+        k = top.index(winner)
+        new_top = top[:k] + (loser,) + top[k:]
+        return (new_top, rest)
     return None
 
 
@@ -67,25 +71,51 @@ def _move1_raw(top: tuple[int, ...], bottom: tuple[int, ...]) -> Optional[Rows]:
     moved = _move0_raw(bottom, top)
     if moved is None:
         return None
-    return row_swap(moved)
+    return (moved[1], moved[0])
+
+
+def _moved_rows(rows: Rows, which: int) -> Optional[tuple[Rows, dict[int, int]]]:
+    """Move ``which`` on reduced rows, renumbered back to reduced form.
+
+    The one move-and-renumber kernel, shared by the moves below and the
+    class search.  Returns the reduced rows and the ``old symbol -> new
+    symbol`` map of the renumbering, or None when the move is undefined.
+    The rows are not validated: a move keeps a reduced two-to-one table
+    two-to-one, and the renumbering reduces it.
+    """
+    raw = _move0_raw(*rows) if which == 0 else _move1_raw(*rows)
+    if raw is None:
+        return None
+    relabel: dict[int, int] = {}
+    out = []
+    for row in raw:
+        new_row = []
+        for s in row:
+            if s not in relabel:
+                relabel[s] = len(relabel) + 1
+            new_row.append(relabel[s])
+        out.append(tuple(new_row))
+    return (out[0], out[1]), relabel
+
+
+def _moved_with_map(
+    p: GenPerm, which: int
+) -> tuple[Optional[GenPerm], Optional[dict[int, int]]]:
+    moved = _moved_rows((p.top, p.bottom), which)
+    if moved is None:
+        return None, None
+    (top, bottom), relabel = moved
+    return GenPerm._trusted(top, bottom), relabel
 
 
 def r0_with_map(p: GenPerm) -> tuple[Optional[GenPerm], Optional[dict[int, int]]]:
     """Move 0 plus the renumbering map applied by the final reduction."""
-    rows = _move0_raw(p.top, p.bottom)
-    if rows is None:
-        return None, None
-    perm, relabel = reduce_with_map(*rows)
-    return perm, relabel
+    return _moved_with_map(p, 0)
 
 
 def r1_with_map(p: GenPerm) -> tuple[Optional[GenPerm], Optional[dict[int, int]]]:
     """Move 1 plus the renumbering map applied by the final reduction."""
-    rows = _move1_raw(p.top, p.bottom)
-    if rows is None:
-        return None, None
-    perm, relabel = reduce_with_map(*rows)
-    return perm, relabel
+    return _moved_with_map(p, 1)
 
 
 def r0(p: GenPerm) -> Optional[GenPerm]:
@@ -235,23 +265,24 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     result is a suspension vector over the moved permutation, with
     coordinates renumbered to match its reduced labels.
     """
-    if not check_suspension(p, zeta):
+    parts = _valid_parts(p, zeta)
+    if parts is None:
         raise InvalidSuspension(f"not a suspension vector over {p}")
+    scale, re, im = parts
     a = p.top[-1]
     b = p.bottom[-1]
     if a == b:
         raise InductionHalt("rightmost symbols coincide")
-    if zeta.re(a) == zeta.re(b):
+    if re[a - 1] == re[b - 1]:
         raise InductionHalt("rightmost lengths are exactly equal")
     values = list(zeta.values)
-    if zeta.re(a) > zeta.re(b):
-        values[a - 1] = (zeta.re(a) - zeta.re(b), zeta.im(a) - zeta.im(b))
-        perm, relabel = r0_with_map(p)
-        which = "0"
-    else:
-        values[b - 1] = (zeta.re(b) - zeta.re(a), zeta.im(b) - zeta.im(a))
-        perm, relabel = r1_with_map(p)
-        which = "1"
+    which = 0 if re[a - 1] > re[b - 1] else 1
+    longer, shorter = (a, b) if which == 0 else (b, a)
+    values[longer - 1] = (
+        Fraction(re[longer - 1] - re[shorter - 1], scale),
+        Fraction(im[longer - 1] - im[shorter - 1], scale),
+    )
+    perm, relabel = _moved_with_map(p, which)
     if perm is None or relabel is None:
         raise UndefinedMove(f"move {which} undefined at {p}")
     out: list[tuple[Fraction, Fraction]] = [None] * p.d  # type: ignore[list-item]

@@ -145,17 +145,27 @@ class Profile:
     marked: int
 
 
-def _corner_cycles(l: int, m: int, boundary_symbols: list[int]) -> list[list[int]]:
-    """Orbits of the corner walk on boundary positions."""
+def _corner_walk(p: GenPerm) -> tuple[list[int], list[tuple[list[int], int]]]:
+    """Boundary partner map and the corner cycles with their orders.
+
+    The boundary lists the bottom row left to right, then the top row
+    right to left; each position is paired with the other occurrence of
+    its symbol.  A corner cycle is an orbit of the corner walk; interior
+    corners contribute pi each and the two shared end corners (positions
+    0 and m) none.  Orders are in the convention of ``p``'s kind.  The
+    first cycle is the one through position 0, the marked corner.
+    """
+    l, m = p.shape
     n = l + m
     partner = [-1] * n
     first_seen: dict[int, int] = {}
-    for t, s in enumerate(boundary_symbols):
+    for t, s in enumerate(p.bottom + p.top[::-1]):
         if s in first_seen:
             partner[first_seen[s]] = t
             partner[t] = first_seen[s]
         else:
             first_seen[s] = t
+    iet = p.kind is PermKind.IET
     seen = [False] * n
     cycles = []
     for start in range(n):
@@ -167,8 +177,14 @@ def _corner_cycles(l: int, m: int, boundary_symbols: list[int]) -> list[list[int
             seen[t] = True
             cycle.append(t)
             t = partner[(t - 1) % n]
-        cycles.append(cycle)
-    return cycles
+        angle = sum(1 for t in cycle if t != 0 and t != m)
+        if not iet:
+            cycles.append((cycle, angle - 2))
+        elif angle % 2:
+            raise RuntimeError(f"odd angle count on an orientable surface: {p}")
+        else:
+            cycles.append((cycle, angle // 2 - 1))
+    return partner, cycles
 
 
 def singularity_profile(p: GenPerm) -> Profile:
@@ -177,26 +193,9 @@ def singularity_profile(p: GenPerm) -> Profile:
         raise ValueError("suspensions over a single interval are degenerate")
     if not is_irreducible(p):
         raise Reducible(f"{p} admits no suspension")
-    l, m = p.shape
-    boundary = list(p.bottom) + list(reversed(p.top))
-    angles = []
-    marked_angle = -1
-    for cycle in _corner_cycles(l, m, boundary):
-        # Interior corners contribute pi each; the two shared end corners
-        # (positions 0 and m) contribute none.
-        angle = sum(1 for t in cycle if t != 0 and t != m)
-        angles.append(angle)
-        if 0 in cycle:
-            marked_angle = angle
-    if p.kind is PermKind.IET:
-        if any(a % 2 for a in angles):
-            raise RuntimeError(f"odd angle count on an orientable surface: {p}")
-        orders = sorted(a // 2 - 1 for a in angles)
-        marked = marked_angle // 2 - 1
-    else:
-        orders = sorted(a - 2 for a in angles)
-        marked = marked_angle - 2
-    return Profile(tuple(orders), marked)
+    _, cycles = _corner_walk(p)
+    orders = sorted(order for _, order in cycles)
+    return Profile(tuple(orders), cycles[0][1])
 
 
 def marked_order(p: GenPerm) -> int:
@@ -368,23 +367,12 @@ def _rotation_data(p: GenPerm) -> tuple[int, list[int], list[int]]:
     """
     l, m = p.shape
     n = l + m
-    boundary = list(p.bottom) + list(reversed(p.top))
-    partner = [-1] * n
-    first: dict[int, int] = {}
-    for t, s in enumerate(boundary):
-        if s in first:
-            partner[first[s]] = t
-            partner[t] = first[s]
-        else:
-            first[s] = t
+    partner, cycles = _corner_walk(p)
     self_paired = sum(1 for t in range(n) if partner[t] == (t + m) % n) // 2
     fixed = 1 + self_paired
     invariant: list[int] = []
     moved: list[int] = []
-    iet = p.kind is PermKind.IET
-    for cycle in _corner_cycles(l, m, boundary):
-        angle = sum(1 for t in cycle if t != 0 and t != m)
-        order = angle // 2 - 1 if iet else angle - 2
+    for cycle, order in cycles:
         if set(cycle) == {(t + m) % n for t in cycle}:
             fixed += 1
             invariant.append(order)

@@ -2,17 +2,23 @@
 
 Systems are lists of inequality rows ``(coeffs, const)`` meaning
 ``sum(coeffs[i] * x[i]) + const >= 0`` with integer entries, plus optional
-equality rows with the analogous meaning.  Feasibility is decided by
-Fourier-Motzkin elimination over the integers (rows are gcd-normalised and
-deduplicated after every round), which is exact and fast at the dimensions
-used here (at most a couple dozen variables).
+equality rows with the analogous meaning.  Equality rows are solved first
+by fraction-free Gauss-Jordan elimination on integer rows, each divided by
+the gcd of its entries (the classical fraction-free method is Bareiss,
+Math. Comp. 22, 1968); this rewrites the inequalities over the free
+variables.  Feasibility is then decided by Fourier-Motzkin elimination
+over the integers (rows are gcd-normalised and deduplicated after every
+round), which is exact and fast at the dimensions used here (at most a
+couple dozen variables).
 
 Witness extraction runs one elimination pass recording the intermediate
 projections, then assigns variables forward: at each step the recorded
 projection yields the exact feasible interval for the next variable given
 the values already chosen, and a caller-supplied rule picks a value in it.
-With the default rule the witness is deterministic and preferentially built
-from small integers.
+The values chosen so far are held as integers over one common denominator,
+so only the two bounds handed to the rule and the returned values are
+``Fraction`` objects.  With the default rule the witness is deterministic
+and preferentially built from small integers.
 """
 from __future__ import annotations
 
@@ -30,9 +36,7 @@ class _Contradiction(Exception):
 
 def _norm(coeffs: Sequence[int], const: int) -> Row | None:
     """gcd-normalise; return None for tautologies, raise on contradictions."""
-    g = 0
-    for a in coeffs:
-        g = gcd(g, a)
+    g = gcd(*coeffs)
     if g == 0:
         if const < 0:
             raise _Contradiction
@@ -64,74 +68,77 @@ def _eliminate(rows: set[Row], j: int) -> set[Row]:
     return out
 
 
+Pivot = tuple[int, tuple[int, ...], int, int]
+
+
 def _reduce_equalities(
     nvars: int,
     ineqs: Sequence[Row],
     eqs: Sequence[Row],
-) -> tuple[list[Row], list[int], list[tuple[int, tuple[Fraction, ...], Fraction]]]:
-    """Solve the equality rows by exact Gaussian elimination.
+) -> tuple[list[Row], list[int], list[Pivot]]:
+    """Solve the equality rows by fraction-free Gauss-Jordan elimination.
+
+    Every pivot is kept as a primitive integer row whose coefficient at
+    its pivot variable, the lead, is positive and whose coefficients at
+    the other pivot variables are zero.  A variable is eliminated from a
+    row by multiplying the row by that lead and subtracting the pivot row
+    times the row's coefficient; the multiplier is positive, so an
+    inequality keeps its direction, and ``_norm`` then makes every
+    rewritten row the unique primitive row of its ray.  Pivots are picked
+    as the highest variable left in each equality row, in input order.
 
     Returns inequality rows rewritten over the free variables, the list of
     free variable indices, and the pivot substitutions
-    ``(var, coeffs_over_free, const)`` with ``x[var] = sum(c*x_free) + const``.
+    ``(var, coeffs_over_free, const, lead)`` with
+    ``x[var] = -(sum(c*x_free) + const) / lead``.
     """
-    work = [
-        ([Fraction(a) for a in coeffs], Fraction(const)) for coeffs, const in eqs
-    ]
-    pivots: list[tuple[int, list[Fraction], Fraction]] = []
-    pivot_vars: set[int] = set()
-    for coeffs, const in work:
-        for done_var, expr, c0 in pivots:
-            f = coeffs[done_var]
+    pivots: list[tuple[int, list[int], int]] = []
+    for coeffs, const in eqs:
+        row = list(coeffs)
+        row_const = const
+        for var, prow, pconst in pivots:
+            f = row[var]
             if f:
-                coeffs[done_var] = Fraction(0)
-                for k in range(nvars):
-                    coeffs[k] += f * expr[k]
-                const += f * c0
-        var = max((k for k in range(nvars) if coeffs[k]), default=-1)
+                lead = prow[var]
+                row = [lead * a - f * b for a, b in zip(row, prow)]
+                row_const = lead * row_const - f * pconst
+        var = max((k for k in range(nvars) if row[k]), default=-1)
         if var < 0:
-            if const != 0:
+            if row_const != 0:
                 raise _Contradiction
             continue
-        lead = coeffs[var]
-        expr_row = [-coeffs[k] / lead for k in range(nvars)]
-        expr_row[var] = Fraction(0)
-        pivots.append((var, expr_row, -const / lead))
-        pivot_vars.add(var)
-    # Back-substitute so every pivot expression mentions free variables only.
-    for i in range(len(pivots) - 1, -1, -1):
-        var, expr, c0 = pivots[i]
-        for j in range(i + 1, len(pivots)):
-            var_j, expr_j, c0_j = pivots[j]
-            f = expr[var_j]
+        g = gcd(*row, row_const)
+        if row[var] < 0:
+            g = -g
+        row = [a // g for a in row]
+        row_const //= g
+        lead = row[var]
+        for i, (v, prow, pconst) in enumerate(pivots):
+            f = prow[var]
             if f:
-                expr[var_j] = Fraction(0)
-                for k in range(nvars):
-                    expr[k] += f * expr_j[k]
-                c0 += f * c0_j
-        pivots[i] = (var, expr, c0)
+                prow = [lead * a - f * b for a, b in zip(prow, row)]
+                pconst = lead * pconst - f * row_const
+                g = gcd(*prow, pconst)
+                pivots[i] = (v, [a // g for a in prow], pconst // g)
+        pivots.append((var, row, row_const))
+    pivot_vars = {var for var, _, _ in pivots}
     free = [k for k in range(nvars) if k not in pivot_vars]
 
     out_rows: list[Row] = []
     for coeffs, const in ineqs:
-        acc = [Fraction(a) for a in coeffs]
-        c = Fraction(const)
-        for var, expr, c0 in pivots:
+        acc = list(coeffs)
+        for var, prow, pconst in pivots:
             f = acc[var]
             if f:
-                acc[var] = Fraction(0)
-                for k in range(nvars):
-                    acc[k] += f * expr[k]
-                c += f * c0
-        packed = [acc[v] for v in free]
-        denom = 1
-        for val in packed + [c]:
-            denom = denom * val.denominator // gcd(denom, val.denominator)
-        row = _norm([int(v * denom) for v in packed], int(c * denom))
+                lead = prow[var]
+                acc = [lead * a - f * b for a, b in zip(acc, prow)]
+                const = lead * const - f * pconst
+        row = _norm([acc[v] for v in free], const)
         if row is not None:
             out_rows.append(row)
     frozen = [
-        (var, tuple(expr[v] for v in free), c0) for var, expr, c0 in pivots
+        (var, tuple(prow[v] for v in free), pconst, prow[var])
+        for var, prow, pconst in pivots
     ]
     return out_rows, free, frozen
 
@@ -175,7 +182,8 @@ def canonical_choice(
         return Fraction(0)
     if lo is not None and lo > 0:
         return lo
-    assert hi is not None
+    if hi is None:
+        raise RuntimeError("canonical_choice found no bound to return")
     return hi
 
 
@@ -190,6 +198,12 @@ def solve(
     ``choose(var_index, lo, hi)`` picks a value in the (possibly unbounded)
     exact feasible interval for that variable; the projection guarantees any
     value in the interval extends to a full solution.
+
+    With ``x + y = 4``, ``2x >= 3`` and ``y >= 1``, the equality row makes
+    ``y`` a pivot; ``x`` is free in ``[3/2, 3]`` and takes the nearer bound:
+
+    >>> solve(2, [((2, 0), -3), ((0, 1), -1)], [((1, 1), -4)])
+    [Fraction(3, 2), Fraction(5, 2)]
     """
     try:
         rows_list, free, pivots = _reduce_equalities(nvars, ineqs, eqs)
@@ -206,34 +220,52 @@ def solve(
     except _Contradiction:
         return None
 
+    # The values chosen so far are ``nums[k] / scale`` over one common
+    # denominator.  A bound ``n / (m * scale)`` with ``m > 0`` is held as
+    # ``(n, m)``, so bounds are compared by cross-multiplying integers.
     values: list[Fraction] = []
+    nums: list[int] = []
+    scale = 1
     for j in range(width):
         system = stack.pop() if stack else set()
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
+        lo: Optional[tuple[int, int]] = None
+        hi: Optional[tuple[int, int]] = None
         for coeffs, const in system:
             a = coeffs[j]
             if a == 0:
                 continue
-            rest = Fraction(const)
+            rest = const * scale
             for k in range(j):
-                rest += coeffs[k] * values[k]
-            bound = -rest / a
+                rest += coeffs[k] * nums[k]
+            # The row reads a * x_j + rest / scale >= 0: x_j >= -rest / (a * scale)
+            # when a > 0, x_j <= rest / (-a * scale) when a < 0.
             if a > 0:
-                if lo is None or bound > lo:
-                    lo = bound
+                if lo is None or -rest * lo[1] > lo[0] * a:
+                    lo = (-rest, a)
             else:
-                if hi is None or bound < hi:
-                    hi = bound
-        if lo is not None and hi is not None and lo > hi:
+                if hi is None or rest * hi[1] < hi[0] * -a:
+                    hi = (rest, -a)
+        if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
             return None
-        values.append(choose(free[j], lo, hi))
+        value = choose(
+            free[j],
+            None if lo is None else Fraction(lo[0], lo[1] * scale),
+            None if hi is None else Fraction(hi[0], hi[1] * scale),
+        )
+        values.append(value)
+        den = value.denominator
+        if scale % den:
+            grow = den // gcd(scale, den)
+            nums = [v * grow for v in nums]
+            scale *= grow
+        nums.append(value.numerator * (scale // den))
 
     full = [Fraction(0)] * nvars
     for idx, v in enumerate(free):
         full[v] = values[idx]
-    for var, expr, c0 in pivots:
-        full[var] = sum(
-            (f * values[k] for k, f in enumerate(expr) if f), start=Fraction(0)
-        ) + c0
+    for var, coeffs, const, lead in pivots:
+        total = const * scale
+        for k, c in enumerate(coeffs):
+            total += c * nums[k]
+        full[var] = Fraction(-total, lead * scale)
     return full

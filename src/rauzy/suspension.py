@@ -29,8 +29,16 @@ translation when the occurrences lie in different rows and by a half-turn
 when they lie in the same row.  :func:`geometric_profile` reads the cone
 angles of the glued surface off this polygon by following the edge
 identifications around every vertex and counting vertical directions in
-each corner sector, which is exact in rational arithmetic because no edge
+each corner sector, which is exact in integer arithmetic because no edge
 is ever vertical.
+
+All four conditions, the polygon's embeddedness and its cone angles are
+unchanged when every entry is multiplied by the same positive number.  The
+checks and the polygon oracle therefore scale the vector (or the polygon)
+once by the least common multiple of its denominators and work on integers;
+``Fraction`` objects are made only for the values returned to the caller.
+Entries must be ``int`` or ``Fraction``; anything else raises
+:class:`~rauzy.errors.InvalidSuspension`.
 
 Witnesses returned by :func:`find_suspension` always yield an embedded
 polygon.  The slack-normalised imaginary system already keeps every
@@ -48,7 +56,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from random import Random
 from typing import Optional
 
@@ -134,29 +142,69 @@ def _real_system(p: GenPerm, ims: Optional[list[Fraction]] = None) -> tuple[list
     if any(balance):
         eqs.append((tuple(balance), 0))
     if ims is not None:
-        total = sum(ims[s - 1] for s in p.top)
+        _, heights = _scaled(ims)
+        total = sum(heights[s - 1] for s in p.top)
         a = p.top[-1]
         b = p.bottom[-1]
         if total > 0:
-            dip = -sum(ims[s - 1] for s in p.bottom[:-1])  # >= 1
-            row = [Fraction(0)] * d
+            dip = -sum(heights[s - 1] for s in p.bottom[:-1])  # > 0
+            row = [0] * d
             row[a - 1] += total + dip
             row[b - 1] -= total
-            ineqs.append(_integral_row(row))
+            ineqs.append((tuple(row), 0))
         elif total < 0:
-            rise = sum(ims[s - 1] for s in p.top[:-1])  # >= 1
-            row = [Fraction(0)] * d
+            rise = sum(heights[s - 1] for s in p.top[:-1])  # > 0
+            row = [0] * d
             row[b - 1] += -total + rise
             row[a - 1] -= -total
-            ineqs.append(_integral_row(row))
+            ineqs.append((tuple(row), 0))
     return ineqs, eqs
 
 
-def _integral_row(coeffs: list[Fraction], const: Fraction = Fraction(0)):
-    denom = 1
-    for v in list(coeffs) + [const]:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    return (tuple(int(v * denom) for v in coeffs), int(const * denom))
+def _scaled(values) -> tuple[int, list[int]]:
+    """The LCM of the denominators of ``values`` and the values times it.
+
+    Entries must be ``int`` or ``Fraction``; anything else, a float
+    included, raises :class:`InvalidSuspension`.
+    """
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise InvalidSuspension(f"entry {v!r} is neither an int nor a Fraction")
+    scale = lcm(*[v.denominator for v in values])
+    if scale == 1:
+        return 1, [v.numerator for v in values]
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _valid_parts(
+    p: GenPerm, zeta: SuspensionDatum
+) -> Optional[tuple[int, list[int], list[int]]]:
+    """Scale, real parts and imaginary parts of ``zeta`` on integers.
+
+    Returns None when ``zeta`` fails one of the four conditions over ``p``.
+    """
+    if zeta.d != p.d:
+        raise DimensionMismatch(f"expected {p.d} entries, got {zeta.d}")
+    scale, flat = _scaled([v for pair in zeta.values for v in pair])
+    re, im = flat[0::2], flat[1::2]
+    if min(re) <= 0:
+        return None
+    acc = 0
+    for s in p.top[:-1]:
+        acc += im[s - 1]
+        if acc <= 0:
+            return None
+    top_im = acc + im[p.top[-1] - 1]
+    acc = 0
+    for s in p.bottom[:-1]:
+        acc += im[s - 1]
+        if acc >= 0:
+            return None
+    if acc + im[p.bottom[-1] - 1] != top_im:
+        return None
+    if sum([re[s - 1] for s in p.top]) != sum([re[s - 1] for s in p.bottom]):
+        return None
+    return scale, re, im
 
 
 def has_suspension(p: GenPerm) -> bool:
@@ -213,35 +261,28 @@ def random_suspension(p: GenPerm, rng: Random) -> Optional[SuspensionDatum]:
     res = linprog.solve(d, *_real_system(p, ims), choose=pick)
     if res is None:
         raise RuntimeError(f"fold-guarded length system infeasible for {p}")
-    denom = 1
-    for v in res + ims:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    res = [v * denom for v in res]
-    ims = [v * denom for v in ims]
+    _, ints = _scaled(res + ims)
+    res = [Fraction(v) for v in ints[:d]]
+    ims = [Fraction(v) for v in ints[d:]]
     return _assemble(p, res, ims)
 
 
 def check_suspension(p: GenPerm, zeta: SuspensionDatum) -> bool:
-    """Exact validation of the four suspension conditions."""
-    if zeta.d != p.d:
-        raise DimensionMismatch(f"expected {p.d} entries, got {zeta.d}")
-    if any(re <= 0 for re, _ in zeta.values):
-        return False
-    acc = Fraction(0)
-    for s in p.top[:-1]:
-        acc += zeta.im(s)
-        if acc <= 0:
-            return False
-    acc = Fraction(0)
-    for s in p.bottom[:-1]:
-        acc += zeta.im(s)
-        if acc >= 0:
-            return False
-    top_sum_re = sum(zeta.re(s) for s in p.top)
-    top_sum_im = sum(zeta.im(s) for s in p.top)
-    bot_sum_re = sum(zeta.re(s) for s in p.bottom)
-    bot_sum_im = sum(zeta.im(s) for s in p.bottom)
-    return top_sum_re == bot_sum_re and top_sum_im == bot_sum_im
+    """Exact validation of the four suspension conditions.
+
+    The conditions are homogeneous, so they are tested on the entries
+    scaled to integers by the LCM of their denominators.
+
+    >>> from .combinat import parse
+    >>> p = parse("1 2 / 2 1")
+    >>> zeta = SuspensionDatum(((Fraction(1, 2), Fraction(1, 3)),
+    ...                         (Fraction(3, 4), Fraction(-1, 6))))
+    >>> check_suspension(p, zeta)
+    True
+    >>> check_suspension(p, SuspensionDatum(((1, 1), (1, 1))))
+    False
+    """
+    return _valid_parts(p, zeta) is not None
 
 
 GLUE_TRANSLATION = "translation"
@@ -274,16 +315,20 @@ class SuspensionPolygon:
 
 def build_polygon(p: GenPerm, zeta: SuspensionDatum) -> SuspensionPolygon:
     """Suspension polygon of a valid vector over ``p``."""
-    if not check_suspension(p, zeta):
+    parts = _valid_parts(p, zeta)
+    if parts is None:
         raise InvalidSuspension(f"not a suspension vector over {p}")
-    top_points = [(Fraction(0), Fraction(0))]
-    for s in p.top:
-        x, y = top_points[-1]
-        top_points.append((x + zeta.re(s), y + zeta.im(s)))
-    bottom_points = [(Fraction(0), Fraction(0))]
-    for s in p.bottom:
-        x, y = bottom_points[-1]
-        bottom_points.append((x + zeta.re(s), y + zeta.im(s)))
+    scale, re, im = parts
+
+    def line(row: tuple[int, ...]) -> tuple[Point, ...]:
+        x = y = 0
+        points = [(Fraction(0), Fraction(0))]
+        for s in row:
+            x += re[s - 1]
+            y += im[s - 1]
+            points.append((Fraction(x, scale), Fraction(y, scale)))
+        return tuple(points)
+
     l = len(p.top)
     occurrences: dict[int, list[int]] = {}
     for i, s in enumerate(p.top):
@@ -296,22 +341,52 @@ def build_polygon(p: GenPerm, zeta: SuspensionDatum) -> SuspensionPolygon:
         same_row = (a < l) == (b < l)
         pairs.append((a, b, GLUE_HALF_TURN if same_row else GLUE_TRANSLATION))
     return SuspensionPolygon(
-        tuple(top_points),
-        tuple(bottom_points),
+        line(p.top),
+        line(p.bottom),
         p.top,
         p.bottom,
         tuple(pairs),
     )
 
 
-def _pl_value(points: tuple[Point, ...], x: Fraction) -> Fraction:
-    """Evaluate the broken line through ``points`` (x-monotone) at ``x``."""
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        if x0 <= x <= x1:
-            if x1 == x0:
-                return y0
-            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    raise ValueError("abscissa outside the polygon")
+IntPoint = tuple[int, int]
+
+
+def _integer_points(
+    poly: SuspensionPolygon,
+) -> tuple[list[IntPoint], list[IntPoint]]:
+    """Both broken lines scaled by the LCM of all coordinate denominators.
+
+    Embeddedness and cone angles do not change under a positive scaling.
+    """
+    points = poly.top_points + poly.bottom_points
+    _, flat = _scaled([c for pt in points for c in pt])
+    pairs = list(zip(flat[0::2], flat[1::2]))
+    return pairs[: len(poly.top_points)], pairs[len(poly.top_points) :]
+
+
+def _clears(vertices: list[IntPoint], line: list[IntPoint], side: int) -> bool:
+    """Whether every interior vertex lies strictly on ``side`` of ``line``.
+
+    ``side`` is 1 for above and -1 for below.  Both broken lines run
+    left to right over the same interval with strictly increasing
+    abscissas, so one sweep finds the segment of ``line`` under each
+    vertex; the height comparison is multiplied through by the segment's
+    positive run.
+    """
+    j = 0
+    for x, y in vertices[1:-1]:
+        while line[j + 1][0] < x:
+            j += 1
+        (x0, y0), (x1, y1) = line[j], line[j + 1]
+        run = x1 - x0
+        if side * (y * run - y0 * run - (y1 - y0) * (x - x0)) <= 0:
+            return False
+    return True
+
+
+def _embedded(top: list[IntPoint], bottom: list[IntPoint]) -> bool:
+    return _clears(top, bottom, 1) and _clears(bottom, top, -1)
 
 
 def is_embedded(poly: SuspensionPolygon) -> bool:
@@ -321,38 +396,29 @@ def is_embedded(poly: SuspensionPolygon) -> bool:
     enough that the top line lies strictly above the bottom one at every
     interior vertex abscissa of either line.
     """
-    xs = {pt[0] for pt in poly.top_points[1:-1]}
-    xs |= {pt[0] for pt in poly.bottom_points[1:-1]}
-    for x in xs:
-        if _pl_value(poly.top_points, x) <= _pl_value(poly.bottom_points, x):
-            return False
-    return True
+    return _embedded(*_integer_points(poly))
 
 
-def _cross(u: Point, v: Point) -> Fraction:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _sector_verticals(u: Point, w: Point) -> int:
+def _sector_verticals(u: IntPoint, w: IntPoint) -> int:
     """Number of vertical directions in the ccw sector from ray u to ray w.
 
     Neither boundary ray is ever vertical here (edges have nonzero real
     part), so only strict interior tests are needed.  Rays with equal
     direction bound an empty sector (a cusp of an embedded polygon).
+    The cross product of a ray with the upward direction ``(0, 1)`` is
+    its abscissa, so both tests read only the signs of ``u[0]`` and
+    ``w[0]``; the downward direction flips both.
     """
     count = 0
-    for v in ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(-1))):
-        cuw = _cross(u, w)
+    cuw = u[0] * w[1] - u[1] * w[0]
+    for sign in (1, -1):
+        ux, wx = sign * u[0], sign * w[0]
         if cuw > 0:
-            inside = _cross(u, v) > 0 and _cross(v, w) > 0
+            inside = ux > 0 and wx < 0
         elif cuw < 0:
-            inside = not (_cross(w, v) > 0 and _cross(v, u) > 0)
+            inside = not (wx > 0 and ux < 0)
         else:
-            dot = u[0] * w[0] + u[1] * w[1]
-            if dot > 0:
-                inside = False
-            else:
-                inside = _cross(u, v) > 0
+            inside = u[0] * w[0] + u[1] * w[1] <= 0 and ux > 0
         if inside:
             count += 1
     return count
@@ -376,20 +442,21 @@ def geometric_profile(poly: SuspensionPolygon) -> GeometricProfile:
     on the corner at the tail of the partner edge.  Angles are accumulated
     as the number of vertical directions crossed, one per half-turn.
     """
-    if not is_embedded(poly):
+    top, bottom = _integer_points(poly)
+    if not _embedded(top, bottom):
         raise DegeneratePolygon("broken lines touch or cross; pick another vector")
     l, m = poly.l, poly.m
     n = l + m
-    dirs: list[Point] = []
+    dirs: list[IntPoint] = []
     symbols: list[int] = []
     for j in range(m):
-        x0, y0 = poly.bottom_points[j]
-        x1, y1 = poly.bottom_points[j + 1]
+        x0, y0 = bottom[j]
+        x1, y1 = bottom[j + 1]
         dirs.append((x1 - x0, y1 - y0))
         symbols.append(poly.bottom_symbols[j])
     for i in range(l - 1, -1, -1):
-        x0, y0 = poly.top_points[i]
-        x1, y1 = poly.top_points[i + 1]
+        x0, y0 = top[i]
+        x1, y1 = top[i + 1]
         dirs.append((x0 - x1, y0 - y1))
         symbols.append(poly.top_symbols[i])
     partner = [-1] * n

@@ -91,6 +91,28 @@ def test_moves_preserve_irreducibility_and_size(p):
             assert is_irreducible(q)
 
 
+def test_trusted_kernel_matches_validated_reduction():
+    # The kernel wraps its rows without validation; every table it makes
+    # through five symbols is what the validating reduction makes.
+    from rauzy.combinat import GenPerm, all_reduced_tables, reduce_with_map
+    from rauzy.induction import _move0_raw, _move1_raw, r0_with_map, r1_with_map
+
+    checked = 0
+    for d in range(1, 6):
+        for rows in all_reduced_tables(d):
+            p = GenPerm(*rows)
+            for raw_move, move in ((_move0_raw, r0_with_map), (_move1_raw, r1_with_map)):
+                raw = raw_move(p.top, p.bottom)
+                got = move(p)
+                if raw is None:
+                    assert got == (None, None)
+                    continue
+                want = reduce_with_map(*raw)
+                assert got == want and got[0].key == want[0].key, p
+                checked += 1
+    assert checked > 10_000
+
+
 @given(iet_perms(max_d=6))
 @settings(max_examples=60, deadline=None)
 def test_iet_moves_always_defined(p):

@@ -27,7 +27,6 @@ from rauzy import (
     stratum,
 )
 from rauzy.classes import class_partition
-from rauzy.suspension import _pl_value
 
 REFERENCE = (
     Path(__file__).resolve().parents[1]
@@ -35,6 +34,16 @@ REFERENCE = (
     / "reference"
     / "invariants-classes.json"
 )
+
+
+def _pl_value(points, x):
+    """Evaluate the broken line through ``points`` (x-monotone) at ``x``."""
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x0 <= x <= x1:
+            if x1 == x0:
+                return y0
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    raise ValueError("abscissa outside the polygon")
 
 
 def _winding_index(dirs: list[tuple[Fraction, Fraction]]) -> int:

@@ -19,8 +19,10 @@ from rauzy import (
     polygon_svg,
     random_suspension,
 )
-from rauzy.combinat import all_reduced_tables, reduce
+from rauzy.combinat import PermKind, all_reduced_tables, reduce
+from rauzy.classes import enumerate_irreducible
 from rauzy.errors import DimensionMismatch, InvalidSuspension
+from rauzy.induction import rv_step
 from rauzy.linprog import feasible
 from rauzy.suspension import (
     SuspensionDatum,
@@ -57,6 +59,92 @@ class TestCheckSuspension:
         p = parse("1 2 / 2 1")
         with pytest.raises(DimensionMismatch):
             check_suspension(p, _datum((1, 1)))
+
+
+def _fraction_conditions(p, zeta):
+    """The four suspension conditions summed in ``Fraction`` arithmetic.
+
+    The route ``check_suspension`` took before it scaled to integers; kept
+    as the oracle of the integer route.
+    """
+    positive = all(re > 0 for re, _ in zeta.values)
+    top_ok = bottom_ok = True
+    acc = Fraction(0)
+    for s in p.top[:-1]:
+        acc += zeta.im(s)
+        top_ok = top_ok and acc > 0
+    acc = Fraction(0)
+    for s in p.bottom[:-1]:
+        acc += zeta.im(s)
+        bottom_ok = bottom_ok and acc < 0
+    closed = sum(zeta.re(s) for s in p.top) == sum(
+        zeta.re(s) for s in p.bottom
+    ) and sum(zeta.im(s) for s in p.top) == sum(zeta.im(s) for s in p.bottom)
+    return positive, top_ok, bottom_ok, closed
+
+
+def _small_tables():
+    for d in range(2, 6):
+        yield from enumerate_irreducible(d, PermKind.IET)
+        if d >= 3:
+            yield from enumerate_irreducible(d, PermKind.QUADRATIC)
+
+
+def _perturbed(zeta, rng):
+    """``zeta`` over a non-unit denominator, with one or two entries moved."""
+    values = [[re / 7, im / 7] for re, im in zeta.values]
+    span = max(abs(v) for pair in values for v in pair)
+    for _ in range(rng.choice((1, 1, 2))):
+        k = rng.randrange(len(values))
+        part = rng.randrange(2)
+        values[k][part] += span * Fraction(rng.randint(-9, 9), rng.choice((2, 3, 5)))
+    return SuspensionDatum(tuple(tuple(pair) for pair in values))
+
+
+class TestIntegerRoute:
+    """``check_suspension`` on integers against the ``Fraction`` oracle."""
+
+    def test_witnesses_through_five_symbols(self):
+        checked = 0
+        for p in _small_tables():
+            rng = Random(f"route:{p}")
+            for zeta in (find_suspension(p), random_suspension(p, rng)):
+                assert all(_fraction_conditions(p, zeta)), p
+                assert check_suspension(p, zeta), p
+                checked += 1
+        assert checked == 2 * 1_750
+
+    def test_perturbed_witnesses_through_five_symbols(self):
+        # Count the vectors that break exactly one condition: dropping that
+        # condition from the integer route would accept them.
+        sole_failures = [0, 0, 0, 0]
+        for p in _small_tables():
+            rng = Random(f"perturb:{p}")
+            base = (find_suspension(p), random_suspension(p, rng))
+            for trial in range(4):
+                zeta = _perturbed(base[trial % 2], rng)
+                conditions = _fraction_conditions(p, zeta)
+                assert check_suspension(p, zeta) == all(conditions), (p, zeta)
+                if sum(conditions) == 3:
+                    sole_failures[conditions.index(False)] += 1
+        assert min(sole_failures) >= 100, sole_failures
+
+    def test_rejects_non_rational_entries(self):
+        p = parse("1 2 / 2 1")
+        for bad in (1.0, 0.5, "1", None):
+            zeta = SuspensionDatum(((Fraction(1), Fraction(1)), (1, bad)))
+            with pytest.raises(InvalidSuspension):
+                check_suspension(p, zeta)
+            with pytest.raises(InvalidSuspension):
+                build_polygon(p, zeta)
+            with pytest.raises(InvalidSuspension):
+                rv_step(p, zeta)
+
+    def test_int_entries_accepted(self):
+        p = parse("1 2 / 2 1")
+        assert check_suspension(p, SuspensionDatum(((1, 1), (1, -1))))
+        half = Fraction(1, 2)
+        assert check_suspension(p, SuspensionDatum(((1, half), (1, -half))))
 
 
 class TestFindSuspension:
