@@ -9,11 +9,11 @@ seeded by the table, and up to 50 ``rv_step`` moves from that vector
 orbit).  Two versions of the package produce the same digests exactly
 when these outputs are byte-identical::
 
-    python scripts/witness_digest.py --max-d 6
+    python scripts/witness_digest.py
 
-prints one ``kind d tables sha256`` line per size and kind.
+prints one ``kind d tables sha256`` line per size and kind, for sizes 2
+to ``MAX_D``.
 """
-import argparse
 import hashlib
 import sys
 from random import Random
@@ -32,6 +32,7 @@ from rauzy import (
 from rauzy.errors import RauzyError
 
 RV_STEPS = 50
+MAX_D = 6
 
 
 def _table_record(p) -> str:
@@ -63,11 +64,8 @@ def witness_digest(d: int, kind: PermKind) -> tuple[int, str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-d", type=int, default=6)
-    args = parser.parse_args()
     for kind in (PermKind.IET, PermKind.QUADRATIC):
-        for d in range(2, args.max_d + 1):
+        for d in range(2, MAX_D + 1):
             count, digest = witness_digest(d, kind)
             print(f"{kind.value} {d} {count} {digest}", flush=True)
     return 0

@@ -52,3 +52,13 @@ def iet_perms(draw, min_d=2, max_d=6):
     d = draw(st.integers(min_d, max_d))
     bottom = tuple(draw(st.permutations(list(range(1, d + 1)))))
     return GenPerm(tuple(range(1, d + 1)), bottom)
+
+
+def pl_value(points, x):
+    """Evaluate the broken line through ``points`` (x-monotone) at ``x``."""
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x0 <= x <= x1:
+            if x1 == x0:
+                return y0
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    raise ValueError("abscissa outside the polygon")

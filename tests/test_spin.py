@@ -13,6 +13,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from conftest import pl_value
 
 import rauzy.linprog
 import rauzy.suspension
@@ -34,16 +35,6 @@ REFERENCE = (
     / "reference"
     / "invariants-classes.json"
 )
-
-
-def _pl_value(points, x):
-    """Evaluate the broken line through ``points`` (x-monotone) at ``x``."""
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        if x0 <= x <= x1:
-            if x1 == x0:
-                return y0
-            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    raise ValueError("abscissa outside the polygon")
 
 
 def _winding_index(dirs: list[tuple[Fraction, Fraction]]) -> int:
@@ -106,7 +97,7 @@ def _loop_directions(poly, sym: int) -> list[tuple[Fraction, Fraction]]:
             walk_x += [x for x in reversed(xs) if tx < x < bx]
         walk_x.append(tx)
         mid_pts = [
-            (x, (_pl_value(poly.top_points, x) + _pl_value(poly.bottom_points, x)) / 2)
+            (x, (pl_value(poly.top_points, x) + pl_value(poly.bottom_points, x)) / 2)
             for x in walk_x
         ]
         for (x0, y0), (x1, y1) in zip(mid_pts, mid_pts[1:]):

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
-from conftest import genperms, irreducible_genperms
+from conftest import genperms, irreducible_genperms, pl_value
 
 from rauzy import (
     GenPerm,
@@ -21,7 +21,7 @@ from rauzy import (
 )
 from rauzy.combinat import PermKind, all_reduced_tables, reduce
 from rauzy.classes import enumerate_irreducible
-from rauzy.errors import DimensionMismatch, InvalidSuspension
+from rauzy.errors import DegeneratePolygon, DimensionMismatch, InvalidSuspension
 from rauzy.induction import rv_step
 from rauzy.linprog import feasible
 from rauzy.suspension import (
@@ -145,6 +145,62 @@ class TestIntegerRoute:
         assert check_suspension(p, SuspensionDatum(((1, 1), (1, -1))))
         half = Fraction(1, 2)
         assert check_suspension(p, SuspensionDatum(((1, half), (1, -half))))
+
+
+def _least_gap(poly):
+    """Least height of the top line over the bottom one, on ``Fraction``s.
+
+    Evaluates both broken lines at every interior vertex abscissa, the
+    route ``is_embedded`` took before it swept integer points; kept as its
+    oracle.  Positive exactly when the polygon is embedded.
+    """
+    xs = {x for x, _ in poly.top_points[1:-1] + poly.bottom_points[1:-1]}
+    return min(pl_value(poly.top_points, x) - pl_value(poly.bottom_points, x) for x in xs)
+
+
+def _assert_embedding_agrees(poly):
+    embedded = _least_gap(poly) > 0
+    assert is_embedded(poly) == embedded
+    if not embedded:
+        with pytest.raises(DegeneratePolygon):
+            geometric_profile(poly)
+    return embedded
+
+
+class TestEmbedded:
+    """``is_embedded`` on valid vectors whose broken lines may touch or cross."""
+
+    def test_top_vertex_under_bottom_edge(self):
+        # The top vertex (4, 1) against the bottom edge from (1 + 1, h - 8)
+        # to (5, 1 + h): the gap there is 3 - h, and the vector is valid
+        # for every h < 8.
+        p = parse("1 2 3 / 2 3 1")
+        for h in range(-3, 8):
+            zeta = _datum((3, 9), (1, -8), (1, h))
+            assert check_suspension(p, zeta)
+            assert _assert_embedding_agrees(build_polygon(p, zeta)) == (h < 3)
+
+    def test_bottom_vertex_over_top_edge(self):
+        # The bottom vertex (6, -1) against the top edge from (3, 7 + h)
+        # to (7, h - 1): the gap there is h + 2, and the vector is valid
+        # for every h > -7.
+        p = parse("1 2 3 / 3 1 2")
+        for h in range(-6, 4):
+            zeta = _datum((2, 7), (1, h), (4, -8))
+            assert check_suspension(p, zeta)
+            assert _assert_embedding_agrees(build_polygon(p, zeta)) == (h > -2)
+
+    def test_valid_perturbed_witnesses_through_five_symbols(self):
+        outcomes = {True: 0, False: 0}
+        for p in _small_tables():
+            rng = Random(f"embedded:{p}")
+            base = (find_suspension(p), random_suspension(p, rng))
+            for trial in range(4):
+                zeta = _perturbed(base[trial % 2], rng)
+                if check_suspension(p, zeta):
+                    poly = build_polygon(p, zeta)
+                    outcomes[_assert_embedding_agrees(poly)] += 1
+        assert outcomes[False] >= 5, outcomes
 
 
 class TestFindSuspension:
