@@ -12,14 +12,12 @@ from .combinat import (
     parse,
     reduce,
     reduce_with_map,
-    row_swap,
 )
 from .classes import (
     RauzyDiagram,
     TheoremReport,
     enumerate_irreducible,
     export_dot,
-    extended_class,
     rauzy_class,
     same_class_bfs,
     same_class_fast,
@@ -41,12 +39,12 @@ from .invariants import (
     Stratum,
     StratumKind,
     component_label,
-    is_hyperelliptic_component,
     marked_order,
     parse_stratum,
     singularity_profile,
     spin_parity,
     stratum,
+    stratum_components,
 )
 from .suspension import (
     SuspensionDatum,
@@ -68,12 +66,10 @@ __all__ = [
     "parse",
     "reduce",
     "reduce_with_map",
-    "row_swap",
     "RauzyDiagram",
     "TheoremReport",
     "enumerate_irreducible",
     "export_dot",
-    "extended_class",
     "rauzy_class",
     "same_class_bfs",
     "same_class_fast",
@@ -91,12 +87,12 @@ __all__ = [
     "Stratum",
     "StratumKind",
     "component_label",
-    "is_hyperelliptic_component",
     "marked_order",
     "parse_stratum",
     "singularity_profile",
     "spin_parity",
     "stratum",
+    "stratum_components",
     "SuspensionDatum",
     "SuspensionPolygon",
     "build_polygon",

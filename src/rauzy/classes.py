@@ -10,9 +10,10 @@ their reduced table and reported in canonical order.
 
 The verifier enumerates every irreducible table of a given size and kind,
 partitions it into classes, groups classes by (stratum, component label)
-and checks the expected count: each group must hold exactly one class per
-distinct singularity order, matched bijectively by marked order, and each
-stratum must show exactly as many groups as its component count.
+and checks the expected structure: each group must hold exactly one class
+per distinct singularity order, matched bijectively by marked order, and
+each stratum must show exactly the component labels that
+:func:`rauzy.invariants.stratum_components` lists for it.
 """
 from __future__ import annotations
 
@@ -36,10 +37,10 @@ from .invariants import (
     ComponentLabel,
     Stratum,
     component_label,
-    expected_components,
     label_for_class,
     marked_order,
     stratum,
+    stratum_components,
 )
 
 
@@ -253,14 +254,18 @@ def verify_main_theorem(
     Every irreducible table is assigned to a class; classes are grouped by
     (stratum, component label).  A group passes when its classes are in
     bijection with the distinct singularity orders via the marked order;
-    the stratum passes when its group count matches the classification.
+    the stratum passes when its labels are the components the
+    classification lists.  ``only_stratum`` is held against the
+    classification even when none of its tables is found.
     """
     perms = list(enumerate_irreducible(d, kind))
     if only_stratum is not None:
         perms = [p for p in perms if stratum(p) == only_stratum]
     diagrams = class_partition(perms, budget)
 
-    by_stratum: dict[Stratum, dict[ComponentLabel, list[RauzyDiagram]]] = {}
+    by_stratum: dict[Stratum, dict[ComponentLabel, list[RauzyDiagram]]] = (
+        {} if only_stratum is None else {only_stratum: {}}
+    )
     for diagram in diagrams:
         rep = diagram.vertices[0]
         st = stratum(rep)
@@ -271,7 +276,7 @@ def verify_main_theorem(
     components_ok = True
     for st in sorted(by_stratum, key=lambda s: (s.text)):
         labelled = by_stratum[st]
-        if len(labelled) != expected_components(st):
+        if set(labelled) != set(stratum_components(st)):
             components_ok = False
         distinct = tuple(sorted(set(st.orders)))
         for label in sorted(labelled, key=lambda lab: lab.value):
@@ -315,21 +320,6 @@ def _stratum_reps_cached(st: Stratum, budget: int) -> list[GenPerm]:
         reps = [diag.vertices[0] for diag in class_partition(members, budget)]
         _REP_CACHE[st] = reps
     return _REP_CACHE[st]
-
-
-def extended_class(p: GenPerm, budget: int = 10**7) -> tuple[RauzyDiagram, ...]:
-    """Union of the classes sharing the stratum and component of ``p``."""
-    if not is_irreducible(p):
-        raise ReducibleSeed(f"{p} admits no suspension")
-    st = stratum(p)
-    target = component_label(p, budget)
-    kind = PermKind.IET if p.kind is PermKind.IET else PermKind.QUADRATIC
-    members = [q for q in enumerate_irreducible(p.d, kind) if stratum(q) == st]
-    return tuple(
-        diag
-        for diag in class_partition(members, budget)
-        if label_for_class(diag.vertices, budget) == target
-    )
 
 
 # ---------------------------------------------------------------------------

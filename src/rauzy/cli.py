@@ -34,6 +34,14 @@ def _env(name: str, default):
     return os.environ.get(name, default)
 
 
+def _env_budget() -> int:
+    text = _env("RAUZY_BUDGET", str(Config.node_budget))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"RAUZY_BUDGET must be an integer, not {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rauzy",
@@ -42,8 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--budget",
         type=int,
-        default=int(_env("RAUZY_BUDGET", 10**7)),
-        help="node budget for class enumeration",
+        help="node budget for class enumeration (default: RAUZY_BUDGET or 10**7)",
     )
     parser.add_argument(
         "--output",
@@ -193,7 +200,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = Config(node_budget=args.budget, output=args.output)
+        budget = _env_budget() if args.budget is None else args.budget
+        config = Config(node_budget=budget, output=args.output)
         handler = {
             "induce": cmd_induce,
             "invariants": cmd_invariants,

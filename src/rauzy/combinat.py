@@ -204,20 +204,6 @@ def reduce_with_map(
     return GenPerm(rows_out[0], rows_out[1]), relabel
 
 
-def row_swap(p: "GenPerm | Rows") -> Rows:
-    """Exchange the two rows.  Involutive; the result is not re-reduced.
-
-    >>> row_swap(GenPerm((1, 2), (2, 1)))
-    ((2, 1), (1, 2))
-    >>> row_swap(row_swap(GenPerm((1, 2), (2, 1))))
-    ((1, 2), (2, 1))
-    """
-    if isinstance(p, GenPerm):
-        return (p.bottom, p.top)
-    top, bottom = p
-    return (tuple(bottom), tuple(top))
-
-
 def is_irreducible(p: GenPerm) -> bool:
     """Whether ``p`` admits a suspension vector (see :mod:`rauzy.suspension`).
 

@@ -18,10 +18,16 @@ angle ``(k+1) * 2pi``; an order-``k`` singularity of a half-translation
 surface has cone angle ``(k+2) * pi`` (``k = -1`` is a simple pole,
 ``k = 0`` a marked regular point).
 
-Component labels follow the classification of stratum components:
-orientable strata have at most three components (hyperelliptic, and for
-all-even degrees an even and an odd spin structure), half-translation
-strata at most two.  Hyperellipticity of a class is decided by scanning
+Component labels follow the classification of stratum components, which
+:func:`stratum_components` lists once for every stratum: Kontsevich–Zorich
+(*Invent. Math.* 153, 2003) for orientable strata, with at most three
+components (hyperelliptic, and for all-even degrees an even and an odd
+spin structure); Lanneau (*Ann. Sci. ENS* 41, 2008) for half-translation
+strata, with at most two; and Masur–Smillie (*Comment. Math. Helv.* 68,
+1993) for the four empty half-translation strata ``Q(0)``, ``Q(-1,1)``,
+``Q(4)`` and ``Q(3,1)``, with none.  The component count, the label of a
+class and the verifier's check are all read off that list.
+Hyperellipticity of a class is decided by scanning
 it for a vertex fixed by the central symmetry (reverse both rows, swap
 them, renumber) whose half-turn involution both has a spherical quotient
 and moves the singularities the way the component's double-cover
@@ -411,24 +417,6 @@ def _is_hyperelliptic_vertex(v: GenPerm, st: Stratum) -> bool:
     return not odd_invariant and not even_moved
 
 
-def _class_vertices(p: GenPerm, budget: int) -> tuple[GenPerm, ...]:
-    from .classes import rauzy_class
-
-    return rauzy_class(p, budget=budget).vertices
-
-
-def is_hyperelliptic_component(p: GenPerm, budget: int = 10**7) -> bool:
-    """Whether the class of ``p`` lies in a hyperelliptic component.
-
-    Scans the class for a centrally symmetric vertex whose half-turn
-    involution has a spherical quotient.
-    """
-    if not is_irreducible(p):
-        raise Reducible(f"{p} admits no suspension")
-    st = stratum(p)
-    return any(_is_hyperelliptic_vertex(v, st) for v in _class_vertices(p, budget))
-
-
 _CONNECTED_QUADRATIC = {
     (-1, -1, -1, -1),
     (-1, -1, 1, 1),
@@ -444,6 +432,8 @@ _EXCEPTIONAL_QUADRATIC = {
     (-1, 3, 6),
     (-1, 3, 3, 3),
 }
+
+_EMPTY_QUADRATIC = {(), (-1, 1), (4,), (1, 3)}
 
 
 def _quadratic_has_hyperelliptic(orders: tuple[int, ...]) -> bool:
@@ -476,27 +466,53 @@ def _quadratic_has_hyperelliptic(orders: tuple[int, ...]) -> bool:
     return False
 
 
-def expected_components(st: Stratum) -> int:
-    """Number of connected components per the classification theorems."""
+def stratum_components(st: Stratum) -> tuple[ComponentLabel, ...]:
+    """Labels of the connected components of ``st``, one per component.
+
+    Marked points do not change the components.  Abelian strata follow
+    Kontsevich–Zorich: genus 1 and 2 are connected (genus 2 is
+    hyperelliptic); ``H(2g-2)`` and ``H(g-1,g-1)`` have a hyperelliptic
+    component; all-even degrees split the rest by spin parity, with only
+    the odd one in genus 3; any other stratum is connected.
+    Half-translation strata follow Lanneau: six connected strata of genus
+    at most 2 lie in the hyperelliptic families, the other strata of
+    those families have a hyperelliptic and a non-hyperelliptic
+    component, four exceptional strata have two components, and the rest
+    are connected.  ``Q(0)``, ``Q(-1,1)``, ``Q(4)`` and ``Q(3,1)`` are
+    empty (Masur–Smillie).
+
+    >>> stratum_components(parse_stratum("H(4)"))
+    (<ComponentLabel.HYPERELLIPTIC: 'hyperelliptic'>, <ComponentLabel.ODD_SPIN: 'odd-spin'>)
+    >>> stratum_components(parse_stratum("Q(3,1)"))
+    ()
+    """
     effective = tuple(k for k in st.orders if k != 0)
-    if st.kind is StratumKind.ABELIAN:
-        if not effective:
-            return 1
-        g = st.genus
-        hyp = effective == (2 * g - 2,) or effective == (g - 1, g - 1)
-        all_even = all(k % 2 == 0 for k in effective)
-        if hyp:
-            if g == 2:
-                return 1
-            if g == 3:
-                return 2
-            return 3 if all_even else 2
-        return 2 if all_even and g >= 4 else 1
-    if effective in _CONNECTED_QUADRATIC:
-        return 1
-    if effective in _EXCEPTIONAL_QUADRATIC:
-        return 2
-    return 2 if _quadratic_has_hyperelliptic(effective) else 1
+    if st.kind is StratumKind.QUADRATIC:
+        if effective in _EMPTY_QUADRATIC:
+            return ()
+        if effective in _EXCEPTIONAL_QUADRATIC:
+            return (ComponentLabel.EXCEPTIONAL_A, ComponentLabel.EXCEPTIONAL_B)
+        if _quadratic_has_hyperelliptic(effective) and (
+            effective not in _CONNECTED_QUADRATIC
+        ):
+            return (ComponentLabel.HYPERELLIPTIC, ComponentLabel.NON_HYPERELLIPTIC)
+        return (ComponentLabel.UNIQUE,)
+    g = st.genus
+    if g == 1:
+        return (ComponentLabel.UNIQUE,)
+    if g == 2:
+        return (ComponentLabel.HYPERELLIPTIC,)
+    hyp = (
+        (ComponentLabel.HYPERELLIPTIC,)
+        if effective in ((2 * g - 2,), (g - 1, g - 1))
+        else ()
+    )
+    if all(k % 2 == 0 for k in effective):
+        spin = (ComponentLabel.EVEN_SPIN,) if g >= 4 else ()
+        return hyp + spin + (ComponentLabel.ODD_SPIN,)
+    if hyp:
+        return hyp + (ComponentLabel.NON_HYPERELLIPTIC,)
+    return (ComponentLabel.UNIQUE,)
 
 
 def _label_needs_class(st: Stratum) -> bool:
@@ -505,46 +521,16 @@ def _label_needs_class(st: Stratum) -> bool:
     True on the strata with a hyperelliptic component, where the label
     rests on a scan of the class for a symmetric vertex, and on the
     exceptional half-translation strata, whose split compares smallest
-    vertices.  Everywhere else the label is read off the table alone.  The
-    abelian families ``H(2g-2)`` and ``H(g-1,g-1)`` count at every genus:
-    at genus 2 they are connected and the label needs no scan, but the
-    class of ``1 2 3 4 / 4 3 2 1`` in ``H(2)`` is what the tracer
-    self-test of ``benchmark/run.py`` counts.  The connected
-    half-translation strata are labelled without the class.
+    vertices.  Everywhere else the label is read off the table alone.
+    Genus 2 counts although it is connected: the class of
+    ``1 2 3 4 / 4 3 2 1`` in ``H(2)`` is what the tracer self-test of
+    ``benchmark/run.py`` counts.
     """
-    effective = tuple(k for k in st.orders if k != 0)
-    if st.kind is StratumKind.ABELIAN:
-        g = st.genus
-        return effective == (2 * g - 2,) or effective == (g - 1, g - 1)
-    if effective in _CONNECTED_QUADRATIC:
-        return False
-    return effective in _EXCEPTIONAL_QUADRATIC or _quadratic_has_hyperelliptic(
-        effective
+    components = stratum_components(st)
+    return (
+        ComponentLabel.HYPERELLIPTIC in components
+        or ComponentLabel.EXCEPTIONAL_A in components
     )
-
-
-def _label_abelian(
-    st: Stratum, hyperelliptic: bool, parity
-) -> ComponentLabel:
-    effective = tuple(k for k in st.orders if k != 0)
-    if not effective:
-        return ComponentLabel.UNIQUE
-    g = st.genus
-    hyp_family = effective == (2 * g - 2,) or effective == (g - 1, g - 1)
-    all_even = all(k % 2 == 0 for k in effective)
-    if hyp_family:
-        if g == 2:
-            return ComponentLabel.HYPERELLIPTIC
-        if hyperelliptic:
-            return ComponentLabel.HYPERELLIPTIC
-        if all_even:
-            return (
-                ComponentLabel.ODD_SPIN if parity else ComponentLabel.EVEN_SPIN
-            )
-        return ComponentLabel.NON_HYPERELLIPTIC
-    if all_even and g >= 4:
-        return ComponentLabel.ODD_SPIN if parity else ComponentLabel.EVEN_SPIN
-    return ComponentLabel.UNIQUE
 
 
 def label_for_class(
@@ -561,36 +547,21 @@ def label_for_class(
     """
     rep = min(vertices, key=lambda v: v.key)
     st = stratum(rep)
-    effective = tuple(k for k in st.orders if k != 0)
-    if st.kind is StratumKind.ABELIAN:
-        hyp_family = _label_needs_class(st)
-        hyperelliptic = hyp_family and any(
-            _is_hyperelliptic_vertex(v, st) for v in vertices
-        )
-        parity = None
-        g = st.genus
-        all_even = all(k % 2 == 0 for k in effective)
-        needs_parity = effective and all_even and (
-            (hyp_family and not hyperelliptic and g >= 3) or
-            (not hyp_family and g >= 4)
-        )
-        if needs_parity:
-            parity = spin_parity(rep)
-        return _label_abelian(st, hyperelliptic, parity)
-    if effective in _CONNECTED_QUADRATIC:
-        return ComponentLabel.UNIQUE
-    if effective in _EXCEPTIONAL_QUADRATIC:
+    components = stratum_components(st)
+    if not components:
+        raise RuntimeError(f"{rep} realises the empty stratum {st}")
+    if len(components) == 1:
+        return components[0]
+    if ComponentLabel.EXCEPTIONAL_A in components:
         return _exceptional_label(rep, st, budget)
-    if _quadratic_has_hyperelliptic(effective):
-        hyperelliptic = any(
-            _is_hyperelliptic_vertex(v, st) for v in vertices
-        )
-        return (
-            ComponentLabel.HYPERELLIPTIC
-            if hyperelliptic
-            else ComponentLabel.NON_HYPERELLIPTIC
-        )
-    return ComponentLabel.UNIQUE
+    if ComponentLabel.HYPERELLIPTIC in components and any(
+        _is_hyperelliptic_vertex(v, st) for v in vertices
+    ):
+        return ComponentLabel.HYPERELLIPTIC
+    if ComponentLabel.ODD_SPIN in components:
+        odd = spin_parity(rep)
+        return ComponentLabel.ODD_SPIN if odd else ComponentLabel.EVEN_SPIN
+    return ComponentLabel.NON_HYPERELLIPTIC
 
 
 def _exceptional_label(rep: GenPerm, st: Stratum, budget: int) -> ComponentLabel:
@@ -622,6 +593,8 @@ def component_label(p: GenPerm, budget: int = 10**7) -> ComponentLabel:
     """
     if not is_irreducible(p):
         raise Reducible(f"{p} admits no suspension")
-    if _label_needs_class(stratum(p)):
-        return label_for_class(_class_vertices(p, budget), budget)
-    return label_for_class((p,), budget)
+    if not _label_needs_class(stratum(p)):
+        return label_for_class((p,), budget)
+    from .classes import rauzy_class
+
+    return label_for_class(rauzy_class(p, budget).vertices, budget)

@@ -41,6 +41,7 @@ from rauzy.invariants import (
     central_involution,
     component_label,
     label_for_class,
+    stratum_components,
 )
 
 
@@ -315,3 +316,19 @@ def test_lazy_label_matches_class_label(partitions):
             classes += 1
             vertices += len(diag)
     print(f"{classes} classes labelled from one vertex, {vertices} vertices checked")
+
+
+def test_class_labels_match_component_table(partitions):
+    """Each stratum shows exactly the components its table lists.
+
+    Every stratum met through 7 symbols (permutations) and 6 symbols
+    (generalized permutations) carries one label per listed component, so
+    no empty stratum is realised and no listed component is missed.
+    """
+    labels_of: dict = {}
+    for diagrams, labels in partitions.values():
+        for diag, label in zip(diagrams, labels):
+            labels_of.setdefault(stratum(diag.vertices[0]), set()).add(label)
+    for st, labels in labels_of.items():
+        assert labels == set(stratum_components(st)), st
+    print(f"{len(labels_of)} strata match the component table")

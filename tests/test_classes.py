@@ -9,7 +9,6 @@ from rauzy import (
     PermKind,
     enumerate_irreducible,
     export_dot,
-    extended_class,
     format_perm,
     parse,
     rauzy_class,
@@ -197,23 +196,34 @@ class TestVerify:
         assert [g.stratum.text for g in report.groups] == ["H(2,0)"]
         assert report.groups[0].marked_orders == (0, 2)
 
+    def test_missing_stratum_fails(self):
+        from rauzy import parse_stratum
 
-class TestExtendedClass:
-    def test_marked_point_union(self):
-        # genus-2 minimal stratum with one marked point: one component,
-        # two classes, distinguished by the marked order
-        p = parse("1 2 3 4 5 / 2 4 3 5 1")
-        union = extended_class(p)
-        assert len(union) == 2
-        assert {len(diag) for diag in union} == {11, 35}
+        # H(2,0) needs five symbols, so a four-symbol run finds no class of
+        # it; a nonempty stratum with no class must not pass
+        report = verify_main_theorem(
+            4, PermKind.IET, only_stratum=parse_stratum("H(2,0)")
+        )
+        assert report.groups == ()
+        assert not report.passed
 
-    def test_whole_stratum_single_class(self):
-        union = extended_class(parse("1 2 3 4 / 4 3 2 1"))
-        assert len(union) == 1 and len(union[0]) == 7
+    def test_wrong_label_fails(self, monkeypatch):
+        import rauzy.classes
+        from rauzy.invariants import ComponentLabel
 
-    def test_two_equal_zeros_single_class(self):
-        union = extended_class(parse("1 2 3 4 5 / 5 4 3 2 1"))
-        assert len(union) == 1 and len(union[0]) == 15
+        # relabelling H(4)'s spin class leaves the count at two but must
+        # not pass: the labels are held against the component table
+        original = rauzy.classes.label_for_class
+
+        def mislabel(vertices, budget=10**7):
+            label = original(vertices, budget)
+            if label is ComponentLabel.ODD_SPIN:
+                return ComponentLabel.EVEN_SPIN
+            return label
+
+        monkeypatch.setattr(rauzy.classes, "label_for_class", mislabel)
+        report = verify_main_theorem(6, PermKind.IET)
+        assert not report.components_ok and not report.passed
 
 
 class TestExports:

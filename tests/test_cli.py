@@ -126,12 +126,35 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == 1 and "need --stratum" in err
 
+    @pytest.mark.parametrize("name", ["Q(-1,1)", "Q(4)", "Q(3,1)", "Q(0,0)"])
+    def test_empty_stratum(self, capsys, name):
+        code, out, _ = run_cli(
+            capsys, "--output", "json", "verify", "--stratum", name
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["groups"] == []
+        assert payload["components_ok"] is True and payload["passed"] is True
+
 
 class TestEnvOverrides:
     def test_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("RAUZY_BUDGET", "3")
         code, _, err = run_cli(capsys, "class", "1 2 3 4 / 4 3 2 1", "--count")
         assert code == 1 and "budget" in err
+
+    def test_budget_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("RAUZY_BUDGET", "abc")
+        code, out, err = run_cli(capsys, "invariants", "1 2 / 2 1")
+        assert code == 1 and out == ""
+        assert "RAUZY_BUDGET" in err and "'abc'" in err
+
+    def test_budget_flag_overrides_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("RAUZY_BUDGET", "3")
+        code, out, _ = run_cli(
+            capsys, "--budget", "7", "class", "1 2 3 4 / 4 3 2 1", "--count"
+        )
+        assert code == 0 and out.strip() == "7"
 
     def test_output_env(self, capsys, monkeypatch):
         monkeypatch.setenv("RAUZY_OUTPUT", "json")

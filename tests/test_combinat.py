@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from conftest import genperms, iet_perms, raw_tables
 
-from rauzy import GenPerm, PermKind, format_perm, is_irreducible, parse, reduce, row_swap
+from rauzy import GenPerm, PermKind, format_perm, is_irreducible, parse, reduce
 from rauzy.combinat import all_reduced_tables, reduce_with_map
 from rauzy.errors import EmptyRow, NotReduced, NotTwoToOne
 
@@ -72,19 +72,10 @@ class TestReduce:
 
 
 class TestRowSwap:
-    def test_simple(self):
-        assert row_swap(parse("1 2 / 2 1")) == ((2, 1), (1, 2))
-        assert row_swap(parse("1 1 / 2 2 3 3")) == ((2, 2, 3, 3), (1, 1))
-
-    @given(genperms(max_d=5))
-    @settings(max_examples=50, deadline=None)
-    def test_involution(self, p):
-        assert row_swap(row_swap(p)) == (p.top, p.bottom)
-
     @given(genperms(min_d=2, max_d=5))
     @settings(max_examples=60, deadline=None)
     def test_irreducibility_invariant(self, p):
-        swapped = reduce(*row_swap(p))
+        swapped = reduce(p.bottom, p.top)
         assert is_irreducible(swapped) == is_irreducible(p)
 
 

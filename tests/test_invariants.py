@@ -8,17 +8,23 @@ from rauzy import (
     Stratum,
     StratumKind,
     component_label,
-    is_hyperelliptic_component,
     parse,
     parse_stratum,
     rauzy_class,
     singularity_profile,
     spin_parity,
     stratum,
+    stratum_components,
 )
 from rauzy.errors import NotAbelian, OddDegreePresent, Reducible
 from rauzy.induction import r0, r1
-from rauzy.invariants import central_involution, expected_components
+from rauzy.invariants import central_involution
+
+HYP = ComponentLabel.HYPERELLIPTIC
+EVEN = ComponentLabel.EVEN_SPIN
+ODD = ComponentLabel.ODD_SPIN
+NONHYP = ComponentLabel.NON_HYPERELLIPTIC
+UNIQUE = ComponentLabel.UNIQUE
 
 
 class TestStratumType:
@@ -44,20 +50,44 @@ class TestStratumType:
             Stratum(StratumKind.QUADRATIC, (-2,))
 
     def test_expected_component_counts(self):
-        assert expected_components(parse_stratum("H(0)")) == 1
-        assert expected_components(parse_stratum("H(2)")) == 1
-        assert expected_components(parse_stratum("H(4)")) == 2
-        assert expected_components(parse_stratum("H(2,2)")) == 2
-        assert expected_components(parse_stratum("H(6)")) == 3
-        assert expected_components(parse_stratum("H(3,3)")) == 2
-        assert expected_components(parse_stratum("H(4,2)")) == 2
-        assert expected_components(parse_stratum("H(3,1)")) == 1
-        assert expected_components(parse_stratum("Q(-1,-1,-1,-1)")) == 1
-        assert expected_components(parse_stratum("Q(2,2)")) == 1
-        assert expected_components(parse_stratum("Q(-1,-1,6)")) == 2
-        assert expected_components(parse_stratum("Q(12)")) == 2
-        assert expected_components(parse_stratum("Q(-1,9)")) == 2
-        assert expected_components(parse_stratum("Q(8)")) == 1
+        table = {
+            "H(0)": (UNIQUE,),
+            "H(0,0)": (UNIQUE,),
+            "H(2)": (HYP,),
+            "H(1,1,0)": (HYP,),
+            "H(4)": (HYP, ODD),
+            "H(2,2)": (HYP, ODD),
+            "H(2,1,1)": (UNIQUE,),
+            "H(6)": (HYP, EVEN, ODD),
+            "H(3,3)": (HYP, NONHYP),
+            "H(4,2)": (EVEN, ODD),
+            "H(3,1)": (UNIQUE,),
+            "H(4,4)": (HYP, EVEN, ODD),
+            "H(5,1)": (UNIQUE,),
+            "Q(-1,-1,-1,-1)": (UNIQUE,),
+            "Q(-1,-1,2)": (UNIQUE,),
+            "Q(2,2)": (UNIQUE,),
+            "Q(1,1,2)": (UNIQUE,),
+            "Q(-1,-1,6)": (HYP, NONHYP),
+            "Q(-1,-1,3,3)": (HYP, NONHYP),
+            "Q(2,6)": (HYP, NONHYP),
+            "Q(-1,5)": (UNIQUE,),
+            "Q(8)": (UNIQUE,),
+            "Q(12)": (ComponentLabel.EXCEPTIONAL_A, ComponentLabel.EXCEPTIONAL_B),
+            "Q(-1,9)": (ComponentLabel.EXCEPTIONAL_A, ComponentLabel.EXCEPTIONAL_B),
+            "Q(-1,3,6)": (ComponentLabel.EXCEPTIONAL_A, ComponentLabel.EXCEPTIONAL_B),
+            "Q(-1,3,3,3)": (ComponentLabel.EXCEPTIONAL_A, ComponentLabel.EXCEPTIONAL_B),
+            # empty strata (Masur-Smillie), with and without marked points
+            "Q(0)": (),
+            "Q(0,0)": (),
+            "Q(-1,1)": (),
+            "Q(-1,0,1)": (),
+            "Q(4)": (),
+            "Q(0,4)": (),
+            "Q(1,3)": (),
+        }
+        for text, components in table.items():
+            assert stratum_components(parse_stratum(text)) == components, text
 
 
 class TestProfile:
@@ -141,12 +171,14 @@ class TestHyperelliptic:
         assert central_involution(central_involution(p)) == p
 
     def test_reversal_classes(self):
-        assert is_hyperelliptic_component(parse("1 2 3 4 / 4 3 2 1"))
-        assert is_hyperelliptic_component(parse("1 2 / 2 1"))
+        assert component_label(parse("1 2 3 4 / 4 3 2 1")) is HYP
+        assert component_label(parse("1 2 3 4 5 6 / 6 5 4 3 2 1")) is HYP
+        # the torus stratum is connected and has no hyperelliptic component
+        assert component_label(parse("1 2 / 2 1")) is UNIQUE
 
     def test_odd_component_is_not(self):
         # a vertex of the 134-element class in the minimal genus-3 stratum
-        assert not is_hyperelliptic_component(parse("1 2 3 4 5 6 / 3 2 5 4 6 1"))
+        assert component_label(parse("1 2 3 4 5 6 / 3 2 5 4 6 1")) is ODD
 
 
 class TestComponentLabel:
