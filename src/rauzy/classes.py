@@ -3,29 +3,30 @@ Rauzy classes and diagrams: enumeration, membership, and the class-count
 verifier.
 
 A class is the smallest set of reduced generalized permutations containing
-a seed and closed under both moves; the diagram is that vertex set with
-its labelled edges (an absent edge records an undefined move).  Everything
-here is a deterministic function of the seed: vertices are stored keyed by
-their reduced table and reported in canonical order.
+a seed and closed under both moves, held as its row table: each vertex's
+rows map to the rows of its two move targets (``None`` records an
+undefined move).  Its ``GenPerm`` vertices and edges are made when read.
 
-The verifier enumerates every irreducible table of a given size and kind,
-partitions it into classes, groups classes by (stratum, component label)
-and checks the expected structure: each group must hold exactly one class
-per distinct singularity order, matched bijectively by marked order, and
-each stratum must show exactly the component labels that
-:func:`rauzy.invariants.stratum_components` lists for it.
+The verifier partitions every irreducible table of a given size and kind
+into classes, one at a time, keeps each class's marked order and size by
+(stratum, component label) and checks the expected structure: each group
+must hold exactly one class per distinct singularity order, matched
+bijectively by marked order, and each stratum must show exactly the
+component labels that :func:`rauzy.invariants.stratum_components` lists.
 """
 from __future__ import annotations
 
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .combinat import (
     GenPerm,
     PermKind,
     Rows,
+    _smallest_vertex,
     all_reduced_tables,
     format_perm,
     irreducible_rows,
@@ -46,21 +47,31 @@ from .invariants import (
 
 @dataclass(frozen=True)
 class RauzyDiagram:
-    """Canonical vertex set plus labelled move edges."""
+    """A class as its row table; ``vertices`` and ``edges`` are made when read."""
 
-    vertices: tuple[GenPerm, ...]
-    edges: dict[GenPerm, tuple[Optional[GenPerm], Optional[GenPerm]]]
+    table: dict[Rows, tuple[Optional[Rows], Optional[Rows]]]
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.table)
 
     def __contains__(self, p: GenPerm) -> bool:
-        return p in self.edges
+        return (p.top, p.bottom) in self.table
 
     def edge_count(self) -> int:
         return sum(
-            (a is not None) + (b is not None) for a, b in self.edges.values()
+            (a is not None) + (b is not None) for a, b in self.table.values()
         )
+
+    @cached_property
+    def vertices(self) -> tuple[GenPerm, ...]:
+        return tuple(
+            sorted((GenPerm._trusted(*r) for r in self.table), key=lambda v: v.key)
+        )
+
+    @cached_property
+    def edges(self) -> dict[GenPerm, tuple[Optional[GenPerm], Optional[GenPerm]]]:
+        perm = {(v.top, v.bottom): v for v in self.vertices}.get  # None stays None
+        return {v: tuple(map(perm, self.table[v.top, v.bottom])) for v in self.vertices}
 
 
 def _bfs_rows(seed: Rows, budget: int) -> dict[Rows, tuple[Optional[Rows], Optional[Rows]]]:
@@ -94,16 +105,7 @@ def rauzy_class(seed: GenPerm, budget: int = 10**7) -> RauzyDiagram:
     """
     if not is_irreducible(seed):
         raise ReducibleSeed(f"{seed} admits no suspension")
-    table = _bfs_rows((seed.top, seed.bottom), budget)
-    perms = {rows: GenPerm._trusted(*rows) for rows in table}
-    vertices = tuple(sorted(perms.values(), key=lambda p: p.key))
-    edges = {}
-    for rows, (t0, t1) in table.items():
-        edges[perms[rows]] = (
-            perms[t0] if t0 is not None else None,
-            perms[t1] if t1 is not None else None,
-        )
-    return RauzyDiagram(vertices, edges)
+    return RauzyDiagram(_bfs_rows((seed.top, seed.bottom), budget))
 
 
 def same_class_bfs(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
@@ -180,17 +182,15 @@ def enumerate_irreducible(d: int, kind: PermKind) -> Iterator[GenPerm]:
 
 def class_partition(
     perms: Iterable[GenPerm], budget: int = 10**7
-) -> list[RauzyDiagram]:
-    """Partition a set of irreducible tables into their classes."""
-    diagrams: list[RauzyDiagram] = []
-    seen: set[GenPerm] = set()
+) -> Iterator[RauzyDiagram]:
+    """Classes of a set of irreducible tables, each yielded when first met."""
+    seen: set[Rows] = set()
     for p in perms:
-        if p in seen:
+        if (p.top, p.bottom) in seen:
             continue
         diagram = rauzy_class(p, budget)
-        diagrams.append(diagram)
-        seen.update(diagram.vertices)
-    return diagrams
+        seen.update(diagram.table)
+        yield diagram
 
 
 @dataclass(frozen=True)
@@ -219,25 +219,39 @@ class StratumGroup:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Per-stratum class counts and the overall pass flag."""
+    """Per-stratum class counts, the strata whose labels fail, the pass flag."""
 
     d: int
     kind: PermKind
     groups: tuple[StratumGroup, ...]
-    components_ok: bool
+    mismatched_strata: tuple[Stratum, ...]
+
+    @property
+    def components_ok(self) -> bool:
+        return not self.mismatched_strata
 
     @property
     def passed(self) -> bool:
         return self.components_ok and all(g.ok for g in self.groups)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "d": self.d,
             "kind": self.kind.value,
             "groups": [g.to_dict() for g in self.groups],
             "components_ok": self.components_ok,
             "passed": self.passed,
         }
+        if self.mismatched_strata:
+            out["component_mismatches"] = [
+                {
+                    "stratum": st.text,
+                    "observed": [g.label.value for g in self.groups if g.stratum == st],
+                    "expected": [label.value for label in stratum_components(st)],
+                }
+                for st in self.mismatched_strata
+            ]
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -251,54 +265,49 @@ def verify_main_theorem(
 ) -> TheoremReport:
     """Exhaustively check the class-count structure at one size.
 
-    Every irreducible table is assigned to a class; classes are grouped by
-    (stratum, component label).  A group passes when its classes are in
-    bijection with the distinct singularity orders via the marked order;
-    the stratum passes when its labels are the components the
-    classification lists.  ``only_stratum`` is held against the
-    classification even when none of its tables is found.
+    Every irreducible table is assigned to a class; classes are kept as
+    (marked order, size) by (stratum, component label).  A group passes
+    when its classes are in bijection with the distinct singularity orders
+    via the marked order; the stratum passes when its labels are the
+    components the classification lists.  ``only_stratum`` is held against
+    the classification even when none of its tables is found.
     """
-    perms = list(enumerate_irreducible(d, kind))
+    perms = enumerate_irreducible(d, kind)
     if only_stratum is not None:
-        perms = [p for p in perms if stratum(p) == only_stratum]
-    diagrams = class_partition(perms, budget)
+        perms = (p for p in perms if stratum(p) == only_stratum)
 
-    by_stratum: dict[Stratum, dict[ComponentLabel, list[RauzyDiagram]]] = (
+    by_stratum: dict[Stratum, dict[ComponentLabel, list[tuple[int, int]]]] = (
         {} if only_stratum is None else {only_stratum: {}}
     )
-    for diagram in diagrams:
-        rep = diagram.vertices[0]
-        st = stratum(rep)
-        label = label_for_class(diagram.vertices, budget)
-        by_stratum.setdefault(st, {}).setdefault(label, []).append(diagram)
+    for diagram in class_partition(perms, budget):
+        rep = _smallest_vertex(diagram.table)
+        label = label_for_class(diagram.table, budget)
+        by_stratum.setdefault(stratum(rep), {}).setdefault(label, []).append(
+            (marked_order(rep), len(diagram))
+        )
 
     groups = []
-    components_ok = True
-    for st in sorted(by_stratum, key=lambda s: (s.text)):
+    mismatched = []
+    for st in sorted(by_stratum, key=lambda s: s.text):
         labelled = by_stratum[st]
         if set(labelled) != set(stratum_components(st)):
-            components_ok = False
+            mismatched.append(st)
         distinct = tuple(sorted(set(st.orders)))
         for label in sorted(labelled, key=lambda lab: lab.value):
-            classes = labelled[label]
-            marked = tuple(
-                sorted(marked_order(diag.vertices[0]) for diag in classes)
-            )
-            ok = marked == distinct
+            summaries = labelled[label]
+            marked = tuple(sorted(m for m, _ in summaries))
             groups.append(
                 StratumGroup(
                     stratum=st,
                     label=label,
                     r=st.r,
-                    class_count=len(classes),
+                    class_count=len(summaries),
                     marked_orders=marked,
-                    class_sizes=tuple(
-                        sorted(len(diag) for diag in classes)
-                    ),
-                    ok=ok,
+                    class_sizes=tuple(sorted(n for _, n in summaries)),
+                    ok=marked == distinct,
                 )
             )
-    return TheoremReport(d, kind, tuple(groups), components_ok)
+    return TheoremReport(d, kind, tuple(groups), tuple(mismatched))
 
 
 _REP_CACHE: dict[Stratum, list[GenPerm]] = {}
@@ -314,11 +323,12 @@ def _stratum_reps_cached(st: Stratum, budget: int) -> list[GenPerm]:
             if st.kind is StratumKind.ABELIAN
             else PermKind.QUADRATIC
         )
-        members = [
+        members = (
             p for p in enumerate_irreducible(st.d, kind) if stratum(p) == st
+        )
+        _REP_CACHE[st] = [
+            _smallest_vertex(c.table) for c in class_partition(members, budget)
         ]
-        reps = [diag.vertices[0] for diag in class_partition(members, budget)]
-        _REP_CACHE[st] = reps
     return _REP_CACHE[st]
 
 
@@ -349,19 +359,7 @@ def diagram_json(diag: RauzyDiagram) -> str:
                 "0": format_perm(t0) if t0 is not None else None,
                 "1": format_perm(t1) if t1 is not None else None,
             }
-            for v, (t0, t1) in sorted(
-                diag.edges.items(), key=lambda item: item[0].key
-            )
+            for v, (t0, t1) in diag.edges.items()
         },
     }
     return json.dumps(payload, indent=2)
-
-
-def canonical_key(p: GenPerm) -> int:
-    """Fixed-width integer packing of the reduced table (symbols <= 16)."""
-    if p.d > 16:
-        raise ValueError("packing supports at most 16 symbols")
-    packed = len(p.top)
-    for s in p.top + p.bottom:
-        packed = (packed << 5) | s
-    return packed

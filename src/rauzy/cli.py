@@ -192,6 +192,9 @@ def cmd_verify(args, config: Config) -> int:
                 f"r={g.r} classes={g.class_count} "
                 f"marked={list(g.marked_orders)} {status}"
             )
+        for m in report.to_dict().get("component_mismatches", []):
+            observed, expected = m["observed"], m["expected"]
+            print(f"{m['stratum']:>18} components={observed} expected={expected} FAIL")
         print("result:", "pass" if report.passed else "FAIL")
     return 0 if report.passed else 1
 

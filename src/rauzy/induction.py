@@ -108,16 +108,6 @@ def _moved_with_map(
     return GenPerm._trusted(top, bottom), relabel
 
 
-def r0_with_map(p: GenPerm) -> tuple[Optional[GenPerm], Optional[dict[int, int]]]:
-    """Move 0 plus the renumbering map applied by the final reduction."""
-    return _moved_with_map(p, 0)
-
-
-def r1_with_map(p: GenPerm) -> tuple[Optional[GenPerm], Optional[dict[int, int]]]:
-    """Move 1 plus the renumbering map applied by the final reduction."""
-    return _moved_with_map(p, 1)
-
-
 def r0(p: GenPerm) -> Optional[GenPerm]:
     """Reduced move 0, or None when undefined.
 
@@ -125,7 +115,7 @@ def r0(p: GenPerm) -> Optional[GenPerm]:
     >>> print(r0(parse("1 2 3 4 3 / 2 4 5 5 1")))
     1 2 1 3 4 3 / 2 4 5 5
     """
-    return r0_with_map(p)[0]
+    return _moved_with_map(p, 0)[0]
 
 
 def r1(p: GenPerm) -> Optional[GenPerm]:
@@ -135,7 +125,7 @@ def r1(p: GenPerm) -> Optional[GenPerm]:
     >>> print(r1(parse("1 2 3 4 3 / 2 4 5 5 1")))
     1 2 3 2 4 / 3 4 5 5 1
     """
-    return r1_with_map(p)[0]
+    return _moved_with_map(p, 1)[0]
 
 
 Lengths = tuple[Fraction, ...]
@@ -206,10 +196,9 @@ def step_lengths(
     updated = list(lam)
     if label is MoveLabel.ZERO:
         updated[a - 1] = lam[a - 1] - lam[b - 1]
-        perm, relabel = r0_with_map(p)
     else:
         updated[b - 1] = lam[b - 1] - lam[a - 1]
-        perm, relabel = r1_with_map(p)
+    perm, relabel = _moved_with_map(p, label.value)
     if perm is None or relabel is None:
         raise RuntimeError(
             f"move {label.value} undefined at {p} although classify_step chose it"

@@ -47,8 +47,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Collection
 
-from .combinat import GenPerm, PermKind, is_irreducible, reduce
+from .combinat import GenPerm, PermKind, Rows, _smallest_vertex, is_irreducible, reduce
 from .errors import NotAbelian, OddDegreePresent, Reducible
 
 # ---------------------------------------------------------------------------
@@ -534,18 +535,18 @@ def _label_needs_class(st: Stratum) -> bool:
 
 
 def label_for_class(
-    vertices: tuple[GenPerm, ...], budget: int = 10**7
+    rows: Collection[Rows], budget: int = 10**7
 ) -> ComponentLabel:
-    """Component label of a class, given by its vertices.
+    """Component label of a class, given by its vertices' ``(top, bottom)`` rows.
 
-    In the strata where :func:`_label_needs_class` holds, ``vertices`` must
-    be the whole class: hyperellipticity is decided by scanning it, and the
-    exceptional split needs its smallest vertex.  Elsewhere no scan runs
-    and any nonempty subset of the class, such as one table, gives the
-    same label.  Stratum and spin parity are computed on the smallest given
-    vertex; both are constant on a class.
+    In the strata where :func:`_label_needs_class` holds, ``rows`` must be
+    the whole class, such as a diagram's table: hyperellipticity is decided
+    by scanning it for symmetric rows, and the exceptional split needs its
+    smallest vertex.  Elsewhere any nonempty subset of the class, such as
+    one table, gives the same label.  Stratum and spin parity are computed
+    on the smallest given vertex; both are constant on a class.
     """
-    rep = min(vertices, key=lambda v: v.key)
+    rep = _smallest_vertex(rows)
     st = stratum(rep)
     components = stratum_components(st)
     if not components:
@@ -555,7 +556,9 @@ def label_for_class(
     if ComponentLabel.EXCEPTIONAL_A in components:
         return _exceptional_label(rep, st, budget)
     if ComponentLabel.HYPERELLIPTIC in components and any(
-        _is_hyperelliptic_vertex(v, st) for v in vertices
+        _is_centrally_symmetric(top, bottom)
+        and _is_hyperelliptic_vertex(GenPerm._trusted(top, bottom), st)
+        for top, bottom in rows
     ):
         return ComponentLabel.HYPERELLIPTIC
     if ComponentLabel.ODD_SPIN in components:
@@ -594,7 +597,7 @@ def component_label(p: GenPerm, budget: int = 10**7) -> ComponentLabel:
     if not is_irreducible(p):
         raise Reducible(f"{p} admits no suspension")
     if not _label_needs_class(stratum(p)):
-        return label_for_class((p,), budget)
+        return label_for_class(((p.top, p.bottom),), budget)
     from .classes import rauzy_class
 
-    return label_for_class(rauzy_class(p, budget).vertices, budget)
+    return label_for_class(rauzy_class(p, budget).table, budget)

@@ -71,8 +71,8 @@ def partitions(iet_pool, quad_pool):
         (PermKind.QUADRATIC, quad_pool, 6),
     ):
         for d in range(2, top_d + 1):
-            diagrams = class_partition(pools[d])
-            labels = [label_for_class(diag.vertices) for diag in diagrams]
+            diagrams = list(class_partition(pools[d]))
+            labels = [label_for_class(diag.table) for diag in diagrams]
             out[(kind, d)] = (diagrams, labels)
     return out
 
@@ -81,7 +81,7 @@ def partitions(iet_pool, quad_pool):
 def h6_classes():
     irr = enumerate_irreducible(8, PermKind.IET)
     members = [p for p in irr if stratum(p).text == "H(6)"]
-    return class_partition(members)
+    return list(class_partition(members))
 
 
 def test_criterion_01_printed_moves_are_exact():

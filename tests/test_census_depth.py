@@ -4,14 +4,21 @@ The smallest realisations of several component-structure cases live here:
 a two-equal-zeros stratum splitting into hyperelliptic and
 non-hyperelliptic halves (no spin available, the degrees are odd), a
 non-minimal all-even stratum separated purely by spin parity, and a
-three-component stratum carrying a marked point.  About a minute.
+three-component stratum carrying a marked point.  The whole report is
+pinned by its sha256, computed before the verifier kept per-class
+summaries instead of diagrams.  About a minute.
 """
+import hashlib
+
 from rauzy import PermKind, verify_main_theorem
+
+D9_DIGEST = "d66a8980954f6c4b4b8e2c3ac31e5132730f42f7d423f907bc8614c70b2bab00"
 
 
 def test_nine_symbol_class_counts():
     report = verify_main_theorem(9, PermKind.IET)
     assert report.passed, report.to_json()
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == D9_DIGEST
 
     groups = {}
     for g in report.groups:

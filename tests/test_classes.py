@@ -16,11 +16,7 @@ from rauzy import (
     same_class_fast,
     verify_main_theorem,
 )
-from rauzy.classes import (
-    canonical_key,
-    class_partition,
-    diagram_json,
-)
+from rauzy.classes import RauzyDiagram, class_partition, diagram_json
 from rauzy.errors import BudgetExceeded, ReducibleSeed
 from rauzy.induction import r0, r1
 
@@ -176,6 +172,7 @@ class TestVerify:
         report = verify_main_theorem(3, PermKind.IET)
         payload = json.loads(report.to_json())
         assert payload["passed"] is True
+        assert "component_mismatches" not in payload
         assert set(payload["groups"][0]) == {
             "stratum",
             "component",
@@ -209,14 +206,15 @@ class TestVerify:
 
     def test_wrong_label_fails(self, monkeypatch):
         import rauzy.classes
+        from rauzy import parse_stratum
         from rauzy.invariants import ComponentLabel
 
         # relabelling H(4)'s spin class leaves the count at two but must
         # not pass: the labels are held against the component table
         original = rauzy.classes.label_for_class
 
-        def mislabel(vertices, budget=10**7):
-            label = original(vertices, budget)
+        def mislabel(rows, budget=10**7):
+            label = original(rows, budget)
             if label is ComponentLabel.ODD_SPIN:
                 return ComponentLabel.EVEN_SPIN
             return label
@@ -224,6 +222,31 @@ class TestVerify:
         monkeypatch.setattr(rauzy.classes, "label_for_class", mislabel)
         report = verify_main_theorem(6, PermKind.IET)
         assert not report.components_ok and not report.passed
+        # every group still matches its marked orders; only H(4) is named
+        assert all(g.ok for g in report.groups)
+        assert report.mismatched_strata == (parse_stratum("H(4)"),)
+        payload = json.loads(report.to_json())
+        assert payload["components_ok"] is False
+        assert payload["component_mismatches"] == [
+            {
+                "stratum": "H(4)",
+                "observed": ["even-spin", "hyperelliptic"],
+                "expected": ["hyperelliptic", "odd-spin"],
+            }
+        ]
+
+    @pytest.mark.parametrize("d, kind", [(7, PermKind.IET), (5, PermKind.QUADRATIC)])
+    def test_reads_no_views(self, monkeypatch, d, kind):
+        # the verifier works on each class's row table and keeps summaries;
+        # the GenPerm vertices and edges of a diagram are never made
+        want = verify_main_theorem(d, kind).to_json()
+
+        def refuse(self):
+            raise AssertionError("the verifier read a GenPerm view")
+
+        monkeypatch.setattr(RauzyDiagram, "vertices", property(refuse))
+        monkeypatch.setattr(RauzyDiagram, "edges", property(refuse))
+        assert verify_main_theorem(d, kind).to_json() == want
 
 
 class TestExports:
@@ -244,8 +267,3 @@ class TestExports:
         payload = json.loads(diagram_json(rauzy_class(parse("1 2 / 2 1"))))
         assert payload["vertices"] == ["1 2 / 2 1"]
         assert payload["edges"]["1 2 / 2 1"] == {"0": "1 2 / 2 1", "1": "1 2 / 2 1"}
-
-    def test_canonical_key_distinct(self):
-        perms = list(enumerate_irreducible(4, PermKind.IET))
-        keys = {canonical_key(p) for p in perms}
-        assert len(keys) == len(perms)

@@ -122,6 +122,34 @@ class TestVerify:
         assert payload["passed"] is True
         assert payload["groups"][0]["stratum"] == "H(2)"
 
+    def test_names_the_stratum_with_wrong_labels(self, capsys, monkeypatch):
+        import rauzy.classes
+        from rauzy.invariants import ComponentLabel
+
+        original = rauzy.classes.label_for_class
+
+        def mislabel(rows, budget=10**7):
+            label = original(rows, budget)
+            if label is ComponentLabel.ODD_SPIN:
+                return ComponentLabel.EVEN_SPIN
+            return label
+
+        monkeypatch.setattr(rauzy.classes, "label_for_class", mislabel)
+        code, out, _ = run_cli(capsys, "verify", "--stratum", "H(4)")
+        assert code == 1
+        lines = out.splitlines()
+        # the group lines match their marked orders; the component line fails
+        assert [line.split()[-1] for line in lines[:-2]] == ["ok", "ok"]
+        assert lines[-2].split() == [
+            "H(4)",
+            "components=['even-spin',",
+            "'hyperelliptic']",
+            "expected=['hyperelliptic',",
+            "'odd-spin']",
+            "FAIL",
+        ]
+        assert lines[-1] == "result: FAIL"
+
     def test_missing_arguments(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 1 and "need --stratum" in err

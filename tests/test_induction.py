@@ -95,15 +95,15 @@ def test_trusted_kernel_matches_validated_reduction():
     # The kernel wraps its rows without validation; every table it makes
     # through five symbols is what the validating reduction makes.
     from rauzy.combinat import GenPerm, all_reduced_tables, reduce_with_map
-    from rauzy.induction import _move0_raw, _move1_raw, r0_with_map, r1_with_map
+    from rauzy.induction import _move0_raw, _move1_raw, _moved_with_map
 
     checked = 0
     for d in range(1, 6):
         for rows in all_reduced_tables(d):
             p = GenPerm(*rows)
-            for raw_move, move in ((_move0_raw, r0_with_map), (_move1_raw, r1_with_map)):
+            for which, raw_move in ((0, _move0_raw), (1, _move1_raw)):
                 raw = raw_move(p.top, p.bottom)
-                got = move(p)
+                got = _moved_with_map(p, which)
                 if raw is None:
                     assert got == (None, None)
                     continue
