@@ -10,12 +10,15 @@ same digests exactly when their census JSON is byte-identical::
 
 prints one ``kind d sha256`` line per size, for permutations with 2 to
 ``MAX_IET_D`` symbols and generalized permutations with 3 to
-``MAX_QUAD_D`` symbols.
+``MAX_QUAD_D`` symbols.  A last line gives the digest of the
+``verify --stratum`` census of ``STRATUM`` alone, the smallest
+exceptional half-translation stratum; it takes most of a minute, so it
+is not among the ``SIZES`` the tests pin.
 """
 import hashlib
 import sys
 
-from rauzy import PermKind, verify_main_theorem
+from rauzy import PermKind, parse_stratum, verify_main_theorem
 
 MAX_IET_D = 8
 MAX_QUAD_D = 6
@@ -23,6 +26,7 @@ MAX_QUAD_D = 6
 SIZES = [(PermKind.IET, d) for d in range(2, MAX_IET_D + 1)] + [
     (PermKind.QUADRATIC, d) for d in range(3, MAX_QUAD_D + 1)
 ]
+STRATUM = parse_stratum("Q(-1,9)")
 
 
 def census_digest(d: int, kind: PermKind) -> str:
@@ -34,6 +38,9 @@ def census_digest(d: int, kind: PermKind) -> str:
 def main() -> int:
     for kind, d in SIZES:
         print(f"{kind.value} {d} {census_digest(d, kind)}", flush=True)
+    report = verify_main_theorem(STRATUM.d, PermKind.QUADRATIC, only_stratum=STRATUM)
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    print(f"quadratic {STRATUM.d} {STRATUM} {digest}", flush=True)
     return 0
 
 

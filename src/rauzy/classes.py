@@ -281,7 +281,7 @@ def verify_main_theorem(
     )
     for diagram in class_partition(perms, budget):
         rep = _smallest_vertex(diagram.table)
-        label = label_for_class(diagram.table, budget)
+        label = label_for_class(diagram.table)
         by_stratum.setdefault(stratum(rep), {}).setdefault(label, []).append(
             (marked_order(rep), len(diagram))
         )
@@ -308,28 +308,6 @@ def verify_main_theorem(
                 )
             )
     return TheoremReport(d, kind, tuple(groups), tuple(mismatched))
-
-
-_REP_CACHE: dict[Stratum, list[GenPerm]] = {}
-
-
-def _stratum_reps_cached(st: Stratum, budget: int) -> list[GenPerm]:
-    """Smallest vertex of every class in one stratum (cached)."""
-    from .invariants import StratumKind
-
-    if st not in _REP_CACHE:
-        kind = (
-            PermKind.IET
-            if st.kind is StratumKind.ABELIAN
-            else PermKind.QUADRATIC
-        )
-        members = (
-            p for p in enumerate_irreducible(st.d, kind) if stratum(p) == st
-        )
-        _REP_CACHE[st] = [
-            _smallest_vertex(c.table) for c in class_partition(members, budget)
-        ]
-    return _REP_CACHE[st]
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,10 @@ curve, over the mod-2 intersection form of those curves (Zorich,
 
 Labelling one table enumerates its Rauzy class only in the strata that
 have a hyperelliptic component (for the scan) and in the four exceptional
-half-translation strata (for their split); every other label, spin parity
-included, is computed on the given table, since these invariants are
-constant on a class.
+half-translation strata, which no known invariant splits: there the class
+holding the least table of the stratum with its marked order is
+``exceptional-a``.  Every other label, spin parity included, is computed
+on the given table, since these invariants are constant on a class.
 """
 from __future__ import annotations
 
@@ -49,7 +50,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection
 
-from .combinat import GenPerm, PermKind, Rows, _smallest_vertex, is_irreducible, reduce
+from .combinat import (
+    GenPerm,
+    PermKind,
+    Rows,
+    _smallest_vertex,
+    all_reduced_tables,
+    irreducible_rows,
+    is_irreducible,
+    reduce,
+)
 from .errors import NotAbelian, OddDegreePresent, Reducible
 
 # ---------------------------------------------------------------------------
@@ -521,8 +531,8 @@ def _label_needs_class(st: Stratum) -> bool:
 
     True on the strata with a hyperelliptic component, where the label
     rests on a scan of the class for a symmetric vertex, and on the
-    exceptional half-translation strata, whose split compares smallest
-    vertices.  Everywhere else the label is read off the table alone.
+    exceptional half-translation strata, whose split looks one table up
+    in the class.  Everywhere else the label is read off the table alone.
     Genus 2 counts although it is connected: the class of
     ``1 2 3 4 / 4 3 2 1`` in ``H(2)`` is what the tracer self-test of
     ``benchmark/run.py`` counts.
@@ -534,17 +544,15 @@ def _label_needs_class(st: Stratum) -> bool:
     )
 
 
-def label_for_class(
-    rows: Collection[Rows], budget: int = 10**7
-) -> ComponentLabel:
+def label_for_class(rows: Collection[Rows]) -> ComponentLabel:
     """Component label of a class, given by its vertices' ``(top, bottom)`` rows.
 
     In the strata where :func:`_label_needs_class` holds, ``rows`` must be
     the whole class, such as a diagram's table: hyperellipticity is decided
-    by scanning it for symmetric rows, and the exceptional split needs its
-    smallest vertex.  Elsewhere any nonempty subset of the class, such as
-    one table, gives the same label.  Stratum and spin parity are computed
-    on the smallest given vertex; both are constant on a class.
+    by scanning it for symmetric rows, and the exceptional split by looking
+    one table up in it.  Elsewhere any nonempty subset of the class, such
+    as one table, gives the same label.  Stratum and spin parity are
+    computed on the smallest given vertex; both are constant on a class.
     """
     rep = _smallest_vertex(rows)
     st = stratum(rep)
@@ -554,7 +562,7 @@ def label_for_class(
     if len(components) == 1:
         return components[0]
     if ComponentLabel.EXCEPTIONAL_A in components:
-        return _exceptional_label(rep, st, budget)
+        return _exceptional_label(rows, rep, st)
     if ComponentLabel.HYPERELLIPTIC in components and any(
         _is_centrally_symmetric(top, bottom)
         and _is_hyperelliptic_vertex(GenPerm._trusted(top, bottom), st)
@@ -567,24 +575,35 @@ def label_for_class(
     return ComponentLabel.NON_HYPERELLIPTIC
 
 
-def _exceptional_label(rep: GenPerm, st: Stratum, budget: int) -> ComponentLabel:
-    """Stable two-way split of the exceptional half-translation strata.
+def _exceptional_label(
+    rows: Collection[Rows], rep: GenPerm, st: Stratum
+) -> ComponentLabel:
+    """Two-way split of an exceptional half-translation stratum.
 
-    No combinatorial component invariant is available for these four
-    strata; classes sharing a marked order are separated by comparing
-    their smallest vertices, which is stable across runs.  ``rep`` must be
-    the smallest vertex of its class.
+    ``exceptional-a`` is the class that holds the least table, in
+    :attr:`GenPerm.key` order, of the stratum ``st`` with the marked order
+    of ``rep``; the other class with that marked order is
+    ``exceptional-b``.  ``rows`` must be the whole class and ``rep`` one
+    of its vertices.  :func:`all_reduced_tables` yields tables by top-row
+    length, shortest first, so the scan stops after the first length that
+    holds a match, which is at most the length of ``rep``'s top row.
     """
-    from .classes import _stratum_reps_cached
-
-    reps = _stratum_reps_cached(st, budget)
     alpha = marked_order(rep)
-    group = sorted(r.key for r in reps if marked_order(r) == alpha)
-    return (
-        ComponentLabel.EXCEPTIONAL_A
-        if group and rep.key == group[0]
-        else ComponentLabel.EXCEPTIONAL_B
-    )
+    least: Rows | None = None
+    for top, bottom in all_reduced_tables(st.d):
+        if least is not None:
+            if len(top) > len(least[0]):
+                break
+            if (top, bottom) > least:
+                continue
+        if not irreducible_rows(top, bottom):
+            continue
+        p = GenPerm._trusted(top, bottom)
+        if stratum(p) == st and marked_order(p) == alpha:
+            least = (top, bottom)
+    if least in rows:
+        return ComponentLabel.EXCEPTIONAL_A
+    return ComponentLabel.EXCEPTIONAL_B
 
 
 def component_label(p: GenPerm, budget: int = 10**7) -> ComponentLabel:
@@ -594,10 +613,8 @@ def component_label(p: GenPerm, budget: int = 10**7) -> ComponentLabel:
     only when :func:`_label_needs_class` holds for its stratum; otherwise
     the label, spin parity included, is computed on ``p`` alone.
     """
-    if not is_irreducible(p):
-        raise Reducible(f"{p} admits no suspension")
     if not _label_needs_class(stratum(p)):
-        return label_for_class(((p.top, p.bottom),), budget)
+        return label_for_class(((p.top, p.bottom),))
     from .classes import rauzy_class
 
-    return label_for_class(rauzy_class(p, budget).table, budget)
+    return label_for_class(rauzy_class(p, budget).table)

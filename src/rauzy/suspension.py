@@ -287,6 +287,7 @@ def check_suspension(p: GenPerm, zeta: SuspensionDatum) -> bool:
 
 GLUE_TRANSLATION = "translation"
 GLUE_HALF_TURN = "half_turn"
+_SVG_SCALE = 60  # pixels per unit length in polygon_svg
 
 
 @dataclass(frozen=True)
@@ -514,20 +515,20 @@ def polygon_json(poly: SuspensionPolygon) -> str:
     )
 
 
-def polygon_svg(poly: SuspensionPolygon, scale: int = 60) -> str:
+def polygon_svg(poly: SuspensionPolygon) -> str:
     """Minimal SVG rendering of the two broken lines (documentation aid)."""
     pts = list(poly.top_points) + list(poly.bottom_points)
     xs = [float(x) for x, _ in pts]
     ys = [float(y) for _, y in pts]
     pad = 0.5
-    width = (max(xs) - min(xs) + 2 * pad) * scale
-    height = (max(ys) - min(ys) + 2 * pad) * scale
+    width = (max(xs) - min(xs) + 2 * pad) * _SVG_SCALE
+    height = (max(ys) - min(ys) + 2 * pad) * _SVG_SCALE
 
     def sx(x: Fraction) -> float:
-        return (float(x) - min(xs) + pad) * scale
+        return (float(x) - min(xs) + pad) * _SVG_SCALE
 
     def sy(y: Fraction) -> float:
-        return height - (float(y) - min(ys) + pad) * scale
+        return height - (float(y) - min(ys) + pad) * _SVG_SCALE
 
     def path(points: tuple[Point, ...]) -> str:
         return " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)

@@ -213,8 +213,8 @@ class TestVerify:
         # not pass: the labels are held against the component table
         original = rauzy.classes.label_for_class
 
-        def mislabel(rows, budget=10**7):
-            label = original(rows, budget)
+        def mislabel(rows):
+            label = original(rows)
             if label is ComponentLabel.ODD_SPIN:
                 return ComponentLabel.EVEN_SPIN
             return label

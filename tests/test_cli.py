@@ -128,8 +128,8 @@ class TestVerify:
 
         original = rauzy.classes.label_for_class
 
-        def mislabel(rows, budget=10**7):
-            label = original(rows, budget)
+        def mislabel(rows):
+            label = original(rows)
             if label is ComponentLabel.ODD_SPIN:
                 return ComponentLabel.EVEN_SPIN
             return label

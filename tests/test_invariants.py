@@ -228,51 +228,50 @@ class TestComponentLabel:
 
 
 class TestExceptionalSplit:
-    """The four stray half-translation strata get stable two-way labels.
+    """The exceptional split on the four Rauzy classes of ``Q(-1,9)``.
 
-    Their smallest realisations need seven or more symbols, beyond what a
-    test can exhaustively enumerate, so the class-representative cache is
-    primed with real classes from a small stratum and the splitting logic
-    is exercised against it.
+    The smallest vertex, marked order, size and label of each class were
+    computed by partitioning every irreducible table of the stratum into
+    classes and comparing their smallest vertices within each marked
+    order.  A label must come out the same without enumerating or
+    partitioning the stratum.
     """
 
-    def test_label_assignment_is_stable(self):
-        from rauzy import parse_stratum, rauzy_class
-        from rauzy.classes import _REP_CACHE
-        from rauzy.invariants import _exceptional_label
+    CLASSES = [
+        ("1 2 1 / 3 2 4 3 5 4 6 7 6 7 5", -1, 6898, ComponentLabel.EXCEPTIONAL_A),
+        ("1 2 1 / 3 2 4 5 6 3 7 4 5 6 7", -1, 684, ComponentLabel.EXCEPTIONAL_B),
+        ("1 1 / 2 3 2 3 4 5 4 5 6 7 6 7", 9, 89046, ComponentLabel.EXCEPTIONAL_A),
+        ("1 1 / 2 3 2 3 4 5 6 7 4 5 6 7", 9, 11682, ComponentLabel.EXCEPTIONAL_B),
+    ]
 
-        st = parse_stratum("Q(-1,9)")
-        seeds = [
-            parse("1 1 2 / 2 3 3"),
-            parse("1 2 2 / 3 3 1"),
-        ]
-        reps = [
-            min(rauzy_class(s).vertices, key=lambda v: v.key) for s in seeds
-        ]
-        # both seeds share one class, so prime with the two stray-class
-        # shapes the splitter would see: two classes of equal marked order
-        _REP_CACHE[st] = [reps[0], reps[0]]
-        try:
-            label = _exceptional_label(reps[0], st, budget=10**6)
-            assert label.value == "exceptional-a"
-        finally:
-            del _REP_CACHE[st]
+    @pytest.mark.parametrize(
+        "table, marked, size, label", CLASSES, ids=["-1a", "-1b", "9a", "9b"]
+    )
+    def test_q19_class_label(self, monkeypatch, table, marked, size, label):
+        import rauzy.classes
+        from rauzy.combinat import _smallest_vertex
 
-    def test_distinct_keys_split_a_b(self):
-        from rauzy import parse_stratum
-        from rauzy.classes import _REP_CACHE
-        from rauzy.invariants import _exceptional_label
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the stratum was enumerated")
 
-        st = parse_stratum("Q(12)")
-        p_small = parse("1 1 2 / 2 3 3")
-        p_big = parse("1 2 2 / 3 3 1")
-        _REP_CACHE[st] = [p_small, p_big]
-        try:
-            assert _exceptional_label(p_small, st, budget=10**6).value == (
-                "exceptional-a"
-            )
-            assert _exceptional_label(p_big, st, budget=10**6).value == (
-                "exceptional-b"
-            )
-        finally:
-            del _REP_CACHE[st]
+        built = []
+
+        def recording(seed, budget=10**7):
+            diagram = rauzy_class(seed, budget)
+            built.append(diagram)
+            return diagram
+
+        monkeypatch.setattr(rauzy.classes, "class_partition", forbidden)
+        monkeypatch.setattr(rauzy.classes, "enumerate_irreducible", forbidden)
+        monkeypatch.setattr(rauzy.classes, "rauzy_class", recording)
+        smallest = parse(table)
+        assert stratum(smallest) == parse_stratum("Q(-1,9)")
+        assert singularity_profile(smallest).marked == marked
+        moved = r0(smallest)
+        if moved is None or moved == smallest:
+            moved = r1(smallest)
+        assert moved != smallest
+        assert component_label(moved) is label
+        (diagram,) = built
+        assert len(diagram) == size
+        assert _smallest_vertex(diagram.table) == smallest
