@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Census of Rauzy classes by stratum and component.
 
-Enumerates every irreducible table up to a chosen number of symbols,
-partitions them into classes, and tabulates class counts and sizes per
-(stratum, component) pair, checking the expected count structure as it
-goes.  Useful for eyeballing how the table grows::
+Builds every Rauzy class up to a chosen number of symbols with the
+verifier (permutation classes from their standard permutations, checked
+against the count of irreducible permutations; generalized classes by
+partitioning every irreducible table), and tabulates class counts and
+sizes per (stratum, component) pair, checking the expected count
+structure as it goes.  Useful for eyeballing how the table grows::
 
     python scripts/stratum_census.py --max-d 6 --kind both
 """

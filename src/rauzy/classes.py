@@ -7,8 +7,11 @@ a seed and closed under both moves, held as its row table: each vertex's
 rows map to the rows of its two move targets (``None`` records an
 undefined move).  Its ``GenPerm`` vertices and edges are made when read.
 
-The verifier partitions every irreducible table of a given size and kind
-into classes, one at a time, keeps each class's marked order and size by
+The verifier builds every class of a given size and kind, one at a time.
+Permutation classes grow from the standard permutations, which every class
+contains, and their sizes must sum to the number of irreducible
+permutations (OEIS A003319); generalized classes partition every
+irreducible table.  It keeps each class's marked order and size by
 (stratum, component label) and checks the expected structure: each group
 must hold exactly one class per distinct singularity order, matched
 bijectively by marked order, and each stratum must show exactly the
@@ -20,6 +23,8 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
+from math import factorial
 from typing import Iterable, Iterator, Optional
 
 from .combinat import (
@@ -33,7 +38,7 @@ from .combinat import (
     is_irreducible,
 )
 from .errors import BudgetExceeded, ReducibleSeed
-from .induction import _moved_rows
+from .induction import _rows_kernel
 from .invariants import (
     ComponentLabel,
     Stratum,
@@ -74,25 +79,32 @@ class RauzyDiagram:
         return {v: tuple(map(perm, self.table[v.top, v.bottom])) for v in self.vertices}
 
 
-def _bfs_rows(seed: Rows, budget: int) -> dict[Rows, tuple[Optional[Rows], Optional[Rows]]]:
-    seen: dict[Rows, tuple[Optional[Rows], Optional[Rows]]] = {}
+def _bfs_rows(
+    seed: Rows, budget: int, stop: Optional[Rows] = None
+) -> dict[Rows, tuple[Optional[Rows], Optional[Rows]]]:
+    """Row table of the class of ``seed``, breadth first.
+
+    With ``stop``, the search ends as soon as it meets those rows; the
+    partial table then holds them.
+    """
+    move = _rows_kernel(seed)
+    seen: dict[Rows, tuple[Optional[Rows], Optional[Rows]]] = {seed: (None, None)}
     queue = deque([seed])
-    seen[seed] = (None, None)
     while queue:
         rows = queue.popleft()
-        targets = []
-        for which in (0, 1):
-            moved = _moved_rows(rows, which)
-            nxt = None if moved is None else moved[0]
-            targets.append(nxt)
+        targets = (move(rows, 0), move(rows, 1))
+        for nxt in targets:
             if nxt is not None and nxt not in seen:
+                if nxt == stop:
+                    seen[nxt] = (None, None)
+                    return seen
                 if len(seen) >= budget:
                     raise BudgetExceeded(
                         f"class exceeds the {budget}-vertex budget"
                     )
                 seen[nxt] = (None, None)
                 queue.append(nxt)
-        seen[rows] = (targets[0], targets[1])
+        seen[rows] = targets
     return seen
 
 
@@ -117,26 +129,7 @@ def same_class_bfs(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
         return False
     target = (p2.top, p2.bottom)
     seed = (p1.top, p1.bottom)
-    if seed == target:
-        return True
-    seen = {seed}
-    queue = deque([seed])
-    while queue:
-        rows = queue.popleft()
-        for which in (0, 1):
-            moved = _moved_rows(rows, which)
-            if moved is None:
-                continue
-            nxt = moved[0]
-            if nxt in seen:
-                continue
-            if nxt == target:
-                return True
-            if len(seen) >= budget:
-                raise BudgetExceeded(f"search exceeded the {budget}-vertex budget")
-            seen.add(nxt)
-            queue.append(nxt)
-    return False
+    return seed == target or target in _bfs_rows(seed, budget, stop=target)
 
 
 def same_class_fast(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
@@ -166,8 +159,6 @@ def enumerate_irreducible(d: int, kind: PermKind) -> Iterator[GenPerm]:
     if d < 2:
         raise ValueError("enumeration starts at two symbols")
     if kind is PermKind.IET:
-        from itertools import permutations
-
         top = tuple(range(1, d + 1))
         for bottom in permutations(top):
             if irreducible_rows(top, bottom):
@@ -219,12 +210,17 @@ class StratumGroup:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Per-stratum class counts, the strata whose labels fail, the pass flag."""
+    """Per-stratum class counts, the strata whose labels fail, the pass flag.
+
+    ``coverage`` is ``(found, expected)`` when a permutation census covers
+    a number of tables other than the count of irreducible permutations.
+    """
 
     d: int
     kind: PermKind
     groups: tuple[StratumGroup, ...]
     mismatched_strata: tuple[Stratum, ...]
+    coverage: Optional[tuple[int, int]] = None
 
     @property
     def components_ok(self) -> bool:
@@ -232,7 +228,11 @@ class TheoremReport:
 
     @property
     def passed(self) -> bool:
-        return self.components_ok and all(g.ok for g in self.groups)
+        return (
+            self.components_ok
+            and self.coverage is None
+            and all(g.ok for g in self.groups)
+        )
 
     def to_dict(self) -> dict:
         out = {
@@ -251,10 +251,57 @@ class TheoremReport:
                 }
                 for st in self.mismatched_strata
             ]
+        if self.coverage is not None:
+            found, expected = self.coverage
+            out["coverage"] = {"found": found, "expected": expected}
         return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
+
+
+def _indecomposable_count(d: int) -> int:
+    """Irreducible permutations of ``d`` symbols: OEIS A003319.
+
+    From the recurrence a(n) = n! - sum of k! a(n - k) over 0 < k < n
+    (Comtet, *Advanced Combinatorics*, 1974).
+
+    >>> [_indecomposable_count(d) for d in range(1, 11)]
+    [1, 1, 3, 13, 71, 461, 3447, 29093, 273343, 2829325]
+    """
+    counts = [0]
+    for n in range(1, d + 1):
+        counts.append(
+            factorial(n) - sum(factorial(k) * counts[n - k] for k in range(1, n))
+        )
+    return counts[d]
+
+
+def _standard_classes(
+    d: int, budget: int, only_stratum: Optional[Stratum] = None
+) -> Iterator[RauzyDiagram]:
+    """The classes of the standard permutations of ``d`` symbols, each once.
+
+    A reduced permutation is standard when its bottom row starts with ``d``
+    and ends with 1.  Every class of irreducible permutations holds one
+    (Rauzy, *Acta Arith.* 34, 1979), so these classes are all of them.
+    Only standard rows are remembered between classes.  ``only_stratum``
+    skips a seed of another stratum before its class is built.
+    """
+    if d < 2:
+        raise ValueError("enumeration starts at two symbols")
+    top = tuple(range(1, d + 1))
+    seen: set[tuple[int, ...]] = set()
+    for middle in permutations(top[1:-1]):
+        bottom = (d, *middle, 1)
+        if bottom in seen:
+            continue
+        seed = GenPerm._trusted(top, bottom)
+        if only_stratum is not None and stratum(seed) != only_stratum:
+            continue
+        diagram = rauzy_class(seed, budget)
+        seen.update(b for _, b in diagram.table if b[0] == d and b[-1] == 1)
+        yield diagram
 
 
 def verify_main_theorem(
@@ -265,26 +312,41 @@ def verify_main_theorem(
 ) -> TheoremReport:
     """Exhaustively check the class-count structure at one size.
 
-    Every irreducible table is assigned to a class; classes are kept as
-    (marked order, size) by (stratum, component label).  A group passes
-    when its classes are in bijection with the distinct singularity orders
-    via the marked order; the stratum passes when its labels are the
-    components the classification lists.  ``only_stratum`` is held against
-    the classification even when none of its tables is found.
+    Permutation classes are built from the standard permutations, one
+    class per standard row not met before; their sizes must then sum to
+    the number of irreducible permutations (A003319), which proves that no
+    class is missing.  Generalized classes partition every irreducible
+    table.  Classes are kept as (marked order, size) by (stratum,
+    component label).  A group passes when its classes are in bijection
+    with the distinct singularity orders via the marked order; the stratum
+    passes when its labels are the components the classification lists.
+    ``only_stratum`` is held against the classification even when none of
+    its tables is found; no count applies to it.
     """
-    perms = enumerate_irreducible(d, kind)
-    if only_stratum is not None:
-        perms = (p for p in perms if stratum(p) == only_stratum)
+    if kind is PermKind.IET:
+        diagrams = _standard_classes(d, budget, only_stratum)
+    else:
+        perms = enumerate_irreducible(d, kind)
+        if only_stratum is not None:
+            perms = (p for p in perms if stratum(p) == only_stratum)
+        diagrams = class_partition(perms, budget)
 
     by_stratum: dict[Stratum, dict[ComponentLabel, list[tuple[int, int]]]] = (
         {} if only_stratum is None else {only_stratum: {}}
     )
-    for diagram in class_partition(perms, budget):
+    found = 0
+    for diagram in diagrams:
         rep = _smallest_vertex(diagram.table)
         label = label_for_class(diagram.table)
         by_stratum.setdefault(stratum(rep), {}).setdefault(label, []).append(
             (marked_order(rep), len(diagram))
         )
+        found += len(diagram)
+    coverage = None
+    if kind is PermKind.IET and only_stratum is None:
+        expected = _indecomposable_count(d)
+        if found != expected:
+            coverage = (found, expected)
 
     groups = []
     mismatched = []
@@ -307,7 +369,7 @@ def verify_main_theorem(
                     ok=marked == distinct,
                 )
             )
-    return TheoremReport(d, kind, tuple(groups), tuple(mismatched))
+    return TheoremReport(d, kind, tuple(groups), tuple(mismatched), coverage)
 
 
 # ---------------------------------------------------------------------------

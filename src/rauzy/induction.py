@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .combinat import GenPerm, Rows, format_perm
 from .errors import (
@@ -77,9 +77,10 @@ def _move1_raw(top: tuple[int, ...], bottom: tuple[int, ...]) -> Optional[Rows]:
 def _moved_rows(rows: Rows, which: int) -> Optional[tuple[Rows, dict[int, int]]]:
     """Move ``which`` on reduced rows, renumbered back to reduced form.
 
-    The one move-and-renumber kernel, shared by the moves below and the
-    class search.  Returns the reduced rows and the ``old symbol -> new
-    symbol`` map of the renumbering, or None when the move is undefined.
+    The move-and-renumber kernel of the moves below; the class search
+    takes rows only, through :func:`_rows_kernel`.  Returns the reduced
+    rows and the ``old symbol -> new symbol`` map of the renumbering, or
+    None when the move is undefined.
     The rows are not validated: a move keeps a reduced two-to-one table
     two-to-one, and the renumbering reduces it.
     """
@@ -96,6 +97,46 @@ def _moved_rows(rows: Rows, which: int) -> Optional[tuple[Rows, dict[int, int]]]
             new_row.append(relabel[s])
         out.append(tuple(new_row))
     return (out[0], out[1]), relabel
+
+
+def _moved_table(rows: Rows, which: int) -> Optional[Rows]:
+    """Rows-only :func:`_moved_rows` for generalized tables."""
+    moved = _moved_rows(rows, which)
+    return None if moved is None else moved[0]
+
+
+def _moved_perm(rows: Rows, which: int) -> Optional[Rows]:
+    """Rows-only :func:`_moved_rows` for a reduced permutation.
+
+    The top row is ``1 ... d``, and no renumbering loop is needed.  Move 0
+    keeps the top row, so the raw rows are already reduced.  Move 1 with
+    bottom winner ``w`` makes the top row ``1 ... w, d, w+1 ... d-1``;
+    renumbering sends ``s <= w`` to ``s``, ``d`` to ``w + 1`` and
+    ``w < s < d`` to ``s + 1``, which one lookup tuple does to the bottom
+    row.  Both moves are undefined exactly when the bottom row ends in ``d``.
+    """
+    top, bottom = rows
+    d = len(top)
+    w = bottom[-1]
+    if w == d:
+        return None
+    if which == 0:
+        k = bottom.index(d)
+        return (top, bottom[: k + 1] + (w,) + bottom[k + 1 : -1])
+    lookup = top[:w] + top[w + 1 :] + (w + 1,)
+    return (top, tuple([lookup[s - 1] for s in bottom]))
+
+
+def _rows_kernel(rows: Rows) -> Callable[[Rows, int], Optional[Rows]]:
+    """The rows-only move for the class of ``rows``.
+
+    Moves keep a table a permutation or a generalized permutation, so the
+    choice made on one vertex holds on its whole class.
+    """
+    top, bottom = rows
+    if len(top) == len(bottom) == len(set(top)):
+        return _moved_perm
+    return _moved_table
 
 
 def _moved_with_map(

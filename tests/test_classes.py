@@ -173,6 +173,7 @@ class TestVerify:
         payload = json.loads(report.to_json())
         assert payload["passed"] is True
         assert "component_mismatches" not in payload
+        assert "coverage" not in payload
         assert set(payload["groups"][0]) == {
             "stratum",
             "component",
@@ -203,6 +204,61 @@ class TestVerify:
         )
         assert report.groups == ()
         assert not report.passed
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_seeded_census_matches_the_partition(self, monkeypatch, d):
+        # the oracle classes partition every irreducible permutation; the
+        # report built from their summaries must be the seeded one
+        import rauzy.classes
+
+        seeded = verify_main_theorem(d, PermKind.IET).to_json()
+
+        def partition(d, budget, only_stratum=None):
+            return class_partition(enumerate_irreducible(d, PermKind.IET), budget)
+
+        monkeypatch.setattr(rauzy.classes, "_standard_classes", partition)
+        assert verify_main_theorem(d, PermKind.IET).to_json() == seeded
+
+    def test_missing_class_fails_the_count(self, monkeypatch):
+        # the only class of H(0,0,0,0,0) at six symbols is dropped; no
+        # group or component check can see that, only the count
+        import rauzy.classes
+        from rauzy import stratum
+        from rauzy.combinat import _smallest_vertex
+
+        original = rauzy.classes._standard_classes
+
+        def drop_torus(*args):
+            for diagram in original(*args):
+                if stratum(_smallest_vertex(diagram.table)).text != "H(0,0,0,0,0)":
+                    yield diagram
+
+        monkeypatch.setattr(rauzy.classes, "_standard_classes", drop_torus)
+        report = verify_main_theorem(6, PermKind.IET)
+        assert report.components_ok and all(g.ok for g in report.groups)
+        assert report.coverage == (461 - 15, 461)
+        assert not report.passed
+        payload = json.loads(report.to_json())
+        assert payload["passed"] is False
+        assert payload["coverage"] == {"found": 446, "expected": 461}
+
+    def test_single_stratum_builds_only_its_classes(self, monkeypatch):
+        import rauzy.classes
+        from rauzy import parse_stratum
+
+        built = []
+        original = rauzy.classes.rauzy_class
+
+        def recording(seed, budget):
+            built.append(seed)
+            return original(seed, budget)
+
+        monkeypatch.setattr(rauzy.classes, "rauzy_class", recording)
+        report = verify_main_theorem(
+            6, PermKind.IET, only_stratum=parse_stratum("H(4)")
+        )
+        assert report.passed and "coverage" not in report.to_dict()
+        assert len(built) == sum(g.class_count for g in report.groups) == 2
 
     def test_wrong_label_fails(self, monkeypatch):
         import rauzy.classes

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import factorial
 from random import Random
 
 import pytest
@@ -9,6 +10,7 @@ from conftest import iet_perms, irreducible_genperms
 
 from rauzy import (
     MoveLabel,
+    PermKind,
     classify_step,
     find_suspension,
     check_suspension,
@@ -111,6 +113,38 @@ def test_trusted_kernel_matches_validated_reduction():
                 assert got == want and got[0].key == want[0].key, p
                 checked += 1
     assert checked > 10_000
+
+
+def test_permutation_kernel_matches_renumbering_kernel():
+    # The class search moves permutations without the renumbering loop;
+    # on every reduced permutation through seven symbols, reducible ones
+    # and undefined moves included, it gives the renumbered rows.
+    from itertools import permutations
+
+    from rauzy.induction import _moved_perm, _moved_rows, _rows_kernel
+
+    undefined = 0
+    for d in range(1, 8):
+        top = tuple(range(1, d + 1))
+        for bottom in permutations(top):
+            rows = (top, bottom)
+            assert _rows_kernel(rows) is _moved_perm
+            for which in (0, 1):
+                moved = _moved_rows(rows, which)
+                want = None if moved is None else moved[0]
+                assert _moved_perm(rows, which) == want, (rows, which)
+                undefined += want is None
+    assert undefined == 2 * sum(factorial(d - 1) for d in range(1, 8))
+
+
+def test_kernel_choice_follows_the_kind():
+    from rauzy.combinat import GenPerm, all_reduced_tables
+    from rauzy.induction import _moved_perm, _moved_table, _rows_kernel
+
+    for d in range(1, 5):
+        for rows in all_reduced_tables(d):
+            iet = GenPerm(*rows).kind is PermKind.IET
+            assert _rows_kernel(rows) is (_moved_perm if iet else _moved_table)
 
 
 @given(iet_perms(max_d=6))
