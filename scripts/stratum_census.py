@@ -2,11 +2,15 @@
 """Census of Rauzy classes by stratum and component.
 
 Builds every Rauzy class up to a chosen number of symbols with the
-verifier (permutation classes from their standard permutations, checked
-against the count of irreducible permutations; generalized classes by
-partitioning every irreducible table), and tabulates class counts and
-sizes per (stratum, component) pair, checking the expected count
-structure as it goes.  Useful for eyeballing how the table grows::
+verifier, and tabulates class counts and sizes per (stratum, component)
+pair, checking the expected count structure as it goes.  Permutation
+classes grow from their standard permutations (Rauzy 1979) and must cover
+the irreducible permutations (OEIS A003319); generalized classes grow from
+the irreducible tables whose bottom row ends with 1 and must cover every
+irreducible table.  That rule is checked through seven symbols but not
+proven; the count turns a missed class into a failed report, printed as
+``coverage found=... expected=...``, instead of a silent pass.  Useful
+for eyeballing how the table grows::
 
     python scripts/stratum_census.py --max-d 6 --kind both
 """
@@ -47,6 +51,9 @@ def main() -> int:
             if not report.passed:
                 all_ok = False
                 print("  !! count structure violated")
+                if report.coverage is not None:
+                    found, expected = report.coverage
+                    print(f"  !! coverage found={found} expected={expected}")
     return 0 if all_ok else 1
 
 

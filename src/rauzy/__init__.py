@@ -31,7 +31,6 @@ from .induction import (
     r0,
     r1,
     rv_step,
-    trace_jsonl,
 )
 from .invariants import (
     ComponentLabel,
@@ -81,7 +80,6 @@ __all__ = [
     "r0",
     "r1",
     "rv_step",
-    "trace_jsonl",
     "ComponentLabel",
     "Profile",
     "Stratum",

@@ -7,15 +7,21 @@ a seed and closed under both moves, held as its row table: each vertex's
 rows map to the rows of its two move targets (``None`` records an
 undefined move).  Its ``GenPerm`` vertices and edges are made when read.
 
-The verifier builds every class of a given size and kind, one at a time.
-Permutation classes grow from the standard permutations, which every class
-contains, and their sizes must sum to the number of irreducible
-permutations (OEIS A003319); generalized classes partition every
-irreducible table.  It keeps each class's marked order and size by
-(stratum, component label) and checks the expected structure: each group
-must hold exactly one class per distinct singularity order, matched
-bijectively by marked order, and each stratum must show exactly the
-component labels that :func:`rauzy.invariants.stratum_components` lists.
+The verifier builds every class of a given size and kind, one at a time,
+from seed tables, and proves that none is missing by a count.  Permutation
+classes grow from the standard permutations, which every class contains
+(Rauzy, *Acta Arith.* 34, 1979), and their sizes must sum to the number of
+irreducible permutations (OEIS A003319).  Generalized classes grow from
+the irreducible tables whose bottom row ends with 1, and their sizes must
+sum to the number of irreducible tables, which the same pass counts.  That
+every generalized class holds such a table is checked through seven
+symbols but not proven; the count turns a missed class into a failed
+report instead of a silent pass.  The verifier keeps each class's marked
+order and size by (stratum, component label) and checks the expected
+structure: each group must hold exactly one class per distinct
+singularity order, matched bijectively by marked order, and each stratum
+must show exactly the component labels that
+:func:`rauzy.invariants.stratum_components` lists.
 """
 from __future__ import annotations
 
@@ -25,13 +31,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from math import factorial
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .combinat import (
     GenPerm,
     PermKind,
     Rows,
-    _smallest_vertex,
     all_reduced_tables,
     format_perm,
     irreducible_rows,
@@ -171,17 +176,30 @@ def enumerate_irreducible(d: int, kind: PermKind) -> Iterator[GenPerm]:
                 yield GenPerm._trusted(top, bottom)
 
 
+def _seeded_classes(
+    candidates: Iterable[GenPerm], is_seed: Callable[[Rows], bool], budget: int
+) -> Iterator[RauzyDiagram]:
+    """The classes of the seeds among ``candidates``, each built once.
+
+    A candidate is skipped when it is no seed or its class is already
+    built; between classes only the seed rows of each built class are
+    remembered.
+    """
+    seen: set[Rows] = set()
+    for p in candidates:
+        rows = (p.top, p.bottom)
+        if not is_seed(rows) or rows in seen:
+            continue
+        diagram = rauzy_class(p, budget)
+        seen.update(filter(is_seed, diagram.table))
+        yield diagram
+
+
 def class_partition(
     perms: Iterable[GenPerm], budget: int = 10**7
 ) -> Iterator[RauzyDiagram]:
     """Classes of a set of irreducible tables, each yielded when first met."""
-    seen: set[Rows] = set()
-    for p in perms:
-        if (p.top, p.bottom) in seen:
-            continue
-        diagram = rauzy_class(p, budget)
-        seen.update(diagram.table)
-        yield diagram
+    return _seeded_classes(perms, lambda rows: True, budget)
 
 
 @dataclass(frozen=True)
@@ -212,8 +230,8 @@ class StratumGroup:
 class TheoremReport:
     """Per-stratum class counts, the strata whose labels fail, the pass flag.
 
-    ``coverage`` is ``(found, expected)`` when a permutation census covers
-    a number of tables other than the count of irreducible permutations.
+    ``coverage`` is ``(found, expected)`` when the classes of a census
+    cover a number of tables other than its count of irreducible tables.
     """
 
     d: int
@@ -277,33 +295,6 @@ def _indecomposable_count(d: int) -> int:
     return counts[d]
 
 
-def _standard_classes(
-    d: int, budget: int, only_stratum: Optional[Stratum] = None
-) -> Iterator[RauzyDiagram]:
-    """The classes of the standard permutations of ``d`` symbols, each once.
-
-    A reduced permutation is standard when its bottom row starts with ``d``
-    and ends with 1.  Every class of irreducible permutations holds one
-    (Rauzy, *Acta Arith.* 34, 1979), so these classes are all of them.
-    Only standard rows are remembered between classes.  ``only_stratum``
-    skips a seed of another stratum before its class is built.
-    """
-    if d < 2:
-        raise ValueError("enumeration starts at two symbols")
-    top = tuple(range(1, d + 1))
-    seen: set[tuple[int, ...]] = set()
-    for middle in permutations(top[1:-1]):
-        bottom = (d, *middle, 1)
-        if bottom in seen:
-            continue
-        seed = GenPerm._trusted(top, bottom)
-        if only_stratum is not None and stratum(seed) != only_stratum:
-            continue
-        diagram = rauzy_class(seed, budget)
-        seen.update(b for _, b in diagram.table if b[0] == d and b[-1] == 1)
-        yield diagram
-
-
 def verify_main_theorem(
     d: int,
     kind: PermKind,
@@ -312,41 +303,58 @@ def verify_main_theorem(
 ) -> TheoremReport:
     """Exhaustively check the class-count structure at one size.
 
-    Permutation classes are built from the standard permutations, one
-    class per standard row not met before; their sizes must then sum to
-    the number of irreducible permutations (A003319), which proves that no
-    class is missing.  Generalized classes partition every irreducible
-    table.  Classes are kept as (marked order, size) by (stratum,
-    component label).  A group passes when its classes are in bijection
-    with the distinct singularity orders via the marked order; the stratum
-    passes when its labels are the components the classification lists.
-    ``only_stratum`` is held against the classification even when none of
-    its tables is found; no count applies to it.
+    Classes are built by :func:`_seeded_classes` from the seeds the module
+    docstring names, and their sizes must sum to the number of irreducible
+    tables: A003319 for permutations, a count taken in the same pass for
+    generalized tables.  The generalized seed rule is checked through seven
+    symbols but not proven; the count turns a missed class into a failed
+    report instead of a silent pass.  Classes are kept as (marked order,
+    size) by (stratum, component label).  A group passes when its classes
+    are in bijection with the distinct singularity orders via the marked
+    order; the stratum passes when its labels are the components the
+    classification lists.  ``only_stratum`` is held against the
+    classification even when none of its tables is found; the generalized
+    count is then that of its tables, and no count applies to permutations.
     """
+    if d < 2:
+        raise ValueError("enumeration starts at two symbols")
+    total = 0  # candidates met, the generalized count
+
+    def counted(perms: Iterable[GenPerm]) -> Iterator[GenPerm]:
+        nonlocal total
+        for total, p in enumerate(perms, 1):
+            yield p
+
     if kind is PermKind.IET:
-        diagrams = _standard_classes(d, budget, only_stratum)
+        top = tuple(range(1, d + 1))
+        candidates: Iterable[GenPerm] = (
+            GenPerm._trusted(top, (d, *middle, 1))
+            for middle in permutations(top[1:-1])
+        )
+        is_seed = lambda rows: rows[1][0] == d and rows[1][-1] == 1
+        expected = lambda: (
+            None if only_stratum is not None else _indecomposable_count(d)
+        )
     else:
-        perms = enumerate_irreducible(d, kind)
-        if only_stratum is not None:
-            perms = (p for p in perms if stratum(p) == only_stratum)
-        diagrams = class_partition(perms, budget)
+        candidates = enumerate_irreducible(d, kind)
+        is_seed = lambda rows: rows[1][-1] == 1
+        expected = lambda: total
+    if only_stratum is not None:
+        candidates = (p for p in candidates if stratum(p) == only_stratum)
 
     by_stratum: dict[Stratum, dict[ComponentLabel, list[tuple[int, int]]]] = (
         {} if only_stratum is None else {only_stratum: {}}
     )
     found = 0
-    for diagram in diagrams:
-        rep = _smallest_vertex(diagram.table)
+    for diagram in _seeded_classes(counted(candidates), is_seed, budget):
+        seed = GenPerm._trusted(*next(iter(diagram.table)))
         label = label_for_class(diagram.table)
-        by_stratum.setdefault(stratum(rep), {}).setdefault(label, []).append(
-            (marked_order(rep), len(diagram))
+        by_stratum.setdefault(stratum(seed), {}).setdefault(label, []).append(
+            (marked_order(seed), len(diagram))
         )
         found += len(diagram)
-    coverage = None
-    if kind is PermKind.IET and only_stratum is None:
-        expected = _indecomposable_count(d)
-        if found != expected:
-            coverage = (found, expected)
+    count = expected()
+    coverage = None if count in (None, found) else (found, count)
 
     groups = []
     mismatched = []

@@ -25,13 +25,12 @@ suspension vector's parts as integers over their common denominator.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .combinat import GenPerm, Rows, format_perm
+from .combinat import GenPerm, Rows
 from .errors import (
     DimensionMismatch,
     InductionHalt,
@@ -268,23 +267,6 @@ def orbit(p: GenPerm, lengths: Sequence[Fraction], max_steps: int) -> OrbitTrace
         current, lam, label = nxt
         steps.append(OrbitStep(i, label, current, lam))
     return OrbitTrace(p, tuple(steps), halted)
-
-
-def trace_jsonl(trace: OrbitTrace) -> str:
-    """Line-delimited JSON records ``{step, move, perm, lambda}``."""
-    lines = []
-    for s in trace.steps:
-        lines.append(
-            json.dumps(
-                {
-                    "step": s.step,
-                    "move": s.move.value,
-                    "perm": format_perm(s.perm),
-                    "lambda": [str(v) for v in s.lengths],
-                }
-            )
-        )
-    return "\n".join(lines)
 
 
 def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum]:

@@ -1,4 +1,5 @@
 import json
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,32 @@ class TestEnumerate:
         assert len(set(union)) == len(union)
 
 
+def _drop_stratum(monkeypatch, text):
+    """Make the verifier build, but not report, the classes of one stratum."""
+    import rauzy.classes
+    from rauzy import stratum
+    from rauzy.combinat import GenPerm
+
+    original = rauzy.classes._seeded_classes
+
+    def dropping(*args):
+        for diagram in original(*args):
+            seed = GenPerm._trusted(*next(iter(diagram.table)))
+            if stratum(seed).text != text:
+                yield diagram
+
+    monkeypatch.setattr(rauzy.classes, "_seeded_classes", dropping)
+
+
+def _assert_count_fails(report, found, expected):
+    assert report.components_ok and all(g.ok for g in report.groups)
+    assert report.coverage == (found, expected)
+    assert not report.passed
+    payload = json.loads(report.to_json())
+    assert payload["passed"] is False
+    assert payload["coverage"] == {"found": found, "expected": expected}
+
+
 class TestVerify:
     def test_small_iet(self):
         report = verify_main_theorem(4, PermKind.IET)
@@ -205,42 +232,53 @@ class TestVerify:
         assert report.groups == ()
         assert not report.passed
 
-    @pytest.mark.parametrize("d", range(2, 9))
-    def test_seeded_census_matches_the_partition(self, monkeypatch, d):
-        # the oracle classes partition every irreducible permutation; the
-        # report built from their summaries must be the seeded one
+    @pytest.mark.parametrize(
+        "kind, d",
+        [pytest.param(PermKind.IET, d, id=str(d)) for d in range(2, 9)]
+        + [
+            pytest.param(PermKind.QUADRATIC, d, id=f"quadratic-{d}")
+            for d in range(3, 7)
+        ],
+    )
+    def test_seeded_census_matches_the_partition(self, monkeypatch, kind, d):
+        # the oracle classes partition every irreducible table; the report
+        # built from their summaries must be the seeded one
         import rauzy.classes
 
-        seeded = verify_main_theorem(d, PermKind.IET).to_json()
+        seeded = verify_main_theorem(d, kind).to_json()
+        oracle = list(class_partition(enumerate_irreducible(d, kind)))
 
-        def partition(d, budget, only_stratum=None):
-            return class_partition(enumerate_irreducible(d, PermKind.IET), budget)
+        def partition(candidates, is_seed, budget):
+            deque(candidates, maxlen=0)  # the generalized count still runs
+            return iter(oracle)
 
-        monkeypatch.setattr(rauzy.classes, "_standard_classes", partition)
-        assert verify_main_theorem(d, PermKind.IET).to_json() == seeded
+        monkeypatch.setattr(rauzy.classes, "_seeded_classes", partition)
+        assert verify_main_theorem(d, kind).to_json() == seeded
 
     def test_missing_class_fails_the_count(self, monkeypatch):
         # the only class of H(0,0,0,0,0) at six symbols is dropped; no
         # group or component check can see that, only the count
-        import rauzy.classes
-        from rauzy import stratum
-        from rauzy.combinat import _smallest_vertex
+        _drop_stratum(monkeypatch, "H(0,0,0,0,0)")
+        _assert_count_fails(verify_main_theorem(6, PermKind.IET), 461 - 15, 461)
 
-        original = rauzy.classes._standard_classes
+    def test_missing_generalized_class_fails_the_count(self, monkeypatch):
+        # Q(2,2) has one class of 73 tables at five symbols
+        _drop_stratum(monkeypatch, "Q(2,2)")
+        report = verify_main_theorem(5, PermKind.QUADRATIC)
+        _assert_count_fails(report, 1572 - 73, 1572)
 
-        def drop_torus(*args):
-            for diagram in original(*args):
-                if stratum(_smallest_vertex(diagram.table)).text != "H(0,0,0,0,0)":
-                    yield diagram
+    def test_single_stratum_count(self, monkeypatch):
+        # a generalized stratum run counts the tables of that stratum
+        from rauzy import parse_stratum
 
-        monkeypatch.setattr(rauzy.classes, "_standard_classes", drop_torus)
-        report = verify_main_theorem(6, PermKind.IET)
-        assert report.components_ok and all(g.ok for g in report.groups)
-        assert report.coverage == (461 - 15, 461)
-        assert not report.passed
-        payload = json.loads(report.to_json())
-        assert payload["passed"] is False
-        assert payload["coverage"] == {"found": 446, "expected": 461}
+        st = parse_stratum("Q(-1,-1,-1,-1)")
+        report = verify_main_theorem(3, PermKind.QUADRATIC, only_stratum=st)
+        assert report.passed and "coverage" not in report.to_dict()
+
+        _drop_stratum(monkeypatch, st.text)
+        report = verify_main_theorem(3, PermKind.QUADRATIC, only_stratum=st)
+        assert report.coverage == (0, 4) and not report.passed
+        assert report.to_dict()["coverage"] == {"found": 0, "expected": 4}
 
     def test_single_stratum_builds_only_its_classes(self, monkeypatch):
         import rauzy.classes

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from math import factorial
 from random import Random
@@ -22,7 +21,6 @@ from rauzy import (
     r1,
     random_suspension,
     rv_step,
-    trace_jsonl,
 )
 from rauzy.combinat import reduce
 from rauzy.errors import DimensionMismatch, InductionHalt, InvalidLengths
@@ -223,18 +221,6 @@ class TestOrbit:
         for step in trace.steps:
             totals.append(sum(step.lengths[s - 1] for s in step.perm.top))
         assert all(b < a for a, b in zip(totals, totals[1:]))
-
-    def test_jsonl_trace(self):
-        trace = orbit(parse("1 2 / 2 1"), (2, 1), 10)
-        lines = trace_jsonl(trace).splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert record == {
-            "step": 0,
-            "move": 1,
-            "perm": "1 2 / 2 1",
-            "lambda": ["1", "1"],
-        }
 
 
 class TestRvStep:
