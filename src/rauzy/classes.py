@@ -16,7 +16,11 @@ the irreducible tables whose bottom row ends with 1, and their sizes must
 sum to the number of irreducible tables, which the same pass counts.  That
 every generalized class holds such a table is checked through seven
 symbols but not proven; the count turns a missed class into a failed
-report instead of a silent pass.  The verifier keeps each class's marked
+report instead of a silent pass.  The generalized candidates come as rows
+from the pruned search :func:`rauzy.combinat._irreducible_tables`, and only
+the seeds that start a class are wrapped; :func:`enumerate_irreducible`,
+which filters every reduced table, is the brute-force oracle of the tests
+and scripts.  The verifier keeps each class's marked
 order and size by (stratum, component label) and checks the expected
 structure: each group must hold exactly one class per distinct
 singularity order, matched bijectively by marked order, and each stratum
@@ -37,6 +41,7 @@ from .combinat import (
     GenPerm,
     PermKind,
     Rows,
+    _irreducible_tables,
     all_reduced_tables,
     format_perm,
     irreducible_rows,
@@ -47,6 +52,8 @@ from .induction import _rows_kernel
 from .invariants import (
     ComponentLabel,
     Stratum,
+    _known_profile,
+    _stratum_of,
     component_label,
     label_for_class,
     marked_order,
@@ -159,7 +166,10 @@ def enumerate_irreducible(d: int, kind: PermKind) -> Iterator[GenPerm]:
     """All irreducible reduced tables with ``d`` symbols of one kind.
 
     Deterministic order: interval-exchange tables by bottom row, general
-    tables by shape and pairing structure.
+    tables by shape and pairing structure.  This is the brute-force route,
+    every table filtered by :func:`irreducible_rows`, and the oracle of the
+    tests and scripts; the verifier counts generalized tables through the
+    pruned search :func:`rauzy.combinat._irreducible_tables` instead.
     """
     if d < 2:
         raise ValueError("enumeration starts at two symbols")
@@ -177,20 +187,19 @@ def enumerate_irreducible(d: int, kind: PermKind) -> Iterator[GenPerm]:
 
 
 def _seeded_classes(
-    candidates: Iterable[GenPerm], is_seed: Callable[[Rows], bool], budget: int
+    candidates: Iterable[Rows], is_seed: Callable[[Rows], bool], budget: int
 ) -> Iterator[RauzyDiagram]:
-    """The classes of the seeds among ``candidates``, each built once.
+    """The classes of the seeds among the ``candidates`` rows, each built once.
 
     A candidate is skipped when it is no seed or its class is already
     built; between classes only the seed rows of each built class are
-    remembered.
+    remembered.  Only the seeds that start a class are wrapped.
     """
     seen: set[Rows] = set()
-    for p in candidates:
-        rows = (p.top, p.bottom)
+    for rows in candidates:
         if not is_seed(rows) or rows in seen:
             continue
-        diagram = rauzy_class(p, budget)
+        diagram = rauzy_class(GenPerm._trusted(*rows), budget)
         seen.update(filter(is_seed, diagram.table))
         yield diagram
 
@@ -199,7 +208,8 @@ def class_partition(
     perms: Iterable[GenPerm], budget: int = 10**7
 ) -> Iterator[RauzyDiagram]:
     """Classes of a set of irreducible tables, each yielded when first met."""
-    return _seeded_classes(perms, lambda rows: True, budget)
+    rows = ((p.top, p.bottom) for p in perms)
+    return _seeded_classes(rows, lambda _: True, budget)
 
 
 @dataclass(frozen=True)
@@ -306,13 +316,15 @@ def verify_main_theorem(
     Classes are built by :func:`_seeded_classes` from the seeds the module
     docstring names, and their sizes must sum to the number of irreducible
     tables: A003319 for permutations, a count taken in the same pass for
-    generalized tables.  The generalized seed rule is checked through seven
-    symbols but not proven; the count turns a missed class into a failed
-    report instead of a silent pass.  Classes are kept as (marked order,
-    size) by (stratum, component label).  A group passes when its classes
-    are in bijection with the distinct singularity orders via the marked
-    order; the stratum passes when its labels are the components the
-    classification lists.  ``only_stratum`` is held against the
+    generalized tables.  That count runs through the pruned search
+    :func:`rauzy.combinat._irreducible_tables`, not through the brute-force
+    oracle :func:`enumerate_irreducible`.  The generalized seed rule is
+    checked through seven symbols but not proven; the count turns a missed
+    class into a failed report instead of a silent pass.  Classes are kept
+    as (marked order, size) by (stratum, component label).  A group passes
+    when its classes are in bijection with the distinct singularity orders
+    via the marked order; the stratum passes when its labels are the
+    components the classification lists.  ``only_stratum`` is held against the
     classification even when none of its tables is found; the generalized
     count is then that of its tables, and no count applies to permutations.
     """
@@ -320,27 +332,32 @@ def verify_main_theorem(
         raise ValueError("enumeration starts at two symbols")
     total = 0  # candidates met, the generalized count
 
-    def counted(perms: Iterable[GenPerm]) -> Iterator[GenPerm]:
+    def counted(candidates: Iterable[Rows]) -> Iterator[Rows]:
         nonlocal total
-        for total, p in enumerate(perms, 1):
-            yield p
+        for total, rows in enumerate(candidates, 1):
+            yield rows
 
     if kind is PermKind.IET:
         top = tuple(range(1, d + 1))
-        candidates: Iterable[GenPerm] = (
-            GenPerm._trusted(top, (d, *middle, 1))
-            for middle in permutations(top[1:-1])
+        candidates: Iterable[Rows] = (
+            (top, (d, *middle, 1)) for middle in permutations(top[1:-1])
         )
         is_seed = lambda rows: rows[1][0] == d and rows[1][-1] == 1
         expected = lambda: (
             None if only_stratum is not None else _indecomposable_count(d)
         )
     else:
-        candidates = enumerate_irreducible(d, kind)
+        candidates = _irreducible_tables(d)
         is_seed = lambda rows: rows[1][-1] == 1
         expected = lambda: total
     if only_stratum is not None:
-        candidates = (p for p in candidates if stratum(p) == only_stratum)
+
+        def in_stratum(rows: Rows) -> bool:
+            # every candidate is irreducible, so the walk needs no check
+            p = GenPerm._trusted(*rows)
+            return _stratum_of(p, _known_profile(p)) == only_stratum
+
+        candidates = filter(in_stratum, candidates)
 
     by_stratum: dict[Stratum, dict[ComponentLabel, list[tuple[int, int]]]] = (
         {} if only_stratum is None else {only_stratum: {}}

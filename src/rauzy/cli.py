@@ -195,6 +195,9 @@ def cmd_verify(args, config: Config) -> int:
         for m in report.to_dict().get("component_mismatches", []):
             observed, expected = m["observed"], m["expected"]
             print(f"{m['stratum']:>18} components={observed} expected={expected} FAIL")
+        if report.coverage is not None:
+            found, expected = report.coverage
+            print(f"coverage: found {found}, expected {expected}")
         print("result:", "pass" if report.passed else "FAIL")
     return 0 if report.passed else 1
 

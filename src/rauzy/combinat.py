@@ -287,6 +287,93 @@ def all_reduced_tables(d: int) -> Iterator[Rows]:
         yield from _fill_tables(cells, 0, 1, l)
 
 
+def _irreducible_tables(d: int) -> Iterator[Rows]:
+    """Rows of every irreducible reduced table with ``d`` symbols, permutations aside.
+
+    The same tables as :func:`all_reduced_tables` filtered by
+    :func:`irreducible_rows`, found by a search that tests each condition
+    there on a prefix as soon as the prefix is complete.  A top row is kept
+    only when it doubles a letter and leaves at least one letter to the
+    bottom row to double, which is (a) and rules out permutations.  Every
+    letter occurs twice, so ``B = 2 - T`` and both the inner prefixes of
+    (b) and the sums of (c) depend on the top row alone.  Each bottom prefix
+    ``B_j`` with ``0 < j < m`` is then held against them: ``B_j`` must not
+    be an inner top prefix, and ``B_c + B_j`` must not be a sum for any
+    ``c <= j``.  The prefix ``j = 0`` needs no test: ``T_a + T_b + B = T``
+    fails on a letter doubled in the bottom row.  Tables come by top-row
+    length, shortest first; within a length the order is that of the
+    search.
+    """
+    unit = [1 << 3 * s for s in range(d + 1)]
+    shift_base = 2 * sum(unit[1:])
+    for l in range(2, 2 * d - 1):
+        m = 2 * d - l
+        for top, once in _top_rows(l, d - 1):
+            tops = _prefix_counts(top)
+            inner = set(tops[1:l])
+            shift = shift_base - 2 * tops[l]
+            sums = {x + y + shift for i, x in enumerate(tops[:l]) for y in tops[i:l]}
+            # Before cell j of the bottom row: the letters that may close
+            # there (top singletons and bottom letters opened once) as a bit
+            # mask, the next fresh letter, and the choices left.
+            cells, counts = [0] * m, [0] * m
+            open_at, fresh_at = [once] * m, [max(top) + 1] * m
+            choices: list[Iterator[int]] = [iter(())] * m
+            choices[0] = _bottom_choices(once, fresh_at[0], d)
+            j = 0
+            while j >= 0:
+                s = next(choices[j], 0)
+                if not s:
+                    j -= 1
+                    continue
+                cells[j] = s
+                if j == m - 1:
+                    yield top, tuple(cells)
+                    continue
+                b = counts[j + 1] = counts[j] + unit[s]
+                if b in inner or not sums.isdisjoint([c + b for c in counts[: j + 2]]):
+                    continue
+                j += 1
+                if s == fresh_at[j - 1]:
+                    open_at[j] = open_at[j - 1] | 1 << s
+                    fresh_at[j] = s + 1
+                else:
+                    open_at[j] = open_at[j - 1] & ~(1 << s)
+                    fresh_at[j] = fresh_at[j - 1]
+                choices[j] = _bottom_choices(open_at[j], fresh_at[j], d)
+
+
+def _bottom_choices(open_mask: int, fresh: int, d: int) -> Iterator[int]:
+    """Letters for the next bottom cell: any open one, or ``fresh`` if left."""
+    letters = [s for s in range(1, fresh) if open_mask >> s & 1]
+    if fresh <= d:
+        letters.append(fresh)
+    return iter(letters)
+
+
+def _top_rows(l: int, most: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Reduced top rows of length ``l`` with at most ``most`` letters, one doubled.
+
+    Each comes with the bit mask of its letters that occur once.
+    """
+    cells = [0] * l
+
+    def fill(pos: int, once: int, fresh: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        if pos == l:
+            if fresh - 1 < l:  # fewer letters than cells: one is doubled
+                yield tuple(cells), once
+            return
+        for s in range(1, fresh):
+            if once >> s & 1:
+                cells[pos] = s
+                yield from fill(pos + 1, once & ~(1 << s), fresh)
+        if fresh <= most:
+            cells[pos] = fresh
+            yield from fill(pos + 1, once | 1 << fresh, fresh + 1)
+
+    return fill(0, 0, 1)
+
+
 def _fill_tables(cells: list[int], pos: int, fresh: int, l: int) -> Iterator[Rows]:
     n = len(cells)
     while pos < n and cells[pos]:

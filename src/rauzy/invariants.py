@@ -54,9 +54,8 @@ from .combinat import (
     GenPerm,
     PermKind,
     Rows,
+    _irreducible_tables,
     _smallest_vertex,
-    all_reduced_tables,
-    irreducible_rows,
     is_irreducible,
     reduce,
 )
@@ -193,8 +192,8 @@ def _corner_walk(p: GenPerm) -> tuple[list[int], list[tuple[list[int], int]]]:
         while not seen[t]:
             seen[t] = True
             cycle.append(t)
-            t = partner[(t - 1) % n]
-        angle = sum(1 for t in cycle if t != 0 and t != m)
+            t = partner[t - 1]  # index -1 wraps round to the last position
+        angle = len(cycle) - (0 in cycle) - (m in cycle)
         if not iet:
             cycles.append((cycle, angle - 2))
         elif angle % 2:
@@ -210,6 +209,15 @@ def singularity_profile(p: GenPerm) -> Profile:
         raise ValueError("suspensions over a single interval are degenerate")
     if not is_irreducible(p):
         raise Reducible(f"{p} admits no suspension")
+    return _known_profile(p)
+
+
+def _known_profile(p: GenPerm) -> Profile:
+    """:func:`singularity_profile` of a table already known to be irreducible.
+
+    For callers whose tables come from an irreducibility filter, such as
+    :func:`rauzy.combinat._irreducible_tables`; nothing is checked.
+    """
     _, cycles = _corner_walk(p)
     orders = sorted(order for _, order in cycles)
     return Profile(tuple(orders), cycles[0][1])
@@ -221,7 +229,11 @@ def marked_order(p: GenPerm) -> int:
 
 def stratum(p: GenPerm) -> Stratum:
     """Stratum of the suspension surface, with consistency checks."""
-    profile = singularity_profile(p)
+    return _stratum_of(p, singularity_profile(p))
+
+
+def _stratum_of(p: GenPerm, profile: Profile) -> Stratum:
+    """The stratum of ``p`` whose orders ``profile`` lists, with the dimension check."""
     kind = (
         StratumKind.ABELIAN if p.kind is PermKind.IET else StratumKind.QUADRATIC
     )
@@ -584,22 +596,21 @@ def _exceptional_label(
     :attr:`GenPerm.key` order, of the stratum ``st`` with the marked order
     of ``rep``; the other class with that marked order is
     ``exceptional-b``.  ``rows`` must be the whole class and ``rep`` one
-    of its vertices.  :func:`all_reduced_tables` yields tables by top-row
+    of its vertices.  :func:`_irreducible_tables` yields tables by top-row
     length, shortest first, so the scan stops after the first length that
     holds a match, which is at most the length of ``rep``'s top row.
     """
     alpha = marked_order(rep)
     least: Rows | None = None
-    for top, bottom in all_reduced_tables(st.d):
+    for top, bottom in _irreducible_tables(st.d):
         if least is not None:
             if len(top) > len(least[0]):
                 break
             if (top, bottom) > least:
                 continue
-        if not irreducible_rows(top, bottom):
-            continue
         p = GenPerm._trusted(top, bottom)
-        if stratum(p) == st and marked_order(p) == alpha:
+        profile = _known_profile(p)
+        if profile.marked == alpha and _stratum_of(p, profile) == st:
             least = (top, bottom)
     if least in rows:
         return ComponentLabel.EXCEPTIONAL_A

@@ -150,6 +150,28 @@ class TestVerify:
         ]
         assert lines[-1] == "result: FAIL"
 
+    def test_names_the_count_that_fails(self, capsys, monkeypatch):
+        import rauzy.classes
+        from rauzy import stratum
+        from rauzy.combinat import GenPerm
+
+        # Q(2,2) has one class of 73 tables at five symbols; dropping it
+        # leaves every group line ok, so only the count can say why
+        original = rauzy.classes._seeded_classes
+
+        def dropping(*args):
+            for diagram in original(*args):
+                seed = GenPerm._trusted(*next(iter(diagram.table)))
+                if stratum(seed).text != "Q(2,2)":
+                    yield diagram
+
+        monkeypatch.setattr(rauzy.classes, "_seeded_classes", dropping)
+        code, out, _ = run_cli(capsys, "verify", "--d", "5", "--kind", "quad")
+        assert code == 1
+        lines = out.splitlines()
+        assert [line.split()[-1] for line in lines[:-2]] == ["ok"] * (len(lines) - 2)
+        assert lines[-2:] == ["coverage: found 1499, expected 1572", "result: FAIL"]
+
     def test_missing_arguments(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 1 and "need --stratum" in err

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from conftest import genperms, iet_perms, raw_tables
 
 from rauzy import GenPerm, PermKind, format_perm, is_irreducible, parse, reduce
-from rauzy.combinat import all_reduced_tables, reduce_with_map
+from rauzy.classes import enumerate_irreducible
+from rauzy.combinat import _irreducible_tables, all_reduced_tables, reduce_with_map
 from rauzy.errors import EmptyRow, NotReduced, NotTwoToOne
 
 
@@ -133,3 +134,21 @@ def test_all_reduced_tables_counts():
         for top, bottom in tables:
             q = reduce(top, bottom)
             assert (q.top, q.bottom) == (top, bottom)
+
+
+@pytest.mark.parametrize(
+    "d, count", [(2, 0), (3, 4), (4, 86), (5, 1_572), (6, 28_642)]
+)
+def test_pruned_search_matches_the_brute_force_route(d, count):
+    # the verifier's search against the filter of every reduced table
+    rows = list(_irreducible_tables(d))
+    assert len(rows) == count
+    assert len(set(rows)) == len(rows)
+    oracle = {(p.top, p.bottom) for p in enumerate_irreducible(d, PermKind.QUADRATIC)}
+    assert set(rows) == oracle
+    for top, bottom in rows:
+        q = reduce(top, bottom)
+        assert (q.top, q.bottom) == (top, bottom)
+    # shortest top rows first, which the exceptional scan relies on
+    lengths = [len(top) for top, _ in rows]
+    assert lengths == sorted(lengths)
