@@ -330,6 +330,7 @@ def _irreducible_tables(d: int) -> Iterator[Rows]:
                 if j == m - 1:
                     yield top, tuple(cells)
                     continue
+                # b is B_{j+1}; its pairs B_c + b for c <= j + 1 include b + b
                 b = counts[j + 1] = counts[j] + unit[s]
                 if b in inner or not sums.isdisjoint([c + b for c in counts[: j + 2]]):
                     continue
