@@ -306,6 +306,9 @@ def _irreducible_tables(d: int) -> Iterator[Rows]:
     """
     unit = [1 << 3 * s for s in range(d + 1)]
     shift_base = 2 * sum(unit[1:])
+    # The letters a bottom cell may take depend only on the open letters
+    # and the next fresh one: at most 2^d (d + 1) menus, each made once.
+    menus: dict[tuple[int, int], tuple[int, ...]] = {}
     for l in range(2, 2 * d - 1):
         m = 2 * d - l
         for top, once in _top_rows(l, d - 1):
@@ -319,8 +322,8 @@ def _irreducible_tables(d: int) -> Iterator[Rows]:
             cells, counts = [0] * m, [0] * m
             open_at, fresh_at = [once] * m, [max(top) + 1] * m
             choices: list[Iterator[int]] = [iter(())] * m
-            choices[0] = _bottom_choices(once, fresh_at[0], d)
             j = 0
+            choices[0] = iter(_menu(menus, once, fresh_at[0], d))
             while j >= 0:
                 s = next(choices[j], 0)
                 if not s:
@@ -341,15 +344,20 @@ def _irreducible_tables(d: int) -> Iterator[Rows]:
                 else:
                     open_at[j] = open_at[j - 1] & ~(1 << s)
                     fresh_at[j] = fresh_at[j - 1]
-                choices[j] = _bottom_choices(open_at[j], fresh_at[j], d)
+                key = open_at[j], fresh_at[j]
+                letters = menus.get(key) or _menu(menus, *key, d)
+                choices[j] = iter(letters)
 
 
-def _bottom_choices(open_mask: int, fresh: int, d: int) -> Iterator[int]:
-    """Letters for the next bottom cell: any open one, or ``fresh`` if left."""
+def _menu(
+    menus: dict[tuple[int, int], tuple[int, ...]], open_mask: int, fresh: int, d: int
+) -> tuple[int, ...]:
+    """Letters for a bottom cell, any open one or ``fresh`` if left; stored in ``menus``."""
     letters = [s for s in range(1, fresh) if open_mask >> s & 1]
     if fresh <= d:
         letters.append(fresh)
-    return iter(letters)
+    menus[open_mask, fresh] = tuple(letters)
+    return menus[open_mask, fresh]
 
 
 def _top_rows(l: int, most: int) -> Iterator[tuple[tuple[int, ...], int]]:
