@@ -352,7 +352,10 @@ def _irreducible_tables(d: int) -> Iterator[Rows]:
 def _menu(
     menus: dict[tuple[int, int], tuple[int, ...]], open_mask: int, fresh: int, d: int
 ) -> tuple[int, ...]:
-    """Letters for a bottom cell, any open one or ``fresh`` if left; stored in ``menus``."""
+    """The letters a bottom cell may take, stored in ``menus``.
+
+    Any open letter, or ``fresh`` while it is at most ``d``.
+    """
     letters = [s for s in range(1, fresh) if open_mask >> s & 1]
     if fresh <= d:
         letters.append(fresh)
