@@ -52,9 +52,9 @@ from .induction import _rows_kernel
 from .invariants import (
     ComponentLabel,
     Stratum,
+    _component_label,
     _known_profile,
     _stratum_of,
-    component_label,
     label_for_class,
     marked_order,
     stratum,
@@ -155,11 +155,13 @@ def same_class_fast(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
             raise ReducibleSeed(f"{p} admits no suspension")
     if p1.d != p2.d:
         return False
-    if stratum(p1) != stratum(p2):
+    profiles = [_known_profile(p) for p in (p1, p2)]
+    if profiles[0].marked != profiles[1].marked:
         return False
-    if marked_order(p1) != marked_order(p2):
+    st = _stratum_of(p1, profiles[0])
+    if st != _stratum_of(p2, profiles[1]):
         return False
-    return component_label(p1, budget) == component_label(p2, budget)
+    return _component_label(p1, st, budget) == _component_label(p2, st, budget)
 
 
 def enumerate_irreducible(d: int, kind: PermKind) -> Iterator[GenPerm]:

@@ -107,9 +107,9 @@ def cmd_induce(args, config: Config) -> int:
 
 def cmd_invariants(args, config: Config) -> int:
     p = parse(args.perm)
-    st = invariants.stratum(p)
     profile = invariants.singularity_profile(p)
-    label = invariants.component_label(p, config.node_budget)
+    st = invariants._stratum_of(p, profile)
+    label = invariants._component_label(p, st, config.node_budget)
     payload = {
         "stratum": st.text,
         "genus": st.genus,

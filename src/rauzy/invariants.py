@@ -27,28 +27,41 @@ strata, with at most two; and Masur–Smillie (*Comment. Math. Helv.* 68,
 1993) for the four empty half-translation strata ``Q(0)``, ``Q(-1,1)``,
 ``Q(4)`` and ``Q(3,1)``, with none.  The component count, the label of a
 class and the verifier's check are all read off that list.
-Hyperellipticity of a class is decided by scanning
-it for a vertex fixed by the central symmetry (reverse both rows, swap
-them, renumber) whose half-turn involution both has a spherical quotient
-and moves the singularities the way the component's double-cover
-structure dictates; bare symmetry is not enough, as symmetric vertices
-also occur in non-hyperelliptic classes.  Spin parity is the Arf
-invariant of the quadratic form that takes the value 1 on every symbol
-curve, over the mod-2 intersection form of those curves (Zorich,
-*J. Mod. Dyn.* 2, 2008, appendix); it needs no polygon witness.
 
-Labelling one table enumerates its Rauzy class only in the strata that
-have a hyperelliptic component (for the scan) and in the four exceptional
-half-translation strata, which no known invariant splits: there the class
-holding the least table of the stratum with its marked order is
-``exceptional-a``.  Every other label, spin parity included, is computed
-on the given table, since these invariants are constant on a class.
+A label is decided on the table wherever the table can decide it, and
+:func:`_table_label` is the one place that holds the rules.  Spin parity
+is the Arf invariant of the quadratic form that takes the value 1 on every
+symbol curve, over the mod-2 intersection form of those curves (Zorich,
+*J. Mod. Dyn.* 2, 2008, appendix); it needs no polygon witness and splits
+the spin components.  In ``H(2g-2)`` and ``H(g-1,g-1)`` the hyperelliptic
+component has spin parity ``(g+1)//2 mod 2`` where spin applies
+(Kontsevich–Zorich, Cor. 5), so any other parity gives the spin label,
+and in genus 3, which has no even component, that parity gives
+``hyperelliptic``.  Where spin cannot decide and the stratum has no marked
+point (``H(3,3)``, or even spin in ``H(6)``), each component holds one
+class and the hyperelliptic one is the class of the reversal
+``1 ... d / d ... 1``, with ``2^(d-1) - 1`` vertices (Rauzy, *Acta
+Arith.* 34, 1979): a breadth-first search from the table that meets that
+many vertices without the reversal has left the hyperelliptic class.
+
+Labelling still enumerates the table's Rauzy class elsewhere.  With
+marked points and the hyperelliptic spin parity (``H(6,0)``, say), and in
+the half-translation families with a hyperelliptic component, the class
+is scanned for a vertex fixed by the central symmetry (reverse both rows,
+swap them, renumber) whose half-turn involution both has a spherical
+quotient and moves the singularities the way the component's double-cover
+structure dictates; bare symmetry is not enough, as symmetric vertices
+also occur in non-hyperelliptic classes.
+In the four exceptional half-translation strata, which no known invariant
+splits, the class holding the least table of the stratum with its marked
+order is ``exceptional-a``.  Genus 2 is connected, but its class is still
+built too (see :func:`component_label`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection
+from typing import Collection, Optional
 
 from .combinat import (
     GenPerm,
@@ -59,7 +72,7 @@ from .combinat import (
     is_irreducible,
     reduce,
 )
-from .errors import NotAbelian, OddDegreePresent, Reducible
+from .errors import BudgetExceeded, NotAbelian, OddDegreePresent, Reducible
 
 # ---------------------------------------------------------------------------
 # Strata
@@ -538,69 +551,135 @@ def stratum_components(st: Stratum) -> tuple[ComponentLabel, ...]:
     return (ComponentLabel.UNIQUE,)
 
 
-def _label_needs_class(st: Stratum) -> bool:
-    """Whether labelling a table of ``st`` needs the table's whole class.
+def _hyperelliptic_parity(genus: int) -> int:
+    """Spin parity of the hyperelliptic component in genus ``genus``.
 
-    True on the strata with a hyperelliptic component, where the label
-    rests on a scan of the class for a symmetric vertex, and on the
-    exceptional half-translation strata, whose split looks one table up
-    in the class.  Everywhere else the label is read off the table alone.
-    Genus 2 counts although it is connected: the class of
-    ``1 2 3 4 / 4 3 2 1`` in ``H(2)`` is what the tracer self-test of
-    ``benchmark/run.py`` counts.
+    The component of ``H(2g-2)`` or ``H(g-1,g-1)``: Kontsevich–Zorich (*Invent. Math.* 153, 2003, Cor. 5); for
+    ``H(g-1,g-1)`` it applies when ``g`` is odd, the degrees being even.
+    """
+    return (genus + 1) // 2 % 2
+
+
+def _reversal(d: int) -> Rows:
+    """Rows of the reversal ``1 ... d / d ... 1``."""
+    return tuple(range(1, d + 1)), tuple(range(d, 0, -1))
+
+
+class _ClassTest(Enum):
+    """What decides a label that the table alone leaves open.
+
+    The class passes ``REVERSAL`` when it holds :func:`_reversal`,
+    ``SYMMETRIC`` when one of its vertices passes
+    :func:`_is_hyperelliptic_vertex`, and ``LEAST_TABLE`` when it holds the
+    least table of :func:`_least_table`.
+    """
+
+    REVERSAL = "reversal"
+    SYMMETRIC = "symmetric"
+    LEAST_TABLE = "least-table"
+
+
+def _table_label(
+    p: GenPerm, st: Stratum
+) -> tuple[ComponentLabel, Optional[_ClassTest]]:
+    """The label that the table ``p`` of stratum ``st`` gives on its own.
+
+    Returns ``(label, None)`` when ``p`` decides its label, and
+    ``(label, test)`` when its class must: the class is then hyperelliptic
+    (``exceptional-a`` for ``LEAST_TABLE``) if it passes ``test``, and
+    ``label`` otherwise.  The rules, in order:
+
+    * a stratum with one component has that label;
+    * an exceptional stratum is split by its least table;
+    * where spin parity applies, a parity other than the hyperelliptic one
+      (:func:`_hyperelliptic_parity`) gives the spin label, and the
+      hyperelliptic parity gives ``hyperelliptic`` when no spin component
+      has it (genus 3);
+    * otherwise an orientable stratum with no marked point has one class
+      per component, and the hyperelliptic one is the class of the
+      reversal (Rauzy 1979); with marked points, and in the
+      half-translation families, a hyperelliptic vertex decides.
     """
     components = stratum_components(st)
-    return (
-        ComponentLabel.HYPERELLIPTIC in components
-        or ComponentLabel.EXCEPTIONAL_A in components
-    )
+    if not components:
+        raise RuntimeError(f"{p} realises the empty stratum {st}")
+    if len(components) == 1:
+        return components[0], None
+    if ComponentLabel.EXCEPTIONAL_A in components:
+        return ComponentLabel.EXCEPTIONAL_B, _ClassTest.LEAST_TABLE
+    if ComponentLabel.ODD_SPIN in components:
+        parity = spin_parity(p)
+        label = ComponentLabel.ODD_SPIN if parity else ComponentLabel.EVEN_SPIN
+        if (
+            ComponentLabel.HYPERELLIPTIC not in components
+            or parity != _hyperelliptic_parity(st.genus)
+        ):
+            return label, None
+        if label not in components:
+            return ComponentLabel.HYPERELLIPTIC, None
+    else:
+        label = ComponentLabel.NON_HYPERELLIPTIC
+    if st.kind is StratumKind.ABELIAN and 0 not in st.orders:
+        return label, _ClassTest.REVERSAL
+    return label, _ClassTest.SYMMETRIC
+
+
+def _settle(
+    label: ComponentLabel,
+    test: Optional[_ClassTest],
+    rows: Collection[Rows],
+    rep: GenPerm,
+    st: Stratum,
+) -> ComponentLabel:
+    """``label``, or the label a pass of ``test`` gives to the class ``rows``.
+
+    ``rows`` must be the whole class unless ``test`` is None; ``rep`` is
+    one of its vertices and ``st`` its stratum.
+    """
+    if test is None:
+        return label
+    if test is _ClassTest.LEAST_TABLE:
+        if _least_table(st, marked_order(rep)) in rows:
+            return ComponentLabel.EXCEPTIONAL_A
+        return label
+    if test is _ClassTest.REVERSAL:
+        hyperelliptic = _reversal(st.d) in rows
+    else:
+        hyperelliptic = any(
+            _is_centrally_symmetric(top, bottom)
+            and _is_hyperelliptic_vertex(GenPerm._trusted(top, bottom), st)
+            for top, bottom in rows
+        )
+    return ComponentLabel.HYPERELLIPTIC if hyperelliptic else label
 
 
 def label_for_class(rows: Collection[Rows]) -> ComponentLabel:
     """Component label of a class, given by its vertices' ``(top, bottom)`` rows.
 
-    In the strata where :func:`_label_needs_class` holds, ``rows`` must be
-    the whole class, such as a diagram's table: hyperellipticity is decided
-    by scanning it for symmetric rows, and the exceptional split by looking
-    one table up in it.  Elsewhere any nonempty subset of the class, such
-    as one table, gives the same label.  Stratum and spin parity are
-    computed on the smallest given vertex; both are constant on a class.
+    Stratum and spin parity are computed on the smallest given vertex, and
+    :func:`_table_label` decides from it where it can, so any nonempty
+    subset of the class, such as one table, gives the label there.  Where
+    it cannot, ``rows`` must be the whole class, such as a diagram's table:
+    an orientable class without marked points is hyperelliptic when it
+    holds the reversal, one with marked points or of a half-translation
+    family when it has a hyperelliptic vertex, and an exceptional class is
+    ``exceptional-a`` when it holds the least table of its stratum.
     """
     rep = _smallest_vertex(rows)
     st = stratum(rep)
-    components = stratum_components(st)
-    if not components:
-        raise RuntimeError(f"{rep} realises the empty stratum {st}")
-    if len(components) == 1:
-        return components[0]
-    if ComponentLabel.EXCEPTIONAL_A in components:
-        return _exceptional_label(rows, rep, st)
-    if ComponentLabel.HYPERELLIPTIC in components and any(
-        _is_centrally_symmetric(top, bottom)
-        and _is_hyperelliptic_vertex(GenPerm._trusted(top, bottom), st)
-        for top, bottom in rows
-    ):
-        return ComponentLabel.HYPERELLIPTIC
-    if ComponentLabel.ODD_SPIN in components:
-        odd = spin_parity(rep)
-        return ComponentLabel.ODD_SPIN if odd else ComponentLabel.EVEN_SPIN
-    return ComponentLabel.NON_HYPERELLIPTIC
+    label, test = _table_label(rep, st)
+    return _settle(label, test, rows, rep, st)
 
 
-def _exceptional_label(
-    rows: Collection[Rows], rep: GenPerm, st: Stratum
-) -> ComponentLabel:
-    """Two-way split of an exceptional half-translation stratum.
+def _least_table(st: Stratum, alpha: int) -> Optional[Rows]:
+    """The least table of ``st`` with marked order ``alpha``, if any.
 
-    ``exceptional-a`` is the class that holds the least table, in
-    :attr:`GenPerm.key` order, of the stratum ``st`` with the marked order
-    of ``rep``; the other class with that marked order is
-    ``exceptional-b``.  ``rows`` must be the whole class and ``rep`` one
-    of its vertices.  :func:`_irreducible_tables` yields tables by top-row
-    length, shortest first, so the scan stops after the first length that
-    holds a match, which is at most the length of ``rep``'s top row.
+    Least is in :attr:`GenPerm.key` order.  This table splits an exceptional half-translation stratum: the class
+    that holds it is ``exceptional-a``, and the other class with that
+    marked order is ``exceptional-b``.  :func:`_irreducible_tables` yields
+    tables by top-row length, shortest first, so the scan stops after the
+    first length that holds a match.
     """
-    alpha = marked_order(rep)
     least: Rows | None = None
     for top, bottom in _irreducible_tables(st.d):
         if least is not None:
@@ -612,20 +691,63 @@ def _exceptional_label(
         profile = _known_profile(p)
         if profile.marked == alpha and _stratum_of(p, profile) == st:
             least = (top, bottom)
-    if least in rows:
-        return ComponentLabel.EXCEPTIONAL_A
-    return ComponentLabel.EXCEPTIONAL_B
+    return least
+
+
+def _reaches_reversal(p: GenPerm, budget: int) -> bool:
+    """Whether the class of the permutation ``p`` holds the reversal.
+
+    The class of the reversal has ``2^(d-1) - 1`` vertices (Rauzy 1979),
+    so a breadth-first search from ``p`` that meets that many vertices
+    without it is in another class and stops there.  A smaller ``budget``
+    that runs out raises :class:`BudgetExceeded`.
+    """
+    from .classes import _bfs_rows
+
+    reversal = _reversal(p.d)
+    seed = (p.top, p.bottom)
+    limit = 2 ** (p.d - 1) - 1
+    try:
+        return seed == reversal or reversal in _bfs_rows(
+            seed, min(budget, limit), stop=reversal
+        )
+    except BudgetExceeded:
+        if budget < limit:
+            raise
+        return False
 
 
 def component_label(p: GenPerm, budget: int = 10**7) -> ComponentLabel:
     """Connected-component label of the suspension surface of ``p``.
 
-    The Rauzy class of ``p`` is enumerated, within ``budget`` vertices,
-    only when :func:`_label_needs_class` holds for its stratum; otherwise
-    the label, spin parity included, is computed on ``p`` alone.
+    :func:`_table_label` decides on ``p`` alone wherever it can, spin parity
+    included.  An orientable table without marked points that it leaves
+    open (``H(3,3)``, say, or even spin in ``H(6)``) is hyperelliptic when
+    a breadth-first search meets the reversal within ``2^(d-1) - 1``
+    vertices.  The Rauzy class of ``p`` is enumerated only for a table with
+    marked points whose spin parity is the hyperelliptic one (``H(6,0)``,
+    say), in the half-translation families with a hyperelliptic component,
+    in the four exceptional strata, and in genus 2.  A search or a class
+    that needs more than ``budget`` vertices raises
+    :class:`BudgetExceeded`.
     """
-    if not _label_needs_class(stratum(p)):
-        return label_for_class(((p.top, p.bottom),))
+    return _component_label(p, stratum(p), budget)
+
+
+def _component_label(p: GenPerm, st: Stratum, budget: int) -> ComponentLabel:
+    """:func:`component_label` of ``p``, whose stratum ``st`` is known."""
     from .classes import rauzy_class
 
-    return label_for_class(rauzy_class(p, budget).table)
+    label, test = _table_label(p, st)
+    if test is _ClassTest.REVERSAL:
+        if _reaches_reversal(p, budget):
+            return ComponentLabel.HYPERELLIPTIC
+        return label
+    if test is None:
+        if stratum_components(st) == (ComponentLabel.HYPERELLIPTIC,):
+            # Genus 2 is connected, but its class is still built: the tracer
+            # self-test of benchmark/run.py counts the 7 vertices of the
+            # class of 1 2 3 4 / 4 3 2 1.
+            rauzy_class(p, budget)
+        return label
+    return _settle(label, test, rauzy_class(p, budget).table, p, st)

@@ -300,7 +300,8 @@ def test_lazy_label_matches_class_label(partitions):
     """Two routes to a label: one table against its whole class.
 
     ``component_label`` enumerates the class only where the label needs
-    it, and otherwise computes spin parity on the given table.  Seeding it
+    it, and otherwise decides on the given table, by spin parity or by a
+    bounded search for the reversal.  Seeding it
     with the largest vertex, not the smallest one the class route reads,
     checks that this gives the class's label.  The row-level symmetry test
     behind the hyperelliptic scan is held against ``central_involution``.

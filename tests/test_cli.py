@@ -65,6 +65,14 @@ class TestInvariants:
         assert code == 0
         assert "stratum: Q(-1,-1,-1,-1)" in out
 
+    def test_budget_bounds_the_reversal_search(self, capsys):
+        # H(3,3): deciding this label takes a search of 255 vertices.
+        table = "1 2 3 4 5 6 7 8 9 / 2 4 1 6 5 7 9 3 8"
+        code, _, err = run_cli(capsys, "--budget", "100", "invariants", table)
+        assert code == 1 and "budget" in err
+        code, out, _ = run_cli(capsys, "--budget", "255", "invariants", table)
+        assert code == 0 and "component: non-hyperelliptic" in out
+
 
 class TestClass:
     def test_count(self, capsys):
@@ -99,6 +107,13 @@ class TestSameClass:
             )
             assert code == 0
             assert out.strip() == "same-class"
+
+    def test_fast_in_twelve_symbols(self, capsys):
+        # H(10): the reversal is hyperelliptic and odd, like this table.
+        reversal = "1 2 3 4 5 6 7 8 9 10 11 12 / 12 11 10 9 8 7 6 5 4 3 2 1"
+        odd = "1 2 3 4 5 6 7 8 9 10 11 12 / 12 3 7 4 9 5 11 8 6 10 2 1"
+        code, out, _ = run_cli(capsys, "same-class", reversal, odd, "--fast")
+        assert code == 0 and out.strip() == "different-class"
 
     def test_disjoint(self, capsys):
         code, out, _ = run_cli(

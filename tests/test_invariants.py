@@ -1,3 +1,6 @@
+import time
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 
@@ -16,9 +19,21 @@ from rauzy import (
     stratum,
     stratum_components,
 )
-from rauzy.errors import NotAbelian, OddDegreePresent, Reducible
+from rauzy.classes import _seeded_classes
+from rauzy.combinat import GenPerm, _smallest_vertex
+from rauzy.errors import (
+    BudgetExceeded,
+    NotAbelian,
+    OddDegreePresent,
+    Reducible,
+)
 from rauzy.induction import r0, r1
-from rauzy.invariants import central_involution
+from rauzy.invariants import (
+    _is_centrally_symmetric,
+    _is_hyperelliptic_vertex,
+    central_involution,
+    label_for_class,
+)
 
 HYP = ComponentLabel.HYPERELLIPTIC
 EVEN = ComponentLabel.EVEN_SPIN
@@ -207,24 +222,124 @@ class TestComponentLabel:
         original = rauzy.classes.rauzy_class
 
         def counting(seed, budget=10**7):
-            calls.append(seed)
-            return original(seed, budget)
+            diagram = original(seed, budget)
+            calls.append(len(diagram))
+            return diagram
 
         monkeypatch.setattr(rauzy.classes, "rauzy_class", counting)
         # H(3,1) has no hyperelliptic component: the table alone decides.
         label = component_label(parse("1 2 3 4 5 6 7 / 2 4 1 5 7 3 6"))
         assert label is ComponentLabel.UNIQUE
-        assert calls == []
-        # H(4) has one, so the class is scanned.
+        # H(4): spin parity decides, odd table and reversal alike.
         label = component_label(parse("1 2 3 4 5 6 / 3 2 5 4 6 1"))
         assert label is ComponentLabel.ODD_SPIN
         label = component_label(parse("1 2 3 4 5 6 / 6 5 4 3 2 1"))
         assert label is ComponentLabel.HYPERELLIPTIC
-        assert len(calls) == 2
-        # H(2) is connected and needs no scan, but its class is still built:
+        # H(3,3) has no marked point: a search for the reversal decides.
+        label = component_label(parse("1 2 3 4 5 6 7 8 9 / 2 4 1 6 5 7 9 3 8"))
+        assert label is ComponentLabel.NON_HYPERELLIPTIC
+        moved = r0(parse("1 2 3 4 5 6 7 8 9 / 9 8 7 6 5 4 3 2 1"))
+        assert component_label(moved) is ComponentLabel.HYPERELLIPTIC
+        assert calls == []
+        # H(2) is connected and needs no class, but its class is still built:
         # the tracer self-test of benchmark/run.py counts its 7 vertices.
         component_label(parse("1 2 3 4 / 4 3 2 1"))
-        assert len(calls) == 3
+        assert calls == [7]
+
+
+def _scan_label(table):
+    """A class's label by scanning all of it for a hyperelliptic vertex.
+
+    The route labels took before spin parity and the reversal decided
+    them; it knows neither rule.
+    """
+    rep = _smallest_vertex(table)
+    st = stratum(rep)
+    components = stratum_components(st)
+    if len(components) == 1:
+        return components[0]
+    if any(
+        _is_centrally_symmetric(*rows)
+        and _is_hyperelliptic_vertex(GenPerm._trusted(*rows), st)
+        for rows in table
+    ):
+        return HYP
+    if ODD in components:
+        return ODD if spin_parity(rep) else EVEN
+    return NONHYP
+
+
+def _standard_classes(d):
+    """Every permutation class with ``d`` symbols, seeded by standard tables."""
+    top = tuple(range(1, d + 1))
+    seeds = ((top, (d, *middle, 1)) for middle in permutations(top[1:-1]))
+    return _seeded_classes(seeds, lambda rows: rows[1][0] == d, 10**7)
+
+
+class TestHyperellipticFamilies:
+    """Labels in the orientable strata with a hyperelliptic component.
+
+    Spin parity and a search for the reversal decide them from one table;
+    a scan of the whole class for a hyperelliptic vertex is the second
+    route.
+    """
+
+    def test_table_route_matches_the_class_scan(self):
+        classes = 0
+        for d in range(2, 10):
+            for diagram in _standard_classes(d):
+                table = diagram.table
+                st = stratum(GenPerm._trusted(*next(iter(table))))
+                if HYP not in stratum_components(st):
+                    continue
+                expected = _scan_label(table)
+                largest = GenPerm._trusted(*max(table))
+                assert component_label(largest) is expected, largest
+                assert label_for_class(table) is expected, largest
+                classes += 1
+        assert classes == 55
+
+    # Non-hyperelliptic tables of each spin parity; the reversal of 11 and
+    # of 12 symbols is hyperelliptic with odd parity.
+    LARGE = [
+        ("H(4,4)", "1 2 3 4 5 6 7 8 9 10 11 / 11 5 2 4 3 6 10 7 9 8 1", ODD),
+        ("H(4,4)", "1 2 3 4 5 6 7 8 9 10 11 / 11 3 7 5 10 4 9 8 6 2 1", EVEN),
+        ("H(10)", "1 2 3 4 5 6 7 8 9 10 11 12 / 12 3 7 4 9 5 11 8 6 10 2 1", ODD),
+        ("H(10)", "1 2 3 4 5 6 7 8 9 10 11 12 / 12 8 11 10 4 9 3 6 2 5 7 1", EVEN),
+        ("H(4,4)", "1 2 3 4 5 6 7 8 9 10 11 / 11 10 9 8 7 6 5 4 3 2 1", HYP),
+        ("H(10)", "1 2 3 4 5 6 7 8 9 10 11 12 / 12 11 10 9 8 7 6 5 4 3 2 1", HYP),
+    ]
+
+    @pytest.mark.parametrize("name, text, label", LARGE)
+    def test_large_strata_label_in_under_a_second(
+        self, monkeypatch, name, text, label
+    ):
+        import rauzy.classes
+
+        p = parse(text)
+        top = tuple(range(1, p.d + 1))
+        hyperelliptic = rauzy_class(GenPerm(top, top[::-1])).table
+        assert len(hyperelliptic) == 2 ** (p.d - 1) - 1
+        assert stratum(p).text == name
+        assert ((p.top, p.bottom) in hyperelliptic) == (label is HYP)
+        assert label is HYP or (label is ODD) == spin_parity(p)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the class was enumerated")
+
+        monkeypatch.setattr(rauzy.classes, "rauzy_class", forbidden)
+        start = time.perf_counter()
+        assert component_label(p) is label
+        assert time.perf_counter() - start < 1.0
+
+    def test_budget_bounds_the_reversal_search(self):
+        # The class of this H(3,3) table has 15,568 vertices; the search
+        # gives up after 2^8 - 1 = 255 of them, the size of the class of
+        # the nine-symbol reversal.
+        p = parse("1 2 3 4 5 6 7 8 9 / 2 4 1 6 5 7 9 3 8")
+        assert component_label(p, budget=255) is NONHYP
+        with pytest.raises(BudgetExceeded):
+            component_label(p, budget=254)
 
 
 class TestExceptionalSplit:

@@ -28,6 +28,7 @@ from rauzy import (
     stratum,
 )
 from rauzy.classes import class_partition
+from rauzy.invariants import _hyperelliptic_parity
 
 REFERENCE = (
     Path(__file__).resolve().parents[1]
@@ -172,16 +173,20 @@ class TestWindingOracle:
 
 class TestReversal:
     """Kontsevich-Zorich: the hyperelliptic component of ``H(2g-2)``, and
-    of ``H(g-1,g-1)`` for odd ``g``, has spin parity ``(g+1)//2 mod 2``."""
+    of ``H(g-1,g-1)`` for odd ``g``, has spin parity ``(g+1)//2 mod 2``.
 
-    @pytest.mark.parametrize("d", [2, 4, 6, 8, 10, 12, 7, 11])
+    Labels rest on that formula (``_hyperelliptic_parity``); the reversal
+    lies in the hyperelliptic component, so its spin parity checks it.
+    """
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8, 10, 12, 7, 11, 14, 16, 15])
     def test_parity(self, d):
         p = _reversal(d)
         st = stratum(p)
         g = st.genus
         expected = (2 * g - 2,) if d % 2 == 0 else (g - 1, g - 1)
         assert st.orders == expected
-        assert spin_parity(p) == (g + 1) // 2 % 2
+        assert spin_parity(p) == (g + 1) // 2 % 2 == _hyperelliptic_parity(g)
 
 
 class TestNoGeometry:
