@@ -56,8 +56,6 @@ from .invariants import (
     _known_profile,
     _stratum_of,
     label_for_class,
-    marked_order,
-    stratum,
     stratum_components,
 )
 
@@ -92,22 +90,25 @@ class RauzyDiagram:
 
 
 def _bfs_rows(
-    seed: Rows, budget: int, stop: Optional[Rows] = None
+    seed: Rows, budget: int, stop: Optional[Callable[[Rows], bool]] = None
 ) -> dict[Rows, tuple[Optional[Rows], Optional[Rows]]]:
     """Row table of the class of ``seed``, breadth first.
 
-    With ``stop``, the search ends as soon as it meets those rows; the
-    partial table then holds them.
+    With ``stop``, the search ends at the first vertex, the seed included,
+    whose rows pass it; the partial table then holds them as its last key.
+    A search that returns a table with no such key has built the class.
     """
     move = _rows_kernel(seed)
     seen: dict[Rows, tuple[Optional[Rows], Optional[Rows]]] = {seed: (None, None)}
+    if stop is not None and stop(seed):
+        return seen
     queue = deque([seed])
     while queue:
         rows = queue.popleft()
         targets = (move(rows, 0), move(rows, 1))
         for nxt in targets:
             if nxt is not None and nxt not in seen:
-                if nxt == stop:
+                if stop is not None and stop(nxt):
                     seen[nxt] = (None, None)
                     return seen
                 if len(seen) >= budget:
@@ -140,8 +141,7 @@ def same_class_bfs(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
     if p1.d != p2.d:
         return False
     target = (p2.top, p2.bottom)
-    seed = (p1.top, p1.bottom)
-    return seed == target or target in _bfs_rows(seed, budget, stop=target)
+    return target in _bfs_rows((p1.top, p1.bottom), budget, stop=target.__eq__)
 
 
 def same_class_fast(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
@@ -366,10 +366,13 @@ def verify_main_theorem(
     )
     found = 0
     for diagram in _seeded_classes(counted(candidates), is_seed, budget):
+        # every seed is irreducible, so one walk gives stratum and marked order
         seed = GenPerm._trusted(*next(iter(diagram.table)))
-        label = label_for_class(diagram.table)
-        by_stratum.setdefault(stratum(seed), {}).setdefault(label, []).append(
-            (marked_order(seed), len(diagram))
+        profile = _known_profile(seed)
+        st = _stratum_of(seed, profile)
+        label = label_for_class(diagram.table, st)
+        by_stratum.setdefault(st, {}).setdefault(label, []).append(
+            (profile.marked, len(diagram))
         )
         found += len(diagram)
     count = expected()

@@ -43,15 +43,21 @@ class and the hyperelliptic one is the class of the reversal
 ``1 ... d / d ... 1``, with ``2^(d-1) - 1`` vertices (Rauzy, *Acta
 Arith.* 34, 1979): a breadth-first search from the table that meets that
 many vertices without the reversal has left the hyperelliptic class.
+With marked points (``H(6,0)``, say), a vertex whose bottom row holds
+``s, s+1`` side by side has an unmarked regular point between those two
+intervals; merging them forgets it and gives a table of the stratum with
+one fewer ``0`` and the same label, since marked points do not change the
+components (Kontsevich–Zorich), so the search stops at the first such
+vertex and labels its merged table instead.
 
-Labelling still enumerates the table's Rauzy class elsewhere.  With
-marked points and the hyperelliptic spin parity (``H(6,0)``, say), and in
-the half-translation families with a hyperelliptic component, the class
-is scanned for a vertex fixed by the central symmetry (reverse both rows,
-swap them, renumber) whose half-turn involution both has a spherical
-quotient and moves the singularities the way the component's double-cover
-structure dictates; bare symmetry is not enough, as symmetric vertices
-also occur in non-hyperelliptic classes.
+Labelling still enumerates the table's Rauzy class elsewhere.  When no
+vertex has a regular point to forget (the only order-0 point is the
+marked one), and in the half-translation families with a hyperelliptic
+component, the class is scanned for a vertex fixed by the central
+symmetry (reverse both rows, swap them, renumber) whose half-turn
+involution both has a spherical quotient and moves the singularities the
+way the component's double-cover structure dictates; bare symmetry is not
+enough, as symmetric vertices also occur in non-hyperelliptic classes.
 In the four exceptional half-translation strata, which no known invariant
 splits, the class holding the least table of the stratum with its marked
 order is ``exceptional-a``.  Genus 2 is connected, but its class is still
@@ -319,7 +325,16 @@ def spin_parity(p: GenPerm) -> int:
     profile = singularity_profile(p)
     if any(k % 2 for k in profile.orders):
         raise OddDegreePresent(f"degrees {profile.orders} are not all even")
-    genus = sum(profile.orders) // 2 + 1
+    return _spin_parity(p, sum(profile.orders) // 2 + 1)
+
+
+def _spin_parity(p: GenPerm, genus: int) -> int:
+    """:func:`spin_parity` of ``p``, whose profile gives its ``genus``.
+
+    For callers that already hold the profile or the stratum of an
+    irreducible interval-exchange permutation with even degrees; only the
+    rank of the form is checked against ``genus``.
+    """
     d = p.d
     rows = _intersection_matrix(p)
 
@@ -565,13 +580,51 @@ def _reversal(d: int) -> Rows:
     return tuple(range(1, d + 1)), tuple(range(d, 0, -1))
 
 
+def _forget_regular_point(rows: Rows) -> Optional[Rows]:
+    """A permutation's rows with one unmarked regular point forgotten.
+
+    When the bottom row holds ``s, s+1`` side by side, so does the top row
+    ``1 ... d``, and the corner the two intervals share in one row is
+    glued to the corner they share in the other, and to nothing else: an
+    interior point of angle ``2 pi``.  Deleting ``s+1`` and renumbering
+    merges the two intervals, which gives the same surface with that
+    point forgotten: a table of the stratum with one fewer ``0``, with the
+    same marked order and the same component label (marked points do not
+    change the components, Kontsevich–Zorich).  Returns the merge of the
+    first such pair along the bottom row, or None when it holds none.
+
+    >>> from .combinat import format_perm, parse
+    >>> p = parse("1 2 3 4 5 6 7 8 9 / 3 4 2 6 9 8 5 7 1")
+    >>> stratum(p).text, component_label(p).value
+    ('H(6,0)', 'even-spin')
+    >>> q = GenPerm(*_forget_regular_point((p.top, p.bottom)))
+    >>> format_perm(q)
+    '1 2 3 4 5 6 7 8 / 3 2 5 8 7 4 6 1'
+    >>> stratum(q).text, component_label(q).value
+    ('H(6)', 'even-spin')
+    >>> _forget_regular_point((q.top, q.bottom)) is None
+    True
+    """
+    top, bottom = rows
+    for i in range(len(bottom) - 1):
+        s = bottom[i]
+        if bottom[i + 1] == s + 1:
+            rest = bottom[: i + 1] + bottom[i + 2 :]
+            return top[:-1], tuple([t - (t > s) for t in rest])
+    return None
+
+
 class _ClassTest(Enum):
     """What decides a label that the table alone leaves open.
 
     The class passes ``REVERSAL`` when it holds :func:`_reversal`,
     ``SYMMETRIC`` when one of its vertices passes
     :func:`_is_hyperelliptic_vertex`, and ``LEAST_TABLE`` when it holds the
-    least table of :func:`_least_table`.
+    least table of :func:`_least_table`.  ``SYMMETRIC`` in an abelian
+    stratum, which has marked points, first looks for a vertex with a
+    regular point to forget (:func:`_forget_regular_point`): the class has
+    the label of that vertex's merged table, and only a class with no such
+    vertex is scanned.
     """
 
     REVERSAL = "reversal"
@@ -597,8 +650,10 @@ def _table_label(
       has it (genus 3);
     * otherwise an orientable stratum with no marked point has one class
       per component, and the hyperelliptic one is the class of the
-      reversal (Rauzy 1979); with marked points, and in the
-      half-translation families, a hyperelliptic vertex decides.
+      reversal (Rauzy 1979); with marked points, a vertex of the class
+      with a regular point to forget has the label of its merged table,
+      one stratum down, and a class with no such vertex, like a class of
+      the half-translation families, is decided by a hyperelliptic vertex.
     """
     components = stratum_components(st)
     if not components:
@@ -608,7 +663,7 @@ def _table_label(
     if ComponentLabel.EXCEPTIONAL_A in components:
         return ComponentLabel.EXCEPTIONAL_B, _ClassTest.LEAST_TABLE
     if ComponentLabel.ODD_SPIN in components:
-        parity = spin_parity(p)
+        parity = _spin_parity(p, st.genus)
         label = ComponentLabel.ODD_SPIN if parity else ComponentLabel.EVEN_SPIN
         if (
             ComponentLabel.HYPERELLIPTIC not in components
@@ -630,11 +685,16 @@ def _settle(
     rows: Collection[Rows],
     rep: GenPerm,
     st: Stratum,
+    budget: int = 10**7,
 ) -> ComponentLabel:
     """``label``, or the label a pass of ``test`` gives to the class ``rows``.
 
-    ``rows`` must be the whole class unless ``test`` is None; ``rep`` is
-    one of its vertices and ``st`` its stratum.
+    ``rows`` must be the whole class unless ``test`` is None, or unless
+    ``test`` is ``SYMMETRIC`` in an abelian stratum and ``rows`` holds a
+    vertex with a regular point to forget: the label is then that of the
+    vertex's merged table, from :func:`_component_label` within
+    ``budget``.  ``rep`` is one of the class's vertices and ``st`` its
+    stratum.
     """
     if test is None:
         return label
@@ -645,6 +705,12 @@ def _settle(
     if test is _ClassTest.REVERSAL:
         hyperelliptic = _reversal(st.d) in rows
     else:
+        if st.kind is StratumKind.ABELIAN:
+            for vertex in rows:
+                merged = _forget_regular_point(vertex)
+                if merged is not None:
+                    q = GenPerm._trusted(*merged)
+                    return _component_label(q, stratum(q), budget)
         hyperelliptic = any(
             _is_centrally_symmetric(top, bottom)
             and _is_hyperelliptic_vertex(GenPerm._trusted(top, bottom), st)
@@ -653,20 +719,28 @@ def _settle(
     return ComponentLabel.HYPERELLIPTIC if hyperelliptic else label
 
 
-def label_for_class(rows: Collection[Rows]) -> ComponentLabel:
+def label_for_class(
+    rows: Collection[Rows], st: Optional[Stratum] = None
+) -> ComponentLabel:
     """Component label of a class, given by its vertices' ``(top, bottom)`` rows.
 
     Stratum and spin parity are computed on the smallest given vertex, and
     :func:`_table_label` decides from it where it can, so any nonempty
-    subset of the class, such as one table, gives the label there.  Where
-    it cannot, ``rows`` must be the whole class, such as a diagram's table:
-    an orientable class without marked points is hyperelliptic when it
-    holds the reversal, one with marked points or of a half-translation
-    family when it has a hyperelliptic vertex, and an exceptional class is
-    ``exceptional-a`` when it holds the least table of its stratum.
+    subset of the class, such as one table, gives the label there.  A
+    caller that holds the stratum ``st`` of the class passes it, and no
+    corner is walked.  Where the table cannot decide, ``rows`` must be the
+    whole class, such as a diagram's table: an orientable class without
+    marked points is hyperelliptic when it holds the reversal, and an
+    exceptional class is ``exceptional-a`` when it holds the least table
+    of its stratum.  An orientable class with marked points has the label
+    of the merged table of any of its vertices with a regular point to
+    forget (:func:`_forget_regular_point`), so then a subset that holds
+    one such vertex is enough; a class with none, or of a half-translation
+    family, is hyperelliptic when it has a hyperelliptic vertex.
     """
     rep = _smallest_vertex(rows)
-    st = stratum(rep)
+    if st is None:
+        st = stratum(rep)
     label, test = _table_label(rep, st)
     return _settle(label, test, rows, rep, st)
 
@@ -705,11 +779,10 @@ def _reaches_reversal(p: GenPerm, budget: int) -> bool:
     from .classes import _bfs_rows
 
     reversal = _reversal(p.d)
-    seed = (p.top, p.bottom)
     limit = 2 ** (p.d - 1) - 1
     try:
-        return seed == reversal or reversal in _bfs_rows(
-            seed, min(budget, limit), stop=reversal
+        return reversal in _bfs_rows(
+            (p.top, p.bottom), min(budget, limit), stop=reversal.__eq__
         )
     except BudgetExceeded:
         if budget < limit:
@@ -724,9 +797,13 @@ def component_label(p: GenPerm, budget: int = 10**7) -> ComponentLabel:
     included.  An orientable table without marked points that it leaves
     open (``H(3,3)``, say, or even spin in ``H(6)``) is hyperelliptic when
     a breadth-first search meets the reversal within ``2^(d-1) - 1``
-    vertices.  The Rauzy class of ``p`` is enumerated only for a table with
-    marked points whose spin parity is the hyperelliptic one (``H(6,0)``,
-    say), in the half-translation families with a hyperelliptic component,
+    vertices.  One with marked points whose spin parity is the
+    hyperelliptic one (``H(6,0)``, say) is searched breadth first up to the
+    first vertex with a regular point to forget, and has the label of that
+    vertex's merged table, one stratum down.  The Rauzy class of ``p`` is
+    enumerated only where that search meets no such vertex (the only
+    order-0 point is the marked one, as in ``H(6,0)`` with marked order
+    0), in the half-translation families with a hyperelliptic component,
     in the four exceptional strata, and in genus 2.  A search or a class
     that needs more than ``budget`` vertices raises
     :class:`BudgetExceeded`.
@@ -736,7 +813,7 @@ def component_label(p: GenPerm, budget: int = 10**7) -> ComponentLabel:
 
 def _component_label(p: GenPerm, st: Stratum, budget: int) -> ComponentLabel:
     """:func:`component_label` of ``p``, whose stratum ``st`` is known."""
-    from .classes import rauzy_class
+    from .classes import _bfs_rows, rauzy_class
 
     label, test = _table_label(p, st)
     if test is _ClassTest.REVERSAL:
@@ -750,4 +827,14 @@ def _component_label(p: GenPerm, st: Stratum, budget: int) -> ComponentLabel:
             # class of 1 2 3 4 / 4 3 2 1.
             rauzy_class(p, budget)
         return label
-    return _settle(label, test, rauzy_class(p, budget).table, p, st)
+    if test is _ClassTest.SYMMETRIC and st.kind is StratumKind.ABELIAN:
+        # Up to the first vertex with a regular point to forget; a search
+        # that meets none has built the class for the scan.
+        rows = _bfs_rows(
+            (p.top, p.bottom),
+            budget,
+            stop=lambda rows: _forget_regular_point(rows) is not None,
+        )
+    else:
+        rows = rauzy_class(p, budget).table
+    return _settle(label, test, rows, p, st, budget)

@@ -307,8 +307,8 @@ class TestVerify:
         # not pass: the labels are held against the component table
         original = rauzy.classes.label_for_class
 
-        def mislabel(rows):
-            label = original(rows)
+        def mislabel(rows, *args):
+            label = original(rows, *args)
             if label is ComponentLabel.ODD_SPIN:
                 return ComponentLabel.EVEN_SPIN
             return label
@@ -328,6 +328,23 @@ class TestVerify:
                 "expected": ["hyperelliptic", "odd-spin"],
             }
         ]
+
+    def test_one_corner_walk_per_class(self, monkeypatch):
+        # the seed's profile gives stratum and marked order, and the label
+        # reuses the stratum: no table of the census is walked twice
+        import rauzy.invariants
+
+        walked = []
+        original = rauzy.invariants._corner_walk
+
+        def counting(p):
+            walked.append(p)
+            return original(p)
+
+        monkeypatch.setattr(rauzy.invariants, "_corner_walk", counting)
+        report = verify_main_theorem(7, PermKind.IET)
+        assert report.passed
+        assert len(walked) == sum(g.class_count for g in report.groups) == 13
 
     @pytest.mark.parametrize("d, kind", [(7, PermKind.IET), (5, PermKind.QUADRATIC)])
     def test_reads_no_views(self, monkeypatch, d, kind):

@@ -115,6 +115,13 @@ class TestSameClass:
         code, out, _ = run_cli(capsys, "same-class", reversal, odd, "--fast")
         assert code == 0 and out.strip() == "different-class"
 
+    def test_fast_on_marked_point_tables(self, capsys):
+        # H(6,0) with marked order 6: an even-spin and a hyperelliptic table
+        even = "1 2 3 4 5 6 7 8 9 / 3 4 2 6 9 8 5 7 1"
+        hyp = "1 2 3 4 5 6 7 8 9 / 2 3 5 1 7 4 9 6 8"
+        code, out, _ = run_cli(capsys, "same-class", even, hyp, "--fast")
+        assert code == 0 and out == "different-class\n"
+
     def test_disjoint(self, capsys):
         code, out, _ = run_cli(
             capsys, "same-class", "1 2 3 4 / 4 3 2 1", "1 2 / 2 1", "--both"
@@ -143,8 +150,8 @@ class TestVerify:
 
         original = rauzy.classes.label_for_class
 
-        def mislabel(rows):
-            label = original(rows)
+        def mislabel(rows, *args):
+            label = original(rows, *args)
             if label is ComponentLabel.ODD_SPIN:
                 return ComponentLabel.EVEN_SPIN
             return label

@@ -14,6 +14,8 @@ from rauzy import (
     parse,
     parse_stratum,
     rauzy_class,
+    same_class_bfs,
+    same_class_fast,
     singularity_profile,
     spin_parity,
     stratum,
@@ -29,6 +31,7 @@ from rauzy.errors import (
 )
 from rauzy.induction import r0, r1
 from rauzy.invariants import (
+    _forget_regular_point,
     _is_centrally_symmetric,
     _is_hyperelliptic_vertex,
     central_involution,
@@ -285,7 +288,7 @@ class TestHyperellipticFamilies:
     """
 
     def test_table_route_matches_the_class_scan(self):
-        classes = 0
+        classes = pairless = 0
         for d in range(2, 10):
             for diagram in _standard_classes(d):
                 table = diagram.table
@@ -297,7 +300,17 @@ class TestHyperellipticFamilies:
                 assert component_label(largest) is expected, largest
                 assert label_for_class(table) is expected, largest
                 classes += 1
+                if 0 not in st.orders:
+                    continue
+                # a vertex with no regular point to forget searches for one
+                rows = next(
+                    (r for r in table if _forget_regular_point(r) is None), None
+                )
+                if rows is not None:
+                    assert component_label(GenPerm._trusted(*rows)) is expected, rows
+                    pairless += 1
         assert classes == 55
+        assert pairless == 24
 
     # Non-hyperelliptic tables of each spin parity; the reversal of 11 and
     # of 12 symbols is hyperelliptic with odd parity.
@@ -340,6 +353,109 @@ class TestHyperellipticFamilies:
         assert component_label(p, budget=255) is NONHYP
         with pytest.raises(BudgetExceeded):
             component_label(p, budget=254)
+
+
+# H(6,0), marked order 6: a vertex of the even-spin class whose bottom row
+# holds the pair 3 4, a vertex of the same class with no pair, and a
+# vertex of the hyperelliptic class with the pair 2 3.  The even-spin class
+# with marked order 0 has no vertex with a pair: its only order-0 point is
+# the marked one.
+H60_EVEN = "1 2 3 4 5 6 7 8 9 / 3 4 2 6 9 8 5 7 1"
+H60_EVEN_PAIRLESS = "1 2 3 4 5 6 7 8 9 / 2 4 1 6 9 8 3 5 7"
+H60_HYP = "1 2 3 4 5 6 7 8 9 / 2 3 5 1 7 4 9 6 8"
+H60_MARKED_ZERO_EVEN = "1 2 3 4 5 6 7 8 9 / 2 4 3 8 7 6 5 9 1"
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Sizes of the breadth-first searches that return, and of the classes built."""
+    import rauzy.classes
+
+    record = {"bfs": [], "classes": []}
+    bfs, build = rauzy.classes._bfs_rows, rauzy.classes.rauzy_class
+
+    def counting_bfs(seed, budget, stop=None):
+        table = bfs(seed, budget, stop)
+        record["bfs"].append(len(table))
+        return table
+
+    def counting_class(seed, budget=10**7):
+        diagram = build(seed, budget)
+        record["classes"].append(len(diagram))
+        return diagram
+
+    monkeypatch.setattr(rauzy.classes, "_bfs_rows", counting_bfs)
+    monkeypatch.setattr(rauzy.classes, "rauzy_class", counting_class)
+    return record
+
+
+class TestForgetRegularPoint:
+    """Marked-point labels from a table with a regular point forgotten.
+
+    Merging intervals ``s`` and ``s+1``, side by side in both rows, forgets
+    the order-0 point between them; a class with marked points has the
+    label of the merged table of any of its vertices with such a pair.
+    """
+
+    def test_merge_of_the_first_pair(self):
+        p = parse(H60_EVEN)
+        merged = _forget_regular_point((p.top, p.bottom))
+        assert merged == ((1, 2, 3, 4, 5, 6, 7, 8), (3, 2, 5, 8, 7, 4, 6, 1))
+        q = GenPerm(*merged)
+        assert stratum(p).text == "H(6,0)" and stratum(q).text == "H(6)"
+        assert singularity_profile(p).marked == singularity_profile(q).marked == 6
+        assert spin_parity(p) == spin_parity(q) == 0
+        assert _forget_regular_point((q.top, q.bottom)) is None
+
+    def test_merge_forgets_an_unmarked_zero(self):
+        merges = 0
+        for d in range(3, 9):
+            for diagram in _standard_classes(d):
+                rep = GenPerm._trusted(*next(iter(diagram.table)))
+                st, marked = stratum(rep), singularity_profile(rep).marked
+                fewer = list(st.orders)
+                if 0 in fewer:
+                    fewer.remove(0)
+                for rows in diagram.table:
+                    merged = _forget_regular_point(rows)
+                    if merged is None:
+                        continue
+                    q = GenPerm(*merged)
+                    assert stratum(q) == Stratum(st.kind, tuple(fewer)), rows
+                    assert singularity_profile(q).marked == marked, rows
+                    merges += 1
+        assert merges == 18_752
+
+    def test_pair_table_builds_no_class(self, searches):
+        assert component_label(parse(H60_EVEN)) is EVEN
+        # the search stops at the seed; the reversal search in H(6) gives
+        # up after 2^7 - 1 vertices and returns nothing
+        assert searches == {"bfs": [1], "classes": []}
+
+    def test_pairless_vertex_builds_no_class(self, searches):
+        p = parse(H60_EVEN_PAIRLESS)
+        assert _forget_regular_point((p.top, p.bottom)) is None
+        assert same_class_bfs(p, parse(H60_EVEN))
+        searches["bfs"].clear()
+        assert component_label(p) is EVEN
+        (size,) = searches["bfs"]
+        assert size < 20_943 and searches["classes"] == []
+
+    def test_lone_zero_class_is_built_once(self, searches):
+        p = parse(H60_MARKED_ZERO_EVEN)
+        assert stratum(p).text == "H(6,0)"
+        assert singularity_profile(p).marked == 0
+        assert component_label(p) is EVEN
+        assert searches == {"bfs": [2679], "classes": []}
+        assert _scan_label(rauzy_class(p).table) is EVEN
+
+    def test_same_class_fast_builds_no_class(self, searches):
+        even, hyp = parse(H60_EVEN), parse(H60_HYP)
+        assert singularity_profile(hyp).marked == 6
+        assert component_label(hyp) is HYP
+        searches["bfs"].clear()
+        assert not same_class_fast(even, hyp)
+        assert searches["classes"] == [] and max(searches["bfs"]) < 256
 
 
 class TestExceptionalSplit:
