@@ -11,7 +11,6 @@ from .combinat import (
     is_irreducible,
     parse,
     reduce,
-    reduce_with_map,
 )
 from .classes import (
     RauzyDiagram,
@@ -24,10 +23,6 @@ from .classes import (
     verify_main_theorem,
 )
 from .induction import (
-    MoveLabel,
-    OrbitTrace,
-    classify_step,
-    orbit,
     r0,
     r1,
     rv_step,
@@ -64,7 +59,6 @@ __all__ = [
     "is_irreducible",
     "parse",
     "reduce",
-    "reduce_with_map",
     "RauzyDiagram",
     "TheoremReport",
     "enumerate_irreducible",
@@ -73,10 +67,6 @@ __all__ = [
     "same_class_bfs",
     "same_class_fast",
     "verify_main_theorem",
-    "MoveLabel",
-    "OrbitTrace",
-    "classify_step",
-    "orbit",
     "r0",
     "r1",
     "rv_step",

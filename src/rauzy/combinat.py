@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import EmptyRow, NotReduced, NotTwoToOne
 
@@ -112,11 +112,6 @@ class GenPerm:
         object.__setattr__(p, "bottom", bottom)
         object.__setattr__(p, "_hash", hash((top, bottom)))
         return p
-
-
-def _smallest_vertex(rows: Iterable[Rows]) -> GenPerm:
-    """The least of some reduced rows in :attr:`GenPerm.key` order, wrapped."""
-    return GenPerm._trusted(*min(rows, key=lambda r: (len(r[0]), r)))
 
 
 def _validate_rows(top: tuple[int, ...], bottom: tuple[int, ...]) -> None:

@@ -28,40 +28,14 @@ strata, with at most two; and Masur–Smillie (*Comment. Math. Helv.* 68,
 ``Q(4)`` and ``Q(3,1)``, with none.  The component count, the label of a
 class and the verifier's check are all read off that list.
 
-A label is decided on the table wherever the table can decide it, and
-:func:`_table_label` is the one place that holds the rules.  Spin parity
-is the Arf invariant of the quadratic form that takes the value 1 on every
-symbol curve, over the mod-2 intersection form of those curves (Zorich,
-*J. Mod. Dyn.* 2, 2008, appendix); it needs no polygon witness and splits
-the spin components.  In ``H(2g-2)`` and ``H(g-1,g-1)`` the hyperelliptic
-component has spin parity ``(g+1)//2 mod 2`` where spin applies
-(Kontsevich–Zorich, Cor. 5), so any other parity gives the spin label,
-and in genus 3, which has no even component, that parity gives
-``hyperelliptic``.  Where spin cannot decide and the stratum has no marked
-point (``H(3,3)``, or even spin in ``H(6)``), each component holds one
-class and the hyperelliptic one is the class of the reversal
-``1 ... d / d ... 1``, with ``2^(d-1) - 1`` vertices (Rauzy, *Acta
-Arith.* 34, 1979): a breadth-first search from the table that meets that
-many vertices without the reversal has left the hyperelliptic class.
-With marked points (``H(6,0)``, say), a vertex whose bottom row holds
-``s, s+1`` side by side has an unmarked regular point between those two
-intervals; merging them forgets it and gives a table of the stratum with
-one fewer ``0`` and the same label, since marked points do not change the
-components (Kontsevich–Zorich), so the search stops at the first such
-vertex and labels its merged table instead.
-
-Labelling still enumerates the table's Rauzy class elsewhere.  When no
-vertex has a regular point to forget (the only order-0 point is the
-marked one), and in the half-translation families with a hyperelliptic
-component, the class is scanned for a vertex fixed by the central
-symmetry (reverse both rows, swap them, renumber) whose half-turn
-involution both has a spherical quotient and moves the singularities the
-way the component's double-cover structure dictates; bare symmetry is not
-enough, as symmetric vertices also occur in non-hyperelliptic classes.
-In the four exceptional half-translation strata, which no known invariant
-splits, the class holding the least table of the stratum with its marked
-order is ``exceptional-a``.  Genus 2 is connected, but its class is still
-built too (see :func:`component_label`).
+Spin parity is the Arf invariant of the quadratic form that takes the
+value 1 on every symbol curve, over the mod-2 intersection form of those
+curves (Zorich, *J. Mod. Dyn.* 2, 2008, appendix); it needs no polygon
+witness and splits the spin components.  :func:`_component_label` is the
+one procedure that decides a label, and it lists the rules with their
+sources.  :func:`component_label` applies it to one table, searching from
+the table or building its class only where a rule needs the class;
+:func:`label_for_class` applies it to a class that the caller holds.
 """
 from __future__ import annotations
 
@@ -74,7 +48,6 @@ from .combinat import (
     PermKind,
     Rows,
     _irreducible_tables,
-    _smallest_vertex,
     is_irreducible,
     reduce,
 )
@@ -614,137 +587,6 @@ def _forget_regular_point(rows: Rows) -> Optional[Rows]:
     return None
 
 
-class _ClassTest(Enum):
-    """What decides a label that the table alone leaves open.
-
-    The class passes ``REVERSAL`` when it holds :func:`_reversal`,
-    ``SYMMETRIC`` when one of its vertices passes
-    :func:`_is_hyperelliptic_vertex`, and ``LEAST_TABLE`` when it holds the
-    least table of :func:`_least_table`.  ``SYMMETRIC`` in an abelian
-    stratum, which has marked points, first looks for a vertex with a
-    regular point to forget (:func:`_forget_regular_point`): the class has
-    the label of that vertex's merged table, and only a class with no such
-    vertex is scanned.
-    """
-
-    REVERSAL = "reversal"
-    SYMMETRIC = "symmetric"
-    LEAST_TABLE = "least-table"
-
-
-def _table_label(
-    p: GenPerm, st: Stratum
-) -> tuple[ComponentLabel, Optional[_ClassTest]]:
-    """The label that the table ``p`` of stratum ``st`` gives on its own.
-
-    Returns ``(label, None)`` when ``p`` decides its label, and
-    ``(label, test)`` when its class must: the class is then hyperelliptic
-    (``exceptional-a`` for ``LEAST_TABLE``) if it passes ``test``, and
-    ``label`` otherwise.  The rules, in order:
-
-    * a stratum with one component has that label;
-    * an exceptional stratum is split by its least table;
-    * where spin parity applies, a parity other than the hyperelliptic one
-      (:func:`_hyperelliptic_parity`) gives the spin label, and the
-      hyperelliptic parity gives ``hyperelliptic`` when no spin component
-      has it (genus 3);
-    * otherwise an orientable stratum with no marked point has one class
-      per component, and the hyperelliptic one is the class of the
-      reversal (Rauzy 1979); with marked points, a vertex of the class
-      with a regular point to forget has the label of its merged table,
-      one stratum down, and a class with no such vertex, like a class of
-      the half-translation families, is decided by a hyperelliptic vertex.
-    """
-    components = stratum_components(st)
-    if not components:
-        raise RuntimeError(f"{p} realises the empty stratum {st}")
-    if len(components) == 1:
-        return components[0], None
-    if ComponentLabel.EXCEPTIONAL_A in components:
-        return ComponentLabel.EXCEPTIONAL_B, _ClassTest.LEAST_TABLE
-    if ComponentLabel.ODD_SPIN in components:
-        parity = _spin_parity(p, st.genus)
-        label = ComponentLabel.ODD_SPIN if parity else ComponentLabel.EVEN_SPIN
-        if (
-            ComponentLabel.HYPERELLIPTIC not in components
-            or parity != _hyperelliptic_parity(st.genus)
-        ):
-            return label, None
-        if label not in components:
-            return ComponentLabel.HYPERELLIPTIC, None
-    else:
-        label = ComponentLabel.NON_HYPERELLIPTIC
-    if st.kind is StratumKind.ABELIAN and 0 not in st.orders:
-        return label, _ClassTest.REVERSAL
-    return label, _ClassTest.SYMMETRIC
-
-
-def _settle(
-    label: ComponentLabel,
-    test: Optional[_ClassTest],
-    rows: Collection[Rows],
-    rep: GenPerm,
-    st: Stratum,
-    budget: int = 10**7,
-) -> ComponentLabel:
-    """``label``, or the label a pass of ``test`` gives to the class ``rows``.
-
-    ``rows`` must be the whole class unless ``test`` is None, or unless
-    ``test`` is ``SYMMETRIC`` in an abelian stratum and ``rows`` holds a
-    vertex with a regular point to forget: the label is then that of the
-    vertex's merged table, from :func:`_component_label` within
-    ``budget``.  ``rep`` is one of the class's vertices and ``st`` its
-    stratum.
-    """
-    if test is None:
-        return label
-    if test is _ClassTest.LEAST_TABLE:
-        if _least_table(st, marked_order(rep)) in rows:
-            return ComponentLabel.EXCEPTIONAL_A
-        return label
-    if test is _ClassTest.REVERSAL:
-        hyperelliptic = _reversal(st.d) in rows
-    else:
-        if st.kind is StratumKind.ABELIAN:
-            for vertex in rows:
-                merged = _forget_regular_point(vertex)
-                if merged is not None:
-                    q = GenPerm._trusted(*merged)
-                    return _component_label(q, stratum(q), budget)
-        hyperelliptic = any(
-            _is_centrally_symmetric(top, bottom)
-            and _is_hyperelliptic_vertex(GenPerm._trusted(top, bottom), st)
-            for top, bottom in rows
-        )
-    return ComponentLabel.HYPERELLIPTIC if hyperelliptic else label
-
-
-def label_for_class(
-    rows: Collection[Rows], st: Optional[Stratum] = None
-) -> ComponentLabel:
-    """Component label of a class, given by its vertices' ``(top, bottom)`` rows.
-
-    Stratum and spin parity are computed on the smallest given vertex, and
-    :func:`_table_label` decides from it where it can, so any nonempty
-    subset of the class, such as one table, gives the label there.  A
-    caller that holds the stratum ``st`` of the class passes it, and no
-    corner is walked.  Where the table cannot decide, ``rows`` must be the
-    whole class, such as a diagram's table: an orientable class without
-    marked points is hyperelliptic when it holds the reversal, and an
-    exceptional class is ``exceptional-a`` when it holds the least table
-    of its stratum.  An orientable class with marked points has the label
-    of the merged table of any of its vertices with a regular point to
-    forget (:func:`_forget_regular_point`), so then a subset that holds
-    one such vertex is enough; a class with none, or of a half-translation
-    family, is hyperelliptic when it has a hyperelliptic vertex.
-    """
-    rep = _smallest_vertex(rows)
-    if st is None:
-        st = stratum(rep)
-    label, test = _table_label(rep, st)
-    return _settle(label, test, rows, rep, st)
-
-
 def _least_table(st: Stratum, alpha: int) -> Optional[Rows]:
     """The least table of ``st`` with marked order ``alpha``, if any.
 
@@ -790,51 +632,126 @@ def _reaches_reversal(p: GenPerm, budget: int) -> bool:
         return False
 
 
+def label_for_class(
+    rows: Collection[Rows], st: Optional[Stratum] = None
+) -> ComponentLabel:
+    """Component label of a class, given by its vertices' ``(top, bottom)`` rows.
+
+    Stratum, marked order and spin parity are the same on every vertex, so
+    :func:`_component_label` decides on any one of them, with ``rows`` as
+    its class.  A caller that holds the stratum ``st`` of the class passes
+    it, and no corner is walked.
+    """
+    rep = GenPerm._trusted(*next(iter(rows)))
+    return _component_label(rep, stratum(rep) if st is None else st, 10**7, rows)
+
+
 def component_label(p: GenPerm, budget: int = 10**7) -> ComponentLabel:
     """Connected-component label of the suspension surface of ``p``.
 
-    :func:`_table_label` decides on ``p`` alone wherever it can, spin parity
-    included.  An orientable table without marked points that it leaves
-    open (``H(3,3)``, say, or even spin in ``H(6)``) is hyperelliptic when
-    a breadth-first search meets the reversal within ``2^(d-1) - 1``
-    vertices.  One with marked points whose spin parity is the
-    hyperelliptic one (``H(6,0)``, say) is searched breadth first up to the
-    first vertex with a regular point to forget, and has the label of that
-    vertex's merged table, one stratum down.  The Rauzy class of ``p`` is
-    enumerated only where that search meets no such vertex (the only
-    order-0 point is the marked one, as in ``H(6,0)`` with marked order
-    0), in the half-translation families with a hyperelliptic component,
-    in the four exceptional strata, and in genus 2.  A search or a class
-    that needs more than ``budget`` vertices raises
-    :class:`BudgetExceeded`.
+    The rules are those of :func:`_component_label`.  A search or a class
+    that needs more than ``budget`` vertices raises :class:`BudgetExceeded`.
     """
     return _component_label(p, stratum(p), budget)
 
 
-def _component_label(p: GenPerm, st: Stratum, budget: int) -> ComponentLabel:
-    """:func:`component_label` of ``p``, whose stratum ``st`` is known."""
+def _component_label(
+    p: GenPerm,
+    st: Stratum,
+    budget: int,
+    rows: Optional[Collection[Rows]] = None,
+) -> ComponentLabel:
+    """The label of ``p``, whose stratum ``st`` is known.
+
+    ``rows`` is the class of ``p`` when the caller holds it.  Otherwise a
+    rule that needs the class searches from ``p`` or builds its class,
+    within ``budget`` vertices.  The rules, in order:
+
+    * a stratum with one component has that label;
+    * an exceptional stratum is split by its least table with the marked
+      order of ``p`` (:func:`_least_table`; Boissy–Lanneau, *ETDS* 29,
+      2009): the class that holds it is ``exceptional-a``, the other
+      ``exceptional-b``;
+    * where spin parity applies, a parity other than the hyperelliptic one
+      (:func:`_hyperelliptic_parity`, Kontsevich–Zorich, Cor. 5) gives
+      the spin label, and the hyperelliptic parity gives ``hyperelliptic``
+      when no spin component has it (genus 3);
+    * an orientable stratum with no marked point has one class per
+      component, and the hyperelliptic one is the class of the reversal
+      (Rauzy, *Acta Arith.* 34, 1979), which :func:`_reaches_reversal`
+      looks for;
+    * in an orientable stratum with an order-0 point other than the marked
+      one, a vertex with a regular point to forget
+      (:func:`_forget_regular_point`) has the label of its merged table,
+      one stratum down, since marked points do not change the components
+      (Kontsevich–Zorich); a search stops at the first such vertex;
+    * otherwise (the only order-0 point is the marked one, so no vertex has
+      a pair, or a half-translation family) the class is hyperelliptic
+      when one of its vertices passes :func:`_is_hyperelliptic_vertex`.
+      Bare central symmetry is not enough: symmetric vertices also occur
+      in non-hyperelliptic classes.
+
+    A class that fails the reversal or the symmetric test has the spin
+    label found above, or ``non-hyperelliptic`` where spin does not apply.
+    """
     from .classes import _bfs_rows, rauzy_class
 
-    label, test = _table_label(p, st)
-    if test is _ClassTest.REVERSAL:
-        if _reaches_reversal(p, budget):
-            return ComponentLabel.HYPERELLIPTIC
-        return label
-    if test is None:
-        if stratum_components(st) == (ComponentLabel.HYPERELLIPTIC,):
+    components = stratum_components(st)
+    if not components:
+        raise RuntimeError(f"{p} realises the empty stratum {st}")
+    if len(components) == 1:
+        if rows is None and components == (ComponentLabel.HYPERELLIPTIC,):
             # Genus 2 is connected, but its class is still built: the tracer
             # self-test of benchmark/run.py counts the 7 vertices of the
             # class of 1 2 3 4 / 4 3 2 1.
             rauzy_class(p, budget)
-        return label
-    if test is _ClassTest.SYMMETRIC and st.kind is StratumKind.ABELIAN:
-        # Up to the first vertex with a regular point to forget; a search
-        # that meets none has built the class for the scan.
-        rows = _bfs_rows(
-            (p.top, p.bottom),
-            budget,
-            stop=lambda rows: _forget_regular_point(rows) is not None,
-        )
+        return components[0]
+    if ComponentLabel.EXCEPTIONAL_A in components:
+        if rows is None:
+            rows = rauzy_class(p, budget).table
+        if _least_table(st, _known_profile(p).marked) in rows:
+            return ComponentLabel.EXCEPTIONAL_A
+        return ComponentLabel.EXCEPTIONAL_B
+    if ComponentLabel.ODD_SPIN in components:
+        parity = _spin_parity(p, st.genus)
+        label = ComponentLabel.ODD_SPIN if parity else ComponentLabel.EVEN_SPIN
+        if (
+            ComponentLabel.HYPERELLIPTIC not in components
+            or parity != _hyperelliptic_parity(st.genus)
+        ):
+            return label
+        if label not in components:
+            return ComponentLabel.HYPERELLIPTIC
     else:
+        label = ComponentLabel.NON_HYPERELLIPTIC
+    abelian = st.kind is StratumKind.ABELIAN
+    if abelian and 0 not in st.orders:
+        if rows is None:
+            found = _reaches_reversal(p, budget)
+        else:
+            found = _reversal(st.d) in rows
+        return ComponentLabel.HYPERELLIPTIC if found else label
+    if abelian and st.orders.count(0) > (_known_profile(p).marked == 0):
+        # an order-0 point other than the marked one
+        if rows is None:
+            rows = _bfs_rows(
+                (p.top, p.bottom),
+                budget,
+                stop=lambda rows: _forget_regular_point(rows) is not None,
+            )
+        for vertex in rows:
+            merged = _forget_regular_point(vertex)
+            if merged is not None:
+                q = GenPerm._trusted(*merged)
+                return _component_label(q, stratum(q), budget)
+    if rows is None and abelian:
+        rows = _bfs_rows((p.top, p.bottom), budget)
+    elif rows is None:
         rows = rauzy_class(p, budget).table
-    return _settle(label, test, rows, p, st, budget)
+    if any(
+        _is_centrally_symmetric(top, bottom)
+        and _is_hyperelliptic_vertex(GenPerm._trusted(top, bottom), st)
+        for top, bottom in rows
+    ):
+        return ComponentLabel.HYPERELLIPTIC
+    return label

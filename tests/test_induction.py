@@ -8,14 +8,11 @@ from hypothesis import assume, given, settings
 from conftest import iet_perms, irreducible_genperms
 
 from rauzy import (
-    MoveLabel,
     PermKind,
-    classify_step,
     find_suspension,
     check_suspension,
     format_perm,
     is_irreducible,
-    orbit,
     parse,
     r0,
     r1,
@@ -24,6 +21,7 @@ from rauzy import (
 )
 from rauzy.combinat import reduce
 from rauzy.errors import DimensionMismatch, InductionHalt, InvalidLengths
+from rauzy.induction import MoveLabel, classify_step, orbit
 from rauzy.suspension import SuspensionDatum
 
 

@@ -22,7 +22,7 @@ from rauzy import (
     stratum_components,
 )
 from rauzy.classes import _seeded_classes
-from rauzy.combinat import GenPerm, _smallest_vertex
+from rauzy.combinat import GenPerm
 from rauzy.errors import (
     BudgetExceeded,
     NotAbelian,
@@ -250,6 +250,10 @@ class TestComponentLabel:
         assert calls == [7]
 
 
+def _smallest_vertex(table):
+    return GenPerm._trusted(*min(table, key=lambda rows: (len(rows[0]), rows)))
+
+
 def _scan_label(table):
     """A class's label by scanning all of it for a hyperelliptic vertex.
 
@@ -298,7 +302,9 @@ class TestHyperellipticFamilies:
                 expected = _scan_label(table)
                 largest = GenPerm._trusted(*max(table))
                 assert component_label(largest) is expected, largest
-                assert label_for_class(table) is expected, largest
+                # any vertex decides: the class from its largest vertex down
+                for rows in (table, sorted(table, reverse=True)):
+                    assert label_for_class(rows) is expected, largest
                 classes += 1
                 if 0 not in st.orders:
                     continue
@@ -408,7 +414,7 @@ class TestForgetRegularPoint:
         assert _forget_regular_point((q.top, q.bottom)) is None
 
     def test_merge_forgets_an_unmarked_zero(self):
-        merges = 0
+        merges = lone = unmarked = 0
         for d in range(3, 9):
             for diagram in _standard_classes(d):
                 rep = GenPerm._trusted(*next(iter(diagram.table)))
@@ -416,6 +422,7 @@ class TestForgetRegularPoint:
                 fewer = list(st.orders)
                 if 0 in fewer:
                     fewer.remove(0)
+                pairs = 0
                 for rows in diagram.table:
                     merged = _forget_regular_point(rows)
                     if merged is None:
@@ -423,8 +430,18 @@ class TestForgetRegularPoint:
                     q = GenPerm(*merged)
                     assert stratum(q) == Stratum(st.kind, tuple(fewer)), rows
                     assert singularity_profile(q).marked == marked, rows
-                    merges += 1
+                    pairs += 1
+                merges += pairs
+                # a pair is an order-0 point, never the marked one, and
+                # every class with such a point has a vertex with a pair
+                if st.orders.count(0) > (marked == 0):
+                    assert pairs, rep
+                    unmarked += 1
+                else:
+                    assert not pairs, rep
+                    lone += 0 in st.orders
         assert merges == 18_752
+        assert (lone, unmarked) == (7, 28)
 
     def test_pair_table_builds_no_class(self, searches):
         assert component_label(parse(H60_EVEN)) is EVEN
@@ -448,6 +465,23 @@ class TestForgetRegularPoint:
         assert component_label(p) is EVEN
         assert searches == {"bfs": [2679], "classes": []}
         assert _scan_label(rauzy_class(p).table) is EVEN
+
+    def test_lone_zero_class_forgets_no_point(self, monkeypatch):
+        import rauzy.invariants
+
+        table = rauzy_class(parse(H60_MARKED_ZERO_EVEN)).table
+        assert len(table) == 2679
+        forgets = []
+        forget = rauzy.invariants._forget_regular_point
+
+        def counting(rows):
+            forgets.append(rows)
+            return forget(rows)
+
+        monkeypatch.setattr(rauzy.invariants, "_forget_regular_point", counting)
+        # the stratum and marked order tell that no vertex has a pair
+        assert label_for_class(table) is EVEN
+        assert forgets == []
 
     def test_same_class_fast_builds_no_class(self, searches):
         even, hyp = parse(H60_EVEN), parse(H60_HYP)
@@ -480,7 +514,6 @@ class TestExceptionalSplit:
     )
     def test_q19_class_label(self, monkeypatch, table, marked, size, label):
         import rauzy.classes
-        from rauzy.combinat import _smallest_vertex
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the stratum was enumerated")
