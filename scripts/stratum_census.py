@@ -13,8 +13,13 @@ proven; the count turns a missed class into a failed report, printed as
 for eyeballing how the table grows::
 
     python scripts/stratum_census.py --max-d 6 --kind both
+
+Each size's header gives its elapsed time and the peak resident memory of
+the process so far (``ru_maxrss``, so a size's peak includes the sizes
+before it).
 """
 import argparse
+import resource
 import sys
 import time
 
@@ -40,7 +45,8 @@ def main() -> int:
             start = time.perf_counter()
             report = verify_main_theorem(d, kind)
             elapsed = time.perf_counter() - start
-            print(f"== {kind.value} d={d}  ({elapsed:.1f}s)")
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            print(f"== {kind.value} d={d}  ({elapsed:.1f}s, peak {peak:.0f} MiB)")
             for g in report.groups:
                 status = "ok" if g.ok else "FAIL"
                 print(

@@ -3,9 +3,9 @@ Rauzy classes and diagrams: enumeration, membership, and the class-count
 verifier.
 
 A class is the smallest set of reduced generalized permutations containing
-a seed and closed under both moves, held as its row table: each vertex's
-rows map to the rows of its two move targets (``None`` records an
-undefined move).  Its ``GenPerm`` vertices and edges are made when read.
+a seed and closed under both moves, held as its vertex set: the rows of
+each vertex, with no move target.  Its ``GenPerm`` vertices are made when
+read, and so are its edges, from the move kernel.
 
 The verifier builds every class of a given size and kind, one at a time,
 from seed tables, and proves that none is missing by a count.  Permutation
@@ -62,9 +62,9 @@ from .invariants import (
 
 @dataclass(frozen=True)
 class RauzyDiagram:
-    """A class as its row table; ``vertices`` and ``edges`` are made when read."""
+    """A class as its vertex rows; edges are made by the move kernel when read."""
 
-    table: dict[Rows, tuple[Optional[Rows], Optional[Rows]]]
+    table: dict[Rows, None]
 
     def __len__(self) -> int:
         return len(self.table)
@@ -73,9 +73,8 @@ class RauzyDiagram:
         return (p.top, p.bottom) in self.table
 
     def edge_count(self) -> int:
-        return sum(
-            (a is not None) + (b is not None) for a, b in self.table.values()
-        )
+        move = _rows_kernel(next(iter(self.table)))
+        return sum(move(rows, i) is not None for rows in self.table for i in (0, 1))
 
     @cached_property
     def vertices(self) -> tuple[GenPerm, ...]:
@@ -85,39 +84,38 @@ class RauzyDiagram:
 
     @cached_property
     def edges(self) -> dict[GenPerm, tuple[Optional[GenPerm], Optional[GenPerm]]]:
-        perm = {(v.top, v.bottom): v for v in self.vertices}.get  # None stays None
-        return {v: tuple(map(perm, self.table[v.top, v.bottom])) for v in self.vertices}
+        move = _rows_kernel(next(iter(self.table)))
+        at = {(v.top, v.bottom): v for v in self.vertices}  # None stays None
+        return {v: (at.get(move(r, 0)), at.get(move(r, 1))) for r, v in at.items()}
 
 
 def _bfs_rows(
     seed: Rows, budget: int, stop: Optional[Callable[[Rows], bool]] = None
-) -> dict[Rows, tuple[Optional[Rows], Optional[Rows]]]:
-    """Row table of the class of ``seed``, breadth first.
+) -> dict[Rows, None]:
+    """Vertex rows of the class of ``seed``, breadth first, the seed first.
 
     With ``stop``, the search ends at the first vertex, the seed included,
     whose rows pass it; the partial table then holds them as its last key.
     A search that returns a table with no such key has built the class.
     """
     move = _rows_kernel(seed)
-    seen: dict[Rows, tuple[Optional[Rows], Optional[Rows]]] = {seed: (None, None)}
+    seen: dict[Rows, None] = {seed: None}
     if stop is not None and stop(seed):
         return seen
     queue = deque([seed])
     while queue:
         rows = queue.popleft()
-        targets = (move(rows, 0), move(rows, 1))
-        for nxt in targets:
+        for nxt in (move(rows, 0), move(rows, 1)):
             if nxt is not None and nxt not in seen:
                 if stop is not None and stop(nxt):
-                    seen[nxt] = (None, None)
+                    seen[nxt] = None
                     return seen
                 if len(seen) >= budget:
                     raise BudgetExceeded(
                         f"class exceeds the {budget}-vertex budget"
                     )
-                seen[nxt] = (None, None)
+                seen[nxt] = None
                 queue.append(nxt)
-        seen[rows] = targets
     return seen
 
 
@@ -193,9 +191,10 @@ def _seeded_classes(
 ) -> Iterator[RauzyDiagram]:
     """The classes of the seeds among the ``candidates`` rows, each built once.
 
-    A candidate is skipped when it is no seed or its class is already
-    built; between classes only the seed rows of each built class are
-    remembered.  Only the seeds that start a class are wrapped.
+    Each class is its vertex rows, its edges made from the move kernel
+    when read.  A candidate is skipped when it is no seed or its class is
+    already built; between classes only the seed rows of each built class
+    are remembered.  Only the seeds that start a class are wrapped.
     """
     seen: set[Rows] = set()
     for rows in candidates:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -17,7 +18,7 @@ from rauzy import (
     same_class_fast,
     verify_main_theorem,
 )
-from rauzy.classes import RauzyDiagram, class_partition, diagram_json
+from rauzy.classes import RauzyDiagram, _bfs_rows, class_partition, diagram_json
 from rauzy.errors import BudgetExceeded, ReducibleSeed
 from rauzy.induction import r0, r1
 
@@ -97,6 +98,42 @@ class TestRauzyClass:
         for v in diag.vertices:
             degree = sum(t is not None for t in diag.edges[v])
             assert degree == 2 if iet else degree <= 2
+
+    @pytest.mark.parametrize(
+        "kind, max_d", [(PermKind.IET, 7), (PermKind.QUADRATIC, 5)]
+    )
+    def test_derived_edges_match_moves(self, kind, max_d):
+        # r0 and r1 renumber through _moved_rows, not the permutation kernel
+        for d in range(2, max_d + 1):
+            for diag in class_partition(enumerate_irreducible(d, kind)):
+                targets = [t for v in diag.vertices for t in (r0(v), r1(v))]
+                assert diag.edge_count() == sum(t is not None for t in targets)
+                for v in diag.vertices:
+                    assert diag.edges[v] == (r0(v), r1(v))
+
+    def test_class_memory(self):
+        p = parse("1 2 3 4 5 6 7 8 9 / 2 3 4 5 7 6 9 1 8")
+        tracemalloc.start()
+        try:
+            diag = rauzy_class(p)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(diag) == 11_256
+        assert held < 3.5 * 2**20
+
+    def test_bfs_rows_order(self):
+        seed = ((1, 2, 3, 4, 5), (5, 3, 2, 4, 1))
+        table = _bfs_rows(seed, 10**7)
+        assert next(iter(table)) == seed
+        assert set(table.values()) == {None}
+        assert _bfs_rows(seed, 10**7, stop=seed.__eq__) == {seed: None}
+        ends_in_2 = lambda rows: rows[1][-1] == 2
+        partial = _bfs_rows(seed, 10**7, stop=ends_in_2)
+        *before, last = partial
+        assert before[0] == seed and ends_in_2(last)
+        assert not any(map(ends_in_2, before))
+        assert set(partial.values()) == {None}
 
 
 class TestSameClass:
