@@ -12,10 +12,12 @@ when these outputs are byte-identical::
     python scripts/witness_digest.py
 
 prints one ``kind d tables sha256`` line per size and kind, for sizes 2
-to ``MAX_D``.
+to ``MAX_D``, and the seconds each size took on standard error, so the
+digest lines on standard output can be compared byte for byte.
 """
 import hashlib
 import sys
+import time
 from random import Random
 
 from rauzy import (
@@ -66,8 +68,11 @@ def witness_digest(d: int, kind: PermKind) -> tuple[int, str]:
 def main() -> int:
     for kind in (PermKind.IET, PermKind.QUADRATIC):
         for d in range(2, MAX_D + 1):
+            start = time.perf_counter()
             count, digest = witness_digest(d, kind)
             print(f"{kind.value} {d} {count} {digest}", flush=True)
+            print(f"{kind.value} {d}: {time.perf_counter() - start:.2f} s",
+                  file=sys.stderr, flush=True)
     return 0
 
 

@@ -20,8 +20,10 @@ return value (``None``) rather than an error: class enumeration treats
 vertices with missing edges as such.
 
 All length and suspension updates are exact rational arithmetic; halting
-is detected by exact equality.  :func:`rv_step` compares and subtracts the
-suspension vector's parts as integers over their common denominator.
+is detected by exact equality.  :func:`rv_step` reads a suspension
+vector's integer parts over its common denominator, compares, subtracts
+and renumbers them as integers, and returns a vector over the same
+denominator, so a long orbit makes no ``Fraction``.
 """
 from __future__ import annotations
 
@@ -172,8 +174,16 @@ Lengths = tuple[Fraction, ...]
 
 
 def validate_lengths(p: GenPerm, lengths: Sequence[Fraction]) -> Lengths:
-    """Check positivity, size and (for genuine involutions) row balance."""
-    lam = tuple(Fraction(v) for v in lengths)
+    """Check types, positivity, size and (for genuine involutions) row balance.
+
+    Entries must be ``int`` or ``Fraction``; anything else, a float or a
+    string included, raises :class:`InvalidLengths`.
+    """
+    lam = tuple(lengths)
+    for v in lam:
+        if not isinstance(v, (int, Fraction)):
+            raise InvalidLengths(f"length {v!r} is neither an int nor a Fraction")
+    lam = tuple([Fraction(v) for v in lam])
     if len(lam) != p.d:
         raise DimensionMismatch(f"expected {p.d} lengths, got {len(lam)}")
     if any(v <= 0 for v in lam):
@@ -275,7 +285,17 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     The move is selected by comparing the real parts of the two rightmost
     symbols; the shorter vector is subtracted from the longer one.  The
     result is a suspension vector over the moved permutation, with
-    coordinates renumbered to match its reduced labels.
+    coordinates renumbered to match its reduced labels.  The step works
+    on the integer parts of ``zeta`` and keeps its denominator.
+
+    >>> from .combinat import parse
+    >>> p = parse("1 2 / 2 1")
+    >>> zeta = SuspensionDatum(((Fraction(5, 2), Fraction(1, 2)), (1, Fraction(-1, 2))))
+    >>> q, moved = rv_step(p, zeta)
+    >>> print(q, moved)
+    1 2 / 2 1 (3/2+1i, 1-1/2i)
+    >>> moved.values
+    ((Fraction(3, 2), Fraction(1, 1)), (Fraction(1, 1), Fraction(-1, 2)))
     """
     parts = _valid_parts(p, zeta)
     if parts is None:
@@ -287,17 +307,17 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
         raise InductionHalt("rightmost symbols coincide")
     if re[a - 1] == re[b - 1]:
         raise InductionHalt("rightmost lengths are exactly equal")
-    values = list(zeta.values)
     which = 0 if re[a - 1] > re[b - 1] else 1
     longer, shorter = (a, b) if which == 0 else (b, a)
-    values[longer - 1] = (
-        Fraction(re[longer - 1] - re[shorter - 1], scale),
-        Fraction(im[longer - 1] - im[shorter - 1], scale),
-    )
     perm, relabel = _moved_with_map(p, which)
     if perm is None or relabel is None:
         raise UndefinedMove(f"move {which} undefined at {p}")
-    out: list[tuple[Fraction, Fraction]] = [None] * p.d  # type: ignore[list-item]
+    source = [0] * p.d
     for old, new in relabel.items():
-        out[new - 1] = values[old - 1]
-    return perm, SuspensionDatum(tuple(out))
+        source[new - 1] = old - 1
+    new_re = [re[k] for k in source]
+    new_im = [im[k] for k in source]
+    moved = relabel[longer] - 1
+    new_re[moved] -= re[shorter - 1]
+    new_im[moved] -= im[shorter - 1]
+    return perm, SuspensionDatum._from_parts(scale, tuple(new_re), tuple(new_im))

@@ -33,12 +33,14 @@ each corner sector, which is exact in integer arithmetic because no edge
 is ever vertical.
 
 All four conditions, the polygon's embeddedness and its cone angles are
-unchanged when every entry is multiplied by the same positive number.  The
-checks and the polygon oracle therefore scale the vector (or the polygon)
-once by the least common multiple of its denominators and work on integers;
-``Fraction`` objects are made only for the values returned to the caller.
-Entries must be ``int`` or ``Fraction``; anything else raises
-:class:`~rauzy.errors.InvalidSuspension`.
+unchanged when every entry is multiplied by the same positive number.  A
+:class:`SuspensionDatum` therefore holds its vector as integers over one
+common denominator: a positive ``scale`` and the integer real and imaginary
+parts, the entries times ``scale``.  The checks, the induction step and
+the polygon read those integers; ``Fraction`` objects are made only when a
+caller reads ``values``, ``re`` or ``im``.  Entries given to the
+constructor must be ``int`` or ``Fraction``; anything else raises
+:class:`~rauzy.errors.InvalidSuspension` when they are first read.
 
 Witnesses returned by :func:`find_suspension` always yield an embedded
 polygon.  The slack-normalised imaginary system already keeps every
@@ -56,7 +58,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from random import Random
 from typing import Optional
 
@@ -67,25 +69,101 @@ from .errors import DegeneratePolygon, DimensionMismatch, InvalidSuspension
 Point = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
 class SuspensionDatum:
-    """Vector of complex numbers with exact rational parts, one per symbol."""
+    """Vector of complex numbers with exact rational parts, one per symbol.
 
-    values: tuple[tuple[Fraction, Fraction], ...]
+    ``SuspensionDatum(values)`` takes ``(re, im)`` pairs of ``int`` or
+    ``Fraction`` entries.  They are scaled once, when first read, by the
+    least common multiple of their denominators; from then on the datum is
+    a positive denominator ``scale`` and two tuples of integers, the real
+    and the imaginary parts times ``scale``.  The denominator need not be
+    the least one (an induction step keeps its input's), so equality,
+    hashing and printing go through the reduced fractions: two data are
+    equal exactly when their vectors are.
+
+    >>> zeta = SuspensionDatum(((Fraction(1, 2), 1), (Fraction(3, 4), -1)))
+    >>> print(zeta)
+    (1/2+1i, 3/4-1i)
+    >>> zeta.values[1]
+    (Fraction(3, 4), Fraction(-1, 1))
+    """
+
+    __slots__ = ("_entries", "_scale", "_re", "_im")
+
+    def __init__(self, values) -> None:
+        self._entries = tuple(values)
+
+    @classmethod
+    def _from_parts(
+        cls, scale: int, re: tuple[int, ...], im: tuple[int, ...]
+    ) -> SuspensionDatum:
+        """The datum ``(re[k] + i im[k]) / scale``; the parts are not checked."""
+        datum = cls.__new__(cls)
+        datum._entries = None
+        datum._scale, datum._re, datum._im = scale, re, im
+        return datum
+
+    def _parts(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """The denominator ``scale`` and the integer real and imaginary parts.
+
+        Raises :class:`InvalidSuspension` when an entry given to the
+        constructor is neither an ``int`` nor a ``Fraction``.
+        """
+        if self._entries is not None:
+            scale, flat = _scaled([v for pair in self._entries for v in pair])
+            self._scale, self._re, self._im = scale, tuple(flat[0::2]), tuple(flat[1::2])
+            self._entries = None
+        return self._scale, self._re, self._im
+
+    @property
+    def values(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        scale, re, im = self._parts()
+        return tuple([(Fraction(x, scale), Fraction(y, scale)) for x, y in zip(re, im)])
 
     @property
     def d(self) -> int:
-        return len(self.values)
+        return len(self._parts()[1])
 
     def re(self, symbol: int) -> Fraction:
-        return self.values[symbol - 1][0]
+        scale, re, _ = self._parts()
+        return Fraction(re[symbol - 1], scale)
 
     def im(self, symbol: int) -> Fraction:
-        return self.values[symbol - 1][1]
+        scale, _, im = self._parts()
+        return Fraction(im[symbol - 1], scale)
+
+    def _reduced(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """:meth:`_parts` over the least common denominator."""
+        scale, re, im = self._parts()
+        g = gcd(scale, *re, *im)
+        if g == 1:
+            return scale, re, im
+        return scale // g, tuple([x // g for x in re]), tuple([y // g for y in im])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SuspensionDatum):
+            return NotImplemented
+        return self._reduced() == other._reduced()
+
+    def __hash__(self) -> int:
+        return hash(self._reduced())
+
+    def __repr__(self) -> str:
+        return f"SuspensionDatum(values={self.values!r})"
 
     def __str__(self) -> str:
-        parts = [f"{re}{'+' if im >= 0 else ''}{im}i" for re, im in self.values]
+        scale, re, im = self._parts()
+        parts = [
+            f"{_ratio(x, scale)}{'+' if y >= 0 else ''}{_ratio(y, scale)}i"
+            for x, y in zip(re, im)
+        ]
         return "(" + ", ".join(parts) + ")"
+
+
+def _ratio(x: int, scale: int) -> str:
+    """``str(Fraction(x, scale))`` for a positive ``scale``."""
+    g = gcd(x, scale)
+    return str(x // g) if g == scale else f"{x // g}/{scale // g}"
 
 
 def _occurrence_balance(p: GenPerm) -> list[int]:
@@ -178,15 +256,14 @@ def _scaled(values) -> tuple[int, list[int]]:
 
 def _valid_parts(
     p: GenPerm, zeta: SuspensionDatum
-) -> Optional[tuple[int, list[int], list[int]]]:
+) -> Optional[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """Scale, real parts and imaginary parts of ``zeta`` on integers.
 
     Returns None when ``zeta`` fails one of the four conditions over ``p``.
     """
-    if zeta.d != p.d:
-        raise DimensionMismatch(f"expected {p.d} entries, got {zeta.d}")
-    scale, flat = _scaled([v for pair in zeta.values for v in pair])
-    re, im = flat[0::2], flat[1::2]
+    scale, re, im = zeta._parts()
+    if len(re) != p.d:
+        raise DimensionMismatch(f"expected {p.d} entries, got {len(re)}")
     if min(re) <= 0:
         return None
     acc = 0
@@ -212,8 +289,10 @@ def has_suspension(p: GenPerm) -> bool:
     return irreducible_rows(p.top, p.bottom)
 
 
-def _assemble(p: GenPerm, res: list[Fraction], ims: list[Fraction]) -> SuspensionDatum:
-    datum = SuspensionDatum(tuple(zip(res, ims)))
+def _assemble(p: GenPerm, scale: int, flat: list[int]) -> SuspensionDatum:
+    """The datum of the scaled solver output: real parts, then imaginary."""
+    d = p.d
+    datum = SuspensionDatum._from_parts(scale, tuple(flat[:d]), tuple(flat[d:]))
     if not check_suspension(p, datum):
         raise RuntimeError(f"solver produced an invalid suspension for {p}")
     return datum
@@ -234,7 +313,7 @@ def find_suspension(p: GenPerm) -> Optional[SuspensionDatum]:
     res = linprog.solve(d, *_real_system(p, ims))
     if res is None:
         raise RuntimeError(f"fold-guarded length system infeasible for {p}")
-    return _assemble(p, res, ims)
+    return _assemble(p, *_scaled(res + ims))
 
 
 def random_suspension(p: GenPerm, rng: Random) -> Optional[SuspensionDatum]:
@@ -262,9 +341,7 @@ def random_suspension(p: GenPerm, rng: Random) -> Optional[SuspensionDatum]:
     if res is None:
         raise RuntimeError(f"fold-guarded length system infeasible for {p}")
     _, ints = _scaled(res + ims)
-    res = [Fraction(v) for v in ints[:d]]
-    ims = [Fraction(v) for v in ints[d:]]
-    return _assemble(p, res, ims)
+    return _assemble(p, 1, ints)
 
 
 def check_suspension(p: GenPerm, zeta: SuspensionDatum) -> bool:

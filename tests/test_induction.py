@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 from random import Random
@@ -19,9 +20,23 @@ from rauzy import (
     random_suspension,
     rv_step,
 )
+from rauzy.classes import enumerate_irreducible
 from rauzy.combinat import reduce
-from rauzy.errors import DimensionMismatch, InductionHalt, InvalidLengths
-from rauzy.induction import MoveLabel, classify_step, orbit
+from rauzy.errors import (
+    DimensionMismatch,
+    InductionHalt,
+    InvalidLengths,
+    InvalidSuspension,
+    RauzyError,
+    UndefinedMove,
+)
+from rauzy.induction import (
+    MoveLabel,
+    _moved_with_map,
+    classify_step,
+    orbit,
+    step_lengths,
+)
 from rauzy.suspension import SuspensionDatum
 
 
@@ -193,6 +208,24 @@ class TestClassify:
             assert r1(p) is not None
 
 
+class TestLengthTypes:
+    @pytest.mark.parametrize("lengths", [(0.7, 0.3), (1, 0.5), ("1", 1), (1, None)])
+    def test_rejects_non_rational_lengths(self, lengths):
+        p = parse("1 2 / 2 1")
+        for call in (orbit, step_lengths, classify_step):
+            args = (p, lengths, 3) if call is orbit else (p, lengths)
+            with pytest.raises(InvalidLengths):
+                call(*args)
+
+    def test_int_and_fraction_lengths_accepted(self):
+        p = parse("1 2 / 2 1")
+        third = Fraction(1, 3)
+        assert classify_step(p, (1, 2)) is MoveLabel.ZERO
+        assert classify_step(p, (third, 2 * third)) is MoveLabel.ZERO
+        trace = orbit(p, (Fraction(3), 1), 5)
+        assert trace.halted and trace.steps[-1].lengths == (1, 1)
+
+
 class TestOrbit:
     def test_euclidean_behaviour_on_torus(self):
         p = parse("1 2 / 2 1")
@@ -267,3 +300,93 @@ class TestRvStep:
             current, z = rv_step(current, z)
             assert current == step.perm
             assert tuple(re for re, _ in z.values) == step.lengths
+
+
+def _fraction_rv_step(p, values):
+    """One induction step on ``Fraction`` pairs.
+
+    The route ``rv_step`` took before it kept a vector's integer parts:
+    subtract the shorter of the two rightmost pairs from the longer one in
+    ``Fraction`` arithmetic and renumber the pairs like the table.  Kept as
+    the oracle of the integer route.
+    """
+    if not check_suspension(p, SuspensionDatum(values)):
+        raise InvalidSuspension(f"not a suspension vector over {p}")
+    a = p.top[-1]
+    b = p.bottom[-1]
+    if a == b:
+        raise InductionHalt("rightmost symbols coincide")
+    if values[a - 1][0] == values[b - 1][0]:
+        raise InductionHalt("rightmost lengths are exactly equal")
+    values = list(values)
+    which = 0 if values[a - 1][0] > values[b - 1][0] else 1
+    longer, shorter = (a, b) if which == 0 else (b, a)
+    values[longer - 1] = (
+        values[longer - 1][0] - values[shorter - 1][0],
+        values[longer - 1][1] - values[shorter - 1][1],
+    )
+    perm, relabel = _moved_with_map(p, which)
+    if perm is None:
+        raise UndefinedMove(f"move {which} undefined at {p}")
+    out = [None] * p.d
+    for old, new in relabel.items():
+        out[new - 1] = values[old - 1]
+    return perm, tuple(out)
+
+
+def _ending(step, p, zeta):
+    """``step(p, zeta)``, or the type and message of the error it raises."""
+    try:
+        return step(p, zeta), None
+    except RauzyError as exc:
+        return None, (type(exc), str(exc))
+
+
+def test_integer_step_matches_fraction_oracle():
+    # Both routes run from the canonical and from a random vector of every
+    # irreducible table through five symbols; the canonical vectors have
+    # denominators above 1, the random ones are integers.
+    steps = 0
+    endings = set()
+    for d in range(2, 6):
+        for kind in (PermKind.IET, PermKind.QUADRATIC):
+            for p in enumerate_irreducible(d, kind):
+                rng = Random(f"two-route:{format_perm(p)}")
+                for start in (find_suspension(p), random_suspension(p, rng)):
+                    q, z = p, start
+                    q_oracle, values = p, start.values
+                    for _ in range(50):
+                        got, error = _ending(rv_step, q, z)
+                        want, oracle_error = _ending(_fraction_rv_step, q_oracle, values)
+                        assert error == oracle_error, (p, start)
+                        if error is not None:
+                            endings.add(error[0])
+                            break
+                        (q, z), (q_oracle, values) = got, want
+                        oracle = SuspensionDatum(values)
+                        assert q == q_oracle, (p, start)
+                        assert z.values == values, (p, start)
+                        assert all(type(v) is Fraction for pair in z.values for v in pair)
+                        assert str(z) == str(oracle) and z == oracle
+                        assert hash(z) == hash(oracle)
+                        steps += 1
+    assert endings == {InductionHalt}
+    assert steps > 50_000, steps
+
+
+def test_orbit_memory():
+    # 200 steps on a generalized table keep 200 tables and vectors alive;
+    # a vector is a scale and two tuples of integers.
+    p = parse("1 1 / 2 2 3 4 5 3 5 6 4 6")
+    z = random_suspension(p, Random(1))
+    tracemalloc.start()
+    try:
+        q, kept = p, []
+        for _ in range(200):
+            q, z = rv_step(q, z)
+            kept.append((q, z))
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 200
+    assert current < 140 * 1024, current

@@ -61,6 +61,52 @@ class TestCheckSuspension:
             check_suspension(p, _datum((1, 1)))
 
 
+class TestDatum:
+    """The constructor forms of a vector are one datum."""
+
+    @pytest.mark.parametrize(
+        "forms",
+        [
+            pytest.param(
+                (
+                    SuspensionDatum(((1, 2), (3, -1))),
+                    _datum((1, 2), (3, -1)),
+                    SuspensionDatum._from_parts(6, (6, 18), (12, -6)),
+                ),
+                id="integer-vector",
+            ),
+            pytest.param(
+                (
+                    SuspensionDatum(((Fraction(1, 3), 1), (Fraction(2, 3), Fraction(-1, 3)))),
+                    SuspensionDatum._from_parts(3, (1, 2), (3, -1)),
+                    SuspensionDatum._from_parts(6, (2, 4), (6, -2)),
+                ),
+                id="thirds",
+            ),
+        ],
+    )
+    def test_forms_agree(self, forms):
+        first = forms[0]
+        for zeta in forms[1:]:
+            assert zeta == first and hash(zeta) == hash(first)
+            assert str(zeta) == str(first) and repr(zeta) == repr(first)
+            assert zeta.values == first.values and zeta.d == first.d == 2
+            for k in (1, 2):
+                assert zeta.re(k) == first.re(k) and zeta.im(k) == first.im(k)
+                assert type(zeta.re(k)) is type(zeta.im(k)) is Fraction
+        assert all(type(v) is Fraction for pair in first.values for v in pair)
+        moved = SuspensionDatum._from_parts(6, (6, 18), (12, -4))
+        assert all(zeta != moved for zeta in forms)
+
+    def test_printing(self):
+        zeta = SuspensionDatum._from_parts(6, (2, 6), (4, -2))
+        assert str(zeta) == "(1/3+2/3i, 1-1/3i)"
+        assert repr(zeta) == (
+            "SuspensionDatum(values=((Fraction(1, 3), Fraction(2, 3)), "
+            "(Fraction(1, 1), Fraction(-1, 3))))"
+        )
+
+
 def _fraction_conditions(p, zeta):
     """The four suspension conditions summed in ``Fraction`` arithmetic.
 
