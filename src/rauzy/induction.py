@@ -204,7 +204,11 @@ def classify_step(p: GenPerm, lengths: Sequence[Fraction]) -> Optional[MoveLabel
     Halts when the compared symbols coincide, when their lengths are
     exactly equal, or when the selected combinatorial move is undefined.
     """
-    lam = validate_lengths(p, lengths)
+    return _classify(p, validate_lengths(p, lengths))
+
+
+def _classify(p: GenPerm, lam: Lengths) -> Optional[MoveLabel]:
+    """:func:`classify_step` on lengths :func:`validate_lengths` has checked."""
     a = p.top[-1]
     b = p.bottom[-1]
     if a == b or lam[a - 1] == lam[b - 1]:
@@ -238,7 +242,7 @@ def step_lengths(
 ) -> Optional[tuple[GenPerm, Lengths, MoveLabel]]:
     """One induction step on (permutation, lengths); None when halted."""
     lam = validate_lengths(p, lengths)
-    label = classify_step(p, lam)
+    label = _classify(p, lam)
     if label is None:
         return None
     a = p.top[-1]

@@ -34,20 +34,24 @@ curves (Zorich, *J. Mod. Dyn.* 2, 2008, appendix); it needs no polygon
 witness and splits the spin components.  :func:`_component_label` is the
 one procedure that decides a label, and it lists the rules with their
 sources.  :func:`component_label` applies it to one table, searching from
-the table or building its class only where a rule needs the class;
+the table or building its class only where a rule needs the class; in
+the half-translation families the search runs towards one symmetric
+hyperelliptic table of the stratum, so no class is built there.
 :func:`label_for_class` applies it to a class that the caller holds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Optional
+from typing import Collection, Iterator, Optional
 
 from .combinat import (
     GenPerm,
     PermKind,
     Rows,
     _irreducible_tables,
+    _top_rows,
+    irreducible_rows,
     is_irreducible,
     reduce,
 )
@@ -610,6 +614,60 @@ def _least_table(st: Stratum, alpha: int) -> Optional[Rows]:
     return least
 
 
+def _involutions(letters: tuple[int, ...]) -> Iterator[dict[int, int]]:
+    """Every involution of ``letters`` as a map, the identity first."""
+    if not letters:
+        yield {}
+        return
+    first, rest = letters[0], letters[1:]
+    for sigma in _involutions(rest):
+        yield {first: first, **sigma}
+    for i, other in enumerate(rest):
+        for sigma in _involutions(rest[:i] + rest[i + 1 :]):
+            yield {first: other, other: first, **sigma}
+
+
+def _hyperelliptic_table(st: Stratum, alpha: int) -> Optional[Rows]:
+    """A hyperelliptic symmetric table of ``st`` with marked order ``alpha``.
+
+    ``st`` is a half-translation stratum, and the table passes
+    :func:`_is_hyperelliptic_vertex`; None when no table does.  A table
+    is its own central involution exactly when its bottom row is its
+    reversed top row relabelled by an involution ``sigma``; ``sigma``
+    exchanges the letters that occur once in the top row among themselves
+    and sends each letter doubled there to a letter of the bottom row
+    alone.  The search runs over the reduced top rows of ``st.d`` cells
+    that double a letter (:func:`rauzy.combinat._top_rows`) and the
+    involutions of their single letters, and returns the first irreducible
+    table of ``st`` with marked order ``alpha`` that passes.
+
+    >>> from .combinat import GenPerm, format_perm
+    >>> rows = _hyperelliptic_table(parse_stratum("Q(-1,-1,6)"), 6)
+    >>> format_perm(GenPerm._trusted(*rows))
+    '1 1 2 3 4 5 / 5 4 3 2 6 6'
+    """
+    d = st.d
+    for top, once in _top_rows(d, d - 1):
+        singles = tuple(s for s in top if once >> s & 1)
+        # the bottom-only letters, numbered by first occurrence
+        doubled = dict.fromkeys(s for s in reversed(top) if not once >> s & 1)
+        fresh = dict(zip(doubled, range(d - len(doubled) + 1, d + 1)))
+        for sigma in _involutions(singles):
+            sigma.update(fresh)
+            bottom = tuple([sigma[s] for s in reversed(top)])
+            if not irreducible_rows(top, bottom):
+                continue
+            p = GenPerm._trusted(top, bottom)
+            profile = _known_profile(p)
+            if (
+                profile.marked == alpha
+                and profile.orders == st.orders
+                and _is_hyperelliptic_vertex(p, st)
+            ):
+                return top, bottom
+    return None
+
+
 def _reaches_reversal(p: GenPerm, budget: int) -> bool:
     """Whether the class of the permutation ``p`` holds the reversal.
 
@@ -689,12 +747,17 @@ def _component_label(
       a pair, or a half-translation family) the class is hyperelliptic
       when one of its vertices passes :func:`_is_hyperelliptic_vertex`.
       Bare central symmetry is not enough: symmetric vertices also occur
-      in non-hyperelliptic classes.
+      in non-hyperelliptic classes.  In a half-translation family a
+      component and a marked order fix the class (Lanneau, *Comment. Math.
+      Helv.* 79, 2004; Boissy–Lanneau), so without ``rows`` the class is
+      hyperelliptic when a lockstep search (:func:`rauzy.classes._meet`)
+      meets the symmetric table :func:`_hyperelliptic_table` finds for the
+      stratum and marked order of ``p``; no class is built.
 
     A class that fails the reversal or the symmetric test has the spin
     label found above, or ``non-hyperelliptic`` where spin does not apply.
     """
-    from .classes import _bfs_rows, rauzy_class
+    from .classes import _bfs_rows, _meet, rauzy_class
 
     components = stratum_components(st)
     if not components:
@@ -744,10 +807,12 @@ def _component_label(
             if merged is not None:
                 q = GenPerm._trusted(*merged)
                 return _component_label(q, stratum(q), budget)
-    if rows is None and abelian:
+    if rows is None and not abelian:
+        rep = _hyperelliptic_table(st, _known_profile(p).marked)
+        met = rep is not None and _meet((p.top, p.bottom), rep, budget)
+        return ComponentLabel.HYPERELLIPTIC if met else label
+    if rows is None:
         rows = _bfs_rows((p.top, p.bottom), budget)
-    elif rows is None:
-        rows = rauzy_class(p, budget).table
     if any(
         _is_centrally_symmetric(top, bottom)
         and _is_hyperelliptic_vertex(GenPerm._trusted(top, bottom), st)

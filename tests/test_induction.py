@@ -242,6 +242,31 @@ class TestOrbit:
         trace = orbit(parse("1 2 / 2 1"), (Fraction(355), Fraction(113)), 3)
         assert not trace.halted and len(trace.steps) == 3
 
+    def test_lengths_validated_once_per_public_call(self, monkeypatch):
+        import rauzy.induction
+
+        p = parse("1 1 / 2 2 3 4 5 3 5 6 4 6")
+        lengths = tuple(re for re, _ in random_suspension(p, Random(1)).values)
+        calls = []
+        validate = rauzy.induction.validate_lengths
+
+        def counting(p, lengths):
+            calls.append(p)
+            return validate(p, lengths)
+
+        monkeypatch.setattr(rauzy.induction, "validate_lengths", counting)
+        trace = orbit(p, lengths, 200)
+        assert not trace.halted and len(trace.steps) == 200
+        # one call for the orbit, one for each of its steps
+        assert len(calls) == 201
+
+    def test_every_entry_checks_the_dimension(self):
+        p = parse("1 2 / 2 1")
+        for call in (orbit, step_lengths, classify_step):
+            args = (p, (1, 1, 1), 3) if call is orbit else (p, (1, 1, 1))
+            with pytest.raises(DimensionMismatch):
+                call(*args)
+
     @given(irreducible_genperms(max_d=4))
     @settings(max_examples=40, deadline=None)
     def test_total_length_strictly_decreases(self, p):

@@ -1,5 +1,5 @@
 import time
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +21,8 @@ from rauzy import (
     stratum,
     stratum_components,
 )
-from rauzy.classes import _seeded_classes
-from rauzy.combinat import GenPerm
+from rauzy.classes import _seeded_classes, class_partition
+from rauzy.combinat import GenPerm, _irreducible_tables
 from rauzy.errors import (
     BudgetExceeded,
     NotAbelian,
@@ -32,6 +32,7 @@ from rauzy.errors import (
 from rauzy.induction import r0, r1
 from rauzy.invariants import (
     _forget_regular_point,
+    _hyperelliptic_table,
     _is_centrally_symmetric,
     _is_hyperelliptic_vertex,
     central_involution,
@@ -43,6 +44,11 @@ EVEN = ComponentLabel.EVEN_SPIN
 ODD = ComponentLabel.ODD_SPIN
 NONHYP = ComponentLabel.NON_HYPERELLIPTIC
 UNIQUE = ComponentLabel.UNIQUE
+
+# Q(-1,-1,6), marked order 6: a vertex of the 4,832-vertex
+# non-hyperelliptic class and one of the 347-vertex hyperelliptic class.
+Q6_NONHYP = "1 1 / 2 2 3 4 3 4 5 6 5 6"
+Q6_HYP = "1 1 2 3 4 / 5 4 3 2 5 6 6"
 
 
 class TestStratumType:
@@ -243,6 +249,9 @@ class TestComponentLabel:
         assert label is ComponentLabel.NON_HYPERELLIPTIC
         moved = r0(parse("1 2 3 4 5 6 7 8 9 / 9 8 7 6 5 4 3 2 1"))
         assert component_label(moved) is ComponentLabel.HYPERELLIPTIC
+        # Q(-1,-1,6): a search against a symmetric table decides.
+        assert component_label(parse(Q6_NONHYP)) is NONHYP
+        assert component_label(parse(Q6_HYP)) is HYP
         assert calls == []
         # H(2) is connected and needs no class, but its class is still built:
         # the tracer self-test of benchmark/run.py counts its 7 vertices.
@@ -374,11 +383,13 @@ H60_MARKED_ZERO_EVEN = "1 2 3 4 5 6 7 8 9 / 2 4 3 8 7 6 5 9 1"
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Sizes of the breadth-first searches that return, and of the classes built."""
+    """Sizes of the breadth-first searches that return and of the classes
+    built, and the answers of the lockstep searches."""
     import rauzy.classes
 
-    record = {"bfs": [], "classes": []}
+    record = {"bfs": [], "classes": [], "meets": []}
     bfs, build = rauzy.classes._bfs_rows, rauzy.classes.rauzy_class
+    meet = rauzy.classes._meet
 
     def counting_bfs(seed, budget, stop=None):
         table = bfs(seed, budget, stop)
@@ -390,8 +401,14 @@ def searches(monkeypatch):
         record["classes"].append(len(diagram))
         return diagram
 
+    def counting_meet(a, b, budget):
+        met = meet(a, b, budget)
+        record["meets"].append(met)
+        return met
+
     monkeypatch.setattr(rauzy.classes, "_bfs_rows", counting_bfs)
     monkeypatch.setattr(rauzy.classes, "rauzy_class", counting_class)
+    monkeypatch.setattr(rauzy.classes, "_meet", counting_meet)
     return record
 
 
@@ -447,7 +464,7 @@ class TestForgetRegularPoint:
         assert component_label(parse(H60_EVEN)) is EVEN
         # the search stops at the seed; the reversal search in H(6) gives
         # up after 2^7 - 1 vertices and returns nothing
-        assert searches == {"bfs": [1], "classes": []}
+        assert searches == {"bfs": [1], "classes": [], "meets": []}
 
     def test_pairless_vertex_builds_no_class(self, searches):
         p = parse(H60_EVEN_PAIRLESS)
@@ -463,7 +480,7 @@ class TestForgetRegularPoint:
         assert stratum(p).text == "H(6,0)"
         assert singularity_profile(p).marked == 0
         assert component_label(p) is EVEN
-        assert searches == {"bfs": [2679], "classes": []}
+        assert searches == {"bfs": [2679], "classes": [], "meets": []}
         assert _scan_label(rauzy_class(p).table) is EVEN
 
     def test_lone_zero_class_forgets_no_point(self, monkeypatch):
@@ -490,6 +507,104 @@ class TestForgetRegularPoint:
         searches["bfs"].clear()
         assert not same_class_fast(even, hyp)
         assert searches["classes"] == [] and max(searches["bfs"]) < 256
+
+
+def _family_strata(max_d):
+    """Half-translation strata with a hyperelliptic and a non-hyperelliptic
+    component, through ``max_d`` intervals."""
+    found = []
+    for d in range(2, max_d + 1):
+        for n in range(1, d + 2):
+            if (d - n + 1) % 2:
+                continue
+            total = 2 * (d - n + 1) - 4  # 4 (genus - 1)
+            for orders in combinations_with_replacement(range(-1, total + n), n):
+                if sum(orders) != total:
+                    continue
+                st = Stratum(StratumKind.QUADRATIC, orders)
+                if stratum_components(st) == (HYP, NONHYP):
+                    found.append(st)
+    return found
+
+
+class TestHalfTranslationFamilies:
+    """Family labels from a search against one symmetric table.
+
+    A table of a half-translation family is hyperelliptic exactly when a
+    lockstep search meets a hyperelliptic table of its stratum and marked
+    order; the class scan is the second route.
+    """
+
+    def test_symmetric_table_of_every_family_stratum(self):
+        strata = _family_strata(7)
+        assert sorted(st.text for st in strata) == [
+            "Q(-1,-1,0,6)",
+            "Q(-1,-1,3,3)",
+            "Q(-1,-1,6)",
+            "Q(2,6)",
+        ]
+        pairs = 0
+        for st in strata:
+            for alpha in sorted(set(st.orders)):
+                p = GenPerm(*_hyperelliptic_table(st, alpha))
+                assert stratum(p) == st, p
+                assert singularity_profile(p).marked == alpha, p
+                assert central_involution(p) == p
+                assert _is_hyperelliptic_vertex(p, st), p
+                pairs += 1
+        assert pairs == 9
+
+    def test_every_vertex_matches_the_class_scan(self, monkeypatch):
+        import rauzy.classes
+
+        st = parse_stratum("Q(-1,-1,6)")
+        tables = (GenPerm._trusted(*rows) for rows in _irreducible_tables(6))
+        family = (p for p in tables if stratum(p) == st)
+        classes = [diag.table for diag in class_partition(family)]
+        assert sorted(map(len, classes)) == [60, 347, 1118, 4832]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a class was built or searched for")
+
+        monkeypatch.setattr(rauzy.classes, "rauzy_class", forbidden)
+        labels = []
+        for table in classes:
+            labels.append(_scan_label(table))
+            for rows in table:
+                assert component_label(GenPerm._trusted(*rows)) is labels[-1], rows
+        assert sorted(label.value for label in labels) == [
+            "hyperelliptic",
+            "hyperelliptic",
+            "non-hyperelliptic",
+            "non-hyperelliptic",
+        ]
+        # the verifier, which holds the class, scans it and searches nothing
+        monkeypatch.setattr(rauzy.classes, "_meet", forbidden)
+        assert [label_for_class(table, st) for table in classes] == labels
+
+    def test_labels_build_no_class(self, searches):
+        assert component_label(parse(Q6_NONHYP)) is NONHYP
+        assert component_label(parse(Q6_HYP)) is HYP
+        assert searches == {"bfs": [], "classes": [], "meets": [False, True]}
+
+    def test_search_stays_near_the_hyperelliptic_class(self):
+        # The search from the symmetric table closes its 347-vertex class
+        # before the two searches together hold 3 * 347 vertices; the
+        # class of the table itself has 4,832.
+        p = parse(Q6_NONHYP)
+        assert component_label(p, budget=3 * 347) is NONHYP
+        with pytest.raises(BudgetExceeded):
+            component_label(p, budget=347)
+
+    def test_same_class_fast_builds_no_class(self, searches):
+        hyp, nonhyp = parse(Q6_HYP), parse(Q6_NONHYP)
+        assert not same_class_fast(hyp, nonhyp)
+        assert same_class_fast(hyp, parse("1 1 2 3 4 5 / 5 4 3 2 6 6"))
+        assert searches == {
+            "bfs": [],
+            "classes": [],
+            "meets": [True, False, True, True],
+        }
 
 
 class TestExceptionalSplit:
