@@ -12,9 +12,12 @@ it with ``rauzy.classes.rauzy_class`` made to raise::
     python scripts/family_labels.py --d 7 --samples 200
 
 The classes grow from the irreducible tables whose bottom row ends with 1,
-as in the verifier.  One line per class gives its stratum, marked order,
-size, label, the number of sampled labels that disagree, and the slowest
-and total label time.  The exit status is 1 when any label disagrees.
+as in the verifier.  Each sampled vertex is also labelled by the class
+route that ``component_label`` took before the lockstep search: build the
+class of the vertex and scan it.  One line per class gives its stratum,
+marked order, size, label, the number of sampled labels that disagree,
+and the slowest and total time of each route.  The exit status is 1 when
+any label disagrees.
 """
 import argparse
 import random
@@ -65,19 +68,25 @@ def main() -> int:
         for st, marked, table in sorted(families, key=lambda f: (f[0].text, f[1], len(f[2]))):
             expected = label_for_class(table, st)
             sample = rng.sample(list(table), min(args.samples, len(table)))
-            worst = total = 0.0
+            times = {"search": [], "class": []}
             disagree = 0
             for rows in sample:
+                p = GenPerm._trusted(*rows)
                 tick = time.perf_counter()
-                label = component_label(GenPerm._trusted(*rows))
-                took = time.perf_counter() - tick
-                worst, total = max(worst, took), total + took
-                disagree += label is not expected
+                label = component_label(p)
+                tock = time.perf_counter()
+                scanned = label_for_class(build(p).table)
+                times["search"].append(tock - tick)
+                times["class"].append(time.perf_counter() - tock)
+                disagree += label is not expected or scanned is not expected
             wrong += disagree
+            spent = ", ".join(
+                f"{route} slowest {max(took) * 1000:.1f} ms total {sum(took):.2f}s"
+                for route, took in times.items()
+            )
             print(
                 f"{st.text:>14} marked {marked:>2} size {len(table):>6} "
-                f"{expected.value:>17}: {disagree}/{len(sample)} disagree, "
-                f"slowest {worst * 1000:.1f} ms, total {total:.2f}s"
+                f"{expected.value:>17}: {disagree}/{len(sample)} disagree; {spent}"
             )
     finally:
         rauzy.classes.rauzy_class = build

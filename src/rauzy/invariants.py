@@ -50,7 +50,6 @@ from .combinat import (
     PermKind,
     Rows,
     _irreducible_tables,
-    _top_rows,
     irreducible_rows,
     is_irreducible,
     reduce,
@@ -614,20 +613,49 @@ def _least_table(st: Stratum, alpha: int) -> Optional[Rows]:
     return least
 
 
-def _involutions(letters: tuple[int, ...]) -> Iterator[dict[int, int]]:
-    """Every involution of ``letters`` as a map, the identity first."""
-    if not letters:
-        yield {}
+def _doubling_rows(d: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Reduced rows of ``d`` cells in which exactly ``k`` letters occur twice.
+
+    Each comes with the bit mask of its letters that occur once.
+    """
+    cells = [0] * d
+
+    def fill(pos: int, once: int, fresh: int, left: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        # ``left`` letters are still to be doubled
+        if pos == d:
+            if not left:
+                yield tuple(cells), once
+            return
+        if left:
+            for s in range(1, fresh):
+                if once >> s & 1:
+                    cells[pos] = s
+                    yield from fill(pos + 1, once & ~(1 << s), fresh, left - 1)
+        if left < d - pos:
+            cells[pos] = fresh
+            yield from fill(pos + 1, once | 1 << fresh, fresh + 1, left)
+
+    return fill(0, 0, 1, k)
+
+
+def _involutions(letters: tuple[int, ...], swaps: int) -> Iterator[dict[int, int]]:
+    """Every involution of ``letters`` with ``swaps`` transpositions, as a map."""
+    if not swaps:
+        yield {s: s for s in letters}
+        return
+    if len(letters) < 2 * swaps:
         return
     first, rest = letters[0], letters[1:]
-    for sigma in _involutions(rest):
+    for sigma in _involutions(rest, swaps):
         yield {first: first, **sigma}
     for i, other in enumerate(rest):
-        for sigma in _involutions(rest[:i] + rest[i + 1 :]):
+        for sigma in _involutions(rest[:i] + rest[i + 1 :], swaps - 1):
             yield {first: other, other: first, **sigma}
 
 
-def _hyperelliptic_table(st: Stratum, alpha: int) -> Optional[Rows]:
+def _hyperelliptic_table(
+    st: Stratum, alpha: int, budget: int = 10**7
+) -> Optional[Rows]:
     """A hyperelliptic symmetric table of ``st`` with marked order ``alpha``.
 
     ``st`` is a half-translation stratum, and the table passes
@@ -637,9 +665,12 @@ def _hyperelliptic_table(st: Stratum, alpha: int) -> Optional[Rows]:
     exchanges the letters that occur once in the top row among themselves
     and sends each letter doubled there to a letter of the bottom row
     alone.  The search runs over the reduced top rows of ``st.d`` cells
-    that double a letter (:func:`rauzy.combinat._top_rows`) and the
-    involutions of their single letters, and returns the first irreducible
-    table of ``st`` with marked order ``alpha`` that passes.
+    that double ``k`` letters and the involutions of ``t`` transpositions
+    on their single letters, by levels ``k + t``, the lowest first, and
+    returns the first irreducible table of ``st`` with marked order
+    ``alpha`` that passes.  The symmetric hyperelliptic tables lie at low
+    levels, so the search ends early.  A search that tries more than
+    ``budget`` tables raises :class:`BudgetExceeded`.
 
     >>> from .combinat import GenPerm, format_perm
     >>> rows = _hyperelliptic_table(parse_stratum("Q(-1,-1,6)"), 6)
@@ -647,24 +678,33 @@ def _hyperelliptic_table(st: Stratum, alpha: int) -> Optional[Rows]:
     '1 1 2 3 4 5 / 5 4 3 2 6 6'
     """
     d = st.d
-    for top, once in _top_rows(d, d - 1):
-        singles = tuple(s for s in top if once >> s & 1)
-        # the bottom-only letters, numbered by first occurrence
-        doubled = dict.fromkeys(s for s in reversed(top) if not once >> s & 1)
-        fresh = dict(zip(doubled, range(d - len(doubled) + 1, d + 1)))
-        for sigma in _involutions(singles):
-            sigma.update(fresh)
-            bottom = tuple([sigma[s] for s in reversed(top)])
-            if not irreducible_rows(top, bottom):
-                continue
-            p = GenPerm._trusted(top, bottom)
-            profile = _known_profile(p)
-            if (
-                profile.marked == alpha
-                and profile.orders == st.orders
-                and _is_hyperelliptic_vertex(p, st)
-            ):
-                return top, bottom
+    tried = 0
+    for level in range(1, d // 2 + 1):
+        # k doubled letters leave d - 2k singles, room for level - k swaps
+        for k in range(1, level + 1):
+            for top, once in _doubling_rows(d, k):
+                singles = tuple(s for s in top if once >> s & 1)
+                # the bottom-only letters, numbered by first occurrence
+                doubled = dict.fromkeys(s for s in reversed(top) if not once >> s & 1)
+                fresh = dict(zip(doubled, range(d - k + 1, d + 1)))
+                for sigma in _involutions(singles, level - k):
+                    tried += 1
+                    if tried > budget:
+                        raise BudgetExceeded(
+                            f"the symmetric-table search exceeds the {budget}-table budget"
+                        )
+                    sigma.update(fresh)
+                    bottom = tuple([sigma[s] for s in reversed(top)])
+                    if not irreducible_rows(top, bottom):
+                        continue
+                    p = GenPerm._trusted(top, bottom)
+                    profile = _known_profile(p)
+                    if (
+                        profile.marked == alpha
+                        and profile.orders == st.orders
+                        and _is_hyperelliptic_vertex(p, st)
+                    ):
+                        return top, bottom
     return None
 
 
@@ -708,7 +748,9 @@ def component_label(p: GenPerm, budget: int = 10**7) -> ComponentLabel:
     """Connected-component label of the suspension surface of ``p``.
 
     The rules are those of :func:`_component_label`.  A search or a class
-    that needs more than ``budget`` vertices raises :class:`BudgetExceeded`.
+    that needs more than ``budget`` vertices, or a search for a symmetric
+    table that tries more than ``budget`` tables, raises
+    :class:`BudgetExceeded`.
     """
     return _component_label(p, stratum(p), budget)
 
@@ -808,7 +850,7 @@ def _component_label(
                 q = GenPerm._trusted(*merged)
                 return _component_label(q, stratum(q), budget)
     if rows is None and not abelian:
-        rep = _hyperelliptic_table(st, _known_profile(p).marked)
+        rep = _hyperelliptic_table(st, _known_profile(p).marked, budget)
         met = rep is not None and _meet((p.top, p.bottom), rep, budget)
         return ComponentLabel.HYPERELLIPTIC if met else label
     if rows is None:

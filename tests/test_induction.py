@@ -181,8 +181,11 @@ class TestClassify:
         assert classify_step(p, (2, 2, 2)) is None
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            classify_step(parse("1 2 / 2 1"), (1, 1, 1))
+        p = parse("1 2 / 2 1")
+        for call in (orbit, step_lengths, classify_step):
+            args = (p, (1, 1, 1), 3) if call is orbit else (p, (1, 1, 1))
+            with pytest.raises(DimensionMismatch):
+                call(*args)
 
     def test_unbalanced_rows_rejected(self):
         with pytest.raises(InvalidLengths):
@@ -259,13 +262,6 @@ class TestOrbit:
         assert not trace.halted and len(trace.steps) == 200
         # one call for the orbit, one for each of its steps
         assert len(calls) == 201
-
-    def test_every_entry_checks_the_dimension(self):
-        p = parse("1 2 / 2 1")
-        for call in (orbit, step_lengths, classify_step):
-            args = (p, (1, 1, 1), 3) if call is orbit else (p, (1, 1, 1))
-            with pytest.raises(DimensionMismatch):
-                call(*args)
 
     @given(irreducible_genperms(max_d=4))
     @settings(max_examples=40, deadline=None)

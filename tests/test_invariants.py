@@ -596,6 +596,17 @@ class TestHalfTranslationFamilies:
         with pytest.raises(BudgetExceeded):
             component_label(p, budget=347)
 
+    def test_table_search_within_the_budget(self):
+        # The symmetric table of Q(-1,-1,0,6) with marked order -1 is the
+        # 82nd table the search tries.
+        st = parse_stratum("Q(-1,-1,0,6)")
+        assert _hyperelliptic_table(st, -1, budget=82) is not None
+        with pytest.raises(BudgetExceeded):
+            _hyperelliptic_table(st, -1, budget=81)
+        p = GenPerm(*_hyperelliptic_table(st, -1))
+        with pytest.raises(BudgetExceeded):
+            component_label(p, budget=81)
+
     def test_same_class_fast_builds_no_class(self, searches):
         hyp, nonhyp = parse(Q6_HYP), parse(Q6_NONHYP)
         assert not same_class_fast(hyp, nonhyp)
