@@ -1,38 +1,51 @@
 #!/usr/bin/env python3
-"""Family labels from one table, held against the scan of the whole class.
+"""Hyperelliptic labels from one table, held against the scan of the whole class.
 
-In a half-translation stratum with a hyperelliptic and a non-hyperelliptic
-component, ``component_label`` decides a table by a lockstep search
-against one symmetric hyperelliptic table of its stratum and marked order,
-and builds no class.  This script builds every class of such a stratum
-with ``d`` symbols, labels the class by the verifier's scan for a
-hyperelliptic vertex, and checks ``component_label`` on random vertices of
-it with ``rauzy.classes.rauzy_class`` made to raise::
+Where spin parity does not decide a label, ``component_label`` decides a
+table by a search from one symmetric hyperelliptic table of its stratum
+and marked order, and builds no class.  This script builds every class
+with ``d`` symbols whose label needs that test, labels the class by a scan
+of all of it for a hyperelliptic vertex, and checks ``component_label`` on
+random vertices of it with ``rauzy.classes.rauzy_class`` made to raise::
 
     python scripts/family_labels.py --d 7 --samples 200
+    python scripts/family_labels.py --kind iet --d 10 --samples 30
 
-The classes grow from the irreducible tables whose bottom row ends with 1,
-as in the verifier.  Each sampled vertex is also labelled by the class
-route that ``component_label`` took before the lockstep search: build the
-class of the vertex and scan it.  One line per class gives its stratum,
-marked order, size, label, the number of sampled labels that disagree,
-and the slowest and total time of each route.  The exit status is 1 when
-any label disagrees.
+``--kind quad`` (the default) takes the half-translation strata with a
+hyperelliptic and a non-hyperelliptic component; its classes grow from the
+irreducible tables whose bottom row ends with 1, as in the verifier.
+``--kind iet`` takes the classes of orientable strata with a hyperelliptic
+component where spin parity gives no label: those of the hyperelliptic
+parity, or every class where the degrees are not all even; its classes
+grow from the standard permutations.  ``component_label`` labels a class
+with a regular point to forget one stratum down, where the search runs;
+the scan uses neither rule.
+
+Each sampled vertex is also labelled by the class route: build the class
+of the vertex and scan it.  One line per class gives its stratum, marked
+order, size, label, the number of sampled labels that disagree, and the
+slowest and total time of each route.  The exit status is 1 when any label
+disagrees.
 """
 import argparse
 import random
 import sys
 import time
+from itertools import permutations
 
 import rauzy.classes
 from rauzy.classes import _seeded_classes
 from rauzy.combinat import GenPerm, _irreducible_tables
 from rauzy.invariants import (
     ComponentLabel,
+    StratumKind,
+    _hyperelliptic_parity,
+    _is_centrally_symmetric,
+    _is_hyperelliptic_vertex,
     _known_profile,
+    _spin_parity,
     _stratum_of,
     component_label,
-    label_for_class,
     stratum_components,
 )
 
@@ -43,54 +56,102 @@ def forbidden(*args, **kwargs):
     raise AssertionError("a class was built for a label")
 
 
+def searched(st, components, spin):
+    """Whether a class of ``st`` with the spin label ``spin`` (None where
+    spin does not apply) needs the hyperelliptic test."""
+    if st.kind is StratumKind.QUADRATIC:
+        return components == FAMILY
+    if ComponentLabel.HYPERELLIPTIC not in components or len(components) == 1:
+        return False
+    spins = (ComponentLabel.EVEN_SPIN, ComponentLabel.ODD_SPIN)
+    hyperelliptic_spin = spins[_hyperelliptic_parity(st.genus)]
+    return spin is None or (spin is hyperelliptic_spin and spin in components)
+
+
+def scan_label(table, st, spin):
+    """The label of a class by a scan of all of it for a hyperelliptic vertex.
+
+    ``spin`` is the spin label of the class, or None where spin does not
+    apply; neither the forget rule nor the symmetric-table search is used.
+    """
+    if any(
+        _is_centrally_symmetric(*rows)
+        and _is_hyperelliptic_vertex(GenPerm._trusted(*rows), st)
+        for rows in table
+    ):
+        return ComponentLabel.HYPERELLIPTIC
+    return spin or ComponentLabel.NON_HYPERELLIPTIC
+
+
+def classes(d, kind):
+    """The classes with ``d`` symbols of one kind, each built once."""
+    if kind == "quad":
+        seeds = _irreducible_tables(d)
+        return _seeded_classes(seeds, lambda rows: rows[1][-1] == 1, 10**7)
+    top = tuple(range(1, d + 1))
+    seeds = ((top, (d, *middle, 1)) for middle in permutations(top[1:-1]))
+    return _seeded_classes(seeds, lambda rows: rows[1][0] == d, 10**7)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--kind", choices=["quad", "iet"], default="quad")
     parser.add_argument("--d", type=int, default=7)
     parser.add_argument("--samples", type=int, default=200)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
     start = time.perf_counter()
-    families = []
-    seeds = _irreducible_tables(args.d)
-    for diagram in _seeded_classes(seeds, lambda rows: rows[1][-1] == 1, 10**7):
-        rep = GenPerm._trusted(*next(iter(diagram.table)))
+    rng = random.Random(args.seed)
+    build = rauzy.classes.rauzy_class
+    lines = []
+    wrong = 0
+    # each class is labelled as soon as it is built, so only one is held
+    for diagram in classes(args.d, args.kind):
+        table = diagram.table
+        rep = GenPerm._trusted(*next(iter(table)))
         profile = _known_profile(rep)
         st = _stratum_of(rep, profile)
-        if stratum_components(st) == FAMILY:
-            families.append((st, profile.marked, diagram.table))
-    print(f"{len(families)} family classes built in {time.perf_counter() - start:.1f}s")
-
-    rng = random.Random(args.seed)
-    build, rauzy.classes.rauzy_class = rauzy.classes.rauzy_class, forbidden
-    wrong = 0
-    try:
-        for st, marked, table in sorted(families, key=lambda f: (f[0].text, f[1], len(f[2]))):
-            expected = label_for_class(table, st)
-            sample = rng.sample(list(table), min(args.samples, len(table)))
-            times = {"search": [], "class": []}
-            disagree = 0
-            for rows in sample:
-                p = GenPerm._trusted(*rows)
+        components = stratum_components(st)
+        spin = None
+        if ComponentLabel.ODD_SPIN in components:
+            parity = _spin_parity(rep, st.genus)
+            spin = ComponentLabel.ODD_SPIN if parity else ComponentLabel.EVEN_SPIN
+        if not searched(st, components, spin):
+            continue
+        expected = scan_label(table, st, spin)
+        sample = rng.sample(list(table), min(args.samples, len(table)))
+        times = {"search": [], "class": []}
+        disagree = 0
+        for rows in sample:
+            p = GenPerm._trusted(*rows)
+            rauzy.classes.rauzy_class = forbidden
+            try:
                 tick = time.perf_counter()
                 label = component_label(p)
                 tock = time.perf_counter()
-                scanned = label_for_class(build(p).table)
-                times["search"].append(tock - tick)
-                times["class"].append(time.perf_counter() - tock)
-                disagree += label is not expected or scanned is not expected
-            wrong += disagree
-            spent = ", ".join(
-                f"{route} slowest {max(took) * 1000:.1f} ms total {sum(took):.2f}s"
-                for route, took in times.items()
-            )
-            print(
-                f"{st.text:>14} marked {marked:>2} size {len(table):>6} "
-                f"{expected.value:>17}: {disagree}/{len(sample)} disagree; {spent}"
-            )
-    finally:
-        rauzy.classes.rauzy_class = build
-    print(f"total {time.perf_counter() - start:.1f}s, {wrong} labels disagree")
+            finally:
+                rauzy.classes.rauzy_class = build
+            scanned = scan_label(build(p).table, st, spin)
+            times["search"].append(tock - tick)
+            times["class"].append(time.perf_counter() - tock)
+            disagree += label is not expected or scanned is not expected
+        wrong += disagree
+        spent = ", ".join(
+            f"{route} slowest {max(took) * 1000:.1f} ms total {sum(took):.2f}s"
+            for route, took in times.items()
+        )
+        line = (
+            f"{st.text:>14} marked {profile.marked:>2} size {len(table):>6} "
+            f"{expected.value:>17}: {disagree}/{len(sample)} disagree; {spent}"
+        )
+        lines.append(((st.text, profile.marked, len(table)), line))
+    for _, line in sorted(lines):
+        print(line)
+    print(
+        f"{len(lines)} classes, total {time.perf_counter() - start:.1f}s, "
+        f"{wrong} labels disagree"
+    )
     return 1 if wrong else 0
 
 

@@ -119,40 +119,6 @@ def _bfs_rows(
     return seen
 
 
-def _meet(a: Rows, b: Rows, budget: int) -> bool:
-    """Whether the tables ``a`` and ``b`` lie in one class.
-
-    A breadth-first search from each table, expanding one vertex of each
-    in turn: the tables are in one class as soon as one side makes a
-    vertex the other has seen, and in different classes as soon as either
-    queue runs empty, since that side has then built its whole class.
-    More than ``budget`` vertices on the two sides together raise
-    :class:`BudgetExceeded`.
-    """
-    if a == b:
-        return True
-    a_side = (_rows_kernel(a), {a: None}, deque([a]))
-    b_side = (_rows_kernel(b), {b: None}, deque([b]))
-    turns = ((a_side, b_side[1]), (b_side, a_side[1]))
-    held = 2
-    while True:
-        for (move, seen, queue), other in turns:
-            rows = queue.popleft()
-            for nxt in (move(rows, 0), move(rows, 1)):
-                if nxt is not None and nxt not in seen:
-                    if nxt in other:
-                        return True
-                    if held >= budget:
-                        raise BudgetExceeded(
-                            f"the search exceeds the {budget}-vertex budget"
-                        )
-                    held += 1
-                    seen[nxt] = None
-                    queue.append(nxt)
-            if not queue:
-                return False
-
-
 def rauzy_class(seed: GenPerm, budget: int = 10**7) -> RauzyDiagram:
     """Breadth-first closure of ``seed`` under both moves.
 
@@ -180,7 +146,11 @@ def same_class_fast(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
     """Membership test via invariants only (no closure of the pair).
 
     Two irreducible tables lie in the same class exactly when they share
-    the stratum, the component label and the marked order.
+    the stratum, the component label and the marked order.  A label that
+    spin parity does not decide comes from a search in the class of one
+    symmetric table of the stratum (see
+    :func:`rauzy.invariants._component_label`), so no class of either
+    table is built outside the exceptional strata and genus 2.
     """
     for p in (p1, p2):
         if not is_irreducible(p):

@@ -50,7 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--budget",
         type=int,
-        help="node budget for class enumeration (default: RAUZY_BUDGET or 10**7)",
+        help=(
+            "vertex budget of class enumeration and membership searches, and "
+            "table budget of the symmetric-table search of component labels "
+            "(default: RAUZY_BUDGET or 10**7)"
+        ),
     )
     parser.add_argument(
         "--output",

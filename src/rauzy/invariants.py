@@ -33,11 +33,12 @@ value 1 on every symbol curve, over the mod-2 intersection form of those
 curves (Zorich, *J. Mod. Dyn.* 2, 2008, appendix); it needs no polygon
 witness and splits the spin components.  :func:`_component_label` is the
 one procedure that decides a label, and it lists the rules with their
-sources.  :func:`component_label` applies it to one table, searching from
-the table or building its class only where a rule needs the class; in
-the half-translation families the search runs towards one symmetric
-hyperelliptic table of the stratum, so no class is built there.
-:func:`label_for_class` applies it to a class that the caller holds.
+sources.  :func:`component_label` applies it to one table.  Where spin
+parity does not decide, a table of either kind is hyperelliptic exactly
+when a search from one symmetric hyperelliptic table of its stratum and
+marked order meets it, so a class is built only in the exceptional strata
+and in genus 2.  :func:`label_for_class` applies it to a class that the
+caller holds, and scans that class instead.
 """
 from __future__ import annotations
 
@@ -658,30 +659,38 @@ def _hyperelliptic_table(
 ) -> Optional[Rows]:
     """A hyperelliptic symmetric table of ``st`` with marked order ``alpha``.
 
-    ``st`` is a half-translation stratum, and the table passes
-    :func:`_is_hyperelliptic_vertex`; None when no table does.  A table
-    is its own central involution exactly when its bottom row is its
-    reversed top row relabelled by an involution ``sigma``; ``sigma``
-    exchanges the letters that occur once in the top row among themselves
-    and sends each letter doubled there to a letter of the bottom row
-    alone.  The search runs over the reduced top rows of ``st.d`` cells
-    that double ``k`` letters and the involutions of ``t`` transpositions
-    on their single letters, by levels ``k + t``, the lowest first, and
-    returns the first irreducible table of ``st`` with marked order
-    ``alpha`` that passes.  The symmetric hyperelliptic tables lie at low
-    levels, so the search ends early.  A search that tries more than
-    ``budget`` tables raises :class:`BudgetExceeded`.
+    The table passes :func:`_is_hyperelliptic_vertex`; None when no table
+    does.  A table is its own central involution exactly when its bottom
+    row is its reversed top row relabelled by an involution ``sigma``;
+    ``sigma`` exchanges the letters that occur once in the top row among
+    themselves and sends each letter doubled there to a letter of the
+    bottom row alone.  The search runs over the reduced top rows of
+    ``st.d`` cells that double ``k`` letters and the involutions of ``t``
+    transpositions on their single letters, by levels ``k + t``, the
+    lowest first, and returns the first irreducible table of ``st`` with
+    marked order ``alpha`` that passes.  A permutation doubles no letter,
+    so for an orientable stratum ``k`` is 0, the top row is ``1 ... d``,
+    and level 0 is the reversal; a half-translation table doubles at least
+    one.  The symmetric hyperelliptic tables lie at low levels, so the
+    search ends early.  A search that tries more than ``budget`` tables
+    raises :class:`BudgetExceeded`.
 
     >>> from .combinat import GenPerm, format_perm
     >>> rows = _hyperelliptic_table(parse_stratum("Q(-1,-1,6)"), 6)
     >>> format_perm(GenPerm._trusted(*rows))
     '1 1 2 3 4 5 / 5 4 3 2 6 6'
+    >>> format_perm(GenPerm._trusted(*_hyperelliptic_table(parse_stratum("H(6)"), 6)))
+    '1 2 3 4 5 6 7 8 / 8 7 6 5 4 3 2 1'
+    >>> p = GenPerm._trusted(*_hyperelliptic_table(parse_stratum("H(6,0)"), 0))
+    >>> format_perm(p), stratum(p).text, marked_order(p)
+    ('1 2 3 4 5 6 7 8 9 / 2 8 7 6 5 4 3 9 1', 'H(6,0)', 0)
     """
     d = st.d
     tried = 0
-    for level in range(1, d // 2 + 1):
+    abelian = st.kind is StratumKind.ABELIAN
+    for level in range(d // 2 + 1):
         # k doubled letters leave d - 2k singles, room for level - k swaps
-        for k in range(1, level + 1):
+        for k in (0,) if abelian else range(1, level + 1):
             for top, once in _doubling_rows(d, k):
                 singles = tuple(s for s in top if once >> s & 1)
                 # the bottom-only letters, numbered by first occurrence
@@ -708,28 +717,6 @@ def _hyperelliptic_table(
     return None
 
 
-def _reaches_reversal(p: GenPerm, budget: int) -> bool:
-    """Whether the class of the permutation ``p`` holds the reversal.
-
-    The class of the reversal has ``2^(d-1) - 1`` vertices (Rauzy 1979),
-    so a breadth-first search from ``p`` that meets that many vertices
-    without it is in another class and stops there.  A smaller ``budget``
-    that runs out raises :class:`BudgetExceeded`.
-    """
-    from .classes import _bfs_rows
-
-    reversal = _reversal(p.d)
-    limit = 2 ** (p.d - 1) - 1
-    try:
-        return reversal in _bfs_rows(
-            (p.top, p.bottom), min(budget, limit), stop=reversal.__eq__
-        )
-    except BudgetExceeded:
-        if budget < limit:
-            raise
-        return False
-
-
 def label_for_class(
     rows: Collection[Rows], st: Optional[Stratum] = None
 ) -> ComponentLabel:
@@ -747,10 +734,17 @@ def label_for_class(
 def component_label(p: GenPerm, budget: int = 10**7) -> ComponentLabel:
     """Connected-component label of the suspension surface of ``p``.
 
-    The rules are those of :func:`_component_label`.  A search or a class
-    that needs more than ``budget`` vertices, or a search for a symmetric
-    table that tries more than ``budget`` tables, raises
-    :class:`BudgetExceeded`.
+    The rules are those of :func:`_component_label`; where spin parity
+    does not decide, a permutation is labelled, like a half-translation
+    table, by a search in the class of one symmetric table of its stratum
+    and marked order.  A search or a class that needs more than ``budget``
+    vertices, or a search for a symmetric table that tries more than
+    ``budget`` tables, raises :class:`BudgetExceeded`.
+
+    >>> from .combinat import parse
+    >>> p = parse("1 2 3 4 5 6 7 8 9 / 2 4 3 8 7 6 5 9 1")
+    >>> stratum(p).text, marked_order(p), component_label(p).value
+    ('H(6,0)', 0, 'even-spin')
     """
     return _component_label(p, stratum(p), budget)
 
@@ -764,8 +758,9 @@ def _component_label(
     """The label of ``p``, whose stratum ``st`` is known.
 
     ``rows`` is the class of ``p`` when the caller holds it.  Otherwise a
-    rule that needs the class searches from ``p`` or builds its class,
-    within ``budget`` vertices.  The rules, in order:
+    rule that needs the class searches within ``budget`` vertices, and
+    builds a class only in an exceptional stratum or in genus 2.  The
+    rules, in order:
 
     * a stratum with one component has that label;
     * an exceptional stratum is split by its least table with the marked
@@ -776,30 +771,27 @@ def _component_label(
       (:func:`_hyperelliptic_parity`, Kontsevich–Zorich, Cor. 5) gives
       the spin label, and the hyperelliptic parity gives ``hyperelliptic``
       when no spin component has it (genus 3);
-    * an orientable stratum with no marked point has one class per
-      component, and the hyperelliptic one is the class of the reversal
-      (Rauzy, *Acta Arith.* 34, 1979), which :func:`_reaches_reversal`
-      looks for;
     * in an orientable stratum with an order-0 point other than the marked
       one, a vertex with a regular point to forget
       (:func:`_forget_regular_point`) has the label of its merged table,
       one stratum down, since marked points do not change the components
       (Kontsevich–Zorich); a search stops at the first such vertex;
-    * otherwise (the only order-0 point is the marked one, so no vertex has
-      a pair, or a half-translation family) the class is hyperelliptic
-      when one of its vertices passes :func:`_is_hyperelliptic_vertex`.
+    * otherwise a component and a marked order fix the class (Boissy,
+      arXiv:0904.3826; Lanneau, *Comment. Math. Helv.* 79, 2004), so the
+      class of ``p`` is hyperelliptic exactly when it holds the symmetric
+      table :func:`_hyperelliptic_table` finds for the stratum and marked
+      order of ``p``.  Without ``rows``, a search from that table, whose
+      class is the small one, stops when it meets ``p``.  With ``rows``,
+      an orientable stratum with no marked point looks for the reversal
+      (Rauzy, *Acta Arith.* 34, 1979), and any other stratum scans the
+      class for a vertex that passes :func:`_is_hyperelliptic_vertex`.
       Bare central symmetry is not enough: symmetric vertices also occur
-      in non-hyperelliptic classes.  In a half-translation family a
-      component and a marked order fix the class (Lanneau, *Comment. Math.
-      Helv.* 79, 2004; Boissy–Lanneau), so without ``rows`` the class is
-      hyperelliptic when a lockstep search (:func:`rauzy.classes._meet`)
-      meets the symmetric table :func:`_hyperelliptic_table` finds for the
-      stratum and marked order of ``p``; no class is built.
+      in non-hyperelliptic classes.
 
-    A class that fails the reversal or the symmetric test has the spin
-    label found above, or ``non-hyperelliptic`` where spin does not apply.
+    A class that fails the hyperelliptic test has the spin label found
+    above, or ``non-hyperelliptic`` where spin does not apply.
     """
-    from .classes import _bfs_rows, _meet, rauzy_class
+    from .classes import _bfs_rows, rauzy_class
 
     components = stratum_components(st)
     if not components:
@@ -830,13 +822,8 @@ def _component_label(
     else:
         label = ComponentLabel.NON_HYPERELLIPTIC
     abelian = st.kind is StratumKind.ABELIAN
-    if abelian and 0 not in st.orders:
-        if rows is None:
-            found = _reaches_reversal(p, budget)
-        else:
-            found = _reversal(st.d) in rows
-        return ComponentLabel.HYPERELLIPTIC if found else label
-    if abelian and st.orders.count(0) > (_known_profile(p).marked == 0):
+    marked = _known_profile(p).marked
+    if abelian and st.orders.count(0) > (marked == 0):
         # an order-0 point other than the marked one
         if rows is None:
             rows = _bfs_rows(
@@ -849,16 +836,18 @@ def _component_label(
             if merged is not None:
                 q = GenPerm._trusted(*merged)
                 return _component_label(q, stratum(q), budget)
-    if rows is None and not abelian:
-        rep = _hyperelliptic_table(st, _known_profile(p).marked, budget)
-        met = rep is not None and _meet((p.top, p.bottom), rep, budget)
-        return ComponentLabel.HYPERELLIPTIC if met else label
     if rows is None:
-        rows = _bfs_rows((p.top, p.bottom), budget)
-    if any(
-        _is_centrally_symmetric(top, bottom)
-        and _is_hyperelliptic_vertex(GenPerm._trusted(top, bottom), st)
-        for top, bottom in rows
-    ):
-        return ComponentLabel.HYPERELLIPTIC
-    return label
+        rep = _hyperelliptic_table(st, marked, budget)
+        target = (p.top, p.bottom)
+        found = rep is not None and target in _bfs_rows(
+            rep, budget, stop=target.__eq__
+        )
+    elif abelian and 0 not in st.orders:
+        found = _reversal(st.d) in rows
+    else:
+        found = any(
+            _is_centrally_symmetric(top, bottom)
+            and _is_hyperelliptic_vertex(GenPerm._trusted(top, bottom), st)
+            for top, bottom in rows
+        )
+    return ComponentLabel.HYPERELLIPTIC if found else label

@@ -21,7 +21,6 @@ from rauzy import (
 from rauzy.classes import (
     RauzyDiagram,
     _bfs_rows,
-    _meet,
     class_partition,
     diagram_json,
 )
@@ -175,63 +174,6 @@ class TestSameClass:
     def test_reducible_rejected(self):
         with pytest.raises(ReducibleSeed):
             same_class_bfs(parse("1 2 / 1 2"), parse("1 2 / 2 1"))
-
-
-class TestMeet:
-    """The lockstep search against membership in a class built outright."""
-
-    @pytest.mark.parametrize(
-        "kind, met_pairs, apart_pairs",
-        [(PermKind.IET, 24, 14), (PermKind.QUADRATIC, 57, 194)],
-    )
-    def test_agrees_with_the_class(self, kind, met_pairs, apart_pairs):
-        outcomes = {True: 0, False: 0}
-        for d in range(2, 6):
-            tables = [diag.table for diag in class_partition(enumerate_irreducible(d, kind))]
-            for table in tables:
-                seed, *rest = table
-                built = _bfs_rows(seed, 10**7)
-                # the seed, a vertex of its class, and one vertex of each class
-                others = [seed, rest[-1] if rest else seed]
-                others += [max(other) for other in tables]
-                for rows in others:
-                    met = rows in built
-                    assert _meet(seed, rows, 10**7) == met, (seed, rows)
-                    assert _meet(rows, seed, 10**7) == met, (rows, seed)
-                    outcomes[met] += 1
-        assert outcomes == {True: met_pairs, False: apart_pairs}
-
-    def test_same_table_needs_no_search(self, monkeypatch):
-        import rauzy.classes
-
-        def forbidden(rows):
-            raise AssertionError("a search was started")
-
-        monkeypatch.setattr(rauzy.classes, "_rows_kernel", forbidden)
-        rows = ((1, 2, 3, 4), (4, 3, 2, 1))
-        assert _meet(rows, rows, 0)
-
-    @pytest.mark.parametrize(
-        "a, b, met",
-        [
-            ("1 2 3 4 / 4 3 2 1", "1 2 3 4 / 2 4 1 3", True),
-            ("1 2 3 4 5 / 5 4 3 2 1", "1 2 3 4 5 / 2 5 4 1 3", False),
-            ("1 1 2 / 2 3 3", "1 1 2 2 / 3 3", True),
-        ],
-    )
-    def test_budget_below_the_search_raises(self, a, b, met):
-        a, b = ((p.top, p.bottom) for p in (parse(a), parse(b)))
-        budget = 2
-        while True:
-            try:
-                assert _meet(a, b, budget) is met
-                break
-            except BudgetExceeded:
-                budget += 1
-        assert budget > 2
-        assert _meet(a, b, budget + 1) is met
-        with pytest.raises(BudgetExceeded):
-            _meet(a, b, budget - 1)
 
 
 class TestEnumerate:

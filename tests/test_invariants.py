@@ -244,7 +244,7 @@ class TestComponentLabel:
         assert label is ComponentLabel.ODD_SPIN
         label = component_label(parse("1 2 3 4 5 6 / 6 5 4 3 2 1"))
         assert label is ComponentLabel.HYPERELLIPTIC
-        # H(3,3) has no marked point: a search for the reversal decides.
+        # H(3,3) has no marked point: a search from the reversal decides.
         label = component_label(parse("1 2 3 4 5 6 7 8 9 / 2 4 1 6 5 7 9 3 8"))
         assert label is ComponentLabel.NON_HYPERELLIPTIC
         moved = r0(parse("1 2 3 4 5 6 7 8 9 / 9 8 7 6 5 4 3 2 1"))
@@ -295,37 +295,70 @@ def _standard_classes(d):
 class TestHyperellipticFamilies:
     """Labels in the orientable strata with a hyperelliptic component.
 
-    Spin parity and a search for the reversal decide them from one table;
-    a scan of the whole class for a hyperelliptic vertex is the second
-    route.
+    Spin parity, the forget rule and a search from one symmetric table of
+    the stratum and marked order decide them from one table; a scan of the
+    whole class for a hyperelliptic vertex is the second route.
     """
 
-    def test_table_route_matches_the_class_scan(self):
-        classes = pairless = 0
+    def test_table_route_matches_the_class_scan(self, monkeypatch):
+        import rauzy.classes
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a class was built for a label")
+
+        classes = pairless = lone = 0
+        symmetric = {}
         for d in range(2, 10):
             for diagram in _standard_classes(d):
                 table = diagram.table
-                st = stratum(GenPerm._trusted(*next(iter(table))))
+                rep = GenPerm._trusted(*next(iter(table)))
+                st, marked = stratum(rep), singularity_profile(rep).marked
                 if HYP not in stratum_components(st):
                     continue
                 expected = _scan_label(table)
-                largest = GenPerm._trusted(*max(table))
-                assert component_label(largest) is expected, largest
                 # any vertex decides: the class from its largest vertex down
                 for rows in (table, sorted(table, reverse=True)):
-                    assert label_for_class(rows) is expected, largest
+                    assert label_for_class(rows) is expected, rep
                 classes += 1
-                if 0 not in st.orders:
-                    continue
-                # a vertex with no regular point to forget searches for one
-                rows = next(
-                    (r for r in table if _forget_regular_point(r) is None), None
-                )
-                if rows is not None:
-                    assert component_label(GenPerm._trusted(*rows)) is expected, rows
-                    pairless += 1
+                # from genus 4 spin leaves some labels open, and with no
+                # unmarked order-0 point to forget the symmetric-table rule
+                # decides them; every class of such a stratum and marked
+                # order is kept, to see which holds the symmetric table
+                if st.genus > 3 and st.orders.count(0) <= (marked == 0):
+                    symmetric.setdefault((st, marked), []).append(table)
+                with monkeypatch.context() as patch:
+                    if st.genus > 2:  # genus 2 still builds its class
+                        patch.setattr(rauzy.classes, "rauzy_class", forbidden)
+                    largest = GenPerm._trusted(*max(table))
+                    assert component_label(largest) is expected, largest
+                    # the marked point is the class's only order-0 point
+                    lone += st.genus > 2 and st.orders.count(0) == 1 and marked == 0
+                    if 0 not in st.orders:
+                        continue
+                    # a vertex with no regular point to forget searches for one
+                    rows = next(
+                        (r for r in table if _forget_regular_point(r) is None),
+                        None,
+                    )
+                    if rows is not None:
+                        label = component_label(GenPerm._trusted(*rows))
+                        assert label is expected, rows
+                        pairless += 1
         assert classes == 55
         assert pairless == 24
+        assert lone == 7
+        assert sorted(
+            (st.text, marked, len(tables)) for (st, marked), tables in symmetric.items()
+        ) == [("H(3,3)", 3, 2), ("H(6)", 6, 3), ("H(6,0)", 0, 3)]
+        for (st, marked), tables in symmetric.items():
+            p = GenPerm(*_hyperelliptic_table(st, marked))
+            assert stratum(p) == st, p
+            assert singularity_profile(p).marked == marked, p
+            assert central_involution(p) == p, p
+            assert _is_hyperelliptic_vertex(p, st), p
+            # the symmetric table lies in the hyperelliptic class alone
+            holding = [table for table in tables if (p.top, p.bottom) in table]
+            assert [_scan_label(table) for table in holding] == [HYP], p
 
     # Non-hyperelliptic tables of each spin parity; the reversal of 11 and
     # of 12 symbols is hyperelliptic with odd parity.
@@ -362,8 +395,8 @@ class TestHyperellipticFamilies:
 
     def test_budget_bounds_the_reversal_search(self):
         # The class of this H(3,3) table has 15,568 vertices; the search
-        # gives up after 2^8 - 1 = 255 of them, the size of the class of
-        # the nine-symbol reversal.
+        # from the nine-symbol reversal closes its class of 2^8 - 1 = 255
+        # vertices without meeting the table.
         p = parse("1 2 3 4 5 6 7 8 9 / 2 4 1 6 5 7 9 3 8")
         assert component_label(p, budget=255) is NONHYP
         with pytest.raises(BudgetExceeded):
@@ -384,12 +417,11 @@ H60_MARKED_ZERO_EVEN = "1 2 3 4 5 6 7 8 9 / 2 4 3 8 7 6 5 9 1"
 @pytest.fixture
 def searches(monkeypatch):
     """Sizes of the breadth-first searches that return and of the classes
-    built, and the answers of the lockstep searches."""
+    built."""
     import rauzy.classes
 
-    record = {"bfs": [], "classes": [], "meets": []}
+    record = {"bfs": [], "classes": []}
     bfs, build = rauzy.classes._bfs_rows, rauzy.classes.rauzy_class
-    meet = rauzy.classes._meet
 
     def counting_bfs(seed, budget, stop=None):
         table = bfs(seed, budget, stop)
@@ -401,14 +433,8 @@ def searches(monkeypatch):
         record["classes"].append(len(diagram))
         return diagram
 
-    def counting_meet(a, b, budget):
-        met = meet(a, b, budget)
-        record["meets"].append(met)
-        return met
-
     monkeypatch.setattr(rauzy.classes, "_bfs_rows", counting_bfs)
     monkeypatch.setattr(rauzy.classes, "rauzy_class", counting_class)
-    monkeypatch.setattr(rauzy.classes, "_meet", counting_meet)
     return record
 
 
@@ -462,9 +488,10 @@ class TestForgetRegularPoint:
 
     def test_pair_table_builds_no_class(self, searches):
         assert component_label(parse(H60_EVEN)) is EVEN
-        # the search stops at the seed; the reversal search in H(6) gives
-        # up after 2^7 - 1 vertices and returns nothing
-        assert searches == {"bfs": [1], "classes": [], "meets": []}
+        # the search stops at the seed; the search from the reversal in
+        # H(6) closes its class of 2^7 - 1 vertices without meeting the
+        # merged table
+        assert searches == {"bfs": [1, 127], "classes": []}
 
     def test_pairless_vertex_builds_no_class(self, searches):
         p = parse(H60_EVEN_PAIRLESS)
@@ -472,15 +499,18 @@ class TestForgetRegularPoint:
         assert same_class_bfs(p, parse(H60_EVEN))
         searches["bfs"].clear()
         assert component_label(p) is EVEN
-        (size,) = searches["bfs"]
-        assert size < 20_943 and searches["classes"] == []
+        # one move reaches a vertex with a pair, then the H(6) search
+        assert searches == {"bfs": [2, 127], "classes": []}
 
-    def test_lone_zero_class_is_built_once(self, searches):
+    def test_lone_zero_label_searches_the_hyperelliptic_class(self, searches):
         p = parse(H60_MARKED_ZERO_EVEN)
         assert stratum(p).text == "H(6,0)"
         assert singularity_profile(p).marked == 0
         assert component_label(p) is EVEN
-        assert searches == {"bfs": [2679], "classes": [], "meets": []}
+        # the search from the symmetric table closes the 135-vertex
+        # hyperelliptic class with marked order 0, not the 2,679-vertex
+        # class of the table
+        assert searches == {"bfs": [135], "classes": []}
         assert _scan_label(rauzy_class(p).table) is EVEN
 
     def test_lone_zero_class_forgets_no_point(self, monkeypatch):
@@ -506,7 +536,9 @@ class TestForgetRegularPoint:
         assert component_label(hyp) is HYP
         searches["bfs"].clear()
         assert not same_class_fast(even, hyp)
-        assert searches["classes"] == [] and max(searches["bfs"]) < 256
+        # each table stops at its first vertex with a pair; the H(6) search
+        # from the reversal meets the hyperelliptic table at its 106th vertex
+        assert searches == {"bfs": [1, 127, 1, 106], "classes": []}
 
 
 def _family_strata(max_d):
@@ -531,8 +563,8 @@ class TestHalfTranslationFamilies:
     """Family labels from a search against one symmetric table.
 
     A table of a half-translation family is hyperelliptic exactly when a
-    lockstep search meets a hyperelliptic table of its stratum and marked
-    order; the class scan is the second route.
+    search from a hyperelliptic table of its stratum and marked order meets
+    it; the class scan is the second route.
     """
 
     def test_symmetric_table_of_every_family_stratum(self):
@@ -579,22 +611,23 @@ class TestHalfTranslationFamilies:
             "non-hyperelliptic",
         ]
         # the verifier, which holds the class, scans it and searches nothing
-        monkeypatch.setattr(rauzy.classes, "_meet", forbidden)
+        monkeypatch.setattr(rauzy.classes, "_bfs_rows", forbidden)
         assert [label_for_class(table, st) for table in classes] == labels
 
     def test_labels_build_no_class(self, searches):
         assert component_label(parse(Q6_NONHYP)) is NONHYP
         assert component_label(parse(Q6_HYP)) is HYP
-        assert searches == {"bfs": [], "classes": [], "meets": [False, True]}
+        # the search closes the 347-vertex hyperelliptic class without
+        # meeting the first table, and meets the second at its third vertex
+        assert searches == {"bfs": [347, 3], "classes": []}
 
     def test_search_stays_near_the_hyperelliptic_class(self):
-        # The search from the symmetric table closes its 347-vertex class
-        # before the two searches together hold 3 * 347 vertices; the
-        # class of the table itself has 4,832.
+        # The search from the symmetric table closes its 347-vertex class;
+        # the class of the table itself has 4,832.
         p = parse(Q6_NONHYP)
-        assert component_label(p, budget=3 * 347) is NONHYP
+        assert component_label(p, budget=347) is NONHYP
         with pytest.raises(BudgetExceeded):
-            component_label(p, budget=347)
+            component_label(p, budget=346)
 
     def test_table_search_within_the_budget(self):
         # The symmetric table of Q(-1,-1,0,6) with marked order -1 is the
@@ -611,11 +644,9 @@ class TestHalfTranslationFamilies:
         hyp, nonhyp = parse(Q6_HYP), parse(Q6_NONHYP)
         assert not same_class_fast(hyp, nonhyp)
         assert same_class_fast(hyp, parse("1 1 2 3 4 5 / 5 4 3 2 6 6"))
-        assert searches == {
-            "bfs": [],
-            "classes": [],
-            "meets": [True, False, True, True],
-        }
+        # the second pair is the symmetric table itself, where the search
+        # stops at its seed
+        assert searches == {"bfs": [3, 347, 3, 1], "classes": []}
 
 
 class TestExceptionalSplit:
