@@ -6,7 +6,7 @@ For every irreducible table of each size and kind, the digest covers
 polygon, its ``geometric_profile``, ``str`` of a ``random_suspension``
 seeded by the table, and up to 50 ``rv_step`` moves from that vector
 (each step's table and vector, or the name of the error that ended the
-orbit).  Two versions of the package produce the same digests exactly
+run).  Two versions of the package produce the same digests exactly
 when these outputs are byte-identical::
 
     python scripts/witness_digest.py

@@ -184,14 +184,6 @@ def reduce(top: Sequence[int], bottom: Sequence[int]) -> GenPerm:
     >>> print(reduce((3, 3), (1, 1, 2, 2)))
     1 1 / 2 2 3 3
     """
-    perm, _ = reduce_with_map(top, bottom)
-    return perm
-
-
-def reduce_with_map(
-    top: Sequence[int], bottom: Sequence[int]
-) -> tuple[GenPerm, dict[int, int]]:
-    """Like :func:`reduce` but also return the ``old symbol -> new symbol`` map."""
     relabel: dict[int, int] = {}
     rows_out = []
     for row in (tuple(top), tuple(bottom)):
@@ -201,7 +193,7 @@ def reduce_with_map(
                 relabel[s] = len(relabel) + 1
             out.append(relabel[s])
         rows_out.append(tuple(out))
-    return GenPerm(rows_out[0], rows_out[1]), relabel
+    return GenPerm(rows_out[0], rows_out[1])
 
 
 def is_irreducible(p: GenPerm) -> bool:

@@ -21,10 +21,6 @@ class DimensionMismatch(RauzyError):
     """A vector's length does not match the number of symbols."""
 
 
-class InvalidLengths(RauzyError):
-    """Interval lengths violate positivity or the row balance relation."""
-
-
 class InvalidSuspension(RauzyError):
     """A suspension vector violates one of the defining conditions."""
 

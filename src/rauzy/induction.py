@@ -1,5 +1,5 @@
 r"""
-Combinatorial Rauzy moves and the induction dynamics they shadow.
+Combinatorial Rauzy moves and the Rauzy-Veech induction step.
 
 A move compares the two rightmost intervals.  Move 0 applies when the top
 right interval is longer, move 1 when the bottom right one is.  On the
@@ -19,33 +19,21 @@ renumber the result back to reduced form.  Undefinedness is an ordinary
 return value (``None``) rather than an error: class enumeration treats
 vertices with missing edges as such.
 
-All length and suspension updates are exact rational arithmetic; halting
-is detected by exact equality.  :func:`rv_step` reads a suspension
-vector's integer parts over its common denominator, compares, subtracts
+The induction itself is :func:`rv_step`, one step on a suspension vector,
+whose real parts are the interval lengths.  It is exact: it reads the
+vector's integer parts over their common denominator, compares, subtracts
 and renumbers them as integers, and returns a vector over the same
-denominator, so a long orbit makes no ``Fraction``.
+denominator, so a long run of steps makes no ``Fraction``; halting is
+detected by exact equality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .combinat import GenPerm, Rows
-from .errors import (
-    DimensionMismatch,
-    InductionHalt,
-    InvalidLengths,
-    InvalidSuspension,
-    UndefinedMove,
-)
+from .errors import InductionHalt, InvalidSuspension, UndefinedMove
 from .suspension import SuspensionDatum, _valid_parts
-
-
-class MoveLabel(Enum):
-    ZERO = 0
-    ONE = 1
 
 
 def _move0_raw(top: tuple[int, ...], bottom: tuple[int, ...]) -> Optional[Rows]:
@@ -101,7 +89,7 @@ def _moved_rows(rows: Rows, which: int) -> Optional[tuple[Rows, dict[int, int]]]
 
 
 def _moved_table(rows: Rows, which: int) -> Optional[Rows]:
-    """Rows-only :func:`_moved_rows` for generalized tables."""
+    """Rows-only :func:`_moved_rows`: :func:`r0`, :func:`r1` and generalized classes."""
     moved = _moved_rows(rows, which)
     return None if moved is None else moved[0]
 
@@ -140,16 +128,6 @@ def _rows_kernel(rows: Rows) -> Callable[[Rows, int], Optional[Rows]]:
     return _moved_table
 
 
-def _moved_with_map(
-    p: GenPerm, which: int
-) -> tuple[Optional[GenPerm], Optional[dict[int, int]]]:
-    moved = _moved_rows((p.top, p.bottom), which)
-    if moved is None:
-        return None, None
-    (top, bottom), relabel = moved
-    return GenPerm._trusted(top, bottom), relabel
-
-
 def r0(p: GenPerm) -> Optional[GenPerm]:
     """Reduced move 0, or None when undefined.
 
@@ -157,7 +135,8 @@ def r0(p: GenPerm) -> Optional[GenPerm]:
     >>> print(r0(parse("1 2 3 4 3 / 2 4 5 5 1")))
     1 2 1 3 4 3 / 2 4 5 5
     """
-    return _moved_with_map(p, 0)[0]
+    moved = _moved_table((p.top, p.bottom), 0)
+    return None if moved is None else GenPerm._trusted(*moved)
 
 
 def r1(p: GenPerm) -> Optional[GenPerm]:
@@ -167,120 +146,8 @@ def r1(p: GenPerm) -> Optional[GenPerm]:
     >>> print(r1(parse("1 2 3 4 3 / 2 4 5 5 1")))
     1 2 3 2 4 / 3 4 5 5 1
     """
-    return _moved_with_map(p, 1)[0]
-
-
-Lengths = tuple[Fraction, ...]
-
-
-def validate_lengths(p: GenPerm, lengths: Sequence[Fraction]) -> Lengths:
-    """Check types, positivity, size and (for genuine involutions) row balance.
-
-    Entries must be ``int`` or ``Fraction``; anything else, a float or a
-    string included, raises :class:`InvalidLengths`.
-    """
-    lam = tuple(lengths)
-    for v in lam:
-        if not isinstance(v, (int, Fraction)):
-            raise InvalidLengths(f"length {v!r} is neither an int nor a Fraction")
-    lam = tuple([Fraction(v) for v in lam])
-    if len(lam) != p.d:
-        raise DimensionMismatch(f"expected {p.d} lengths, got {len(lam)}")
-    if any(v <= 0 for v in lam):
-        raise InvalidLengths("lengths must be positive")
-    top_sum = sum(lam[s - 1] for s in p.top)
-    bottom_sum = sum(lam[s - 1] for s in p.bottom)
-    if top_sum != bottom_sum:
-        raise InvalidLengths(
-            f"row sums differ ({top_sum} vs {bottom_sum}); the two rows "
-            "must cover intervals of equal total length"
-        )
-    return lam
-
-
-def classify_step(p: GenPerm, lengths: Sequence[Fraction]) -> Optional[MoveLabel]:
-    """Which move the lengths select; None when induction halts.
-
-    Halts when the compared symbols coincide, when their lengths are
-    exactly equal, or when the selected combinatorial move is undefined.
-    """
-    return _classify(p, validate_lengths(p, lengths))
-
-
-def _classify(p: GenPerm, lam: Lengths) -> Optional[MoveLabel]:
-    """:func:`classify_step` on lengths :func:`validate_lengths` has checked."""
-    a = p.top[-1]
-    b = p.bottom[-1]
-    if a == b or lam[a - 1] == lam[b - 1]:
-        return None
-    label = MoveLabel.ZERO if lam[a - 1] > lam[b - 1] else MoveLabel.ONE
-    raw = _move0_raw(p.top, p.bottom) if label is MoveLabel.ZERO else _move1_raw(
-        p.top, p.bottom
-    )
-    if raw is None:
-        return None
-    return label
-
-
-@dataclass(frozen=True)
-class OrbitStep:
-    step: int
-    move: MoveLabel
-    perm: GenPerm
-    lengths: Lengths
-
-
-@dataclass(frozen=True)
-class OrbitTrace:
-    start: GenPerm
-    steps: tuple[OrbitStep, ...]
-    halted: bool
-
-
-def step_lengths(
-    p: GenPerm, lengths: Sequence[Fraction]
-) -> Optional[tuple[GenPerm, Lengths, MoveLabel]]:
-    """One induction step on (permutation, lengths); None when halted."""
-    lam = validate_lengths(p, lengths)
-    label = _classify(p, lam)
-    if label is None:
-        return None
-    a = p.top[-1]
-    b = p.bottom[-1]
-    updated = list(lam)
-    if label is MoveLabel.ZERO:
-        updated[a - 1] = lam[a - 1] - lam[b - 1]
-    else:
-        updated[b - 1] = lam[b - 1] - lam[a - 1]
-    perm, relabel = _moved_with_map(p, label.value)
-    if perm is None or relabel is None:
-        raise RuntimeError(
-            f"move {label.value} undefined at {p} although classify_step chose it"
-        )
-    out = [Fraction(0)] * p.d
-    for old, new in relabel.items():
-        out[new - 1] = updated[old - 1]
-    return perm, tuple(out), label
-
-
-def orbit(p: GenPerm, lengths: Sequence[Fraction], max_steps: int) -> OrbitTrace:
-    """Iterate induction until it halts or ``max_steps`` is reached.
-
-    The total top length strictly decreases along the trace (induction
-    restricts to a shorter interval).
-    """
-    lam = validate_lengths(p, lengths)
-    steps: list[OrbitStep] = []
-    current = p
-    halted = False
-    for i in range(max_steps):
-        nxt = step_lengths(current, lam)
-        if nxt is None:
-            halted = True
-            break
-        current, lam, label = nxt
-        steps.append(OrbitStep(i, label, current, lam))
-    return OrbitTrace(p, tuple(steps), halted)
+    moved = _moved_table((p.top, p.bottom), 1)
+    return None if moved is None else GenPerm._trusted(*moved)
 
 
 def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum]:
@@ -313,15 +180,18 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
         raise InductionHalt("rightmost lengths are exactly equal")
     which = 0 if re[a - 1] > re[b - 1] else 1
     longer, shorter = (a, b) if which == 0 else (b, a)
-    perm, relabel = _moved_with_map(p, which)
-    if perm is None or relabel is None:
+    moved = _moved_rows((p.top, p.bottom), which)
+    if moved is None:
         raise UndefinedMove(f"move {which} undefined at {p}")
+    rows, relabel = moved
     source = [0] * p.d
     for old, new in relabel.items():
         source[new - 1] = old - 1
     new_re = [re[k] for k in source]
     new_im = [im[k] for k in source]
-    moved = relabel[longer] - 1
-    new_re[moved] -= re[shorter - 1]
-    new_im[moved] -= im[shorter - 1]
-    return perm, SuspensionDatum._from_parts(scale, tuple(new_re), tuple(new_im))
+    target = relabel[longer] - 1
+    new_re[target] -= re[shorter - 1]
+    new_im[target] -= im[shorter - 1]
+    return GenPerm._trusted(*rows), SuspensionDatum._from_parts(
+        scale, tuple(new_re), tuple(new_im)
+    )

@@ -284,11 +284,6 @@ def _valid_parts(
     return scale, re, im
 
 
-def has_suspension(p: GenPerm) -> bool:
-    """Whether the suspension conditions over ``p`` are feasible."""
-    return irreducible_rows(p.top, p.bottom)
-
-
 def _assemble(p: GenPerm, scale: int, flat: list[int]) -> SuspensionDatum:
     """The datum of the scaled solver output: real parts, then imaginary."""
     d = p.d
@@ -304,7 +299,7 @@ def find_suspension(p: GenPerm) -> Optional[SuspensionDatum]:
     Deterministic for a fixed input; the witness additionally keeps the
     polygon of :func:`build_polygon` embedded.
     """
-    if not has_suspension(p):
+    if not irreducible_rows(p.top, p.bottom):
         return None
     d = p.d
     ims = linprog.solve(d, *_imag_system(p))
@@ -322,7 +317,7 @@ def random_suspension(p: GenPerm, rng: Random) -> Optional[SuspensionDatum]:
     The vector is rescaled to integer entries, which the conditions allow,
     so that long induction orbits stay cheap.
     """
-    if not has_suspension(p):
+    if not irreducible_rows(p.top, p.bottom):
         return None
 
     def pick(index: int, lo, hi) -> Fraction:

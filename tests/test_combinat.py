@@ -5,7 +5,7 @@ from conftest import genperms, iet_perms, raw_tables
 
 from rauzy import GenPerm, PermKind, format_perm, is_irreducible, parse, reduce
 from rauzy.classes import enumerate_irreducible
-from rauzy.combinat import _irreducible_tables, all_reduced_tables, reduce_with_map
+from rauzy.combinat import _irreducible_tables, all_reduced_tables
 from rauzy.errors import EmptyRow, NotReduced, NotTwoToOne
 
 
@@ -52,13 +52,6 @@ class TestReduce:
 
     def test_doubled_rows(self):
         assert format_perm(reduce((3, 3), (1, 1, 2, 2))) == "1 1 / 2 2 3 3"
-
-    def test_map_is_consistent(self):
-        perm, relabel = reduce_with_map((2, 4, 5, 5, 1), (1, 3, 2, 3, 4))
-        assert sorted(relabel) == [1, 2, 3, 4, 5]
-        assert sorted(relabel.values()) == [1, 2, 3, 4, 5]
-        renamed_top = tuple(relabel[s] for s in (2, 4, 5, 5, 1))
-        assert renamed_top == perm.top
 
     @given(raw_tables(max_d=5))
     @settings(max_examples=100, deadline=None)

@@ -21,22 +21,9 @@ from rauzy import (
     rv_step,
 )
 from rauzy.classes import enumerate_irreducible
-from rauzy.combinat import reduce
-from rauzy.errors import (
-    DimensionMismatch,
-    InductionHalt,
-    InvalidLengths,
-    InvalidSuspension,
-    RauzyError,
-    UndefinedMove,
-)
-from rauzy.induction import (
-    MoveLabel,
-    _moved_with_map,
-    classify_step,
-    orbit,
-    step_lengths,
-)
+from rauzy.combinat import GenPerm, reduce
+from rauzy.errors import InductionHalt, InvalidSuspension, RauzyError, UndefinedMove
+from rauzy.induction import _moved_rows
 from rauzy.suspension import SuspensionDatum
 
 
@@ -105,23 +92,27 @@ def test_moves_preserve_irreducibility_and_size(p):
 
 
 def test_trusted_kernel_matches_validated_reduction():
-    # The kernel wraps its rows without validation; every table it makes
-    # through five symbols is what the validating reduction makes.
-    from rauzy.combinat import GenPerm, all_reduced_tables, reduce_with_map
-    from rauzy.induction import _move0_raw, _move1_raw, _moved_with_map
+    # The kernel renumbers its rows without validation; every table it
+    # makes through five symbols is what the validating reduction makes,
+    # and its map renames the raw rows onto the reduced ones one to one.
+    from rauzy.combinat import all_reduced_tables
+    from rauzy.induction import _move0_raw, _move1_raw
 
     checked = 0
     for d in range(1, 6):
         for rows in all_reduced_tables(d):
-            p = GenPerm(*rows)
             for which, raw_move in ((0, _move0_raw), (1, _move1_raw)):
-                raw = raw_move(p.top, p.bottom)
-                got = _moved_with_map(p, which)
+                raw = raw_move(*rows)
+                got = _moved_rows(rows, which)
                 if raw is None:
-                    assert got == (None, None)
+                    assert got is None
                     continue
-                want = reduce_with_map(*raw)
-                assert got == want and got[0].key == want[0].key, p
+                moved, relabel = got
+                want = reduce(*raw)
+                assert moved == (want.top, want.bottom), rows
+                symbols = list(range(1, d + 1))
+                assert sorted(relabel) == sorted(relabel.values()) == symbols
+                assert tuple(tuple(relabel[s] for s in row) for row in raw) == moved
                 checked += 1
     assert checked > 10_000
 
@@ -132,7 +123,7 @@ def test_permutation_kernel_matches_renumbering_kernel():
     # and undefined moves included, it gives the renumbered rows.
     from itertools import permutations
 
-    from rauzy.induction import _moved_perm, _moved_rows, _rows_kernel
+    from rauzy.induction import _moved_perm, _rows_kernel
 
     undefined = 0
     for d in range(1, 8):
@@ -166,115 +157,6 @@ def test_iet_moves_always_defined(p):
     assert r0(p).shape == p.shape == r1(p).shape
 
 
-class TestClassify:
-    def test_unequal_lengths(self):
-        p = parse("1 2 / 2 1")
-        assert classify_step(p, (2, 1)) is MoveLabel.ONE
-        assert classify_step(p, (1, 2)) is MoveLabel.ZERO
-
-    def test_equal_lengths_halt(self):
-        assert classify_step(parse("1 2 / 2 1"), (1, 1)) is None
-
-    def test_generalized_halt_on_equality(self):
-        # compared symbols are 2 and 3; equal lengths there halt
-        p = parse("1 1 2 / 2 3 3")
-        assert classify_step(p, (2, 2, 2)) is None
-
-    def test_dimension_mismatch(self):
-        p = parse("1 2 / 2 1")
-        for call in (orbit, step_lengths, classify_step):
-            args = (p, (1, 1, 1), 3) if call is orbit else (p, (1, 1, 1))
-            with pytest.raises(DimensionMismatch):
-                call(*args)
-
-    def test_unbalanced_rows_rejected(self):
-        with pytest.raises(InvalidLengths):
-            classify_step(parse("1 1 2 / 2 3 3"), (1, 1, 2))
-
-    def test_row_balance_shields_undefined_moves(self):
-        # At this vertex move 0 is undefined, and indeed the balance
-        # relation never lets the lengths select it: the bottom-right
-        # interval is forced to be the longer one.
-        p = parse("1 1 2 2 / 3 3")
-        lam = (Fraction(1), Fraction(2), Fraction(3))
-        assert classify_step(p, lam) is MoveLabel.ONE
-
-    @given(irreducible_genperms(max_d=5))
-    @settings(max_examples=60, deadline=None)
-    def test_selected_moves_are_always_defined(self, p):
-        z = find_suspension(p)
-        lam = tuple(re for re, _ in z.values)
-        label = classify_step(p, lam)
-        if label is MoveLabel.ZERO:
-            assert r0(p) is not None
-        elif label is MoveLabel.ONE:
-            assert r1(p) is not None
-
-
-class TestLengthTypes:
-    @pytest.mark.parametrize("lengths", [(0.7, 0.3), (1, 0.5), ("1", 1), (1, None)])
-    def test_rejects_non_rational_lengths(self, lengths):
-        p = parse("1 2 / 2 1")
-        for call in (orbit, step_lengths, classify_step):
-            args = (p, lengths, 3) if call is orbit else (p, lengths)
-            with pytest.raises(InvalidLengths):
-                call(*args)
-
-    def test_int_and_fraction_lengths_accepted(self):
-        p = parse("1 2 / 2 1")
-        third = Fraction(1, 3)
-        assert classify_step(p, (1, 2)) is MoveLabel.ZERO
-        assert classify_step(p, (third, 2 * third)) is MoveLabel.ZERO
-        trace = orbit(p, (Fraction(3), 1), 5)
-        assert trace.halted and trace.steps[-1].lengths == (1, 1)
-
-
-class TestOrbit:
-    def test_euclidean_behaviour_on_torus(self):
-        p = parse("1 2 / 2 1")
-        trace = orbit(p, (2, 1), 10)
-        assert trace.halted
-        assert [s.move for s in trace.steps] == [MoveLabel.ONE]
-        assert trace.steps[-1].lengths == (1, 1)
-
-    def test_zero_step_halt(self):
-        trace = orbit(parse("1 2 / 2 1"), (1, 1), 10)
-        assert trace.halted and not trace.steps
-
-    def test_max_steps_cap(self):
-        trace = orbit(parse("1 2 / 2 1"), (Fraction(355), Fraction(113)), 3)
-        assert not trace.halted and len(trace.steps) == 3
-
-    def test_lengths_validated_once_per_public_call(self, monkeypatch):
-        import rauzy.induction
-
-        p = parse("1 1 / 2 2 3 4 5 3 5 6 4 6")
-        lengths = tuple(re for re, _ in random_suspension(p, Random(1)).values)
-        calls = []
-        validate = rauzy.induction.validate_lengths
-
-        def counting(p, lengths):
-            calls.append(p)
-            return validate(p, lengths)
-
-        monkeypatch.setattr(rauzy.induction, "validate_lengths", counting)
-        trace = orbit(p, lengths, 200)
-        assert not trace.halted and len(trace.steps) == 200
-        # one call for the orbit, one for each of its steps
-        assert len(calls) == 201
-
-    @given(irreducible_genperms(max_d=4))
-    @settings(max_examples=40, deadline=None)
-    def test_total_length_strictly_decreases(self, p):
-        z = find_suspension(p)
-        lam = tuple(re for re, _ in z.values)
-        trace = orbit(p, lam, 25)
-        totals = [sum(lam[s - 1] for s in p.top)]
-        for step in trace.steps:
-            totals.append(sum(step.lengths[s - 1] for s in step.perm.top))
-        assert all(b < a for a, b in zip(totals, totals[1:]))
-
-
 class TestRvStep:
     def test_torus_step(self):
         p = parse("1 2 / 2 1")
@@ -289,38 +171,46 @@ class TestRvStep:
         )
 
     def test_halt_on_equal_lengths(self):
-        p = parse("1 2 / 2 1")
-        z = SuspensionDatum(
-            ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1)))
-        )
-        with pytest.raises(InductionHalt):
-            rv_step(p, z)
+        # On the second table the compared symbols are 2 and 3.
+        for text, values in (
+            ("1 2 / 2 1", ((1, 1), (1, -1))),
+            ("1 1 2 / 2 3 3", ((2, 1), (2, -2), (2, 1))),
+        ):
+            p, z = parse(text), SuspensionDatum(values)
+            assert check_suspension(p, z)
+            with pytest.raises(InductionHalt):
+                rv_step(p, z)
+
+    def test_row_balance_shields_undefined_move(self):
+        # Move 0 is undefined at this vertex, and the balance relation
+        # never lets a vector select it: the bottom-right interval is
+        # forced to be the longer one.
+        p = parse("1 1 2 2 / 3 3")
+        assert r0(p) is None
+        rng = Random(7)
+        vectors = [find_suspension(p)] + [random_suspension(p, rng) for _ in range(20)]
+        for z in vectors:
+            q, _ = rv_step(p, z)
+            assert q == r1(p)
 
     @given(irreducible_genperms(max_d=4))
     @settings(max_examples=30, deadline=None)
     def test_steps_preserve_suspension(self, p):
+        # Each step keeps a suspension vector and restricts to a shorter
+        # interval, so the total top length strictly decreases.
         rng = Random(3)
         z = random_suspension(p, rng)
         current = p
+        total = sum(z.re(s) for s in p.top)
         for _ in range(100):
             try:
                 current, z = rv_step(current, z)
             except InductionHalt:
                 break
             assert check_suspension(current, z)
-
-    @given(irreducible_genperms(max_d=4))
-    @settings(max_examples=30, deadline=None)
-    def test_real_parts_shadow_length_orbit(self, p):
-        rng = Random(5)
-        z = random_suspension(p, rng)
-        lam = tuple(re for re, _ in z.values)
-        trace = orbit(p, lam, 50)
-        current = p
-        for step in trace.steps:
-            current, z = rv_step(current, z)
-            assert current == step.perm
-            assert tuple(re for re, _ in z.values) == step.lengths
+            shorter = sum(z.re(s) for s in current.top)
+            assert shorter < total
+            total = shorter
 
 
 def _fraction_rv_step(p, values):
@@ -346,13 +236,14 @@ def _fraction_rv_step(p, values):
         values[longer - 1][0] - values[shorter - 1][0],
         values[longer - 1][1] - values[shorter - 1][1],
     )
-    perm, relabel = _moved_with_map(p, which)
-    if perm is None:
+    moved = _moved_rows((p.top, p.bottom), which)
+    if moved is None:
         raise UndefinedMove(f"move {which} undefined at {p}")
+    rows, relabel = moved
     out = [None] * p.d
     for old, new in relabel.items():
         out[new - 1] = values[old - 1]
-    return perm, tuple(out)
+    return GenPerm(*rows), tuple(out)
 
 
 def _ending(step, p, zeta):

@@ -3,7 +3,7 @@
 The digests below were computed with ``scripts/witness_digest.py`` before
 the suspension path moved to integer arithmetic.  Any change to a
 ``find_suspension`` or ``random_suspension`` vector, a ``polygon_json``
-export, a ``geometric_profile`` or an ``rv_step`` orbit of an irreducible
+export, a ``geometric_profile`` or an ``rv_step`` run from an irreducible
 table with at most five symbols changes one of them.
 """
 import importlib.util
