@@ -53,6 +53,16 @@ class TestReduce:
     def test_doubled_rows(self):
         assert format_perm(reduce((3, 3), (1, 1, 2, 2))) == "1 1 / 2 2 3 3"
 
+    def test_map_is_consistent(self):
+        # Reading the renaming off the rows gives one symbol per symbol:
+        # a bijection of 1..5 that renames the input rows onto the output.
+        top, bottom = (2, 4, 5, 5, 1), (1, 3, 2, 3, 4)
+        perm = reduce(top, bottom)
+        relabel = dict(zip(top + bottom, perm.top + perm.bottom))
+        assert sorted(relabel) == sorted(relabel.values()) == [1, 2, 3, 4, 5]
+        assert tuple(relabel[s] for s in top) == perm.top
+        assert tuple(relabel[s] for s in bottom) == perm.bottom
+
     @given(raw_tables(max_d=5))
     @settings(max_examples=100, deadline=None)
     def test_idempotent(self, rows):

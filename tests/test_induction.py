@@ -22,7 +22,13 @@ from rauzy import (
 )
 from rauzy.classes import enumerate_irreducible
 from rauzy.combinat import GenPerm, reduce
-from rauzy.errors import InductionHalt, InvalidSuspension, RauzyError, UndefinedMove
+from rauzy.errors import (
+    DimensionMismatch,
+    InductionHalt,
+    InvalidSuspension,
+    RauzyError,
+    UndefinedMove,
+)
 from rauzy.induction import _moved_rows
 from rauzy.suspension import SuspensionDatum
 
@@ -157,6 +163,132 @@ def test_iet_moves_always_defined(p):
     assert r0(p).shape == p.shape == r1(p).shape
 
 
+def _datum(*pairs):
+    return SuspensionDatum(tuple((Fraction(a), Fraction(b)) for a, b in pairs))
+
+
+def _run(p, zeta, max_steps):
+    """Up to ``max_steps`` ``rv_step`` moves: the (table, vector) pairs and whether it halted."""
+    steps = []
+    for _ in range(max_steps):
+        try:
+            p, zeta = rv_step(p, zeta)
+        except InductionHalt:
+            return steps, True
+        steps.append((p, zeta))
+    return steps, False
+
+
+def _lengths(zeta):
+    return tuple(re for re, _ in zeta.values)
+
+
+class TestClassify:
+    """The move ``rv_step`` selects from the two rightmost real parts."""
+
+    def test_unequal_lengths(self):
+        # The top right symbol is 3, the bottom right one 1; the shorter
+        # length is subtracted from the longer one.
+        p = parse("1 2 3 / 3 2 1")
+        assert r0(p) != r1(p)
+        q, z = rv_step(p, _datum((2, 1), (1, 0), (1, -1)))
+        assert q == r1(p) and sorted(_lengths(z)) == [1, 1, 1]
+        q, z = rv_step(p, _datum((1, 1), (1, 0), (2, -1)))
+        assert q == r0(p) and sorted(_lengths(z)) == [1, 1, 1]
+
+    def test_equal_lengths_halt(self):
+        z = _datum((1, 2), (1, -1))
+        with pytest.raises(InductionHalt):
+            rv_step(parse("1 2 / 2 1"), z)
+
+    def test_generalized_halt_on_equality(self):
+        # compared symbols are 2 and 3; equal lengths there halt
+        p = parse("1 1 2 / 2 3 3")
+        z = _datum((2, 1), (2, -2), (2, 1))
+        assert check_suspension(p, z)
+        with pytest.raises(InductionHalt):
+            rv_step(p, z)
+
+    def test_dimension_mismatch(self):
+        p = parse("1 2 / 2 1")
+        for z in (_datum((1, 1)), _datum((1, 1), (1, -1), (1, 1))):
+            with pytest.raises(DimensionMismatch):
+                rv_step(p, z)
+
+    def test_unbalanced_rows_rejected(self):
+        # Only the row sums of the real parts differ: 3 on top, 5 below.
+        with pytest.raises(InvalidSuspension):
+            rv_step(parse("1 1 2 / 2 3 3"), _datum((1, 1), (1, -2), (2, 1)))
+
+    def test_row_balance_shields_undefined_moves(self):
+        # At this vertex move 0 is undefined, and indeed the balance
+        # relation never lets a vector select it: the bottom-right
+        # interval is forced to be the longer one.
+        p = parse("1 1 2 2 / 3 3")
+        assert r0(p) is None
+        rng = Random(7)
+        vectors = [find_suspension(p)] + [random_suspension(p, rng) for _ in range(20)]
+        for z in vectors:
+            q, _ = rv_step(p, z)
+            assert q == r1(p)
+
+    @given(irreducible_genperms(max_d=5))
+    @settings(max_examples=60, deadline=None)
+    def test_selected_moves_are_always_defined(self, p):
+        z = find_suspension(p)
+        a, b = p.top[-1], p.bottom[-1]
+        try:
+            q, _ = rv_step(p, z)
+        except InductionHalt:
+            assert a == b or z.re(a) == z.re(b)
+            return
+        move = r0 if z.re(a) > z.re(b) else r1
+        assert move(p) is not None and q == move(p)
+
+
+class TestLengthTypes:
+    @pytest.mark.parametrize("lengths", [(0.7, 0.3), (1, 0.5), ("1", 1), (1, None)])
+    def test_rejects_non_rational_lengths(self, lengths):
+        p = parse("1 2 / 2 1")
+        z = SuspensionDatum(((lengths[0], Fraction(1)), (lengths[1], Fraction(-1))))
+        with pytest.raises(InvalidSuspension):
+            rv_step(p, z)
+
+    def test_int_and_fraction_lengths_accepted(self):
+        p = parse("1 2 / 2 1")
+        third = Fraction(1, 3)
+        _, z = rv_step(p, SuspensionDatum(((1, 1), (2, -1))))
+        assert _lengths(z) == (1, 1)
+        _, z = rv_step(p, SuspensionDatum(((third, 1), (2 * third, -1))))
+        assert _lengths(z) == (third, third)
+        steps, halted = _run(p, SuspensionDatum(((3, 1), (1, -1))), 5)
+        assert halted and _lengths(steps[-1][1]) == (1, 1)
+
+
+class TestOrbit:
+    def test_euclidean_behaviour_on_torus(self):
+        p = parse("1 2 / 2 1")
+        steps, halted = _run(p, _datum((2, 1), (1, -1)), 10)
+        assert halted and len(steps) == 1
+        q, z = steps[0]
+        assert q == p and z.values == ((1, 2), (1, -1))
+
+    def test_zero_step_halt(self):
+        steps, halted = _run(parse("1 2 / 2 1"), _datum((1, 1), (1, -1)), 10)
+        assert halted and not steps
+
+    @given(irreducible_genperms(max_d=4))
+    @settings(max_examples=40, deadline=None)
+    def test_total_length_strictly_decreases(self, p):
+        # Each step restricts to a shorter interval.
+        z = find_suspension(p)
+        steps, _ = _run(p, z, 25)
+        totals = [sum(z.re(s) for s in p.top)]
+        for q, zq in steps:
+            totals.append(sum(zq.re(s) for s in q.top))
+        assert all(b < a for a, b in zip(totals, totals[1:]))
+
+
 class TestRvStep:
     def test_torus_step(self):
         p = parse("1 2 / 2 1")
@@ -171,46 +303,25 @@ class TestRvStep:
         )
 
     def test_halt_on_equal_lengths(self):
-        # On the second table the compared symbols are 2 and 3.
-        for text, values in (
-            ("1 2 / 2 1", ((1, 1), (1, -1))),
-            ("1 1 2 / 2 3 3", ((2, 1), (2, -2), (2, 1))),
-        ):
-            p, z = parse(text), SuspensionDatum(values)
-            assert check_suspension(p, z)
-            with pytest.raises(InductionHalt):
-                rv_step(p, z)
-
-    def test_row_balance_shields_undefined_move(self):
-        # Move 0 is undefined at this vertex, and the balance relation
-        # never lets a vector select it: the bottom-right interval is
-        # forced to be the longer one.
-        p = parse("1 1 2 2 / 3 3")
-        assert r0(p) is None
-        rng = Random(7)
-        vectors = [find_suspension(p)] + [random_suspension(p, rng) for _ in range(20)]
-        for z in vectors:
-            q, _ = rv_step(p, z)
-            assert q == r1(p)
+        p = parse("1 2 / 2 1")
+        z = SuspensionDatum(
+            ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1)))
+        )
+        with pytest.raises(InductionHalt):
+            rv_step(p, z)
 
     @given(irreducible_genperms(max_d=4))
     @settings(max_examples=30, deadline=None)
     def test_steps_preserve_suspension(self, p):
-        # Each step keeps a suspension vector and restricts to a shorter
-        # interval, so the total top length strictly decreases.
         rng = Random(3)
         z = random_suspension(p, rng)
         current = p
-        total = sum(z.re(s) for s in p.top)
         for _ in range(100):
             try:
                 current, z = rv_step(current, z)
             except InductionHalt:
                 break
             assert check_suspension(current, z)
-            shorter = sum(z.re(s) for s in current.top)
-            assert shorter < total
-            total = shorter
 
 
 def _fraction_rv_step(p, values):
