@@ -52,6 +52,7 @@ from .induction import _rows_kernel
 from .invariants import (
     ComponentLabel,
     Stratum,
+    StratumKind,
     _component_label,
     _known_profile,
     _stratum_of,
@@ -356,13 +357,16 @@ def verify_main_theorem(
         is_seed = lambda rows: rows[1][-1] == 1
         expected = lambda: total
     if only_stratum is not None:
+        orders = only_stratum.orders
 
         def in_stratum(rows: Rows) -> bool:
             # every candidate is irreducible, so the walk needs no check
-            p = GenPerm._trusted(*rows)
-            return _stratum_of(p, _known_profile(p)) == only_stratum
+            return _known_profile(GenPerm._trusted(*rows)).orders == orders
 
-        candidates = filter(in_stratum, candidates)
+        if (only_stratum.kind is StratumKind.ABELIAN) == (kind is PermKind.IET):
+            candidates = filter(in_stratum, candidates)
+        else:
+            candidates = ()  # a stratum of the other kind holds no candidate
 
     by_stratum: dict[Stratum, dict[ComponentLabel, list[tuple[int, int]]]] = (
         {} if only_stratum is None else {only_stratum: {}}

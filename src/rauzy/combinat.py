@@ -298,7 +298,8 @@ def _irreducible_tables(d: int) -> Iterator[Rows]:
     menus: dict[tuple[int, int], tuple[int, ...]] = {}
     for l in range(2, 2 * d - 1):
         m = 2 * d - l
-        for top, once in _top_rows(l, d - 1):
+        # at most d - 1 letters on the top row: it doubles at least l - d + 1
+        for top, once in _top_rows(l, max(1, l - d + 1), l // 2):
             tops = _prefix_counts(top)
             inner = set(tops[1:l])
             shift = shift_base - 2 * tops[l]
@@ -350,27 +351,29 @@ def _menu(
     return menus[open_mask, fresh]
 
 
-def _top_rows(l: int, most: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Reduced top rows of length ``l`` with at most ``most`` letters, one doubled.
+def _top_rows(n: int, least: int, most: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Reduced rows of ``n`` cells that double between ``least`` and ``most`` letters.
 
-    Each comes with the bit mask of its letters that occur once.
+    Each comes with the bit mask of its letters that occur once.  Rows come
+    in lexicographic order.
     """
-    cells = [0] * l
+    cells = [0] * n
 
-    def fill(pos: int, once: int, fresh: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if pos == l:
-            if fresh - 1 < l:  # fewer letters than cells: one is doubled
-                yield tuple(cells), once
+    def fill(pos: int, once: int, fresh: int, doubled: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        if pos == n:
+            yield tuple(cells), once
             return
-        for s in range(1, fresh):
-            if once >> s & 1:
-                cells[pos] = s
-                yield from fill(pos + 1, once & ~(1 << s), fresh)
-        if fresh <= most:
+        if doubled < most:
+            for s in range(1, fresh):
+                if once >> s & 1:
+                    cells[pos] = s
+                    yield from fill(pos + 1, once & ~(1 << s), fresh, doubled + 1)
+        # a fresh letter leaves one cell fewer for the letters still to double
+        if least - doubled < n - pos:
             cells[pos] = fresh
-            yield from fill(pos + 1, once | 1 << fresh, fresh + 1)
+            yield from fill(pos + 1, once | 1 << fresh, fresh + 1, doubled)
 
-    return fill(0, 0, 1)
+    return fill(0, 0, 1, 0)
 
 
 def _fill_tables(cells: list[int], pos: int, fresh: int, l: int) -> Iterator[Rows]:

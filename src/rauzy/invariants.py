@@ -51,6 +51,7 @@ from .combinat import (
     PermKind,
     Rows,
     _irreducible_tables,
+    _top_rows,
     irreducible_rows,
     is_irreducible,
     reduce,
@@ -614,31 +615,6 @@ def _least_table(st: Stratum, alpha: int) -> Optional[Rows]:
     return least
 
 
-def _doubling_rows(d: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Reduced rows of ``d`` cells in which exactly ``k`` letters occur twice.
-
-    Each comes with the bit mask of its letters that occur once.
-    """
-    cells = [0] * d
-
-    def fill(pos: int, once: int, fresh: int, left: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        # ``left`` letters are still to be doubled
-        if pos == d:
-            if not left:
-                yield tuple(cells), once
-            return
-        if left:
-            for s in range(1, fresh):
-                if once >> s & 1:
-                    cells[pos] = s
-                    yield from fill(pos + 1, once & ~(1 << s), fresh, left - 1)
-        if left < d - pos:
-            cells[pos] = fresh
-            yield from fill(pos + 1, once | 1 << fresh, fresh + 1, left)
-
-    return fill(0, 0, 1, k)
-
-
 def _involutions(letters: tuple[int, ...], swaps: int) -> Iterator[dict[int, int]]:
     """Every involution of ``letters`` with ``swaps`` transpositions, as a map."""
     if not swaps:
@@ -691,7 +667,7 @@ def _hyperelliptic_table(
     for level in range(d // 2 + 1):
         # k doubled letters leave d - 2k singles, room for level - k swaps
         for k in (0,) if abelian else range(1, level + 1):
-            for top, once in _doubling_rows(d, k):
+            for top, once in _top_rows(d, k, k):
                 singles = tuple(s for s in top if once >> s & 1)
                 # the bottom-only letters, numbered by first occurrence
                 doubled = dict.fromkeys(s for s in reversed(top) if not once >> s & 1)

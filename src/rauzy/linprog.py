@@ -15,19 +15,19 @@ Witness extraction runs one elimination pass recording the intermediate
 projections, then assigns variables forward: at each step the recorded
 projection yields the exact feasible interval for the next variable given
 the values already chosen, and a caller-supplied rule picks a value in it.
-The values chosen so far are held as integers over one common denominator,
-so only the two bounds handed to the rule and the returned values are
-``Fraction`` objects.  With the default rule the witness is deterministic
-and preferentially built from small integers.
+The values are held as integers over one positive common denominator, and
+:func:`solve` returns them so; only the two bounds handed to the rule and
+the value it picks are ``Fraction`` objects.  With the default rule the
+witness is deterministic and preferentially built from small integers.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 Row = tuple[tuple[int, ...], int]
-IntervalChooser = Callable[[int, Optional[Fraction], Optional[Fraction]], Fraction]
+IntervalChooser = Callable[[Optional[Fraction], Optional[Fraction]], Fraction]
 
 
 class _Contradiction(Exception):
@@ -173,11 +173,8 @@ def feasible(nvars: int, ineqs: Sequence[Row], eqs: Sequence[Row] = ()) -> bool:
     return True
 
 
-def canonical_choice(
-    index: int, lo: Optional[Fraction], hi: Optional[Fraction]
-) -> Fraction:
+def canonical_choice(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
     """Smallest-magnitude preference: 0 when allowed, else the nearer bound."""
-    del index
     if (lo is None or lo <= 0) and (hi is None or hi >= 0):
         return Fraction(0)
     if lo is not None and lo > 0:
@@ -192,18 +189,21 @@ def solve(
     ineqs: Sequence[Row],
     eqs: Sequence[Row] = (),
     choose: IntervalChooser = canonical_choice,
-) -> list[Fraction] | None:
-    """Return an exact solution vector, or None when infeasible.
+) -> tuple[int, list[int]] | None:
+    """An exact solution ``(scale, nums)``, the values ``nums[k] / scale``.
 
-    ``choose(var_index, lo, hi)`` picks a value in the (possibly unbounded)
-    exact feasible interval for that variable; the projection guarantees any
-    value in the interval extends to a full solution.
+    Returns None when the system is infeasible.  ``scale`` is positive but
+    need not be the least common denominator.  ``choose(lo, hi)`` picks a
+    value in the (possibly unbounded) exact feasible interval of each free
+    variable in turn; the projection guarantees any value in the interval
+    extends to a full solution.
 
     With ``x + y = 4``, ``2x >= 3`` and ``y >= 1``, the equality row makes
-    ``y`` a pivot; ``x`` is free in ``[3/2, 3]`` and takes the nearer bound:
+    ``y`` a pivot; ``x`` is free in ``[3/2, 3]`` and takes the nearer bound,
+    so the solution is ``(3/2, 5/2)``:
 
     >>> solve(2, [((2, 0), -3), ((0, 1), -1)], [((1, 1), -4)])
-    [Fraction(3, 2), Fraction(5, 2)]
+    (2, [3, 5])
     """
     try:
         rows_list, free, pivots = _reduce_equalities(nvars, ineqs, eqs)
@@ -223,7 +223,6 @@ def solve(
     # The values chosen so far are ``nums[k] / scale`` over one common
     # denominator.  A bound ``n / (m * scale)`` with ``m > 0`` is held as
     # ``(n, m)``, so bounds are compared by cross-multiplying integers.
-    values: list[Fraction] = []
     nums: list[int] = []
     scale = 1
     for j in range(width):
@@ -248,11 +247,9 @@ def solve(
         if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
             return None
         value = choose(
-            free[j],
             None if lo is None else Fraction(lo[0], lo[1] * scale),
             None if hi is None else Fraction(hi[0], hi[1] * scale),
         )
-        values.append(value)
         den = value.denominator
         if scale % den:
             grow = den // gcd(scale, den)
@@ -260,12 +257,15 @@ def solve(
             scale *= grow
         nums.append(value.numerator * (scale // den))
 
-    full = [Fraction(0)] * nvars
+    # A pivot value -(sum(c * x_free) + const) / lead goes over
+    # ``scale * lcm(leads)``, and so do the free values.
+    grow = lcm(*[lead for _, _, _, lead in pivots])
+    full = [0] * nvars
     for idx, v in enumerate(free):
-        full[v] = values[idx]
+        full[v] = nums[idx] * grow
     for var, coeffs, const, lead in pivots:
         total = const * scale
         for k, c in enumerate(coeffs):
             total += c * nums[k]
-        full[var] = Fraction(-total, lead * scale)
-    return full
+        full[var] = -total * (grow // lead)
+    return scale * grow, full

@@ -36,9 +36,11 @@ All four conditions, the polygon's embeddedness and its cone angles are
 unchanged when every entry is multiplied by the same positive number.  A
 :class:`SuspensionDatum` therefore holds its vector as integers over one
 common denominator: a positive ``scale`` and the integer real and imaginary
-parts, the entries times ``scale``.  The checks, the induction step and
-the polygon read those integers; ``Fraction`` objects are made only when a
-caller reads ``values``, ``re`` or ``im``.  Entries given to the
+parts, the entries times ``scale``.  The solver returns its witnesses so,
+and a :class:`SuspensionPolygon` keeps its points so.  The checks, the
+induction step and the polygon read those integers; ``Fraction`` objects
+are made only when a caller reads ``values``, ``re`` or ``im``, and
+rationals only in the text of the polygon exports.  Entries given to the
 constructor must be ``int`` or ``Fraction``; anything else raises
 :class:`~rauzy.errors.InvalidSuspension` when they are first read.
 
@@ -66,7 +68,7 @@ from . import linprog
 from .combinat import GenPerm, irreducible_rows
 from .errors import DegeneratePolygon, DimensionMismatch, InvalidSuspension
 
-Point = tuple[Fraction, Fraction]
+Point = tuple[int, int]
 
 
 class SuspensionDatum:
@@ -200,14 +202,15 @@ def _imag_system(p: GenPerm) -> tuple[list, list]:
     return ineqs, eqs
 
 
-def _real_system(p: GenPerm, ims: Optional[list[Fraction]] = None) -> tuple[list, list]:
+def _real_system(p: GenPerm, ims: list[int]) -> tuple[list, list]:
     """Inequality/equality rows for the real parts (length variables).
 
-    Given the imaginary parts, one fold-guard row is added when the total
-    height is nonzero: the edge climbing (or descending) to the common
-    right endpoint must cross level zero no earlier than the other line's
-    last interior vertex.  Together with the unit margins on interior
-    heights this makes the polygon embedded.
+    Given the imaginary parts ``ims`` times any positive number, one
+    fold-guard row is added when the total height is nonzero: the edge
+    climbing (or descending) to the common right endpoint must cross level
+    zero no earlier than the other line's last interior vertex.  Together
+    with the unit margins on interior heights this makes the polygon
+    embedded.
     """
     d = p.d
     ineqs = []
@@ -219,23 +222,21 @@ def _real_system(p: GenPerm, ims: Optional[list[Fraction]] = None) -> tuple[list
     balance = _occurrence_balance(p)
     if any(balance):
         eqs.append((tuple(balance), 0))
-    if ims is not None:
-        _, heights = _scaled(ims)
-        total = sum(heights[s - 1] for s in p.top)
-        a = p.top[-1]
-        b = p.bottom[-1]
-        if total > 0:
-            dip = -sum(heights[s - 1] for s in p.bottom[:-1])  # > 0
-            row = [0] * d
-            row[a - 1] += total + dip
-            row[b - 1] -= total
-            ineqs.append((tuple(row), 0))
-        elif total < 0:
-            rise = sum(heights[s - 1] for s in p.top[:-1])  # > 0
-            row = [0] * d
-            row[b - 1] += -total + rise
-            row[a - 1] -= -total
-            ineqs.append((tuple(row), 0))
+    total = sum(ims[s - 1] for s in p.top)
+    a = p.top[-1]
+    b = p.bottom[-1]
+    if total > 0:
+        dip = -sum(ims[s - 1] for s in p.bottom[:-1])  # > 0
+        row = [0] * d
+        row[a - 1] += total + dip
+        row[b - 1] -= total
+        ineqs.append((tuple(row), 0))
+    elif total < 0:
+        rise = sum(ims[s - 1] for s in p.top[:-1])  # > 0
+        row = [0] * d
+        row[b - 1] += -total + rise
+        row[a - 1] -= -total
+        ineqs.append((tuple(row), 0))
     return ineqs, eqs
 
 
@@ -284,10 +285,24 @@ def _valid_parts(
     return scale, re, im
 
 
-def _assemble(p: GenPerm, scale: int, flat: list[int]) -> SuspensionDatum:
-    """The datum of the scaled solver output: real parts, then imaginary."""
+def _witness(p: GenPerm, choose: linprog.IntervalChooser) -> SuspensionDatum:
+    """The suspension vector of both systems solved with ``choose``.
+
+    The two solutions are joined over their least common denominator, and
+    the datum is checked.
+    """
     d = p.d
-    datum = SuspensionDatum._from_parts(scale, tuple(flat[:d]), tuple(flat[d:]))
+    ims = linprog.solve(d, *_imag_system(p), choose=choose)
+    if ims is None:
+        raise RuntimeError(f"imaginary system unexpectedly infeasible for {p}")
+    res = linprog.solve(d, *_real_system(p, ims[1]), choose=choose)
+    if res is None:
+        raise RuntimeError(f"fold-guarded length system infeasible for {p}")
+    scale = lcm(res[0], ims[0])
+    flat = [v * (scale // s) for s, nums in (res, ims) for v in nums]
+    g = gcd(scale, *flat)
+    flat = [v // g for v in flat]
+    datum = SuspensionDatum._from_parts(scale // g, tuple(flat[:d]), tuple(flat[d:]))
     if not check_suspension(p, datum):
         raise RuntimeError(f"solver produced an invalid suspension for {p}")
     return datum
@@ -301,14 +316,7 @@ def find_suspension(p: GenPerm) -> Optional[SuspensionDatum]:
     """
     if not irreducible_rows(p.top, p.bottom):
         return None
-    d = p.d
-    ims = linprog.solve(d, *_imag_system(p))
-    if ims is None:
-        raise RuntimeError(f"imaginary system unexpectedly infeasible for {p}")
-    res = linprog.solve(d, *_real_system(p, ims))
-    if res is None:
-        raise RuntimeError(f"fold-guarded length system infeasible for {p}")
-    return _assemble(p, *_scaled(res + ims))
+    return _witness(p, linprog.canonical_choice)
 
 
 def random_suspension(p: GenPerm, rng: Random) -> Optional[SuspensionDatum]:
@@ -320,23 +328,15 @@ def random_suspension(p: GenPerm, rng: Random) -> Optional[SuspensionDatum]:
     if not irreducible_rows(p.top, p.bottom):
         return None
 
-    def pick(index: int, lo, hi) -> Fraction:
-        del index
+    def pick(lo, hi) -> Fraction:
         if lo is None:
             lo = (hi if hi is not None else Fraction(0)) - 4
         if hi is None:
             hi = lo + 4
         return lo + (hi - lo) * Fraction(rng.randint(1, 15), 16)
 
-    d = p.d
-    ims = linprog.solve(d, *_imag_system(p), choose=pick)
-    if ims is None:
-        raise RuntimeError(f"imaginary system unexpectedly infeasible for {p}")
-    res = linprog.solve(d, *_real_system(p, ims), choose=pick)
-    if res is None:
-        raise RuntimeError(f"fold-guarded length system infeasible for {p}")
-    _, ints = _scaled(res + ims)
-    return _assemble(p, 1, ints)
+    _, re, im = _witness(p, pick)._parts()
+    return SuspensionDatum._from_parts(1, re, im)
 
 
 def check_suspension(p: GenPerm, zeta: SuspensionDatum) -> bool:
@@ -366,11 +366,13 @@ _SVG_SCALE = 60  # pixels per unit length in polygon_svg
 class SuspensionPolygon:
     """Two broken lines with common endpoints plus the edge pairing.
 
+    Points are integer points, the coordinates times the vector's ``scale``.
     Edge ids: top edges are ``0..l-1`` (left to right), bottom edges are
     ``l..l+m-1``.  Each pair records its gluing kind: translation for
     occurrences in different rows, half-turn for a doubled row symbol.
     """
 
+    scale: int
     top_points: tuple[Point, ...]
     bottom_points: tuple[Point, ...]
     top_symbols: tuple[int, ...]
@@ -395,11 +397,11 @@ def build_polygon(p: GenPerm, zeta: SuspensionDatum) -> SuspensionPolygon:
 
     def line(row: tuple[int, ...]) -> tuple[Point, ...]:
         x = y = 0
-        points = [(Fraction(0), Fraction(0))]
+        points = [(0, 0)]
         for s in row:
             x += re[s - 1]
             y += im[s - 1]
-            points.append((Fraction(x, scale), Fraction(y, scale)))
+            points.append((x, y))
         return tuple(points)
 
     l = len(p.top)
@@ -414,6 +416,7 @@ def build_polygon(p: GenPerm, zeta: SuspensionDatum) -> SuspensionPolygon:
         same_row = (a < l) == (b < l)
         pairs.append((a, b, GLUE_HALF_TURN if same_row else GLUE_TRANSLATION))
     return SuspensionPolygon(
+        scale,
         line(p.top),
         line(p.bottom),
         p.top,
@@ -422,23 +425,7 @@ def build_polygon(p: GenPerm, zeta: SuspensionDatum) -> SuspensionPolygon:
     )
 
 
-IntPoint = tuple[int, int]
-
-
-def _integer_points(
-    poly: SuspensionPolygon,
-) -> tuple[list[IntPoint], list[IntPoint]]:
-    """Both broken lines scaled by the LCM of all coordinate denominators.
-
-    Embeddedness and cone angles do not change under a positive scaling.
-    """
-    points = poly.top_points + poly.bottom_points
-    _, flat = _scaled([c for pt in points for c in pt])
-    pairs = list(zip(flat[0::2], flat[1::2]))
-    return pairs[: len(poly.top_points)], pairs[len(poly.top_points) :]
-
-
-def _clears(vertices: list[IntPoint], line: list[IntPoint], side: int) -> bool:
+def _clears(vertices: tuple[Point, ...], line: tuple[Point, ...], side: int) -> bool:
     """Whether every interior vertex lies strictly on ``side`` of ``line``.
 
     ``side`` is 1 for above and -1 for below.  Both broken lines run
@@ -458,10 +445,6 @@ def _clears(vertices: list[IntPoint], line: list[IntPoint], side: int) -> bool:
     return True
 
 
-def _embedded(top: list[IntPoint], bottom: list[IntPoint]) -> bool:
-    return _clears(top, bottom, 1) and _clears(bottom, top, -1)
-
-
 def is_embedded(poly: SuspensionPolygon) -> bool:
     """Whether the region between the two broken lines is embedded.
 
@@ -469,10 +452,11 @@ def is_embedded(poly: SuspensionPolygon) -> bool:
     enough that the top line lies strictly above the bottom one at every
     interior vertex abscissa of either line.
     """
-    return _embedded(*_integer_points(poly))
+    top, bottom = poly.top_points, poly.bottom_points
+    return _clears(top, bottom, 1) and _clears(bottom, top, -1)
 
 
-def _sector_verticals(u: IntPoint, w: IntPoint) -> int:
+def _sector_verticals(u: Point, w: Point) -> int:
     """Number of vertical directions in the ccw sector from ray u to ray w.
 
     Neither boundary ray is ever vertical here (edges have nonzero real
@@ -515,12 +499,12 @@ def geometric_profile(poly: SuspensionPolygon) -> GeometricProfile:
     on the corner at the tail of the partner edge.  Angles are accumulated
     as the number of vertical directions crossed, one per half-turn.
     """
-    top, bottom = _integer_points(poly)
-    if not _embedded(top, bottom):
+    if not is_embedded(poly):
         raise DegeneratePolygon("broken lines touch or cross; pick another vector")
+    top, bottom = poly.top_points, poly.bottom_points
     l, m = poly.l, poly.m
     n = l + m
-    dirs: list[IntPoint] = []
+    dirs: list[Point] = []
     symbols: list[int] = []
     for j in range(m):
         x0, y0 = bottom[j]
@@ -567,15 +551,16 @@ def geometric_profile(poly: SuspensionPolygon) -> GeometricProfile:
 
 
 def polygon_json(poly: SuspensionPolygon) -> str:
-    """JSON export with rationals serialised as ``"p/q"`` strings.
+    """JSON export with coordinates serialised as reduced ``"p/q"`` strings.
 
     Vertices list the top line left to right, then the interior vertices
     of the bottom line (the shared endpoints appear once); pairs use the
     edge ids of :class:`SuspensionPolygon`.
     """
 
-    def frac(v: Fraction) -> str:
-        return f"{v.numerator}/{v.denominator}"
+    def frac(v: int) -> str:
+        g = gcd(v, poly.scale)
+        return f"{v // g}/{poly.scale // g}"
 
     vertices = [[frac(x), frac(y)] for x, y in poly.top_points]
     vertices += [[frac(x), frac(y)] for x, y in poly.bottom_points[1:-1]]
@@ -589,18 +574,19 @@ def polygon_json(poly: SuspensionPolygon) -> str:
 
 def polygon_svg(poly: SuspensionPolygon) -> str:
     """Minimal SVG rendering of the two broken lines (documentation aid)."""
+    scale = poly.scale
     pts = list(poly.top_points) + list(poly.bottom_points)
-    xs = [float(x) for x, _ in pts]
-    ys = [float(y) for _, y in pts]
+    xs = [x / scale for x, _ in pts]
+    ys = [y / scale for _, y in pts]
     pad = 0.5
     width = (max(xs) - min(xs) + 2 * pad) * _SVG_SCALE
     height = (max(ys) - min(ys) + 2 * pad) * _SVG_SCALE
 
-    def sx(x: Fraction) -> float:
-        return (float(x) - min(xs) + pad) * _SVG_SCALE
+    def sx(x: int) -> float:
+        return (x / scale - min(xs) + pad) * _SVG_SCALE
 
-    def sy(y: Fraction) -> float:
-        return height - (float(y) - min(ys) + pad) * _SVG_SCALE
+    def sy(y: int) -> float:
+        return height - (y / scale - min(ys) + pad) * _SVG_SCALE
 
     def path(points: tuple[Point, ...]) -> str:
         return " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)

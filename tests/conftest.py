@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
 from rauzy import GenPerm
@@ -52,6 +54,14 @@ def iet_perms(draw, min_d=2, max_d=6):
     d = draw(st.integers(min_d, max_d))
     bottom = tuple(draw(st.permutations(list(range(1, d + 1)))))
     return GenPerm(tuple(range(1, d + 1)), bottom)
+
+
+def rational_points(poly):
+    """The top and bottom points of a suspension polygon as ``Fraction`` pairs."""
+    return tuple(
+        tuple((Fraction(x, poly.scale), Fraction(y, poly.scale)) for x, y in points)
+        for points in (poly.top_points, poly.bottom_points)
+    )
 
 
 def pl_value(points, x):

@@ -340,6 +340,36 @@ class TestVerify:
         assert report.passed and "coverage" not in report.to_dict()
         assert len(built) == sum(g.class_count for g in report.groups) == 2
 
+    @pytest.mark.parametrize(
+        "kind, d",
+        [pytest.param(PermKind.IET, d, id=str(d)) for d in range(2, 7)]
+        + [
+            pytest.param(PermKind.QUADRATIC, d, id=f"quadratic-{d}")
+            for d in range(3, 6)
+        ],
+    )
+    def test_single_stratum_groups_match_the_census(self, kind, d):
+        full = verify_main_theorem(d, kind)
+        strata = dict.fromkeys(g.stratum for g in full.groups)
+        assert strata
+        for st in strata:
+            report = verify_main_theorem(d, kind, only_stratum=st)
+            assert report.groups == tuple(g for g in full.groups if g.stratum == st)
+            assert report.passed
+
+    def test_single_stratum_of_the_other_kind_matches_nothing(self):
+        from rauzy import parse_stratum
+
+        # the tables of 1 2 3 / 3 2 1 have the orders (0, 0) of Q(0,0)
+        report = verify_main_theorem(
+            3, PermKind.IET, only_stratum=parse_stratum("Q(0,0)")
+        )
+        assert report.groups == () and report.passed
+        report = verify_main_theorem(
+            5, PermKind.QUADRATIC, only_stratum=parse_stratum("H(2,0)")
+        )
+        assert report.groups == () and not report.passed
+
     def test_wrong_label_fails(self, monkeypatch):
         import rauzy.classes
         from rauzy import parse_stratum

@@ -14,6 +14,13 @@ from rauzy.linprog import (
 )
 
 
+def _residuals(rows, solution):
+    """Each row's value at ``nums / scale``, times the positive ``scale``."""
+    scale, nums = solution
+    assert scale > 0
+    return [sum(c * n for c, n in zip(coeffs, nums)) + const * scale for coeffs, const in rows]
+
+
 def test_infeasible_pair():
     # x >= 1 and -x >= 0
     rows = [((1,), -1), ((-1,), 0)]
@@ -24,7 +31,7 @@ def test_infeasible_pair():
 def test_simple_interval():
     rows = [((1,), -1), ((-1,), 5)]  # 1 <= x <= 5
     assert feasible(1, rows)
-    assert solve(1, rows) == [Fraction(1)]
+    assert solve(1, rows) == (1, [1])
 
 
 def test_equality_substitution():
@@ -33,7 +40,8 @@ def test_equality_substitution():
     eqs = [((1, 1), -4)]
     sol = solve(2, rows, eqs)
     assert sol is not None
-    assert sol[0] + sol[1] == 4 and sol[0] >= 1 and sol[1] >= 1
+    assert _residuals(eqs, sol) == [0]
+    assert all(r >= 0 for r in _residuals(rows, sol))
 
 
 def test_equality_contradiction():
@@ -43,10 +51,10 @@ def test_equality_contradiction():
 
 
 def test_canonical_prefers_zero():
-    assert canonical_choice(0, None, None) == 0
-    assert canonical_choice(0, Fraction(-3), Fraction(7)) == 0
-    assert canonical_choice(0, Fraction(2), None) == 2
-    assert canonical_choice(0, None, Fraction(-5)) == -5
+    assert canonical_choice(None, None) == 0
+    assert canonical_choice(Fraction(-3), Fraction(7)) == 0
+    assert canonical_choice(Fraction(2), None) == 2
+    assert canonical_choice(None, Fraction(-5)) == -5
 
 
 @given(
@@ -65,8 +73,7 @@ def test_solution_satisfies_all_rows(rows):
         assert not feasible(3, rows)
     else:
         assert feasible(3, rows)
-        for coeffs, const in rows:
-            assert sum(c * x for c, x in zip(coeffs, sol)) + const >= 0
+        assert all(r >= 0 for r in _residuals(rows, sol))
 
 
 @given(
@@ -86,10 +93,8 @@ def test_solution_satisfies_all_rows(rows):
 def test_solution_satisfies_equalities(rows, eq):
     sol = solve(3, rows, [eq])
     if sol is not None:
-        coeffs, const = eq
-        assert sum(c * x for c, x in zip(coeffs, sol)) + const == 0
-        for coeffs, const in rows:
-            assert sum(c * x for c, x in zip(coeffs, sol)) + const >= 0
+        assert _residuals([eq], sol) == [0]
+        assert all(r >= 0 for r in _residuals(rows, sol))
 
 
 def _fraction_reduce_equalities(nvars, ineqs, eqs):
@@ -202,9 +207,7 @@ def test_solve_satisfies_several_equalities():
         if sol is None:
             continue
         solved += 1
-        for coeffs, const in eqs:
-            assert sum(c * x for c, x in zip(coeffs, sol)) + const == 0
-        for coeffs, const in ineqs:
-            assert sum(c * x for c, x in zip(coeffs, sol)) + const >= 0
+        assert all(r == 0 for r in _residuals(eqs, sol))
+        assert all(r >= 0 for r in _residuals(ineqs, sol))
     assert solved >= 100
 

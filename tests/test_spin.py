@@ -13,7 +13,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from conftest import pl_value
+from conftest import pl_value, rational_points
 
 import rauzy.linprog
 import rauzy.suspension
@@ -80,17 +80,16 @@ def _loop_directions(poly, sym: int) -> list[tuple[Fraction, Fraction]]:
     it up without a corner.  No two consecutive directions are opposite,
     as :func:`_winding_index` requires.
     """
+    top, bottom = rational_points(poly)
     ti = poly.top_symbols.index(sym)
     bi = poly.bottom_symbols.index(sym)
-    tx = (poly.top_points[ti][0] + poly.top_points[ti + 1][0]) / 2
-    bx = (poly.bottom_points[bi][0] + poly.bottom_points[bi + 1][0]) / 2
+    tx = (top[ti][0] + top[ti + 1][0]) / 2
+    bx = (bottom[bi][0] + bottom[bi + 1][0]) / 2
 
     up = (Fraction(0), Fraction(1))
     dirs = [up]
     if bx != tx:
-        xs = sorted(
-            {pt[0] for pt in poly.top_points} | {pt[0] for pt in poly.bottom_points}
-        )
+        xs = sorted({pt[0] for pt in top} | {pt[0] for pt in bottom})
         walk_x = [bx]
         if bx < tx:
             walk_x += [x for x in xs if bx < x < tx]
@@ -98,7 +97,7 @@ def _loop_directions(poly, sym: int) -> list[tuple[Fraction, Fraction]]:
             walk_x += [x for x in reversed(xs) if tx < x < bx]
         walk_x.append(tx)
         mid_pts = [
-            (x, (pl_value(poly.top_points, x) + pl_value(poly.bottom_points, x)) / 2)
+            (x, (pl_value(top, x) + pl_value(bottom, x)) / 2)
             for x in walk_x
         ]
         for (x0, y0), (x1, y1) in zip(mid_pts, mid_pts[1:]):

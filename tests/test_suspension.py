@@ -5,7 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
-from conftest import genperms, irreducible_genperms, pl_value
+from conftest import genperms, irreducible_genperms, pl_value, rational_points
 
 from rauzy import (
     GenPerm,
@@ -200,8 +200,9 @@ def _least_gap(poly):
     route ``is_embedded`` took before it swept integer points; kept as its
     oracle.  Positive exactly when the polygon is embedded.
     """
-    xs = {x for x, _ in poly.top_points[1:-1] + poly.bottom_points[1:-1]}
-    return min(pl_value(poly.top_points, x) - pl_value(poly.bottom_points, x) for x in xs)
+    top, bottom = rational_points(poly)
+    xs = {x for x, _ in top[1:-1] + bottom[1:-1]}
+    return min(pl_value(top, x) - pl_value(bottom, x) for x in xs)
 
 
 def _assert_embedding_agrees(poly):
@@ -302,6 +303,12 @@ class TestFindSuspension:
             assert is_embedded(build_polygon(p, z))
 
 
+# a vector of ``1 2 / 2 1`` whose entries have denominators 2, 3, 4 and 6
+_HALVES_AND_THIRDS = SuspensionDatum(
+    ((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 4), Fraction(-1, 6)))
+)
+
+
 class TestPolygon:
     def test_torus_parallelogram(self):
         p = parse("1 2 / 2 1")
@@ -340,11 +347,23 @@ class TestPolygon:
         payload = json.loads(polygon_json(build_polygon(p, _datum((1, 1), (1, -1)))))
         assert payload["vertices"][0] == ["0/1", "0/1"]
         assert payload["pairs"] == [[0, 3, "translation"], [1, 2, "translation"]]
+        poly = build_polygon(p, _HALVES_AND_THIRDS)
+        assert poly.scale == 12
+        assert polygon_json(poly) == (
+            '{"vertices": [["0/1", "0/1"], ["1/2", "1/3"], ["5/4", "1/6"], '
+            '["3/4", "-1/6"]], "pairs": [[0, 3, "translation"], [1, 2, "translation"]]}'
+        )
 
     def test_svg_export(self):
         p = parse("1 2 / 2 1")
         svg = polygon_svg(build_polygon(p, _datum((1, 1), (1, -1))))
         assert svg.startswith("<svg") and svg.endswith("</svg>")
+        assert polygon_svg(build_polygon(p, _HALVES_AND_THIRDS)) == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="135" height="90">'
+            '<polyline points="30.00,50.00 60.00,30.00 105.00,40.00" fill="none" '
+            'stroke="black"/><polyline points="30.00,50.00 75.00,60.00 105.00,40.00" '
+            'fill="none" stroke="gray"/></svg>'
+        )
 
 
 class TestGeometricProfile:
