@@ -25,7 +25,11 @@ order and size by (stratum, component label) and checks the expected
 structure: each group must hold exactly one class per distinct
 singularity order, matched bijectively by marked order, and each stratum
 must show exactly the component labels that
-:func:`rauzy.invariants.stratum_components` lists.
+:func:`rauzy.invariants.stratum_components` lists.  A label that needs the
+class asks whether it holds a reference table
+(:func:`rauzy.invariants.label_for_class`): a lookup in a class the
+verifier holds, and otherwise the stopping search of
+:func:`same_class_bfs`.
 """
 from __future__ import annotations
 
@@ -120,6 +124,11 @@ def _bfs_rows(
     return seen
 
 
+def _holds(seed: Rows, target: Rows, budget: int) -> bool:
+    """Whether the class of ``seed`` holds ``target``, by a search that stops there."""
+    return target in _bfs_rows(seed, budget, stop=target.__eq__)
+
+
 def rauzy_class(seed: GenPerm, budget: int = 10**7) -> RauzyDiagram:
     """Breadth-first closure of ``seed`` under both moves.
 
@@ -139,8 +148,7 @@ def same_class_bfs(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
             raise ReducibleSeed(f"{p} admits no suspension")
     if p1.d != p2.d:
         return False
-    target = (p2.top, p2.bottom)
-    return target in _bfs_rows((p1.top, p1.bottom), budget, stop=target.__eq__)
+    return _holds((p1.top, p1.bottom), (p2.top, p2.bottom), budget)
 
 
 def same_class_fast(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
@@ -148,10 +156,10 @@ def same_class_fast(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
 
     Two irreducible tables lie in the same class exactly when they share
     the stratum, the component label and the marked order.  A label that
-    spin parity does not decide comes from a search in the class of one
-    symmetric table of the stratum (see
+    spin parity does not decide comes from one search that asks whether
+    the class holds a reference table of the stratum and marked order (see
     :func:`rauzy.invariants._component_label`), so no class of either
-    table is built outside the exceptional strata and genus 2.
+    table is built outside genus 2.
     """
     for p in (p1, p2):
         if not is_irreducible(p):
@@ -377,7 +385,7 @@ def verify_main_theorem(
         seed = GenPerm._trusted(*next(iter(diagram.table)))
         profile = _known_profile(seed)
         st = _stratum_of(seed, profile)
-        label = label_for_class(diagram.table, st)
+        label = label_for_class(diagram.table, st, budget)
         by_stratum.setdefault(st, {}).setdefault(label, []).append(
             (profile.marked, len(diagram))
         )

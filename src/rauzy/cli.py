@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         help=(
             "vertex budget of class enumeration and membership searches, and "
-            "table budget of the symmetric-table search of component labels "
+            "table budget of the reference-table searches of component labels "
             "(default: RAUZY_BUDGET or 10**7)"
         ),
     )

@@ -34,11 +34,14 @@ curves (Zorich, *J. Mod. Dyn.* 2, 2008, appendix); it needs no polygon
 witness and splits the spin components.  :func:`_component_label` is the
 one procedure that decides a label, and it lists the rules with their
 sources.  :func:`component_label` applies it to one table.  Where spin
-parity does not decide, a table of either kind is hyperelliptic exactly
-when a search from one symmetric hyperelliptic table of its stratum and
-marked order meets it, so a class is built only in the exceptional strata
-and in genus 2.  :func:`label_for_class` applies it to a class that the
-caller holds, and scans that class instead.
+parity does not decide, a label asks one question, because a component
+and a marked order fix the class (Boissy, arXiv:0904.3826): does the class
+hold a reference table of the stratum and marked order?  The reference is
+the least table (:func:`_least_table`) in an exceptional stratum and a
+symmetric hyperelliptic table (:func:`_hyperelliptic_table`) elsewhere.
+One search between the two tables answers it, so a class is built only in
+genus 2.  :func:`label_for_class` applies it to a class that the caller
+holds, and looks the reference table up in that class instead.
 """
 from __future__ import annotations
 
@@ -553,11 +556,6 @@ def _hyperelliptic_parity(genus: int) -> int:
     return (genus + 1) // 2 % 2
 
 
-def _reversal(d: int) -> Rows:
-    """Rows of the reversal ``1 ... d / d ... 1``."""
-    return tuple(range(1, d + 1)), tuple(range(d, 0, -1))
-
-
 def _forget_regular_point(rows: Rows) -> Optional[Rows]:
     """A permutation's rows with one unmarked regular point forgotten.
 
@@ -592,22 +590,26 @@ def _forget_regular_point(rows: Rows) -> Optional[Rows]:
     return None
 
 
-def _least_table(st: Stratum, alpha: int) -> Optional[Rows]:
+def _least_table(st: Stratum, alpha: int, budget: int = 10**7) -> Optional[Rows]:
     """The least table of ``st`` with marked order ``alpha``, if any.
 
     Least is in :attr:`GenPerm.key` order.  This table splits an exceptional half-translation stratum: the class
     that holds it is ``exceptional-a``, and the other class with that
     marked order is ``exceptional-b``.  :func:`_irreducible_tables` yields
     tables by top-row length, shortest first, so the scan stops after the
-    first length that holds a match.
+    first length that holds a match.  A scan that tries more than
+    ``budget`` tables raises :class:`BudgetExceeded`.
     """
     least: Rows | None = None
-    for top, bottom in _irreducible_tables(st.d):
-        if least is not None:
-            if len(top) > len(least[0]):
-                break
-            if (top, bottom) > least:
-                continue
+    for tried, (top, bottom) in enumerate(_irreducible_tables(st.d)):
+        if least is not None and len(top) > len(least[0]):
+            break
+        if tried >= budget:
+            raise BudgetExceeded(
+                f"the least-table search exceeds the {budget}-table budget"
+            )
+        if least is not None and (top, bottom) > least:
+            continue
         p = GenPerm._trusted(top, bottom)
         profile = _known_profile(p)
         if profile.marked == alpha and _stratum_of(p, profile) == st:
@@ -694,28 +696,30 @@ def _hyperelliptic_table(
 
 
 def label_for_class(
-    rows: Collection[Rows], st: Optional[Stratum] = None
+    rows: Collection[Rows], st: Optional[Stratum] = None, budget: int = 10**7
 ) -> ComponentLabel:
     """Component label of a class, given by its vertices' ``(top, bottom)`` rows.
 
     Stratum, marked order and spin parity are the same on every vertex, so
     :func:`_component_label` decides on any one of them, with ``rows`` as
-    its class.  A caller that holds the stratum ``st`` of the class passes
-    it, and no corner is walked.
+    its class, in which a rule that needs the class looks its reference
+    table up.  A caller that holds the stratum ``st`` of the class passes
+    it, and no corner is walked.  ``budget`` bounds the reference-table
+    searches and any search one stratum down, as in
+    :func:`component_label`.
     """
     rep = GenPerm._trusted(*next(iter(rows)))
-    return _component_label(rep, stratum(rep) if st is None else st, 10**7, rows)
+    return _component_label(rep, stratum(rep) if st is None else st, budget, rows)
 
 
 def component_label(p: GenPerm, budget: int = 10**7) -> ComponentLabel:
     """Connected-component label of the suspension surface of ``p``.
 
     The rules are those of :func:`_component_label`; where spin parity
-    does not decide, a permutation is labelled, like a half-translation
-    table, by a search in the class of one symmetric table of its stratum
-    and marked order.  A search or a class that needs more than ``budget``
-    vertices, or a search for a symmetric table that tries more than
-    ``budget`` tables, raises :class:`BudgetExceeded`.
+    does not decide, the class of ``p`` is searched for a reference table
+    of its stratum and marked order.  A search or a class that needs more
+    than ``budget`` vertices, or a search for a reference table that tries
+    more than ``budget`` tables, raises :class:`BudgetExceeded`.
 
     >>> from .combinat import parse
     >>> p = parse("1 2 3 4 5 6 7 8 9 / 2 4 3 8 7 6 5 9 1")
@@ -733,16 +737,19 @@ def _component_label(
 ) -> ComponentLabel:
     """The label of ``p``, whose stratum ``st`` is known.
 
-    ``rows`` is the class of ``p`` when the caller holds it.  Otherwise a
-    rule that needs the class searches within ``budget`` vertices, and
-    builds a class only in an exceptional stratum or in genus 2.  The
-    rules, in order:
+    ``rows`` is the class of ``p`` when the caller holds it.  A component
+    and a marked order fix the class (Boissy, arXiv:0904.3826; Lanneau,
+    *Comment. Math. Helv.* 79, 2004), so a rule that needs the class asks
+    one question: does it hold a reference table of the stratum and marked
+    order of ``p``?  With ``rows`` the answer is a lookup; otherwise one
+    search within ``budget`` vertices, from one of the two tables, stops
+    at the other.  Only genus 2 builds a class.  The rules, in order:
 
     * a stratum with one component has that label;
     * an exceptional stratum is split by its least table with the marked
       order of ``p`` (:func:`_least_table`; Boissy–Lanneau, *ETDS* 29,
       2009): the class that holds it is ``exceptional-a``, the other
-      ``exceptional-b``;
+      ``exceptional-b``; the search runs from ``p``;
     * where spin parity applies, a parity other than the hyperelliptic one
       (:func:`_hyperelliptic_parity`, Kontsevich–Zorich, Cor. 5) gives
       the spin label, and the hyperelliptic parity gives ``hyperelliptic``
@@ -752,22 +759,16 @@ def _component_label(
       (:func:`_forget_regular_point`) has the label of its merged table,
       one stratum down, since marked points do not change the components
       (Kontsevich–Zorich); a search stops at the first such vertex;
-    * otherwise a component and a marked order fix the class (Boissy,
-      arXiv:0904.3826; Lanneau, *Comment. Math. Helv.* 79, 2004), so the
-      class of ``p`` is hyperelliptic exactly when it holds the symmetric
-      table :func:`_hyperelliptic_table` finds for the stratum and marked
-      order of ``p``.  Without ``rows``, a search from that table, whose
-      class is the small one, stops when it meets ``p``.  With ``rows``,
-      an orientable stratum with no marked point looks for the reversal
-      (Rauzy, *Acta Arith.* 34, 1979), and any other stratum scans the
-      class for a vertex that passes :func:`_is_hyperelliptic_vertex`.
+    * otherwise the class is hyperelliptic exactly when it holds the
+      symmetric table :func:`_hyperelliptic_table` finds; the search runs
+      from that table, whose class is the small one, and stops at ``p``.
       Bare central symmetry is not enough: symmetric vertices also occur
       in non-hyperelliptic classes.
 
     A class that fails the hyperelliptic test has the spin label found
     above, or ``non-hyperelliptic`` where spin does not apply.
     """
-    from .classes import _bfs_rows, rauzy_class
+    from .classes import _bfs_rows, _holds, rauzy_class
 
     components = stratum_components(st)
     if not components:
@@ -779,12 +780,11 @@ def _component_label(
             # class of 1 2 3 4 / 4 3 2 1.
             rauzy_class(p, budget)
         return components[0]
+    here = (p.top, p.bottom)
     if ComponentLabel.EXCEPTIONAL_A in components:
-        if rows is None:
-            rows = rauzy_class(p, budget).table
-        if _least_table(st, _known_profile(p).marked) in rows:
-            return ComponentLabel.EXCEPTIONAL_A
-        return ComponentLabel.EXCEPTIONAL_B
+        ref = _least_table(st, _known_profile(p).marked, budget)
+        found = ref in rows if rows is not None else _holds(here, ref, budget)
+        return ComponentLabel.EXCEPTIONAL_A if found else ComponentLabel.EXCEPTIONAL_B
     if ComponentLabel.ODD_SPIN in components:
         parity = _spin_parity(p, st.genus)
         label = ComponentLabel.ODD_SPIN if parity else ComponentLabel.EVEN_SPIN
@@ -797,13 +797,12 @@ def _component_label(
             return ComponentLabel.HYPERELLIPTIC
     else:
         label = ComponentLabel.NON_HYPERELLIPTIC
-    abelian = st.kind is StratumKind.ABELIAN
     marked = _known_profile(p).marked
-    if abelian and st.orders.count(0) > (marked == 0):
+    if st.kind is StratumKind.ABELIAN and st.orders.count(0) > (marked == 0):
         # an order-0 point other than the marked one
         if rows is None:
             rows = _bfs_rows(
-                (p.top, p.bottom),
+                here,
                 budget,
                 stop=lambda rows: _forget_regular_point(rows) is not None,
             )
@@ -812,18 +811,8 @@ def _component_label(
             if merged is not None:
                 q = GenPerm._trusted(*merged)
                 return _component_label(q, stratum(q), budget)
-    if rows is None:
-        rep = _hyperelliptic_table(st, marked, budget)
-        target = (p.top, p.bottom)
-        found = rep is not None and target in _bfs_rows(
-            rep, budget, stop=target.__eq__
-        )
-    elif abelian and 0 not in st.orders:
-        found = _reversal(st.d) in rows
-    else:
-        found = any(
-            _is_centrally_symmetric(top, bottom)
-            and _is_hyperelliptic_vertex(GenPerm._trusted(top, bottom), st)
-            for top, bottom in rows
-        )
+    ref = _hyperelliptic_table(st, marked, budget)
+    found = ref is not None and (
+        ref in rows if rows is not None else _holds(ref, here, budget)
+    )
     return ComponentLabel.HYPERELLIPTIC if found else label

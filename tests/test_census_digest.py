@@ -2,10 +2,13 @@
 
 The digests below are the sha256 of ``verify_main_theorem(d, kind).to_json()``
 as computed with ``scripts/census_digest.py`` before the component
-classification was gathered into one table.  Any change to a class size,
-marked order, component label or pass flag of a permutation census with at
-most eight symbols, or a generalized one with at most six, changes one of
-them.
+classification was gathered into one table; the generalized census at
+seven symbols, the smallest whose classes reach the exceptional split and
+the families ``Q(2,6)``, ``Q(-1,-1,3,3)`` and ``Q(-1,-1,0,6)``, was pinned
+before every class-level label became one reference-table lookup.  Any
+change to a class size, marked order, component label or pass flag of a
+permutation census with at most eight symbols, or a generalized one with
+at most seven, changes one of them.
 """
 import importlib.util
 from pathlib import Path
@@ -28,6 +31,7 @@ PINNED = {
     (PermKind.QUADRATIC, 4): "21cdb496ac3790677f5b6f88ebd14cbab2dbbf05095cf18bbb2826e705f1b4f7",
     (PermKind.QUADRATIC, 5): "3e54d0204c81d019c6db5ae0b05afca7e6cd29fe2e088531db84f545bc9ccc6a",
     (PermKind.QUADRATIC, 6): "3563d384c7e4dbcaee7ff566a33162f19405567c656e74fdb4a35de221a68820",
+    (PermKind.QUADRATIC, 7): "189d914685564e1944697415d980d8b1fb08ebb9b9717d1f13f84a707ec56890",
 }
 
 

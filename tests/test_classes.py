@@ -401,6 +401,21 @@ class TestVerify:
             }
         ]
 
+    def test_budget_reaches_the_labels(self, monkeypatch):
+        import rauzy.classes
+
+        budgets = []
+        original = rauzy.classes.label_for_class
+
+        def recording(rows, st, budget):
+            budgets.append(budget)
+            return original(rows, st, budget)
+
+        monkeypatch.setattr(rauzy.classes, "label_for_class", recording)
+        report = verify_main_theorem(6, PermKind.IET, budget=134)
+        assert report.passed
+        assert budgets == [134] * sum(g.class_count for g in report.groups)
+
     def test_one_corner_walk_per_class(self, monkeypatch):
         # the seed's profile gives stratum and marked order, and the label
         # reuses the stratum: no table of the census is walked twice

@@ -74,6 +74,17 @@ class TestInvariants:
         assert code == 0 and "component: non-hyperelliptic" in out
 
 
+    def test_budget_bounds_the_least_table_search(self, capsys):
+        # Q(-1,9), marked order -1: the search from this table closes its
+        # class of 684 vertices, but finding the least table of the stratum
+        # and marked order tries 33,507 tables.
+        table = "1 2 1 / 3 2 4 5 6 3 7 4 5 6 7"
+        code, _, err = run_cli(capsys, "--budget", "1000", "invariants", table)
+        assert code == 1 and "budget" in err
+        code, out, _ = run_cli(capsys, "--budget", "33507", "invariants", table)
+        assert code == 0 and "component: exceptional-b" in out
+
+
 class TestClass:
     def test_count(self, capsys):
         code, out, _ = run_cli(capsys, "class", "1 2 3 4 / 4 3 2 1", "--count")

@@ -35,6 +35,7 @@ from rauzy.invariants import (
     _hyperelliptic_table,
     _is_centrally_symmetric,
     _is_hyperelliptic_vertex,
+    _least_table,
     central_involution,
     label_for_class,
 )
@@ -610,7 +611,8 @@ class TestHalfTranslationFamilies:
             "non-hyperelliptic",
             "non-hyperelliptic",
         ]
-        # the verifier, which holds the class, scans it and searches nothing
+        # the verifier, which holds the class, looks the symmetric table up
+        # in it and searches nothing
         monkeypatch.setattr(rauzy.classes, "_bfs_rows", forbidden)
         assert [label_for_class(table, st) for table in classes] == labels
 
@@ -639,6 +641,12 @@ class TestHalfTranslationFamilies:
         p = GenPerm(*_hyperelliptic_table(st, -1))
         with pytest.raises(BudgetExceeded):
             component_label(p, budget=81)
+        # a held class of 420 vertices takes the same budget for its label
+        held = rauzy_class(p).table
+        assert len(held) == 420
+        assert label_for_class(held, st, budget=82) is HYP
+        with pytest.raises(BudgetExceeded):
+            label_for_class(held, st, budget=81)
 
     def test_same_class_fast_builds_no_class(self, searches):
         hyp, nonhyp = parse(Q6_HYP), parse(Q6_NONHYP)
@@ -656,43 +664,68 @@ class TestExceptionalSplit:
     computed by partitioning every irreducible table of the stratum into
     classes and comparing their smallest vertices within each marked
     order.  A label must come out the same without enumerating or
-    partitioning the stratum.
+    partitioning the stratum, and without building a class: one search
+    from the table stops at the least table of its stratum and marked
+    order, the smallest vertex of the ``exceptional-a`` class, or closes
+    the ``exceptional-b`` class without meeting it.
     """
 
     CLASSES = [
-        ("1 2 1 / 3 2 4 3 5 4 6 7 6 7 5", -1, 6898, ComponentLabel.EXCEPTIONAL_A),
-        ("1 2 1 / 3 2 4 5 6 3 7 4 5 6 7", -1, 684, ComponentLabel.EXCEPTIONAL_B),
-        ("1 1 / 2 3 2 3 4 5 4 5 6 7 6 7", 9, 89046, ComponentLabel.EXCEPTIONAL_A),
-        ("1 1 / 2 3 2 3 4 5 6 7 4 5 6 7", 9, 11682, ComponentLabel.EXCEPTIONAL_B),
+        ("1 2 1 / 3 2 4 3 5 4 6 7 6 7 5", -1, 6898, 2170, ComponentLabel.EXCEPTIONAL_A),
+        ("1 2 1 / 3 2 4 5 6 3 7 4 5 6 7", -1, 684, 684, ComponentLabel.EXCEPTIONAL_B),
+        ("1 1 / 2 3 2 3 4 5 4 5 6 7 6 7", 9, 89046, 316, ComponentLabel.EXCEPTIONAL_A),
+        ("1 1 / 2 3 2 3 4 5 6 7 4 5 6 7", 9, 11682, 11682, ComponentLabel.EXCEPTIONAL_B),
     ]
 
     @pytest.mark.parametrize(
-        "table, marked, size, label", CLASSES, ids=["-1a", "-1b", "9a", "9b"]
+        "table, marked, size, searched, label", CLASSES, ids=["-1a", "-1b", "9a", "9b"]
     )
-    def test_q19_class_label(self, monkeypatch, table, marked, size, label):
+    def test_q19_class_label(
+        self, monkeypatch, searches, table, marked, size, searched, label
+    ):
         import rauzy.classes
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("the stratum was enumerated")
+            raise AssertionError("the stratum was enumerated, or a class built or searched")
 
-        built = []
-
-        def recording(seed, budget=10**7):
-            diagram = rauzy_class(seed, budget)
-            built.append(diagram)
-            return diagram
-
+        smallest = parse(table)
+        held = rauzy_class(smallest).table
+        assert len(held) == size
+        assert _smallest_vertex(held) == smallest
+        searches["bfs"].clear()
         monkeypatch.setattr(rauzy.classes, "class_partition", forbidden)
         monkeypatch.setattr(rauzy.classes, "enumerate_irreducible", forbidden)
-        monkeypatch.setattr(rauzy.classes, "rauzy_class", recording)
-        smallest = parse(table)
-        assert stratum(smallest) == parse_stratum("Q(-1,9)")
+        monkeypatch.setattr(rauzy.classes, "rauzy_class", forbidden)
+        st = parse_stratum("Q(-1,9)")
+        assert stratum(smallest) == st
         assert singularity_profile(smallest).marked == marked
         moved = r0(smallest)
         if moved is None or moved == smallest:
             moved = r1(smallest)
         assert moved != smallest
+        last = []
+        bfs = rauzy.classes._bfs_rows  # the counting search of the fixture
+
+        def ends(seed, budget, stop=None):
+            found = bfs(seed, budget, stop)
+            last.append(next(reversed(found)))
+            return found
+
+        monkeypatch.setattr(rauzy.classes, "_bfs_rows", ends)
         assert component_label(moved) is label
-        (diagram,) = built
-        assert len(diagram) == size
-        assert _smallest_vertex(diagram.table) == smallest
+        assert searches == {"bfs": [searched], "classes": []}
+        # an a-search ends at the smallest vertex, a b-search elsewhere
+        ends_at_smallest = last == [(smallest.top, smallest.bottom)]
+        assert ends_at_smallest == (label is ComponentLabel.EXCEPTIONAL_A)
+        # the verifier holds the class and looks the least table up in it
+        monkeypatch.setattr(rauzy.classes, "_bfs_rows", forbidden)
+        assert label_for_class(held, st) is label
+
+    def test_least_table_within_the_budget(self):
+        # The scan for the least table of Q(-1,9) with marked order 9
+        # tries 8,729 tables.
+        st = parse_stratum("Q(-1,9)")
+        least = _least_table(st, 9, budget=8729)
+        assert least == ((1, 1), (2, 3, 2, 3, 4, 5, 4, 5, 6, 7, 6, 7))
+        with pytest.raises(BudgetExceeded):
+            _least_table(st, 9, budget=8728)
