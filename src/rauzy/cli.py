@@ -30,12 +30,8 @@ class Config:
             raise ValueError("output must be text, json or dot")
 
 
-def _env(name: str, default):
-    return os.environ.get(name, default)
-
-
 def _env_budget() -> int:
-    text = _env("RAUZY_BUDGET", str(Config.node_budget))
+    text = os.environ.get("RAUZY_BUDGET", str(Config.node_budget))
     try:
         return int(text)
     except ValueError:
@@ -59,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--output",
         choices=["text", "json", "dot"],
-        default=_env("RAUZY_OUTPUT", "text"),
+        default=os.environ.get("RAUZY_OUTPUT", "text"),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -92,20 +92,13 @@ class GenPerm:
     def __str__(self) -> str:
         return format_perm(self)
 
-    def to_dict(self) -> dict:
-        return {"top": list(self.top), "bottom": list(self.bottom)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GenPerm":
-        return cls(tuple(data["top"]), tuple(data["bottom"]))
-
     @classmethod
     def _trusted(cls, top: tuple[int, ...], bottom: tuple[int, ...]) -> "GenPerm":
         """Wrap row tuples the move kernel or the enumerator produced.
 
         Such rows are reduced and two-to-one by construction, so the checks
         of ``__post_init__`` are skipped.  Input from users goes through
-        :func:`parse`, :meth:`from_dict`, :func:`reduce` or the constructor.
+        :func:`parse`, :func:`reduce` or the constructor.
         """
         p = object.__new__(cls)
         object.__setattr__(p, "top", top)
@@ -287,9 +280,9 @@ def _irreducible_tables(d: int) -> Iterator[Rows]:
     ``B_j`` with ``0 < j < m`` is then held against them: ``B_j`` must not
     be an inner top prefix, and ``B_c + B_j`` must not be a sum for any
     ``c <= j``.  The prefix ``j = 0`` needs no test: ``T_a + T_b + B = T``
-    fails on a letter doubled in the bottom row.  Tables come by top-row
-    length, shortest first; within a length the order is that of the
-    search.
+    fails on a letter doubled in the bottom row.  Tables come in
+    :attr:`GenPerm.key` order: by top-row length, shortest first, then by
+    top row and by bottom row.
     """
     unit = [1 << 3 * s for s in range(d + 1)]
     shift_base = 2 * sum(unit[1:])

@@ -593,28 +593,23 @@ def _forget_regular_point(rows: Rows) -> Optional[Rows]:
 def _least_table(st: Stratum, alpha: int, budget: int = 10**7) -> Optional[Rows]:
     """The least table of ``st`` with marked order ``alpha``, if any.
 
-    Least is in :attr:`GenPerm.key` order.  This table splits an exceptional half-translation stratum: the class
-    that holds it is ``exceptional-a``, and the other class with that
-    marked order is ``exceptional-b``.  :func:`_irreducible_tables` yields
-    tables by top-row length, shortest first, so the scan stops after the
-    first length that holds a match.  A scan that tries more than
+    Least is in :attr:`GenPerm.key` order.  This table splits an
+    exceptional half-translation stratum: the class that holds it is
+    ``exceptional-a``, and the other class with that marked order is
+    ``exceptional-b``.  :func:`_irreducible_tables` yields tables in that
+    order, so the first match is the least.  A scan that tries more than
     ``budget`` tables raises :class:`BudgetExceeded`.
     """
-    least: Rows | None = None
     for tried, (top, bottom) in enumerate(_irreducible_tables(st.d)):
-        if least is not None and len(top) > len(least[0]):
-            break
         if tried >= budget:
             raise BudgetExceeded(
                 f"the least-table search exceeds the {budget}-table budget"
             )
-        if least is not None and (top, bottom) > least:
-            continue
         p = GenPerm._trusted(top, bottom)
         profile = _known_profile(p)
         if profile.marked == alpha and _stratum_of(p, profile) == st:
-            least = (top, bottom)
-    return least
+            return top, bottom
+    return None
 
 
 def _involutions(letters: tuple[int, ...], swaps: int) -> Iterator[dict[int, int]]:

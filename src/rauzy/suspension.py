@@ -178,11 +178,13 @@ def _occurrence_balance(p: GenPerm) -> list[int]:
     return c
 
 
-def _imag_system(p: GenPerm) -> tuple[list, list]:
-    """Inequality/equality rows for the imaginary parts (tau variables).
+def _imag_system(p: GenPerm) -> tuple[list, Optional[linprog.Row]]:
+    """Inequality rows and the balance equality for the imaginary parts.
 
-    Strict inequalities are normalised to closed ones with slack 1, which
-    is equivalent by homogeneity; witnesses therefore keep every interior
+    The variables are the tau entries; the equality, None when every
+    symbol balances, says the two lines end at one height.  Strict
+    inequalities are normalised to closed ones with slack 1, which is
+    equivalent by homogeneity; witnesses therefore keep every interior
     vertex at distance >= 1 from the horizontal axis.
     """
     d = p.d
@@ -195,22 +197,20 @@ def _imag_system(p: GenPerm) -> tuple[list, list]:
     for s in p.bottom[:-1]:
         acc[s - 1] -= 1
         ineqs.append((tuple(acc), -1))
-    eqs = []
-    balance = _occurrence_balance(p)
-    if any(balance):
-        eqs.append((tuple(balance), 0))
-    return ineqs, eqs
+    balance = tuple(_occurrence_balance(p))
+    return ineqs, (balance, 0) if any(balance) else None
 
 
-def _real_system(p: GenPerm, ims: list[int]) -> tuple[list, list]:
-    """Inequality/equality rows for the real parts (length variables).
+def _real_system(p: GenPerm, ims: list[int]) -> tuple[list, Optional[linprog.Row]]:
+    """Inequality rows and the balance equality for the lengths.
 
-    Given the imaginary parts ``ims`` times any positive number, one
-    fold-guard row is added when the total height is nonzero: the edge
-    climbing (or descending) to the common right endpoint must cross level
-    zero no earlier than the other line's last interior vertex.  Together
-    with the unit margins on interior heights this makes the polygon
-    embedded.
+    The equality, None when every symbol balances, says the top and bottom
+    sums of the lengths agree.  Given the imaginary parts ``ims`` times any
+    positive number, one fold-guard row is added when the total height is
+    nonzero: the edge climbing (or descending) to the common right endpoint
+    must cross level zero no earlier than the other line's last interior
+    vertex.  Together with the unit margins on interior heights this makes
+    the polygon embedded.
     """
     d = p.d
     ineqs = []
@@ -218,10 +218,6 @@ def _real_system(p: GenPerm, ims: list[int]) -> tuple[list, list]:
         row = [0] * d
         row[k] = 1
         ineqs.append((tuple(row), -1))
-    eqs = []
-    balance = _occurrence_balance(p)
-    if any(balance):
-        eqs.append((tuple(balance), 0))
     total = sum(ims[s - 1] for s in p.top)
     a = p.top[-1]
     b = p.bottom[-1]
@@ -237,7 +233,8 @@ def _real_system(p: GenPerm, ims: list[int]) -> tuple[list, list]:
         row[b - 1] += -total + rise
         row[a - 1] -= -total
         ineqs.append((tuple(row), 0))
-    return ineqs, eqs
+    balance = tuple(_occurrence_balance(p))
+    return ineqs, (balance, 0) if any(balance) else None
 
 
 def _scaled(values) -> tuple[int, list[int]]:
@@ -288,8 +285,9 @@ def _valid_parts(
 def _witness(p: GenPerm, choose: linprog.IntervalChooser) -> SuspensionDatum:
     """The suspension vector of both systems solved with ``choose``.
 
-    The two solutions are joined over their least common denominator, and
-    the datum is checked.
+    ``choose`` picks every variable but the pivot of each balance
+    equality, which the equality fixes.  The two solutions are joined over
+    their least common denominator, and the datum is checked.
     """
     d = p.d
     ims = linprog.solve(d, *_imag_system(p), choose=choose)

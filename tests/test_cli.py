@@ -76,12 +76,12 @@ class TestInvariants:
 
     def test_budget_bounds_the_least_table_search(self, capsys):
         # Q(-1,9), marked order -1: the search from this table closes its
-        # class of 684 vertices, but finding the least table of the stratum
-        # and marked order tries 33,507 tables.
+        # class of 684 vertices, but the least table of the stratum and
+        # marked order is the 18,323rd table the scan tries.
         table = "1 2 1 / 3 2 4 5 6 3 7 4 5 6 7"
         code, _, err = run_cli(capsys, "--budget", "1000", "invariants", table)
         assert code == 1 and "budget" in err
-        code, out, _ = run_cli(capsys, "--budget", "33507", "invariants", table)
+        code, out, _ = run_cli(capsys, "--budget", "18323", "invariants", table)
         assert code == 0 and "component: exceptional-b" in out
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from rauzy.linprog import (
     _Contradiction,
     _norm,
-    _reduce_equalities,
     canonical_choice,
     feasible,
     solve,
@@ -37,17 +36,18 @@ def test_simple_interval():
 def test_equality_substitution():
     # x + y = 4, x >= 1, y >= 1
     rows = [((1, 0), -1), ((0, 1), -1)]
-    eqs = [((1, 1), -4)]
-    sol = solve(2, rows, eqs)
+    eq = ((1, 1), -4)
+    sol = solve(2, rows, eq)
     assert sol is not None
-    assert _residuals(eqs, sol) == [0]
+    assert _residuals([eq], sol) == [0]
     assert all(r >= 0 for r in _residuals(rows, sol))
 
 
 def test_equality_contradiction():
-    eqs = [((0, 0), 3)]
-    assert not feasible(2, [], eqs)
-    assert solve(2, [], eqs) is None
+    for eq in (((0, 0), 3), ((0, 0), -3)):
+        assert not feasible(2, [], eq)
+        assert solve(2, [], eq) is None
+    assert feasible(2, [], ((0, 0), 0))
 
 
 def test_canonical_prefers_zero():
@@ -91,63 +91,41 @@ def test_solution_satisfies_all_rows(rows):
 )
 @settings(max_examples=150, deadline=None)
 def test_solution_satisfies_equalities(rows, eq):
-    sol = solve(3, rows, [eq])
+    sol = solve(3, rows, eq)
+    assert (sol is not None) == feasible(3, rows, eq)
     if sol is not None:
         assert _residuals([eq], sol) == [0]
         assert all(r >= 0 for r in _residuals(rows, sol))
 
 
-def _fraction_reduce_equalities(nvars, ineqs, eqs):
-    """Gaussian elimination of the equality rows in ``Fraction`` arithmetic.
+def _fraction_reduce_equalities(nvars, ineqs, eq):
+    """Solve the equality for its highest variable in ``Fraction`` arithmetic.
 
-    The route ``linprog._reduce_equalities`` took before it eliminated on
-    integer rows; kept as the oracle of the integer route.  Pivot
-    substitutions are ``(var, coeffs_over_free, const)`` with
-    ``x[var] = sum(c*x_free) + const``.
+    The route the Gauss-Jordan stage of ``linprog`` took before integer
+    rows and before the equality was substituted inside the elimination;
+    kept as an oracle.  Returns the inequality rows over the other
+    variables, gcd-normalised; raises ``_Contradiction`` when the equality
+    or an inequality is a constant contradiction.
     """
-    work = [([Fraction(a) for a in coeffs], Fraction(const)) for coeffs, const in eqs]
-    pivots = []
-    for coeffs, const in work:
-        for done_var, expr, c0 in pivots:
-            f = coeffs[done_var]
-            if f:
-                coeffs[done_var] = Fraction(0)
-                for k in range(nvars):
-                    coeffs[k] += f * expr[k]
-                const += f * c0
+    var, expr, c0 = -1, None, Fraction(0)
+    if eq is not None:
+        coeffs, const = eq
         var = max((k for k in range(nvars) if coeffs[k]), default=-1)
-        if var < 0:
-            if const != 0:
-                raise _Contradiction
-            continue
-        lead = coeffs[var]
-        expr_row = [-coeffs[k] / lead for k in range(nvars)]
-        expr_row[var] = Fraction(0)
-        pivots.append((var, expr_row, -const / lead))
-    for i in range(len(pivots) - 1, -1, -1):
-        var, expr, c0 = pivots[i]
-        for j in range(i + 1, len(pivots)):
-            var_j, expr_j, c0_j = pivots[j]
-            f = expr[var_j]
-            if f:
-                expr[var_j] = Fraction(0)
-                for k in range(nvars):
-                    expr[k] += f * expr_j[k]
-                c0 += f * c0_j
-        pivots[i] = (var, expr, c0)
-    pivot_vars = {var for var, _, _ in pivots}
-    free = [k for k in range(nvars) if k not in pivot_vars]
+        if var < 0 and const != 0:
+            raise _Contradiction
+        if var >= 0:
+            # x[var] = sum(expr[k] * x[k]) + c0
+            expr = [Fraction(-a, coeffs[var]) for a in coeffs]
+            c0 = Fraction(-const, coeffs[var])
+    free = [k for k in range(nvars) if k != var]
     out_rows = []
     for coeffs, const in ineqs:
         acc = [Fraction(a) for a in coeffs]
         c = Fraction(const)
-        for var, expr, c0 in pivots:
+        if var >= 0 and acc[var]:
             f = acc[var]
-            if f:
-                acc[var] = Fraction(0)
-                for k in range(nvars):
-                    acc[k] += f * expr[k]
-                c += f * c0
+            acc = [a + f * e for a, e in zip(acc, expr)]
+            c += f * c0
         packed = [acc[v] for v in free]
         denom = 1
         for val in packed + [c]:
@@ -155,59 +133,37 @@ def _fraction_reduce_equalities(nvars, ineqs, eqs):
         row = _norm([int(v * denom) for v in packed], int(c * denom))
         if row is not None:
             out_rows.append(row)
-    frozen = [(var, tuple(expr[v] for v in free), c0) for var, expr, c0 in pivots]
-    return out_rows, free, frozen
+    return out_rows, free
 
 
-def _outcome(reduce, nvars, ineqs, eqs):
+def _oracle_feasible(nvars, ineqs, eq):
     try:
-        return reduce(nvars, ineqs, eqs)
+        rows, free = _fraction_reduce_equalities(nvars, ineqs, eq)
     except _Contradiction:
-        return "contradiction"
+        return False
+    return feasible(len(free), rows)
 
 
-def _random_system(rng, nvars, n_ineqs, n_eqs, span):
+def _random_system(rng, nvars, n_ineqs, span):
     def row():
         return (tuple(rng.randint(-span, span) for _ in range(nvars)), rng.randint(-6, 6))
 
-    return [row() for _ in range(n_ineqs)], [row() for _ in range(n_eqs)]
+    return [row() for _ in range(n_ineqs)], row() if rng.random() < 0.5 else None
 
 
 def test_integer_elimination_matches_fraction_oracle():
     rng = Random("linprog:equalities")
-    branches = {n: 0 for n in range(4)}
+    branches = {(has_eq, ok): 0 for has_eq in (False, True) for ok in (False, True)}
     for _ in range(3_000):
         nvars = rng.randint(1, 6)
-        n_eqs = rng.randint(0, 3)
-        ineqs, eqs = _random_system(rng, nvars, rng.randint(0, 6), n_eqs, rng.choice((1, 3, 9)))
-        got = _outcome(_reduce_equalities, nvars, ineqs, eqs)
-        want = _outcome(_fraction_reduce_equalities, nvars, ineqs, eqs)
-        if want == "contradiction":
-            assert got == want, (nvars, ineqs, eqs)
-            continue
-        rows, free, pivots = got
-        assert (rows, free) == want[:2], (nvars, ineqs, eqs)
-        substitutions = [
-            (var, tuple(Fraction(-c, lead) for c in coeffs), Fraction(-const, lead))
-            for var, coeffs, const, lead in pivots
-        ]
-        assert substitutions == want[2], (nvars, ineqs, eqs)
-        branches[len(pivots)] += 1
+        ineqs, eq = _random_system(rng, nvars, rng.randint(0, 6), rng.choice((1, 3, 9)))
+        want = _oracle_feasible(nvars, ineqs, eq)
+        assert feasible(nvars, ineqs, eq) == want, (nvars, ineqs, eq)
+        sol = solve(nvars, ineqs, eq)
+        assert (sol is not None) == want, (nvars, ineqs, eq)
+        if sol is not None:
+            assert all(r >= 0 for r in _residuals(ineqs, sol)), (nvars, ineqs, eq)
+            if eq is not None:
+                assert _residuals([eq], sol) == [0], (nvars, ineqs, eq)
+        branches[eq is not None, want] += 1
     assert min(branches.values()) >= 100, branches
-
-
-def test_solve_satisfies_several_equalities():
-    rng = Random("linprog:solve")
-    solved = 0
-    for _ in range(500):
-        nvars = rng.randint(2, 5)
-        ineqs, eqs = _random_system(rng, nvars, rng.randint(0, 5), rng.randint(2, 3), 3)
-        sol = solve(nvars, ineqs, eqs)
-        assert (sol is not None) == feasible(nvars, ineqs, eqs)
-        if sol is None:
-            continue
-        solved += 1
-        assert all(r == 0 for r in _residuals(eqs, sol))
-        assert all(r >= 0 for r in _residuals(ineqs, sol))
-    assert solved >= 100
-

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from conftest import genperms, irreducible_genperms, pl_value, rational_points
 
+import rauzy.linprog
 from rauzy import (
     GenPerm,
     build_polygon,
@@ -23,7 +24,7 @@ from rauzy.combinat import PermKind, all_reduced_tables, reduce
 from rauzy.classes import enumerate_irreducible
 from rauzy.errors import DegeneratePolygon, DimensionMismatch, InvalidSuspension
 from rauzy.induction import rv_step
-from rauzy.linprog import feasible
+from rauzy.linprog import canonical_choice, feasible, solve
 from rauzy.suspension import (
     SuspensionDatum,
     _imag_system,
@@ -301,6 +302,31 @@ class TestFindSuspension:
             z = random_suspension(p, rng)
             assert check_suspension(p, z)
             assert is_embedded(build_polygon(p, z))
+
+    def test_chooser_gets_no_point_interval(self, monkeypatch):
+        # solve hands the chooser every variable but the balance equality's
+        # pivot, d - 1 per system.  The random chooser picks strictly inside
+        # each interval, so it never meets a point interval either: a point
+        # would only arise from a boundary pick, as the canonical rule makes.
+        calls = []
+
+        def recording_solve(nvars, ineqs, eq=None, choose=canonical_choice):
+            def record(lo, hi):
+                calls.append((lo, hi))
+                return choose(lo, hi)
+
+            return solve(nvars, ineqs, eq, record)
+
+        monkeypatch.setattr(rauzy.linprog, "solve", recording_solve)
+        for d in range(3, 6):
+            for p in enumerate_irreducible(d, PermKind.QUADRATIC):
+                calls.clear()
+                find_suspension(p)
+                assert len(calls) == 2 * (d - 1), p
+                calls.clear()
+                random_suspension(p, Random(str(p)))
+                assert len(calls) == 2 * (d - 1), p
+                assert all(lo is None or hi is None or lo < hi for lo, hi in calls), p
 
 
 # a vector of ``1 2 / 2 1`` whose entries have denominators 2, 3, 4 and 6
