@@ -36,6 +36,7 @@ from itertools import permutations
 import rauzy.classes
 from rauzy.classes import _seeded_classes
 from rauzy.combinat import GenPerm, _irreducible_tables
+from rauzy.induction import _from_key
 from rauzy.invariants import (
     ComponentLabel,
     StratumKind,
@@ -69,7 +70,8 @@ def searched(st, components, spin):
 
 
 def scan_label(table, st, spin):
-    """The label of a class by a scan of all of it for a hyperelliptic vertex.
+    """The label of a class, given by its vertex keys, by a scan of all of it
+    for a hyperelliptic vertex.
 
     ``spin`` is the spin label of the class, or None where spin does not
     apply; neither the forget rule nor the symmetric-table search is used.
@@ -77,7 +79,7 @@ def scan_label(table, st, spin):
     if any(
         _is_centrally_symmetric(*rows)
         and _is_hyperelliptic_vertex(GenPerm._trusted(*rows), st)
-        for rows in table
+        for rows in map(_from_key, table)
     ):
         return ComponentLabel.HYPERELLIPTIC
     return spin or ComponentLabel.NON_HYPERELLIPTIC
@@ -109,7 +111,7 @@ def main() -> int:
     # each class is labelled as soon as it is built, so only one is held
     for diagram in classes(args.d, args.kind):
         table = diagram.table
-        rep = GenPerm._trusted(*next(iter(table)))
+        rep = GenPerm._trusted(*_from_key(next(iter(table))))
         profile = _known_profile(rep)
         st = _stratum_of(rep, profile)
         components = stratum_components(st)
@@ -123,8 +125,8 @@ def main() -> int:
         sample = rng.sample(list(table), min(args.samples, len(table)))
         times = {"search": [], "class": []}
         disagree = 0
-        for rows in sample:
-            p = GenPerm._trusted(*rows)
+        for key in sample:
+            p = GenPerm._trusted(*_from_key(key))
             rauzy.classes.rauzy_class = forbidden
             try:
                 tick = time.perf_counter()

@@ -3,9 +3,12 @@ Rauzy classes and diagrams: enumeration, membership, and the class-count
 verifier.
 
 A class is the smallest set of reduced generalized permutations containing
-a seed and closed under both moves, held as its vertex set: the rows of
-each vertex, with no move target.  Its ``GenPerm`` vertices are made when
-read, and so are its edges, from the move kernel.
+a seed and closed under both moves, held as its vertex set: the key of
+each vertex, its two rows as one byte string
+(:func:`rauzy.induction._to_key`), with no move target.  The search takes
+both moves of a key in one call from the kernel of
+:func:`rauzy.induction._successors`.  Its ``GenPerm`` vertices are decoded
+when read, and its edges are made then from the same kernel.
 
 The verifier builds every class of a given size and kind, one at a time,
 from seed tables, and proves that none is missing by a count.  Permutation
@@ -52,7 +55,7 @@ from .combinat import (
     is_irreducible,
 )
 from .errors import BudgetExceeded, ReducibleSeed
-from .induction import _rows_kernel
+from .induction import _from_key, _successors, _to_key
 from .invariants import (
     ComponentLabel,
     Stratum,
@@ -67,50 +70,52 @@ from .invariants import (
 
 @dataclass(frozen=True)
 class RauzyDiagram:
-    """A class as its vertex rows; edges are made by the move kernel when read."""
+    """A class as its vertex keys; vertices and edges are decoded when read."""
 
-    table: dict[Rows, None]
+    table: dict[bytes, None]
 
     def __len__(self) -> int:
         return len(self.table)
 
     def __contains__(self, p: GenPerm) -> bool:
-        return (p.top, p.bottom) in self.table
+        return _to_key(p.top, p.bottom) in self.table
 
     def edge_count(self) -> int:
-        move = _rows_kernel(next(iter(self.table)))
-        return sum(move(rows, i) is not None for rows in self.table for i in (0, 1))
+        moves = _successors(next(iter(self.table)))
+        return sum(t is not None for key in self.table for t in moves(key))
 
     @cached_property
     def vertices(self) -> tuple[GenPerm, ...]:
         return tuple(
-            sorted((GenPerm._trusted(*r) for r in self.table), key=lambda v: v.key)
+            sorted(
+                (GenPerm._trusted(*_from_key(key)) for key in self.table),
+                key=lambda v: v.key,
+            )
         )
 
     @cached_property
     def edges(self) -> dict[GenPerm, tuple[Optional[GenPerm], Optional[GenPerm]]]:
-        move = _rows_kernel(next(iter(self.table)))
-        at = {(v.top, v.bottom): v for v in self.vertices}  # None stays None
-        return {v: (at.get(move(r, 0)), at.get(move(r, 1))) for r, v in at.items()}
+        moves = _successors(next(iter(self.table)))
+        at = {_to_key(v.top, v.bottom): v for v in self.vertices}  # None stays None
+        return {v: tuple(map(at.get, moves(key))) for key, v in at.items()}
 
 
 def _bfs_rows(
-    seed: Rows, budget: int, stop: Optional[Callable[[Rows], bool]] = None
-) -> dict[Rows, None]:
-    """Vertex rows of the class of ``seed``, breadth first, the seed first.
+    seed: bytes, budget: int, stop: Optional[Callable[[bytes], bool]] = None
+) -> dict[bytes, None]:
+    """Vertex keys of the class of the key ``seed``, breadth first, the seed first.
 
     With ``stop``, the search ends at the first vertex, the seed included,
-    whose rows pass it; the partial table then holds them as its last key.
+    whose key passes it; the partial table then holds it as its last key.
     A search that returns a table with no such key has built the class.
     """
-    move = _rows_kernel(seed)
-    seen: dict[Rows, None] = {seed: None}
+    moves = _successors(seed)
+    seen: dict[bytes, None] = {seed: None}
     if stop is not None and stop(seed):
         return seen
     queue = deque([seed])
     while queue:
-        rows = queue.popleft()
-        for nxt in (move(rows, 0), move(rows, 1)):
+        for nxt in moves(queue.popleft()):
             if nxt is not None and nxt not in seen:
                 if stop is not None and stop(nxt):
                     seen[nxt] = None
@@ -124,7 +129,7 @@ def _bfs_rows(
     return seen
 
 
-def _holds(seed: Rows, target: Rows, budget: int) -> bool:
+def _holds(seed: bytes, target: bytes, budget: int) -> bool:
     """Whether the class of ``seed`` holds ``target``, by a search that stops there."""
     return target in _bfs_rows(seed, budget, stop=target.__eq__)
 
@@ -136,19 +141,21 @@ def rauzy_class(seed: GenPerm, budget: int = 10**7) -> RauzyDiagram:
     >>> len(rauzy_class(parse("1 2 3 4 / 4 3 2 1")))
     7
     """
+    key = _to_key(seed.top, seed.bottom)
     if not is_irreducible(seed):
         raise ReducibleSeed(f"{seed} admits no suspension")
-    return RauzyDiagram(_bfs_rows((seed.top, seed.bottom), budget))
+    return RauzyDiagram(_bfs_rows(key, budget))
 
 
 def same_class_bfs(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
     """Membership test by explicit closure, with early exit."""
+    keys = [_to_key(p.top, p.bottom) for p in (p1, p2)]
     for p in (p1, p2):
         if not is_irreducible(p):
             raise ReducibleSeed(f"{p} admits no suspension")
     if p1.d != p2.d:
         return False
-    return _holds((p1.top, p1.bottom), (p2.top, p2.bottom), budget)
+    return _holds(*keys, budget)
 
 
 def same_class_fast(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
@@ -204,17 +211,20 @@ def _seeded_classes(
 ) -> Iterator[RauzyDiagram]:
     """The classes of the seeds among the ``candidates`` rows, each built once.
 
-    Each class is its vertex rows, its edges made from the move kernel
-    when read.  A candidate is skipped when it is no seed or its class is
-    already built; between classes only the seed rows of each built class
-    are remembered.  Only the seeds that start a class are wrapped.
+    Each class is its vertex keys, its edges made from the move kernel
+    when read.  Only the candidates that pass ``is_seed`` are encoded, all
+    before the first class.  A seed starts a class unless a class built
+    before holds it: the seeds each class holds are the intersection of
+    its keys with the seeds, one lookup per key of the smaller side.  Only
+    the seeds that start a class are wrapped.
     """
-    seen: set[Rows] = set()
-    for rows in candidates:
-        if not is_seed(rows) or rows in seen:
+    seeds = dict.fromkeys(_to_key(*rows) for rows in candidates if is_seed(rows))
+    seen: set[bytes] = set()
+    for key in seeds:
+        if key in seen:
             continue
-        diagram = rauzy_class(GenPerm._trusted(*rows), budget)
-        seen.update(filter(is_seed, diagram.table))
+        diagram = rauzy_class(GenPerm._trusted(*_from_key(key)), budget)
+        seen.update(diagram.table.keys() & seeds.keys())
         yield diagram
 
 
@@ -382,7 +392,7 @@ def verify_main_theorem(
     found = 0
     for diagram in _seeded_classes(counted(candidates), is_seed, budget):
         # every seed is irreducible, so one walk gives stratum and marked order
-        seed = GenPerm._trusted(*next(iter(diagram.table)))
+        seed = GenPerm._trusted(*_from_key(next(iter(diagram.table))))
         profile = _known_profile(seed)
         st = _stratum_of(seed, profile)
         label = label_for_class(diagram.table, st, budget)

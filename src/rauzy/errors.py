@@ -45,6 +45,10 @@ class InductionHalt(RauzyError):
     """Induction cannot proceed (equal compared data or matching end symbols)."""
 
 
+class TooManySymbols(RauzyError):
+    """A table has more symbols than a vertex key holds."""
+
+
 class UndefinedMove(RauzyError):
     """The requested combinatorial move is not defined at this vertex."""
 

@@ -19,6 +19,19 @@ renumber the result back to reduced form.  Undefinedness is an ordinary
 return value (``None``) rather than an error: class enumeration treats
 vertices with missing edges as such.
 
+The moves work on vertex keys: the bytes of the top row, a 0 byte, the
+bytes of the bottom row (:func:`_to_key`), so a table has at most 255
+symbols.  Only this module encodes and decodes keys.  A raw move relocates
+one occurrence of the loser ``x``, the last symbol of the losing row, so
+every other symbol keeps its order of first occurrence, and the
+renumbering is one rotation: ``x`` goes to ``m``, one more than the number
+of distinct symbols before its new first occurrence, and the symbols
+between shift by one.  ``bytes.translate`` applies it
+(:func:`_table_move`).  The class search takes both moves of a key in one
+call from the kernel :func:`_successors` gives for its class: slices and
+one translation table per bottom winner for permutations, and
+:func:`_table_move` for other tables.
+
 The induction itself is :func:`rv_step`, one step on a suspension vector,
 whose real parts are the interval lengths.  It is exact: it reads the
 vector's integer parts over their common denominator, compares, subtracts
@@ -29,103 +42,144 @@ detected by exact equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import cache
+from typing import Callable, Optional, Sequence
 
 from .combinat import GenPerm, Rows
-from .errors import InductionHalt, InvalidSuspension, UndefinedMove
+from .errors import InductionHalt, InvalidSuspension, TooManySymbols, UndefinedMove
 from .suspension import SuspensionDatum, _valid_parts
 
-
-def _move0_raw(top: tuple[int, ...], bottom: tuple[int, ...]) -> Optional[Rows]:
-    """Raw move 0 on a two-to-one table; None when undefined."""
-    winner = top[-1]
-    loser = bottom[-1]
-    if winner == loser:
-        return None
-    # The winner's other occurrence is in ``bottom[:-1]`` or in ``top[:-1]``.
-    if winner in bottom:
-        k = bottom.index(winner)
-        new_bottom = bottom[: k + 1] + (loser,) + bottom[k + 1 : -1]
-        return (top, new_bottom)
-    rest = bottom[:-1]
-    # Some symbol has both occurrences in ``rest`` iff ``rest`` repeats one.
-    if len(set(rest)) < len(rest):
-        k = top.index(winner)
-        new_top = top[:k] + (loser,) + top[k:]
-        return (new_top, rest)
-    return None
+_MAX_SYMBOLS = 255  # one byte per symbol, 0 the row separator
 
 
-def _move1_raw(top: tuple[int, ...], bottom: tuple[int, ...]) -> Optional[Rows]:
-    moved = _move0_raw(bottom, top)
-    if moved is None:
-        return None
-    return (moved[1], moved[0])
+def _to_key(top: Sequence[int], bottom: Sequence[int]) -> bytes:
+    """The vertex key of a reduced table: the top row, a 0 byte, the bottom row.
 
-
-def _moved_rows(rows: Rows, which: int) -> Optional[tuple[Rows, dict[int, int]]]:
-    """Move ``which`` on reduced rows, renumbered back to reduced form.
-
-    The move-and-renumber kernel of the moves below; the class search
-    takes rows only, through :func:`_rows_kernel`.  Returns the reduced
-    rows and the ``old symbol -> new symbol`` map of the renumbering, or
-    None when the move is undefined.
-    The rows are not validated: a move keeps a reduced two-to-one table
-    two-to-one, and the renumbering reduces it.
+    One byte per symbol, so a key holds the symbols 1 to 255; a larger
+    table raises :class:`TooManySymbols`.
     """
-    raw = _move0_raw(*rows) if which == 0 else _move1_raw(*rows)
-    if raw is None:
-        return None
-    relabel: dict[int, int] = {}
-    out = []
-    for row in raw:
-        new_row = []
-        for s in row:
-            if s not in relabel:
-                relabel[s] = len(relabel) + 1
-            new_row.append(relabel[s])
-        out.append(tuple(new_row))
-    return (out[0], out[1]), relabel
+    if len(top) + len(bottom) > 2 * _MAX_SYMBOLS:
+        raise TooManySymbols(
+            f"a vertex key holds at most {_MAX_SYMBOLS} symbols; "
+            f"this table has {(len(top) + len(bottom)) // 2}"
+        )
+    return bytes(top) + b"\0" + bytes(bottom)
 
 
-def _moved_table(rows: Rows, which: int) -> Optional[Rows]:
-    """Rows-only :func:`_moved_rows`: :func:`r0`, :func:`r1` and generalized classes."""
-    moved = _moved_rows(rows, which)
-    return None if moved is None else moved[0]
+def _from_key(key: bytes) -> Rows:
+    """The rows of a vertex key."""
+    i = key.index(0)
+    return tuple(key[:i]), tuple(key[i + 1 :])
 
 
-def _moved_perm(rows: Rows, which: int) -> Optional[Rows]:
-    """Rows-only :func:`_moved_rows` for a reduced permutation.
+def _rotation(x: int, m: int) -> bytes:
+    """The ``bytes.translate`` table of the renumbering ``x -> m``.
 
-    The top row is ``1 ... d``, and no renumbering loop is needed.  Move 0
-    keeps the top row, so the raw rows are already reduced.  Move 1 with
-    bottom winner ``w`` makes the top row ``1 ... w, d, w+1 ... d-1``;
-    renumbering sends ``s <= w`` to ``s``, ``d`` to ``w + 1`` and
-    ``w < s < d`` to ``s + 1``, which one lookup tuple does to the bottom
-    row.  Both moves are undefined exactly when the bottom row ends in ``d``.
+    The symbols between ``x`` and ``m`` shift by one toward the place
+    ``x`` left; every other byte, the separator included, stays.
     """
-    top, bottom = rows
-    d = len(top)
-    w = bottom[-1]
-    if w == d:
+    ident = bytes(range(256))
+    if m < x:
+        return ident[:m] + ident[m + 1 : x + 1] + ident[m : m + 1] + ident[x + 1 :]
+    return ident[:x] + ident[m : m + 1] + ident[x:m] + ident[m + 1 :]
+
+
+def _table_move(
+    key: bytes, which: int, rotation: Callable[[int, int], bytes] = _rotation
+) -> Optional[tuple[bytes, int, int]]:
+    """Move ``which`` on a reduced key, renumbered; None when undefined.
+
+    Returns the moved key and the rotation ``x -> m`` that reduced it,
+    ``x`` the loser.  The rotation is the identity unless the raw move
+    moved the first occurrence of ``x``.  Otherwise, by reduced numbering,
+    the distinct symbols before the new one are those up to the largest,
+    ``before``, except ``x``, which fixes ``m``.  Reduced numbering also
+    counts symbols: the top row holds ``k`` distinct symbols, ``k`` its
+    largest, so ``d - k`` symbols lie in the bottom row alone and
+    ``len(top) - k`` in the top row alone.  ``rotation(x, m)`` gives the
+    translation table.
+    """
+    i = key.index(0)
+    if key[i - 1] == key[-1]:
         return None
     if which == 0:
-        k = bottom.index(d)
-        return (top, bottom[: k + 1] + (w,) + bottom[k + 1 : -1])
-    lookup = top[:w] + top[w + 1 :] + (w + 1,)
-    return (top, tuple([lookup[s - 1] for s in bottom]))
+        x = key[-1]
+        winner = key[i - 1]
+        p = key.find(winner, i + 1) + 1  # just after it in the bottom row
+        if not p:
+            # into the top row, if another symbol has both occurrences
+            # in the bottom row
+            k = max(key[:i])
+            if len(key) // 2 - k <= (x > k):
+                return None
+            p = key.index(winner)  # just before it
+        raw = key[:p] + key[-1:] + key[p:-1]
+        moved = key.index(x) > p  # x now first occurs at p
+    else:
+        x = key[i - 1]
+        winner = key[-1]
+        p = key.index(winner) + 1
+        if p < i:  # just after it in the top row
+            raw = key[:p] + key[i - 1 : i] + key[p : i - 1] + key[i:]
+            moved = key.index(x) > p
+        else:
+            # into the bottom row, just before it, if another symbol has
+            # both occurrences in the top row
+            if i - max(key[:i]) <= (key.index(x) < i - 1):
+                return None
+            raw = key[: i - 1] + key[i : p - 1] + key[i - 1 : i] + key[p - 1 :]
+            moved = key.index(x) == i - 1  # the occurrence that left was first
+            p = raw.index(x)
+    if not moved:
+        return raw, x, x
+    before = max(raw[:p]) if p else 0
+    m = before + 1 - (x < before)
+    return (raw if m == x else raw.translate(rotation(x, m))), x, m
 
 
-def _rows_kernel(rows: Rows) -> Callable[[Rows, int], Optional[Rows]]:
-    """The rows-only move for the class of ``rows``.
+def _successors(
+    seed: bytes,
+) -> Callable[[bytes], tuple[Optional[bytes], Optional[bytes]]]:
+    """The move kernel of a class search: both moves of a key, renumbered.
 
-    Moves keep a table a permutation or a generalized permutation, so the
-    choice made on one vertex holds on its whole class.
+    Moves keep a permutation a permutation, so the kernel chosen for the
+    seed holds on its whole class; its translation tables are built for
+    this search.  A permutation's top row is ``1 ... d``.  Its move 0
+    keeps the top row, so the raw key is reduced.  Its move 1 with bottom
+    winner ``w`` makes the top row ``1 ... w, d, w+1 ... d-1``;
+    renumbering sends ``s <= w`` to ``s``, ``d`` to ``w + 1`` and
+    ``w < s < d`` to ``s + 1``, one table per ``w`` on the bottom row.
+    Both moves are undefined exactly when the bottom row ends in ``d``.
+    Any other table takes :func:`_table_move`.
     """
-    top, bottom = rows
-    if len(top) == len(bottom) == len(set(top)):
-        return _moved_perm
-    return _moved_table
+    d = len(seed) // 2
+    head = bytes(range(1, d + 1)) + b"\0"
+    if not seed.startswith(head):
+        rotation = cache(_rotation)
+
+        def table_moves(key: bytes) -> tuple[Optional[bytes], Optional[bytes]]:
+            moved0 = _table_move(key, 0, rotation)
+            moved1 = _table_move(key, 1, rotation)
+            return moved0 and moved0[0], moved1 and moved1[0]
+
+        return table_moves
+    ident = bytes(range(256))
+    lookups = [
+        ident[: w + 1] + ident[w + 2 : d + 1] + ident[w + 1 : w + 2] + ident[d + 1 :]
+        for w in range(d)
+    ]
+
+    def perm_moves(key: bytes) -> tuple[Optional[bytes], Optional[bytes]]:
+        w = key[-1]
+        if w == d:
+            return None, None
+        k = key.index(d, d + 1) + 1
+        return (
+            key[:k] + key[-1:] + key[k:-1],
+            head + key[d + 1 :].translate(lookups[w]),
+        )
+
+    return perm_moves
 
 
 def r0(p: GenPerm) -> Optional[GenPerm]:
@@ -135,8 +189,8 @@ def r0(p: GenPerm) -> Optional[GenPerm]:
     >>> print(r0(parse("1 2 3 4 3 / 2 4 5 5 1")))
     1 2 1 3 4 3 / 2 4 5 5
     """
-    moved = _moved_table((p.top, p.bottom), 0)
-    return None if moved is None else GenPerm._trusted(*moved)
+    moved = _table_move(_to_key(p.top, p.bottom), 0)
+    return None if moved is None else GenPerm._trusted(*_from_key(moved[0]))
 
 
 def r1(p: GenPerm) -> Optional[GenPerm]:
@@ -146,8 +200,8 @@ def r1(p: GenPerm) -> Optional[GenPerm]:
     >>> print(r1(parse("1 2 3 4 3 / 2 4 5 5 1")))
     1 2 3 2 4 / 3 4 5 5 1
     """
-    moved = _moved_table((p.top, p.bottom), 1)
-    return None if moved is None else GenPerm._trusted(*moved)
+    moved = _table_move(_to_key(p.top, p.bottom), 1)
+    return None if moved is None else GenPerm._trusted(*_from_key(moved[0]))
 
 
 def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum]:
@@ -156,8 +210,10 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     The move is selected by comparing the real parts of the two rightmost
     symbols; the shorter vector is subtracted from the longer one.  The
     result is a suspension vector over the moved permutation, with
-    coordinates renumbered to match its reduced labels.  The step works
-    on the integer parts of ``zeta`` and keeps its denominator.
+    coordinates renumbered to match its reduced labels: the shorter
+    symbol's pair moves to its new number, and the pairs between shift by
+    one.  The step works on the integer parts of ``zeta`` and keeps its
+    denominator.
 
     >>> from .combinat import parse
     >>> p = parse("1 2 / 2 1")
@@ -168,6 +224,7 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     >>> moved.values
     ((Fraction(3, 2), Fraction(1, 1)), (Fraction(1, 1), Fraction(-1, 2)))
     """
+    key = _to_key(p.top, p.bottom)
     parts = _valid_parts(p, zeta)
     if parts is None:
         raise InvalidSuspension(f"not a suspension vector over {p}")
@@ -180,18 +237,16 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
         raise InductionHalt("rightmost lengths are exactly equal")
     which = 0 if re[a - 1] > re[b - 1] else 1
     longer, shorter = (a, b) if which == 0 else (b, a)
-    moved = _moved_rows((p.top, p.bottom), which)
+    moved = _table_move(key, which)
     if moved is None:
         raise UndefinedMove(f"move {which} undefined at {p}")
-    rows, relabel = moved
-    source = [0] * p.d
-    for old, new in relabel.items():
-        source[new - 1] = old - 1
-    new_re = [re[k] for k in source]
-    new_im = [im[k] for k in source]
-    target = relabel[longer] - 1
-    new_re[target] -= re[shorter - 1]
-    new_im[target] -= im[shorter - 1]
-    return GenPerm._trusted(*rows), SuspensionDatum._from_parts(
+    key, x, m = moved  # x is the shorter symbol, the loser
+    new_re = list(re)
+    new_im = list(im)
+    new_re[longer - 1] -= re[shorter - 1]
+    new_im[longer - 1] -= im[shorter - 1]
+    new_re.insert(m - 1, new_re.pop(x - 1))
+    new_im.insert(m - 1, new_im.pop(x - 1))
+    return GenPerm._trusted(*_from_key(key)), SuspensionDatum._from_parts(
         scale, tuple(new_re), tuple(new_im)
     )

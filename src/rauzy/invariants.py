@@ -60,6 +60,7 @@ from .combinat import (
     reduce,
 )
 from .errors import BudgetExceeded, NotAbelian, OddDegreePresent, Reducible
+from .induction import _from_key, _to_key
 
 # ---------------------------------------------------------------------------
 # Strata
@@ -691,20 +692,20 @@ def _hyperelliptic_table(
 
 
 def label_for_class(
-    rows: Collection[Rows], st: Optional[Stratum] = None, budget: int = 10**7
+    keys: Collection[bytes], st: Optional[Stratum] = None, budget: int = 10**7
 ) -> ComponentLabel:
-    """Component label of a class, given by its vertices' ``(top, bottom)`` rows.
+    """Component label of a class, given by its vertex keys.
 
     Stratum, marked order and spin parity are the same on every vertex, so
-    :func:`_component_label` decides on any one of them, with ``rows`` as
-    its class, in which a rule that needs the class looks its reference
-    table up.  A caller that holds the stratum ``st`` of the class passes
-    it, and no corner is walked.  ``budget`` bounds the reference-table
-    searches and any search one stratum down, as in
+    :func:`_component_label` decides on any one of them, with ``keys`` as
+    its class, in which a rule that needs the class looks the key of its
+    reference table up.  A caller that holds the stratum ``st`` of the
+    class passes it, and no corner is walked.  ``budget`` bounds the
+    reference-table searches and any search one stratum down, as in
     :func:`component_label`.
     """
-    rep = GenPerm._trusted(*next(iter(rows)))
-    return _component_label(rep, stratum(rep) if st is None else st, budget, rows)
+    rep = GenPerm._trusted(*_from_key(next(iter(keys))))
+    return _component_label(rep, stratum(rep) if st is None else st, budget, keys)
 
 
 def component_label(p: GenPerm, budget: int = 10**7) -> ComponentLabel:
@@ -728,17 +729,18 @@ def _component_label(
     p: GenPerm,
     st: Stratum,
     budget: int,
-    rows: Optional[Collection[Rows]] = None,
+    keys: Optional[Collection[bytes]] = None,
 ) -> ComponentLabel:
     """The label of ``p``, whose stratum ``st`` is known.
 
-    ``rows`` is the class of ``p`` when the caller holds it.  A component
-    and a marked order fix the class (Boissy, arXiv:0904.3826; Lanneau,
-    *Comment. Math. Helv.* 79, 2004), so a rule that needs the class asks
-    one question: does it hold a reference table of the stratum and marked
-    order of ``p``?  With ``rows`` the answer is a lookup; otherwise one
-    search within ``budget`` vertices, from one of the two tables, stops
-    at the other.  Only genus 2 builds a class.  The rules, in order:
+    ``keys`` is the class of ``p``, as vertex keys, when the caller holds
+    it.  A component and a marked order fix the class (Boissy,
+    arXiv:0904.3826; Lanneau, *Comment. Math. Helv.* 79, 2004), so a rule
+    that needs the class asks one question: does it hold a reference table
+    of the stratum and marked order of ``p``?  With ``keys`` the answer is
+    a lookup; otherwise one search within ``budget`` vertices, from one of
+    the two tables, stops at the other.  Only genus 2 builds a class.  The
+    rules, in order:
 
     * a stratum with one component has that label;
     * an exceptional stratum is split by its least table with the marked
@@ -769,16 +771,16 @@ def _component_label(
     if not components:
         raise RuntimeError(f"{p} realises the empty stratum {st}")
     if len(components) == 1:
-        if rows is None and components == (ComponentLabel.HYPERELLIPTIC,):
+        if keys is None and components == (ComponentLabel.HYPERELLIPTIC,):
             # Genus 2 is connected, but its class is still built: the tracer
             # self-test of benchmark/run.py counts the 7 vertices of the
             # class of 1 2 3 4 / 4 3 2 1.
             rauzy_class(p, budget)
         return components[0]
-    here = (p.top, p.bottom)
     if ComponentLabel.EXCEPTIONAL_A in components:
-        ref = _least_table(st, _known_profile(p).marked, budget)
-        found = ref in rows if rows is not None else _holds(here, ref, budget)
+        ref = _to_key(*_least_table(st, _known_profile(p).marked, budget))
+        here = _to_key(p.top, p.bottom)
+        found = ref in keys if keys is not None else _holds(here, ref, budget)
         return ComponentLabel.EXCEPTIONAL_A if found else ComponentLabel.EXCEPTIONAL_B
     if ComponentLabel.ODD_SPIN in components:
         parity = _spin_parity(p, st.genus)
@@ -793,21 +795,23 @@ def _component_label(
     else:
         label = ComponentLabel.NON_HYPERELLIPTIC
     marked = _known_profile(p).marked
+    here = _to_key(p.top, p.bottom)
     if st.kind is StratumKind.ABELIAN and st.orders.count(0) > (marked == 0):
         # an order-0 point other than the marked one
-        if rows is None:
-            rows = _bfs_rows(
+        if keys is None:
+            keys = _bfs_rows(
                 here,
                 budget,
-                stop=lambda rows: _forget_regular_point(rows) is not None,
+                stop=lambda key: _forget_regular_point(_from_key(key)) is not None,
             )
-        for vertex in rows:
-            merged = _forget_regular_point(vertex)
+        for key in keys:
+            merged = _forget_regular_point(_from_key(key))
             if merged is not None:
                 q = GenPerm._trusted(*merged)
                 return _component_label(q, stratum(q), budget)
     ref = _hyperelliptic_table(st, marked, budget)
-    found = ref is not None and (
-        ref in rows if rows is not None else _holds(ref, here, budget)
-    )
+    if ref is None:
+        return label
+    ref_key = _to_key(*ref)
+    found = ref_key in keys if keys is not None else _holds(ref_key, here, budget)
     return ComponentLabel.HYPERELLIPTIC if found else label

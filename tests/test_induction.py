@@ -29,7 +29,7 @@ from rauzy.errors import (
     RauzyError,
     UndefinedMove,
 )
-from rauzy.induction import _moved_rows
+from rauzy.induction import _from_key, _successors, _table_move, _to_key
 from rauzy.suspension import SuspensionDatum
 
 
@@ -81,6 +81,45 @@ def _move1_direct(p):
     return None
 
 
+def _move0_raw(top, bottom):
+    """Raw move 0 on row tuples, as the module docstring states it; None
+    when undefined.  The oracle of the byte kernel."""
+    winner = top[-1]
+    loser = bottom[-1]
+    if winner == loser:
+        return None
+    if winner in bottom:
+        k = bottom.index(winner)
+        return top, bottom[: k + 1] + (loser,) + bottom[k + 1 : -1]
+    rest = bottom[:-1]
+    if len(set(rest)) < len(rest):
+        k = top.index(winner)
+        return top[:k] + (loser,) + top[k:], rest
+    return None
+
+
+def _move1_raw(top, bottom):
+    moved = _move0_raw(bottom, top)
+    return None if moved is None else (moved[1], moved[0])
+
+
+def _renumbering(raw):
+    """The ``old -> new`` map that numbers the symbols of ``raw`` by first
+    appearance, top row first."""
+    relabel = {}
+    for row in raw:
+        for s in row:
+            relabel.setdefault(s, len(relabel) + 1)
+    return relabel
+
+
+def _rotation_map(d, x, m):
+    """The renumbering ``x -> m`` with the symbols between shifted by one."""
+    order = [s for s in range(1, d + 1) if s != x]
+    order.insert(m - 1, x)
+    return {s: k for k, s in enumerate(order, 1)}
+
+
 @given(irreducible_genperms(max_d=5))
 @settings(max_examples=150, deadline=None)
 def test_move1_is_conjugate_of_move0(p):
@@ -98,61 +137,93 @@ def test_moves_preserve_irreducibility_and_size(p):
 
 
 def test_trusted_kernel_matches_validated_reduction():
-    # The kernel renumbers its rows without validation; every table it
-    # makes through five symbols is what the validating reduction makes,
-    # and its map renames the raw rows onto the reduced ones one to one.
+    # The byte kernels renumber their keys without validation; every table
+    # they make through five symbols is what the validating reduction makes
+    # of the raw move on rows, and the renumbering is the single rotation
+    # x -> m of the loser x, the last symbol of the losing row.
     from rauzy.combinat import all_reduced_tables
-    from rauzy.induction import _move0_raw, _move1_raw
 
     checked = 0
     for d in range(1, 6):
         for rows in all_reduced_tables(d):
+            key = _to_key(*rows)
+            both = _successors(key)(key)
             for which, raw_move in ((0, _move0_raw), (1, _move1_raw)):
                 raw = raw_move(*rows)
-                got = _moved_rows(rows, which)
+                got = _table_move(key, which)
                 if raw is None:
-                    assert got is None
+                    assert got is None and both[which] is None, rows
                     continue
-                moved, relabel = got
+                moved, x, m = got
                 want = reduce(*raw)
-                assert moved == (want.top, want.bottom), rows
-                symbols = list(range(1, d + 1))
-                assert sorted(relabel) == sorted(relabel.values()) == symbols
-                assert tuple(tuple(relabel[s] for s in row) for row in raw) == moved
+                assert _from_key(moved) == (want.top, want.bottom), rows
+                assert both[which] == moved, rows
+                assert x == rows[1 - which][-1]
+                assert _renumbering(raw) == _rotation_map(d, x, m), (rows, which)
                 checked += 1
     assert checked > 10_000
 
 
 def test_permutation_kernel_matches_renumbering_kernel():
-    # The class search moves permutations without the renumbering loop;
-    # on every reduced permutation through seven symbols, reducible ones
-    # and undefined moves included, it gives the renumbered rows.
+    # The class search moves permutations by slices and one translation
+    # table per bottom winner; on every reduced permutation through seven
+    # symbols, reducible ones and undefined moves included, it gives the
+    # renumbered key and the reduction of the raw move.
     from itertools import permutations
-
-    from rauzy.induction import _moved_perm, _rows_kernel
 
     undefined = 0
     for d in range(1, 8):
         top = tuple(range(1, d + 1))
+        kernel = _successors(_to_key(top, top))
+        assert kernel.__name__ == "perm_moves"
         for bottom in permutations(top):
-            rows = (top, bottom)
-            assert _rows_kernel(rows) is _moved_perm
-            for which in (0, 1):
-                moved = _moved_rows(rows, which)
+            key = _to_key(top, bottom)
+            for which, raw_move in ((0, _move0_raw), (1, _move1_raw)):
+                moved = _table_move(key, which)
                 want = None if moved is None else moved[0]
-                assert _moved_perm(rows, which) == want, (rows, which)
+                assert kernel(key)[which] == want, (bottom, which)
+                raw = raw_move(top, bottom)
+                assert (raw is None) == (want is None)
+                if raw is not None:
+                    assert _from_key(want) == (top, reduce(*raw).bottom)
                 undefined += want is None
     assert undefined == 2 * sum(factorial(d - 1) for d in range(1, 8))
 
 
 def test_kernel_choice_follows_the_kind():
     from rauzy.combinat import GenPerm, all_reduced_tables
-    from rauzy.induction import _moved_perm, _moved_table, _rows_kernel
 
     for d in range(1, 5):
         for rows in all_reduced_tables(d):
             iet = GenPerm(*rows).kind is PermKind.IET
-            assert _rows_kernel(rows) is (_moved_perm if iet else _moved_table)
+            kernel = _successors(_to_key(*rows))
+            assert kernel.__name__ == ("perm_moves" if iet else "table_moves")
+
+
+def test_symbol_limit_is_a_typed_error():
+    # A vertex key holds one symbol per byte: 255 symbols move, and 256
+    # raise the typed error that names the limit, before any search.
+    from rauzy import rauzy_class, same_class_bfs
+    from rauzy.errors import TooManySymbols
+
+    top = tuple(range(1, 256))
+    largest = GenPerm(top, top[::-1])
+    assert r0(largest).d == r1(largest).d == 255
+    iet = GenPerm(top + (256,), (256,) + top[::-1])
+    quad = GenPerm((1,) + top, top[:0:-1] + (256, 256))
+    for p in (iet, quad):
+        assert p.d == 256
+        zeta = _datum(*[(1, 1)] * p.d)
+        for call in (
+            lambda: r0(p),
+            lambda: r1(p),
+            lambda: rv_step(p, zeta),
+            lambda: rauzy_class(p),
+            lambda: same_class_bfs(p, p),
+        ):
+            with pytest.raises(TooManySymbols, match="at most 255 symbols"):
+                call()
+    assert issubclass(TooManySymbols, RauzyError)
 
 
 @given(iet_perms(max_d=6))
@@ -347,10 +418,11 @@ def _fraction_rv_step(p, values):
         values[longer - 1][0] - values[shorter - 1][0],
         values[longer - 1][1] - values[shorter - 1][1],
     )
-    moved = _moved_rows((p.top, p.bottom), which)
-    if moved is None:
+    raw = (_move0_raw if which == 0 else _move1_raw)(p.top, p.bottom)
+    if raw is None:
         raise UndefinedMove(f"move {which} undefined at {p}")
-    rows, relabel = moved
+    relabel = _renumbering(raw)
+    rows = tuple(tuple(relabel[s] for s in row) for row in raw)
     out = [None] * p.d
     for old, new in relabel.items():
         out[new - 1] = values[old - 1]

@@ -29,7 +29,7 @@ from rauzy.errors import (
     OddDegreePresent,
     Reducible,
 )
-from rauzy.induction import r0, r1
+from rauzy.induction import _from_key, _to_key, r0, r1
 from rauzy.invariants import (
     _forget_regular_point,
     _hyperelliptic_table,
@@ -261,7 +261,8 @@ class TestComponentLabel:
 
 
 def _smallest_vertex(table):
-    return GenPerm._trusted(*min(table, key=lambda rows: (len(rows[0]), rows)))
+    rows = min(map(_from_key, table), key=lambda rows: (len(rows[0]), rows))
+    return GenPerm._trusted(*rows)
 
 
 def _scan_label(table):
@@ -278,7 +279,7 @@ def _scan_label(table):
     if any(
         _is_centrally_symmetric(*rows)
         and _is_hyperelliptic_vertex(GenPerm._trusted(*rows), st)
-        for rows in table
+        for rows in map(_from_key, table)
     ):
         return HYP
     if ODD in components:
@@ -312,7 +313,7 @@ class TestHyperellipticFamilies:
         for d in range(2, 10):
             for diagram in _standard_classes(d):
                 table = diagram.table
-                rep = GenPerm._trusted(*next(iter(table)))
+                rep = GenPerm._trusted(*_from_key(next(iter(table))))
                 st, marked = stratum(rep), singularity_profile(rep).marked
                 if HYP not in stratum_components(st):
                     continue
@@ -330,7 +331,7 @@ class TestHyperellipticFamilies:
                 with monkeypatch.context() as patch:
                     if st.genus > 2:  # genus 2 still builds its class
                         patch.setattr(rauzy.classes, "rauzy_class", forbidden)
-                    largest = GenPerm._trusted(*max(table))
+                    largest = GenPerm._trusted(*_from_key(max(table)))
                     assert component_label(largest) is expected, largest
                     # the marked point is the class's only order-0 point
                     lone += st.genus > 2 and st.orders.count(0) == 1 and marked == 0
@@ -338,7 +339,11 @@ class TestHyperellipticFamilies:
                         continue
                     # a vertex with no regular point to forget searches for one
                     rows = next(
-                        (r for r in table if _forget_regular_point(r) is None),
+                        (
+                            r
+                            for r in map(_from_key, table)
+                            if _forget_regular_point(r) is None
+                        ),
                         None,
                     )
                     if rows is not None:
@@ -358,7 +363,8 @@ class TestHyperellipticFamilies:
             assert central_involution(p) == p, p
             assert _is_hyperelliptic_vertex(p, st), p
             # the symmetric table lies in the hyperelliptic class alone
-            holding = [table for table in tables if (p.top, p.bottom) in table]
+            key = _to_key(p.top, p.bottom)
+            holding = [table for table in tables if key in table]
             assert [_scan_label(table) for table in holding] == [HYP], p
 
     # Non-hyperelliptic tables of each spin parity; the reversal of 11 and
@@ -383,7 +389,7 @@ class TestHyperellipticFamilies:
         hyperelliptic = rauzy_class(GenPerm(top, top[::-1])).table
         assert len(hyperelliptic) == 2 ** (p.d - 1) - 1
         assert stratum(p).text == name
-        assert ((p.top, p.bottom) in hyperelliptic) == (label is HYP)
+        assert (_to_key(p.top, p.bottom) in hyperelliptic) == (label is HYP)
         assert label is HYP or (label is ODD) == spin_parity(p)
 
         def forbidden(*args, **kwargs):
@@ -461,13 +467,13 @@ class TestForgetRegularPoint:
         merges = lone = unmarked = 0
         for d in range(3, 9):
             for diagram in _standard_classes(d):
-                rep = GenPerm._trusted(*next(iter(diagram.table)))
+                rep = GenPerm._trusted(*_from_key(next(iter(diagram.table))))
                 st, marked = stratum(rep), singularity_profile(rep).marked
                 fewer = list(st.orders)
                 if 0 in fewer:
                     fewer.remove(0)
                 pairs = 0
-                for rows in diagram.table:
+                for rows in map(_from_key, diagram.table):
                     merged = _forget_regular_point(rows)
                     if merged is None:
                         continue
@@ -603,7 +609,7 @@ class TestHalfTranslationFamilies:
         labels = []
         for table in classes:
             labels.append(_scan_label(table))
-            for rows in table:
+            for rows in map(_from_key, table):
                 assert component_label(GenPerm._trusted(*rows)) is labels[-1], rows
         assert sorted(label.value for label in labels) == [
             "hyperelliptic",
@@ -715,7 +721,7 @@ class TestExceptionalSplit:
         assert component_label(moved) is label
         assert searches == {"bfs": [searched], "classes": []}
         # an a-search ends at the smallest vertex, a b-search elsewhere
-        ends_at_smallest = last == [(smallest.top, smallest.bottom)]
+        ends_at_smallest = last == [_to_key(smallest.top, smallest.bottom)]
         assert ends_at_smallest == (label is ComponentLabel.EXCEPTIONAL_A)
         # the verifier holds the class and looks the least table up in it
         monkeypatch.setattr(rauzy.classes, "_bfs_rows", forbidden)
