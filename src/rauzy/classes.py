@@ -62,6 +62,7 @@ from .invariants import (
     StratumKind,
     _component_label,
     _known_profile,
+    _least_table,
     _stratum_of,
     label_for_class,
     stratum_components,
@@ -166,7 +167,8 @@ def same_class_fast(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
     spin parity does not decide comes from one search that asks whether
     the class holds a reference table of the stratum and marked order (see
     :func:`rauzy.invariants._component_label`), so no class of either
-    table is built outside genus 2.
+    table is built outside genus 2.  In an exceptional stratum the least
+    table that splits it is found by one scan, shared by both searches.
     """
     for p in (p1, p2):
         if not is_irreducible(p):
@@ -179,6 +181,10 @@ def same_class_fast(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
     st = _stratum_of(p1, profiles[0])
     if st != _stratum_of(p2, profiles[1]):
         return False
+    if ComponentLabel.EXCEPTIONAL_A in stratum_components(st):
+        ref = _to_key(*_least_table(st, profiles[0].marked, budget))
+        here = [_to_key(p.top, p.bottom) for p in (p1, p2)]
+        return _holds(here[0], ref, budget) == _holds(here[1], ref, budget)
     return _component_label(p1, st, budget) == _component_label(p2, st, budget)
 
 

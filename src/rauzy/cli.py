@@ -1,11 +1,15 @@
 """Command line front end.
 
 Every command is a thin wrapper over the library; outputs are plain UTF-8.
-Flags have environment-variable twins (``RAUZY_BUDGET``, ``RAUZY_OUTPUT``).
+Flags have environment-variable twins (``RAUZY_BUDGET``, ``RAUZY_OUTPUT``);
+a flag overrides its twin, and :func:`main` reads the twins on every call.
+The parser is built on the first call and reused by every later call in
+the process.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,6 +42,7 @@ def _env_budget() -> int:
         raise ValueError(f"RAUZY_BUDGET must be an integer, not {text!r}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rauzy",
@@ -55,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--output",
         choices=["text", "json", "dot"],
-        default=os.environ.get("RAUZY_OUTPUT", "text"),
+        help="output format (default: RAUZY_OUTPUT or text)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -203,11 +208,11 @@ def cmd_verify(args, config: Config) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         budget = _env_budget() if args.budget is None else args.budget
-        config = Config(node_budget=budget, output=args.output)
+        output = args.output or os.environ.get("RAUZY_OUTPUT", "text")
+        config = Config(node_budget=budget, output=output)
         handler = {
             "induce": cmd_induce,
             "invariants": cmd_invariants,

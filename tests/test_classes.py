@@ -176,6 +176,28 @@ class TestSameClass:
         with pytest.raises(ReducibleSeed):
             same_class_bfs(parse("1 2 / 1 2"), parse("1 2 / 2 1"))
 
+    def test_exceptional_pair_scans_for_the_least_table_once(self, monkeypatch):
+        # Q(-1,9), marked order -1: the two classes exceptional-a and -b
+        import rauzy.classes
+        import rauzy.invariants
+
+        scans = []
+        least_table = rauzy.invariants._least_table
+
+        def counted(*args, **kwargs):
+            scans.append(args)
+            return least_table(*args, **kwargs)
+
+        for module in (rauzy.classes, rauzy.invariants):
+            monkeypatch.setattr(module, "_least_table", counted, raising=False)
+        p1 = parse("1 2 1 / 3 2 4 3 5 4 6 7 6 7 5")
+        p2 = parse("1 2 1 / 3 2 4 5 6 3 7 4 5 6 7")
+        assert same_class_fast(p1, p2) is same_class_bfs(p1, p2) is False
+        assert len(scans) == 1
+        neighbour = r0(p2) or r1(p2)
+        assert same_class_fast(p2, neighbour) is same_class_bfs(p2, neighbour) is True
+        assert len(scans) == 2
+
 
 class TestEnumerate:
     def test_smallest(self):

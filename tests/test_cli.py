@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -245,3 +246,49 @@ class TestEnvOverrides:
         code, out, _ = run_cli(capsys, "invariants", "1 2 / 2 1")
         assert code == 0
         assert json.loads(out)["stratum"] == "H(0)"
+
+    def test_output_env_not_a_format(self, capsys, monkeypatch):
+        monkeypatch.setenv("RAUZY_OUTPUT", "xml")
+        code, out, err = run_cli(capsys, "invariants", "1 2 / 2 1")
+        assert code == 1 and out == ""
+        assert err == "error: output must be text, json or dot\n"
+
+
+class TestReuseAcrossCalls:
+    """Several ``main`` calls in one process, as a script or test makes."""
+
+    def test_env_twins_are_read_per_call(self, capsys, monkeypatch):
+        monkeypatch.delenv("RAUZY_OUTPUT", raising=False)
+        monkeypatch.delenv("RAUZY_BUDGET", raising=False)
+        code, out, _ = run_cli(capsys, "invariants", "1 2 / 2 1")
+        assert code == 0 and out.startswith("stratum: H(0)")
+        monkeypatch.setenv("RAUZY_OUTPUT", "json")
+        code, out, _ = run_cli(capsys, "invariants", "1 2 / 2 1")
+        assert code == 0 and json.loads(out)["stratum"] == "H(0)"
+
+        code, out, _ = run_cli(capsys, "class", "1 2 3 4 / 4 3 2 1", "--count")
+        assert code == 0 and out == "7\n"
+        monkeypatch.setenv("RAUZY_BUDGET", "3")
+        code, _, err = run_cli(capsys, "class", "1 2 3 4 / 4 3 2 1", "--count")
+        assert code == 1 and "budget" in err
+
+    def test_flag_does_not_leak_into_the_next_call(self, capsys, monkeypatch):
+        monkeypatch.delenv("RAUZY_OUTPUT", raising=False)
+        code, out, _ = run_cli(capsys, "class", "1 2 3 4 / 4 3 2 1", "--count")
+        assert code == 0 and out == "7\n"
+        code, out, _ = run_cli(capsys, "class", "1 2 3 4 / 4 3 2 1")
+        assert code == 0 and len(out.splitlines()) == 7
+        assert "1 2 3 4 / 4 3 2 1" in out.splitlines()
+
+    def test_calls_share_one_parser(self, capsys, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        run_cli(capsys, "invariants", "1 2 / 2 1")
+        run_cli(capsys, "invariants", "1 2 3 / 3 2 1")
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
