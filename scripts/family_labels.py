@@ -88,11 +88,11 @@ def scan_label(table, st, spin):
 def classes(d, kind):
     """The classes with ``d`` symbols of one kind, each built once."""
     if kind == "quad":
-        seeds = _irreducible_tables(d)
-        return _seeded_classes(seeds, lambda rows: rows[1][-1] == 1, 10**7)
+        seeds = (rows for rows in _irreducible_tables(d) if rows[1][-1] == 1)
+        return _seeded_classes(seeds, 10**7)
     top = tuple(range(1, d + 1))
     seeds = ((top, (d, *middle, 1)) for middle in permutations(top[1:-1]))
-    return _seeded_classes(seeds, lambda rows: rows[1][0] == d, 10**7)
+    return _seeded_classes(seeds, 10**7)
 
 
 def main() -> int:

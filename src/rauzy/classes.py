@@ -11,20 +11,21 @@ both moves of a key in one call from the kernel of
 when read, and its edges are made then from the same kernel.
 
 The verifier builds every class of a given size and kind, one at a time,
-from seed tables, and proves that none is missing by a count.  Permutation
-classes grow from the standard permutations, which every class contains
-(Rauzy, *Acta Arith.* 34, 1979), and their sizes must sum to the number of
-irreducible permutations (OEIS A003319).  Generalized classes grow from
-the irreducible tables whose bottom row ends with 1, and their sizes must
-sum to the number of irreducible tables, which the same pass counts.  That
-every generalized class holds such a table is checked through seven
-symbols but not proven; the count turns a missed class into a failed
-report instead of a silent pass.  The generalized candidates come as rows
-from the pruned search :func:`rauzy.combinat._irreducible_tables`, and only
-the seeds that start a class are wrapped; :func:`enumerate_irreducible`,
-which filters every reduced table, is the brute-force oracle of the tests
-and scripts.  The verifier keeps each class's marked
-order and size by (stratum, component label) and checks the expected
+from seeds, the candidate tables whose bottom row ends with 1, and proves
+that none is missing by a count.  Permutation candidates are the standard
+permutations, which every class contains (Rauzy, *Acta Arith.* 34, 1979)
+and whose bottom rows all end with 1; the class sizes must sum to the
+number of irreducible permutations (OEIS A003319).  Generalized candidates
+are the irreducible tables, and the class sizes must sum to their number,
+which the same pass counts.  That every generalized class holds a seed is
+checked through seven symbols but not proven; the count turns a missed
+class into a failed report instead of a silent pass.  The generalized
+candidates come as rows from the pruned search
+:func:`rauzy.combinat._irreducible_tables`, and only the seeds that start a
+class are wrapped; :func:`enumerate_irreducible`, which filters every
+reduced table, is the brute-force oracle of the tests and scripts.  The
+verifier keeps each class's marked order and size by (stratum, component
+label) and checks the expected
 structure: each group must hold exactly one class per distinct
 singularity order, matched bijectively by marked order, and each stratum
 must show exactly the component labels that
@@ -212,19 +213,17 @@ def enumerate_irreducible(d: int, kind: PermKind) -> Iterator[GenPerm]:
                 yield GenPerm._trusted(top, bottom)
 
 
-def _seeded_classes(
-    candidates: Iterable[Rows], is_seed: Callable[[Rows], bool], budget: int
-) -> Iterator[RauzyDiagram]:
-    """The classes of the seeds among the ``candidates`` rows, each built once.
+def _seeded_classes(seeds: Iterable[Rows], budget: int) -> Iterator[RauzyDiagram]:
+    """The classes of the ``seeds`` rows, each built once.
 
     Each class is its vertex keys, its edges made from the move kernel
-    when read.  Only the candidates that pass ``is_seed`` are encoded, all
-    before the first class.  A seed starts a class unless a class built
-    before holds it: the seeds each class holds are the intersection of
-    its keys with the seeds, one lookup per key of the smaller side.  Only
-    the seeds that start a class are wrapped.
+    when read.  Every seed is encoded before the first class.  A seed
+    starts a class unless a class built before holds it: the seeds each
+    class holds are the intersection of its keys with the seeds, one
+    lookup per key of the smaller side.  Only the seeds that start a class
+    are wrapped.
     """
-    seeds = dict.fromkeys(_to_key(*rows) for rows in candidates if is_seed(rows))
+    seeds = dict.fromkeys(_to_key(*rows) for rows in seeds)
     seen: set[bytes] = set()
     for key in seeds:
         if key in seen:
@@ -238,8 +237,7 @@ def class_partition(
     perms: Iterable[GenPerm], budget: int = 10**7
 ) -> Iterator[RauzyDiagram]:
     """Classes of a set of irreducible tables, each yielded when first met."""
-    rows = ((p.top, p.bottom) for p in perms)
-    return _seeded_classes(rows, lambda _: True, budget)
+    return _seeded_classes(((p.top, p.bottom) for p in perms), budget)
 
 
 @dataclass(frozen=True)
@@ -372,14 +370,8 @@ def verify_main_theorem(
         candidates: Iterable[Rows] = (
             (top, (d, *middle, 1)) for middle in permutations(top[1:-1])
         )
-        is_seed = lambda rows: rows[1][0] == d and rows[1][-1] == 1
-        expected = lambda: (
-            None if only_stratum is not None else _indecomposable_count(d)
-        )
     else:
         candidates = _irreducible_tables(d)
-        is_seed = lambda rows: rows[1][-1] == 1
-        expected = lambda: total
     if only_stratum is not None:
         orders = only_stratum.orders
 
@@ -396,7 +388,8 @@ def verify_main_theorem(
         {} if only_stratum is None else {only_stratum: {}}
     )
     found = 0
-    for diagram in _seeded_classes(counted(candidates), is_seed, budget):
+    seeds = (rows for rows in counted(candidates) if rows[1][-1] == 1)
+    for diagram in _seeded_classes(seeds, budget):
         # every seed is irreducible, so one walk gives stratum and marked order
         seed = GenPerm._trusted(*_from_key(next(iter(diagram.table))))
         profile = _known_profile(seed)
@@ -406,7 +399,10 @@ def verify_main_theorem(
             (profile.marked, len(diagram))
         )
         found += len(diagram)
-    count = expected()
+    if kind is PermKind.QUADRATIC:
+        count = total
+    else:
+        count = None if only_stratum is not None else _indecomposable_count(d)
     coverage = None if count in (None, found) else (found, count)
 
     groups = []

@@ -13,33 +13,12 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import classes, induction, invariants
 from .combinat import PermKind, format_perm, is_irreducible, parse
 from .errors import RauzyError, ReducibleSeed
 from .invariants import StratumKind, parse_stratum
-
-
-@dataclass(frozen=True)
-class Config:
-    node_budget: int = 10**7
-    output: str = "text"
-
-    def __post_init__(self) -> None:
-        if self.node_budget < 1:
-            raise ValueError("budget must be at least 1")
-        if self.output not in ("text", "json", "dot"):
-            raise ValueError("output must be text, json or dot")
-
-
-def _env_budget() -> int:
-    text = os.environ.get("RAUZY_BUDGET", str(Config.node_budget))
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"RAUZY_BUDGET must be an integer, not {text!r}") from None
 
 
 @functools.cache
@@ -93,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_induce(args, config: Config) -> int:
+def cmd_induce(args) -> int:
     p = parse(args.perm)
     if not is_irreducible(p):
         raise ReducibleSeed(f"{p} admits no suspension")
@@ -110,11 +89,11 @@ def cmd_induce(args, config: Config) -> int:
     return 0
 
 
-def cmd_invariants(args, config: Config) -> int:
+def cmd_invariants(args) -> int:
     p = parse(args.perm)
     profile = invariants.singularity_profile(p)
     st = invariants._stratum_of(p, profile)
-    label = invariants._component_label(p, st, config.node_budget)
+    label = invariants._component_label(p, st, args.budget)
     payload = {
         "stratum": st.text,
         "genus": st.genus,
@@ -122,7 +101,7 @@ def cmd_invariants(args, config: Config) -> int:
         "marked": profile.marked,
         "component": label.value,
     }
-    if config.output == "json":
+    if args.output == "json":
         print(json.dumps(payload, indent=2))
     else:
         for key, value in payload.items():
@@ -130,13 +109,13 @@ def cmd_invariants(args, config: Config) -> int:
     return 0
 
 
-def cmd_class(args, config: Config) -> int:
-    diagram = classes.rauzy_class(parse(args.perm), config.node_budget)
+def cmd_class(args) -> int:
+    diagram = classes.rauzy_class(parse(args.perm), args.budget)
     if args.count:
         print(len(diagram))
-    elif args.dot or config.output == "dot":
+    elif args.dot or args.output == "dot":
         print(classes.export_dot(diagram))
-    elif args.json or config.output == "json":
+    elif args.json or args.output == "json":
         print(classes.diagram_json(diagram))
     else:
         for v in diagram.vertices:
@@ -144,10 +123,10 @@ def cmd_class(args, config: Config) -> int:
     return 0
 
 
-def cmd_same_class(args, config: Config) -> int:
+def cmd_same_class(args) -> int:
     p1 = parse(args.perm1)
     p2 = parse(args.perm2)
-    budget = config.node_budget
+    budget = args.budget
     if args.both:
         fast = classes.same_class_fast(p1, p2, budget)
         bfs = classes.same_class_bfs(p1, p2, budget)
@@ -173,21 +152,21 @@ def cmd_same_class(args, config: Config) -> int:
     return 0
 
 
-def cmd_verify(args, config: Config) -> int:
+def cmd_verify(args) -> int:
     if args.stratum:
         st = parse_stratum(args.stratum)
         kind = (
             PermKind.IET if st.kind is StratumKind.ABELIAN else PermKind.QUADRATIC
         )
         report = classes.verify_main_theorem(
-            st.d, kind, config.node_budget, only_stratum=st
+            st.d, kind, args.budget, only_stratum=st
         )
     else:
         if args.d is None or args.kind is None:
             raise ValueError("need --stratum or both --d and --kind")
         kind = PermKind.IET if args.kind == "iet" else PermKind.QUADRATIC
-        report = classes.verify_main_theorem(args.d, kind, config.node_budget)
-    if config.output == "json":
+        report = classes.verify_main_theorem(args.d, kind, args.budget)
+    if args.output == "json":
         print(report.to_json())
     else:
         for g in report.groups:
@@ -210,9 +189,19 @@ def cmd_verify(args, config: Config) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        budget = _env_budget() if args.budget is None else args.budget
-        output = args.output or os.environ.get("RAUZY_OUTPUT", "text")
-        config = Config(node_budget=budget, output=output)
+        if args.budget is None:
+            text = os.environ.get("RAUZY_BUDGET", str(10**7))
+            try:
+                args.budget = int(text)
+            except ValueError:
+                raise ValueError(
+                    f"RAUZY_BUDGET must be an integer, not {text!r}"
+                ) from None
+        if args.budget < 1:
+            raise ValueError("budget must be at least 1")
+        args.output = args.output or os.environ.get("RAUZY_OUTPUT", "text")
+        if args.output not in ("text", "json", "dot"):
+            raise ValueError("output must be text, json or dot")
         handler = {
             "induce": cmd_induce,
             "invariants": cmd_invariants,
@@ -220,7 +209,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             "same-class": cmd_same_class,
             "verify": cmd_verify,
         }[args.command]
-        return handler(args, config)
+        return handler(args)
     except (RauzyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,7 @@ rows joined by ``" / "``, e.g. ``"1 2 3 2 4 / 4 5 1 3 5"``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -52,7 +52,6 @@ class GenPerm:
 
     top: tuple[int, ...]
     bottom: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         top = tuple(self.top)
@@ -61,10 +60,6 @@ class GenPerm:
         object.__setattr__(self, "bottom", bottom)
         _validate_rows(top, bottom)
         _check_reduced(top, bottom)
-        object.__setattr__(self, "_hash", hash((top, bottom)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def d(self) -> int:
@@ -103,7 +98,6 @@ class GenPerm:
         p = object.__new__(cls)
         object.__setattr__(p, "top", top)
         object.__setattr__(p, "bottom", bottom)
-        object.__setattr__(p, "_hash", hash((top, bottom)))
         return p
 
 
@@ -155,8 +149,6 @@ def parse(text: str) -> GenPerm:
         raise EmptyRow("expected exactly one '/' separator")
     top = tuple(int(tok) for tok in head.split())
     bottom = tuple(int(tok) for tok in tail.split())
-    if not top or not bottom:
-        raise EmptyRow("both rows must be nonempty")
     return GenPerm(top, bottom)
 
 

@@ -31,7 +31,9 @@ class and the verifier's check are all read off that list.
 Spin parity is the Arf invariant of the quadratic form that takes the
 value 1 on every symbol curve, over the mod-2 intersection form of those
 curves (Zorich, *J. Mod. Dyn.* 2, 2008, appendix); it needs no polygon
-witness and splits the spin components.  :func:`_component_label` is the
+witness and splits the spin components.  One symplectic reduction over
+GF(2) finds it, each basis vector carrying the value of the form on it,
+so the form is never recomputed.  :func:`_component_label` is the
 one procedure that decides a label, and it lists the rules with their
 sources.  :func:`component_label` applies it to one table.  Where spin
 parity does not decide, a label asks one question, because a component
@@ -255,29 +257,17 @@ def _intersection_matrix(p: GenPerm) -> list[int]:
     """Mod-2 intersection numbers of the symbol curves, as bit rows.
 
     Two symbols intersect once exactly when their relative order differs
-    between the rows.
+    between the rows.  The top row of a reduced permutation is ``1 ... d``,
+    so symbols ``a < b`` intersect exactly when ``b`` comes first in the
+    bottom row.
     """
-    d = p.d
-    top_pos = {s: i for i, s in enumerate(p.top)}
-    bottom_pos = {s: i for i, s in enumerate(p.bottom)}
-    rows = [0] * d
-    for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            if a == b:
-                continue
-            if (top_pos[a] < top_pos[b]) != (bottom_pos[a] < bottom_pos[b]):
+    rows = [0] * p.d
+    for j, b in enumerate(p.bottom):
+        for a in p.bottom[j + 1 :]:
+            if a < b:
                 rows[a - 1] |= 1 << (b - 1)
+                rows[b - 1] |= 1 << (a - 1)
     return rows
-
-
-def _pairing(rows: list[int], u: int, v: int) -> int:
-    total = 0
-    x = u
-    while x:
-        i = (x & -x).bit_length() - 1
-        total ^= bin(rows[i] & v).count("1") & 1
-        x &= x - 1
-    return total
 
 
 def spin_parity(p: GenPerm) -> int:
@@ -316,48 +306,43 @@ def _spin_parity(p: GenPerm, genus: int) -> int:
     For callers that already hold the profile or the stratum of an
     irreducible interval-exchange permutation with even degrees; only the
     rank of the form is checked against ``genus``.
+
+    One symplectic reduction over GF(2), in which each basis vector ``v``
+    carries its pairing row ``M v``, for ``M`` the matrix of
+    :func:`_intersection_matrix`, and the value ``q(v)``.  A vector ``a``
+    with a partner ``b``, ``a.b = 1``, adds ``q(a) q(b)`` to the Arf
+    invariant, and every other ``v`` becomes ``v + (v.b) a + (v.a) b``,
+    orthogonal to both, with value ``q(v) + (v.b) (q(a) + v.a) + (v.a) q(b)``
+    by ``q(x + y) = q(x) + q(y) + x.y``; the form is never recomputed.  A
+    vector with no partner lies in the radical, where ``q`` must vanish.
     """
-    d = p.d
-    rows = _intersection_matrix(p)
-
-    def q_of(mask: int) -> int:
-        bits = [i for i in range(d) if mask >> i & 1]
-        total = len(bits) & 1
-        for ai in range(len(bits)):
-            for bi in range(ai + 1, len(bits)):
-                total ^= rows[bits[ai]] >> bits[bi] & 1
-        return total
-
-    basis = [1 << i for i in range(d)]
-    arf = 0
-    pairs = 0
-    while True:
-        found = None
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                if _pairing(rows, basis[i], basis[j]):
-                    found = (i, j)
-                    break
-            if found:
+    basis = [(1 << i, row, 1) for i, row in enumerate(_intersection_matrix(p))]
+    arf = pairs = radical = 0
+    while basis:
+        a, ma, qa = basis.pop()
+        for k, (b, mb, qb) in enumerate(basis):
+            if (ma & b).bit_count() & 1:
                 break
-        if not found:
-            break
-        i, j = found
-        a, b = basis[i], basis[j]
-        rest = [v for k, v in enumerate(basis) if k not in (i, j)]
-        basis = [
-            v ^ (a if _pairing(rows, v, b) else 0) ^ (b if _pairing(rows, v, a) else 0)
-            for v in rest
-        ]
-        arf ^= q_of(a) & q_of(b)
+        else:
+            radical |= qa
+            continue
+        del basis[k]
+        arf ^= qa & qb
         pairs += 1
+        for k, (v, mv, qv) in enumerate(basis):
+            va = (ma & v).bit_count() & 1
+            vb = (mb & v).bit_count() & 1
+            if va:
+                v, mv, qv = v ^ b, mv ^ mb, qv ^ qb
+            if vb:
+                v, mv, qv = v ^ a, mv ^ ma, qv ^ qa ^ va
+            basis[k] = (v, mv, qv)
     if pairs != genus:
         raise RuntimeError(
             f"symplectic rank {2 * pairs} does not match genus {genus} for {p}"
         )
-    for v in basis:
-        if q_of(v):
-            raise RuntimeError(f"spin form does not vanish on the radical of {p}")
+    if radical:
+        raise RuntimeError(f"spin form does not vanish on the radical of {p}")
     return arf
 
 

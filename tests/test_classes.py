@@ -313,8 +313,8 @@ class TestVerify:
         seeded = verify_main_theorem(d, kind).to_json()
         oracle = list(class_partition(enumerate_irreducible(d, kind)))
 
-        def partition(candidates, is_seed, budget):
-            deque(candidates, maxlen=0)  # the generalized count still runs
+        def partition(seeds, budget):
+            deque(seeds, maxlen=0)  # the generalized count still runs
             return iter(oracle)
 
         monkeypatch.setattr(rauzy.classes, "_seeded_classes", partition)

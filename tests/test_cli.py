@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from rauzy.cli import Config, main
+import rauzy.classes
+from rauzy.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -13,15 +14,31 @@ def run_cli(capsys, *argv):
 
 
 class TestConfig:
-    def test_defaults(self):
-        cfg = Config()
-        assert cfg.node_budget == 10**7
+    """The budget and output format that ``main`` resolves for a handler."""
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Config(node_budget=0)
-        with pytest.raises(ValueError):
-            Config(output="yaml")
+    def test_defaults(self, capsys, monkeypatch):
+        monkeypatch.delenv("RAUZY_BUDGET", raising=False)
+        monkeypatch.delenv("RAUZY_OUTPUT", raising=False)
+        budgets = []
+        rauzy_class = rauzy.classes.rauzy_class
+
+        def spy(p, budget):
+            budgets.append(budget)
+            return rauzy_class(p, budget)
+
+        monkeypatch.setattr(rauzy.classes, "rauzy_class", spy)
+        code, out, _ = run_cli(capsys, "class", "1 2 / 2 1")
+        assert code == 0 and out == "1 2 / 2 1\n"
+        assert budgets == [10**7]
+
+    def test_validation(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, "--budget", "0", "class", "1 2 / 2 1")
+        assert code == 1 and out == ""
+        assert err == "error: budget must be at least 1\n"
+        monkeypatch.setenv("RAUZY_BUDGET", "0")
+        code, out, err = run_cli(capsys, "class", "1 2 / 2 1")
+        assert code == 1 and out == ""
+        assert err == "error: budget must be at least 1\n"
 
 
 class TestInduce:

@@ -158,13 +158,14 @@ class TestWindingOracle:
         for p in tables:
             assert spin_parity(p) == winding_spin_parity(p), p
 
-    def test_one_vertex_per_class_at_seven_symbols(self):
+    @pytest.mark.parametrize("d, count", [(7, 9), (8, 14)], ids=["7", "8"])
+    def test_one_vertex_per_class(self, d, count):
         even = [
             diag
-            for diag in class_partition(enumerate_irreducible(7, PermKind.IET))
+            for diag in class_partition(enumerate_irreducible(d, PermKind.IET))
             if _all_even(diag.vertices[0])
         ]
-        assert len(even) == 9
+        assert len(even) == count
         for diag in even:
             p = diag.vertices[0]
             assert spin_parity(p) == winding_spin_parity(p), p
