@@ -50,6 +50,7 @@ from .errors import InductionHalt, InvalidSuspension, TooManySymbols, UndefinedM
 from .suspension import SuspensionDatum, _valid_parts
 
 _MAX_SYMBOLS = 255  # one byte per symbol, 0 the row separator
+_IDENT = bytes(range(256))  # the identity translation table
 
 
 def _to_key(top: Sequence[int], bottom: Sequence[int]) -> bytes:
@@ -78,10 +79,9 @@ def _rotation(x: int, m: int) -> bytes:
     The symbols between ``x`` and ``m`` shift by one toward the place
     ``x`` left; every other byte, the separator included, stays.
     """
-    ident = bytes(range(256))
     if m < x:
-        return ident[:m] + ident[m + 1 : x + 1] + ident[m : m + 1] + ident[x + 1 :]
-    return ident[:x] + ident[m : m + 1] + ident[x:m] + ident[m + 1 :]
+        return _IDENT[:m] + _IDENT[m + 1 : x + 1] + _IDENT[m : m + 1] + _IDENT[x + 1 :]
+    return _IDENT[:x] + _IDENT[m : m + 1] + _IDENT[x:m] + _IDENT[m + 1 :]
 
 
 def _table_move(
@@ -163,9 +163,11 @@ def _successors(
             return moved0 and moved0[0], moved1 and moved1[0]
 
         return table_moves
-    ident = bytes(range(256))
     lookups = [
-        ident[: w + 1] + ident[w + 2 : d + 1] + ident[w + 1 : w + 2] + ident[d + 1 :]
+        _IDENT[: w + 1]
+        + _IDENT[w + 2 : d + 1]
+        + _IDENT[w + 1 : w + 2]
+        + _IDENT[d + 1 :]
         for w in range(d)
     ]
 
@@ -233,20 +235,26 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     b = p.bottom[-1]
     if a == b:
         raise InductionHalt("rightmost symbols coincide")
-    if re[a - 1] == re[b - 1]:
+    ra, rb = re[a - 1], re[b - 1]
+    if ra == rb:
         raise InductionHalt("rightmost lengths are exactly equal")
-    which = 0 if re[a - 1] > re[b - 1] else 1
-    longer, shorter = (a, b) if which == 0 else (b, a)
+    if ra > rb:
+        which, longer, shorter, length = 0, a, b, ra - rb
+    else:
+        which, longer, shorter, length = 1, b, a, rb - ra
     moved = _table_move(key, which)
     if moved is None:
         raise UndefinedMove(f"move {which} undefined at {p}")
     key, x, m = moved  # x is the shorter symbol, the loser
     new_re = list(re)
     new_im = list(im)
-    new_re[longer - 1] -= re[shorter - 1]
+    new_re[longer - 1] = length
     new_im[longer - 1] -= im[shorter - 1]
-    new_re.insert(m - 1, new_re.pop(x - 1))
-    new_im.insert(m - 1, new_im.pop(x - 1))
-    return GenPerm._trusted(*_from_key(key)), SuspensionDatum._from_parts(
-        scale, tuple(new_re), tuple(new_im)
+    if m != x:
+        new_re.insert(m - 1, new_re.pop(x - 1))
+        new_im.insert(m - 1, new_im.pop(x - 1))
+    i = key.index(0)
+    return (
+        GenPerm._trusted(tuple(key[:i]), tuple(key[i + 1 :])),
+        SuspensionDatum._from_parts(scale, tuple(new_re), tuple(new_im)),
     )

@@ -18,18 +18,24 @@ the next variable given the values already chosen, and a caller-supplied
 rule picks a value in it.  The pivot is not handed to the rule: the
 equality's two rows make its interval a point, which is taken as it is.
 The values are held as integers over one positive common denominator, and
-:func:`solve` returns them so; only the two bounds handed to the rule and
-the value it picks are ``Fraction`` objects.  With the default rule the
-witness is deterministic and preferentially built from small integers.
+:func:`solve` returns them so.  The bounds handed to the rule and the value
+it picks are integer pairs too (:data:`Ratio`), so no ``Fraction`` is made.
+With the default rule the witness is deterministic and preferentially built
+from small integers.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 Row = tuple[tuple[int, ...], int]
-IntervalChooser = Callable[[Optional[Fraction], Optional[Fraction]], Fraction]
+# ``(num, den)`` with ``den > 0``, the rational ``num / den``; not
+# necessarily reduced.
+Ratio = tuple[int, int]
+# ``choose(lo, hi)``: a value in the closed interval from ``lo`` to ``hi``,
+# either bound None when the interval is unbounded on that side.
+IntervalChooser = Callable[[Optional[Ratio], Optional[Ratio]], Ratio]
 
 
 class _Contradiction(Exception):
@@ -143,15 +149,26 @@ def feasible(nvars: int, ineqs: Sequence[Row], eq: Optional[Row] = None) -> bool
     return True
 
 
-def canonical_choice(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
-    """Smallest-magnitude preference: 0 when allowed, else the nearer bound."""
-    if (lo is None or lo <= 0) and (hi is None or hi >= 0):
-        return Fraction(0)
-    if lo is not None and lo > 0:
+def canonical_choice(lo: Optional[Ratio], hi: Optional[Ratio]) -> Ratio:
+    """Smallest-magnitude preference: 0 when allowed, else the nearer bound.
+
+    The bounds' denominators are positive, so their numerators carry the
+    signs that decide; a bound is returned as it was given.
+
+    >>> canonical_choice((-3, 2), (7, 1))
+    (0, 1)
+    >>> canonical_choice((4, 6), None)
+    (4, 6)
+    >>> canonical_choice(None, (-10, 4))
+    (-10, 4)
+    >>> canonical_choice(None, None)
+    (0, 1)
+    """
+    if lo is not None and lo[0] > 0:
         return lo
-    if hi is None:
-        raise RuntimeError("canonical_choice found no bound to return")
-    return hi
+    if hi is not None and hi[0] < 0:
+        return hi
+    return (0, 1)
 
 
 def solve(
@@ -167,7 +184,9 @@ def solve(
     value in the (possibly unbounded) exact feasible interval of each
     variable in turn, save the equality's pivot, whose interval is the
     point the equality fixes; the projection guarantees any value in the
-    interval extends to a full solution.
+    interval extends to a full solution.  Bounds and value are
+    :data:`Ratio` pairs, None for a missing bound, and the value is
+    reduced before it joins the common denominator.
 
     With ``x + y = 4``, ``2x >= 3`` and ``y >= 1``, the equality makes
     ``y`` its pivot; ``x`` is free in ``[3/2, 3]`` and takes the nearer
@@ -197,9 +216,7 @@ def solve(
             a = coeffs[j]
             if a == 0:
                 continue
-            rest = const * scale
-            for k in range(j):
-                rest += coeffs[k] * nums[k]
+            rest = const * scale + sum(map(mul, coeffs, nums))
             # The row reads a * x_j + rest / scale >= 0: x_j >= -rest / (a * scale)
             # when a > 0, x_j <= rest / (-a * scale) when a < 0.
             if a > 0:
@@ -212,16 +229,18 @@ def solve(
             return None
         if j == pivot:
             # the equality's two rows make the interval a point
-            value = Fraction(lo[0], lo[1] * scale)
+            num, den = lo[0], lo[1] * scale
         else:
-            value = choose(
-                None if lo is None else Fraction(lo[0], lo[1] * scale),
-                None if hi is None else Fraction(hi[0], hi[1] * scale),
+            num, den = choose(
+                None if lo is None else (lo[0], lo[1] * scale),
+                None if hi is None else (hi[0], hi[1] * scale),
             )
-        den = value.denominator
+        g = gcd(num, den)
+        num //= g
+        den //= g
         if scale % den:
             grow = den // gcd(scale, den)
             nums = [v * grow for v in nums]
             scale *= grow
-        nums.append(value.numerator * (scale // den))
+        nums.append(num * (scale // den))
     return scale, nums

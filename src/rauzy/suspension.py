@@ -37,7 +37,8 @@ unchanged when every entry is multiplied by the same positive number.  A
 :class:`SuspensionDatum` therefore holds its vector as integers over one
 common denominator: a positive ``scale`` and the integer real and imaginary
 parts, the entries times ``scale``.  The solver returns its witnesses so,
-and a :class:`SuspensionPolygon` keeps its points so.  The checks, the
+the rules that pick their values take and return integer pairs, and a
+:class:`SuspensionPolygon` keeps its points as integers.  The checks, the
 induction step and the polygon read those integers; ``Fraction`` objects
 are made only when a caller reads ``values``, ``re`` or ``im``, and
 rationals only in the text of the polygon exports.  Entries given to the
@@ -260,24 +261,29 @@ def _valid_parts(
     Returns None when ``zeta`` fails one of the four conditions over ``p``.
     """
     scale, re, im = zeta._parts()
-    if len(re) != p.d:
+    top, bottom = p.top, p.bottom
+    if 2 * len(re) != len(top) + len(bottom):
         raise DimensionMismatch(f"expected {p.d} entries, got {len(re)}")
     if min(re) <= 0:
         return None
-    acc = 0
-    for s in p.top[:-1]:
+    # one pass per row: the imaginary prefix sums and the real balance
+    acc = total = 0
+    for s in top[:-1]:
         acc += im[s - 1]
         if acc <= 0:
             return None
-    top_im = acc + im[p.top[-1] - 1]
+        total += re[s - 1]
+    s = top[-1]
+    top_im = acc + im[s - 1]
+    total += re[s - 1]
     acc = 0
-    for s in p.bottom[:-1]:
+    for s in bottom[:-1]:
         acc += im[s - 1]
         if acc >= 0:
             return None
-    if acc + im[p.bottom[-1] - 1] != top_im:
-        return None
-    if sum([re[s - 1] for s in p.top]) != sum([re[s - 1] for s in p.bottom]):
+        total -= re[s - 1]
+    s = bottom[-1]
+    if acc + im[s - 1] != top_im or total != re[s - 1]:
         return None
     return scale, re, im
 
@@ -326,12 +332,16 @@ def random_suspension(p: GenPerm, rng: Random) -> Optional[SuspensionDatum]:
     if not irreducible_rows(p.top, p.bottom):
         return None
 
-    def pick(lo, hi) -> Fraction:
+    def pick(lo: Optional[linprog.Ratio], hi: Optional[linprog.Ratio]) -> linprog.Ratio:
+        # lo + (hi - lo) * r / 16, a missing bound 4 away from the other (or 0)
         if lo is None:
-            lo = (hi if hi is not None else Fraction(0)) - 4
+            n, q = (0, 1) if hi is None else hi
+            lo = (n - 4 * q, q)
         if hi is None:
-            hi = lo + 4
-        return lo + (hi - lo) * Fraction(rng.randint(1, 15), 16)
+            hi = (lo[0] + 4 * lo[1], lo[1])
+        r = rng.randint(1, 15)
+        (a, b), (c, e) = lo, hi
+        return (a * e * (16 - r) + c * b * r, 16 * b * e)
 
     _, re, im = _witness(p, pick)._parts()
     return SuspensionDatum._from_parts(1, re, im)

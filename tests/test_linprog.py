@@ -51,10 +51,11 @@ def test_equality_contradiction():
 
 
 def test_canonical_prefers_zero():
-    assert canonical_choice(None, None) == 0
-    assert canonical_choice(Fraction(-3), Fraction(7)) == 0
-    assert canonical_choice(Fraction(2), None) == 2
-    assert canonical_choice(None, Fraction(-5)) == -5
+    # the chooser takes and returns (num, den) pairs; compare them by value
+    assert Fraction(*canonical_choice(None, None)) == 0
+    assert Fraction(*canonical_choice((-3, 1), (7, 1))) == 0
+    assert Fraction(*canonical_choice((2, 1), None)) == 2
+    assert Fraction(*canonical_choice(None, (-5, 1))) == -5
 
 
 @given(

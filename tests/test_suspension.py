@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -29,6 +30,7 @@ from rauzy.suspension import (
     SuspensionDatum,
     _imag_system,
     _occurrence_balance,
+    _real_system,
     is_embedded,
 )
 
@@ -326,7 +328,127 @@ class TestFindSuspension:
                 calls.clear()
                 random_suspension(p, Random(str(p)))
                 assert len(calls) == 2 * (d - 1), p
-                assert all(lo is None or hi is None or lo < hi for lo, hi in calls), p
+                # bounds are (num, den) pairs with den > 0: compare by value
+                assert all(
+                    lo is None or hi is None or lo[0] * hi[1] < hi[0] * lo[1]
+                    for lo, hi in calls
+                ), p
+
+
+def _fraction_canonical_choice(lo, hi):
+    """``linprog.canonical_choice`` as it was on ``Fraction`` bounds."""
+    if (lo is None or lo <= 0) and (hi is None or hi >= 0):
+        return Fraction(0)
+    if lo is not None and lo > 0:
+        return lo
+    return hi
+
+
+def _fraction_pick(rng):
+    """``random_suspension``'s chooser as it was on ``Fraction`` bounds."""
+
+    def pick(lo, hi):
+        if lo is None:
+            lo = (hi if hi is not None else Fraction(0)) - 4
+        if hi is None:
+            hi = lo + 4
+        return lo + (hi - lo) * Fraction(rng.randint(1, 15), 16)
+
+    return pick
+
+
+def _as_fraction(bound):
+    return None if bound is None else Fraction(*bound)
+
+
+def _on_pairs(fraction_rule):
+    """A ``Fraction`` chooser behind the ``(num, den)`` interface of ``solve``."""
+
+    def choose(lo, hi):
+        value = fraction_rule(_as_fraction(lo), _as_fraction(hi))
+        return value.numerator, value.denominator
+
+    return choose
+
+
+def _random_pick(rng):
+    """The chooser that ``random_suspension`` builds on ``rng``."""
+    captured = []
+
+    def capture(p, choose):
+        captured.append(choose)
+        return _datum((1, 1), (1, -1))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rauzy.suspension, "_witness", capture)
+        random_suspension(parse("1 2 / 2 1"), rng)
+    return captured[0]
+
+
+def _bound_pairs(rng, count):
+    """Seeded ``(lo, hi)`` bounds with ``lo <= hi``, as ``(num, den)`` pairs.
+
+    Every pair is scaled by a random factor, so most are not reduced; a
+    third of the intervals miss one or both bounds and some are points.
+    """
+    bounds = []
+    for _ in range(count):
+        ends = sorted(Fraction(rng.randint(-30, 30), rng.randint(1, 8)) for _ in range(2))
+        lo, hi = [
+            (v.numerator * k, v.denominator * k)
+            for v, k in zip(ends, (rng.randint(1, 4), rng.randint(1, 4)))
+        ]
+        case = rng.randrange(8)
+        if case == 0:
+            lo = None
+        elif case == 1:
+            hi = None
+        elif case == 2:
+            lo = hi = None
+        elif case == 3:
+            hi = (2 * lo[0], 2 * lo[1])
+        bounds.append((lo, hi))
+    return bounds
+
+
+class TestChooserOracle:
+    """The integer choosers held against their ``Fraction`` forms."""
+
+    def test_seeded_bound_pairs(self):
+        bounds = _bound_pairs(Random(3001), 2000)
+        assert sum(lo is None for lo, _ in bounds) >= 300
+        assert sum(hi is None for _, hi in bounds) >= 300
+        assert sum(lo is not None and gcd(*lo) > 1 for lo, _ in bounds) >= 500
+        pick = _random_pick(Random(3002))
+        oracle_pick = _fraction_pick(Random(3002))
+        for lo, hi in bounds:
+            flo, fhi = _as_fraction(lo), _as_fraction(hi)
+            for (num, den), value in (
+                (canonical_choice(lo, hi), _fraction_canonical_choice(flo, fhi)),
+                (pick(lo, hi), oracle_pick(flo, fhi)),
+            ):
+                assert den > 0, (lo, hi)
+                assert Fraction(num, den) == value, (lo, hi)
+
+    def test_through_solve_to_five_symbols(self):
+        sizes = [(PermKind.IET, d) for d in range(2, 6)]
+        sizes += [(PermKind.QUADRATIC, d) for d in range(3, 6)]
+        for kind, d in sizes:
+            for p in enumerate_irreducible(d, kind):
+                rules = [
+                    (canonical_choice, _on_pairs(_fraction_canonical_choice)),
+                    (
+                        _random_pick(Random(str(p))),
+                        _on_pairs(_fraction_pick(Random(str(p)))),
+                    ),
+                ]
+                for choose, oracle in rules:
+                    system = _imag_system(p)
+                    ims = solve(d, *system, choose=choose)
+                    assert ims is not None and ims == solve(d, *system, choose=oracle), p
+                    system = _real_system(p, ims[1])
+                    res = solve(d, *system, choose=choose)
+                    assert res is not None and res == solve(d, *system, choose=oracle), p
 
 
 # a vector of ``1 2 / 2 1`` whose entries have denominators 2, 3, 4 and 6
