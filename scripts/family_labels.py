@@ -13,7 +13,8 @@ random vertices of it with ``rauzy.classes.rauzy_class`` made to raise::
 
 ``--kind quad`` (the default) takes the half-translation strata with a
 hyperelliptic and a non-hyperelliptic component; its classes grow from the
-irreducible tables whose bottom row ends with 1, as in the verifier.
+verifier's seeds, the irreducible tables whose bottom row ends with 1,
+found among the shapes l <= m and their row exchanges.
 ``--kind iet`` takes the classes of orientable strata with a hyperelliptic
 component where spin parity gives no label: those of the hyperelliptic
 parity, or every class where the degrees are not all even; its classes
@@ -34,7 +35,7 @@ import time
 from itertools import permutations
 
 import rauzy.classes
-from rauzy.classes import _seeded_classes
+from rauzy.classes import _seeded_classes, _seeds
 from rauzy.combinat import GenPerm, _irreducible_tables
 from rauzy.induction import _from_key
 from rauzy.invariants import (
@@ -88,11 +89,11 @@ def scan_label(table, st, spin):
 def classes(d, kind):
     """The classes with ``d`` symbols of one kind, each built once."""
     if kind == "quad":
-        seeds = (rows for rows in _irreducible_tables(d) if rows[1][-1] == 1)
-        return _seeded_classes(seeds, 10**7)
-    top = tuple(range(1, d + 1))
-    seeds = ((top, (d, *middle, 1)) for middle in permutations(top[1:-1]))
-    return _seeded_classes(seeds, 10**7)
+        candidates = _irreducible_tables(d)
+    else:
+        top = tuple(range(1, d + 1))
+        candidates = ((top, (d, *middle, 1)) for middle in permutations(top[1:-1]))
+    return _seeded_classes(_seeds(candidates), 10**7)
 
 
 def main() -> int:

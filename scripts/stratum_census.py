@@ -7,10 +7,13 @@ pair, checking the expected count structure as it goes.  Permutation
 classes grow from their standard permutations (Rauzy 1979) and must cover
 the irreducible permutations (OEIS A003319); generalized classes grow from
 the irreducible tables whose bottom row ends with 1 and must cover every
-irreducible table.  That rule is checked through seven symbols but not
-proven; the count turns a missed class into a failed report, printed as
-``coverage found=... expected=...``, instead of a silent pass.  Useful
-for eyeballing how the table grows::
+irreducible table.  The verifier generates the shapes l <= m only and
+takes the rest as their row exchanges: the seeds with l > m as exchanges
+of tables with l < m, and the count as 2 N(l<m) + N(l=m).  The seed rule
+is checked through eight symbols but not proven; the count turns a missed
+class into a failed report, printed as ``coverage found=...
+expected=...``, instead of a silent pass.  Useful for eyeballing how the
+table grows::
 
     python scripts/stratum_census.py --max-d 6 --kind both
 

@@ -11,26 +11,37 @@ both moves of a key in one call from the kernel of
 when read, and its edges are made then from the same kernel.
 
 The verifier builds every class of a given size and kind, one at a time,
-from seeds, the candidate tables whose bottom row ends with 1, and proves
-that none is missing by a count.  Permutation candidates are the standard
-permutations, which every class contains (Rauzy, *Acta Arith.* 34, 1979)
-and whose bottom rows all end with 1; the class sizes must sum to the
-number of irreducible permutations (OEIS A003319).  Generalized candidates
-are the irreducible tables, and the class sizes must sum to their number,
-which the same pass counts.  That every generalized class holds a seed is
-checked through seven symbols but not proven; the count turns a missed
-class into a failed report instead of a silent pass.  The generalized
-candidates come as rows from the pruned search
-:func:`rauzy.combinat._irreducible_tables`, and only the seeds that start a
-class are wrapped; :func:`enumerate_irreducible`, which filters every
-reduced table, is the brute-force oracle of the tests and scripts.  The
-verifier keeps each class's marked order and size by (stratum, component
-label) and checks the expected
-structure: each group must hold exactly one class per distinct
-singularity order, matched bijectively by marked order, and each stratum
-must show exactly the component labels that
-:func:`rauzy.invariants.stratum_components` lists.  A label that needs the
-class asks whether it holds a reference table
+from seeds, the irreducible tables whose bottom row ends with 1, and
+proves that none is missing by a count.  Permutation candidates are the
+standard permutations, which every class contains (Rauzy, *Acta Arith.*
+34, 1979) and whose bottom rows all end with 1; the class sizes must sum
+to the number of irreducible permutations (OEIS A003319).  Generalized
+candidates are the irreducible tables of shape ``l <= m``, as rows from
+the pruned search :func:`rauzy.combinat._irreducible_tables`.  The other
+tables are their row exchanges, tau(top, bottom) = reduce(bottom, top)
+(:func:`rauzy.combinat._exchanged`).  Complex conjugation takes a
+suspension of ``top / bottom`` to one of ``bottom / top``: it mirrors the
+polygon but keeps its gluings, so tau keeps irreducibility, the cone
+angles and the left endpoint, hence the stratum and the marked order, and
+maps the tables of shape ``(l, m)`` one to one onto those of shape
+``(m, l)``.  The class sizes must therefore sum to
+``2 N(l < m) + N(l = m)``, which the same pass counts.  A candidate is a
+seed when its bottom row ends with 1, and one with ``l < m`` whose top row
+ends with its bottom row's first letter gives its exchange as a seed,
+whose bottom row then ends with 1 (:func:`_seeds`): the seeds are all the
+irreducible tables whose bottom row ends with 1.  That every generalized
+class holds a seed is checked through eight symbols but not proven; the
+count turns a missed class into a failed report instead of a silent pass.
+Only the seeds that start a class are wrapped; :func:`enumerate_irreducible`,
+which filters every reduced table, is the brute-force oracle of the tests
+and scripts.
+
+The verifier keeps each class's marked order and size by (stratum,
+component label) and checks the expected structure: each group must hold
+exactly one class per distinct singularity order, matched bijectively by
+marked order, and each stratum must show exactly the component labels
+that :func:`rauzy.invariants.stratum_components` lists.  A label that
+needs the class asks whether it holds a reference table
 (:func:`rauzy.invariants.label_for_class`): a lookup in a class the
 verifier holds, and otherwise the stopping search of
 :func:`same_class_bfs`.
@@ -49,6 +60,7 @@ from .combinat import (
     GenPerm,
     PermKind,
     Rows,
+    _exchanged,
     _irreducible_tables,
     all_reduced_tables,
     format_perm,
@@ -213,6 +225,21 @@ def enumerate_irreducible(d: int, kind: PermKind) -> Iterator[GenPerm]:
                 yield GenPerm._trusted(top, bottom)
 
 
+def _seeds(candidates: Iterable[Rows]) -> Iterator[Rows]:
+    """The seeds the candidate tables of shape ``l <= m`` give, each once.
+
+    A candidate is a seed when its bottom row ends with 1.  A candidate with
+    ``l < m`` stands for its row exchange too, which is a seed when the
+    candidate's top row ends with its bottom row's first letter; the
+    exchange itself is yielded, so every seed has its bottom row end with 1.
+    """
+    for top, bottom in candidates:
+        if bottom[-1] == 1:
+            yield top, bottom
+        if top[-1] == bottom[0] and len(top) < len(bottom):
+            yield _exchanged(top, bottom)
+
+
 def _seeded_classes(seeds: Iterable[Rows], budget: int) -> Iterator[RauzyDiagram]:
     """The classes of the ``seeds`` rows, each built once.
 
@@ -347,22 +374,24 @@ def verify_main_theorem(
     generalized tables.  That count runs through the pruned search
     :func:`rauzy.combinat._irreducible_tables`, not through the brute-force
     oracle :func:`enumerate_irreducible`.  The generalized seed rule is
-    checked through seven symbols but not proven; the count turns a missed
+    checked through eight symbols but not proven; the count turns a missed
     class into a failed report instead of a silent pass.  Classes are kept
     as (marked order, size) by (stratum, component label).  A group passes
     when its classes are in bijection with the distinct singularity orders
     via the marked order; the stratum passes when its labels are the
     components the classification lists.  ``only_stratum`` is held against the
     classification even when none of its tables is found; the generalized
-    count is then that of its tables, and no count applies to permutations.
+    count is then that of its tables, taken the same way since the exchange
+    keeps the stratum, and no count applies to permutations.
     """
     if d < 2:
         raise ValueError("enumeration starts at two symbols")
-    total = 0  # candidates met, the generalized count
+    total = 0  # tables the candidates stand for, the generalized count
 
     def counted(candidates: Iterable[Rows]) -> Iterator[Rows]:
         nonlocal total
-        for total, rows in enumerate(candidates, 1):
+        for rows in candidates:
+            total += 1 + (len(rows[0]) < len(rows[1]))  # itself and its exchange
             yield rows
 
     if kind is PermKind.IET:
@@ -388,8 +417,7 @@ def verify_main_theorem(
         {} if only_stratum is None else {only_stratum: {}}
     )
     found = 0
-    seeds = (rows for rows in counted(candidates) if rows[1][-1] == 1)
-    for diagram in _seeded_classes(seeds, budget):
+    for diagram in _seeded_classes(_seeds(counted(candidates)), budget):
         # every seed is irreducible, so one walk gives stratum and marked order
         seed = GenPerm._trusted(*_from_key(next(iter(diagram.table))))
         profile = _known_profile(seed)

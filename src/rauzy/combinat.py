@@ -260,10 +260,14 @@ def all_reduced_tables(d: int) -> Iterator[Rows]:
 
 
 def _irreducible_tables(d: int) -> Iterator[Rows]:
-    """Rows of every irreducible reduced table with ``d`` symbols, permutations aside.
+    """Rows of the irreducible reduced tables with ``d`` symbols and shape ``l <= m``.
 
-    The same tables as :func:`all_reduced_tables` filtered by
-    :func:`irreducible_rows`, found by a search that tests each condition
+    Permutations aside, these are the tables of :func:`all_reduced_tables`
+    with top-row length ``l <= d`` filtered by :func:`irreducible_rows`.
+    The other shapes are their row exchanges (:func:`_exchanged`): the
+    conditions there are symmetric in the two rows, so the exchange maps
+    the irreducible tables of shape ``(l, m)`` one to one onto those of
+    shape ``(m, l)``.  They are found by a search that tests each condition
     there on a prefix as soon as the prefix is complete.  A top row is kept
     only when it doubles a letter and leaves at least one letter to the
     bottom row to double, which is (a) and rules out permutations.  Every
@@ -281,7 +285,7 @@ def _irreducible_tables(d: int) -> Iterator[Rows]:
     # The letters a bottom cell may take depend only on the open letters
     # and the next fresh one: at most 2^d (d + 1) menus, each made once.
     menus: dict[tuple[int, int], tuple[int, ...]] = {}
-    for l in range(2, 2 * d - 1):
+    for l in range(2, d + 1):
         m = 2 * d - l
         # at most d - 1 letters on the top row: it doubles at least l - d + 1
         for top, once in _top_rows(l, max(1, l - d + 1), l // 2):
@@ -320,6 +324,19 @@ def _irreducible_tables(d: int) -> Iterator[Rows]:
                 key = open_at[j], fresh_at[j]
                 letters = menus.get(key) or _menu(menus, *key, d)
                 choices[j] = iter(letters)
+
+
+def _exchanged(top: tuple[int, ...], bottom: tuple[int, ...]) -> Rows:
+    """The row exchange of a reduced table: ``bottom / top`` renumbered.
+
+    The rows of ``reduce(bottom, top)`` without its checks, for tables the
+    search made.
+
+    >>> _exchanged((1, 2, 1), (3, 3, 2, 4, 4))
+    ((1, 1, 2, 3, 3), (4, 2, 4))
+    """
+    number = {s: n for n, s in enumerate(dict.fromkeys(bottom + top), 1)}
+    return tuple(map(number.__getitem__, bottom)), tuple(map(number.__getitem__, top))
 
 
 def _menu(

@@ -27,10 +27,11 @@ every other symbol keeps its order of first occurrence, and the
 renumbering is one rotation: ``x`` goes to ``m``, one more than the number
 of distinct symbols before its new first occurrence, and the symbols
 between shift by one.  ``bytes.translate`` applies it
-(:func:`_table_move`).  The class search takes both moves of a key in one
+(:func:`_renumbered`).  The class search takes both moves of a key in one
 call from the kernel :func:`_successors` gives for its class: slices and
-one translation table per bottom winner for permutations, and
-:func:`_table_move` for other tables.
+one translation table per bottom winner for permutations, and for other
+tables :func:`_move0` and :func:`_move1`, the rules of
+:func:`_table_move`, after one lookup of the row separator.
 
 The induction itself is :func:`rv_step`, one step on a suspension vector,
 whose real parts are the interval lengths.  It is exact: it reads the
@@ -90,48 +91,76 @@ def _table_move(
     """Move ``which`` on a reduced key, renumbered; None when undefined.
 
     Returns the moved key and the rotation ``x -> m`` that reduced it,
-    ``x`` the loser.  The rotation is the identity unless the raw move
-    moved the first occurrence of ``x``.  Otherwise, by reduced numbering,
-    the distinct symbols before the new one are those up to the largest,
-    ``before``, except ``x``, which fixes ``m``.  Reduced numbering also
-    counts symbols: the top row holds ``k`` distinct symbols, ``k`` its
-    largest, so ``d - k`` symbols lie in the bottom row alone and
-    ``len(top) - k`` in the top row alone.  ``rotation(x, m)`` gives the
-    translation table.
+    ``x`` the loser.  Both moves are undefined when the rows end in the
+    same symbol; otherwise :func:`_move0` or :func:`_move1` makes the move
+    from the index ``i`` of the row separator, and :func:`_renumbered`
+    reduces it.  Reduced numbering counts symbols: the top row holds ``k``
+    distinct symbols, ``k`` its largest, so ``d - k`` symbols lie in the
+    bottom row alone and ``len(top) - k`` in the top row alone.
+    ``rotation(x, m)`` gives the translation table.
     """
     i = key.index(0)
     if key[i - 1] == key[-1]:
         return None
-    if which == 0:
-        x = key[-1]
-        winner = key[i - 1]
-        p = key.find(winner, i + 1) + 1  # just after it in the bottom row
-        if not p:
-            # into the top row, if another symbol has both occurrences
-            # in the bottom row
-            k = max(key[:i])
-            if len(key) // 2 - k <= (x > k):
-                return None
-            p = key.index(winner)  # just before it
-        raw = key[:p] + key[-1:] + key[p:-1]
-        moved = key.index(x) > p  # x now first occurs at p
-    else:
-        x = key[i - 1]
-        winner = key[-1]
-        p = key.index(winner) + 1
-        if p < i:  # just after it in the top row
-            raw = key[:p] + key[i - 1 : i] + key[p : i - 1] + key[i:]
-            moved = key.index(x) > p
-        else:
-            # into the bottom row, just before it, if another symbol has
-            # both occurrences in the top row
-            if i - max(key[:i]) <= (key.index(x) < i - 1):
-                return None
-            raw = key[: i - 1] + key[i : p - 1] + key[i - 1 : i] + key[p - 1 :]
-            moved = key.index(x) == i - 1  # the occurrence that left was first
-            p = raw.index(x)
-    if not moved:
+    return (_move1 if which else _move0)(key, i, rotation)
+
+
+def _move0(
+    key: bytes, i: int, rotation: Callable[[int, int], bytes]
+) -> Optional[tuple[bytes, int, int]]:
+    """Move 0 of :func:`_table_move` on a key whose rows end in different
+    symbols, ``i`` its separator index; None when undefined."""
+    x = key[-1]
+    winner = key[i - 1]
+    p = key.find(winner, i + 1) + 1  # just after it in the bottom row
+    if not p:
+        # into the top row, if another symbol has both occurrences in the
+        # bottom row
+        k = max(key[:i])
+        if len(key) // 2 - k <= (x > k):
+            return None
+        p = key.index(winner)  # just before it
+    raw = key[:p] + key[-1:] + key[p:-1]
+    if key.index(x) <= p:
         return raw, x, x
+    return _renumbered(raw, x, p, rotation)  # x now first occurs at p
+
+
+def _move1(
+    key: bytes, i: int, rotation: Callable[[int, int], bytes]
+) -> Optional[tuple[bytes, int, int]]:
+    """Move 1 of :func:`_table_move` on a key whose rows end in different
+    symbols, ``i`` its separator index; None when undefined."""
+    x = key[i - 1]
+    winner = key[-1]
+    p = key.index(winner) + 1
+    if p < i:  # just after it in the top row
+        raw = key[:p] + key[i - 1 : i] + key[p : i - 1] + key[i:]
+        if key.index(x) <= p:
+            return raw, x, x
+        return _renumbered(raw, x, p, rotation)
+    # into the bottom row, just before it, if another symbol has both
+    # occurrences in the top row
+    twice = key.index(x) < i - 1  # x keeps an occurrence in the top row
+    if i - max(key[:i]) <= twice:
+        return None
+    raw = key[: i - 1] + key[i : p - 1] + key[i - 1 : i] + key[p - 1 :]
+    if twice:
+        return raw, x, x
+    return _renumbered(raw, x, raw.index(x), rotation)
+
+
+def _renumbered(
+    raw: bytes, x: int, p: int, rotation: Callable[[int, int], bytes]
+) -> tuple[bytes, int, int]:
+    """The raw move ``raw`` renumbered, with its rotation ``x -> m``.
+
+    The move helpers return a raw move as it is, with the identity
+    rotation, unless it moved the first occurrence of ``x``; it then comes
+    here with that occurrence's new index ``p``.  By reduced numbering, the
+    distinct symbols before it are those up to the largest, ``before``,
+    except ``x``, which fixes ``m``.
+    """
     before = max(raw[:p]) if p else 0
     m = before + 1 - (x < before)
     return (raw if m == x else raw.translate(rotation(x, m))), x, m
@@ -150,7 +179,8 @@ def _successors(
     renumbering sends ``s <= w`` to ``s``, ``d`` to ``w + 1`` and
     ``w < s < d`` to ``s + 1``, one table per ``w`` on the bottom row.
     Both moves are undefined exactly when the bottom row ends in ``d``.
-    Any other table takes :func:`_table_move`.
+    Any other table takes :func:`_move0` and :func:`_move1` after the
+    separator lookup and end test of :func:`_table_move`, made once.
     """
     d = len(seed) // 2
     head = bytes(range(1, d + 1)) + b"\0"
@@ -158,8 +188,11 @@ def _successors(
         rotation = cache(_rotation)
 
         def table_moves(key: bytes) -> tuple[Optional[bytes], Optional[bytes]]:
-            moved0 = _table_move(key, 0, rotation)
-            moved1 = _table_move(key, 1, rotation)
+            i = key.index(0)
+            if key[i - 1] == key[-1]:
+                return None, None
+            moved0 = _move0(key, i, rotation)
+            moved1 = _move1(key, i, rotation)
             return moved0 and moved0[0], moved1 and moved1[0]
 
         return table_moves

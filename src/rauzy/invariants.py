@@ -583,7 +583,11 @@ def _least_table(st: Stratum, alpha: int, budget: int = 10**7) -> Optional[Rows]
     exceptional half-translation stratum: the class that holds it is
     ``exceptional-a``, and the other class with that marked order is
     ``exceptional-b``.  :func:`_irreducible_tables` yields tables in that
-    order, so the first match is the least.  A scan that tries more than
+    order, so the first match is the least.  It yields the shapes
+    ``l <= m`` only, and the least table has such a shape: the row
+    exchange (:func:`rauzy.combinat._exchanged`) keeps the stratum and the
+    marked order, so a table with ``l > m`` has an image with a shorter top
+    row, which comes first.  A scan that tries more than
     ``budget`` tables raises :class:`BudgetExceeded`.
     """
     for tried, (top, bottom) in enumerate(_irreducible_tables(st.d)):

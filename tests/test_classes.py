@@ -320,6 +320,34 @@ class TestVerify:
         monkeypatch.setattr(rauzy.classes, "_seeded_classes", partition)
         assert verify_main_theorem(d, kind).to_json() == seeded
 
+    @pytest.mark.parametrize("d", range(3, 7))
+    def test_row_exchange_gives_the_other_shapes(self, d):
+        # tau(top, bottom) = reduce(bottom, top) on every irreducible table,
+        # from the brute-force oracle: the second route to the verifier's
+        # count and seeds, which rest on tau from the shapes l <= m
+        from rauzy import reduce
+        from rauzy.classes import _seeds
+        from rauzy.combinat import _exchanged, _irreducible_tables
+        from rauzy.invariants import _known_profile
+
+        oracle = {
+            (p.top, p.bottom): p for p in enumerate_irreducible(d, PermKind.QUADRATIC)
+        }
+        for (top, bottom), p in oracle.items():
+            image = _exchanged(top, bottom)
+            q = reduce(bottom, top)
+            assert image == (q.top, q.bottom)
+            assert _exchanged(*image) == (top, bottom)
+            assert q.shape == (len(bottom), len(top))
+            assert image in oracle  # irreducible
+            assert _known_profile(q) == _known_profile(p)  # orders and marked order
+        seeds = list(_seeds(_irreducible_tables(d)))
+        assert len(set(seeds)) == len(seeds)
+        assert set(seeds) == {rows for rows in oracle if rows[1][-1] == 1}
+        report = verify_main_theorem(d, PermKind.QUADRATIC)
+        assert report.coverage is None
+        assert sum(sum(g.class_sizes) for g in report.groups) == len(oracle)
+
     def test_missing_class_fails_the_count(self, monkeypatch):
         # the only class of H(0,0,0,0,0) at six symbols is dropped; no
         # group or component check can see that, only the count

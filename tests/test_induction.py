@@ -138,30 +138,35 @@ def test_moves_preserve_irreducibility_and_size(p):
 
 def test_trusted_kernel_matches_validated_reduction():
     # The byte kernels renumber their keys without validation; every table
-    # they make through five symbols is what the validating reduction makes
-    # of the raw move on rows, and the renumbering is the single rotation
-    # x -> m of the loser x, the last symbol of the losing row.
+    # they make through five symbols, and from every irreducible generalized
+    # table of six, the vertices of the d=6 class searches, is what the
+    # validating reduction makes of the raw move on rows, and the
+    # renumbering is the single rotation x -> m of the loser x, the last
+    # symbol of the losing row.
+    from itertools import chain
+
     from rauzy.combinat import all_reduced_tables
 
+    six = ((p.top, p.bottom) for p in enumerate_irreducible(6, PermKind.QUADRATIC))
     checked = 0
-    for d in range(1, 6):
-        for rows in all_reduced_tables(d):
-            key = _to_key(*rows)
-            both = _successors(key)(key)
-            for which, raw_move in ((0, _move0_raw), (1, _move1_raw)):
-                raw = raw_move(*rows)
-                got = _table_move(key, which)
-                if raw is None:
-                    assert got is None and both[which] is None, rows
-                    continue
-                moved, x, m = got
-                want = reduce(*raw)
-                assert _from_key(moved) == (want.top, want.bottom), rows
-                assert both[which] == moved, rows
-                assert x == rows[1 - which][-1]
-                assert _renumbering(raw) == _rotation_map(d, x, m), (rows, which)
-                checked += 1
-    assert checked > 10_000
+    for rows in chain(*map(all_reduced_tables, range(1, 6)), six):
+        d = (len(rows[0]) + len(rows[1])) // 2
+        key = _to_key(*rows)
+        both = _successors(key)(key)
+        for which, raw_move in ((0, _move0_raw), (1, _move1_raw)):
+            raw = raw_move(*rows)
+            got = _table_move(key, which)
+            if raw is None:
+                assert got is None and both[which] is None, rows
+                continue
+            moved, x, m = got
+            want = reduce(*raw)
+            assert _from_key(moved) == (want.top, want.bottom), rows
+            assert both[which] == moved, rows
+            assert x == rows[1 - which][-1]
+            assert _renumbering(raw) == _rotation_map(d, x, m), (rows, which)
+            checked += 1
+    assert checked > 10_000 + 28_642
 
 
 def test_permutation_kernel_matches_renumbering_kernel():
