@@ -51,6 +51,8 @@ RULES = (
     "exceptional",
     "over budget",
 )
+# the label's private functions that measure() wraps to see which rule decided
+WRAPPED = ("_component_label", "_least_table", "_hyperelliptic_table", "_spin_parity")
 
 
 def random_tables(kind: str, d: int, count: int, seed: int):
@@ -106,7 +108,7 @@ def measure(kind: str, d: int, count: int, seed: int) -> dict:
 
     # each is called a few times per label at most, so the wrappers cost
     # nothing next to the label
-    for name in ("_component_label", "_least_table", "_hyperelliptic_table", "_spin_parity"):
+    for name in WRAPPED:
         noted(name)
     times = []
     rules = dict.fromkeys(RULES, 0)

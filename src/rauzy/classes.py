@@ -467,11 +467,9 @@ def export_dot(diag: RauzyDiagram) -> str:
     for v in diag.vertices:
         lines.append(f'    "{format_perm(v)}";')
     for v in diag.vertices:
-        t0, t1 = diag.edges[v]
-        if t0 is not None:
-            lines.append(f'    "{format_perm(v)}" -> "{format_perm(t0)}" [label="0"];')
-        if t1 is not None:
-            lines.append(f'    "{format_perm(v)}" -> "{format_perm(t1)}" [label="1"];')
+        for move, t in enumerate(diag.edges[v]):
+            if t is not None:
+                lines.append(f'    "{format_perm(v)}" -> "{format_perm(t)}" [label="{move}"];')
     lines.append("}")
     return "\n".join(lines)
 

@@ -111,11 +111,12 @@ def cmd_invariants(args) -> int:
 
 def cmd_class(args) -> int:
     diagram = classes.rauzy_class(parse(args.perm), args.budget)
+    output = "dot" if args.dot else "json" if args.json else args.output
     if args.count:
         print(len(diagram))
-    elif args.dot or args.output == "dot":
+    elif output == "dot":
         print(classes.export_dot(diagram))
-    elif args.json or args.output == "json":
+    elif output == "json":
         print(classes.diagram_json(diagram))
     else:
         for v in diagram.vertices:
@@ -154,6 +155,8 @@ def cmd_same_class(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.stratum:
+        if args.d is not None or args.kind is not None:
+            raise ValueError("give --stratum alone, or both --d and --kind")
         st = parse_stratum(args.stratum)
         kind = (
             PermKind.IET if st.kind is StratumKind.ABELIAN else PermKind.QUADRATIC

@@ -752,7 +752,8 @@ def _component_label(
       in non-hyperelliptic classes.
 
     A class that fails the hyperelliptic test has the spin label found
-    above, or ``non-hyperelliptic`` where spin does not apply.
+    above, or ``non-hyperelliptic`` where spin does not apply; with no
+    symmetric table to test, the label raises ``RuntimeError``.
     """
     from .classes import _bfs_rows, _holds, rauzy_class
 
@@ -800,7 +801,9 @@ def _component_label(
                 return _component_label(q, stratum(q), budget)
     ref = _hyperelliptic_table(st, marked, budget)
     if ref is None:
-        return label
+        raise RuntimeError(
+            f"{st.text} has no symmetric hyperelliptic table with marked order {marked}"
+        )
     ref_key = _to_key(*ref)
     found = ref_key in keys if keys is not None else _holds(ref_key, here, budget)
     return ComponentLabel.HYPERELLIPTIC if found else label

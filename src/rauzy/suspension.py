@@ -220,19 +220,14 @@ def _real_system(p: GenPerm, ims: list[int]) -> tuple[list, Optional[linprog.Row
         row[k] = 1
         ineqs.append((tuple(row), -1))
     total = sum(ims[s - 1] for s in p.top)
-    a = p.top[-1]
-    b = p.bottom[-1]
-    if total > 0:
-        dip = -sum(ims[s - 1] for s in p.bottom[:-1])  # > 0
+    if total:
+        # the line whose last edge crosses level zero, and the other line
+        sign = 1 if total > 0 else -1
+        crossing, other = (p.bottom, p.top) if total > 0 else (p.top, p.bottom)
+        depth = -sign * sum(ims[s - 1] for s in crossing[:-1])  # > 0
         row = [0] * d
-        row[a - 1] += total + dip
-        row[b - 1] -= total
-        ineqs.append((tuple(row), 0))
-    elif total < 0:
-        rise = sum(ims[s - 1] for s in p.top[:-1])  # > 0
-        row = [0] * d
-        row[b - 1] += -total + rise
-        row[a - 1] -= -total
+        row[other[-1] - 1] += sign * total + depth
+        row[crossing[-1] - 1] -= sign * total
         ineqs.append((tuple(row), 0))
     balance = tuple(_occurrence_balance(p))
     return ineqs, (balance, 0) if any(balance) else None
@@ -414,10 +409,8 @@ def build_polygon(p: GenPerm, zeta: SuspensionDatum) -> SuspensionPolygon:
 
     l = len(p.top)
     occurrences: dict[int, list[int]] = {}
-    for i, s in enumerate(p.top):
+    for i, s in enumerate(p.top + p.bottom):
         occurrences.setdefault(s, []).append(i)
-    for j, s in enumerate(p.bottom):
-        occurrences.setdefault(s, []).append(l + j)
     pairs = []
     for s in sorted(occurrences):
         a, b = occurrences[s]

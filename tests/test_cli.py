@@ -123,6 +123,21 @@ class TestClass:
         )
         assert code == 1 and "budget" in err
 
+    def test_format_flag_beats_the_environment_twin(self, capsys, monkeypatch):
+        monkeypatch.setenv("RAUZY_OUTPUT", "dot")
+        code, out, _ = run_cli(capsys, "class", "1 2 / 2 1", "--json")
+        assert code == 0 and json.loads(out)["vertices"] == ["1 2 / 2 1"]
+        monkeypatch.setenv("RAUZY_OUTPUT", "json")
+        code, out, _ = run_cli(capsys, "class", "1 2 / 2 1", "--dot")
+        assert code == 0 and out.startswith("digraph rauzy {")
+
+    def test_format_flag_beats_the_global_flag(self, capsys):
+        table = "1 2 / 2 1"
+        code, out, _ = run_cli(capsys, "--output", "dot", "class", table, "--json")
+        assert code == 0 and json.loads(out)["vertices"] == [table]
+        code, out, _ = run_cli(capsys, "--output", "json", "class", table, "--dot")
+        assert code == 0 and out.startswith("digraph rauzy {")
+
 
 class TestSameClass:
     def test_fast_and_bfs_agree(self, capsys):
@@ -227,6 +242,14 @@ class TestVerify:
     def test_missing_arguments(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 1 and "need --stratum" in err
+
+    @pytest.mark.parametrize(
+        "extra", [["--d", "3", "--kind", "quad"], ["--d", "4"], ["--kind", "iet"]]
+    )
+    def test_stratum_takes_no_size_or_kind(self, capsys, extra):
+        code, out, err = run_cli(capsys, "verify", *extra, "--stratum", "H(2)")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--stratum alone" in err
 
     @pytest.mark.parametrize("name", ["Q(-1,1)", "Q(4)", "Q(3,1)", "Q(0,0)"])
     def test_empty_stratum(self, capsys, name):

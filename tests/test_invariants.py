@@ -259,6 +259,21 @@ class TestComponentLabel:
         component_label(parse("1 2 3 4 / 4 3 2 1"))
         assert calls == [7]
 
+    def test_no_reference_table_raises(self, monkeypatch):
+        import rauzy.invariants
+
+        # a label that needs the hyperelliptic test has no default
+        monkeypatch.setattr(rauzy.invariants, "_hyperelliptic_table", lambda *a: None)
+        for table, message in [
+            (Q6_NONHYP, r"Q\(-1,-1,6\) .* marked order 6"),
+            ("1 2 3 4 5 6 7 8 9 / 2 4 1 6 5 7 9 3 8", r"H\(3,3\) .* marked order 3"),
+        ]:
+            with pytest.raises(RuntimeError, match=message):
+                component_label(parse(table))
+        keys = rauzy_class(parse(Q6_HYP)).table
+        with pytest.raises(RuntimeError, match="no symmetric hyperelliptic table"):
+            label_for_class(keys)
+
 
 def _smallest_vertex(table):
     rows = min(map(_from_key, table), key=lambda rows: (len(rows[0]), rows))
