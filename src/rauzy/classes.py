@@ -67,8 +67,8 @@ from .combinat import (
     irreducible_rows,
     is_irreducible,
 )
-from .errors import BudgetExceeded, ReducibleSeed
-from .induction import _from_key, _successors, _to_key
+from .errors import BudgetExceeded, ReducibleSeed, TooManySymbols
+from .induction import _MAX_SYMBOLS, _from_key, _successors, _to_key
 from .invariants import (
     ComponentLabel,
     Stratum,
@@ -244,19 +244,23 @@ def _seeded_classes(seeds: Iterable[Rows], budget: int) -> Iterator[RauzyDiagram
     """The classes of the ``seeds`` rows, each built once.
 
     Each class is its vertex keys, its edges made from the move kernel
-    when read.  Every seed is encoded before the first class.  A seed
-    starts a class unless a class built before holds it: the seeds each
-    class holds are the intersection of its keys with the seeds, one
-    lookup per key of the smaller side.  Only the seeds that start a class
-    are wrapped.
+    when read.  Every seed is encoded before the first class; more than
+    ``budget`` seed keys raise :class:`BudgetExceeded`.  A seed starts a
+    class unless a class built before holds it: the seeds each class holds
+    are the intersection of its keys with the seeds, one lookup per key of
+    the smaller side.  Only the seeds that start a class are wrapped.
     """
-    seeds = dict.fromkeys(_to_key(*rows) for rows in seeds)
+    held: dict[bytes, None] = {}
+    for rows in seeds:
+        held[_to_key(*rows)] = None
+        if len(held) > budget:
+            raise BudgetExceeded(f"the seeds exceed the {budget}-key budget")
     seen: set[bytes] = set()
-    for key in seeds:
+    for key in held:
         if key in seen:
             continue
         diagram = rauzy_class(GenPerm._trusted(*_from_key(key)), budget)
-        seen.update(diagram.table.keys() & seeds.keys())
+        seen.update(diagram.table.keys() & held.keys())
         yield diagram
 
 
@@ -386,6 +390,8 @@ def verify_main_theorem(
     """
     if d < 2:
         raise ValueError("enumeration starts at two symbols")
+    if d > _MAX_SYMBOLS:
+        raise TooManySymbols(f"{d} symbols: a vertex key holds at most {_MAX_SYMBOLS}")
     total = 0  # tables the candidates stand for, the generalized count
 
     def counted(candidates: Iterable[Rows]) -> Iterator[Rows]:

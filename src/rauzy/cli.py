@@ -31,8 +31,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         help=(
-            "vertex budget of class enumeration and membership searches, and "
-            "table budget of the reference-table searches of component labels "
+            "vertex budget of class enumeration and membership searches, "
+            "table budget of the reference-table searches of component labels, "
+            "and budget of the seed keys verify holds "
             "(default: RAUZY_BUDGET or 10**7)"
         ),
     )

@@ -744,7 +744,8 @@ def _component_label(
       one, a vertex with a regular point to forget
       (:func:`_forget_regular_point`) has the label of its merged table,
       one stratum down, since marked points do not change the components
-      (Kontsevich–Zorich); a search stops at the first such vertex;
+      (Kontsevich–Zorich); a search from ``p`` stops at the first such
+      vertex, even when ``keys`` is given;
     * otherwise the class is hyperelliptic exactly when it holds the
       symmetric table :func:`_hyperelliptic_table` finds; the search runs
       from that table, whose class is the small one, and stops at ``p``.
@@ -788,17 +789,17 @@ def _component_label(
     here = _to_key(p.top, p.bottom)
     if st.kind is StratumKind.ABELIAN and st.orders.count(0) > (marked == 0):
         # an order-0 point other than the marked one
-        if keys is None:
-            keys = _bfs_rows(
-                here,
-                budget,
-                stop=lambda key: _forget_regular_point(_from_key(key)) is not None,
-            )
-        for key in keys:
+        merged = None
+
+        def forgets(key: bytes) -> bool:
+            nonlocal merged
             merged = _forget_regular_point(_from_key(key))
-            if merged is not None:
-                q = GenPerm._trusted(*merged)
-                return _component_label(q, stratum(q), budget)
+            return merged is not None
+
+        _bfs_rows(here, budget, stop=forgets)
+        if merged is not None:
+            q = GenPerm._trusted(*merged)
+            return _component_label(q, stratum(q), budget)
     ref = _hyperelliptic_table(st, marked, budget)
     if ref is None:
         raise RuntimeError(

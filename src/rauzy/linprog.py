@@ -3,25 +3,25 @@
 Systems are lists of inequality rows ``(coeffs, const)`` meaning
 ``sum(coeffs[i] * x[i]) + const >= 0`` with integer entries, plus at most
 one equality row with the analogous meaning; the suspension systems need
-only one, the balance of the top and bottom sums.  Variables are removed
-one at a time over the integers, and rows are gcd-normalised and
-deduplicated after every step.  The equality is held among the rows as
-itself and its negation.  Its highest variable, the pivot, is removed by
-substituting the equality into every row that reads it; every other
-variable is removed by Fourier-Motzkin elimination.  This is exact and
-fast at the dimensions used here (at most a couple dozen variables).
+only one, the balance of the top and bottom sums.  Both questions run one
+elimination pass, in descending variable order over the integers, and rows
+are gcd-normalised and deduplicated after every step.  The equality is
+held among the rows as itself and its negation.  Its highest variable, the
+pivot, is removed by substituting the equality into every row that reads
+it; every other variable is removed by Fourier-Motzkin elimination.  This
+is exact and fast at the dimensions used here (at most a couple dozen
+variables).  The system is feasible when the pass meets no contradiction.
 
-Witness extraction runs one elimination pass in descending variable order,
-recording the intermediate projections, then assigns variables forward: at
-each step the recorded projection yields the exact feasible interval for
-the next variable given the values already chosen, and a caller-supplied
-rule picks a value in it.  The pivot is not handed to the rule: the
-equality's two rows make its interval a point, which is taken as it is.
-The values are held as integers over one positive common denominator, and
-:func:`solve` returns them so.  The bounds handed to the rule and the value
-it picks are integer pairs too (:data:`Ratio`), so no ``Fraction`` is made.
-With the default rule the witness is deterministic and preferentially built
-from small integers.
+Witness extraction records the intermediate projections of that pass,
+then assigns variables forward: at each step the recorded projection
+yields the exact feasible interval for the next variable given the values
+already chosen, and a caller-supplied rule picks a value in it.  The pivot
+is not handed to the rule: the equality's two rows make its interval a
+point, which is taken as it is.  The values are held as integers over one
+positive common denominator, and :func:`solve` returns them so.  The
+bounds handed to the rule and the value it picks are integer pairs too
+(:data:`Ratio`), so no ``Fraction`` is made.  With the default rule the
+witness is deterministic and preferentially built from small integers.
 """
 from __future__ import annotations
 
@@ -125,28 +125,25 @@ def _system(
     return rows, max(halves, key=lambda r: r[0][pivot]), pivot
 
 
-def feasible(nvars: int, ineqs: Sequence[Row], eq: Optional[Row] = None) -> bool:
-    """Exact feasibility of the closed system over the rationals."""
+def _projections(
+    nvars: int, ineqs: Sequence[Row], eq: Optional[Row]
+) -> Optional[tuple[list[set[Row]], int]]:
+    """The rows before each step of the elimination pass, the last variable's
+    first, and the pivot; None when a step meets a contradiction."""
     try:
         rows, eq, pivot = _system(ineqs, eq)
-        remaining = list(range(nvars))
-        while remaining:
-            if pivot in remaining:
-                # the substitution adds no row, so the pivot goes first
-                j = pivot
-            else:
-                # cheapest variable first keeps intermediate systems small
-                counts = []
-                for j in remaining:
-                    p = sum(1 for r in rows if r[0][j] > 0)
-                    n = sum(1 for r in rows if r[0][j] < 0)
-                    counts.append((p * n, j))
-                _, j = min(counts)
+        stack = []
+        for j in range(nvars - 1, -1, -1):
+            stack.append(rows)
             rows = _eliminate(rows, j, eq if j == pivot else None)
-            remaining.remove(j)
     except _Contradiction:
-        return False
-    return True
+        return None
+    return stack, pivot
+
+
+def feasible(nvars: int, ineqs: Sequence[Row], eq: Optional[Row] = None) -> bool:
+    """Exact feasibility of the closed system over the rationals."""
+    return _projections(nvars, ineqs, eq) is not None
 
 
 def canonical_choice(lo: Optional[Ratio], hi: Optional[Ratio]) -> Ratio:
@@ -195,14 +192,10 @@ def solve(
     >>> solve(2, [((2, 0), -3), ((0, 1), -1)], ((1, 1), -4))
     (2, [3, 5])
     """
-    stack: list[set[Row]] = []
-    try:
-        rows, eq, pivot = _system(ineqs, eq)
-        for j in range(nvars - 1, -1, -1):
-            stack.append(rows)
-            rows = _eliminate(rows, j, eq if j == pivot else None)
-    except _Contradiction:
+    projections = _projections(nvars, ineqs, eq)
+    if projections is None:
         return None
+    stack, pivot = projections
 
     # The values chosen so far are ``nums[k] / scale`` over one common
     # denominator.  A bound ``n / (m * scale)`` with ``m > 0`` is held as

@@ -43,7 +43,7 @@ induction step and the polygon read those integers; ``Fraction`` objects
 are made only when a caller reads ``values``, ``re`` or ``im``, and
 rationals only in the text of the polygon exports.  Entries given to the
 constructor must be ``int`` or ``Fraction``; anything else raises
-:class:`~rauzy.errors.InvalidSuspension` when they are first read.
+:class:`~rauzy.errors.InvalidSuspension` there.
 
 Witnesses returned by :func:`find_suspension` always yield an embedded
 polygon.  The slack-normalised imaginary system already keeps every
@@ -76,13 +76,14 @@ class SuspensionDatum:
     """Vector of complex numbers with exact rational parts, one per symbol.
 
     ``SuspensionDatum(values)`` takes ``(re, im)`` pairs of ``int`` or
-    ``Fraction`` entries.  They are scaled once, when first read, by the
-    least common multiple of their denominators; from then on the datum is
-    a positive denominator ``scale`` and two tuples of integers, the real
-    and the imaginary parts times ``scale``.  The denominator need not be
-    the least one (an induction step keeps its input's), so equality,
-    hashing and printing go through the reduced fractions: two data are
-    equal exactly when their vectors are.
+    ``Fraction`` entries, and anything else raises
+    :class:`InvalidSuspension`.  The constructor scales them by the least
+    common multiple of their denominators, so the datum is a positive
+    denominator ``scale`` and two tuples of integers, the real and the
+    imaginary parts times ``scale``.  The denominator need not be the least
+    one (an induction step keeps its input's), so equality, hashing and
+    printing go through the reduced fractions: two data are equal exactly
+    when their vectors are.
 
     >>> zeta = SuspensionDatum(((Fraction(1, 2), 1), (Fraction(3, 4), -1)))
     >>> print(zeta)
@@ -91,10 +92,11 @@ class SuspensionDatum:
     (Fraction(3, 4), Fraction(-1, 1))
     """
 
-    __slots__ = ("_entries", "_scale", "_re", "_im")
+    __slots__ = ("_scale", "_re", "_im")
 
     def __init__(self, values) -> None:
-        self._entries = tuple(values)
+        scale, flat = _scaled([v for pair in values for v in pair])
+        self._scale, self._re, self._im = scale, tuple(flat[0::2]), tuple(flat[1::2])
 
     @classmethod
     def _from_parts(
@@ -102,42 +104,27 @@ class SuspensionDatum:
     ) -> SuspensionDatum:
         """The datum ``(re[k] + i im[k]) / scale``; the parts are not checked."""
         datum = cls.__new__(cls)
-        datum._entries = None
         datum._scale, datum._re, datum._im = scale, re, im
         return datum
 
-    def _parts(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """The denominator ``scale`` and the integer real and imaginary parts.
-
-        Raises :class:`InvalidSuspension` when an entry given to the
-        constructor is neither an ``int`` nor a ``Fraction``.
-        """
-        if self._entries is not None:
-            scale, flat = _scaled([v for pair in self._entries for v in pair])
-            self._scale, self._re, self._im = scale, tuple(flat[0::2]), tuple(flat[1::2])
-            self._entries = None
-        return self._scale, self._re, self._im
-
     @property
     def values(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        scale, re, im = self._parts()
+        scale, re, im = self._scale, self._re, self._im
         return tuple([(Fraction(x, scale), Fraction(y, scale)) for x, y in zip(re, im)])
 
     @property
     def d(self) -> int:
-        return len(self._parts()[1])
+        return len(self._re)
 
     def re(self, symbol: int) -> Fraction:
-        scale, re, _ = self._parts()
-        return Fraction(re[symbol - 1], scale)
+        return Fraction(self._re[symbol - 1], self._scale)
 
     def im(self, symbol: int) -> Fraction:
-        scale, _, im = self._parts()
-        return Fraction(im[symbol - 1], scale)
+        return Fraction(self._im[symbol - 1], self._scale)
 
     def _reduced(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """:meth:`_parts` over the least common denominator."""
-        scale, re, im = self._parts()
+        """The denominator and the parts over the least common denominator."""
+        scale, re, im = self._scale, self._re, self._im
         g = gcd(scale, *re, *im)
         if g == 1:
             return scale, re, im
@@ -155,7 +142,7 @@ class SuspensionDatum:
         return f"SuspensionDatum(values={self.values!r})"
 
     def __str__(self) -> str:
-        scale, re, im = self._parts()
+        scale, re, im = self._scale, self._re, self._im
         parts = [
             f"{_ratio(x, scale)}{'+' if y >= 0 else ''}{_ratio(y, scale)}i"
             for x, y in zip(re, im)
@@ -255,7 +242,7 @@ def _valid_parts(
 
     Returns None when ``zeta`` fails one of the four conditions over ``p``.
     """
-    scale, re, im = zeta._parts()
+    scale, re, im = zeta._scale, zeta._re, zeta._im
     top, bottom = p.top, p.bottom
     if 2 * len(re) != len(top) + len(bottom):
         raise DimensionMismatch(f"expected {p.d} entries, got {len(re)}")
@@ -321,8 +308,8 @@ def find_suspension(p: GenPerm) -> Optional[SuspensionDatum]:
 def random_suspension(p: GenPerm, rng: Random) -> Optional[SuspensionDatum]:
     """A randomised suspension vector (embedded polygon included).
 
-    The vector is rescaled to integer entries, which the conditions allow,
-    so that long induction orbits stay cheap.
+    Its entries are integers, its ``scale`` 1: the conditions allow the
+    rescaling.
     """
     if not irreducible_rows(p.top, p.bottom):
         return None
@@ -338,8 +325,8 @@ def random_suspension(p: GenPerm, rng: Random) -> Optional[SuspensionDatum]:
         (a, b), (c, e) = lo, hi
         return (a * e * (16 - r) + c * b * r, 16 * b * e)
 
-    _, re, im = _witness(p, pick)._parts()
-    return SuspensionDatum._from_parts(1, re, im)
+    datum = _witness(p, pick)
+    return SuspensionDatum._from_parts(1, datum._re, datum._im)
 
 
 def check_suspension(p: GenPerm, zeta: SuspensionDatum) -> bool:

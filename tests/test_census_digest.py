@@ -8,7 +8,8 @@ the families ``Q(2,6)``, ``Q(-1,-1,3,3)`` and ``Q(-1,-1,0,6)``, was pinned
 before every class-level label became one reference-table lookup.  Any
 change to a class size, marked order, component label or pass flag of a
 permutation census with at most eight symbols, or a generalized one with
-at most seven, changes one of them.
+at most seven, changes one of them.  The census of ``Q(-1,9)`` alone, the
+``verify --stratum`` route, is pinned apart.
 """
 import importlib.util
 from pathlib import Path
@@ -33,6 +34,7 @@ PINNED = {
     (PermKind.QUADRATIC, 6): "3563d384c7e4dbcaee7ff566a33162f19405567c656e74fdb4a35de221a68820",
     (PermKind.QUADRATIC, 7): "189d914685564e1944697415d980d8b1fb08ebb9b9717d1f13f84a707ec56890",
 }
+STRATUM_DIGEST = "740982c54b486d75015e012555d95779361b7bcea8c52ab2428a9eb0eb058adc"
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +52,8 @@ def test_script_covers_the_pinned_sizes(digest_script):
 @pytest.mark.parametrize("kind, d", sorted(PINNED, key=lambda key: (key[0].value, key[1])))
 def test_census_digest_is_pinned(digest_script, kind, d):
     assert digest_script.census_digest(d, kind) == PINNED[(kind, d)]
+
+
+def test_stratum_census_digest_is_pinned(digest_script):
+    assert digest_script.STRATUM.text == "Q(-1,9)"
+    assert digest_script.stratum_digest() == STRATUM_DIGEST

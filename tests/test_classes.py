@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from collections import deque
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from rauzy import (
 from rauzy.classes import (
     RauzyDiagram,
     _bfs_rows,
+    _seeded_classes,
     class_partition,
     diagram_json,
 )
@@ -79,6 +81,23 @@ class TestRauzyClass:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             rauzy_class(parse("1 2 3 4 / 4 3 2 1"), budget=3)
+
+    def test_seed_keys_count_against_the_budget(self):
+        # the seeds are held before the first class; the eleventh of the 24
+        # standard permutations of six symbols is one past a budget of 10
+        pulled = 0
+
+        def seeds():
+            nonlocal pulled
+            top = tuple(range(1, 7))
+            for middle in permutations(top[1:-1]):
+                pulled += 1
+                assert pulled <= 11, "seeds pulled past the budget"
+                yield top, (6, *middle, 1)
+
+        with pytest.raises(BudgetExceeded, match="seeds"):
+            next(_seeded_classes(seeds(), 10))
+        assert pulled == 11
 
     def test_deterministic(self):
         a = rauzy_class(parse("1 1 2 / 2 3 3"))

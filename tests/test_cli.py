@@ -188,6 +188,16 @@ class TestVerify:
         assert payload["passed"] is True
         assert payload["groups"][0]["stratum"] == "H(2)"
 
+    @pytest.mark.parametrize(
+        "argv, d",
+        [(("--stratum", "H(300)"), 302), (("--d", "300", "--kind", "iet"), 300)],
+    )
+    def test_symbol_limit_before_any_candidate(self, capsys, argv, d):
+        # the limit is checked before the stratum filter walks a candidate
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {d} symbols: a vertex key holds at most 255\n"
+
     def test_names_the_stratum_with_wrong_labels(self, capsys, monkeypatch):
         import rauzy.classes
         from rauzy.invariants import ComponentLabel

@@ -1,21 +1,23 @@
 import doctest
+import importlib
+import pkgutil
 
-import rauzy.combinat
-import rauzy.induction
-import rauzy.classes
-import rauzy.invariants
-import rauzy.linprog
-import rauzy.suspension
+import rauzy
 
 
 def test_docstring_examples():
-    for module in (
-        rauzy.combinat,
-        rauzy.induction,
-        rauzy.classes,
-        rauzy.invariants,
-        rauzy.linprog,
-        rauzy.suspension,
-    ):
+    names = [info.name for info in pkgutil.iter_modules(rauzy.__path__)]
+    assert {
+        "classes",
+        "cli",
+        "combinat",
+        "errors",
+        "induction",
+        "invariants",
+        "linprog",
+        "suspension",
+    } <= set(names)
+    for name in names:
+        module = importlib.import_module(f"rauzy.{name}")
         failures, _ = doctest.testmod(module)
         assert failures == 0, module.__name__

@@ -325,10 +325,8 @@ class TestClassify:
 class TestLengthTypes:
     @pytest.mark.parametrize("lengths", [(0.7, 0.3), (1, 0.5), ("1", 1), (1, None)])
     def test_rejects_non_rational_lengths(self, lengths):
-        p = parse("1 2 / 2 1")
-        z = SuspensionDatum(((lengths[0], Fraction(1)), (lengths[1], Fraction(-1))))
         with pytest.raises(InvalidSuspension):
-            rv_step(p, z)
+            SuspensionDatum(((lengths[0], Fraction(1)), (lengths[1], Fraction(-1))))
 
     def test_int_and_fraction_lengths_accepted(self):
         p = parse("1 2 / 2 1")

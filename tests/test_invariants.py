@@ -524,6 +524,29 @@ class TestForgetRegularPoint:
         # one move reaches a vertex with a pair, then the H(6) search
         assert searches == {"bfs": [2, 127], "classes": []}
 
+    def test_one_search_tests_each_vertex_once(self, searches, monkeypatch):
+        import rauzy.invariants
+
+        p = parse(H60_EVEN_PAIRLESS)
+        table = rauzy_class(p).table
+        forgets = []
+        forget = rauzy.invariants._forget_regular_point
+
+        def counting(rows):
+            forgets.append(rows)
+            return forget(rows)
+
+        monkeypatch.setattr(rauzy.invariants, "_forget_regular_point", counting)
+        for label in (lambda: component_label(p), lambda: label_for_class(table)):
+            searches["bfs"].clear()
+            forgets.clear()
+            assert label() is EVEN
+            # with or without the class, one search from p stops at its
+            # second vertex and tests each of the two once; then the H(6)
+            # search
+            assert searches["bfs"] == [2, 127]
+            assert len(forgets) == 2
+
     def test_lone_zero_label_searches_the_hyperelliptic_class(self, searches):
         p = parse(H60_MARKED_ZERO_EVEN)
         assert stratum(p).text == "H(6,0)"

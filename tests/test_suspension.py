@@ -24,7 +24,6 @@ from rauzy import (
 from rauzy.combinat import PermKind, all_reduced_tables, reduce
 from rauzy.classes import enumerate_irreducible
 from rauzy.errors import DegeneratePolygon, DimensionMismatch, InvalidSuspension
-from rauzy.induction import rv_step
 from rauzy.linprog import canonical_choice, feasible, solve
 from rauzy.suspension import (
     SuspensionDatum,
@@ -179,15 +178,9 @@ class TestIntegerRoute:
         assert min(sole_failures) >= 100, sole_failures
 
     def test_rejects_non_rational_entries(self):
-        p = parse("1 2 / 2 1")
         for bad in (1.0, 0.5, "1", None):
-            zeta = SuspensionDatum(((Fraction(1), Fraction(1)), (1, bad)))
             with pytest.raises(InvalidSuspension):
-                check_suspension(p, zeta)
-            with pytest.raises(InvalidSuspension):
-                build_polygon(p, zeta)
-            with pytest.raises(InvalidSuspension):
-                rv_step(p, zeta)
+                SuspensionDatum(((Fraction(1), Fraction(1)), (1, bad)))
 
     def test_int_entries_accepted(self):
         p = parse("1 2 / 2 1")
