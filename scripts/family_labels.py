@@ -18,9 +18,11 @@ found among the shapes l <= m and their row exchanges.
 ``--kind iet`` takes the classes of orientable strata with a hyperelliptic
 component where spin parity gives no label: those of the hyperelliptic
 parity, or every class where the degrees are not all even; its classes
-grow from the standard permutations.  ``component_label`` labels a class
-with a regular point to forget one stratum down, where the search runs;
-the scan uses neither rule.
+grow from the standard permutations.  In either kind ``component_label``
+labels a class with an unmarked regular point to forget one stratum down,
+where the search runs (at ``--d 7`` the quad classes of ``Q(-1,-1,0,6)``
+with marked order -1 or 6 search ``Q(-1,-1,6)``); the scan uses neither
+rule.
 
 Each sampled vertex is also labelled by the class route: build the class
 of the vertex and scan it.  One line per class gives its stratum, marked

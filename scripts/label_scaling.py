@@ -4,7 +4,8 @@
 For each size ``d`` from ``--min-d`` to ``--max-d``, labels ``--count``
 random irreducible tables of one kind through ``component_label`` and
 prints one line: the median, p99 and maximum label time, the peak
-resident memory, and how many labels each rule decided::
+resident memory, and how many labels each rule decided, each with the
+maximum time of its labels::
 
     python scripts/label_scaling.py --kind iet --min-d 12 --max-d 16 --count 300
     python scripts/label_scaling.py --kind quad --min-d 6 --max-d 8 --count 100
@@ -111,7 +112,7 @@ def measure(kind: str, d: int, count: int, seed: int) -> dict:
     for name in WRAPPED:
         noted(name)
     times = []
-    rules = dict.fromkeys(RULES, 0)
+    rules = []
     for p in random_tables(kind, d, count, seed):
         calls.clear()
         start = time.perf_counter()
@@ -120,7 +121,7 @@ def measure(kind: str, d: int, count: int, seed: int) -> dict:
         except BudgetExceeded:
             calls.append("over budget")
         times.append(time.perf_counter() - start)
-        rules[decided(calls)] += 1
+        rules.append(decided(calls))
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {"times": times, "rules": rules, "peak_mib": peak}
 
@@ -142,9 +143,16 @@ def main() -> int:
         tick = time.perf_counter()
         with context.Pool(1) as pool:
             result = pool.apply(measure, (args.kind, d, args.count, args.seed))
+        by_rule = {rule: [] for rule in RULES}
+        for rule, t in zip(result["rules"], result["times"]):
+            by_rule[rule].append(t * 1000)
+        rules = ", ".join(
+            f"{rule} {len(ms)} (max {max(ms):.2f} ms)"
+            for rule, ms in by_rule.items()
+            if ms
+        )
         ms = sorted(t * 1000 for t in result["times"])
         p99 = ms[math.ceil(0.99 * len(ms)) - 1]  # nearest rank
-        rules = ", ".join(f"{rule} {n}" for rule, n in result["rules"].items() if n)
         print(
             f"{args.kind} d={d}: {len(ms)} tables, median {statistics.median(ms):.2f} ms, "
             f"p99 {p99:.2f} ms, max {ms[-1]:.2f} ms, peak {result['peak_mib']:.0f} MiB; "

@@ -543,17 +543,26 @@ def _hyperelliptic_parity(genus: int) -> int:
 
 
 def _forget_regular_point(rows: Rows) -> Optional[Rows]:
-    """A permutation's rows with one unmarked regular point forgotten.
+    """A table's rows with one unmarked regular point forgotten.
 
-    When the bottom row holds ``s, s+1`` side by side, so does the top row
-    ``1 ... d``, and the corner the two intervals share in one row is
-    glued to the corner they share in the other, and to nothing else: an
-    interior point of angle ``2 pi``.  Deleting ``s+1`` and renumbering
-    merges the two intervals, which gives the same surface with that
-    point forgotten: a table of the stratum with one fewer ``0``, with the
-    same marked order and the same component label (marked points do not
-    change the components, Kontsevich–Zorich).  Returns the merge of the
-    first such pair along the bottom row, or None when it holds none.
+    A corner cycle of :func:`_corner_walk` with order 0 and two corners is
+    an interior point of angle ``2 pi``, never the marked one.  Its least
+    position lies between boundary letters ``x y``, and the walk glues that
+    corner to one between ``y x`` elsewhere on the boundary, and to nothing
+    else.  Deleting ``y`` from both rows and renumbering merges the two
+    intervals, which gives the same surface with that point forgotten: a
+    table of the stratum with one fewer ``0``, with the same marked order
+    and the same component label (marked points do not change the
+    components, Kontsevich–Zorich for permutations, Lanneau for
+    half-translation tables).  Returns the merge of the first such cycle,
+    or None when there is none.  The merge may be reducible, and then
+    :func:`stratum` rejects it.
+
+    On a permutation each letter occurs once in each row, so one corner
+    lies in each row, and with the top row ``1 ... d`` the letters are
+    ``s, s+1`` side by side in both.  The walk lists the cycles by their
+    least positions, which lie in the bottom row, so the first cycle is the
+    first such pair along the bottom row.
 
     >>> from .combinat import format_perm, parse
     >>> p = parse("1 2 3 4 5 6 7 8 9 / 3 4 2 6 9 8 5 7 1")
@@ -566,13 +575,18 @@ def _forget_regular_point(rows: Rows) -> Optional[Rows]:
     ('H(6)', 'even-spin')
     >>> _forget_regular_point((q.top, q.bottom)) is None
     True
+    >>> p = parse("1 1 2 3 4 5 6 / 5 6 4 3 2 7 7")
+    >>> stratum(p).text, marked_order(p)
+    ('Q(-1,-1,0,6)', 6)
+    >>> format_perm(GenPerm(*_forget_regular_point((p.top, p.bottom))))
+    '1 1 2 3 4 5 / 5 4 3 2 6 6'
     """
-    top, bottom = rows
-    for i in range(len(bottom) - 1):
-        s = bottom[i]
-        if bottom[i + 1] == s + 1:
-            rest = bottom[: i + 1] + bottom[i + 2 :]
-            return top[:-1], tuple([t - (t > s) for t in rest])
+    p = GenPerm._trusted(*rows)
+    for cycle, order in _corner_walk(p)[1]:
+        if order == 0 and len(cycle) == 2:
+            y = (p.bottom + p.top[::-1])[cycle[0]]
+            q = reduce(*([s for s in row if s != y] for row in rows))
+            return q.top, q.bottom
     return None
 
 
@@ -740,12 +754,13 @@ def _component_label(
       (:func:`_hyperelliptic_parity`, Kontsevich–Zorich, Cor. 5) gives
       the spin label, and the hyperelliptic parity gives ``hyperelliptic``
       when no spin component has it (genus 3);
-    * in an orientable stratum with an order-0 point other than the marked
-      one, a vertex with a regular point to forget
+    * in a stratum of either kind with an order-0 point other than the
+      marked one, a vertex with a regular point to forget
       (:func:`_forget_regular_point`) has the label of its merged table,
       one stratum down, since marked points do not change the components
-      (Kontsevich–Zorich); a search from ``p`` stops at the first such
-      vertex, even when ``keys`` is given;
+      (Kontsevich–Zorich; Lanneau, *Ann. Sci. ENS* 41, 2008); a search
+      from ``p`` stops at the first such vertex, even when ``keys`` is
+      given;
     * otherwise the class is hyperelliptic exactly when it holds the
       symmetric table :func:`_hyperelliptic_table` finds; the search runs
       from that table, whose class is the small one, and stops at ``p``.
@@ -787,7 +802,7 @@ def _component_label(
         label = ComponentLabel.NON_HYPERELLIPTIC
     marked = _known_profile(p).marked
     here = _to_key(p.top, p.bottom)
-    if st.kind is StratumKind.ABELIAN and st.orders.count(0) > (marked == 0):
+    if st.orders.count(0) > (marked == 0):
         # an order-0 point other than the marked one
         merged = None
 

@@ -8,9 +8,12 @@ from conftest import irreducible_genperms
 
 from rauzy import (
     ComponentLabel,
+    PermKind,
+    Profile,
     Stratum,
     StratumKind,
     component_label,
+    enumerate_irreducible,
     parse,
     parse_stratum,
     rauzy_class,
@@ -35,6 +38,7 @@ from rauzy.invariants import (
     _hyperelliptic_table,
     _is_centrally_symmetric,
     _is_hyperelliptic_vertex,
+    _known_profile,
     _least_table,
     central_involution,
     label_for_class,
@@ -460,12 +464,42 @@ def searches(monkeypatch):
     return record
 
 
+def _adjacent_pair_merge(rows):
+    """The merge of the first ``s, s+1`` pair along a permutation's bottom
+    row, or None: the forget rule as it was written for permutations
+    alone, kept as the corner walk's oracle."""
+    top, bottom = rows
+    for i in range(len(bottom) - 1):
+        s = bottom[i]
+        if bottom[i + 1] == s + 1:
+            rest = bottom[: i + 1] + bottom[i + 2 :]
+            return top[:-1], tuple([t - (t > s) for t in rest])
+    return None
+
+
+def _stratum_classes(text, d, marked):
+    """The classes of the half-translation stratum ``text`` with ``d``
+    symbols and a marked order in ``marked``, as vertex keys."""
+    orders = parse_stratum(text).orders
+    tables = (GenPerm._trusted(*rows) for rows in _irreducible_tables(d))
+    family = (
+        p
+        for p in tables
+        if (profile := _known_profile(p)).orders == orders
+        and profile.marked in marked
+    )
+    return [diag.table for diag in class_partition(family)]
+
+
 class TestForgetRegularPoint:
     """Marked-point labels from a table with a regular point forgotten.
 
-    Merging intervals ``s`` and ``s+1``, side by side in both rows, forgets
-    the order-0 point between them; a class with marked points has the
-    label of the merged table of any of its vertices with such a pair.
+    An interior corner cycle of order 0 with two corners is a regular
+    point other than the marked one: its corners lie between letters
+    ``x y`` and ``y x``, and merging the two intervals forgets it.  On a
+    permutation the pair is ``s, s+1``, side by side in both rows.  A class
+    of either kind with such a point has the label of the merged table of
+    any of its vertices with such a cycle.
     """
 
     def test_merge_of_the_first_pair(self):
@@ -585,6 +619,60 @@ class TestForgetRegularPoint:
         # from the reversal meets the hyperelliptic table at its 106th vertex
         assert searches == {"bfs": [1, 127, 1, 106], "classes": []}
 
+    def test_corner_walk_merges_the_first_pair(self):
+        # on a permutation the corner walk finds the first s, s+1 pair
+        # along the bottom row
+        count = 0
+        for d in range(2, 9):
+            for p in enumerate_irreducible(d, PermKind.IET):
+                rows = (p.top, p.bottom)
+                assert _forget_regular_point(rows) == _adjacent_pair_merge(rows), p
+                count += 1
+        assert count == 33_089
+
+    def test_generalized_zero_builds_no_class(self, searches):
+        p = parse("1 1 / 2 2 3 4 3 4 5 6 7 5 7 6")
+        assert stratum(p).text == "Q(-1,-1,0,6)"
+        assert singularity_profile(p).marked == 6
+        assert component_label(p) is NONHYP
+        # the seed holds the cycle and merges into Q6_NONHYP; the search
+        # from the symmetric table of Q(-1,-1,6) closes its 347-vertex class
+        # without meeting it, where the search from the symmetric table of
+        # Q(-1,-1,0,6) would close a class of 2,429
+        assert searches == {"bfs": [1, 347], "classes": []}
+
+    def test_every_generalized_merge_matches_the_class_scan(self):
+        # Q(-1,-1,0,6) is the only family stratum through seven symbols with
+        # a 0 (an exceptional stratum with a 0 needs eight), and the 0 is
+        # unmarked at marked orders -1 and 6; the merged labels are read
+        # off the class scan one stratum down
+        zeros = [st.text for st in _family_strata(7) if 0 in st.orders]
+        assert zeros == ["Q(-1,-1,0,6)"]
+        below = {}
+        for table in _stratum_classes("Q(-1,-1,6)", 6, (-1, 6)):
+            below.update(dict.fromkeys(table, _scan_label(table)))
+        fewer = parse_stratum("Q(-1,-1,6)").orders
+        classes = _stratum_classes("Q(-1,-1,0,6)", 7, (-1, 6))
+        assert [len(table) for table in classes] == [33824, 2429, 7826, 420]
+        merges = 0
+        for table in classes:
+            rep = _smallest_vertex(table)
+            marked, label = singularity_profile(rep).marked, _scan_label(table)
+            found = 0
+            for rows in map(_from_key, table):
+                merged = _forget_regular_point(rows)
+                if merged is None:
+                    continue
+                # singularity_profile raises Reducible on a reducible merge
+                q = GenPerm._trusted(*merged)
+                assert singularity_profile(q) == Profile(fewer, marked), rows
+                assert below[_to_key(*merged)] is label, rows
+                found += 1
+            # every class holds a vertex with a point to forget
+            assert found, rep
+            merges += found
+        assert merges == 38_142
+
 
 def _family_strata(max_d):
     """Half-translation strata with a hyperelliptic and a non-hyperelliptic
@@ -635,9 +723,7 @@ class TestHalfTranslationFamilies:
         import rauzy.classes
 
         st = parse_stratum("Q(-1,-1,6)")
-        tables = (GenPerm._trusted(*rows) for rows in _irreducible_tables(6))
-        family = (p for p in tables if stratum(p) == st)
-        classes = [diag.table for diag in class_partition(family)]
+        classes = _stratum_classes(st.text, 6, (-1, 6))
         assert sorted(map(len, classes)) == [60, 347, 1118, 4832]
 
         def forbidden(*args, **kwargs):
@@ -682,15 +768,25 @@ class TestHalfTranslationFamilies:
         assert _hyperelliptic_table(st, -1, budget=82) is not None
         with pytest.raises(BudgetExceeded):
             _hyperelliptic_table(st, -1, budget=81)
+        # its label forgets the unmarked 0 and never asks for that table
         p = GenPerm(*_hyperelliptic_table(st, -1))
-        with pytest.raises(BudgetExceeded):
-            component_label(p, budget=81)
-        # a held class of 420 vertices takes the same budget for its label
         held = rauzy_class(p).table
         assert len(held) == 420
-        assert label_for_class(held, st, budget=82) is HYP
+        assert component_label(p, budget=81) is HYP
+        assert label_for_class(held, st, budget=81) is HYP
+        # With marked order 0 the 0 is the marked point, and the symmetric
+        # table, the 50th the search tries, decides; a held class of 601
+        # vertices takes the same budget for its label.
+        p = parse("1 2 2 3 4 5 6 / 6 1 4 3 7 7 5")
+        assert _hyperelliptic_table(st, 0) == (p.top, p.bottom)
+        assert component_label(p, budget=50) is HYP
         with pytest.raises(BudgetExceeded):
-            label_for_class(held, st, budget=81)
+            component_label(p, budget=49)
+        held = rauzy_class(p).table
+        assert len(held) == 601
+        assert label_for_class(held, st, budget=50) is HYP
+        with pytest.raises(BudgetExceeded):
+            label_for_class(held, st, budget=49)
 
     def test_same_class_fast_builds_no_class(self, searches):
         hyp, nonhyp = parse(Q6_HYP), parse(Q6_NONHYP)

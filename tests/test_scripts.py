@@ -3,9 +3,13 @@
 Each script is loaded as a module, so its imports run but its ``main``
 does not; the argparse scripts print their help; and the private names
 that ``label_scaling.py`` wraps by string still exist.  A rename in the
-package then fails here rather than on the next run of a script.
+package then fails here rather than on the next run of a script.  One
+tiny run of ``label_scaling.py`` checks the lines it prints.
 """
 import importlib.util
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,3 +49,31 @@ def test_label_scaling_wraps_existing_names():
     assert len(wrapped) == 4
     for name in wrapped:
         assert callable(getattr(rauzy.invariants, name)), name
+
+
+def test_label_scaling_prints_a_maximum_for_each_rule():
+    # a subprocess, because measure() patches rauzy.invariants for good
+    path = [str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = ["--kind", "iet", "--min-d", "8", "--max-d", "9", "--count", "10"]
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "label_scaling.py"), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    *lines, total = run.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["iet d=8", "iet d=9"]
+    assert total.startswith("total ")
+    names = load("label_scaling").RULES
+    for line in lines:
+        overall = float(re.search(r", max ([0-9.]+) ms,", line).group(1))
+        rules = re.findall(r"([a-z -]+) (\d+) \(max ([0-9.]+) ms\)", line)
+        assert [name.strip(" ,;") for name, _, _ in rules] == [
+            name for name in names if name in line
+        ], line
+        assert len(rules) >= 2, line
+        assert sum(int(count) for _, count, _ in rules) == 10, line
+        assert max(float(worst) for _, _, worst in rules) == overall, line
