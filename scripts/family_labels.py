@@ -115,7 +115,7 @@ def main() -> int:
     for diagram in classes(args.d, args.kind):
         table = diagram.table
         rep = GenPerm._trusted(*_from_key(next(iter(table))))
-        profile = _known_profile(rep)
+        profile = _known_profile(rep.top, rep.bottom)
         st = _stratum_of(rep, profile)
         components = stratum_components(st)
         spin = None

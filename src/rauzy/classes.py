@@ -18,8 +18,9 @@ standard permutations, which every class contains (Rauzy, *Acta Arith.*
 to the number of irreducible permutations (OEIS A003319).  Generalized
 candidates are the irreducible tables of shape ``l <= m``, as rows from
 the pruned search :func:`rauzy.combinat._irreducible_tables`.  The other
-tables are their row exchanges, tau(top, bottom) = reduce(bottom, top)
-(:func:`rauzy.combinat._exchanged`).  Complex conjugation takes a
+tables are their row exchanges, tau(top, bottom) = reduce(bottom, top),
+whose rows :func:`rauzy.combinat._reduced_rows` numbers without the checks
+of :func:`rauzy.combinat.reduce`.  Complex conjugation takes a
 suspension of ``top / bottom`` to one of ``bottom / top``: it mirrors the
 polygon but keeps its gluings, so tau keeps irreducibility, the cone
 angles and the left endpoint, hence the stratum and the marked order, and
@@ -43,8 +44,8 @@ marked order, and each stratum must show exactly the component labels
 that :func:`rauzy.invariants.stratum_components` lists.  A label that
 needs the class asks whether it holds a reference table
 (:func:`rauzy.invariants.label_for_class`): a lookup in a class the
-verifier holds, and otherwise the stopping search of
-:func:`same_class_bfs`.
+verifier holds, and otherwise :func:`_holds`, the stopping search of
+:func:`_bfs_rows`.
 """
 from __future__ import annotations
 
@@ -60,8 +61,9 @@ from .combinat import (
     GenPerm,
     PermKind,
     Rows,
-    _exchanged,
     _irreducible_tables,
+    _is_permutation,
+    _reduced_rows,
     all_reduced_tables,
     format_perm,
     irreducible_rows,
@@ -188,7 +190,7 @@ def same_class_fast(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
             raise ReducibleSeed(f"{p} admits no suspension")
     if p1.d != p2.d:
         return False
-    profiles = [_known_profile(p) for p in (p1, p2)]
+    profiles = [_known_profile(p.top, p.bottom) for p in (p1, p2)]
     if profiles[0].marked != profiles[1].marked:
         return False
     st = _stratum_of(p1, profiles[0])
@@ -219,9 +221,7 @@ def enumerate_irreducible(d: int, kind: PermKind) -> Iterator[GenPerm]:
                 yield GenPerm._trusted(top, bottom)
     else:
         for top, bottom in all_reduced_tables(d):
-            # Only the split l = d with a repetition-free top row is a permutation.
-            is_iet = len(top) == len(bottom) == len(set(top))
-            if not is_iet and irreducible_rows(top, bottom):
+            if not _is_permutation(top, bottom) and irreducible_rows(top, bottom):
                 yield GenPerm._trusted(top, bottom)
 
 
@@ -237,7 +237,7 @@ def _seeds(candidates: Iterable[Rows]) -> Iterator[Rows]:
         if bottom[-1] == 1:
             yield top, bottom
         if top[-1] == bottom[0] and len(top) < len(bottom):
-            yield _exchanged(top, bottom)
+            yield _reduced_rows(bottom, top)
 
 
 def _seeded_classes(seeds: Iterable[Rows], budget: int) -> Iterator[RauzyDiagram]:
@@ -412,7 +412,7 @@ def verify_main_theorem(
 
         def in_stratum(rows: Rows) -> bool:
             # every candidate is irreducible, so the walk needs no check
-            return _known_profile(GenPerm._trusted(*rows)).orders == orders
+            return _known_profile(*rows).orders == orders
 
         if (only_stratum.kind is StratumKind.ABELIAN) == (kind is PermKind.IET):
             candidates = filter(in_stratum, candidates)
@@ -425,9 +425,9 @@ def verify_main_theorem(
     found = 0
     for diagram in _seeded_classes(_seeds(counted(candidates)), budget):
         # every seed is irreducible, so one walk gives stratum and marked order
-        seed = GenPerm._trusted(*_from_key(next(iter(diagram.table))))
-        profile = _known_profile(seed)
-        st = _stratum_of(seed, profile)
+        rows = _from_key(next(iter(diagram.table)))
+        profile = _known_profile(*rows)
+        st = _stratum_of(GenPerm._trusted(*rows), profile)
         label = label_for_class(diagram.table, st, budget)
         by_stratum.setdefault(st, {}).setdefault(label, []).append(
             (profile.marked, len(diagram))

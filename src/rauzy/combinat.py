@@ -73,10 +73,8 @@ class GenPerm:
 
     @property
     def kind(self) -> PermKind:
-        if len(self.top) == len(self.bottom):
-            d = self.d
-            if len(set(self.top)) == d and len(set(self.bottom)) == d:
-                return PermKind.IET
+        if _is_permutation(self.top, self.bottom):
+            return PermKind.IET
         return PermKind.QUADRATIC
 
     @property
@@ -147,9 +145,14 @@ def parse(text: str) -> GenPerm:
         raise EmptyRow("expected 'top / bottom'")
     if "/" in tail:
         raise EmptyRow("expected exactly one '/' separator")
-    top = tuple(int(tok) for tok in head.split())
-    bottom = tuple(int(tok) for tok in tail.split())
-    return GenPerm(top, bottom)
+
+    def number(tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValueError(f"cannot parse table {text!r}: {tok!r} is not an integer") from None
+
+    return GenPerm(tuple(map(number, head.split())), tuple(map(number, tail.split())))
 
 
 def format_perm(p: GenPerm) -> str:
@@ -169,16 +172,32 @@ def reduce(top: Sequence[int], bottom: Sequence[int]) -> GenPerm:
     >>> print(reduce((3, 3), (1, 1, 2, 2)))
     1 1 / 2 2 3 3
     """
-    relabel: dict[int, int] = {}
-    rows_out = []
-    for row in (tuple(top), tuple(bottom)):
-        out = []
-        for s in row:
-            if s not in relabel:
-                relabel[s] = len(relabel) + 1
-            out.append(relabel[s])
-        rows_out.append(tuple(out))
-    return GenPerm(rows_out[0], rows_out[1])
+    return GenPerm(*_reduced_rows(tuple(top), tuple(bottom)))
+
+
+def _reduced_rows(top: tuple[int, ...], bottom: tuple[int, ...]) -> Rows:
+    """The rows of ``top / bottom`` numbered ``1, 2, ...`` by first occurrence.
+
+    The one renumbering of the package: :func:`reduce` checks its result,
+    and the callers that build a table from the rows of a valid one (the
+    row exchange, the central involution, the merge of two intervals) use
+    it without checks.
+
+    >>> _reduced_rows((3, 3, 1), (2, 1, 2))
+    ((1, 1, 2), (3, 2, 3))
+    """
+    number = {s: n for n, s in enumerate(dict.fromkeys(top + bottom), 1)}
+    return tuple(map(number.__getitem__, top)), tuple(map(number.__getitem__, bottom))
+
+
+def _is_permutation(top: Sequence[int], bottom: Sequence[int]) -> bool:
+    """Whether the two-to-one table ``top / bottom`` is a permutation.
+
+    That is, each letter occurs once in each row, as in the combinatorial
+    datum of an interval exchange: the rows have the same length and the
+    top row repeats no letter.
+    """
+    return len(top) == len(bottom) == len(set(top))
 
 
 def is_irreducible(p: GenPerm) -> bool:
@@ -264,8 +283,9 @@ def _irreducible_tables(d: int) -> Iterator[Rows]:
 
     Permutations aside, these are the tables of :func:`all_reduced_tables`
     with top-row length ``l <= d`` filtered by :func:`irreducible_rows`.
-    The other shapes are their row exchanges (:func:`_exchanged`): the
-    conditions there are symmetric in the two rows, so the exchange maps
+    The other shapes are their row exchanges, the rows
+    ``_reduced_rows(bottom, top)`` (:func:`_reduced_rows`): the conditions
+    there are symmetric in the two rows, so the exchange maps
     the irreducible tables of shape ``(l, m)`` one to one onto those of
     shape ``(m, l)``.  They are found by a search that tests each condition
     there on a prefix as soon as the prefix is complete.  A top row is kept
@@ -324,19 +344,6 @@ def _irreducible_tables(d: int) -> Iterator[Rows]:
                 key = open_at[j], fresh_at[j]
                 letters = menus.get(key) or _menu(menus, *key, d)
                 choices[j] = iter(letters)
-
-
-def _exchanged(top: tuple[int, ...], bottom: tuple[int, ...]) -> Rows:
-    """The row exchange of a reduced table: ``bottom / top`` renumbered.
-
-    The rows of ``reduce(bottom, top)`` without its checks, for tables the
-    search made.
-
-    >>> _exchanged((1, 2, 1), (3, 3, 2, 4, 4))
-    ((1, 1, 2, 3, 3), (4, 2, 4))
-    """
-    number = {s: n for n, s in enumerate(dict.fromkeys(bottom + top), 1)}
-    return tuple(map(number.__getitem__, bottom)), tuple(map(number.__getitem__, top))
 
 
 def _menu(

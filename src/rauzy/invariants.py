@@ -56,10 +56,11 @@ from .combinat import (
     PermKind,
     Rows,
     _irreducible_tables,
+    _is_permutation,
+    _reduced_rows,
     _top_rows,
     irreducible_rows,
     is_irreducible,
-    reduce,
 )
 from .errors import BudgetExceeded, NotAbelian, OddDegreePresent, Reducible
 from .induction import _from_key, _to_key
@@ -142,7 +143,10 @@ def parse_stratum(text: str) -> Stratum:
         raise ValueError(f"cannot parse stratum {text!r}")
     kind = StratumKind.ABELIAN if text[0] == "H" else StratumKind.QUADRATIC
     body = text[2:-1]
-    orders = tuple(int(tok) for tok in body.split(",")) if body else ()
+    try:
+        orders = tuple(int(tok) for tok in body.split(",")) if body else ()
+    except ValueError:
+        raise ValueError(f"cannot parse stratum {text!r}") from None
     if not orders:
         raise ValueError("a stratum needs at least one singularity order")
     return Stratum(kind, orders)
@@ -164,27 +168,31 @@ class Profile:
     marked: int
 
 
-def _corner_walk(p: GenPerm) -> tuple[list[int], list[tuple[list[int], int]]]:
-    """Boundary partner map and the corner cycles with their orders.
+def _corner_walk(
+    top: tuple[int, ...], bottom: tuple[int, ...]
+) -> list[tuple[list[int], int]]:
+    """The corner cycles of the table ``top / bottom`` with their orders.
 
     The boundary lists the bottom row left to right, then the top row
     right to left; each position is paired with the other occurrence of
-    its symbol.  A corner cycle is an orbit of the corner walk; interior
-    corners contribute pi each and the two shared end corners (positions
-    0 and m) none.  Orders are in the convention of ``p``'s kind.  The
-    first cycle is the one through position 0, the marked corner.
+    its symbol.  A corner cycle is an orbit of the corner walk, as a list
+    of boundary positions; interior corners contribute pi each and the two
+    shared end corners (positions 0 and m) none.  Orders are in the
+    convention of the table's kind (:func:`rauzy.combinat._is_permutation`).
+    The first cycle is the one through position 0, the marked corner.  The
+    walk reads the rows alone, so loops over many tables wrap none.
     """
-    l, m = p.shape
-    n = l + m
+    m = len(bottom)
+    n = len(top) + m
     partner = [-1] * n
     first_seen: dict[int, int] = {}
-    for t, s in enumerate(p.bottom + p.top[::-1]):
+    for t, s in enumerate(bottom + top[::-1]):
         if s in first_seen:
             partner[first_seen[s]] = t
             partner[t] = first_seen[s]
         else:
             first_seen[s] = t
-    iet = p.kind is PermKind.IET
+    iet = _is_permutation(top, bottom)
     seen = [False] * n
     cycles = []
     for start in range(n):
@@ -200,10 +208,11 @@ def _corner_walk(p: GenPerm) -> tuple[list[int], list[tuple[list[int], int]]]:
         if not iet:
             cycles.append((cycle, angle - 2))
         elif angle % 2:
+            p = GenPerm._trusted(top, bottom)
             raise RuntimeError(f"odd angle count on an orientable surface: {p}")
         else:
             cycles.append((cycle, angle // 2 - 1))
-    return partner, cycles
+    return cycles
 
 
 def singularity_profile(p: GenPerm) -> Profile:
@@ -212,16 +221,17 @@ def singularity_profile(p: GenPerm) -> Profile:
         raise ValueError("suspensions over a single interval are degenerate")
     if not is_irreducible(p):
         raise Reducible(f"{p} admits no suspension")
-    return _known_profile(p)
+    return _known_profile(p.top, p.bottom)
 
 
-def _known_profile(p: GenPerm) -> Profile:
+def _known_profile(top: tuple[int, ...], bottom: tuple[int, ...]) -> Profile:
     """:func:`singularity_profile` of a table already known to be irreducible.
 
     For callers whose tables come from an irreducibility filter, such as
-    :func:`rauzy.combinat._irreducible_tables`; nothing is checked.
+    :func:`rauzy.combinat._irreducible_tables`; nothing is checked, and the
+    rows are read as they are, with no ``GenPerm``.
     """
-    _, cycles = _corner_walk(p)
+    cycles = _corner_walk(top, bottom)
     orders = sorted(order for _, order in cycles)
     return Profile(tuple(orders), cycles[0][1])
 
@@ -352,7 +362,7 @@ def _spin_parity(p: GenPerm, genus: int) -> int:
 
 def central_involution(p: GenPerm) -> GenPerm:
     """Reverse both rows, exchange them, renumber."""
-    return reduce(tuple(reversed(p.bottom)), tuple(reversed(p.top)))
+    return GenPerm._trusted(*_reduced_rows(p.bottom[::-1], p.top[::-1]))
 
 
 def _is_centrally_symmetric(top: tuple[int, ...], bottom: tuple[int, ...]) -> bool:
@@ -383,20 +393,23 @@ def _rotation_data(p: GenPerm) -> tuple[int, list[int], list[int]]:
     centre, one interior point on each edge whose glued partner is its
     own rotation image, and every singularity whose corner class the
     rotation preserves.  On the boundary listing the rotation is the shift
-    by half the perimeter, so everything is counted combinatorially.
+    by ``m`` positions, half the perimeter, so everything is counted
+    combinatorially: an edge is paired with its rotation image when the
+    symbol ``m`` positions on along the boundary is its own, and a corner
+    cycle of :func:`_corner_walk` is preserved when the shift maps it onto
+    itself.
 
     Returns ``(fixed_points, invariant_orders, moved_orders)`` with the
     orders of the singularity classes preserved or exchanged by the
     involution (in the convention of ``p``'s kind).
     """
-    l, m = p.shape
-    n = l + m
-    partner, cycles = _corner_walk(p)
-    self_paired = sum(1 for t in range(n) if partner[t] == (t + m) % n) // 2
-    fixed = 1 + self_paired
+    m = len(p.bottom)
+    boundary = p.bottom + p.top[::-1]
+    n = len(boundary)
+    fixed = 1 + sum(boundary[t] == boundary[(t + m) % n] for t in range(n)) // 2
     invariant: list[int] = []
     moved: list[int] = []
-    for cycle, order in cycles:
+    for cycle, order in _corner_walk(p.top, p.bottom):
         if set(cycle) == {(t + m) % n for t in cycle}:
             fixed += 1
             invariant.append(order)
@@ -581,12 +594,11 @@ def _forget_regular_point(rows: Rows) -> Optional[Rows]:
     >>> format_perm(GenPerm(*_forget_regular_point((p.top, p.bottom))))
     '1 1 2 3 4 5 / 5 4 3 2 6 6'
     """
-    p = GenPerm._trusted(*rows)
-    for cycle, order in _corner_walk(p)[1]:
+    top, bottom = rows
+    for cycle, order in _corner_walk(top, bottom):
         if order == 0 and len(cycle) == 2:
-            y = (p.bottom + p.top[::-1])[cycle[0]]
-            q = reduce(*([s for s in row if s != y] for row in rows))
-            return q.top, q.bottom
+            y = (bottom + top[::-1])[cycle[0]]
+            return _reduced_rows(*(tuple([s for s in row if s != y]) for row in rows))
     return None
 
 
@@ -599,19 +611,21 @@ def _least_table(st: Stratum, alpha: int, budget: int = 10**7) -> Optional[Rows]
     ``exceptional-b``.  :func:`_irreducible_tables` yields tables in that
     order, so the first match is the least.  It yields the shapes
     ``l <= m`` only, and the least table has such a shape: the row
-    exchange (:func:`rauzy.combinat._exchanged`) keeps the stratum and the
+    exchange, ``_reduced_rows(bottom, top)``
+    (:func:`rauzy.combinat._reduced_rows`), keeps the stratum and the
     marked order, so a table with ``l > m`` has an image with a shorter top
-    row, which comes first.  A scan that tries more than
-    ``budget`` tables raises :class:`BudgetExceeded`.
+    row, which comes first.  Those tables are generalized, so ``st`` is a
+    half-translation stratum, and a table is of ``st`` when its profile
+    lists the orders of ``st``; no table is wrapped.  A scan that tries
+    more than ``budget`` tables raises :class:`BudgetExceeded`.
     """
     for tried, (top, bottom) in enumerate(_irreducible_tables(st.d)):
         if tried >= budget:
             raise BudgetExceeded(
                 f"the least-table search exceeds the {budget}-table budget"
             )
-        p = GenPerm._trusted(top, bottom)
-        profile = _known_profile(p)
-        if profile.marked == alpha and _stratum_of(p, profile) == st:
+        profile = _known_profile(top, bottom)
+        if profile.marked == alpha and profile.orders == st.orders:
             return top, bottom
     return None
 
@@ -641,7 +655,11 @@ def _hyperelliptic_table(
     row is its reversed top row relabelled by an involution ``sigma``;
     ``sigma`` exchanges the letters that occur once in the top row among
     themselves and sends each letter doubled there to a letter of the
-    bottom row alone.  The search runs over the reduced top rows of
+    bottom row alone.  Such a letter ``s`` is first written ``-s``, and
+    :func:`rauzy.combinat._reduced_rows` numbers it by its first occurrence
+    in the bottom row; the top row is reduced and keeps its numbers.  Only
+    a table with the marked order and the orders of ``st`` is wrapped, for
+    the hyperelliptic test.  The search runs over the reduced top rows of
     ``st.d`` cells that double ``k`` letters and the involutions of ``t``
     transpositions on their single letters, by levels ``k + t``, the
     lowest first, and returns the first irreducible table of ``st`` with
@@ -670,25 +688,21 @@ def _hyperelliptic_table(
         for k in (0,) if abelian else range(1, level + 1):
             for top, once in _top_rows(d, k, k):
                 singles = tuple(s for s in top if once >> s & 1)
-                # the bottom-only letters, numbered by first occurrence
-                doubled = dict.fromkeys(s for s in reversed(top) if not once >> s & 1)
-                fresh = dict(zip(doubled, range(d - k + 1, d + 1)))
                 for sigma in _involutions(singles, level - k):
                     tried += 1
                     if tried > budget:
                         raise BudgetExceeded(
                             f"the symmetric-table search exceeds the {budget}-table budget"
                         )
-                    sigma.update(fresh)
-                    bottom = tuple([sigma[s] for s in reversed(top)])
+                    bottom = tuple([sigma.get(s, -s) for s in reversed(top)])
+                    _, bottom = _reduced_rows(top, bottom)
                     if not irreducible_rows(top, bottom):
                         continue
-                    p = GenPerm._trusted(top, bottom)
-                    profile = _known_profile(p)
+                    profile = _known_profile(top, bottom)
                     if (
                         profile.marked == alpha
                         and profile.orders == st.orders
-                        and _is_hyperelliptic_vertex(p, st)
+                        and _is_hyperelliptic_vertex(GenPerm._trusted(top, bottom), st)
                     ):
                         return top, bottom
     return None
@@ -749,7 +763,13 @@ def _component_label(
     * an exceptional stratum is split by its least table with the marked
       order of ``p`` (:func:`_least_table`; Boissy–Lanneau, *ETDS* 29,
       2009): the class that holds it is ``exceptional-a``, the other
-      ``exceptional-b``; the search runs from ``p``;
+      ``exceptional-b``; the search runs from ``p``.  That the names pair
+      the classes of different marked orders alike is assumed here, and
+      checked by the rotation links of :func:`central_involution`, which
+      keeps the component and moves the marked point:
+      ``TestExceptionalSplit.test_rotation_links_pair_a_with_a`` in
+      ``tests/test_invariants.py`` finds that they join ``Q(-1,9)``'s
+      a-classes only to a-classes and b-classes only to b-classes;
     * where spin parity applies, a parity other than the hyperelliptic one
       (:func:`_hyperelliptic_parity`, Kontsevich–Zorich, Cor. 5) gives
       the spin label, and the hyperelliptic parity gives ``hyperelliptic``
@@ -784,7 +804,8 @@ def _component_label(
             rauzy_class(p, budget)
         return components[0]
     if ComponentLabel.EXCEPTIONAL_A in components:
-        ref = _to_key(*_least_table(st, _known_profile(p).marked, budget))
+        marked = _known_profile(p.top, p.bottom).marked
+        ref = _to_key(*_least_table(st, marked, budget))
         here = _to_key(p.top, p.bottom)
         found = ref in keys if keys is not None else _holds(here, ref, budget)
         return ComponentLabel.EXCEPTIONAL_A if found else ComponentLabel.EXCEPTIONAL_B
@@ -800,7 +821,7 @@ def _component_label(
             return ComponentLabel.HYPERELLIPTIC
     else:
         label = ComponentLabel.NON_HYPERELLIPTIC
-    marked = _known_profile(p).marked
+    marked = _known_profile(p.top, p.bottom).marked
     here = _to_key(p.top, p.bottom)
     if st.orders.count(0) > (marked == 0):
         # an order-0 point other than the marked one

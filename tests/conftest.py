@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -72,3 +74,50 @@ def pl_value(points, x):
                 return y0
             return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
     raise ValueError("abscissa outside the polygon")
+
+
+def rotation_links(tables):
+    """The links that ``central_involution`` makes between classes.
+
+    ``tables`` are classes as vertex-key tables that hold every irreducible
+    image of their vertices.  Returns three values: the pairs ``(i, j)``
+    for which a vertex of class ``i`` has its image in class ``j``; the
+    number of vertices whose image is reducible, which no class holds; and
+    for each class, one class of its component under the links.
+    """
+    from rauzy import is_irreducible
+    from rauzy.induction import _from_key, _to_key
+    from rauzy.invariants import central_involution
+
+    class_of = {key: i for i, table in enumerate(tables) for key in table}
+    links, reducible = set(), 0
+    for i, table in enumerate(tables):
+        for key in table:
+            image = central_involution(GenPerm._trusted(*_from_key(key)))
+            j = class_of.get(_to_key(image.top, image.bottom))
+            if j is None:
+                assert not is_irreducible(image), image
+                reducible += 1
+            else:
+                links.add((i, j))
+    root = list(range(len(tables)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, j in links:
+        root[find(i)] = find(j)
+    return links, reducible, [find(i) for i in range(len(tables))]
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    """The module of ``scripts/<name>.py``; its imports run, its ``main`` does not."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -9,6 +9,8 @@ from random import Random
 
 import pytest
 
+from conftest import rotation_links
+
 from rauzy import (
     GenPerm,
     PermKind,
@@ -333,3 +335,29 @@ def test_class_labels_match_component_table(partitions):
     for st, labels in labels_of.items():
         assert labels == set(stratum_components(st)), st
     print(f"{len(labels_of)} strata match the component table")
+
+
+def test_rotation_links_join_the_classes_of_a_label(partitions):
+    """The pairing of classes across marked orders, checked by the rotation.
+
+    ``central_involution`` turns the suspension polygon by pi: it keeps
+    the surface, hence the stratum and the component, and moves the marked
+    point to the right end corner.  A vertex and its image, when that is
+    irreducible, must therefore have the same label, and the links must
+    join all the classes of a (stratum, label) group, one per marked order.
+    """
+    links = groups = reducible = 0
+    for (kind, d), (diagrams, labels) in partitions.items():
+        pairs, skipped, root = rotation_links([diag.table for diag in diagrams])
+        for i, j in pairs:
+            assert labels[i] is labels[j], (kind, d, labels[i], labels[j])
+        roots_of: dict = {}
+        for i, diag in enumerate(diagrams):
+            group = (stratum(diag.vertices[0]), labels[i])
+            roots_of.setdefault(group, set()).add(root[i])
+        for group, roots in roots_of.items():
+            assert len(roots) == 1, (kind, d, group)
+        links += len(pairs)
+        groups += len(roots_of)
+        reducible += skipped
+    print(f"{links} links join {groups} groups; {reducible} images are reducible")

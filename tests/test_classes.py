@@ -346,20 +346,18 @@ class TestVerify:
         # count and seeds, which rest on tau from the shapes l <= m
         from rauzy import reduce
         from rauzy.classes import _seeds
-        from rauzy.combinat import _exchanged, _irreducible_tables
+        from rauzy.combinat import _irreducible_tables, _reduced_rows
         from rauzy.invariants import _known_profile
 
-        oracle = {
-            (p.top, p.bottom): p for p in enumerate_irreducible(d, PermKind.QUADRATIC)
-        }
-        for (top, bottom), p in oracle.items():
-            image = _exchanged(top, bottom)
+        oracle = {(p.top, p.bottom) for p in enumerate_irreducible(d, PermKind.QUADRATIC)}
+        for top, bottom in oracle:
+            image = _reduced_rows(bottom, top)
             q = reduce(bottom, top)
             assert image == (q.top, q.bottom)
-            assert _exchanged(*image) == (top, bottom)
+            assert _reduced_rows(image[1], image[0]) == (top, bottom)
             assert q.shape == (len(bottom), len(top))
             assert image in oracle  # irreducible
-            assert _known_profile(q) == _known_profile(p)  # orders and marked order
+            assert _known_profile(*image) == _known_profile(top, bottom)  # orders, marked
         seeds = list(_seeds(_irreducible_tables(d)))
         assert len(set(seeds)) == len(seeds)
         assert set(seeds) == {rows for rows in oracle if rows[1][-1] == 1}
@@ -494,9 +492,9 @@ class TestVerify:
         walked = []
         original = rauzy.invariants._corner_walk
 
-        def counting(p):
-            walked.append(p)
-            return original(p)
+        def counting(top, bottom):
+            walked.append((top, bottom))
+            return original(top, bottom)
 
         monkeypatch.setattr(rauzy.invariants, "_corner_walk", counting)
         report = verify_main_theorem(7, PermKind.IET)

@@ -261,6 +261,11 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "--stratum alone" in err
 
+    def test_bad_stratum_names_the_input(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--stratum", "H(2,)")
+        assert (code, out) == (1, "")
+        assert err == "error: cannot parse stratum 'H(2,)'\n"
+
     @pytest.mark.parametrize("name", ["Q(-1,1)", "Q(4)", "Q(3,1)", "Q(0,0)"])
     def test_empty_stratum(self, capsys, name):
         code, out, _ = run_cli(

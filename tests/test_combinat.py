@@ -1,12 +1,41 @@
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import genperms, iet_perms, raw_tables
 
 from rauzy import GenPerm, PermKind, format_perm, is_irreducible, parse, reduce
 from rauzy.classes import enumerate_irreducible
-from rauzy.combinat import _irreducible_tables, all_reduced_tables
-from rauzy.errors import EmptyRow, NotReduced, NotTwoToOne
+from rauzy.combinat import _irreducible_tables, _is_permutation, all_reduced_tables
+from rauzy.errors import EmptyRow, NotReduced, NotTwoToOne, RauzyError
+
+
+# short rows over a few letters, most of them no two-to-one table
+ROWS = st.lists(st.integers(-1, 4), max_size=5)
+
+
+def _relabelled(top, bottom):
+    """``reduce`` by an explicit relabel loop, the oracle of ``_reduced_rows``."""
+    relabel = {}
+    rows_out = []
+    for row in (tuple(top), tuple(bottom)):
+        out = []
+        for s in row:
+            if s not in relabel:
+                relabel[s] = len(relabel) + 1
+            out.append(relabel[s])
+        rows_out.append(tuple(out))
+    return GenPerm(rows_out[0], rows_out[1])
+
+
+def _outcome(build, rows):
+    try:
+        p = build(*rows)
+    except RauzyError as exc:
+        return type(exc), str(exc)
+    return p.top, p.bottom
 
 
 class TestParse:
@@ -36,6 +65,11 @@ class TestParse:
             parse("1 2 2 1")
         with pytest.raises(EmptyRow):
             parse("1 2 / ")
+
+    def test_names_a_bad_token(self):
+        with pytest.raises(ValueError) as info:
+            parse("1 2 / 2 x")
+        assert str(info.value) == "cannot parse table '1 2 / 2 x': 'x' is not an integer"
 
 
 class TestReduce:
@@ -69,6 +103,14 @@ class TestReduce:
     @settings(max_examples=100, deadline=None)
     def test_parse_format_round_trip(self, p):
         assert parse(format_perm(p)) == p
+
+    @given(raw_tables(max_d=5) | st.tuples(ROWS, ROWS))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_relabel_loop(self, rows):
+        # the relabel loop is the oracle: the same rows, or the same error
+        # for rows that are no two-to-one table
+        assert _outcome(reduce, rows) == _outcome(_relabelled, rows)
+
 
 
 class TestRowSwap:
@@ -122,6 +164,18 @@ def test_iet_irreducible_counts_match_classical(d, expected):
 @settings(max_examples=150, deadline=None)
 def test_feasibility_matches_classical_criterion(p):
     assert is_irreducible(p) == _prefix_irreducible(p.bottom)
+
+
+def test_permutation_test_matches_the_two_set_test():
+    # _is_permutation against the two-set test: equal row lengths and d
+    # letters in each row
+    for d in range(1, 7):
+        permutations = 0
+        for top, bottom in all_reduced_tables(d):
+            two_sets = len(top) == len(bottom) and len(set(top)) == d == len(set(bottom))
+            assert _is_permutation(top, bottom) == two_sets, (top, bottom)
+            permutations += two_sets
+        assert permutations == factorial(d)
 
 
 def test_all_reduced_tables_counts():

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 from hypothesis import given, settings
 
-from conftest import irreducible_genperms
+from conftest import irreducible_genperms, load_script, rotation_links
 
 from rauzy import (
     ComponentLabel,
@@ -40,6 +40,7 @@ from rauzy.invariants import (
     _is_hyperelliptic_vertex,
     _known_profile,
     _least_table,
+    _rotation_data,
     central_involution,
     label_for_class,
 )
@@ -71,6 +72,11 @@ class TestStratumType:
         assert st.genus == 2 and st.r == 2 and st.d == 5
         st = parse_stratum("Q(-1,5)")
         assert st.genus == 2 and st.r == 2 and st.d == 5
+
+    def test_bad_order_names_the_stratum(self):
+        with pytest.raises(ValueError) as info:
+            parse_stratum("H(2,)")
+        assert str(info.value) == "cannot parse stratum 'H(2,)'"
 
     def test_invalid_data_rejected(self):
         with pytest.raises(ValueError):
@@ -198,6 +204,29 @@ class TestHyperelliptic:
     def test_central_involution_is_involutive(self):
         p = parse("1 2 3 2 4 / 4 5 1 3 5")
         assert central_involution(central_involution(p)) == p
+
+    def test_rotation_pairs_match_the_partner_map(self):
+        # _rotation_data reads an edge paired with its rotation image off
+        # the boundary; the oracle pairs each boundary position with the
+        # other occurrence of its symbol
+        tables = 0
+        for d in range(2, 8):
+            kinds = [PermKind.IET] + [PermKind.QUADRATIC] * (3 <= d <= 6)
+            for kind in kinds:
+                for p in enumerate_irreducible(d, kind):
+                    if not _is_centrally_symmetric(p.top, p.bottom):
+                        continue
+                    boundary = p.bottom + p.top[::-1]
+                    n, m = len(boundary), len(p.bottom)
+                    partner = [
+                        next(u for u in range(n) if u != t and boundary[u] == s)
+                        for t, s in enumerate(boundary)
+                    ]
+                    paired = sum(partner[t] == (t + m) % n for t in range(n)) // 2
+                    fixed, invariant, _ = _rotation_data(p)
+                    assert fixed == 1 + paired + len(invariant), p
+                    tables += 1
+        assert tables == 528
 
     def test_reversal_classes(self):
         assert component_label(parse("1 2 3 4 / 4 3 2 1")) is HYP
@@ -481,11 +510,10 @@ def _stratum_classes(text, d, marked):
     """The classes of the half-translation stratum ``text`` with ``d``
     symbols and a marked order in ``marked``, as vertex keys."""
     orders = parse_stratum(text).orders
-    tables = (GenPerm._trusted(*rows) for rows in _irreducible_tables(d))
     family = (
-        p
-        for p in tables
-        if (profile := _known_profile(p)).orders == orders
+        GenPerm._trusted(*rows)
+        for rows in _irreducible_tables(d)
+        if (profile := _known_profile(*rows)).orders == orders
         and profile.marked in marked
     )
     return [diag.table for diag in class_partition(family)]
@@ -618,6 +646,29 @@ class TestForgetRegularPoint:
         # each table stops at its first vertex with a pair; the H(6) search
         # from the reversal meets the hyperelliptic table at its 106th vertex
         assert searches == {"bfs": [1, 127, 1, 106], "classes": []}
+
+    @pytest.mark.parametrize("kind", ["iet", "quad"])
+    def test_random_merges_past_seven_symbols(self, kind):
+        # 500 random irreducible tables of each size 8..12, drawn by
+        # scripts/label_scaling.py: a reducible merge would make a valid
+        # label raise Reducible
+        random_tables = load_script("label_scaling").random_tables
+        merges = 0
+        for d in range(8, 13):
+            for p in random_tables(kind, d, 500, 11):
+                merged = _forget_regular_point((p.top, p.bottom))
+                if merged is None:
+                    continue
+                q = GenPerm(*merged)
+                fewer = list(stratum(p).orders)
+                fewer.remove(0)
+                assert q.kind is p.kind, p
+                # singularity_profile raises Reducible on a reducible merge
+                assert singularity_profile(q) == Profile(
+                    tuple(fewer), singularity_profile(p).marked
+                ), p
+                merges += 1
+        assert merges > 0
 
     def test_corner_walk_merges_the_first_pair(self):
         # on a permutation the corner walk finds the first s, s+1 pair
@@ -869,3 +920,19 @@ class TestExceptionalSplit:
         assert least == ((1, 1), (2, 3, 2, 3, 4, 5, 4, 5, 6, 7, 6, 7))
         with pytest.raises(BudgetExceeded):
             _least_table(st, 9, budget=961)
+
+    def test_rotation_links_pair_a_with_a(self):
+        # central_involution keeps the component and moves the marked point
+        # to the right end corner: it links -1a with 9a and -1b with 9b, so
+        # the least-table names pair the classes of the two marked orders
+        # alike
+        tables = [rauzy_class(parse(table)).table for table, *_ in self.CLASSES]
+        labels = [label for *_, label in self.CLASSES]
+        links, reducible, root = rotation_links(tables)
+        assert all(labels[i] is labels[j] for i, j in links)
+        assert {frozenset(pair) for pair in links if pair[0] != pair[1]} == {
+            frozenset({0, 2}),
+            frozenset({1, 3}),
+        }
+        assert root[0] == root[2] != root[1] == root[3]
+        assert reducible == 2_212

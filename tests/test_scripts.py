@@ -4,30 +4,23 @@ Each script is loaded as a module, so its imports run but its ``main``
 does not; the argparse scripts print their help; and the private names
 that ``label_scaling.py`` wraps by string still exist.  A rename in the
 package then fails here rather than on the next run of a script.  One
-tiny run of ``label_scaling.py`` checks the lines it prints.
+tiny run of ``label_scaling.py`` checks the lines it prints, and
+``code_lines.py`` counts the code lines of a small source exactly.
 """
-import importlib.util
 import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import SCRIPTS, load_script as load
+
 import rauzy.invariants
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 PATHS = sorted(SCRIPTS.glob("*.py"))
 NAMES = [path.stem for path in PATHS]
 ARGPARSE = [path.stem for path in PATHS if "import argparse" in path.read_text()]
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -77,3 +70,31 @@ def test_label_scaling_prints_a_maximum_for_each_rule():
         assert len(rules) >= 2, line
         assert sum(int(count) for _, count, _ in rules) == 10, line
         assert max(float(worst) for _, _, worst in rules) == overall, line
+
+
+def test_code_lines_counts_code_only():
+    source = '''"""Module docstring,
+over two lines."""
+import os  # a comment after code counts
+
+
+# a comment alone
+class A:
+    """Class docstring."""
+
+    def f(self, x):
+        """Function docstring
+        on two lines.
+        """
+        total = (x
+                 + 1)
+        text = """a string that is
+        no docstring"""
+        return total, text
+
+
+def g(): "a docstring beside code"
+'''
+    # import, class, def f, the two lines of total, the two of text,
+    # return, def g
+    assert load("code_lines").code_lines(source) == 9
