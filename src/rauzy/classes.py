@@ -8,7 +8,9 @@ each vertex, its two rows as one byte string
 (:func:`rauzy.induction._to_key`), with no move target.  The search takes
 both moves of a key in one call from the kernel of
 :func:`rauzy.induction._successors`.  Its ``GenPerm`` vertices are decoded
-when read, and its edges are made then from the same kernel.
+when read by :func:`rauzy.induction._table`, sharing the rows they have
+in common with the least vertex, and its edges are made then from the
+same kernel, on the keys the vertices were decoded from.
 
 The verifier builds every class of a given size and kind, one at a time,
 from seeds, the irreducible tables whose bottom row ends with 1, and
@@ -70,7 +72,7 @@ from .combinat import (
     is_irreducible,
 )
 from .errors import BudgetExceeded, ReducibleSeed, TooManySymbols
-from .induction import _MAX_SYMBOLS, _from_key, _successors, _to_key
+from .induction import _MAX_SYMBOLS, _successors, _table, _to_key
 from .invariants import (
     ComponentLabel,
     Stratum,
@@ -84,9 +86,18 @@ from .invariants import (
 )
 
 
+def _vertex_order(key: bytes) -> tuple[int, bytes]:
+    """Sorts keys as :attr:`GenPerm.key` sorts their tables: top row length, then rows."""
+    return key.index(0), key
+
+
 @dataclass(frozen=True)
 class RauzyDiagram:
-    """A class as its vertex keys; vertices and edges are decoded when read."""
+    """A class as its vertex keys; vertices and edges are decoded when read.
+
+    The vertices share the rows they have in common with the least one, so
+    every vertex of a permutation class holds one ``1 ... d`` top row.
+    """
 
     table: dict[bytes, None]
 
@@ -102,18 +113,15 @@ class RauzyDiagram:
 
     @cached_property
     def vertices(self) -> tuple[GenPerm, ...]:
-        return tuple(
-            sorted(
-                (GenPerm._trusted(*_from_key(key)) for key in self.table),
-                key=lambda v: v.key,
-            )
-        )
+        keys = sorted(self.table, key=_vertex_order)
+        least = _table(keys[0])
+        return tuple(_table(key, least, keys[0]) for key in keys)
 
     @cached_property
     def edges(self) -> dict[GenPerm, tuple[Optional[GenPerm], Optional[GenPerm]]]:
         moves = _successors(next(iter(self.table)))
-        at = {_to_key(v.top, v.bottom): v for v in self.vertices}  # None stays None
-        return {v: tuple(map(at.get, moves(key))) for key, v in at.items()}
+        at = dict(zip(sorted(self.table, key=_vertex_order), self.vertices))
+        return {v: tuple(map(at.get, moves(key))) for key, v in at.items()}  # None stays None
 
 
 def _bfs_rows(
@@ -259,7 +267,7 @@ def _seeded_classes(seeds: Iterable[Rows], budget: int) -> Iterator[RauzyDiagram
     for key in held:
         if key in seen:
             continue
-        diagram = rauzy_class(GenPerm._trusted(*_from_key(key)), budget)
+        diagram = rauzy_class(_table(key), budget)
         seen.update(diagram.table.keys() & held.keys())
         yield diagram
 
@@ -425,9 +433,9 @@ def verify_main_theorem(
     found = 0
     for diagram in _seeded_classes(_seeds(counted(candidates)), budget):
         # every seed is irreducible, so one walk gives stratum and marked order
-        rows = _from_key(next(iter(diagram.table)))
-        profile = _known_profile(*rows)
-        st = _stratum_of(GenPerm._trusted(*rows), profile)
+        rep = _table(next(iter(diagram.table)))
+        profile = _known_profile(rep.top, rep.bottom)
+        st = _stratum_of(rep, profile)
         label = label_for_class(diagram.table, st, budget)
         by_stratum.setdefault(st, {}).setdefault(label, []).append(
             (profile.marked, len(diagram))
@@ -469,25 +477,23 @@ def verify_main_theorem(
 
 def export_dot(diag: RauzyDiagram) -> str:
     """DOT rendering with edges labelled by their move."""
+    names = {v: format_perm(v) for v in diag.vertices}
     lines = ["digraph rauzy {"]
-    for v in diag.vertices:
-        lines.append(f'    "{format_perm(v)}";')
-    for v in diag.vertices:
+    lines.extend(f'    "{name}";' for name in names.values())
+    for v, name in names.items():
         for move, t in enumerate(diag.edges[v]):
             if t is not None:
-                lines.append(f'    "{format_perm(v)}" -> "{format_perm(t)}" [label="{move}"];')
+                lines.append(f'    "{name}" -> "{names[t]}" [label="{move}"];')
     lines.append("}")
     return "\n".join(lines)
 
 
 def diagram_json(diag: RauzyDiagram) -> str:
+    names = {v: format_perm(v) for v in diag.vertices}
     payload = {
-        "vertices": [format_perm(v) for v in diag.vertices],
+        "vertices": list(names.values()),
         "edges": {
-            format_perm(v): {
-                "0": format_perm(t0) if t0 is not None else None,
-                "1": format_perm(t1) if t1 is not None else None,
-            }
+            names[v]: {"0": names.get(t0), "1": names.get(t1)}  # None stays None
             for v, (t0, t1) in diag.edges.items()
         },
     }

@@ -39,9 +39,11 @@ class PermKind(Enum):
     QUADRATIC = "quadratic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenPerm:
     """A reduced generalized permutation: two rows of symbols, two-to-one.
+
+    Slotted: a table holds its two row tuples and no instance dict.
 
     >>> p = GenPerm((1, 2), (2, 1))
     >>> p.d, p.shape, p.kind.value

@@ -21,7 +21,11 @@ vertices with missing edges as such.
 
 The moves work on vertex keys: the bytes of the top row, a 0 byte, the
 bytes of the bottom row (:func:`_to_key`), so a table has at most 255
-symbols.  Only this module encodes and decodes keys.  A raw move relocates
+symbols.  :func:`_from_key` gives a key's rows, and :func:`_table` its
+table, the one decode of a key to a ``GenPerm`` here and in the class and
+label code: a move decodes against its input, and the vertices of a class
+against the least one, so a row whose bytes are unchanged is the other
+table's tuple, not a new one.  A raw move relocates
 one occurrence of the loser ``x``, the last symbol of the losing row, so
 every other symbol keeps its order of first occurrence, and the
 renumbering is one rotation: ``x`` goes to ``m``, one more than the number
@@ -72,6 +76,24 @@ def _from_key(key: bytes) -> Rows:
     """The rows of a vertex key."""
     i = key.index(0)
     return tuple(key[:i]), tuple(key[i + 1 :])
+
+
+def _table(key: bytes, like: Optional[GenPerm] = None, old: bytes = b"") -> GenPerm:
+    """The table of a vertex key, sharing the rows it has in common with ``like``.
+
+    ``like`` is another table and ``old`` its key.  A row whose bytes in
+    ``key``, with the separator, equal that row of ``old`` is the tuple of
+    ``like``, so a move or a class reuses the rows it leaves alone instead
+    of building equal tuples.
+    """
+    if like is None:
+        return GenPerm._trusted(*_from_key(key))
+    i = key.index(0)
+    j = len(like.top)
+    return GenPerm._trusted(
+        like.top if key.startswith(old[: j + 1]) else tuple(key[:i]),
+        like.bottom if key.endswith(old[j:]) else tuple(key[i + 1 :]),
+    )
 
 
 def _rotation(x: int, m: int) -> bytes:
@@ -222,8 +244,9 @@ def r0(p: GenPerm) -> Optional[GenPerm]:
     >>> print(r0(parse("1 2 3 4 3 / 2 4 5 5 1")))
     1 2 1 3 4 3 / 2 4 5 5
     """
-    moved = _table_move(_to_key(p.top, p.bottom), 0)
-    return None if moved is None else GenPerm._trusted(*_from_key(moved[0]))
+    key = _to_key(p.top, p.bottom)
+    moved = _table_move(key, 0)
+    return None if moved is None else _table(moved[0], p, key)
 
 
 def r1(p: GenPerm) -> Optional[GenPerm]:
@@ -233,8 +256,9 @@ def r1(p: GenPerm) -> Optional[GenPerm]:
     >>> print(r1(parse("1 2 3 4 3 / 2 4 5 5 1")))
     1 2 3 2 4 / 3 4 5 5 1
     """
-    moved = _table_move(_to_key(p.top, p.bottom), 1)
-    return None if moved is None else GenPerm._trusted(*_from_key(moved[0]))
+    key = _to_key(p.top, p.bottom)
+    moved = _table_move(key, 1)
+    return None if moved is None else _table(moved[0], p, key)
 
 
 def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum]:
@@ -276,7 +300,7 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     moved = _table_move(key, which)
     if moved is None:
         raise UndefinedMove(f"move {which} undefined at {p}")
-    key, x, m = moved  # x is the shorter symbol, the loser
+    moved_key, x, m = moved  # x is the shorter symbol, the loser
     new_re = list(re)
     new_im = list(im)
     new_re[longer - 1] = length
@@ -285,6 +309,6 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
         new_re.insert(m - 1, new_re.pop(x - 1))
         new_im.insert(m - 1, new_im.pop(x - 1))
     return (
-        GenPerm._trusted(*_from_key(key)),
+        _table(moved_key, p, key),
         SuspensionDatum._from_parts(scale, tuple(new_re), tuple(new_im)),
     )

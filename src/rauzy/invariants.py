@@ -63,7 +63,7 @@ from .combinat import (
     is_irreducible,
 )
 from .errors import BudgetExceeded, NotAbelian, OddDegreePresent, Reducible
-from .induction import _from_key, _to_key
+from .induction import _from_key, _table, _to_key
 
 # ---------------------------------------------------------------------------
 # Strata
@@ -721,7 +721,7 @@ def label_for_class(
     reference-table searches and any search one stratum down, as in
     :func:`component_label`.
     """
-    rep = GenPerm._trusted(*_from_key(next(iter(keys))))
+    rep = _table(next(iter(keys)))
     return _component_label(rep, stratum(rep) if st is None else st, budget, keys)
 
 

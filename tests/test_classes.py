@@ -136,6 +136,27 @@ class TestRauzyClass:
                 for v in diag.vertices:
                     assert diag.edges[v] == (r0(v), r1(v))
 
+    def test_vertices_share_the_least_vertex_rows(self):
+        # vertices come sorted by GenPerm.key, and a row equal to that row
+        # of the least vertex is its tuple: one top row per permutation class
+        for text in ("1 2 3 4 5 6 7 / 7 3 6 2 5 1 4", "1 1 / 2 2 3 4 3 4 5 6 5 6"):
+            vertices = rauzy_class(parse(text)).vertices
+            assert list(vertices) == sorted(vertices, key=lambda v: v.key)
+            least = vertices[0]
+            for v in vertices:
+                assert (v.top is least.top) == (v.top == least.top)
+                assert (v.bottom is least.bottom) == (v.bottom == least.bottom)
+        assert len({id(v.top) for v in vertices}) > 1  # generalized tops differ
+        perm = rauzy_class(parse("1 2 3 4 5 6 7 / 7 3 6 2 5 1 4")).vertices
+        assert len(perm) > 100 and len({id(v.top) for v in perm}) == 1
+
+    def test_edges_are_the_decoded_vertices(self):
+        diag = rauzy_class(parse("1 1 / 2 2 3 4 3 4 5 6 5 6"))
+        ids = {id(v) for v in diag.vertices}
+        assert list(diag.edges) == list(diag.vertices)
+        for targets in diag.edges.values():
+            assert all(t is None or id(t) in ids for t in targets)
+
     def test_class_memory(self):
         p = parse("1 2 3 4 5 6 7 8 9 / 2 3 4 5 7 6 9 1 8")
         tracemalloc.start()
@@ -528,6 +549,35 @@ class TestExports:
     def test_dot_generalized_missing_edges(self):
         dot = export_dot(rauzy_class(parse("1 1 2 / 2 3 3")))
         assert dot.count("->") == 6
+
+    def test_exports_format_each_vertex_once(self, monkeypatch):
+        # the same text as formatting every vertex at each use
+        import rauzy.classes
+
+        diag = rauzy_class(parse("1 1 / 2 2 3 4 3 4 5 6 5 6"))
+        f = format_perm
+        dot = ["digraph rauzy {", *(f'    "{f(v)}";' for v in diag.vertices)]
+        for v in diag.vertices:
+            for move, t in enumerate(diag.edges[v]):
+                if t is not None:
+                    dot.append(f'    "{f(v)}" -> "{f(t)}" [label="{move}"];')
+        dot.append("}")
+        edges = {
+            f(v): {str(move): t and f(t) for move, t in enumerate(diag.edges[v])}
+            for v in diag.vertices
+        }
+        payload = {"vertices": [f(v) for v in diag.vertices], "edges": edges}
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return f(p)
+
+        monkeypatch.setattr(rauzy.classes, "format_perm", counting)
+        assert export_dot(diag) == "\n".join(dot)
+        assert diagram_json(diag) == json.dumps(payload, indent=2)
+        assert len(calls) == 2 * len(diag)
+        assert any(None in targets for targets in diag.edges.values())
 
     def test_diagram_json(self):
         payload = json.loads(diagram_json(rauzy_class(parse("1 2 / 2 1"))))

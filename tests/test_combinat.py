@@ -1,3 +1,6 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from math import factorial
 
 import pytest
@@ -111,6 +114,31 @@ class TestReduce:
         # for rows that are no two-to-one table
         assert _outcome(reduce, rows) == _outcome(_relabelled, rows)
 
+
+
+class TestSlots:
+    # A table is two row references: no per-instance dict, still frozen,
+    # and it survives pickling and copying as an equal, equally hashed value.
+    TABLES = (parse("1 2 3 / 3 2 1"), GenPerm._trusted((1, 1, 2), (2, 3, 3)))
+
+    def test_no_instance_dict(self):
+        assert GenPerm.__slots__ == ("top", "bottom")
+        for p in self.TABLES:
+            assert not hasattr(p, "__dict__")
+
+    def test_fields_stay_frozen(self):
+        for p in self.TABLES:
+            with pytest.raises(FrozenInstanceError):
+                p.top = (1,)
+            with pytest.raises(FrozenInstanceError):
+                del p.bottom
+
+    def test_pickle_and_copy_keep_the_value(self):
+        for p in self.TABLES:
+            for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+                assert type(q) is GenPerm
+                assert q == p and hash(q) == hash(p)
+                assert format_perm(q) == format_perm(p)
 
 
 class TestRowSwap:

@@ -57,6 +57,62 @@ class TestMoves:
         assert r0(parse("1 1 2 2 / 3 3")) is None
 
 
+class TestRowSharing:
+    # A move decodes its key against its input table: a row it leaves
+    # unchanged is the input's tuple, not an equal copy.
+    def test_permutation_moves_keep_the_top_row(self):
+        # move 1 changes the top row, and renumbering gives 1 ... d back
+        p = parse("1 2 3 4 / 4 3 2 1")
+        for q in (r0(p), r1(p)):
+            assert q.top is p.top
+            assert q.bottom != p.bottom
+
+    def test_fixed_table_shares_both_rows(self):
+        p = parse("1 2 3 / 3 1 2")
+        q = r1(p)
+        assert q == p
+        assert q.top is p.top and q.bottom is p.bottom
+
+    def test_every_move_through_six_symbols(self):
+        # every move of every reduced table, reducible ones included, gives
+        # the rows of a fresh decode and shares each row equal to the input's
+        from itertools import chain
+
+        from rauzy.combinat import all_reduced_tables
+
+        shared = 0
+        for rows in chain(*map(all_reduced_tables, range(1, 7))):
+            p = GenPerm._trusted(*rows)
+            key = _to_key(*rows)
+            for which, move in ((0, r0), (1, r1)):
+                q = move(p)
+                moved = _table_move(key, which)
+                if moved is None:
+                    assert q is None
+                    continue
+                assert (q.top, q.bottom) == _from_key(moved[0]), (rows, which)
+                for new, old in ((q.top, p.top), (q.bottom, p.bottom)):
+                    assert (new is old) == (new == old), (rows, which)
+                    shared += new is old
+        assert shared > 100_000, shared
+
+    def test_rv_step_shares_the_unchanged_row(self):
+        shared = 0
+        for text in ("1 2 3 4 5 / 5 3 1 4 2", "1 1 / 2 2 3 4 5 3 5 6 4 6"):
+            p = parse(text)
+            z = random_suspension(p, Random(3))
+            for _ in range(100):
+                try:
+                    q, z = rv_step(p, z)
+                except InductionHalt:
+                    break
+                for new, old in ((q.top, p.top), (q.bottom, p.bottom)):
+                    assert (new is old) == (new == old), (p, q)
+                    shared += new is old
+                p = q
+        assert shared > 50, shared
+
+
 def _move1_direct(p):
     """Mirrored statement of move 1, written independently of move 0.
 
