@@ -16,6 +16,7 @@ A file present on one side only counts 0 on the other.
 import argparse
 import ast
 import io
+import os
 import subprocess
 import sys
 import tokenize
@@ -96,4 +97,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (``| head``): point stdout at
+        # devnull so the flush at exit does not raise again, and stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

@@ -39,10 +39,12 @@ tables :func:`_move0` and :func:`_move1`, the rules of
 
 The induction itself is :func:`rv_step`, one step on a suspension vector,
 whose real parts are the interval lengths.  It is exact: it reads the
-vector's integer parts over their common denominator, compares, subtracts
-and renumbers them as integers, and returns a vector over the same
-denominator, so a long run of steps makes no ``Fraction``; halting is
-detected by exact equality.
+vector's one tuple of integers, the common denominator and then the parts,
+compares, subtracts and renumbers the parts as integers in one list, and
+returns one tuple over the same denominator, so a long run of steps makes
+no ``Fraction``; halting is detected by exact equality.  It has already
+told the two end symbols apart, so it makes its move with :func:`_move0`
+or :func:`_move1` from the separator index ``len(p.top)``.
 """
 from __future__ import annotations
 
@@ -269,8 +271,10 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     result is a suspension vector over the moved permutation, with
     coordinates renumbered to match its reduced labels: the shorter
     symbol's pair moves to its new number, and the pairs between shift by
-    one.  The step works on the integer parts of ``zeta`` and keeps its
-    denominator.
+    one.  The step copies the integer parts of ``zeta`` into one list,
+    where symbol ``s`` has its real part at ``s`` and its imaginary part at
+    ``d + s``, rotates the real and the imaginary block alike, and keeps
+    the denominator; ``zeta`` itself is not changed.
 
     >>> from .combinat import parse
     >>> p = parse("1 2 / 2 1")
@@ -285,30 +289,26 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     parts = _valid_parts(p, zeta)
     if parts is None:
         raise InvalidSuspension(f"not a suspension vector over {p}")
-    scale, re, im = parts
     a = p.top[-1]
     b = p.bottom[-1]
     if a == b:
         raise InductionHalt("rightmost symbols coincide")
-    ra, rb = re[a - 1], re[b - 1]
+    ra, rb = parts[a], parts[b]
     if ra == rb:
         raise InductionHalt("rightmost lengths are exactly equal")
     if ra > rb:
-        which, longer, shorter, length = 0, a, b, ra - rb
+        which, longer, shorter, length, move = 0, a, b, ra - rb, _move0
     else:
-        which, longer, shorter, length = 1, b, a, rb - ra
-    moved = _table_move(key, which)
+        which, longer, shorter, length, move = 1, b, a, rb - ra, _move1
+    moved = move(key, len(p.top), _rotation)
     if moved is None:
         raise UndefinedMove(f"move {which} undefined at {p}")
     moved_key, x, m = moved  # x is the shorter symbol, the loser
-    new_re = list(re)
-    new_im = list(im)
-    new_re[longer - 1] = length
-    new_im[longer - 1] -= im[shorter - 1]
+    d = len(parts) // 2
+    new = list(parts)
+    new[longer] = length
+    new[d + longer] -= parts[d + shorter]
     if m != x:
-        new_re.insert(m - 1, new_re.pop(x - 1))
-        new_im.insert(m - 1, new_im.pop(x - 1))
-    return (
-        _table(moved_key, p, key),
-        SuspensionDatum._from_parts(scale, tuple(new_re), tuple(new_im)),
-    )
+        new.insert(m, new.pop(x))
+        new.insert(d + m, new.pop(d + x))
+    return _table(moved_key, p, key), SuspensionDatum._of(tuple(new))

@@ -35,15 +35,17 @@ is ever vertical.
 All four conditions, the polygon's embeddedness and its cone angles are
 unchanged when every entry is multiplied by the same positive number.  A
 :class:`SuspensionDatum` therefore holds its vector as integers over one
-common denominator: a positive ``scale`` and the integer real and imaginary
-parts, the entries times ``scale``.  The solver returns its witnesses so,
-the rules that pick their values take and return integer pairs, and a
-:class:`SuspensionPolygon` keeps its points as integers.  The checks, the
-induction step and the polygon read those integers; ``Fraction`` objects
-are made only when a caller reads ``values``, ``re`` or ``im``, and
-rationals only in the text of the polygon exports.  Entries given to the
-constructor must be ``int`` or ``Fraction``; anything else raises
-:class:`~rauzy.errors.InvalidSuspension` there.
+common denominator: one tuple of integers, a positive ``scale`` followed by
+the real parts and then the imaginary parts, the entries times ``scale``.
+Symbol ``s`` of a vector over ``d`` symbols reads its real part at index
+``s`` and its imaginary part at ``d + s``.  The solver returns its
+witnesses so, the rules that pick their values take and return integer
+pairs, and a :class:`SuspensionPolygon` keeps its points as integers.  The
+checks, the induction step and the polygon read those integers;
+``Fraction`` objects are made only when a caller reads ``values``, ``re``
+or ``im``, and rationals only in the text of the polygon exports.  Entries
+given to the constructor must be ``int`` or ``Fraction``; anything else
+raises :class:`~rauzy.errors.InvalidSuspension` there.
 
 Witnesses returned by :func:`find_suspension` always yield an embedded
 polygon.  The slack-normalised imaginary system already keeps every
@@ -78,12 +80,12 @@ class SuspensionDatum:
     ``SuspensionDatum(values)`` takes ``(re, im)`` pairs of ``int`` or
     ``Fraction`` entries, and anything else raises
     :class:`InvalidSuspension`.  The constructor scales them by the least
-    common multiple of their denominators, so the datum is a positive
-    denominator ``scale`` and two tuples of integers, the real and the
-    imaginary parts times ``scale``.  The denominator need not be the least
-    one (an induction step keeps its input's), so equality, hashing and
-    printing go through the reduced fractions: two data are equal exactly
-    when their vectors are.
+    common multiple of their denominators, so the datum is one tuple of
+    integers: a positive denominator ``scale``, then the real parts, then
+    the imaginary parts, each times ``scale``.  The denominator need not be
+    the least one (an induction step keeps its input's), so equality,
+    hashing and printing go through the reduced fractions: two data are
+    equal exactly when their vectors are.
 
     >>> zeta = SuspensionDatum(((Fraction(1, 2), 1), (Fraction(3, 4), -1)))
     >>> print(zeta)
@@ -92,43 +94,47 @@ class SuspensionDatum:
     (Fraction(3, 4), Fraction(-1, 1))
     """
 
-    __slots__ = ("_scale", "_re", "_im")
+    __slots__ = ("_parts",)
 
     def __init__(self, values) -> None:
         scale, flat = _scaled([v for pair in values for v in pair])
-        self._scale, self._re, self._im = scale, tuple(flat[0::2]), tuple(flat[1::2])
+        self._parts = (scale, *flat[0::2], *flat[1::2])
 
     @classmethod
-    def _from_parts(
-        cls, scale: int, re: tuple[int, ...], im: tuple[int, ...]
-    ) -> SuspensionDatum:
-        """The datum ``(re[k] + i im[k]) / scale``; the parts are not checked."""
+    def _of(cls, parts: tuple[int, ...]) -> SuspensionDatum:
+        """The datum of ``(scale, re_1, ..., re_d, im_1, ..., im_d)``, not checked."""
         datum = cls.__new__(cls)
-        datum._scale, datum._re, datum._im = scale, re, im
+        datum._parts = parts
         return datum
+
+    def _pairs(self) -> zip:
+        """The integer ``(re, im)`` pair of each symbol, in symbol order."""
+        parts = self._parts
+        d = len(parts) // 2
+        return zip(parts[1 : d + 1], parts[d + 1 :])
 
     @property
     def values(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        scale, re, im = self._scale, self._re, self._im
-        return tuple([(Fraction(x, scale), Fraction(y, scale)) for x, y in zip(re, im)])
+        scale = self._parts[0]
+        pairs = self._pairs()
+        return tuple([(Fraction(x, scale), Fraction(y, scale)) for x, y in pairs])
 
     @property
     def d(self) -> int:
-        return len(self._re)
+        return len(self._parts) // 2
 
     def re(self, symbol: int) -> Fraction:
-        return Fraction(self._re[symbol - 1], self._scale)
+        return Fraction(self._parts[symbol], self._parts[0])
 
     def im(self, symbol: int) -> Fraction:
-        return Fraction(self._im[symbol - 1], self._scale)
+        parts = self._parts
+        return Fraction(parts[len(parts) // 2 + symbol], parts[0])
 
-    def _reduced(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """The denominator and the parts over the least common denominator."""
-        scale, re, im = self._scale, self._re, self._im
-        g = gcd(scale, *re, *im)
-        if g == 1:
-            return scale, re, im
-        return scale // g, tuple([x // g for x in re]), tuple([y // g for y in im])
+    def _reduced(self) -> tuple[int, ...]:
+        """The parts over the least common denominator."""
+        parts = self._parts
+        g = gcd(*parts)
+        return parts if g == 1 else tuple([x // g for x in parts])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SuspensionDatum):
@@ -142,12 +148,12 @@ class SuspensionDatum:
         return f"SuspensionDatum(values={self.values!r})"
 
     def __str__(self) -> str:
-        scale, re, im = self._scale, self._re, self._im
-        parts = [
+        scale = self._parts[0]
+        entries = [
             f"{_ratio(x, scale)}{'+' if y >= 0 else ''}{_ratio(y, scale)}i"
-            for x, y in zip(re, im)
+            for x, y in self._pairs()
         ]
-        return "(" + ", ".join(parts) + ")"
+        return "(" + ", ".join(entries) + ")"
 
 
 def _ratio(x: int, scale: int) -> str:
@@ -235,39 +241,38 @@ def _scaled(values) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _valid_parts(
-    p: GenPerm, zeta: SuspensionDatum
-) -> Optional[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """Scale, real parts and imaginary parts of ``zeta`` on integers.
+def _valid_parts(p: GenPerm, zeta: SuspensionDatum) -> Optional[tuple[int, ...]]:
+    """The integer parts of ``zeta``, laid out as in :class:`SuspensionDatum`.
 
     Returns None when ``zeta`` fails one of the four conditions over ``p``.
     """
-    scale, re, im = zeta._scale, zeta._re, zeta._im
+    parts = zeta._parts
     top, bottom = p.top, p.bottom
-    if 2 * len(re) != len(top) + len(bottom):
-        raise DimensionMismatch(f"expected {p.d} entries, got {len(re)}")
-    if min(re) <= 0:
+    d = len(parts) // 2
+    if len(parts) != len(top) + len(bottom) + 1:
+        raise DimensionMismatch(f"expected {p.d} entries, got {d}")
+    if min(parts[1 : d + 1]) <= 0:
         return None
     # one pass per row: the imaginary prefix sums and the real balance
     acc = total = 0
     for s in top[:-1]:
-        acc += im[s - 1]
+        acc += parts[d + s]
         if acc <= 0:
             return None
-        total += re[s - 1]
+        total += parts[s]
     s = top[-1]
-    top_im = acc + im[s - 1]
-    total += re[s - 1]
+    top_im = acc + parts[d + s]
+    total += parts[s]
     acc = 0
     for s in bottom[:-1]:
-        acc += im[s - 1]
+        acc += parts[d + s]
         if acc >= 0:
             return None
-        total -= re[s - 1]
+        total -= parts[s]
     s = bottom[-1]
-    if acc + im[s - 1] != top_im or total != re[s - 1]:
+    if acc + parts[d + s] != top_im or total != parts[s]:
         return None
-    return scale, re, im
+    return parts
 
 
 def _witness(p: GenPerm, choose: linprog.IntervalChooser) -> SuspensionDatum:
@@ -285,10 +290,9 @@ def _witness(p: GenPerm, choose: linprog.IntervalChooser) -> SuspensionDatum:
     if res is None:
         raise RuntimeError(f"fold-guarded length system infeasible for {p}")
     scale = lcm(res[0], ims[0])
-    flat = [v * (scale // s) for s, nums in (res, ims) for v in nums]
-    g = gcd(scale, *flat)
-    flat = [v // g for v in flat]
-    datum = SuspensionDatum._from_parts(scale // g, tuple(flat[:d]), tuple(flat[d:]))
+    parts = [scale] + [v * (scale // s) for s, nums in (res, ims) for v in nums]
+    g = gcd(*parts)
+    datum = SuspensionDatum._of(tuple([v // g for v in parts]))
     if not check_suspension(p, datum):
         raise RuntimeError(f"solver produced an invalid suspension for {p}")
     return datum
@@ -325,8 +329,7 @@ def random_suspension(p: GenPerm, rng: Random) -> Optional[SuspensionDatum]:
         (a, b), (c, e) = lo, hi
         return (a * e * (16 - r) + c * b * r, 16 * b * e)
 
-    datum = _witness(p, pick)
-    return SuspensionDatum._from_parts(1, datum._re, datum._im)
+    return SuspensionDatum._of((1, *_witness(p, pick)._parts[1:]))
 
 
 def check_suspension(p: GenPerm, zeta: SuspensionDatum) -> bool:
@@ -383,14 +386,14 @@ def build_polygon(p: GenPerm, zeta: SuspensionDatum) -> SuspensionPolygon:
     parts = _valid_parts(p, zeta)
     if parts is None:
         raise InvalidSuspension(f"not a suspension vector over {p}")
-    scale, re, im = parts
+    d = len(parts) // 2
 
     def line(row: tuple[int, ...]) -> tuple[Point, ...]:
         x = y = 0
         points = [(0, 0)]
         for s in row:
-            x += re[s - 1]
-            y += im[s - 1]
+            x += parts[s]
+            y += parts[d + s]
             points.append((x, y))
         return tuple(points)
 
@@ -404,7 +407,7 @@ def build_polygon(p: GenPerm, zeta: SuspensionDatum) -> SuspensionPolygon:
         same_row = (a < l) == (b < l)
         pairs.append((a, b, GLUE_HALF_TURN if same_row else GLUE_TRANSLATION))
     return SuspensionPolygon(
-        scale,
+        parts[0],
         line(p.top),
         line(p.bottom),
         p.top,

@@ -453,6 +453,34 @@ class TestRvStep:
                 break
             assert check_suspension(current, z)
 
+    def test_long_runs_keep_their_inputs_and_agree_with_fractions(self):
+        # Two random vectors, the second over the denominator 7: each step
+        # leaves its input as it was and equals the step rebuilt from the
+        # input's values in Fraction arithmetic.
+        p = parse("1 1 / 2 2 3 4 5 3 5 6 4 6")
+        rng = Random(1)
+        first, second = (random_suspension(p, rng) for _ in range(2))
+        second = SuspensionDatum(tuple((re / 7, im / 7) for re, im in second.values))
+        assert second._parts[0] == 7
+        checked = 0
+        for start in (first, second):
+            q, z = p, start
+            for _ in range(200):
+                parts, values, text = z._parts, z.values, str(z)
+                try:
+                    q_next, z_next = rv_step(q, z)
+                except InductionHalt:
+                    break
+                assert z._parts is parts and z.values == values and str(z) == text
+                q_oracle, values_oracle = _fraction_rv_step(q, values)
+                oracle = SuspensionDatum(values_oracle)
+                assert q_next == q_oracle
+                assert z_next == oracle and hash(z_next) == hash(oracle)
+                assert z_next._parts[0] == start._parts[0]  # the denominator stays
+                q, z = q_next, z_next
+                checked += 1
+        assert checked > 200, checked
+
 
 def _fraction_rv_step(p, values):
     """One induction step on ``Fraction`` pairs.
@@ -530,7 +558,7 @@ def test_integer_step_matches_fraction_oracle():
 
 def test_orbit_memory():
     # 200 steps on a generalized table keep 200 tables and vectors alive;
-    # a vector is a scale and two tuples of integers.
+    # a vector is one tuple of integers: its denominator and its parts.
     p = parse("1 1 / 2 2 3 4 5 3 5 6 4 6")
     z = random_suspension(p, Random(1))
     tracemalloc.start()

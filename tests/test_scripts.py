@@ -5,7 +5,8 @@ does not; the argparse scripts print their help; and the private names
 that ``label_scaling.py`` wraps by string still exist.  A rename in the
 package then fails here rather than on the next run of a script.  One
 tiny run of ``label_scaling.py`` checks the lines it prints, and
-``code_lines.py`` counts the code lines of a small source exactly.
+``code_lines.py`` counts the code lines of a small source exactly and stops
+without a traceback when its reader closes the pipe.
 """
 import os
 import re
@@ -98,3 +99,27 @@ def g(): "a docstring beside code"
     # import, class, def f, the two lines of total, the two of text,
     # return, def g
     assert load("code_lines").code_lines(source) == 9
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_code_lines_stops_quietly_on_a_closed_pipe(tmp_path, unbuffered):
+    # A repository of its own, counted against git's empty tree; the reader
+    # closes the pipe before the first line, as `| head -1` may.  Unbuffered,
+    # the first print fails; buffered, the flush at exit does.
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True, timeout=60)
+    (tmp_path / "src").mkdir()
+    for name in "abc":
+        (tmp_path / "src" / f"{name}.py").write_text("x = 1\n")
+    empty_tree = "4b825dc642cb6eb9a060e54bf8d69288fbee4904"
+    proc = subprocess.Popen(
+        [sys.executable, str(SCRIPTS / "code_lines.py"), "--rev", empty_tree, "src"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == ""
+    assert proc.returncode == 1

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -59,8 +61,9 @@ class TestCheckSuspension:
 
     def test_dimension_mismatch(self):
         p = parse("1 2 / 2 1")
-        with pytest.raises(DimensionMismatch):
-            check_suspension(p, _datum((1, 1)))
+        for zeta in (_datum((1, 1)), _datum((1, 1), (1, -1), (1, 1))):
+            with pytest.raises(DimensionMismatch):
+                check_suspension(p, zeta)
 
 
 class TestDatum:
@@ -73,15 +76,15 @@ class TestDatum:
                 (
                     SuspensionDatum(((1, 2), (3, -1))),
                     _datum((1, 2), (3, -1)),
-                    SuspensionDatum._from_parts(6, (6, 18), (12, -6)),
+                    SuspensionDatum._of((6, 6, 18, 12, -6)),
                 ),
                 id="integer-vector",
             ),
             pytest.param(
                 (
                     SuspensionDatum(((Fraction(1, 3), 1), (Fraction(2, 3), Fraction(-1, 3)))),
-                    SuspensionDatum._from_parts(3, (1, 2), (3, -1)),
-                    SuspensionDatum._from_parts(6, (2, 4), (6, -2)),
+                    SuspensionDatum._of((3, 1, 2, 3, -1)),
+                    SuspensionDatum._of((6, 2, 4, 6, -2)),
                 ),
                 id="thirds",
             ),
@@ -97,11 +100,35 @@ class TestDatum:
                 assert zeta.re(k) == first.re(k) and zeta.im(k) == first.im(k)
                 assert type(zeta.re(k)) is type(zeta.im(k)) is Fraction
         assert all(type(v) is Fraction for pair in first.values for v in pair)
-        moved = SuspensionDatum._from_parts(6, (6, 18), (12, -4))
+        moved = SuspensionDatum._of((6, 6, 18, 12, -4))
         assert all(zeta != moved for zeta in forms)
 
+    def test_one_slot(self):
+        zeta = SuspensionDatum(((Fraction(1, 3), 1), (Fraction(2, 3), Fraction(-1, 3))))
+        assert SuspensionDatum.__slots__ == ("_parts",)
+        assert not hasattr(zeta, "__dict__")
+        # the denominator, the real parts, then the imaginary parts
+        assert zeta._parts == (3, 1, 2, 3, -1)
+        with pytest.raises(AttributeError):
+            zeta.scale = 3
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda zeta: pickle.loads(pickle.dumps(zeta)), copy.copy],
+        ids=["pickle", "copy"],
+    )
+    def test_duplicates_are_equal(self, duplicate):
+        for zeta in (
+            SuspensionDatum(((Fraction(1, 3), 1), (Fraction(2, 3), Fraction(-1, 3)))),
+            SuspensionDatum._of((6, 2, 4, 6, -2)),
+        ):
+            twin = duplicate(zeta)
+            assert twin is not zeta and type(twin) is SuspensionDatum
+            assert twin == zeta and hash(twin) == hash(zeta)
+            assert twin._parts == zeta._parts and str(twin) == str(zeta)
+
     def test_printing(self):
-        zeta = SuspensionDatum._from_parts(6, (2, 6), (4, -2))
+        zeta = SuspensionDatum._of((6, 2, 6, 4, -2))
         assert str(zeta) == "(1/3+2/3i, 1-1/3i)"
         assert repr(zeta) == (
             "SuspensionDatum(values=((Fraction(1, 3), Fraction(2, 3)), "
