@@ -39,7 +39,6 @@ from itertools import permutations
 import rauzy.classes
 from rauzy.classes import _seeded_classes, _seeds
 from rauzy.combinat import GenPerm, _irreducible_tables
-from rauzy.induction import _from_key
 from rauzy.invariants import (
     ComponentLabel,
     StratumKind,
@@ -80,9 +79,8 @@ def scan_label(table, st, spin):
     apply; neither the forget rule nor the symmetric-table search is used.
     """
     if any(
-        _is_centrally_symmetric(*rows)
-        and _is_hyperelliptic_vertex(GenPerm._trusted(*rows), st)
-        for rows in map(_from_key, table)
+        _is_centrally_symmetric(v.top, v.bottom) and _is_hyperelliptic_vertex(v, st)
+        for v in map(GenPerm._of, table)
     ):
         return ComponentLabel.HYPERELLIPTIC
     return spin or ComponentLabel.NON_HYPERELLIPTIC
@@ -94,7 +92,9 @@ def classes(d, kind):
         candidates = _irreducible_tables(d)
     else:
         top = tuple(range(1, d + 1))
-        candidates = ((top, (d, *middle, 1)) for middle in permutations(top[1:-1]))
+        candidates = (
+            bytes((*top, 0, d, *middle, 1)) for middle in permutations(top[1:-1])
+        )
     return _seeded_classes(_seeds(candidates), 10**7)
 
 
@@ -114,8 +114,8 @@ def main() -> int:
     # each class is labelled as soon as it is built, so only one is held
     for diagram in classes(args.d, args.kind):
         table = diagram.table
-        rep = GenPerm._trusted(*_from_key(next(iter(table))))
-        profile = _known_profile(rep.top, rep.bottom)
+        rep = GenPerm._of(next(iter(table)))
+        profile = _known_profile(rep._key)
         st = _stratum_of(rep, profile)
         components = stratum_components(st)
         spin = None
@@ -129,7 +129,7 @@ def main() -> int:
         times = {"search": [], "class": []}
         disagree = 0
         for key in sample:
-            p = GenPerm._trusted(*_from_key(key))
+            p = GenPerm._of(key)
             rauzy.classes.rauzy_class = forbidden
             try:
                 tick = time.perf_counter()

@@ -4,13 +4,11 @@ verifier.
 
 A class is the smallest set of reduced generalized permutations containing
 a seed and closed under both moves, held as its vertex set: the key of
-each vertex, its two rows as one byte string
-(:func:`rauzy.induction._to_key`), with no move target.  The search takes
-both moves of a key in one call from the kernel of
-:func:`rauzy.induction._successors`.  Its ``GenPerm`` vertices are decoded
-when read by :func:`rauzy.induction._table`, sharing the rows they have
-in common with the least vertex, and its edges are made then from the
-same kernel, on the keys the vertices were decoded from.
+each vertex, the one field of its ``GenPerm`` (:mod:`rauzy.combinat`),
+with no move target.  The search takes both moves of a key in one call
+from the kernel of :func:`rauzy.induction._successors`.  Its ``GenPerm``
+vertices wrap the keys when read, and its edges are made then from the
+same kernel.
 
 The verifier builds every class of a given size and kind, one at a time,
 from seeds, the irreducible tables whose bottom row ends with 1, and
@@ -18,10 +16,10 @@ proves that none is missing by a count.  Permutation candidates are the
 standard permutations, which every class contains (Rauzy, *Acta Arith.*
 34, 1979) and whose bottom rows all end with 1; the class sizes must sum
 to the number of irreducible permutations (OEIS A003319).  Generalized
-candidates are the irreducible tables of shape ``l <= m``, as rows from
+candidates are the irreducible tables of shape ``l <= m``, as keys from
 the pruned search :func:`rauzy.combinat._irreducible_tables`.  The other
 tables are their row exchanges, tau(top, bottom) = reduce(bottom, top),
-whose rows :func:`rauzy.combinat._reduced_rows` numbers without the checks
+whose keys :func:`rauzy.combinat._reduced` numbers without the checks
 of :func:`rauzy.combinat.reduce`.  Complex conjugation takes a
 suspension of ``top / bottom`` to one of ``bottom / top``: it mirrors the
 polygon but keeps its gluings, so tau keeps irreducibility, the cone
@@ -60,19 +58,19 @@ from math import factorial
 from typing import Callable, Iterable, Iterator, Optional
 
 from .combinat import (
+    _MAX_SYMBOLS,
     GenPerm,
     PermKind,
-    Rows,
     _irreducible_tables,
     _is_permutation,
-    _reduced_rows,
+    _reduced,
     all_reduced_tables,
     format_perm,
     irreducible_rows,
     is_irreducible,
 )
 from .errors import BudgetExceeded, ReducibleSeed, TooManySymbols
-from .induction import _MAX_SYMBOLS, _successors, _table, _to_key
+from .induction import _successors
 from .invariants import (
     ComponentLabel,
     Stratum,
@@ -93,11 +91,7 @@ def _vertex_order(key: bytes) -> tuple[int, bytes]:
 
 @dataclass(frozen=True)
 class RauzyDiagram:
-    """A class as its vertex keys; vertices and edges are decoded when read.
-
-    The vertices share the rows they have in common with the least one, so
-    every vertex of a permutation class holds one ``1 ... d`` top row.
-    """
+    """A class as its vertex keys; vertices and edges are made when read."""
 
     table: dict[bytes, None]
 
@@ -105,7 +99,7 @@ class RauzyDiagram:
         return len(self.table)
 
     def __contains__(self, p: GenPerm) -> bool:
-        return _to_key(p.top, p.bottom) in self.table
+        return p._key in self.table
 
     def edge_count(self) -> int:
         moves = _successors(next(iter(self.table)))
@@ -113,14 +107,12 @@ class RauzyDiagram:
 
     @cached_property
     def vertices(self) -> tuple[GenPerm, ...]:
-        keys = sorted(self.table, key=_vertex_order)
-        least = _table(keys[0])
-        return tuple(_table(key, least, keys[0]) for key in keys)
+        return tuple(map(GenPerm._of, sorted(self.table, key=_vertex_order)))
 
     @cached_property
     def edges(self) -> dict[GenPerm, tuple[Optional[GenPerm], Optional[GenPerm]]]:
         moves = _successors(next(iter(self.table)))
-        at = dict(zip(sorted(self.table, key=_vertex_order), self.vertices))
+        at = {v._key: v for v in self.vertices}
         return {v: tuple(map(at.get, moves(key))) for key, v in at.items()}  # None stays None
 
 
@@ -165,21 +157,19 @@ def rauzy_class(seed: GenPerm, budget: int = 10**7) -> RauzyDiagram:
     >>> len(rauzy_class(parse("1 2 3 4 / 4 3 2 1")))
     7
     """
-    key = _to_key(seed.top, seed.bottom)
     if not is_irreducible(seed):
         raise ReducibleSeed(f"{seed} admits no suspension")
-    return RauzyDiagram(_bfs_rows(key, budget))
+    return RauzyDiagram(_bfs_rows(seed._key, budget))
 
 
 def same_class_bfs(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
     """Membership test by explicit closure, with early exit."""
-    keys = [_to_key(p.top, p.bottom) for p in (p1, p2)]
     for p in (p1, p2):
         if not is_irreducible(p):
             raise ReducibleSeed(f"{p} admits no suspension")
     if p1.d != p2.d:
         return False
-    return _holds(*keys, budget)
+    return _holds(p1._key, p2._key, budget)
 
 
 def same_class_fast(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
@@ -198,16 +188,15 @@ def same_class_fast(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
             raise ReducibleSeed(f"{p} admits no suspension")
     if p1.d != p2.d:
         return False
-    profiles = [_known_profile(p.top, p.bottom) for p in (p1, p2)]
+    profiles = [_known_profile(p._key) for p in (p1, p2)]
     if profiles[0].marked != profiles[1].marked:
         return False
     st = _stratum_of(p1, profiles[0])
     if st != _stratum_of(p2, profiles[1]):
         return False
     if ComponentLabel.EXCEPTIONAL_A in stratum_components(st):
-        ref = _to_key(*_least_table(st, profiles[0].marked, budget))
-        here = [_to_key(p.top, p.bottom) for p in (p1, p2)]
-        return _holds(here[0], ref, budget) == _holds(here[1], ref, budget)
+        ref = _least_table(st, profiles[0].marked, budget)
+        return _holds(p1._key, ref, budget) == _holds(p2._key, ref, budget)
     return _component_label(p1, st, budget) == _component_label(p2, st, budget)
 
 
@@ -223,51 +212,53 @@ def enumerate_irreducible(d: int, kind: PermKind) -> Iterator[GenPerm]:
     if d < 2:
         raise ValueError("enumeration starts at two symbols")
     if kind is PermKind.IET:
-        top = tuple(range(1, d + 1))
-        for bottom in permutations(top):
+        top = bytes(range(1, d + 1))
+        for bottom in map(bytes, permutations(top)):
             if irreducible_rows(top, bottom):
-                yield GenPerm._trusted(top, bottom)
+                yield GenPerm._of(top + b"\0" + bottom)
     else:
-        for top, bottom in all_reduced_tables(d):
+        for key in all_reduced_tables(d):
+            top, _, bottom = key.partition(b"\0")
             if not _is_permutation(top, bottom) and irreducible_rows(top, bottom):
-                yield GenPerm._trusted(top, bottom)
+                yield GenPerm._of(key)
 
 
-def _seeds(candidates: Iterable[Rows]) -> Iterator[Rows]:
-    """The seeds the candidate tables of shape ``l <= m`` give, each once.
+def _seeds(candidates: Iterable[bytes]) -> Iterator[bytes]:
+    """The seed keys the candidate keys of shape ``l <= m`` give, each once.
 
     A candidate is a seed when its bottom row ends with 1.  A candidate with
     ``l < m`` stands for its row exchange too, which is a seed when the
     candidate's top row ends with its bottom row's first letter; the
     exchange itself is yielded, so every seed has its bottom row end with 1.
     """
-    for top, bottom in candidates:
-        if bottom[-1] == 1:
-            yield top, bottom
-        if top[-1] == bottom[0] and len(top) < len(bottom):
-            yield _reduced_rows(bottom, top)
+    for key in candidates:
+        if key[-1] == 1:
+            yield key
+        i = key.index(0)
+        if key[i - 1] == key[i + 1] and i < len(key) // 2:
+            yield _reduced(key[i + 1 :] + b"\0" + key[:i])
 
 
-def _seeded_classes(seeds: Iterable[Rows], budget: int) -> Iterator[RauzyDiagram]:
-    """The classes of the ``seeds`` rows, each built once.
+def _seeded_classes(seeds: Iterable[bytes], budget: int) -> Iterator[RauzyDiagram]:
+    """The classes of the ``seeds`` keys, each built once.
 
     Each class is its vertex keys, its edges made from the move kernel
-    when read.  Every seed is encoded before the first class; more than
+    when read.  Every seed is held before the first class; more than
     ``budget`` seed keys raise :class:`BudgetExceeded`.  A seed starts a
     class unless a class built before holds it: the seeds each class holds
     are the intersection of its keys with the seeds, one lookup per key of
     the smaller side.  Only the seeds that start a class are wrapped.
     """
     held: dict[bytes, None] = {}
-    for rows in seeds:
-        held[_to_key(*rows)] = None
+    for key in seeds:
+        held[key] = None
         if len(held) > budget:
             raise BudgetExceeded(f"the seeds exceed the {budget}-key budget")
     seen: set[bytes] = set()
     for key in held:
         if key in seen:
             continue
-        diagram = rauzy_class(_table(key), budget)
+        diagram = rauzy_class(GenPerm._of(key), budget)
         seen.update(diagram.table.keys() & held.keys())
         yield diagram
 
@@ -276,7 +267,7 @@ def class_partition(
     perms: Iterable[GenPerm], budget: int = 10**7
 ) -> Iterator[RauzyDiagram]:
     """Classes of a set of irreducible tables, each yielded when first met."""
-    return _seeded_classes(((p.top, p.bottom) for p in perms), budget)
+    return _seeded_classes((p._key for p in perms), budget)
 
 
 @dataclass(frozen=True)
@@ -402,25 +393,25 @@ def verify_main_theorem(
         raise TooManySymbols(f"{d} symbols: a vertex key holds at most {_MAX_SYMBOLS}")
     total = 0  # tables the candidates stand for, the generalized count
 
-    def counted(candidates: Iterable[Rows]) -> Iterator[Rows]:
+    def counted(candidates: Iterable[bytes]) -> Iterator[bytes]:
         nonlocal total
-        for rows in candidates:
-            total += 1 + (len(rows[0]) < len(rows[1]))  # itself and its exchange
-            yield rows
+        for key in candidates:
+            total += 1 + (key.index(0) < d)  # itself and its exchange, if l < m
+            yield key
 
     if kind is PermKind.IET:
         top = tuple(range(1, d + 1))
-        candidates: Iterable[Rows] = (
-            (top, (d, *middle, 1)) for middle in permutations(top[1:-1])
+        candidates: Iterable[bytes] = (
+            bytes((*top, 0, d, *middle, 1)) for middle in permutations(top[1:-1])
         )
     else:
         candidates = _irreducible_tables(d)
     if only_stratum is not None:
         orders = only_stratum.orders
 
-        def in_stratum(rows: Rows) -> bool:
+        def in_stratum(key: bytes) -> bool:
             # every candidate is irreducible, so the walk needs no check
-            return _known_profile(*rows).orders == orders
+            return _known_profile(key).orders == orders
 
         if (only_stratum.kind is StratumKind.ABELIAN) == (kind is PermKind.IET):
             candidates = filter(in_stratum, candidates)
@@ -433,9 +424,9 @@ def verify_main_theorem(
     found = 0
     for diagram in _seeded_classes(_seeds(counted(candidates)), budget):
         # every seed is irreducible, so one walk gives stratum and marked order
-        rep = _table(next(iter(diagram.table)))
-        profile = _known_profile(rep.top, rep.bottom)
-        st = _stratum_of(rep, profile)
+        key = next(iter(diagram.table))
+        profile = _known_profile(key)
+        st = _stratum_of(GenPerm._of(key), profile)
         label = label_for_class(diagram.table, st, budget)
         by_stratum.setdefault(st, {}).setdefault(label, []).append(
             (profile.marked, len(diagram))

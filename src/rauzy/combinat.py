@@ -18,6 +18,13 @@ row.  ``GenPerm`` values are always reduced: :func:`reduce` normalises an
 arbitrary two-to-one table while :func:`parse` rejects non-reduced input
 outright, so that text corpora stay unambiguous.
 
+A ``GenPerm`` holds its table as one byte string, its vertex key: the top
+row, a 0 byte, the bottom row, one byte per symbol, so a table has at most
+255 symbols.  The moves, the class searches, the enumerators and the
+invariants pass keys and read their rows as byte slices; the public
+``top`` and ``bottom`` tuples are decoded when read.  :func:`_reduced` is
+the one renumbering of keys.
+
 Text format: both rows as base-10 integers separated by single spaces,
 rows joined by ``" / "``, e.g. ``"1 2 3 2 4 / 4 5 1 3 5"``.
 """
@@ -25,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyRow, NotReduced, NotTwoToOne
+from .errors import EmptyRow, NotReduced, NotTwoToOne, TooManySymbols
 
-Rows = tuple[tuple[int, ...], tuple[int, ...]]
+_MAX_SYMBOLS = 255  # one byte per symbol, 0 the row separator
 
 
 class PermKind(Enum):
@@ -39,66 +46,96 @@ class PermKind(Enum):
     QUADRATIC = "quadratic"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False, repr=False)
 class GenPerm:
     """A reduced generalized permutation: two rows of symbols, two-to-one.
 
-    Slotted: a table holds its two row tuples and no instance dict.
+    Slotted, with one field: the vertex key, the bytes of the top row, a 0
+    byte, the bytes of the bottom row.  One byte per symbol, so a table
+    holds the symbols 1 to 255; a larger table raises
+    :class:`TooManySymbols`.  The rows, the shape and the sort key are read
+    from the key.
 
     >>> p = GenPerm((1, 2), (2, 1))
     >>> p.d, p.shape, p.kind.value
     (2, (2, 2), 'iet')
     >>> print(p)
     1 2 / 2 1
+    >>> p
+    GenPerm(top=(1, 2), bottom=(2, 1))
     """
 
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
+    # Slots by hand: a dataclass made with slots=True rebuilds the class,
+    # and its frozen __setattr__ then raises TypeError, not
+    # FrozenInstanceError, on the names that are not fields, such as top.
+    __slots__ = ("_key",)
+    _key: bytes
 
-    def __post_init__(self) -> None:
-        top = tuple(self.top)
-        bottom = tuple(self.bottom)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
+    def __init__(self, top: Iterable[int], bottom: Iterable[int]) -> None:
+        top = tuple(top)
+        bottom = tuple(bottom)
         _validate_rows(top, bottom)
         _check_reduced(top, bottom)
+        if len(top) + len(bottom) > 2 * _MAX_SYMBOLS:
+            raise TooManySymbols(
+                f"a vertex key holds at most {_MAX_SYMBOLS} symbols; "
+                f"this table has {(len(top) + len(bottom)) // 2}"
+            )
+        object.__setattr__(self, "_key", bytes(top) + b"\0" + bytes(bottom))
+
+    @classmethod
+    def _of(cls, key: bytes) -> GenPerm:
+        """Wrap a vertex key the move kernel or an enumerator produced.
+
+        Such keys are reduced and two-to-one by construction, so the checks
+        of the constructor are skipped.  Input from users goes through
+        :func:`parse`, :func:`reduce` or the constructor.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "_key", key)
+        return p
+
+    @property
+    def top(self) -> tuple[int, ...]:
+        return tuple(self._key.partition(b"\0")[0])
+
+    @property
+    def bottom(self) -> tuple[int, ...]:
+        return tuple(self._key.partition(b"\0")[2])
 
     @property
     def d(self) -> int:
         """Number of exchanged intervals (distinct symbols)."""
-        return (len(self.top) + len(self.bottom)) // 2
+        return len(self._key) // 2
 
     @property
     def shape(self) -> tuple[int, int]:
         """Row lengths ``(l, m)``."""
-        return (len(self.top), len(self.bottom))
+        l = self._key.index(0)
+        return (l, len(self._key) - 1 - l)
 
     @property
     def kind(self) -> PermKind:
-        if _is_permutation(self.top, self.bottom):
+        top, _, bottom = self._key.partition(b"\0")
+        if _is_permutation(top, bottom):
             return PermKind.IET
         return PermKind.QUADRATIC
 
     @property
     def key(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """Canonical sort key: ``(l, top, bottom)``."""
-        return (len(self.top), self.top, self.bottom)
+        top, _, bottom = self._key.partition(b"\0")
+        return (len(top), tuple(top), tuple(bottom))
+
+    def __reduce__(self) -> tuple:
+        # the default restores slots through the frozen __setattr__
+        return (GenPerm._of, (self._key,))
+
+    def __repr__(self) -> str:
+        return f"GenPerm(top={self.top!r}, bottom={self.bottom!r})"
 
     def __str__(self) -> str:
         return format_perm(self)
-
-    @classmethod
-    def _trusted(cls, top: tuple[int, ...], bottom: tuple[int, ...]) -> "GenPerm":
-        """Wrap row tuples the move kernel or the enumerator produced.
-
-        Such rows are reduced and two-to-one by construction, so the checks
-        of ``__post_init__`` are skipped.  Input from users goes through
-        :func:`parse`, :func:`reduce` or the constructor.
-        """
-        p = object.__new__(cls)
-        object.__setattr__(p, "top", top)
-        object.__setattr__(p, "bottom", bottom)
-        return p
 
 
 def _validate_rows(top: tuple[int, ...], bottom: tuple[int, ...]) -> None:
@@ -174,22 +211,24 @@ def reduce(top: Sequence[int], bottom: Sequence[int]) -> GenPerm:
     >>> print(reduce((3, 3), (1, 1, 2, 2)))
     1 1 / 2 2 3 3
     """
-    return GenPerm(*_reduced_rows(tuple(top), tuple(bottom)))
-
-
-def _reduced_rows(top: tuple[int, ...], bottom: tuple[int, ...]) -> Rows:
-    """The rows of ``top / bottom`` numbered ``1, 2, ...`` by first occurrence.
-
-    The one renumbering of the package: :func:`reduce` checks its result,
-    and the callers that build a table from the rows of a valid one (the
-    row exchange, the central involution, the merge of two intervals) use
-    it without checks.
-
-    >>> _reduced_rows((3, 3, 1), (2, 1, 2))
-    ((1, 1, 2), (3, 2, 3))
-    """
+    top, bottom = tuple(top), tuple(bottom)
     number = {s: n for n, s in enumerate(dict.fromkeys(top + bottom), 1)}
-    return tuple(map(number.__getitem__, top)), tuple(map(number.__getitem__, bottom))
+    return GenPerm(map(number.__getitem__, top), map(number.__getitem__, bottom))
+
+
+def _reduced(key: bytes) -> bytes:
+    """The key ``key`` with its symbols numbered ``1, 2, ...`` by first occurrence.
+
+    The one renumbering of keys, for callers that build a key from a valid
+    one: the row exchange ``_reduced(bottom + b"\\0" + top)``, the central
+    involution ``_reduced(key[::-1])`` and the merge of two intervals, which
+    deletes a symbol.  :func:`reduce` numbers outside input and checks it.
+
+    >>> list(_reduced(bytes([3, 3, 1, 0, 2, 1, 2])))
+    [1, 1, 2, 0, 3, 2, 3]
+    """
+    symbols = bytes(dict.fromkeys(key)).replace(b"\0", b"")  # the separator stays 0
+    return key.translate(bytes.maketrans(symbols, bytes(range(1, len(symbols) + 1))))
 
 
 def _is_permutation(top: Sequence[int], bottom: Sequence[int]) -> bool:
@@ -207,7 +246,8 @@ def is_irreducible(p: GenPerm) -> bool:
 
     Decided combinatorially on the two rows by :func:`irreducible_rows`.
     """
-    return irreducible_rows(p.top, p.bottom)
+    top, _, bottom = p._key.partition(b"\0")
+    return irreducible_rows(top, bottom)
 
 
 def irreducible_rows(top: Sequence[int], bottom: Sequence[int]) -> bool:
@@ -267,8 +307,8 @@ def _prefix_counts(row: Sequence[int]) -> list[int]:
     return counts
 
 
-def all_reduced_tables(d: int) -> Iterator[Rows]:
-    """Yield every reduced two-to-one table with ``d`` symbols, all shapes.
+def all_reduced_tables(d: int) -> Iterator[bytes]:
+    """Yield the key of every reduced two-to-one table with ``d`` symbols, all shapes.
 
     Tables are produced in deterministic order: by top-row length ``l``,
     then by the position pairing, symbols numbered by first occurrence
@@ -280,13 +320,13 @@ def all_reduced_tables(d: int) -> Iterator[Rows]:
         yield from _fill_tables(cells, 0, 1, l)
 
 
-def _irreducible_tables(d: int) -> Iterator[Rows]:
-    """Rows of the irreducible reduced tables with ``d`` symbols and shape ``l <= m``.
+def _irreducible_tables(d: int) -> Iterator[bytes]:
+    """Keys of the irreducible reduced tables with ``d`` symbols and shape ``l <= m``.
 
     Permutations aside, these are the tables of :func:`all_reduced_tables`
     with top-row length ``l <= d`` filtered by :func:`irreducible_rows`.
-    The other shapes are their row exchanges, the rows
-    ``_reduced_rows(bottom, top)`` (:func:`_reduced_rows`): the conditions
+    The other shapes are their row exchanges, the keys
+    ``_reduced(bottom + b"\\0" + top)`` (:func:`_reduced`): the conditions
     there are symmetric in the two rows, so the exchange maps
     the irreducible tables of shape ``(l, m)`` one to one onto those of
     shape ``(m, l)``.  They are found by a search that tests each condition
@@ -311,6 +351,7 @@ def _irreducible_tables(d: int) -> Iterator[Rows]:
         m = 2 * d - l
         # at most d - 1 letters on the top row: it doubles at least l - d + 1
         for top, once in _top_rows(l, max(1, l - d + 1), l // 2):
+            head = bytes(top) + b"\0"
             tops = _prefix_counts(top)
             inner = set(tops[1:l])
             shift = shift_base - 2 * tops[l]
@@ -318,7 +359,7 @@ def _irreducible_tables(d: int) -> Iterator[Rows]:
             # Before cell j of the bottom row: the letters that may close
             # there (top singletons and bottom letters opened once) as a bit
             # mask, the next fresh letter, and the choices left.
-            cells, counts = [0] * m, [0] * m
+            cells, counts = bytearray(m), [0] * m
             open_at, fresh_at = [once] * m, [max(top) + 1] * m
             choices: list[Iterator[int]] = [iter(())] * m
             j = 0
@@ -330,7 +371,7 @@ def _irreducible_tables(d: int) -> Iterator[Rows]:
                     continue
                 cells[j] = s
                 if j == m - 1:
-                    yield top, tuple(cells)
+                    yield head + cells
                     continue
                 # b is B_{j+1}; its pairs B_c + b for c <= j + 1 include b + b
                 b = counts[j + 1] = counts[j] + unit[s]
@@ -387,12 +428,12 @@ def _top_rows(n: int, least: int, most: int) -> Iterator[tuple[tuple[int, ...], 
     return fill(0, 0, 1, 0)
 
 
-def _fill_tables(cells: list[int], pos: int, fresh: int, l: int) -> Iterator[Rows]:
+def _fill_tables(cells: list[int], pos: int, fresh: int, l: int) -> Iterator[bytes]:
     n = len(cells)
     while pos < n and cells[pos]:
         pos += 1
     if pos == n:
-        yield (tuple(cells[:l]), tuple(cells[l:]))
+        yield bytes(cells[:l]) + b"\0" + bytes(cells[l:])
         return
     cells[pos] = fresh
     for other in range(pos + 1, n):

@@ -19,15 +19,12 @@ renumber the result back to reduced form.  Undefinedness is an ordinary
 return value (``None``) rather than an error: class enumeration treats
 vertices with missing edges as such.
 
-The moves work on vertex keys: the bytes of the top row, a 0 byte, the
-bytes of the bottom row (:func:`_to_key`), so a table has at most 255
-symbols.  :func:`_from_key` gives a key's rows, and :func:`_table` its
-table, the one decode of a key to a ``GenPerm`` here and in the class and
-label code: a move decodes against its input, and the vertices of a class
-against the least one, so a row whose bytes are unchanged is the other
-table's tuple, not a new one.  A raw move relocates
-one occurrence of the loser ``x``, the last symbol of the losing row, so
-every other symbol keeps its order of first occurrence, and the
+The moves work on vertex keys, the one field of a ``GenPerm``
+(:mod:`rauzy.combinat`): the bytes of the top row, a 0 byte, the bytes of
+the bottom row.  A move takes the key of its input and wraps the moved
+key, with no decode of rows.  A raw move relocates one occurrence of the
+loser ``x``, the last symbol of the losing row, so every other symbol
+keeps its order of first occurrence, and the
 renumbering is one rotation: ``x`` goes to ``m``, one more than the number
 of distinct symbols before its new first occurrence, and the symbols
 between shift by one.  ``bytes.translate`` applies it
@@ -44,58 +41,19 @@ compares, subtracts and renumbers the parts as integers in one list, and
 returns one tuple over the same denominator, so a long run of steps makes
 no ``Fraction``; halting is detected by exact equality.  It has already
 told the two end symbols apart, so it makes its move with :func:`_move0`
-or :func:`_move1` from the separator index ``len(p.top)``.
+or :func:`_move1` from the separator index of the key.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from .combinat import GenPerm, Rows
-from .errors import InductionHalt, InvalidSuspension, TooManySymbols, UndefinedMove
+from .combinat import GenPerm
+from .errors import InductionHalt, InvalidSuspension, UndefinedMove
 from .suspension import SuspensionDatum, _valid_parts
 
-_MAX_SYMBOLS = 255  # one byte per symbol, 0 the row separator
 _IDENT = bytes(range(256))  # the identity translation table
-
-
-def _to_key(top: Sequence[int], bottom: Sequence[int]) -> bytes:
-    """The vertex key of a reduced table: the top row, a 0 byte, the bottom row.
-
-    One byte per symbol, so a key holds the symbols 1 to 255; a larger
-    table raises :class:`TooManySymbols`.
-    """
-    if len(top) + len(bottom) > 2 * _MAX_SYMBOLS:
-        raise TooManySymbols(
-            f"a vertex key holds at most {_MAX_SYMBOLS} symbols; "
-            f"this table has {(len(top) + len(bottom)) // 2}"
-        )
-    return bytes(top) + b"\0" + bytes(bottom)
-
-
-def _from_key(key: bytes) -> Rows:
-    """The rows of a vertex key."""
-    i = key.index(0)
-    return tuple(key[:i]), tuple(key[i + 1 :])
-
-
-def _table(key: bytes, like: Optional[GenPerm] = None, old: bytes = b"") -> GenPerm:
-    """The table of a vertex key, sharing the rows it has in common with ``like``.
-
-    ``like`` is another table and ``old`` its key.  A row whose bytes in
-    ``key``, with the separator, equal that row of ``old`` is the tuple of
-    ``like``, so a move or a class reuses the rows it leaves alone instead
-    of building equal tuples.
-    """
-    if like is None:
-        return GenPerm._trusted(*_from_key(key))
-    i = key.index(0)
-    j = len(like.top)
-    return GenPerm._trusted(
-        like.top if key.startswith(old[: j + 1]) else tuple(key[:i]),
-        like.bottom if key.endswith(old[j:]) else tuple(key[i + 1 :]),
-    )
 
 
 def _rotation(x: int, m: int) -> bytes:
@@ -246,9 +204,8 @@ def r0(p: GenPerm) -> Optional[GenPerm]:
     >>> print(r0(parse("1 2 3 4 3 / 2 4 5 5 1")))
     1 2 1 3 4 3 / 2 4 5 5
     """
-    key = _to_key(p.top, p.bottom)
-    moved = _table_move(key, 0)
-    return None if moved is None else _table(moved[0], p, key)
+    moved = _table_move(p._key, 0)
+    return None if moved is None else GenPerm._of(moved[0])
 
 
 def r1(p: GenPerm) -> Optional[GenPerm]:
@@ -258,9 +215,8 @@ def r1(p: GenPerm) -> Optional[GenPerm]:
     >>> print(r1(parse("1 2 3 4 3 / 2 4 5 5 1")))
     1 2 3 2 4 / 3 4 5 5 1
     """
-    key = _to_key(p.top, p.bottom)
-    moved = _table_move(key, 1)
-    return None if moved is None else _table(moved[0], p, key)
+    moved = _table_move(p._key, 1)
+    return None if moved is None else GenPerm._of(moved[0])
 
 
 def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum]:
@@ -285,12 +241,13 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     >>> moved.values
     ((Fraction(3, 2), Fraction(1, 1)), (Fraction(1, 1), Fraction(-1, 2)))
     """
-    key = _to_key(p.top, p.bottom)
+    key = p._key
     parts = _valid_parts(p, zeta)
     if parts is None:
         raise InvalidSuspension(f"not a suspension vector over {p}")
-    a = p.top[-1]
-    b = p.bottom[-1]
+    i = key.index(0)
+    a = key[i - 1]
+    b = key[-1]
     if a == b:
         raise InductionHalt("rightmost symbols coincide")
     ra, rb = parts[a], parts[b]
@@ -300,7 +257,7 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
         which, longer, shorter, length, move = 0, a, b, ra - rb, _move0
     else:
         which, longer, shorter, length, move = 1, b, a, rb - ra, _move1
-    moved = move(key, len(p.top), _rotation)
+    moved = move(key, i, _rotation)
     if moved is None:
         raise UndefinedMove(f"move {which} undefined at {p}")
     moved_key, x, m = moved  # x is the shorter symbol, the loser
@@ -311,4 +268,4 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     if m != x:
         new.insert(m, new.pop(x))
         new.insert(d + m, new.pop(d + x))
-    return _table(moved_key, p, key), SuspensionDatum._of(tuple(new))
+    return GenPerm._of(moved_key), SuspensionDatum._of(tuple(new))

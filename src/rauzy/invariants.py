@@ -54,16 +54,14 @@ from typing import Collection, Iterator, Optional
 from .combinat import (
     GenPerm,
     PermKind,
-    Rows,
     _irreducible_tables,
     _is_permutation,
-    _reduced_rows,
+    _reduced,
     _top_rows,
     irreducible_rows,
     is_irreducible,
 )
 from .errors import BudgetExceeded, NotAbelian, OddDegreePresent, Reducible
-from .induction import _from_key, _table, _to_key
 
 # ---------------------------------------------------------------------------
 # Strata
@@ -168,10 +166,8 @@ class Profile:
     marked: int
 
 
-def _corner_walk(
-    top: tuple[int, ...], bottom: tuple[int, ...]
-) -> list[tuple[list[int], int]]:
-    """The corner cycles of the table ``top / bottom`` with their orders.
+def _corner_walk(top: bytes, bottom: bytes) -> list[tuple[list[int], int]]:
+    """The corner cycles of the table ``top / bottom``, byte rows, with their orders.
 
     The boundary lists the bottom row left to right, then the top row
     right to left; each position is paired with the other occurrence of
@@ -180,7 +176,7 @@ def _corner_walk(
     shared end corners (positions 0 and m) none.  Orders are in the
     convention of the table's kind (:func:`rauzy.combinat._is_permutation`).
     The first cycle is the one through position 0, the marked corner.  The
-    walk reads the rows alone, so loops over many tables wrap none.
+    walk reads the rows alone, so loops over many keys wrap none.
     """
     m = len(bottom)
     n = len(top) + m
@@ -208,7 +204,7 @@ def _corner_walk(
         if not iet:
             cycles.append((cycle, angle - 2))
         elif angle % 2:
-            p = GenPerm._trusted(top, bottom)
+            p = GenPerm._of(top + b"\0" + bottom)
             raise RuntimeError(f"odd angle count on an orientable surface: {p}")
         else:
             cycles.append((cycle, angle // 2 - 1))
@@ -221,16 +217,17 @@ def singularity_profile(p: GenPerm) -> Profile:
         raise ValueError("suspensions over a single interval are degenerate")
     if not is_irreducible(p):
         raise Reducible(f"{p} admits no suspension")
-    return _known_profile(p.top, p.bottom)
+    return _known_profile(p._key)
 
 
-def _known_profile(top: tuple[int, ...], bottom: tuple[int, ...]) -> Profile:
-    """:func:`singularity_profile` of a table already known to be irreducible.
+def _known_profile(key: bytes) -> Profile:
+    """:func:`singularity_profile` of the key of a table known to be irreducible.
 
     For callers whose tables come from an irreducibility filter, such as
     :func:`rauzy.combinat._irreducible_tables`; nothing is checked, and the
-    rows are read as they are, with no ``GenPerm``.
+    key is read as it is, with no ``GenPerm``.
     """
+    top, _, bottom = key.partition(b"\0")
     cycles = _corner_walk(top, bottom)
     orders = sorted(order for _, order in cycles)
     return Profile(tuple(orders), cycles[0][1])
@@ -272,8 +269,9 @@ def _intersection_matrix(p: GenPerm) -> list[int]:
     bottom row.
     """
     rows = [0] * p.d
-    for j, b in enumerate(p.bottom):
-        for a in p.bottom[j + 1 :]:
+    bottom = p._key.partition(b"\0")[2]
+    for j, b in enumerate(bottom):
+        for a in bottom[j + 1 :]:
             if a < b:
                 rows[a - 1] |= 1 << (b - 1)
                 rows[b - 1] |= 1 << (a - 1)
@@ -361,8 +359,8 @@ def _spin_parity(p: GenPerm, genus: int) -> int:
 
 
 def central_involution(p: GenPerm) -> GenPerm:
-    """Reverse both rows, exchange them, renumber."""
-    return GenPerm._trusted(*_reduced_rows(p.bottom[::-1], p.top[::-1]))
+    """Reverse both rows, exchange them, renumber: the key read backwards, reduced."""
+    return GenPerm._of(_reduced(p._key[::-1]))
 
 
 def _is_centrally_symmetric(top: tuple[int, ...], bottom: tuple[int, ...]) -> bool:
@@ -403,13 +401,14 @@ def _rotation_data(p: GenPerm) -> tuple[int, list[int], list[int]]:
     orders of the singularity classes preserved or exchanged by the
     involution (in the convention of ``p``'s kind).
     """
-    m = len(p.bottom)
-    boundary = p.bottom + p.top[::-1]
+    top, _, bottom = p._key.partition(b"\0")
+    m = len(bottom)
+    boundary = bottom + top[::-1]
     n = len(boundary)
     fixed = 1 + sum(boundary[t] == boundary[(t + m) % n] for t in range(n)) // 2
     invariant: list[int] = []
     moved: list[int] = []
-    for cycle, order in _corner_walk(p.top, p.bottom):
+    for cycle, order in _corner_walk(top, bottom):
         if set(cycle) == {(t + m) % n for t in cycle}:
             fixed += 1
             invariant.append(order)
@@ -555,14 +554,14 @@ def _hyperelliptic_parity(genus: int) -> int:
     return (genus + 1) // 2 % 2
 
 
-def _forget_regular_point(rows: Rows) -> Optional[Rows]:
-    """A table's rows with one unmarked regular point forgotten.
+def _forget_regular_point(key: bytes) -> Optional[bytes]:
+    """A table's key with one unmarked regular point forgotten.
 
     A corner cycle of :func:`_corner_walk` with order 0 and two corners is
     an interior point of angle ``2 pi``, never the marked one.  Its least
     position lies between boundary letters ``x y``, and the walk glues that
     corner to one between ``y x`` elsewhere on the boundary, and to nothing
-    else.  Deleting ``y`` from both rows and renumbering merges the two
+    else.  Deleting ``y`` from the key and renumbering merges the two
     intervals, which gives the same surface with that point forgotten: a
     table of the stratum with one fewer ``0``, with the same marked order
     and the same component label (marked points do not change the
@@ -581,29 +580,29 @@ def _forget_regular_point(rows: Rows) -> Optional[Rows]:
     >>> p = parse("1 2 3 4 5 6 7 8 9 / 3 4 2 6 9 8 5 7 1")
     >>> stratum(p).text, component_label(p).value
     ('H(6,0)', 'even-spin')
-    >>> q = GenPerm(*_forget_regular_point((p.top, p.bottom)))
+    >>> q = GenPerm._of(_forget_regular_point(p._key))
     >>> format_perm(q)
     '1 2 3 4 5 6 7 8 / 3 2 5 8 7 4 6 1'
     >>> stratum(q).text, component_label(q).value
     ('H(6)', 'even-spin')
-    >>> _forget_regular_point((q.top, q.bottom)) is None
+    >>> _forget_regular_point(q._key) is None
     True
     >>> p = parse("1 1 2 3 4 5 6 / 5 6 4 3 2 7 7")
     >>> stratum(p).text, marked_order(p)
     ('Q(-1,-1,0,6)', 6)
-    >>> format_perm(GenPerm(*_forget_regular_point((p.top, p.bottom))))
+    >>> format_perm(GenPerm._of(_forget_regular_point(p._key)))
     '1 1 2 3 4 5 / 5 4 3 2 6 6'
     """
-    top, bottom = rows
+    top, _, bottom = key.partition(b"\0")
     for cycle, order in _corner_walk(top, bottom):
         if order == 0 and len(cycle) == 2:
             y = (bottom + top[::-1])[cycle[0]]
-            return _reduced_rows(*(tuple([s for s in row if s != y]) for row in rows))
+            return _reduced(key.replace(bytes([y]), b""))
     return None
 
 
-def _least_table(st: Stratum, alpha: int, budget: int = 10**7) -> Optional[Rows]:
-    """The least table of ``st`` with marked order ``alpha``, if any.
+def _least_table(st: Stratum, alpha: int, budget: int = 10**7) -> Optional[bytes]:
+    """The key of the least table of ``st`` with marked order ``alpha``, if any.
 
     Least is in :attr:`GenPerm.key` order.  This table splits an
     exceptional half-translation stratum: the class that holds it is
@@ -611,22 +610,22 @@ def _least_table(st: Stratum, alpha: int, budget: int = 10**7) -> Optional[Rows]
     ``exceptional-b``.  :func:`_irreducible_tables` yields tables in that
     order, so the first match is the least.  It yields the shapes
     ``l <= m`` only, and the least table has such a shape: the row
-    exchange, ``_reduced_rows(bottom, top)``
-    (:func:`rauzy.combinat._reduced_rows`), keeps the stratum and the
+    exchange, ``_reduced(bottom + b"\\0" + top)``
+    (:func:`rauzy.combinat._reduced`), keeps the stratum and the
     marked order, so a table with ``l > m`` has an image with a shorter top
     row, which comes first.  Those tables are generalized, so ``st`` is a
     half-translation stratum, and a table is of ``st`` when its profile
     lists the orders of ``st``; no table is wrapped.  A scan that tries
     more than ``budget`` tables raises :class:`BudgetExceeded`.
     """
-    for tried, (top, bottom) in enumerate(_irreducible_tables(st.d)):
+    for tried, key in enumerate(_irreducible_tables(st.d)):
         if tried >= budget:
             raise BudgetExceeded(
                 f"the least-table search exceeds the {budget}-table budget"
             )
-        profile = _known_profile(top, bottom)
+        profile = _known_profile(key)
         if profile.marked == alpha and profile.orders == st.orders:
-            return top, bottom
+            return key
     return None
 
 
@@ -647,17 +646,17 @@ def _involutions(letters: tuple[int, ...], swaps: int) -> Iterator[dict[int, int
 
 def _hyperelliptic_table(
     st: Stratum, alpha: int, budget: int = 10**7
-) -> Optional[Rows]:
-    """A hyperelliptic symmetric table of ``st`` with marked order ``alpha``.
+) -> Optional[bytes]:
+    """The key of a hyperelliptic symmetric table of ``st`` with marked order ``alpha``.
 
     The table passes :func:`_is_hyperelliptic_vertex`; None when no table
     does.  A table is its own central involution exactly when its bottom
     row is its reversed top row relabelled by an involution ``sigma``;
     ``sigma`` exchanges the letters that occur once in the top row among
     themselves and sends each letter doubled there to a letter of the
-    bottom row alone.  Such a letter ``s`` is first written ``-s``, and
-    :func:`rauzy.combinat._reduced_rows` numbers it by its first occurrence
-    in the bottom row; the top row is reduced and keeps its numbers.  Only
+    bottom row alone, numbered after the top row's letters by its first
+    occurrence in the bottom row, which the top row fixes; the top row is
+    reduced and keeps its numbers.  Only
     a table with the marked order and the orders of ``st`` is wrapped, for
     the hyperelliptic test.  The search runs over the reduced top rows of
     ``st.d`` cells that double ``k`` letters and the involutions of ``t``
@@ -671,12 +670,12 @@ def _hyperelliptic_table(
     raises :class:`BudgetExceeded`.
 
     >>> from .combinat import GenPerm, format_perm
-    >>> rows = _hyperelliptic_table(parse_stratum("Q(-1,-1,6)"), 6)
-    >>> format_perm(GenPerm._trusted(*rows))
+    >>> key = _hyperelliptic_table(parse_stratum("Q(-1,-1,6)"), 6)
+    >>> format_perm(GenPerm._of(key))
     '1 1 2 3 4 5 / 5 4 3 2 6 6'
-    >>> format_perm(GenPerm._trusted(*_hyperelliptic_table(parse_stratum("H(6)"), 6)))
+    >>> format_perm(GenPerm._of(_hyperelliptic_table(parse_stratum("H(6)"), 6)))
     '1 2 3 4 5 6 7 8 / 8 7 6 5 4 3 2 1'
-    >>> p = GenPerm._trusted(*_hyperelliptic_table(parse_stratum("H(6,0)"), 0))
+    >>> p = GenPerm._of(_hyperelliptic_table(parse_stratum("H(6,0)"), 0))
     >>> format_perm(p), stratum(p).text, marked_order(p)
     ('1 2 3 4 5 6 7 8 9 / 2 8 7 6 5 4 3 9 1', 'H(6,0)', 0)
     """
@@ -687,24 +686,27 @@ def _hyperelliptic_table(
         # k doubled letters leave d - 2k singles, room for level - k swaps
         for k in (0,) if abelian else range(1, level + 1):
             for top, once in _top_rows(d, k, k):
+                head = bytes(top) + b"\0"
                 singles = tuple(s for s in top if once >> s & 1)
+                doubled = [s for s in dict.fromkeys(reversed(top)) if not once >> s & 1]
+                fresh = dict(zip(doubled, range(max(top) + 1, d + 1)))
                 for sigma in _involutions(singles, level - k):
                     tried += 1
                     if tried > budget:
                         raise BudgetExceeded(
                             f"the symmetric-table search exceeds the {budget}-table budget"
                         )
-                    bottom = tuple([sigma.get(s, -s) for s in reversed(top)])
-                    _, bottom = _reduced_rows(top, bottom)
+                    bottom = bytes(map({**sigma, **fresh}.__getitem__, reversed(top)))
                     if not irreducible_rows(top, bottom):
                         continue
-                    profile = _known_profile(top, bottom)
+                    key = head + bottom
+                    profile = _known_profile(key)
                     if (
                         profile.marked == alpha
                         and profile.orders == st.orders
-                        and _is_hyperelliptic_vertex(GenPerm._trusted(top, bottom), st)
+                        and _is_hyperelliptic_vertex(GenPerm._of(key), st)
                     ):
-                        return top, bottom
+                        return key
     return None
 
 
@@ -721,7 +723,7 @@ def label_for_class(
     reference-table searches and any search one stratum down, as in
     :func:`component_label`.
     """
-    rep = _table(next(iter(keys)))
+    rep = GenPerm._of(next(iter(keys)))
     return _component_label(rep, stratum(rep) if st is None else st, budget, keys)
 
 
@@ -804,10 +806,8 @@ def _component_label(
             rauzy_class(p, budget)
         return components[0]
     if ComponentLabel.EXCEPTIONAL_A in components:
-        marked = _known_profile(p.top, p.bottom).marked
-        ref = _to_key(*_least_table(st, marked, budget))
-        here = _to_key(p.top, p.bottom)
-        found = ref in keys if keys is not None else _holds(here, ref, budget)
+        ref = _least_table(st, _known_profile(p._key).marked, budget)
+        found = ref in keys if keys is not None else _holds(p._key, ref, budget)
         return ComponentLabel.EXCEPTIONAL_A if found else ComponentLabel.EXCEPTIONAL_B
     if ComponentLabel.ODD_SPIN in components:
         parity = _spin_parity(p, st.genus)
@@ -821,26 +821,24 @@ def _component_label(
             return ComponentLabel.HYPERELLIPTIC
     else:
         label = ComponentLabel.NON_HYPERELLIPTIC
-    marked = _known_profile(p.top, p.bottom).marked
-    here = _to_key(p.top, p.bottom)
+    marked = _known_profile(p._key).marked
     if st.orders.count(0) > (marked == 0):
         # an order-0 point other than the marked one
         merged = None
 
         def forgets(key: bytes) -> bool:
             nonlocal merged
-            merged = _forget_regular_point(_from_key(key))
+            merged = _forget_regular_point(key)
             return merged is not None
 
-        _bfs_rows(here, budget, stop=forgets)
+        _bfs_rows(p._key, budget, stop=forgets)
         if merged is not None:
-            q = GenPerm._trusted(*merged)
+            q = GenPerm._of(merged)
             return _component_label(q, stratum(q), budget)
     ref = _hyperelliptic_table(st, marked, budget)
     if ref is None:
         raise RuntimeError(
             f"{st.text} has no symmetric hyperelliptic table with marked order {marked}"
         )
-    ref_key = _to_key(*ref)
-    found = ref_key in keys if keys is not None else _holds(ref_key, here, budget)
+    found = ref in keys if keys is not None else _holds(ref, p._key, budget)
     return ComponentLabel.HYPERELLIPTIC if found else label

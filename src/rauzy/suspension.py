@@ -247,7 +247,7 @@ def _valid_parts(p: GenPerm, zeta: SuspensionDatum) -> Optional[tuple[int, ...]]
     Returns None when ``zeta`` fails one of the four conditions over ``p``.
     """
     parts = zeta._parts
-    top, bottom = p.top, p.bottom
+    top, _, bottom = p._key.partition(b"\0")
     d = len(parts) // 2
     if len(parts) != len(top) + len(bottom) + 1:
         raise DimensionMismatch(f"expected {p.d} entries, got {d}")

@@ -29,6 +29,26 @@ def genperms(draw, min_d=1, max_d=5):
     return reduce(top, bottom)
 
 
+def rows_of(key):
+    """The rows of a vertex key, as tuples."""
+    top, _, bottom = key.partition(b"\0")
+    return tuple(top), tuple(bottom)
+
+
+def key_of(top, bottom):
+    """The vertex key of the rows ``top / bottom``, unchecked."""
+    return bytes((*top, 0, *bottom))
+
+
+def reduced_rows(top, bottom):
+    """The rows of ``top / bottom`` numbered ``1, 2, ...`` by first occurrence.
+
+    The row route, with no key: the oracle of ``rauzy.combinat._reduced``.
+    """
+    number = {s: n for n, s in enumerate(dict.fromkeys(top + bottom), 1)}
+    return tuple(map(number.__getitem__, top)), tuple(map(number.__getitem__, bottom))
+
+
 _POOLS: dict[int, list[GenPerm]] = {}
 
 
@@ -86,15 +106,14 @@ def rotation_links(tables):
     for each class, one class of its component under the links.
     """
     from rauzy import is_irreducible
-    from rauzy.induction import _from_key, _to_key
     from rauzy.invariants import central_involution
 
     class_of = {key: i for i, table in enumerate(tables) for key in table}
     links, reducible = set(), 0
     for i, table in enumerate(tables):
         for key in table:
-            image = central_involution(GenPerm._trusted(*_from_key(key)))
-            j = class_of.get(_to_key(image.top, image.bottom))
+            image = central_involution(GenPerm._of(key))
+            j = class_of.get(image._key)
             if j is None:
                 assert not is_irreducible(image), image
                 reducible += 1

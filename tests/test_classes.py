@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
-from conftest import irreducible_genperms
+from conftest import irreducible_genperms, key_of, reduced_rows, rows_of
 
 from rauzy import (
     PermKind,
@@ -27,7 +27,8 @@ from rauzy.classes import (
     diagram_json,
 )
 from rauzy.errors import BudgetExceeded, ReducibleSeed
-from rauzy.induction import _from_key, _to_key, r0, r1
+from rauzy.combinat import GenPerm
+from rauzy.induction import r0, r1
 
 FIGURE_PERM_BOTTOMS = {
     (4, 3, 2, 1),
@@ -93,7 +94,7 @@ class TestRauzyClass:
             for middle in permutations(top[1:-1]):
                 pulled += 1
                 assert pulled <= 11, "seeds pulled past the budget"
-                yield top, (6, *middle, 1)
+                yield key_of(top, (6, *middle, 1))
 
         with pytest.raises(BudgetExceeded, match="seeds"):
             next(_seeded_classes(seeds(), 10))
@@ -136,22 +137,10 @@ class TestRauzyClass:
                 for v in diag.vertices:
                     assert diag.edges[v] == (r0(v), r1(v))
 
-    def test_vertices_share_the_least_vertex_rows(self):
-        # vertices come sorted by GenPerm.key, and a row equal to that row
-        # of the least vertex is its tuple: one top row per permutation class
-        for text in ("1 2 3 4 5 6 7 / 7 3 6 2 5 1 4", "1 1 / 2 2 3 4 3 4 5 6 5 6"):
-            vertices = rauzy_class(parse(text)).vertices
-            assert list(vertices) == sorted(vertices, key=lambda v: v.key)
-            least = vertices[0]
-            for v in vertices:
-                assert (v.top is least.top) == (v.top == least.top)
-                assert (v.bottom is least.bottom) == (v.bottom == least.bottom)
-        assert len({id(v.top) for v in vertices}) > 1  # generalized tops differ
-        perm = rauzy_class(parse("1 2 3 4 5 6 7 / 7 3 6 2 5 1 4")).vertices
-        assert len(perm) > 100 and len({id(v.top) for v in perm}) == 1
-
     def test_edges_are_the_decoded_vertices(self):
+        # vertices come sorted by GenPerm.key
         diag = rauzy_class(parse("1 1 / 2 2 3 4 3 4 5 6 5 6"))
+        assert list(diag.vertices) == sorted(diag.vertices, key=lambda v: v.key)
         ids = {id(v) for v in diag.vertices}
         assert list(diag.edges) == list(diag.vertices)
         for targets in diag.edges.values():
@@ -169,12 +158,12 @@ class TestRauzyClass:
         assert held < 1.75 * 2**20
 
     def test_bfs_rows_order(self):
-        seed = _to_key((1, 2, 3, 4, 5), (5, 3, 2, 4, 1))
+        seed = GenPerm((1, 2, 3, 4, 5), (5, 3, 2, 4, 1))._key
         table = _bfs_rows(seed, 10**7)
         assert next(iter(table)) == seed
         assert set(table.values()) == {None}
         assert _bfs_rows(seed, 10**7, stop=seed.__eq__) == {seed: None}
-        ends_in_2 = lambda key: _from_key(key)[1][-1] == 2
+        ends_in_2 = lambda key: key[-1] == 2
         partial = _bfs_rows(seed, 10**7, stop=ends_in_2)
         *before, last = partial
         assert before[0] == seed and ends_in_2(last)
@@ -264,13 +253,12 @@ def _drop_stratum(monkeypatch, text):
     """Make the verifier build, but not report, the classes of one stratum."""
     import rauzy.classes
     from rauzy import stratum
-    from rauzy.combinat import GenPerm
 
     original = rauzy.classes._seeded_classes
 
     def dropping(*args):
         for diagram in original(*args):
-            seed = GenPerm._trusted(*_from_key(next(iter(diagram.table))))
+            seed = GenPerm._of(next(iter(diagram.table)))
             if stratum(seed).text != text:
                 yield diagram
 
@@ -367,19 +355,20 @@ class TestVerify:
         # count and seeds, which rest on tau from the shapes l <= m
         from rauzy import reduce
         from rauzy.classes import _seeds
-        from rauzy.combinat import _irreducible_tables, _reduced_rows
+        from rauzy.combinat import _irreducible_tables
         from rauzy.invariants import _known_profile
 
         oracle = {(p.top, p.bottom) for p in enumerate_irreducible(d, PermKind.QUADRATIC)}
         for top, bottom in oracle:
-            image = _reduced_rows(bottom, top)
+            image = reduced_rows(bottom, top)
             q = reduce(bottom, top)
             assert image == (q.top, q.bottom)
-            assert _reduced_rows(image[1], image[0]) == (top, bottom)
+            assert reduced_rows(image[1], image[0]) == (top, bottom)
             assert q.shape == (len(bottom), len(top))
             assert image in oracle  # irreducible
-            assert _known_profile(*image) == _known_profile(top, bottom)  # orders, marked
-        seeds = list(_seeds(_irreducible_tables(d)))
+            here = GenPerm(top, bottom)._key
+            assert _known_profile(q._key) == _known_profile(here)  # orders, marked
+        seeds = list(map(rows_of, _seeds(_irreducible_tables(d))))
         assert len(set(seeds)) == len(seeds)
         assert set(seeds) == {rows for rows in oracle if rows[1][-1] == 1}
         report = verify_main_theorem(d, PermKind.QUADRATIC)

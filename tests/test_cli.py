@@ -91,6 +91,15 @@ class TestInvariants:
         code, out, _ = run_cli(capsys, "--budget", "255", "invariants", table)
         assert code == 0 and "component: non-hyperelliptic" in out
 
+    def test_symbol_limit_when_the_table_is_read(self, capsys):
+        # a table is its vertex key, one byte per symbol: the reversal of 256
+        # symbols fails as it is parsed, with the typed message, no traceback
+        top = " ".join(map(str, range(1, 257)))
+        bottom = " ".join(map(str, range(256, 0, -1)))
+        code, out, err = run_cli(capsys, "invariants", f"{top} / {bottom}")
+        assert (code, out) == (1, "")
+        assert err == "error: a vertex key holds at most 255 symbols; this table has 256\n"
+
 
     def test_budget_bounds_the_least_table_search(self, capsys):
         # Q(-1,9), marked order -1: the search from this table closes its
@@ -230,7 +239,6 @@ class TestVerify:
         import rauzy.classes
         from rauzy import stratum
         from rauzy.combinat import GenPerm
-        from rauzy.induction import _from_key
 
         # Q(2,2) has one class of 73 tables at five symbols; dropping it
         # leaves every group line ok, so only the count can say why
@@ -238,7 +246,7 @@ class TestVerify:
 
         def dropping(*args):
             for diagram in original(*args):
-                seed = GenPerm._trusted(*_from_key(next(iter(diagram.table))))
+                seed = GenPerm._of(next(iter(diagram.table)))
                 if stratum(seed).text != "Q(2,2)":
                     yield diagram
 

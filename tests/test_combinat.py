@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import genperms, iet_perms, raw_tables
+from conftest import genperms, iet_perms, key_of, raw_tables, rows_of
 
 from rauzy import GenPerm, PermKind, format_perm, is_irreducible, parse, reduce
-from rauzy.classes import enumerate_irreducible
+from rauzy.classes import _vertex_order, enumerate_irreducible
 from rauzy.combinat import _irreducible_tables, _is_permutation, all_reduced_tables
 from rauzy.errors import EmptyRow, NotReduced, NotTwoToOne, RauzyError
 
@@ -20,7 +20,7 @@ ROWS = st.lists(st.integers(-1, 4), max_size=5)
 
 
 def _relabelled(top, bottom):
-    """``reduce`` by an explicit relabel loop, the oracle of ``_reduced_rows``."""
+    """``reduce`` by an explicit relabel loop, its oracle."""
     relabel = {}
     rows_out = []
     for row in (tuple(top), tuple(bottom)):
@@ -117,12 +117,12 @@ class TestReduce:
 
 
 class TestSlots:
-    # A table is two row references: no per-instance dict, still frozen,
+    # A table is one key reference: no per-instance dict, still frozen,
     # and it survives pickling and copying as an equal, equally hashed value.
-    TABLES = (parse("1 2 3 / 3 2 1"), GenPerm._trusted((1, 1, 2), (2, 3, 3)))
+    TABLES = (parse("1 2 3 / 3 2 1"), GenPerm._of(key_of((1, 1, 2), (2, 3, 3))))
 
     def test_no_instance_dict(self):
-        assert GenPerm.__slots__ == ("top", "bottom")
+        assert GenPerm.__slots__ == ("_key",)
         for p in self.TABLES:
             assert not hasattr(p, "__dict__")
 
@@ -132,6 +132,8 @@ class TestSlots:
                 p.top = (1,)
             with pytest.raises(FrozenInstanceError):
                 del p.bottom
+            with pytest.raises(FrozenInstanceError):
+                p._key = b"\1\0\1"
 
     def test_pickle_and_copy_keep_the_value(self):
         for p in self.TABLES:
@@ -139,6 +141,24 @@ class TestSlots:
                 assert type(q) is GenPerm
                 assert q == p and hash(q) == hash(p)
                 assert format_perm(q) == format_perm(p)
+
+
+class TestOneRepresentation:
+    # a table is its vertex key: text, rows, pickling and sort order all
+    # give back the same key
+    @given(genperms(min_d=1, max_d=8))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trips_keep_the_key(self, p):
+        assert parse(str(p)) == p
+        assert GenPerm(p.top, p.bottom)._key == p._key
+        for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert q._key == p._key and q == p and hash(q) == hash(p)
+
+    @given(st.lists(genperms(min_d=1, max_d=6), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_vertex_order_is_the_table_order(self, tables):
+        keys = sorted((p._key for p in tables), key=_vertex_order)
+        assert [GenPerm._of(key) for key in keys] == sorted(tables, key=lambda p: p.key)
 
 
 class TestRowSwap:
@@ -199,7 +219,7 @@ def test_permutation_test_matches_the_two_set_test():
     # letters in each row
     for d in range(1, 7):
         permutations = 0
-        for top, bottom in all_reduced_tables(d):
+        for top, bottom in map(rows_of, all_reduced_tables(d)):
             two_sets = len(top) == len(bottom) and len(set(top)) == d == len(set(bottom))
             assert _is_permutation(top, bottom) == two_sets, (top, bottom)
             permutations += two_sets
@@ -209,7 +229,7 @@ def test_permutation_test_matches_the_two_set_test():
 def test_all_reduced_tables_counts():
     # (2d-1) row splits, double-factorial pairings each, no duplicates.
     for d, pairings in [(1, 1), (2, 3), (3, 15)]:
-        tables = list(all_reduced_tables(d))
+        tables = list(map(rows_of, all_reduced_tables(d)))
         assert len(tables) == (2 * d - 1) * pairings
         assert len(set(tables)) == len(tables)
         for top, bottom in tables:
@@ -224,7 +244,7 @@ def test_pruned_search_matches_the_brute_force_route(d, count):
     # the verifier's search against the filter of every reduced table: the
     # search yields the shapes l <= m, and the row exchange pairs the shapes
     # l < m with the shapes l > m, so the tables number 2 N(l<m) + N(l=m)
-    rows = list(_irreducible_tables(d))
+    rows = list(map(rows_of, _irreducible_tables(d)))
     assert len(rows) == {2: 0, 3: 3, 4: 58, 5: 987, 6: 17_201}[d]
     assert len(set(rows)) == len(rows)
     oracle = {(p.top, p.bottom) for p in enumerate_irreducible(d, PermKind.QUADRATIC)}

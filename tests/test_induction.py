@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import iet_perms, irreducible_genperms
+from conftest import iet_perms, irreducible_genperms, rows_of
 
 from rauzy import (
     PermKind,
@@ -29,7 +29,7 @@ from rauzy.errors import (
     RauzyError,
     UndefinedMove,
 )
-from rauzy.induction import _from_key, _successors, _table_move, _to_key
+from rauzy.induction import _successors, _table_move
 from rauzy.suspension import SuspensionDatum
 
 
@@ -55,62 +55,6 @@ class TestMoves:
     def test_undefined_moves(self):
         assert r1(parse("1 1 / 2 2 3 3")) is None
         assert r0(parse("1 1 2 2 / 3 3")) is None
-
-
-class TestRowSharing:
-    # A move decodes its key against its input table: a row it leaves
-    # unchanged is the input's tuple, not an equal copy.
-    def test_permutation_moves_keep_the_top_row(self):
-        # move 1 changes the top row, and renumbering gives 1 ... d back
-        p = parse("1 2 3 4 / 4 3 2 1")
-        for q in (r0(p), r1(p)):
-            assert q.top is p.top
-            assert q.bottom != p.bottom
-
-    def test_fixed_table_shares_both_rows(self):
-        p = parse("1 2 3 / 3 1 2")
-        q = r1(p)
-        assert q == p
-        assert q.top is p.top and q.bottom is p.bottom
-
-    def test_every_move_through_six_symbols(self):
-        # every move of every reduced table, reducible ones included, gives
-        # the rows of a fresh decode and shares each row equal to the input's
-        from itertools import chain
-
-        from rauzy.combinat import all_reduced_tables
-
-        shared = 0
-        for rows in chain(*map(all_reduced_tables, range(1, 7))):
-            p = GenPerm._trusted(*rows)
-            key = _to_key(*rows)
-            for which, move in ((0, r0), (1, r1)):
-                q = move(p)
-                moved = _table_move(key, which)
-                if moved is None:
-                    assert q is None
-                    continue
-                assert (q.top, q.bottom) == _from_key(moved[0]), (rows, which)
-                for new, old in ((q.top, p.top), (q.bottom, p.bottom)):
-                    assert (new is old) == (new == old), (rows, which)
-                    shared += new is old
-        assert shared > 100_000, shared
-
-    def test_rv_step_shares_the_unchanged_row(self):
-        shared = 0
-        for text in ("1 2 3 4 5 / 5 3 1 4 2", "1 1 / 2 2 3 4 5 3 5 6 4 6"):
-            p = parse(text)
-            z = random_suspension(p, Random(3))
-            for _ in range(100):
-                try:
-                    q, z = rv_step(p, z)
-                except InductionHalt:
-                    break
-                for new, old in ((q.top, p.top), (q.bottom, p.bottom)):
-                    assert (new is old) == (new == old), (p, q)
-                    shared += new is old
-                p = q
-        assert shared > 50, shared
 
 
 def _move1_direct(p):
@@ -203,11 +147,11 @@ def test_trusted_kernel_matches_validated_reduction():
 
     from rauzy.combinat import all_reduced_tables
 
-    six = ((p.top, p.bottom) for p in enumerate_irreducible(6, PermKind.QUADRATIC))
+    six = (p._key for p in enumerate_irreducible(6, PermKind.QUADRATIC))
     checked = 0
-    for rows in chain(*map(all_reduced_tables, range(1, 6)), six):
-        d = (len(rows[0]) + len(rows[1])) // 2
-        key = _to_key(*rows)
+    for key in chain(*map(all_reduced_tables, range(1, 6)), six):
+        rows = rows_of(key)
+        d = len(key) // 2
         both = _successors(key)(key)
         for which, raw_move in ((0, _move0_raw), (1, _move1_raw)):
             raw = raw_move(*rows)
@@ -217,7 +161,7 @@ def test_trusted_kernel_matches_validated_reduction():
                 continue
             moved, x, m = got
             want = reduce(*raw)
-            assert _from_key(moved) == (want.top, want.bottom), rows
+            assert rows_of(moved) == (want.top, want.bottom), rows
             assert both[which] == moved, rows
             assert x == rows[1 - which][-1]
             assert _renumbering(raw) == _rotation_map(d, x, m), (rows, which)
@@ -235,10 +179,10 @@ def test_permutation_kernel_matches_renumbering_kernel():
     undefined = 0
     for d in range(1, 8):
         top = tuple(range(1, d + 1))
-        kernel = _successors(_to_key(top, top))
+        kernel = _successors(GenPerm(top, top)._key)
         assert kernel.__name__ == "perm_moves"
         for bottom in permutations(top):
-            key = _to_key(top, bottom)
+            key = GenPerm(top, bottom)._key
             for which, raw_move in ((0, _move0_raw), (1, _move1_raw)):
                 moved = _table_move(key, which)
                 want = None if moved is None else moved[0]
@@ -246,7 +190,7 @@ def test_permutation_kernel_matches_renumbering_kernel():
                 raw = raw_move(top, bottom)
                 assert (raw is None) == (want is None)
                 if raw is not None:
-                    assert _from_key(want) == (top, reduce(*raw).bottom)
+                    assert rows_of(want) == (top, reduce(*raw).bottom)
                 undefined += want is None
     assert undefined == 2 * sum(factorial(d - 1) for d in range(1, 8))
 
@@ -255,35 +199,29 @@ def test_kernel_choice_follows_the_kind():
     from rauzy.combinat import GenPerm, all_reduced_tables
 
     for d in range(1, 5):
-        for rows in all_reduced_tables(d):
-            iet = GenPerm(*rows).kind is PermKind.IET
-            kernel = _successors(_to_key(*rows))
+        for key in all_reduced_tables(d):
+            iet = GenPerm._of(key).kind is PermKind.IET
+            kernel = _successors(key)
             assert kernel.__name__ == ("perm_moves" if iet else "table_moves")
 
 
 def test_symbol_limit_is_a_typed_error():
-    # A vertex key holds one symbol per byte: 255 symbols move, and 256
-    # raise the typed error that names the limit, before any search.
-    from rauzy import rauzy_class, same_class_bfs
+    # A table is its vertex key, one symbol per byte: 255 symbols move, and
+    # a table of 256 raises the typed error that names the limit when it is
+    # made, whether from rows, from text or by renumbering.
     from rauzy.errors import TooManySymbols
 
     top = tuple(range(1, 256))
     largest = GenPerm(top, top[::-1])
     assert r0(largest).d == r1(largest).d == 255
-    iet = GenPerm(top + (256,), (256,) + top[::-1])
-    quad = GenPerm((1,) + top, top[:0:-1] + (256, 256))
-    for p in (iet, quad):
-        assert p.d == 256
-        zeta = _datum(*[(1, 1)] * p.d)
-        for call in (
-            lambda: r0(p),
-            lambda: r1(p),
-            lambda: rv_step(p, zeta),
-            lambda: rauzy_class(p),
-            lambda: same_class_bfs(p, p),
-        ):
-            with pytest.raises(TooManySymbols, match="at most 255 symbols"):
-                call()
+    iet = (top + (256,), (256,) + top[::-1])
+    quad = ((1,) + top, top[:0:-1] + (256, 256))
+    for rows in (iet, quad):
+        text = " / ".join(" ".join(map(str, row)) for row in rows)
+        limit = "at most 255 symbols; this table has 256"
+        for make in (lambda: GenPerm(*rows), lambda: reduce(*rows), lambda: parse(text)):
+            with pytest.raises(TooManySymbols, match=limit):
+                make()
     assert issubclass(TooManySymbols, RauzyError)
 
 

@@ -4,7 +4,14 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 from hypothesis import given, settings
 
-from conftest import irreducible_genperms, load_script, rotation_links
+from conftest import (
+    irreducible_genperms,
+    key_of,
+    load_script,
+    reduced_rows,
+    rotation_links,
+    rows_of,
+)
 
 from rauzy import (
     ComponentLabel,
@@ -25,14 +32,14 @@ from rauzy import (
     stratum_components,
 )
 from rauzy.classes import _seeded_classes, class_partition
-from rauzy.combinat import GenPerm, _irreducible_tables
+from rauzy.combinat import GenPerm, _irreducible_tables, _reduced
 from rauzy.errors import (
     BudgetExceeded,
     NotAbelian,
     OddDegreePresent,
     Reducible,
 )
-from rauzy.induction import _from_key, _to_key, r0, r1
+from rauzy.induction import r0, r1
 from rauzy.invariants import (
     _forget_regular_point,
     _hyperelliptic_table,
@@ -196,6 +203,25 @@ class TestSpin:
             assert len(values) == 1
 
 
+def _rotations_against_the_row_route(keys):
+    """Check the rotations on vertex keys against :func:`conftest.reduced_rows`.
+
+    ``central_involution`` reads a key backwards and renumbers it, and the
+    row exchange renumbers ``bottom / top``; the row route renumbers the
+    rows with no key.  The row-level symmetry test must agree with the
+    involution.  Returns the number of keys checked.
+    """
+    for key in keys:
+        top, bottom = rows_of(key)
+        p = GenPerm._of(key)
+        image = central_involution(p)
+        assert image._key == key_of(*reduced_rows(bottom[::-1], top[::-1])), p
+        assert _is_centrally_symmetric(top, bottom) == (image == p), p
+        exchange = _reduced(key_of(bottom, top))
+        assert exchange == key_of(*reduced_rows(bottom, top)), p
+    return len(keys)
+
+
 class TestHyperelliptic:
     def test_central_involution_fixes_reversal(self):
         p = parse("1 2 3 4 / 4 3 2 1")
@@ -204,6 +230,18 @@ class TestHyperelliptic:
     def test_central_involution_is_involutive(self):
         p = parse("1 2 3 2 4 / 4 5 1 3 5")
         assert central_involution(central_involution(p)) == p
+
+    def test_key_rotations_match_the_row_route(self):
+        # every irreducible table through d=6 (generalized, both shapes) and
+        # d=7 (permutations)
+        keys = [
+            p._key for d in range(2, 8) for p in enumerate_irreducible(d, PermKind.IET)
+        ]
+        for d in range(3, 7):
+            for key in _irreducible_tables(d):
+                top, bottom = rows_of(key)
+                keys += [key, key_of(*reduced_rows(bottom, top))]
+        assert _rotations_against_the_row_route(set(keys)) == 3_996 + 30_304
 
     def test_rotation_pairs_match_the_partner_map(self):
         # _rotation_data reads an edge paired with its rotation image off
@@ -309,8 +347,7 @@ class TestComponentLabel:
 
 
 def _smallest_vertex(table):
-    rows = min(map(_from_key, table), key=lambda rows: (len(rows[0]), rows))
-    return GenPerm._trusted(*rows)
+    return min(map(GenPerm._of, table), key=lambda p: p.key)
 
 
 def _scan_label(table):
@@ -325,9 +362,9 @@ def _scan_label(table):
     if len(components) == 1:
         return components[0]
     if any(
-        _is_centrally_symmetric(*rows)
-        and _is_hyperelliptic_vertex(GenPerm._trusted(*rows), st)
-        for rows in map(_from_key, table)
+        _is_centrally_symmetric(*rows_of(key))
+        and _is_hyperelliptic_vertex(GenPerm._of(key), st)
+        for key in table
     ):
         return HYP
     if ODD in components:
@@ -338,7 +375,7 @@ def _scan_label(table):
 def _standard_classes(d):
     """Every permutation class with ``d`` symbols, seeded by standard tables."""
     top = tuple(range(1, d + 1))
-    seeds = ((top, (d, *middle, 1)) for middle in permutations(top[1:-1]))
+    seeds = (key_of(top, (d, *middle, 1)) for middle in permutations(top[1:-1]))
     return _seeded_classes(seeds, 10**7)
 
 
@@ -361,7 +398,7 @@ class TestHyperellipticFamilies:
         for d in range(2, 10):
             for diagram in _standard_classes(d):
                 table = diagram.table
-                rep = GenPerm._trusted(*_from_key(next(iter(table))))
+                rep = GenPerm._of(next(iter(table)))
                 st, marked = stratum(rep), singularity_profile(rep).marked
                 if HYP not in stratum_components(st):
                     continue
@@ -379,24 +416,19 @@ class TestHyperellipticFamilies:
                 with monkeypatch.context() as patch:
                     if st.genus > 2:  # genus 2 still builds its class
                         patch.setattr(rauzy.classes, "rauzy_class", forbidden)
-                    largest = GenPerm._trusted(*_from_key(max(table)))
+                    largest = GenPerm._of(max(table))
                     assert component_label(largest) is expected, largest
                     # the marked point is the class's only order-0 point
                     lone += st.genus > 2 and st.orders.count(0) == 1 and marked == 0
                     if 0 not in st.orders:
                         continue
                     # a vertex with no regular point to forget searches for one
-                    rows = next(
-                        (
-                            r
-                            for r in map(_from_key, table)
-                            if _forget_regular_point(r) is None
-                        ),
-                        None,
+                    key = next(
+                        (k for k in table if _forget_regular_point(k) is None), None
                     )
-                    if rows is not None:
-                        label = component_label(GenPerm._trusted(*rows))
-                        assert label is expected, rows
+                    if key is not None:
+                        label = component_label(GenPerm._of(key))
+                        assert label is expected, key
                         pairless += 1
         assert classes == 55
         assert pairless == 24
@@ -405,14 +437,13 @@ class TestHyperellipticFamilies:
             (st.text, marked, len(tables)) for (st, marked), tables in symmetric.items()
         ) == [("H(3,3)", 3, 2), ("H(6)", 6, 3), ("H(6,0)", 0, 3)]
         for (st, marked), tables in symmetric.items():
-            p = GenPerm(*_hyperelliptic_table(st, marked))
+            p = GenPerm(*rows_of(_hyperelliptic_table(st, marked)))
             assert stratum(p) == st, p
             assert singularity_profile(p).marked == marked, p
             assert central_involution(p) == p, p
             assert _is_hyperelliptic_vertex(p, st), p
             # the symmetric table lies in the hyperelliptic class alone
-            key = _to_key(p.top, p.bottom)
-            holding = [table for table in tables if key in table]
+            holding = [table for table in tables if p._key in table]
             assert [_scan_label(table) for table in holding] == [HYP], p
 
     # Non-hyperelliptic tables of each spin parity; the reversal of 11 and
@@ -437,7 +468,7 @@ class TestHyperellipticFamilies:
         hyperelliptic = rauzy_class(GenPerm(top, top[::-1])).table
         assert len(hyperelliptic) == 2 ** (p.d - 1) - 1
         assert stratum(p).text == name
-        assert (_to_key(p.top, p.bottom) in hyperelliptic) == (label is HYP)
+        assert (p._key in hyperelliptic) == (label is HYP)
         assert label is HYP or (label is ODD) == spin_parity(p)
 
         def forbidden(*args, **kwargs):
@@ -511,9 +542,9 @@ def _stratum_classes(text, d, marked):
     symbols and a marked order in ``marked``, as vertex keys."""
     orders = parse_stratum(text).orders
     family = (
-        GenPerm._trusted(*rows)
-        for rows in _irreducible_tables(d)
-        if (profile := _known_profile(*rows)).orders == orders
+        GenPerm._of(key)
+        for key in _irreducible_tables(d)
+        if (profile := _known_profile(key)).orders == orders
         and profile.marked in marked
     )
     return [diag.table for diag in class_partition(family)]
@@ -532,31 +563,31 @@ class TestForgetRegularPoint:
 
     def test_merge_of_the_first_pair(self):
         p = parse(H60_EVEN)
-        merged = _forget_regular_point((p.top, p.bottom))
-        assert merged == ((1, 2, 3, 4, 5, 6, 7, 8), (3, 2, 5, 8, 7, 4, 6, 1))
-        q = GenPerm(*merged)
+        merged = _forget_regular_point(p._key)
+        assert rows_of(merged) == ((1, 2, 3, 4, 5, 6, 7, 8), (3, 2, 5, 8, 7, 4, 6, 1))
+        q = GenPerm(*rows_of(merged))
         assert stratum(p).text == "H(6,0)" and stratum(q).text == "H(6)"
         assert singularity_profile(p).marked == singularity_profile(q).marked == 6
         assert spin_parity(p) == spin_parity(q) == 0
-        assert _forget_regular_point((q.top, q.bottom)) is None
+        assert _forget_regular_point(q._key) is None
 
     def test_merge_forgets_an_unmarked_zero(self):
         merges = lone = unmarked = 0
         for d in range(3, 9):
             for diagram in _standard_classes(d):
-                rep = GenPerm._trusted(*_from_key(next(iter(diagram.table))))
+                rep = GenPerm._of(next(iter(diagram.table)))
                 st, marked = stratum(rep), singularity_profile(rep).marked
                 fewer = list(st.orders)
                 if 0 in fewer:
                     fewer.remove(0)
                 pairs = 0
-                for rows in map(_from_key, diagram.table):
-                    merged = _forget_regular_point(rows)
+                for key in diagram.table:
+                    merged = _forget_regular_point(key)
                     if merged is None:
                         continue
-                    q = GenPerm(*merged)
-                    assert stratum(q) == Stratum(st.kind, tuple(fewer)), rows
-                    assert singularity_profile(q).marked == marked, rows
+                    q = GenPerm(*rows_of(merged))
+                    assert stratum(q) == Stratum(st.kind, tuple(fewer)), key
+                    assert singularity_profile(q).marked == marked, key
                     pairs += 1
                 merges += pairs
                 # a pair is an order-0 point, never the marked one, and
@@ -579,7 +610,7 @@ class TestForgetRegularPoint:
 
     def test_pairless_vertex_builds_no_class(self, searches):
         p = parse(H60_EVEN_PAIRLESS)
-        assert _forget_regular_point((p.top, p.bottom)) is None
+        assert _forget_regular_point(p._key) is None
         assert same_class_bfs(p, parse(H60_EVEN))
         searches["bfs"].clear()
         assert component_label(p) is EVEN
@@ -594,9 +625,9 @@ class TestForgetRegularPoint:
         forgets = []
         forget = rauzy.invariants._forget_regular_point
 
-        def counting(rows):
-            forgets.append(rows)
-            return forget(rows)
+        def counting(key):
+            forgets.append(key)
+            return forget(key)
 
         monkeypatch.setattr(rauzy.invariants, "_forget_regular_point", counting)
         for label in (lambda: component_label(p), lambda: label_for_class(table)):
@@ -628,9 +659,9 @@ class TestForgetRegularPoint:
         forgets = []
         forget = rauzy.invariants._forget_regular_point
 
-        def counting(rows):
-            forgets.append(rows)
-            return forget(rows)
+        def counting(key):
+            forgets.append(key)
+            return forget(key)
 
         monkeypatch.setattr(rauzy.invariants, "_forget_regular_point", counting)
         # the stratum and marked order tell that no vertex has a pair
@@ -656,10 +687,10 @@ class TestForgetRegularPoint:
         merges = 0
         for d in range(8, 13):
             for p in random_tables(kind, d, 500, 11):
-                merged = _forget_regular_point((p.top, p.bottom))
+                merged = _forget_regular_point(p._key)
                 if merged is None:
                     continue
-                q = GenPerm(*merged)
+                q = GenPerm(*rows_of(merged))
                 fewer = list(stratum(p).orders)
                 fewer.remove(0)
                 assert q.kind is p.kind, p
@@ -676,8 +707,9 @@ class TestForgetRegularPoint:
         count = 0
         for d in range(2, 9):
             for p in enumerate_irreducible(d, PermKind.IET):
-                rows = (p.top, p.bottom)
-                assert _forget_regular_point(rows) == _adjacent_pair_merge(rows), p
+                merged = _forget_regular_point(p._key)
+                want = _adjacent_pair_merge((p.top, p.bottom))
+                assert (None if merged is None else rows_of(merged)) == want, p
                 count += 1
         assert count == 33_089
 
@@ -710,14 +742,14 @@ class TestForgetRegularPoint:
             rep = _smallest_vertex(table)
             marked, label = singularity_profile(rep).marked, _scan_label(table)
             found = 0
-            for rows in map(_from_key, table):
-                merged = _forget_regular_point(rows)
+            for key in table:
+                merged = _forget_regular_point(key)
                 if merged is None:
                     continue
                 # singularity_profile raises Reducible on a reducible merge
-                q = GenPerm._trusted(*merged)
-                assert singularity_profile(q) == Profile(fewer, marked), rows
-                assert below[_to_key(*merged)] is label, rows
+                q = GenPerm._of(merged)
+                assert singularity_profile(q) == Profile(fewer, marked), key
+                assert below[merged] is label, key
                 found += 1
             # every class holds a vertex with a point to forget
             assert found, rep
@@ -762,7 +794,7 @@ class TestHalfTranslationFamilies:
         pairs = 0
         for st in strata:
             for alpha in sorted(set(st.orders)):
-                p = GenPerm(*_hyperelliptic_table(st, alpha))
+                p = GenPerm(*rows_of(_hyperelliptic_table(st, alpha)))
                 assert stratum(p) == st, p
                 assert singularity_profile(p).marked == alpha, p
                 assert central_involution(p) == p
@@ -784,8 +816,8 @@ class TestHalfTranslationFamilies:
         labels = []
         for table in classes:
             labels.append(_scan_label(table))
-            for rows in map(_from_key, table):
-                assert component_label(GenPerm._trusted(*rows)) is labels[-1], rows
+            for key in table:
+                assert component_label(GenPerm._of(key)) is labels[-1], key
         assert sorted(label.value for label in labels) == [
             "hyperelliptic",
             "hyperelliptic",
@@ -820,7 +852,7 @@ class TestHalfTranslationFamilies:
         with pytest.raises(BudgetExceeded):
             _hyperelliptic_table(st, -1, budget=81)
         # its label forgets the unmarked 0 and never asks for that table
-        p = GenPerm(*_hyperelliptic_table(st, -1))
+        p = GenPerm(*rows_of(_hyperelliptic_table(st, -1)))
         held = rauzy_class(p).table
         assert len(held) == 420
         assert component_label(p, budget=81) is HYP
@@ -829,7 +861,7 @@ class TestHalfTranslationFamilies:
         # table, the 50th the search tries, decides; a held class of 601
         # vertices takes the same budget for its label.
         p = parse("1 2 2 3 4 5 6 / 6 1 4 3 7 7 5")
-        assert _hyperelliptic_table(st, 0) == (p.top, p.bottom)
+        assert _hyperelliptic_table(st, 0) == p._key
         assert component_label(p, budget=50) is HYP
         with pytest.raises(BudgetExceeded):
             component_label(p, budget=49)
@@ -906,7 +938,7 @@ class TestExceptionalSplit:
         assert component_label(moved) is label
         assert searches == {"bfs": [searched], "classes": []}
         # an a-search ends at the smallest vertex, a b-search elsewhere
-        ends_at_smallest = last == [_to_key(smallest.top, smallest.bottom)]
+        ends_at_smallest = last == [smallest._key]
         assert ends_at_smallest == (label is ComponentLabel.EXCEPTIONAL_A)
         # the verifier holds the class and looks the least table up in it
         monkeypatch.setattr(rauzy.classes, "_bfs_rows", forbidden)
@@ -917,7 +949,7 @@ class TestExceptionalSplit:
         # table the scan tries.
         st = parse_stratum("Q(-1,9)")
         least = _least_table(st, 9, budget=962)
-        assert least == ((1, 1), (2, 3, 2, 3, 4, 5, 4, 5, 6, 7, 6, 7))
+        assert rows_of(least) == ((1, 1), (2, 3, 2, 3, 4, 5, 4, 5, 6, 7, 6, 7))
         with pytest.raises(BudgetExceeded):
             _least_table(st, 9, budget=961)
 

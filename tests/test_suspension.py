@@ -8,7 +8,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
-from conftest import genperms, irreducible_genperms, pl_value, rational_points
+from conftest import genperms, irreducible_genperms, pl_value, rational_points, rows_of
 
 import rauzy.linprog
 from rauzy import (
@@ -303,8 +303,8 @@ class TestFindSuspension:
         from rauzy.combinat import all_reduced_tables
 
         for d in (2, 3, 4):
-            for rows in all_reduced_tables(d):
-                p = GenPerm(*rows)
+            for key in all_reduced_tables(d):
+                p = GenPerm(*rows_of(key))
                 z = find_suspension(p)
                 assert (z is not None) == is_irreducible(p)
                 if z is not None:
@@ -599,8 +599,8 @@ class TestIrreducibilityOracle:
     def test_every_reduced_table_through_six_symbols(self):
         checked, mismatches = 0, []
         for d in range(2, 7):
-            for top, bottom in all_reduced_tables(d):
-                p = GenPerm(top, bottom)
+            for key in all_reduced_tables(d):
+                p = GenPerm(*rows_of(key))
                 if is_irreducible(p) != _lp_irreducible(p):
                     mismatches.append(str(p))
                 checked += 1
