@@ -51,11 +51,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from math import factorial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .combinat import (
     _MAX_SYMBOLS,
@@ -89,11 +88,32 @@ def _vertex_order(key: bytes) -> tuple[int, bytes]:
     return key.index(0), key
 
 
-@dataclass(frozen=True)
 class RauzyDiagram:
-    """A class as its vertex keys; vertices and edges are made when read."""
+    """A class as its vertex keys; vertices and edges are made when read.
+
+    Frozen and unhashable: ``table`` is set once, by the constructor, and
+    two diagrams are equal when their tables are.
+    """
 
     table: dict[bytes, None]
+
+    def __init__(self, table: dict[bytes, None]) -> None:
+        object.__setattr__(self, "table", table)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RauzyDiagram:
+            return NotImplemented
+        return self.table == other.table
+
+    __hash__ = None  # the table is a dict
+
+    def __repr__(self) -> str:
+        return f"RauzyDiagram(table={self.table!r})"
 
     def __len__(self) -> int:
         return len(self.table)
@@ -230,13 +250,15 @@ def _seeds(candidates: Iterable[bytes]) -> Iterator[bytes]:
     ``l < m`` stands for its row exchange too, which is a seed when the
     candidate's top row ends with its bottom row's first letter; the
     exchange itself is yielded, so every seed has its bottom row end with 1.
+    As ``l <= m``, ``l < m`` exactly when the middle byte is no separator.
     """
     for key in candidates:
         if key[-1] == 1:
             yield key
-        i = key.index(0)
-        if key[i - 1] == key[i + 1] and i < len(key) // 2:
-            yield _reduced(key[i + 1 :] + b"\0" + key[:i])
+        if key[len(key) // 2]:
+            i = key.index(0)
+            if key[i - 1] == key[i + 1]:
+                yield _reduced(key[i + 1 :] + b"\0" + key[:i])
 
 
 def _seeded_classes(seeds: Iterable[bytes], budget: int) -> Iterator[RauzyDiagram]:
@@ -270,8 +292,7 @@ def class_partition(
     return _seeded_classes((p._key for p in perms), budget)
 
 
-@dataclass(frozen=True)
-class StratumGroup:
+class StratumGroup(NamedTuple):
     """Observed classes for one (stratum, component label) pair."""
 
     stratum: Stratum
@@ -294,8 +315,7 @@ class StratumGroup:
         }
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Per-stratum class counts, the strata whose labels fail, the pass flag.
 
     ``coverage`` is ``(found, expected)`` when the classes of a census
@@ -396,7 +416,8 @@ def verify_main_theorem(
     def counted(candidates: Iterable[bytes]) -> Iterator[bytes]:
         nonlocal total
         for key in candidates:
-            total += 1 + (key.index(0) < d)  # itself and its exchange, if l < m
+            # itself, and its exchange if l < m: as l <= m, key[d] is then no separator
+            total += 1 + (key[d] != 0)
             yield key
 
     if kind is PermKind.IET:

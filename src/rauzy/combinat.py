@@ -30,7 +30,6 @@ rows joined by ``" / "``, e.g. ``"1 2 3 2 4 / 4 5 1 3 5"``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -46,13 +45,12 @@ class PermKind(Enum):
     QUADRATIC = "quadratic"
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class GenPerm:
     """A reduced generalized permutation: two rows of symbols, two-to-one.
 
-    Slotted, with one field: the vertex key, the bytes of the top row, a 0
-    byte, the bytes of the bottom row.  One byte per symbol, so a table
-    holds the symbols 1 to 255; a larger table raises
+    Slotted and frozen, with one slot: the vertex key, the bytes of the top
+    row, a 0 byte, the bytes of the bottom row.  One byte per symbol, so a
+    table holds the symbols 1 to 255; a larger table raises
     :class:`TooManySymbols`.  The rows, the shape and the sort key are read
     from the key.
 
@@ -65,9 +63,9 @@ class GenPerm:
     GenPerm(top=(1, 2), bottom=(2, 1))
     """
 
-    # Slots by hand: a dataclass made with slots=True rebuilds the class,
-    # and its frozen __setattr__ then raises TypeError, not
-    # FrozenInstanceError, on the names that are not fields, such as top.
+    # Frozen: the key is written once, through object.__setattr__, and any
+    # other assignment or deletion raises FrozenInstanceError, imported on
+    # that error path alone to keep its module off the import of rauzy.
     __slots__ = ("_key",)
     _key: bytes
 
@@ -126,6 +124,23 @@ class GenPerm:
         """Canonical sort key: ``(l, top, bottom)``."""
         top, _, bottom = self._key.partition(b"\0")
         return (len(top), tuple(top), tuple(bottom))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GenPerm:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        # the hash of the tuple (key,): the iteration order of sets of
+        # tables, and so the printed orders, depend on it
+        return hash((self._key,))
 
     def __reduce__(self) -> tuple:
         # the default restores slots through the frozen __setattr__

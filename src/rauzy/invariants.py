@@ -47,9 +47,8 @@ holds, and looks the reference table up in that class instead.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterator, Optional
+from typing import Collection, Iterator, NamedTuple, Optional
 
 from .combinat import (
     GenPerm,
@@ -82,26 +81,44 @@ class StratumKind(Enum):
     QUADRATIC = "quadratic"
 
 
-@dataclass(frozen=True)
 class Stratum:
     """A stratum tag: kind plus the multiset of singularity orders.
 
     Orders are stored ascending.  ``H(...)`` lists degrees descending,
     ``Q(...)`` lists orders ascending, matching the usual notations.
+    Frozen: ``kind`` and ``orders`` are set once, by the constructor.
     """
 
     kind: StratumKind
     orders: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "orders", tuple(sorted(self.orders)))
-        total = sum(self.orders)
-        if self.kind is StratumKind.ABELIAN:
-            if any(k < 0 for k in self.orders) or total % 2 or total < 0:
-                raise ValueError(f"impossible degree data {self.orders}")
+    def __init__(self, kind: StratumKind, orders: Collection[int]) -> None:
+        orders = tuple(sorted(orders))
+        total = sum(orders)
+        if kind is StratumKind.ABELIAN:
+            if any(k < 0 for k in orders) or total % 2 or total < 0:
+                raise ValueError(f"impossible degree data {orders}")
         else:
-            if any(k < -1 for k in self.orders) or total % 4 or total < -4:
-                raise ValueError(f"impossible order data {self.orders}")
+            if any(k < -1 for k in orders) or total % 4 or total < -4:
+                raise ValueError(f"impossible order data {orders}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "orders", orders)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Stratum:
+            return NotImplemented
+        return self.kind is other.kind and self.orders == other.orders
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.orders))
+
+    def __repr__(self) -> str:
+        return f"Stratum(kind={self.kind!r}, orders={self.orders!r})"
 
     @property
     def genus(self) -> int:
@@ -154,8 +171,7 @@ def parse_stratum(text: str) -> Stratum:
 # Singularity profile
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """Multiset of singularity orders plus the marked order.
 
     The marked order is attached to the identification class containing

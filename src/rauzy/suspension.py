@@ -61,11 +61,10 @@ coefficient strictly dominates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import linprog
 from .combinat import GenPerm, irreducible_rows
@@ -355,8 +354,7 @@ GLUE_HALF_TURN = "half_turn"
 _SVG_SCALE = 60  # pixels per unit length in polygon_svg
 
 
-@dataclass(frozen=True)
-class SuspensionPolygon:
+class SuspensionPolygon(NamedTuple):
     """Two broken lines with common endpoints plus the edge pairing.
 
     Points are integer points, the coordinates times the vector's ``scale``.
@@ -472,8 +470,7 @@ def _sector_verticals(u: Point, w: Point) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class GeometricProfile:
+class GeometricProfile(NamedTuple):
     """Cone angles of the glued surface, in units of pi, one per vertex class."""
 
     angles_pi: tuple[int, ...]
