@@ -49,7 +49,6 @@ verifier holds, and otherwise :func:`_holds`, the stopping search of
 """
 from __future__ import annotations
 
-import json
 from collections import deque
 from functools import cached_property
 from itertools import permutations
@@ -363,6 +362,8 @@ class TheoremReport(NamedTuple):
         return out
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict(), indent=2)
 
 
@@ -501,6 +502,8 @@ def export_dot(diag: RauzyDiagram) -> str:
 
 
 def diagram_json(diag: RauzyDiagram) -> str:
+    import json
+
     names = {v: format_perm(v) for v in diag.vertices}
     payload = {
         "vertices": list(names.values()),

@@ -3,74 +3,196 @@
 Every command is a thin wrapper over the library; outputs are plain UTF-8.
 Flags have environment-variable twins (``RAUZY_BUDGET``, ``RAUZY_OUTPUT``);
 a flag overrides its twin, and :func:`main` reads the twins on every call.
-The parser is built on the first call and reused by every later call in
-the process.
+:func:`_parse` reads the command line from one table, :data:`_COMMANDS`,
+and builds no parser object.  It follows the standard library's parser on
+that table: global options before the command, the command's options and
+positionals in any order after it, ``--name value`` and ``--name=value``,
+a unique prefix of a long option, and a repeated option, whose last value
+wins.  A usage error prints ``usage: ...`` and ``rauzy: error: ...`` on
+stderr and exits with status 2; ``-h`` or ``--help`` prints one text that
+names every command and exits with status 0.  When the reader of stdout
+closes it early (``rauzy class ... | head -1``), the command stops quietly
+with status 1.
 """
 from __future__ import annotations
 
-import argparse
-import functools
-import json
 import os
 import sys
-from typing import Optional
+from types import SimpleNamespace
+from typing import NoReturn, Optional
 
 from . import classes, induction, invariants
 from .combinat import PermKind, format_perm, is_irreducible, parse
 from .errors import RauzyError, ReducibleSeed
 from .invariants import StratumKind, parse_stratum
 
+# The options before the command, each with the type that reads its value
+# or the tuple of the values it takes.
+_GLOBALS = {"--budget": int, "--output": ("text", "json", "dot")}
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rauzy",
-        description="Rauzy induction on permutations and generalized permutations",
-    )
-    parser.add_argument(
-        "--budget",
-        type=int,
-        help=(
-            "vertex budget of class enumeration and membership searches, "
-            "table budget of the reference-table searches of component labels, "
-            "and budget of the seed keys verify holds "
-            "(default: RAUZY_BUDGET or 10**7)"
-        ),
-    )
-    parser.add_argument(
-        "--output",
-        choices=["text", "json", "dot"],
-        help="output format (default: RAUZY_OUTPUT or text)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command: its positionals, its flags (one mutually exclusive group)
+# and its valued options, read as the global ones are.
+_COMMANDS = {
+    "induce": (("perm", "moves"), (), {}),
+    "invariants": (("perm",), (), {}),
+    "class": (("perm",), ("--dot", "--json", "--count"), {}),
+    "same-class": (("perm1", "perm2"), ("--fast", "--bfs", "--both"), {}),
+    "verify": ((), (), {"--d": int, "--kind": ("iet", "quad"), "--stratum": str}),
+}
 
-    cmd = sub.add_parser("induce", help="apply a word of moves to a table")
-    cmd.add_argument("perm")
-    cmd.add_argument("moves", help="word over {0,1}")
+_USAGE = """\
+usage: rauzy [-h] [--budget INT] [--output {text,json,dot}]
+             {induce,invariants,class,same-class,verify} ...
+"""
 
-    cmd = sub.add_parser("invariants", help="stratum and component data")
-    cmd.add_argument("perm")
+_HELP = _USAGE + """
+Rauzy induction on permutations and generalized permutations
 
-    cmd = sub.add_parser("class", help="enumerate a Rauzy class")
-    cmd.add_argument("perm")
-    group = cmd.add_mutually_exclusive_group()
-    group.add_argument("--dot", action="store_true")
-    group.add_argument("--json", action="store_true")
-    group.add_argument("--count", action="store_true")
+commands:
+  induce PERM MOVES     apply a word of moves over {0,1} to a table
+  invariants PERM       stratum and component data
+  class PERM [--dot | --json | --count]
+                        enumerate a Rauzy class
+  same-class PERM1 PERM2 [--fast | --bfs | --both]
+                        decide class membership
+  verify [--d INT] [--kind {iet,quad}] [--stratum S]
+                        check the class-count structure: --stratum alone,
+                        or both --d and --kind
 
-    cmd = sub.add_parser("same-class", help="decide class membership")
-    cmd.add_argument("perm1")
-    cmd.add_argument("perm2")
-    group = cmd.add_mutually_exclusive_group()
-    group.add_argument("--fast", action="store_true")
-    group.add_argument("--bfs", action="store_true")
-    group.add_argument("--both", action="store_true")
+options (before the command):
+  -h, --help            show this help message and exit
+  --budget INT          vertex budget of class enumeration and membership
+                        searches, table budget of the reference-table
+                        searches of component labels, and budget of the
+                        seed keys verify holds (default: RAUZY_BUDGET or
+                        10**7)
+  --output {text,json,dot}
+                        output format (default: RAUZY_OUTPUT or text)
+"""
 
-    cmd = sub.add_parser("verify", help="check the class-count structure")
-    cmd.add_argument("--d", type=int)
-    cmd.add_argument("--kind", choices=["iet", "quad"])
-    cmd.add_argument("--stratum")
-    return parser
+
+def _fail(message: str) -> NoReturn:
+    """Print the usage and ``message`` on stderr and exit with status 2."""
+    sys.stderr.write(f"{_USAGE}rauzy: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(
+    word: str, names: tuple[str, ...]
+) -> Optional[tuple[Optional[str], Optional[str]]]:
+    """How ``word`` reads where ``names`` are the options.
+
+    None for a positional: a word not starting with ``-``, a lone ``-`` or
+    ``--``, a negative number, or a word with a space that names no option.
+    Otherwise the option it names, or None for one not in ``names``, and
+    the value it carries after ``=``, or None.  A unique prefix of a long
+    option names it; one shared by several options is an error.
+    """
+    if word[:1] != "-" or word in ("-", "--"):
+        return None
+    name, eq, value = word.partition("=")
+    value = value if eq else None
+    if name in names:
+        return name, value
+    if name.startswith("--"):
+        found = [n for n in names if n.startswith(name)]
+        if len(found) > 1:
+            _fail(f"ambiguous option: {word} could match {', '.join(found)}")
+        if found:
+            return found[0], value
+    # a negative number (-5, -.5, -1.5) is a positional, as is a table
+    whole, dot, fraction = word[1:].partition(".")
+    if dot:
+        number = fraction.isdecimal() and (not whole or whole.isdecimal())
+    else:
+        number = whole.isdecimal()
+    if number or " " in word:
+        return None
+    return None, value
+
+
+def _value(name: str, text: str, takes):
+    """``text`` read as the value of option ``name``, which ``takes`` it."""
+    if isinstance(takes, tuple):
+        if text not in takes:
+            choices = ", ".join(map(repr, takes))
+            _fail(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+        return text
+    try:
+        return takes(text)
+    except ValueError:
+        _fail(f"argument {name}: invalid {takes.__name__} value: {text!r}")
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command line ``argv`` as the fields the handlers read.
+
+    ``budget``, ``output`` and ``command``, then the command's positionals,
+    its flags (False unless given) and its valued options (None unless
+    given), each named after its option without the dashes.
+    """
+    args = SimpleNamespace(budget=None, output=None)
+    positionals = None  # the names still to fill; None before the command
+    flags, valued = (), _GLOBALS
+    names = ("-h", "--help", *valued)
+    extras, dashes, i = [], False, 0
+    while i < len(argv):
+        word = argv[i]
+        i += 1
+        option = None if dashes else _option(word, names)
+        if option is None:
+            if positionals is None:
+                if word not in _COMMANDS:
+                    choices = ", ".join(map(repr, _COMMANDS))
+                    _fail(f"argument command: invalid choice: {word!r} (choose from {choices})")
+                args.command = word
+                positionals, flags, valued = _COMMANDS[word]
+                positionals = list(positionals)
+                names = ("-h", "--help", *flags, *valued)
+                for name in flags:
+                    setattr(args, name[2:], False)
+                for name in valued:
+                    setattr(args, name[2:], None)
+                # an ambiguous prefix after the command fails before any option
+                for later in argv[i:]:
+                    if later == "--":
+                        break
+                    _option(later, names)
+            elif word == "--" and not dashes:
+                dashes = True  # every later word is a positional
+            elif positionals:
+                setattr(args, positionals.pop(0), word)
+            else:
+                extras.append(word)
+            continue
+        name, value = option
+        if name is None:
+            extras.append(word)
+        elif name in valued:
+            if value is None:
+                if i == len(argv) or argv[i] == "--" or _option(argv[i], names):
+                    _fail(f"argument {name}: expected one argument")
+                value = argv[i]
+                i += 1
+            setattr(args, name[2:], _value(name, value, valued[name]))
+        elif value is not None:
+            shown = "-h/--help" if name in ("-h", "--help") else name
+            _fail(f"argument {shown}: ignored explicit argument {value!r}")
+        elif name in flags:
+            for other in flags:
+                if other != name and getattr(args, other[2:]):
+                    _fail(f"argument {name}: not allowed with argument {other}")
+            setattr(args, name[2:], True)
+        else:
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+    if positionals is None:
+        _fail("the following arguments are required: command")
+    if positionals:
+        _fail(f"the following arguments are required: {', '.join(positionals)}")
+    if extras:
+        _fail(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def cmd_induce(args) -> int:
@@ -103,6 +225,8 @@ def cmd_invariants(args) -> int:
         "component": label.value,
     }
     if args.output == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         for key, value in payload.items():
@@ -133,6 +257,8 @@ def cmd_same_class(args) -> int:
         fast = classes.same_class_fast(p1, p2, budget)
         bfs = classes.same_class_bfs(p1, p2, budget)
         if fast != bfs:
+            import json
+
             bundle = {
                 "perm1": format_perm(p1),
                 "perm2": format_perm(p2),
@@ -191,7 +317,7 @@ def cmd_verify(args) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if args.budget is None:
             text = os.environ.get("RAUZY_BUDGET", str(10**7))
@@ -213,9 +339,24 @@ def main(argv: Optional[list[str]] = None) -> int:
             "same-class": cmd_same_class,
             "verify": cmd_verify,
         }[args.command]
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()
+        return status
     except (RauzyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # an in-process caller's stream
+            fd = None
+        if fd is None:
+            raise
+        # the reader closed the pipe early (``| head``): point stdout at
+        # devnull so the flush at exit does not raise again, and stop quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
         return 1
 
 

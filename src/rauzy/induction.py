@@ -45,7 +45,6 @@ or :func:`_move1` from the separator index of the key.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional
 
@@ -232,6 +231,7 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     ``d + s``, rotates the real and the imaginary block alike, and keeps
     the denominator; ``zeta`` itself is not changed.
 
+    >>> from fractions import Fraction
     >>> from .combinat import parse
     >>> p = parse("1 2 / 2 1")
     >>> zeta = SuspensionDatum(((Fraction(5, 2), Fraction(1, 2)), (1, Fraction(-1, 2))))

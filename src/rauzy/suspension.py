@@ -45,7 +45,8 @@ checks, the induction step and the polygon read those integers;
 ``Fraction`` objects are made only when a caller reads ``values``, ``re``
 or ``im``, and rationals only in the text of the polygon exports.  Entries
 given to the constructor must be ``int`` or ``Fraction``; anything else
-raises :class:`~rauzy.errors.InvalidSuspension` there.
+raises :class:`~rauzy.errors.InvalidSuspension` there.  Those four are the
+only places that import ``fractions``, so ``import rauzy`` does not load it.
 
 Witnesses returned by :func:`find_suspension` always yield an embedded
 polygon.  The slack-normalised imaginary system already keeps every
@@ -60,15 +61,16 @@ coefficient strictly dominates.
 """
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from math import gcd, lcm
 from random import Random
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import linprog
 from .combinat import GenPerm, irreducible_rows
 from .errors import DegeneratePolygon, DimensionMismatch, InvalidSuspension
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Point = tuple[int, int]
 
@@ -86,6 +88,7 @@ class SuspensionDatum:
     hashing and printing go through the reduced fractions: two data are
     equal exactly when their vectors are.
 
+    >>> from fractions import Fraction
     >>> zeta = SuspensionDatum(((Fraction(1, 2), 1), (Fraction(3, 4), -1)))
     >>> print(zeta)
     (1/2+1i, 3/4-1i)
@@ -114,6 +117,8 @@ class SuspensionDatum:
 
     @property
     def values(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        from fractions import Fraction
+
         scale = self._parts[0]
         pairs = self._pairs()
         return tuple([(Fraction(x, scale), Fraction(y, scale)) for x, y in pairs])
@@ -123,9 +128,13 @@ class SuspensionDatum:
         return len(self._parts) // 2
 
     def re(self, symbol: int) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._parts[symbol], self._parts[0])
 
     def im(self, symbol: int) -> Fraction:
+        from fractions import Fraction
+
         parts = self._parts
         return Fraction(parts[len(parts) // 2 + symbol], parts[0])
 
@@ -231,6 +240,8 @@ def _scaled(values) -> tuple[int, list[int]]:
     Entries must be ``int`` or ``Fraction``; anything else, a float
     included, raises :class:`InvalidSuspension`.
     """
+    from fractions import Fraction
+
     for v in values:
         if not isinstance(v, (int, Fraction)):
             raise InvalidSuspension(f"entry {v!r} is neither an int nor a Fraction")
@@ -338,6 +349,7 @@ def check_suspension(p: GenPerm, zeta: SuspensionDatum) -> bool:
     scaled to integers by the LCM of their denominators.
 
     >>> from .combinat import parse
+    >>> from fractions import Fraction
     >>> p = parse("1 2 / 2 1")
     >>> zeta = SuspensionDatum(((Fraction(1, 2), Fraction(1, 3)),
     ...                         (Fraction(3, 4), Fraction(-1, 6))))
@@ -545,6 +557,8 @@ def polygon_json(poly: SuspensionPolygon) -> str:
     of the bottom line (the shared endpoints appear once); pairs use the
     edge ids of :class:`SuspensionPolygon`.
     """
+    import json
+
 
     def frac(v: int) -> str:
         g = gcd(v, poly.scale)

@@ -1,10 +1,17 @@
 import argparse
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import rauzy.classes
-from rauzy.cli import main
+from rauzy.cli import _COMMANDS, _parse, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -343,15 +350,155 @@ class TestReuseAcrossCalls:
         assert code == 0 and len(out.splitlines()) == 7
         assert "1 2 3 4 / 4 3 2 1" in out.splitlines()
 
-    def test_calls_share_one_parser(self, capsys, monkeypatch):
-        parsers = []
-        parse_args = argparse.ArgumentParser.parse_args
 
-        def spy(self, *args, **kwargs):
-            parsers.append(self)
-            return parse_args(self, *args, **kwargs)
+def _argparse_oracle() -> argparse.ArgumentParser:
+    """The ``argparse`` parser the command line had, kept as the oracle of ``_parse``."""
+    parser = argparse.ArgumentParser(prog="rauzy")
+    parser.add_argument("--budget", type=int)
+    parser.add_argument("--output", choices=["text", "json", "dot"])
+    sub = parser.add_subparsers(dest="command", required=True)
+    cmd = sub.add_parser("induce")
+    cmd.add_argument("perm")
+    cmd.add_argument("moves")
+    cmd = sub.add_parser("invariants")
+    cmd.add_argument("perm")
+    cmd = sub.add_parser("class")
+    cmd.add_argument("perm")
+    group = cmd.add_mutually_exclusive_group()
+    group.add_argument("--dot", action="store_true")
+    group.add_argument("--json", action="store_true")
+    group.add_argument("--count", action="store_true")
+    cmd = sub.add_parser("same-class")
+    cmd.add_argument("perm1")
+    cmd.add_argument("perm2")
+    group = cmd.add_mutually_exclusive_group()
+    group.add_argument("--fast", action="store_true")
+    group.add_argument("--bfs", action="store_true")
+    group.add_argument("--both", action="store_true")
+    cmd = sub.add_parser("verify")
+    cmd.add_argument("--d", type=int)
+    cmd.add_argument("--kind", choices=["iet", "quad"])
+    cmd.add_argument("--stratum")
+    return parser
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
-        run_cli(capsys, "invariants", "1 2 / 2 1")
-        run_cli(capsys, "invariants", "1 2 3 / 3 2 1")
-        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+T, U = "1 2 3 4 / 4 3 2 1", "1 2 3 4 / 2 4 1 3"
+
+VALID = [
+    ["induce", T, "0101"],
+    ["--budget", "9", "induce", "--", T, "0"],
+    ["invariants", T],
+    ["--output", "json", "invariants", T],
+    ["--output=json", "--budget=5", "invariants", T],
+    ["--bud", "5", "--out", "text", "invariants", T],
+    ["--budget", "5", "--budget", "7", "--output", "dot", "--output=json", "invariants", T],
+    ["invariants", "-1 2 / 2 1"],
+    ["class", T],
+    ["class", T, "--count"],
+    ["class", "--dot", T],
+    ["class", T, "--js"],
+    ["class", T, "--dot", "--dot"],
+    ["--output", "dot", "class", "--co", T],
+    ["same-class", T, U],
+    ["same-class", "--fast", T, U],
+    ["same-class", T, "--bfs", U],
+    ["same-class", T, U, "--bo"],
+    ["verify", "--d", "5", "--kind", "iet"],
+    ["verify", "--kind=quad", "--d=4"],
+    ["verify", "--st", "H(2)"],
+    ["verify", "--stratum=Q(-1,-1,-1,-1)", "--d", "3", "--d", "4"],
+    ["verify", "--d", "-3", "--k", "quad"],
+    ["--budget", "-2", "verify", "--stratum", "H(2)"],
+]
+
+INVALID = [
+    [],
+    ["--budget", "5"],
+    ["bogus", T],
+    ["induce", T],
+    ["same-class", T],
+    ["class", T, "--dot", "--json"],
+    ["same-class", T, U, "--fast", "--both"],
+    ["--budget", "abc", "invariants", T],
+    ["--output", "xml", "invariants", T],
+    ["verify", "--kind", "xyz"],
+    ["verify", "--d", "x"],
+    ["verify", "--d"],
+    ["verify", "--d", "--kind", "iet"],
+    ["invariants", T, "--budget", "5"],
+    ["class", T, "--output", "json"],
+    ["same-class", T, U, "--b"],
+    ["invariants", T, U],
+    ["class", T, "--dot=1"],
+    ["--foo", "invariants", T],
+]
+
+
+class TestParserOracle:
+    """``_parse`` reads every command line as the ``argparse`` parser did."""
+
+    @pytest.mark.parametrize("argv", VALID, ids=" ".join)
+    def test_valid_lines_give_the_same_fields(self, argv):
+        assert vars(_parse(argv)) == vars(_argparse_oracle().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", INVALID, ids=" ".join)
+    def test_invalid_lines_exit_2_on_both(self, capsys, argv):
+        with pytest.raises(SystemExit) as oracle:
+            _argparse_oracle().parse_args(argv)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as ours:
+            _parse(argv)
+        out, err = capsys.readouterr()
+        assert oracle.value.code == ours.value.code == 2
+        assert out == "" and err.startswith("usage: rauzy ")
+        assert err.splitlines()[-1].startswith("rauzy: error: ")
+
+    def test_usage_error_names_the_argument(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--kind", "xyz"])
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "rauzy: error: argument --kind: invalid choice: 'xyz' (choose from 'iet', 'quad')\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["class", T, "--he"]])
+    def test_help_names_every_command(self, capsys, argv):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert raised.value.code == 0 and err == ""
+        assert out.startswith("usage: rauzy ")
+        assert all(f"  {command} " in out for command in _COMMANDS)
+
+
+def test_closed_pipe_stops_quietly():
+    # the class has 20,943 vertices, far more text than a pipe holds, so
+    # the command is still printing when the reader closes the pipe
+    table = "1 2 3 4 5 6 7 8 9 / 2 3 5 1 7 9 4 6 8"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rauzy.cli", "class", table],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == (table + "\n").encode()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and err == b""
+
+
+def _readme_commands() -> list[str]:
+    """The ``rauzy ...`` lines of README's "Command line" block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("rauzy ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_examples_run(capsys, line):
+    code = main(shlex.split(line, comments=True)[1:])
+    out, err = capsys.readouterr()
+    assert code == 0 and out and err == ""

@@ -6,7 +6,8 @@ fields (so set and dict orders, and the orders printed from them, stay put)
 and refuses assignment; ``RauzyDiagram`` is unhashable and builds its
 vertices and edges once.  A fresh interpreter that imports ``rauzy`` and
 ``rauzy.cli`` loads none of the introspection modules behind
-``dataclasses``, which took most of the import time.
+``dataclasses``, which took most of the import time, no argument-parsing
+module, and neither ``fractions`` nor ``json``, which only some paths use.
 """
 import copy
 import os
@@ -166,3 +167,5 @@ def test_import_loads_no_introspection_module():
     loaded = set(run.stdout.split())
     assert "rauzy.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
+    assert loaded.isdisjoint({"argparse", "gettext", "locale"})
+    assert loaded.isdisjoint({"fractions", "decimal", "json"})
