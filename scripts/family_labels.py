@@ -38,12 +38,11 @@ from itertools import permutations
 
 import rauzy.classes
 from rauzy.classes import _seeded_classes, _seeds
-from rauzy.combinat import GenPerm, _irreducible_tables
+from rauzy.combinat import GenPerm, _irreducible_tables, _reduced
 from rauzy.invariants import (
     ComponentLabel,
     StratumKind,
     _hyperelliptic_parity,
-    _is_centrally_symmetric,
     _is_hyperelliptic_vertex,
     _known_profile,
     _spin_parity,
@@ -79,8 +78,8 @@ def scan_label(table, st, spin):
     apply; neither the forget rule nor the symmetric-table search is used.
     """
     if any(
-        _is_centrally_symmetric(v.top, v.bottom) and _is_hyperelliptic_vertex(v, st)
-        for v in map(GenPerm._of, table)
+        _reduced(key[::-1]) == key and _is_hyperelliptic_vertex(GenPerm._of(key), st)
+        for key in table
     ):
         return ComponentLabel.HYPERELLIPTIC
     return spin or ComponentLabel.NON_HYPERELLIPTIC

@@ -5,10 +5,13 @@ verifier.
 A class is the smallest set of reduced generalized permutations containing
 a seed and closed under both moves, held as its vertex set: the key of
 each vertex, the one field of its ``GenPerm`` (:mod:`rauzy.combinat`),
-with no move target.  The search takes both moves of a key in one call
-from the kernel of :func:`rauzy.induction._successors`.  Its ``GenPerm``
-vertices wrap the keys when read, and its edges are made then from the
-same kernel.
+with no move target.  A whole permutation class closes by move-0 cycles,
+the seed first: move 0 rotates the bottom-row letters after ``d``, so one
+call of the kernel of :func:`rauzy.induction._cycles` adds a whole cycle
+and gives its move-1 images.  Stopping searches and classes of generalized
+tables go breadth first and take both moves of a key in one call from the
+kernel of :func:`rauzy.induction._successors`.  Its ``GenPerm`` vertices
+wrap the keys when read, and its edges are made then from that kernel.
 
 The verifier builds every class of a given size and kind, one at a time,
 from seeds, the irreducible tables whose bottom row ends with 1, and
@@ -68,7 +71,7 @@ from .combinat import (
     is_irreducible,
 )
 from .errors import BudgetExceeded, ReducibleSeed, TooManySymbols
-from .induction import _successors
+from .induction import _cycles, _successors
 from .invariants import (
     ComponentLabel,
     Stratum,
@@ -138,14 +141,35 @@ class RauzyDiagram:
 def _bfs_rows(
     seed: bytes, budget: int, stop: Optional[Callable[[bytes], bool]] = None
 ) -> dict[bytes, None]:
-    """Vertex keys of the class of the key ``seed``, breadth first, the seed first.
+    """Vertex keys of the class of the key ``seed``, the seed first.
 
-    With ``stop``, the search ends at the first vertex, the seed included,
-    whose key passes it; the partial table then holds it as its last key.
-    A search that returns a table with no such key has built the class.
+    With ``stop``, the search goes breadth first and ends at the first
+    vertex, the seed included, whose key passes it; the partial table then
+    holds it as its last key.  A search that returns a table with no such
+    key has built the class.  A class of more than ``budget`` vertices
+    raises :class:`BudgetExceeded`.
+
+    A whole class of generalized tables is built breadth first too.  A
+    whole permutation class closes by move-0 cycles, with the kernel of
+    :func:`rauzy.induction._cycles`: a pending key not yet held brings in
+    its whole cycle, which no held key shares, as the cycles partition the
+    class, and leaves pending the move-1 images of the cycle not yet held.
+    The budget is checked once per cycle.
     """
+    close = None if stop is not None else _cycles(seed)
+    if close is not None:
+        seen: dict[bytes, None] = {}
+        pending = deque([seed])  # first in, first out: fewer wait than in a stack
+        push = pending.append
+        while pending:
+            key = pending.popleft()
+            if key not in seen:
+                close(key, seen, push)
+                if len(seen) > budget:
+                    raise BudgetExceeded(f"class exceeds the {budget}-vertex budget")
+        return seen
     moves = _successors(seed)
-    seen: dict[bytes, None] = {seed: None}
+    seen = {seed: None}
     if stop is not None and stop(seed):
         return seen
     queue = deque([seed])
@@ -170,7 +194,7 @@ def _holds(seed: bytes, target: bytes, budget: int) -> bool:
 
 
 def rauzy_class(seed: GenPerm, budget: int = 10**7) -> RauzyDiagram:
-    """Breadth-first closure of ``seed`` under both moves.
+    """Closure of ``seed`` under both moves, by :func:`_bfs_rows`.
 
     >>> from .combinat import parse
     >>> len(rauzy_class(parse("1 2 3 4 / 4 3 2 1")))

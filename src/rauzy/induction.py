@@ -28,11 +28,14 @@ keeps its order of first occurrence, and the
 renumbering is one rotation: ``x`` goes to ``m``, one more than the number
 of distinct symbols before its new first occurrence, and the symbols
 between shift by one.  ``bytes.translate`` applies it
-(:func:`_renumbered`).  The class search takes both moves of a key in one
-call from the kernel :func:`_successors` gives for its class: slices and
-one :func:`_rotation` table per bottom winner for permutations, and for other
-tables :func:`_move0` and :func:`_move1`, the rules of
-:func:`_table_move`, after one lookup of the row separator.
+(:func:`_renumbered`).  A breadth-first class search takes both moves of
+a key in one call from the kernel :func:`_successors` gives for its class:
+slices and one :func:`_rotation` table per bottom winner for permutations
+(:func:`_move1_tables`), and for other tables :func:`_move0` and
+:func:`_move1`, the rules of :func:`_table_move`, after one lookup of the
+row separator.  A whole permutation class is closed by the kernel of
+:func:`_cycles` instead, one move-0 cycle per call, with the same slices
+and tables.
 
 The induction itself is :func:`rv_step`, one step on a suspension vector,
 whose real parts are the interval lengths.  It is exact: it reads the
@@ -150,19 +153,29 @@ def _renumbered(
     return (raw if m == x else raw.translate(rotation(x, m))), x, m
 
 
+def _move1_tables(d: int) -> list[bytes]:
+    """The move-1 translation table of a permutation per bottom winner ``w < d``.
+
+    Move 1 with bottom winner ``w`` makes the top row
+    ``1 ... w, d, w+1 ... d-1``; renumbering sends ``s <= w`` to ``s``,
+    ``d`` to ``w + 1`` and ``w < s < d`` to ``s + 1``: the rotation
+    ``d -> w + 1``, one table :func:`_rotation` per ``w``, applied to the
+    bottom row.
+    """
+    return [_rotation(d, w + 1) for w in range(d)]
+
+
 def _successors(
     seed: bytes,
 ) -> Callable[[bytes], tuple[Optional[bytes], Optional[bytes]]]:
-    """The move kernel of a class search: both moves of a key, renumbered.
+    """The move kernel of a breadth-first class search, and of the edges of
+    a class: both moves of a key, renumbered.
 
     Moves keep a permutation a permutation, so the kernel chosen for the
     seed holds on its whole class; its translation tables are built for
     this search.  A permutation's top row is ``1 ... d``.  Its move 0
-    keeps the top row, so the raw key is reduced.  Its move 1 with bottom
-    winner ``w`` makes the top row ``1 ... w, d, w+1 ... d-1``;
-    renumbering sends ``s <= w`` to ``s``, ``d`` to ``w + 1`` and
-    ``w < s < d`` to ``s + 1``: the rotation ``d -> w + 1``, one table
-    :func:`_rotation` per ``w`` on the bottom row.
+    keeps the top row, so the raw key is reduced; its move 1 is one
+    translation of :func:`_move1_tables`.
     Both moves are undefined exactly when the bottom row ends in ``d``.
     Any other table takes :func:`_move0` and :func:`_move1` after the
     separator lookup and end test of :func:`_table_move`, made once.
@@ -181,7 +194,7 @@ def _successors(
             return moved0 and moved0[0], moved1 and moved1[0]
 
         return table_moves
-    lookups = [_rotation(d, w + 1) for w in range(d)]
+    lookups = _move1_tables(d)
 
     def perm_moves(key: bytes) -> tuple[Optional[bytes], Optional[bytes]]:
         w = key[-1]
@@ -194,6 +207,48 @@ def _successors(
         )
 
     return perm_moves
+
+
+def _cycles(
+    seed: bytes,
+) -> Optional[Callable[[bytes, dict[bytes, None], Callable[[bytes], None]], None]]:
+    """The cycle kernel of a whole-class search from a permutation key;
+    None for any other table.
+
+    Move 0 on a permutation key moves the last bottom letter to just after
+    ``d``: it rotates the bottom-row letters after ``d`` by one place and
+    keeps the rest of the key.  The move-0 arrows of a class are therefore
+    disjoint cycles: a key and the other rotations of that segment.  The
+    kernel ``close(key, seen, push)`` adds the whole 0-cycle of ``key`` to
+    ``seen``, the key first and then its move-0 images in turn, and passes
+    to ``push`` the move-1 image of each member, as :func:`_successors`
+    makes it, that ``seen`` does not hold yet.  A key whose bottom row ends
+    in ``d`` moves nowhere: its cycle is itself, with no move-1 image.
+    A whole-class search makes one call per cycle, not one per vertex.
+    """
+    d = len(seed) // 2
+    head = bytes(range(1, d + 1)) + b"\0"
+    if not seed.startswith(head):
+        return None
+    lookups = _move1_tables(d)
+    start = d + 1
+
+    def close(key: bytes, seen: dict[bytes, None], push: Callable[[bytes], None]) -> None:
+        k = key.index(d, start) + 1
+        before, after = key[:k], key[k:]
+        if not after:
+            seen[key] = None
+            return
+        s = len(after)
+        twice = after + after
+        for j in range(s, 0, -1):
+            member = before + twice[j : j + s]
+            seen[member] = None
+            image = head + member[start:].translate(lookups[after[j - 1]])
+            if image not in seen:
+                push(image)
+
+    return close
 
 
 def r0(p: GenPerm) -> Optional[GenPerm]:

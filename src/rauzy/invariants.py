@@ -379,25 +379,6 @@ def central_involution(p: GenPerm) -> GenPerm:
     return GenPerm._of(_reduced(p._key[::-1]))
 
 
-def _is_centrally_symmetric(top: tuple[int, ...], bottom: tuple[int, ...]) -> bool:
-    """Whether the reduced table ``top / bottom`` is its own central involution.
-
-    Same answer as ``central_involution(p) == p``, decided on the rows:
-    renumber the reversed bottom row followed by the reversed top row and
-    stop at the first symbol that differs from ``top`` followed by
-    ``bottom``.
-    """
-    if len(top) != len(bottom):
-        return False
-    relabel: dict[int, int] = {}
-    for image, row in ((reversed(bottom), top), (reversed(top), bottom)):
-        for s, want in zip(image, row):
-            new = relabel.setdefault(s, len(relabel) + 1)
-            if new != want:
-                return False
-    return True
-
-
 def _rotation_data(p: GenPerm) -> tuple[int, list[int], list[int]]:
     """Fixed points and singularity action of a symmetric vertex's involution.
 
@@ -436,9 +417,11 @@ def _rotation_data(p: GenPerm) -> tuple[int, list[int], list[int]]:
 def _is_hyperelliptic_vertex(v: GenPerm, st: Stratum) -> bool:
     """Centrally symmetric with the component's involution structure.
 
-    The half-turn involution of a symmetric vertex quotients the surface
-    to a sphere exactly when it has ``2 genus + 2`` fixed points (an Euler
-    characteristic count).  Sphericity alone only makes the surface
+    The vertex is centrally symmetric when it is its own
+    :func:`central_involution`: its key read backwards and renumbered is
+    its key.  The half-turn involution of a symmetric vertex quotients the
+    surface to a sphere exactly when it has ``2 genus + 2`` fixed points
+    (an Euler characteristic count).  Sphericity alone only makes the surface
     hyperelliptic; membership in the hyperelliptic component also pins
     down how the involution moves the singularities:
 
@@ -447,7 +430,7 @@ def _is_hyperelliptic_vertex(v: GenPerm, st: Stratum) -> bool:
     * half-translation: odd-order singularities are exchanged in pairs,
       even-order ones stay put.
     """
-    if not _is_centrally_symmetric(v.top, v.bottom):
+    if _reduced(v._key[::-1]) != v._key:
         return False
     fixed, invariant, moved = _rotation_data(v)
     if fixed != 2 * st.genus + 2:

@@ -49,6 +49,25 @@ def reduced_rows(top, bottom):
     return tuple(map(number.__getitem__, top)), tuple(map(number.__getitem__, bottom))
 
 
+def is_centrally_symmetric(top, bottom):
+    """Whether the reduced table ``top / bottom`` is its own central involution.
+
+    The row route, with no key: the oracle of the key test in
+    ``rauzy.invariants._is_hyperelliptic_vertex``.  Renumber the reversed
+    bottom row followed by the reversed top row and stop at the first
+    symbol that differs from ``top`` followed by ``bottom``.
+    """
+    if len(top) != len(bottom):
+        return False
+    relabel = {}
+    for image, row in ((reversed(bottom), top), (reversed(top), bottom)):
+        for s, want in zip(image, row):
+            new = relabel.setdefault(s, len(relabel) + 1)
+            if new != want:
+                return False
+    return True
+
+
 _POOLS: dict[int, list[GenPerm]] = {}
 
 

@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from conftest import rotation_links
+from conftest import is_centrally_symmetric, rotation_links
 
 from rauzy import (
     GenPerm,
@@ -38,7 +38,6 @@ from rauzy import (
 from rauzy.classes import class_partition
 from rauzy.errors import InductionHalt
 from rauzy.invariants import (
-    _is_centrally_symmetric,
     _is_hyperelliptic_vertex,
     central_involution,
     component_label,
@@ -305,15 +304,16 @@ def test_lazy_label_matches_class_label(partitions):
     it, and otherwise decides on the given table, by spin parity or by a
     bounded search for the reversal.  Seeding it
     with the largest vertex, not the smallest one the class route reads,
-    checks that this gives the class's label.  The row-level symmetry test
-    behind the hyperelliptic scan is held against ``central_involution``.
+    checks that this gives the class's label.  The row-level symmetry
+    oracle of ``conftest`` is held against ``central_involution``, which
+    the hyperelliptic scan tests on the key.
     """
     classes = vertices = 0
     for (kind, d), (diagrams, labels) in partitions.items():
         for diag, label in zip(diagrams, labels):
             assert component_label(diag.vertices[-1]) is label, diag.vertices[-1]
             for v in diag.vertices:
-                assert _is_centrally_symmetric(v.top, v.bottom) == (
+                assert is_centrally_symmetric(v.top, v.bottom) == (
                     central_involution(v) == v
                 ), v
             classes += 1

@@ -170,6 +170,41 @@ class TestRauzyClass:
         assert not any(map(ends_in_2, before))
         assert set(partial.values()) == {None}
 
+    def test_cycle_closure_matches_the_breadth_first_class(self):
+        # Every permutation class through eight symbols, from the standard
+        # permutations: the whole-class search closes by move-0 cycles, a
+        # search with a stop that never fires goes breadth first, and both
+        # give the same keys, the seed first.
+        never = lambda key: False
+        sizes = []
+        for d in range(2, 9):
+            top = tuple(range(1, d + 1))
+            held: set[bytes] = set()
+            for middle in permutations(top[1:-1]):
+                seed = key_of(top, (d, *middle, 1))
+                if seed in held:
+                    continue
+                table = _bfs_rows(seed, 10**7)
+                assert next(iter(table)) == seed
+                assert table.keys() == _bfs_rows(seed, 10**7, stop=never).keys()
+                held.update(table)
+                sizes.append(len(table))
+        assert len(sizes) == 1 + 1 + 2 + 4 + 7 + 13 + 21
+        assert sum(sizes) == 1 + 3 + 13 + 71 + 461 + 3_447 + 29_093
+
+    @pytest.mark.parametrize(
+        "text, size", [("1 2 3 4 / 4 3 2 1", 7), ("1 1 2 / 2 3 3", 4)]
+    )
+    def test_budget_edges_on_both_paths(self, text, size):
+        # a class of exactly the budget passes and one vertex more raises,
+        # whether the search closes cycles, goes breadth first to the end or
+        # stops nowhere
+        seed = parse(text)._key
+        for stop in (None, lambda key: False):
+            assert len(_bfs_rows(seed, size, stop)) == size
+            with pytest.raises(BudgetExceeded):
+                _bfs_rows(seed, size - 1, stop)
+
 
 class TestSameClass:
     def test_figure_members(self):

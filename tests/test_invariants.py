@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from conftest import (
     irreducible_genperms,
+    is_centrally_symmetric,
     key_of,
     load_script,
     reduced_rows,
@@ -43,7 +44,6 @@ from rauzy.induction import r0, r1
 from rauzy.invariants import (
     _forget_regular_point,
     _hyperelliptic_table,
-    _is_centrally_symmetric,
     _is_hyperelliptic_vertex,
     _known_profile,
     _least_table,
@@ -216,7 +216,7 @@ def _rotations_against_the_row_route(keys):
         p = GenPerm._of(key)
         image = central_involution(p)
         assert image._key == key_of(*reduced_rows(bottom[::-1], top[::-1])), p
-        assert _is_centrally_symmetric(top, bottom) == (image == p), p
+        assert is_centrally_symmetric(top, bottom) == (image == p), p
         exchange = _reduced(key_of(bottom, top))
         assert exchange == key_of(*reduced_rows(bottom, top)), p
     return len(keys)
@@ -252,7 +252,7 @@ class TestHyperelliptic:
             kinds = [PermKind.IET] + [PermKind.QUADRATIC] * (3 <= d <= 6)
             for kind in kinds:
                 for p in enumerate_irreducible(d, kind):
-                    if not _is_centrally_symmetric(p.top, p.bottom):
+                    if not is_centrally_symmetric(p.top, p.bottom):
                         continue
                     boundary = p.bottom + p.top[::-1]
                     n, m = len(boundary), len(p.bottom)
@@ -362,7 +362,7 @@ def _scan_label(table):
     if len(components) == 1:
         return components[0]
     if any(
-        _is_centrally_symmetric(*rows_of(key))
+        is_centrally_symmetric(*rows_of(key))
         and _is_hyperelliptic_vertex(GenPerm._of(key), st)
         for key in table
     ):
