@@ -8,10 +8,15 @@ each vertex, the one field of its ``GenPerm`` (:mod:`rauzy.combinat`),
 with no move target.  A whole permutation class closes by move-0 cycles,
 the seed first: move 0 rotates the bottom-row letters after ``d``, so one
 call of the kernel of :func:`rauzy.induction._cycles` adds a whole cycle
-and gives its move-1 images.  Stopping searches and classes of generalized
-tables go breadth first and take both moves of a key in one call from the
-kernel of :func:`rauzy.induction._successors`.  Its ``GenPerm`` vertices
-wrap the keys when read, and its edges are made then from that kernel.
+and gives its move-1 images.  A whole class of generalized tables is
+searched over row-exchange pairs ``{v, tau v}`` (tau below): the moves of
+``tau v`` are the exchanges of those of ``v`` with 0 and 1 swapped, so
+only one member of each pair is moved, and the class is held as its pairs
+in a :class:`_PairTable`, which decodes the members when iterated.
+Stopping searches go breadth first.  Every search takes both moves of a
+key in one call from the kernel of :func:`rauzy.induction._successors`.
+A class's ``GenPerm`` vertices wrap the keys when read, and its edges are
+made then from that kernel.
 
 The verifier builds every class of a given size and kind, one at a time,
 from seeds, the irreducible tables whose bottom row ends with 1, and
@@ -36,6 +41,9 @@ whose bottom row then ends with 1 (:func:`_seeds`): the seeds are all the
 irreducible tables whose bottom row ends with 1.  That every generalized
 class holds a seed is checked through eight symbols but not proven; the
 count turns a missed class into a failed report instead of a silent pass.
+The same count guards the pair search: a class it cannot certify
+tau-closed holds one member of each pair, and the class of the other
+members is never built.
 Only the seeds that start a class are wrapped; :func:`enumerate_irreducible`,
 which filters every reduced table, is the brute-force oracle of the tests
 and scripts.
@@ -53,6 +61,7 @@ verifier holds, and otherwise :func:`_holds`, the stopping search of
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from functools import cached_property
 from itertools import permutations
 from math import factorial
@@ -94,12 +103,14 @@ class RauzyDiagram:
     """A class as its vertex keys; vertices and edges are made when read.
 
     Frozen and unhashable: ``table`` is set once, by the constructor, and
-    two diagrams are equal when their tables are.
+    two diagrams are equal when their tables are.  The table maps each
+    vertex key to None: a dict for a permutation class, a
+    :class:`_PairTable` for a class of generalized tables.
     """
 
-    table: dict[bytes, None]
+    table: Mapping[bytes, None]
 
-    def __init__(self, table: dict[bytes, None]) -> None:
+    def __init__(self, table: Mapping[bytes, None]) -> None:
         object.__setattr__(self, "table", table)
 
     def __setattr__(self, name: str, value: object = None) -> None:
@@ -138,9 +149,125 @@ class RauzyDiagram:
         return {v: tuple(map(at.get, moves(key))) for key, v in at.items()}  # None stays None
 
 
+def _exchange(key: bytes) -> bytes:
+    """The key of the row exchange tau(top, bottom) = reduce(bottom, top)."""
+    i = key.index(0)
+    return _reduced(key[i + 1 :] + b"\0" + key[:i])
+
+
+def _pair_of(key: bytes) -> tuple[bytes, int]:
+    """The pair key of ``key`` and its bit: 0 when ``key`` is the pair key,
+    1 when it is its exchange.
+
+    The pair ``{v, tau v}`` of a table ``v`` is keyed by the member with
+    the shorter top row, or by the lesser key when the rows have equal length.
+    Only a top row at least as long as the bottom one needs
+    :func:`rauzy.combinat._reduced`.
+    """
+    i = key.index(0)
+    if i < len(key) // 2:
+        return key, 0
+    other = _exchange(key)
+    if i > len(key) // 2 or other < key:
+        return other, 1
+    return key, 0
+
+
+class _PairTable(Mapping):
+    """A class of generalized tables as its row-exchange pairs, read-only.
+
+    ``pairs`` maps each pair key (:func:`_pair_of`) to the bit of the
+    vertex the search reached there.  A ``closed`` class is tau-closed and
+    holds both members of every pair: ``2 pairs - fixed`` vertices, where
+    ``fixed`` counts the tables equal to their exchange.  Any other class
+    holds the one member of each pair that the bit names.  The length
+    needs no decoding, and a lookup reduces the probe to its pair key;
+    iteration yields ``seed`` first, then decodes the members of each pair.
+    """
+
+    __slots__ = ("seed", "pairs", "closed", "fixed")
+
+    def __init__(self, seed: bytes, pairs: dict[bytes, int], closed: bool, fixed: int) -> None:
+        self.seed, self.pairs, self.closed, self.fixed = seed, pairs, closed, fixed
+
+    def __len__(self) -> int:
+        return 2 * len(self.pairs) - self.fixed if self.closed else len(self.pairs)
+
+    def __contains__(self, key: bytes) -> bool:
+        pair, bit = _pair_of(key)
+        held = self.pairs.get(pair)
+        return held is not None and (self.closed or held == bit)
+
+    def __getitem__(self, key: bytes) -> None:
+        if key not in self:
+            raise KeyError(key)
+
+    def __iter__(self) -> Iterator[bytes]:
+        seed = self.seed
+        yield seed
+        for key, bit in self.pairs.items():
+            if self.closed or not bit:
+                if key != seed:
+                    yield key
+            if self.closed or bit:
+                other = _exchange(key)
+                if other != key and other != seed:
+                    yield other
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+def _pair_search(seed: bytes, budget: int) -> _PairTable:
+    """The class of the generalized key ``seed``, by one search over its pairs.
+
+    Raw move 1 is move 0 conjugated by tau (:mod:`rauzy.induction`), so the
+    moves of ``tau v`` are the exchanges of those of ``v``, with 0 and 1
+    swapped: they reach the same two pairs with the bit flipped.  Only the
+    pair key's two moves are made.  A class is certified tau-closed when
+    it holds a table equal to its exchange, or when one pair is reached
+    with both bits: tau maps the class of ``v`` onto that of ``tau v``.
+    The budget counts ``2 pairs - fixed``.
+    """
+    moves = _successors(seed)
+    d = len(seed) // 2
+    key, bit = _pair_of(seed)
+    fixed = int(key[d] == 0 and _exchange(key) == key)
+    closed = fixed > 0
+    if 2 - fixed > budget:
+        raise BudgetExceeded(f"class exceeds the {budget}-vertex budget")
+    pairs = {key: bit}
+    queue = deque([key])
+    while queue:
+        key = queue.popleft()
+        bit = pairs[key]
+        for moved in moves(key):
+            if moved is None:
+                continue
+            # the rule of _pair_of; a held key is a pair key
+            i = moved.index(0)
+            flip = bit
+            if i > d or i == d and moved not in pairs:
+                other = _reduced(moved[i + 1 :] + b"\0" + moved[:i])
+                if i > d or other < moved:
+                    moved, flip = other, bit ^ 1
+                elif other == moved:  # a new pair of one table
+                    closed = True
+                    fixed += 1
+            held = pairs.get(moved)
+            if held is None:
+                pairs[moved] = flip
+                queue.append(moved)
+                if 2 * len(pairs) - fixed > budget:
+                    raise BudgetExceeded(f"class exceeds the {budget}-vertex budget")
+            elif held != flip:
+                closed = True
+    return _PairTable(seed, pairs, closed, fixed)
+
+
 def _bfs_rows(
     seed: bytes, budget: int, stop: Optional[Callable[[bytes], bool]] = None
-) -> dict[bytes, None]:
+) -> Mapping[bytes, None]:
     """Vertex keys of the class of the key ``seed``, the seed first.
 
     With ``stop``, the search goes breadth first and ends at the first
@@ -149,15 +276,18 @@ def _bfs_rows(
     key has built the class.  A class of more than ``budget`` vertices
     raises :class:`BudgetExceeded`.
 
-    A whole class of generalized tables is built breadth first too.  A
+    A whole class of generalized tables is one search over row-exchange
+    pairs, :func:`_pair_search`, returned as its :class:`_PairTable`.  A
     whole permutation class closes by move-0 cycles, with the kernel of
     :func:`rauzy.induction._cycles`: a pending key not yet held brings in
     its whole cycle, which no held key shares, as the cycles partition the
     class, and leaves pending the move-1 images of the cycle not yet held.
     The budget is checked once per cycle.
     """
-    close = None if stop is not None else _cycles(seed)
-    if close is not None:
+    if stop is None:
+        close = _cycles(seed)
+        if close is None:
+            return _pair_search(seed, budget)
         seen: dict[bytes, None] = {}
         pending = deque([seed])  # first in, first out: fewer wait than in a stack
         push = pending.append
@@ -170,13 +300,13 @@ def _bfs_rows(
         return seen
     moves = _successors(seed)
     seen = {seed: None}
-    if stop is not None and stop(seed):
+    if stop(seed):
         return seen
     queue = deque([seed])
     while queue:
         for nxt in moves(queue.popleft()):
             if nxt is not None and nxt not in seen:
-                if stop is not None and stop(nxt):
+                if stop(nxt):
                     seen[nxt] = None
                     return seen
                 if len(seen) >= budget:
@@ -195,6 +325,10 @@ def _holds(seed: bytes, target: bytes, budget: int) -> bool:
 
 def rauzy_class(seed: GenPerm, budget: int = 10**7) -> RauzyDiagram:
     """Closure of ``seed`` under both moves, by :func:`_bfs_rows`.
+
+    The diagram's table is a dict for a permutation class, and for a class
+    of generalized tables the :class:`_PairTable` of its row-exchange
+    pairs, whose length and lookups need no decoding.
 
     >>> from .combinat import parse
     >>> len(rauzy_class(parse("1 2 3 4 / 4 3 2 1")))
@@ -281,31 +415,43 @@ def _seeds(candidates: Iterable[bytes]) -> Iterator[bytes]:
         if key[len(key) // 2]:
             i = key.index(0)
             if key[i - 1] == key[i + 1]:
-                yield _reduced(key[i + 1 :] + b"\0" + key[:i])
+                yield _exchange(key)
 
 
 def _seeded_classes(seeds: Iterable[bytes], budget: int) -> Iterator[RauzyDiagram]:
     """The classes of the ``seeds`` keys, each built once.
 
     Each class is its vertex keys, its edges made from the move kernel
-    when read.  Every seed is held before the first class; more than
-    ``budget`` seed keys raise :class:`BudgetExceeded`.  A seed starts a
-    class unless a class built before holds it: the seeds each class holds
-    are the intersection of its keys with the seeds, one lookup per key of
-    the smaller side.  Only the seeds that start a class are wrapped.
+    when read.  A seed is held as its pair key (:func:`_pair_of`), a
+    permutation as its own key, each computed once, before the first
+    class; more than ``budget`` held keys raise :class:`BudgetExceeded`.
+    A held key starts a class unless a class built before holds it: the
+    held keys a class holds are the intersection of the keys of its table,
+    or of the pair keys of its :class:`_PairTable`, with the held ones,
+    one lookup per key of the smaller side.  A pair key stands for its
+    seed, whose class it shares when that class is certified tau-closed;
+    otherwise the class of the other member is never built, and the
+    verifier's count fails.  Only the keys that start a class are wrapped,
+    and a class is dropped before the next is built.
     """
-    held: dict[bytes, None] = {}
+    held: dict[bytes, bool] = {}  # whether a class built holds the pair
     for key in seeds:
-        held[key] = None
+        d = len(key) // 2
+        # a reduced permutation has top row 1 ... d
+        held[key if key[d] == 0 and key[d - 1] == d else _pair_of(key)[0]] = False
         if len(held) > budget:
             raise BudgetExceeded(f"the seeds exceed the {budget}-key budget")
-    seen: set[bytes] = set()
-    for key in held:
-        if key in seen:
+    for key, built in held.items():
+        if built:
             continue
         diagram = rauzy_class(GenPerm._of(key), budget)
-        seen.update(diagram.table.keys() & held.keys())
+        table = diagram.table
+        keys = table.pairs if isinstance(table, _PairTable) else table
+        for pair in keys.keys() & held.keys():
+            held[pair] = True
+        del table, keys
         yield diagram
+        del diagram  # the next class is built without this one
 
 
 def class_partition(
@@ -423,7 +569,11 @@ def verify_main_theorem(
     :func:`rauzy.combinat._irreducible_tables`, not through the brute-force
     oracle :func:`enumerate_irreducible`.  The generalized seed rule is
     checked through eight symbols but not proven; the count turns a missed
-    class into a failed report instead of a silent pass.  Classes are kept
+    class into a failed report instead of a silent pass.  So does a
+    generalized class that :func:`_pair_search` cannot certify tau-closed:
+    it counts one table per pair, and its exchange class is never built.
+    The census reads the length, a lookup and the first key of each
+    class's table, so it decodes no pair.  Classes are kept
     as (marked order, size) by (stratum, component label).  A group passes
     when its classes are in bijection with the distinct singularity orders
     via the marked order; the stratum passes when its labels are the
@@ -478,6 +628,7 @@ def verify_main_theorem(
             (profile.marked, len(diagram))
         )
         found += len(diagram)
+        del diagram  # the next class is built without this one
     if kind is PermKind.QUADRATIC:
         count = total
     else:

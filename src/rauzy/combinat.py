@@ -36,6 +36,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import EmptyRow, NotReduced, NotTwoToOne, TooManySymbols
 
 _MAX_SYMBOLS = 255  # one byte per symbol, 0 the row separator
+_IDENT = bytes(range(256))  # the identity translation table: byte n at index n
 
 
 class PermKind(Enum):
@@ -243,7 +244,7 @@ def _reduced(key: bytes) -> bytes:
     [1, 1, 2, 0, 3, 2, 3]
     """
     symbols = bytes(dict.fromkeys(key)).replace(b"\0", b"")  # the separator stays 0
-    return key.translate(bytes.maketrans(symbols, bytes(range(1, len(symbols) + 1))))
+    return key.translate(bytes.maketrans(symbols, _IDENT[1 : len(symbols) + 1]))
 
 
 def _is_permutation(top: Sequence[int], bottom: Sequence[int]) -> bool:
@@ -385,21 +386,21 @@ def _irreducible_tables(d: int) -> Iterator[bytes]:
                     j -= 1
                     continue
                 cells[j] = s
-                if j == m - 1:
-                    yield head + cells
-                    continue
                 # b is B_{j+1}; its pairs B_c + b for c <= j + 1 include b + b
                 b = counts[j + 1] = counts[j] + unit[s]
                 if b in inner or not sums.isdisjoint([c + b for c in counts[: j + 2]]):
                     continue
-                j += 1
-                if s == fresh_at[j - 1]:
-                    open_at[j] = open_at[j - 1] | 1 << s
-                    fresh_at[j] = s + 1
+                if s == fresh_at[j]:
+                    key = open_at[j] | 1 << s, s + 1
                 else:
-                    open_at[j] = open_at[j - 1] & ~(1 << s)
-                    fresh_at[j] = fresh_at[j - 1]
-                key = open_at[j], fresh_at[j]
+                    key = open_at[j] & ~(1 << s), fresh_at[j]
+                if j == m - 2:
+                    # 2 unplaced + open = cells left = 1: one letter is open
+                    cells[j + 1] = key[0].bit_length() - 1
+                    yield head + cells
+                    continue
+                j += 1
+                open_at[j], fresh_at[j] = key
                 letters = menus.get(key) or _menu(menus, *key, d)
                 choices[j] = iter(letters)
 

@@ -28,14 +28,18 @@ keeps its order of first occurrence, and the
 renumbering is one rotation: ``x`` goes to ``m``, one more than the number
 of distinct symbols before its new first occurrence, and the symbols
 between shift by one.  ``bytes.translate`` applies it
-(:func:`_renumbered`).  A breadth-first class search takes both moves of
-a key in one call from the kernel :func:`_successors` gives for its class:
-slices and one :func:`_rotation` table per bottom winner for permutations
-(:func:`_move1_tables`), and for other tables :func:`_move0` and
-:func:`_move1`, the rules of :func:`_table_move`, after one lookup of the
-row separator.  A whole permutation class is closed by the kernel of
+(:func:`_renumbered`).  :func:`_move0` and :func:`_move1` are the rules
+of single moves (:func:`_table_move`, :func:`r0`, :func:`r1`,
+:func:`rv_step`).  A class search takes both moves of a key in one call
+from the kernel :func:`_successors` gives for its class: slices and one
+:func:`_rotation` table per bottom winner for permutations
+(:func:`_move1_tables`), and for other tables one body that makes both
+moves by the same rules after one lookup of the row separator, with no
+call per move.  A whole permutation class is closed by the kernel of
 :func:`_cycles` instead, one move-0 cycle per call, with the same slices
-and tables.
+and tables.  A whole generalized class moves one table per row-exchange
+pair (:func:`rauzy.classes._pair_search`): raw move 1 is move 0
+conjugated by the exchange.
 
 The induction itself is :func:`rv_step`, one step on a suspension vector,
 whose real parts are the interval lengths.  It is exact: it reads the
@@ -51,11 +55,9 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Optional
 
-from .combinat import GenPerm
+from .combinat import _IDENT, GenPerm
 from .errors import InductionHalt, InvalidSuspension, UndefinedMove
 from .suspension import SuspensionDatum, _valid_parts
-
-_IDENT = bytes(range(256))  # the identity translation table
 
 
 def _rotation(x: int, m: int) -> bytes:
@@ -83,15 +85,12 @@ def _table_move(key: bytes, which: int) -> Optional[tuple[bytes, int, int]]:
     i = key.index(0)
     if key[i - 1] == key[-1]:
         return None
-    return (_move1 if which else _move0)(key, i, _rotation)
+    return (_move1 if which else _move0)(key, i)
 
 
-def _move0(
-    key: bytes, i: int, rotation: Callable[[int, int], bytes]
-) -> Optional[tuple[bytes, int, int]]:
+def _move0(key: bytes, i: int) -> Optional[tuple[bytes, int, int]]:
     """Move 0 of :func:`_table_move` on a key whose rows end in different
-    symbols, ``i`` its separator index, with ``rotation`` as in
-    :func:`_renumbered`; None when undefined."""
+    symbols, ``i`` its separator index; None when undefined."""
     x = key[-1]
     winner = key[i - 1]
     p = key.find(winner, i + 1) + 1  # just after it in the bottom row
@@ -105,15 +104,12 @@ def _move0(
     raw = key[:p] + key[-1:] + key[p:-1]
     if key.index(x) <= p:
         return raw, x, x
-    return _renumbered(raw, x, p, rotation)  # x now first occurs at p
+    return _renumbered(raw, x, p)  # x now first occurs at p
 
 
-def _move1(
-    key: bytes, i: int, rotation: Callable[[int, int], bytes]
-) -> Optional[tuple[bytes, int, int]]:
+def _move1(key: bytes, i: int) -> Optional[tuple[bytes, int, int]]:
     """Move 1 of :func:`_table_move` on a key whose rows end in different
-    symbols, ``i`` its separator index, with ``rotation`` as in
-    :func:`_renumbered`; None when undefined."""
+    symbols, ``i`` its separator index; None when undefined."""
     x = key[i - 1]
     winner = key[-1]
     p = key.index(winner) + 1
@@ -121,7 +117,7 @@ def _move1(
         raw = key[:p] + key[i - 1 : i] + key[p : i - 1] + key[i:]
         if key.index(x) <= p:
             return raw, x, x
-        return _renumbered(raw, x, p, rotation)
+        return _renumbered(raw, x, p)
     # into the bottom row, just before it, if another symbol has both
     # occurrences in the top row
     twice = key.index(x) < i - 1  # x keeps an occurrence in the top row
@@ -130,27 +126,22 @@ def _move1(
     raw = key[: i - 1] + key[i : p - 1] + key[i - 1 : i] + key[p - 1 :]
     if twice:
         return raw, x, x
-    return _renumbered(raw, x, raw.index(x), rotation)
+    return _renumbered(raw, x, raw.index(x))
 
 
-def _renumbered(
-    raw: bytes, x: int, p: int, rotation: Callable[[int, int], bytes]
-) -> tuple[bytes, int, int]:
+def _renumbered(raw: bytes, x: int, p: int) -> tuple[bytes, int, int]:
     """The raw move ``raw`` renumbered, with its rotation ``x -> m``.
 
     The move helpers return a raw move as it is, with the identity
     rotation, unless it moved the first occurrence of ``x``; it then comes
     here with that occurrence's new index ``p``.  By reduced numbering, the
     distinct symbols before it are those up to the largest, ``before``,
-    except ``x``, which fixes ``m``.  ``rotation(x, m)`` gives the
-    translation table: :func:`_rotation` for a single move, and a cache of
-    it for a class search, which meets the same few pairs ``(x, m)`` at
-    vertex after vertex; with generalized tables of six symbols the cache
-    saves the search about 8% per vertex.
+    except ``x``, which fixes ``m``; :func:`_rotation` gives the
+    translation table.
     """
     before = max(raw[:p]) if p else 0
     m = before + 1 - (x < before)
-    return (raw if m == x else raw.translate(rotation(x, m))), x, m
+    return (raw if m == x else raw.translate(_rotation(x, m))), x, m
 
 
 def _move1_tables(d: int) -> list[bytes]:
@@ -177,8 +168,11 @@ def _successors(
     keeps the top row, so the raw key is reduced; its move 1 is one
     translation of :func:`_move1_tables`.
     Both moves are undefined exactly when the bottom row ends in ``d``.
-    Any other table takes :func:`_move0` and :func:`_move1` after the
-    separator lookup and end test of :func:`_table_move`, made once.
+    Any other table makes both moves in one body, by the rules of
+    :func:`_move0` and :func:`_move1` after the separator lookup and end
+    test of :func:`_table_move`, made once.  A class search meets the
+    same few renumberings ``(x, m)`` at vertex after vertex, so the kernel
+    keeps a cache of :func:`_rotation`.
     """
     d = len(seed) // 2
     head = bytes(range(1, d + 1)) + b"\0"
@@ -187,11 +181,45 @@ def _successors(
 
         def table_moves(key: bytes) -> tuple[Optional[bytes], Optional[bytes]]:
             i = key.index(0)
-            if key[i - 1] == key[-1]:
+            a, b = key[i - 1], key[-1]  # the last letters of the two rows
+            if a == b:
                 return None, None
-            moved0 = _move0(key, i, rotation)
-            moved1 = _move1(key, i, rotation)
-            return moved0 and moved0[0], moved1 and moved1[0]
+            # move 0, b the loser: just after the other a in the bottom row,
+            # else just before it in the top row if another symbol has both
+            # occurrences in the bottom row
+            p = key.find(a, i + 1) + 1
+            if not p:
+                k = max(key[:i])
+                p = -1 if len(key) // 2 - k <= (b > k) else key.index(a)
+            if p < 0:
+                moved0 = None
+            else:
+                moved0 = key[:p] + key[-1:] + key[p:-1]
+                if key.index(b) > p:  # b now first occurs at p: renumber
+                    before = max(key[:p]) if p else 0
+                    m = before + 1 - (b < before)
+                    if m != b:
+                        moved0 = moved0.translate(rotation(b, m))
+            # move 1, a the loser: just after the other b in the top row,
+            # else just before it in the bottom row if another symbol has
+            # both occurrences in the top row
+            p = key.index(b) + 1
+            if p < i:
+                moved1 = key[:p] + key[i - 1 : i] + key[p : i - 1] + key[i:]
+                first = key.index(a) > p
+            else:
+                first = key.index(a) == i - 1  # a leaves the top row
+                if i - max(key[:i]) <= (not first):
+                    return moved0, None
+                moved1 = key[: i - 1] + key[i : p - 1] + key[i - 1 : i] + key[p - 1 :]
+                if first:
+                    p = moved1.index(a)
+            if first:  # a now first occurs at p >= 1: renumber
+                before = max(moved1[:p])
+                m = before + 1 - (a < before)
+                if m != a:
+                    moved1 = moved1.translate(rotation(a, m))
+            return moved0, moved1
 
         return table_moves
     lookups = _move1_tables(d)
@@ -312,7 +340,7 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
         which, longer, shorter, length, move = 0, a, b, ra - rb, _move0
     else:
         which, longer, shorter, length, move = 1, b, a, rb - ra, _move1
-    moved = move(key, i, _rotation)
+    moved = move(key, i)
     if moved is None:
         raise UndefinedMove(f"move {which} undefined at {p}")
     moved_key, x, m = moved  # x is the shorter symbol, the loser

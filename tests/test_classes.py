@@ -22,12 +22,14 @@ from rauzy import (
 from rauzy.classes import (
     RauzyDiagram,
     _bfs_rows,
+    _PairTable,
     _seeded_classes,
+    _seeds,
     class_partition,
     diagram_json,
 )
 from rauzy.errors import BudgetExceeded, ReducibleSeed
-from rauzy.combinat import GenPerm
+from rauzy.combinat import GenPerm, _irreducible_tables
 from rauzy.induction import r0, r1
 
 FIGURE_PERM_BOTTOMS = {
@@ -192,13 +194,56 @@ class TestRauzyClass:
         assert len(sizes) == 1 + 1 + 2 + 4 + 7 + 13 + 21
         assert sum(sizes) == 1 + 3 + 13 + 71 + 461 + 3_447 + 29_093
 
+    def test_pair_search_matches_the_breadth_first_class(self):
+        # Every generalized class through six symbols, from the verifier's
+        # seeds: the whole-class search over row-exchange pairs and a search
+        # with a stop that never fires give the same keys, the seed first,
+        # and every class is certified closed under the exchange.
+        never = lambda key: False
+        totals = {}
+        for d in range(3, 7):
+            held: set[bytes] = set()
+            last = None  # the seed of the class before
+            pairs = fixed = 0
+            for seed in _seeds(_irreducible_tables(d)):
+                if seed in held:
+                    continue
+                table = _bfs_rows(seed, 10**7)
+                assert isinstance(table, _PairTable) and table.closed
+                keys = list(table)
+                oracle = _bfs_rows(seed, 10**7, stop=never)
+                assert keys[0] == seed
+                assert len(keys) == len(table) == len(oracle)
+                assert set(keys) == oracle.keys()
+                assert all(map(table.__contains__, oracle))
+                assert last is None or last not in table
+                assert held.isdisjoint(keys)
+                held.update(keys)
+                last = seed
+                pairs += len(table.pairs)
+                fixed += table.fixed
+            totals[d] = pairs, fixed
+        assert totals == {3: (2, 0), 4: (44, 2), 5: (789, 6), 6: (14_347, 52)}
+
+    def test_pair_table_reads_as_its_vertex_keys(self):
+        # the pairs of the four-vertex class, decoded: equal to the dict of
+        # its keys, and a table of the other shape reduces to the same pair
+        table = rauzy_class(parse("1 1 2 / 2 3 3")).table
+        keys = {parse(text)._key: None for text in FIGURE_GENERALIZED}
+        assert len(table.pairs) == 2 and table.fixed == 0
+        assert table == keys and dict(table) == keys
+        assert parse("1 1 2 2 / 3 3")._key in table
+        assert parse("1 2 2 / 3 1 3")._key not in table
+
     @pytest.mark.parametrize(
-        "text, size", [("1 2 3 4 / 4 3 2 1", 7), ("1 1 2 / 2 3 3", 4)]
+        "text, size",
+        [("1 2 3 4 / 4 3 2 1", 7), ("1 1 2 / 2 3 3", 4), ("1 2 2 / 3 3 4 4 1", 7)],
     )
     def test_budget_edges_on_both_paths(self, text, size):
         # a class of exactly the budget passes and one vertex more raises,
-        # whether the search closes cycles, goes breadth first to the end or
-        # stops nowhere
+        # whether the search closes cycles, goes over row-exchange pairs,
+        # goes breadth first to the end or stops nowhere; the class of
+        # 1 2 2 / 3 3 4 4 1 is 4 pairs, one of them 1 1 2 2 / 3 3 4 4 alone
         seed = parse(text)._key
         for stop in (None, lambda key: False):
             assert len(_bfs_rows(seed, size, stop)) == size
@@ -421,6 +466,23 @@ class TestVerify:
         _drop_stratum(monkeypatch, "Q(2,2)")
         report = verify_main_theorem(5, PermKind.QUADRATIC)
         _assert_count_fails(report, 1572 - 73, 1572)
+
+    def test_uncertified_class_fails_the_count(self, monkeypatch):
+        # with certification off, each class holds one member of each of
+        # its pairs and no exchange class is built: the count fails
+        import rauzy.classes
+
+        class Uncertified(_PairTable):
+            __slots__ = ()
+
+            def __init__(self, seed, pairs, closed, fixed):
+                super().__init__(seed, pairs, False, fixed)
+
+        monkeypatch.setattr(rauzy.classes, "_PairTable", Uncertified)
+        report = verify_main_theorem(5, PermKind.QUADRATIC)
+        assert report.coverage == (789, 1572)
+        assert not report.passed
+        assert json.loads(report.to_json())["passed"] is False
 
     def test_single_stratum_count(self, monkeypatch):
         # a generalized stratum run counts the tables of that stratum

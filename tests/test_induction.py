@@ -195,6 +195,31 @@ def test_permutation_kernel_matches_renumbering_kernel():
     assert undefined == 2 * sum(factorial(d - 1) for d in range(1, 8))
 
 
+def test_one_body_kernel_matches_the_single_moves():
+    # The generalized kernel of a class search makes both moves in one
+    # body; on every irreducible generalized table through six symbols, the
+    # shapes l <= m of the pruned search and their row exchanges, it gives
+    # the keys of the single moves.
+    from rauzy.combinat import _irreducible_tables, _reduced
+
+    counts = {}
+    for d in range(3, 7):
+        keys = set()
+        for key in _irreducible_tables(d):
+            i = key.index(0)
+            keys.update((key, _reduced(key[i + 1 :] + b"\0" + key[:i])))
+        kernel = _successors(min(keys))
+        assert kernel.__name__ == "table_moves"
+        for key in keys:
+            want = tuple(
+                None if moved is None else moved[0]
+                for moved in (_table_move(key, 0), _table_move(key, 1))
+            )
+            assert kernel(key) == want, rows_of(key)
+        counts[d] = len(keys)
+    assert counts == {3: 4, 4: 86, 5: 1_572, 6: 28_642}
+
+
 def test_kernel_choice_follows_the_kind():
     from rauzy.combinat import GenPerm, all_reduced_tables
 
