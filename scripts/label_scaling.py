@@ -25,6 +25,8 @@ label made, the outermost rule first:
 
 * ``forget-a-point``: the label is that of a table one stratum down;
 * ``exceptional``: a search toward the least table of the stratum;
+* ``hyperelliptic rule``: the move rule to a standard permutation, from the
+  table and from a symmetric hyperelliptic table, with no search;
 * ``hyperelliptic search``: a search from a symmetric hyperelliptic table;
 * ``spin``: spin parity, with no search;
 * ``one component``: the stratum has one component.
@@ -48,12 +50,19 @@ RULES = (
     "one component",
     "spin",
     "forget-a-point",
+    "hyperelliptic rule",
     "hyperelliptic search",
     "exceptional",
     "over budget",
 )
 # the label's private functions that measure() wraps to see which rule decided
-WRAPPED = ("_component_label", "_least_table", "_hyperelliptic_table", "_spin_parity")
+WRAPPED = (
+    "_component_label",
+    "_least_table",
+    "_hyperelliptic_table",
+    "_to_standard",
+    "_spin_parity",
+)
 
 
 def random_tables(kind: str, d: int, count: int, seed: int):
@@ -87,6 +96,8 @@ def decided(calls: list[str]) -> str:
         return "forget-a-point"
     if "_least_table" in calls:
         return "exceptional"
+    if "_to_standard" in calls:
+        return "hyperelliptic rule"
     if "_hyperelliptic_table" in calls:
         return "hyperelliptic search"
     if "_spin_parity" in calls:

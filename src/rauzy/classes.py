@@ -36,9 +36,10 @@ maps the tables of shape ``(l, m)`` one to one onto those of shape
 ``(m, l)``.  The class sizes must therefore sum to
 ``2 N(l < m) + N(l = m)``, which the same pass counts.  A candidate is a
 seed when its bottom row ends with 1, and one with ``l < m`` whose top row
-ends with its bottom row's first letter gives its exchange as a seed,
+ends with its bottom row's first letter stands for its exchange, a seed
 whose bottom row then ends with 1 (:func:`_seeds`): the seeds are all the
-irreducible tables whose bottom row ends with 1.  That every generalized
+irreducible tables whose bottom row ends with 1, each of shape ``l > m``
+given by the candidate it is the exchange of.  That every generalized
 class holds a seed is checked through eight symbols but not proven; the
 count turns a missed class into a failed report instead of a silent pass.
 The same count guards the pair search: a class it cannot certify
@@ -55,8 +56,10 @@ marked order, and each stratum must show exactly the component labels
 that :func:`rauzy.invariants.stratum_components` lists.  A label that
 needs the class asks whether it holds a reference table
 (:func:`rauzy.invariants.label_for_class`): a lookup in a class the
-verifier holds, and otherwise :func:`_holds`, the stopping search of
-:func:`_bfs_rows`.
+verifier holds, and otherwise :func:`_holds`, a search that stops there:
+over row-exchange pairs (:func:`_pair_search`) for generalized tables,
+vertex by vertex (:func:`_bfs_rows`) for permutations.  The vertex search
+of :func:`same_class_bfs` is the tests' oracle of the pair search.
 """
 from __future__ import annotations
 
@@ -218,25 +221,35 @@ class _PairTable(Mapping):
         return repr(dict(self))
 
 
-def _pair_search(seed: bytes, budget: int) -> _PairTable:
+def _pair_search(
+    seed: bytes, budget: int, target: Optional[bytes] = None
+) -> _PairTable:
     """The class of the generalized key ``seed``, by one search over its pairs.
 
     Raw move 1 is move 0 conjugated by tau (:mod:`rauzy.induction`), so the
     moves of ``tau v`` are the exchanges of those of ``v``, with 0 and 1
     swapped: they reach the same two pairs with the bit flipped.  Only the
-    pair key's two moves are made.  A class is certified tau-closed when
-    it holds a table equal to its exchange, or when one pair is reached
-    with both bits: tau maps the class of ``v`` onto that of ``tau v``.
-    The budget counts ``2 pairs - fixed``.
+    pair key's two moves are made, breadth first.  A class is certified
+    tau-closed when it holds a table equal to its exchange, or when one
+    pair is reached with both bits: tau maps the class of ``v`` onto that
+    of ``tau v``.  With a ``target``, the search stops as soon as the pairs
+    found hold it: its pair with its bit, or its pair in a certified class.
+    The partial table then reads as a class does, and holds ``target``; a
+    table that does not hold it is the whole class.  The budget counts
+    ``2 pairs - fixed``, at most the size of a certified class, and the
+    pair that holds ``target`` is never over it.
     """
     moves = _successors(seed)
     d = len(seed) // 2
     key, bit = _pair_of(seed)
+    goal, goal_bit = (None, 0) if target is None else _pair_of(target)
     fixed = int(key[d] == 0 and _exchange(key) == key)
     closed = fixed > 0
+    pairs = {key: bit}
+    if key == goal and (closed or bit == goal_bit):
+        return _PairTable(seed, pairs, closed, fixed)
     if 2 - fixed > budget:
         raise BudgetExceeded(f"class exceeds the {budget}-vertex budget")
-    pairs = {key: bit}
     queue = deque([key])
     while queue:
         key = queue.popleft()
@@ -258,10 +271,16 @@ def _pair_search(seed: bytes, budget: int) -> _PairTable:
             if held is None:
                 pairs[moved] = flip
                 queue.append(moved)
-                if 2 * len(pairs) - fixed > budget:
-                    raise BudgetExceeded(f"class exceeds the {budget}-vertex budget")
             elif held != flip:
                 closed = True
+            else:
+                continue
+            if goal is not None and (
+                pairs.get(goal) == goal_bit or closed and goal in pairs
+            ):
+                return _PairTable(seed, pairs, closed, fixed)
+            if 2 * len(pairs) - fixed > budget:
+                raise BudgetExceeded(f"class exceeds the {budget}-vertex budget")
     return _PairTable(seed, pairs, closed, fixed)
 
 
@@ -319,8 +338,17 @@ def _bfs_rows(
 
 
 def _holds(seed: bytes, target: bytes, budget: int) -> bool:
-    """Whether the class of ``seed`` holds ``target``, by a search that stops there."""
-    return target in _bfs_rows(seed, budget, stop=target.__eq__)
+    """Whether the class of ``seed`` holds ``target``, by a search that stops there.
+
+    A class of generalized tables is searched over its row-exchange pairs
+    (:func:`_pair_search`), a permutation class vertex by vertex
+    (:func:`_bfs_rows`).  A class of more than ``budget`` vertices that does
+    not hold ``target`` raises :class:`BudgetExceeded`.
+    """
+    d = len(seed) // 2
+    if seed[d] == 0 and seed[d - 1] == d:  # a reduced permutation: top row 1 ... d
+        return target in _bfs_rows(seed, budget, stop=target.__eq__)
+    return target in _pair_search(seed, budget, target)
 
 
 def rauzy_class(seed: GenPerm, budget: int = 10**7) -> RauzyDiagram:
@@ -346,7 +374,8 @@ def same_class_bfs(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
             raise ReducibleSeed(f"{p} admits no suspension")
     if p1.d != p2.d:
         return False
-    return _holds(p1._key, p2._key, budget)
+    target = p2._key
+    return target in _bfs_rows(p1._key, budget, stop=target.__eq__)
 
 
 def same_class_fast(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
@@ -406,16 +435,17 @@ def _seeds(candidates: Iterable[bytes]) -> Iterator[bytes]:
     A candidate is a seed when its bottom row ends with 1.  A candidate with
     ``l < m`` stands for its row exchange too, which is a seed when the
     candidate's top row ends with its bottom row's first letter; the
-    exchange itself is yielded, so every seed has its bottom row end with 1.
+    candidate is then yielded for it, as it is the pair key
+    (:func:`_pair_of`) that :func:`_seeded_classes` holds for the exchange.
     As ``l <= m``, ``l < m`` exactly when the middle byte is no separator.
     """
     for key in candidates:
         if key[-1] == 1:
             yield key
-        if key[len(key) // 2]:
+        elif key[len(key) // 2]:
             i = key.index(0)
             if key[i - 1] == key[i + 1]:
-                yield _exchange(key)
+                yield key
 
 
 def _seeded_classes(seeds: Iterable[bytes], budget: int) -> Iterator[RauzyDiagram]:

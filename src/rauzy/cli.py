@@ -225,9 +225,18 @@ def cmd_invariants(args) -> int:
         "component": label.value,
     }
     if args.output == "json":
-        import json
-
-        print(json.dumps(payload, indent=2))
+        # the bytes of json.dumps(payload, indent=2), with no json import:
+        # the two strings are a stratum and a label name, which need no escape
+        orders = ",\n".join(f"    {k}" for k in profile.orders)
+        print(
+            "{\n"
+            f'  "stratum": "{st.text}",\n'
+            f'  "genus": {st.genus},\n'
+            f'  "orders": [\n{orders}\n  ],\n'
+            f'  "marked": {profile.marked},\n'
+            f'  "component": "{label.value}"\n'
+            "}"
+        )
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")

@@ -41,6 +41,10 @@ class BudgetExceeded(RauzyError):
     """Enumeration exceeded the configured node budget."""
 
 
+class MoveCapExceeded(RauzyError):
+    """A move rule did not reach its end within its cap of moves."""
+
+
 class InductionHalt(RauzyError):
     """Induction cannot proceed (equal compared data or matching end symbols)."""
 

@@ -37,7 +37,8 @@ from the kernel :func:`_successors` gives for its class: slices and one
 moves by the same rules after one lookup of the row separator, with no
 call per move.  A whole permutation class is closed by the kernel of
 :func:`_cycles` instead, one move-0 cycle per call, with the same slices
-and tables.  A whole generalized class moves one table per row-exchange
+and tables, and :func:`_to_standard` walks a permutation to a standard
+one with them.  A whole generalized class moves one table per row-exchange
 pair (:func:`rauzy.classes._pair_search`): raw move 1 is move 0
 conjugated by the exchange.
 
@@ -56,7 +57,13 @@ from functools import cache
 from typing import Callable, Optional
 
 from .combinat import _IDENT, GenPerm
-from .errors import InductionHalt, InvalidSuspension, UndefinedMove
+from .errors import (
+    InductionHalt,
+    InvalidSuspension,
+    MoveCapExceeded,
+    Reducible,
+    UndefinedMove,
+)
 from .suspension import SuspensionDatum, _valid_parts
 
 
@@ -277,6 +284,65 @@ def _cycles(
                 push(image)
 
     return close
+
+
+def _standard_cap(d: int) -> int:
+    """The most moves :func:`_to_standard` makes on ``d`` symbols.
+
+    Measured, not proven: some irreducible permutation needs exactly
+    ``(d - 1)(d - 2) / 2`` moves at every ``d`` from 3 to 16, and none
+    needs more (every one through ten symbols; at 11 to 16, 10,000 random
+    ones and the vertices of the hyperelliptic classes).
+    """
+    return (d - 1) * (d - 2) // 2
+
+
+def _to_standard(key: bytes) -> tuple[bytes, int]:
+    """The standard permutation a memoryless move rule reaches from the key
+    of an irreducible permutation, and the number of moves it made.
+
+    A permutation is standard when its bottom row ``b`` starts with ``d``
+    and ends with 1.  The move depends on ``b`` alone, ``d`` read as the
+    top row's last letter:
+
+    * ``b`` ends with 1: stop when ``b`` starts with ``d``, else move 1;
+    * 1 comes after ``d`` in ``b``: move 0;
+    * otherwise move 1 when ``b`` ends with the least letter after ``d``,
+      else move 0.
+
+    Moves keep the class, so the end is a standard permutation of the class
+    of ``key``; every class holds one (Rauzy, *Acta Arith.* 34, 1979).  The
+    moves are those of the permutation kernel of :func:`_successors`, with
+    its slices and :func:`_move1_tables`.  More than :func:`_standard_cap`
+    moves raise :class:`MoveCapExceeded`; the rule never loops.
+
+    >>> from .combinat import format_perm, parse
+    >>> end, moves = _to_standard(parse("1 2 3 4 / 3 4 1 2")._key)
+    >>> format_perm(GenPerm._of(end)), moves
+    ('1 2 3 4 / 4 2 3 1', 2)
+    """
+    d = len(key) // 2
+    head = key[: d + 1]
+    lookups = _move1_tables(d)
+    for moves in range(_standard_cap(d) + 1):
+        w = key[-1]
+        k = key.index(d, d + 1) + 1  # just after d in the bottom row
+        if w == 1:
+            if k == d + 2:
+                return key, moves
+            move1 = True
+        elif k == len(key):
+            raise Reducible(f"{GenPerm._of(key)} ends both rows with {d}")
+        else:
+            after = key[k:]
+            move1 = 1 not in after and w == min(after)
+        if move1:
+            key = head + key[d + 1 :].translate(lookups[w])
+        else:
+            key = key[:k] + key[-1:] + key[k:-1]
+    raise MoveCapExceeded(
+        f"the rule to a standard permutation passes {_standard_cap(d)} moves"
+    )
 
 
 def r0(p: GenPerm) -> Optional[GenPerm]:

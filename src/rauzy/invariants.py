@@ -41,8 +41,10 @@ and a marked order fix the class (Boissy, arXiv:0904.3826): does the class
 hold a reference table of the stratum and marked order?  The reference is
 the least table (:func:`_least_table`) in an exceptional stratum and a
 symmetric hyperelliptic table (:func:`_hyperelliptic_table`) elsewhere.
-One search between the two tables answers it, so a class is built only in
-genus 2.  :func:`label_for_class` applies it to a class that the caller
+One search between the two tables answers it, over row-exchange pairs for
+generalized tables; for a permutation with no unmarked 0, two walks of a
+move rule to a standard permutation answer it with no search.  A class is
+built only in genus 2.  :func:`label_for_class` applies it to a class that the caller
 holds, and looks the reference table up in that class instead.
 """
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .combinat import (
     is_irreducible,
 )
 from .errors import BudgetExceeded, NotAbelian, OddDegreePresent, Reducible
+from .induction import _to_standard
 
 # ---------------------------------------------------------------------------
 # Strata
@@ -757,7 +760,8 @@ def _component_label(
     that needs the class asks one question: does it hold a reference table
     of the stratum and marked order of ``p``?  With ``keys`` the answer is
     a lookup; otherwise one search within ``budget`` vertices, from one of
-    the two tables, stops at the other.  Only genus 2 builds a class.  The
+    the two tables, stops at the other (:func:`rauzy.classes._holds`), or
+    for a permutation two walks of a move rule answer with no search.  Only genus 2 builds a class.  The
     rules, in order:
 
     * a stratum with one component has that label;
@@ -783,10 +787,16 @@ def _component_label(
       from ``p`` stops at the first such vertex, even when ``keys`` is
       given;
     * otherwise the class is hyperelliptic exactly when it holds the
-      symmetric table :func:`_hyperelliptic_table` finds; the search runs
-      from that table, whose class is the small one, and stops at ``p``.
-      Bare central symmetry is not enough: symmetric vertices also occur
-      in non-hyperelliptic classes.
+      symmetric table :func:`_hyperelliptic_table` finds.  For a
+      permutation whose stratum has no unmarked 0, the move rule of
+      :func:`rauzy.induction._to_standard` walks from ``p`` and from that
+      table to a standard permutation of each one's class; a hyperelliptic
+      class with no unmarked 0 holds exactly one (checked through ten
+      symbols), so ``p`` is hyperelliptic exactly when the two walks end
+      at the same one.  Otherwise the search runs from that table, whose
+      class is the small one, and stops at ``p``.  Bare central symmetry
+      is not enough: symmetric vertices also occur in non-hyperelliptic
+      classes.
 
     A class that fails the hyperelliptic test has the spin label found
     above, or ``non-hyperelliptic`` where spin does not apply; with no
@@ -821,8 +831,8 @@ def _component_label(
     else:
         label = ComponentLabel.NON_HYPERELLIPTIC
     marked = _known_profile(p._key).marked
-    if st.orders.count(0) > (marked == 0):
-        # an order-0 point other than the marked one
+    unmarked_zero = st.orders.count(0) > (marked == 0)
+    if unmarked_zero:
         merged = None
 
         def forgets(key: bytes) -> bool:
@@ -839,5 +849,10 @@ def _component_label(
         raise RuntimeError(
             f"{st.text} has no symmetric hyperelliptic table with marked order {marked}"
         )
-    found = ref in keys if keys is not None else _holds(ref, p._key, budget)
+    if keys is not None:
+        found = ref in keys
+    elif st.kind is StratumKind.ABELIAN and not unmarked_zero:
+        found = _to_standard(ref)[0] == _to_standard(p._key)[0]
+    else:
+        found = _holds(ref, p._key, budget)
     return ComponentLabel.HYPERELLIPTIC if found else label

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rauzy.classes
+from rauzy import component_label, parse, singularity_profile, stratum
 from rauzy.cli import _COMMANDS, _parse, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,17 +86,56 @@ class TestInvariants:
             "component": "hyperelliptic",
         }
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            "1 2 / 2 1",  # H(0)
+            "1 2 3 4 / 4 3 2 1",
+            "1 2 3 4 5 6 7 8 9 / 2 4 3 8 7 6 5 9 1",  # H(6,0), marked 0
+            "1 1 / 2 2 3 3",  # Q(-1,-1,-1,-1), marked -1
+            "1 2 1 / 3 2 4 3 5 4 6 7 6 7 5",  # Q(-1,9), marked -1
+            "1 1 / 2 2 3 4 3 4 5 6 5 6",  # Q(-1,-1,6)
+            "1 2 2 3 4 5 6 / 6 1 4 3 7 7 5",  # Q(-1,-1,0,6), marked 0
+            "1 1 / 2 2 3 4 3 5 6 4 6 5",  # Q(-1,-1,0,0,2), marked 0
+        ],
+    )
+    def test_json_report_is_the_json_module_text(self, capsys, table):
+        # the report is printed without the json module, byte for byte as
+        # json.dumps(payload, indent=2) prints it
+        p = parse(table)
+        st, profile = stratum(p), singularity_profile(p)
+        payload = {
+            "stratum": st.text,
+            "genus": st.genus,
+            "orders": list(profile.orders),
+            "marked": profile.marked,
+            "component": component_label(p).value,
+        }
+        code, out, _ = run_cli(capsys, "--output", "json", "invariants", table)
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
+        code, text, _ = run_cli(capsys, "invariants", table)
+        assert code == 0
+        assert text.splitlines() == [f"{key}: {value}" for key, value in payload.items()]
+
     def test_text_report(self, capsys):
         code, out, _ = run_cli(capsys, "invariants", "1 1 / 2 2 3 3")
         assert code == 0
         assert "stratum: Q(-1,-1,-1,-1)" in out
 
     def test_budget_bounds_the_reversal_search(self, capsys):
-        # H(3,3): deciding this label takes a search of 255 vertices.
+        # H(3,3): the standard-permutation rule decides this label with no
+        # search, where a search from the reversal would close its class of
+        # 255 vertices; the reversal is the first symmetric table tried.
         table = "1 2 3 4 5 6 7 8 9 / 2 4 1 6 5 7 9 3 8"
-        code, _, err = run_cli(capsys, "--budget", "100", "invariants", table)
+        code, out, _ = run_cli(capsys, "--budget", "1", "invariants", table)
+        assert code == 0 and "component: non-hyperelliptic" in out
+        # Q(-1,-1,6): the search from the symmetric table closes its class
+        # of 347 vertices without meeting this table
+        table = "1 1 / 2 2 3 4 3 4 5 6 5 6"
+        code, _, err = run_cli(capsys, "--budget", "346", "invariants", table)
         assert code == 1 and "budget" in err
-        code, out, _ = run_cli(capsys, "--budget", "255", "invariants", table)
+        code, out, _ = run_cli(capsys, "--budget", "347", "invariants", table)
         assert code == 0 and "component: non-hyperelliptic" in out
 
     def test_symbol_limit_when_the_table_is_read(self, capsys):

@@ -32,15 +32,24 @@ from rauzy import (
     stratum,
     stratum_components,
 )
-from rauzy.classes import _seeded_classes, class_partition
+from rauzy.classes import (
+    _bfs_rows,
+    _holds,
+    _pair_of,
+    _pair_search,
+    _seeded_classes,
+    class_partition,
+)
 from rauzy.combinat import GenPerm, _irreducible_tables, _reduced
 from rauzy.errors import (
     BudgetExceeded,
+    MoveCapExceeded,
     NotAbelian,
     OddDegreePresent,
+    RauzyError,
     Reducible,
 )
-from rauzy.induction import r0, r1
+from rauzy.induction import _standard_cap, _to_standard, r0, r1
 from rauzy.invariants import (
     _forget_regular_point,
     _hyperelliptic_table,
@@ -481,12 +490,113 @@ class TestHyperellipticFamilies:
 
     def test_budget_bounds_the_reversal_search(self):
         # The class of this H(3,3) table has 15,568 vertices; the search
-        # from the nine-symbol reversal closes its class of 2^8 - 1 = 255
-        # vertices without meeting the table.
+        # from the nine-symbol reversal, the oracle of the
+        # standard-permutation rule, closes its class of 2^8 - 1 = 255
+        # vertices without meeting the table.  The label walks the rule and
+        # searches nothing, and the reversal is the first symmetric table
+        # tried, so a budget of 1 does for it.
         p = parse("1 2 3 4 5 6 7 8 9 / 2 4 1 6 5 7 9 3 8")
-        assert component_label(p, budget=255) is NONHYP
+        top = tuple(range(1, 10))
+        reversal = key_of(top, top[::-1])
+        assert not _holds(reversal, p._key, 255)
         with pytest.raises(BudgetExceeded):
-            component_label(p, budget=254)
+            _holds(reversal, p._key, 254)
+        assert component_label(p, budget=1) is NONHYP
+
+
+class TestStandardRule:
+    """The move rule to a standard permutation, ``induction._to_standard``.
+
+    A permutation with no unmarked 0 is hyperelliptic exactly when the
+    rule from it ends where the rule from the symmetric table ends; the
+    search from the symmetric table (:func:`_holds`) is the second route.
+    """
+
+    # the one standard permutation of each hyperelliptic class with no
+    # unmarked 0 through ten symbols: the reversal, or with a marked 0,
+    # d, d-2, ..., 2, d-1, 1
+    STANDARD = {
+        ("H(2)", 2): "4 3 2 1",
+        ("H(1,1)", 1): "5 4 3 2 1",
+        ("H(2,0)", 0): "5 3 2 4 1",
+        ("H(1,1,0)", 0): "6 4 3 2 5 1",
+        ("H(4)", 4): "6 5 4 3 2 1",
+        ("H(2,2)", 2): "7 6 5 4 3 2 1",
+        ("H(4,0)", 0): "7 5 4 3 2 6 1",
+        ("H(2,2,0)", 0): "8 6 5 4 3 2 7 1",
+        ("H(6)", 6): "8 7 6 5 4 3 2 1",
+        ("H(3,3)", 3): "9 8 7 6 5 4 3 2 1",
+        ("H(6,0)", 0): "9 7 6 5 4 3 2 8 1",
+        ("H(3,3,0)", 0): "10 8 7 6 5 4 3 2 9 1",
+        ("H(8)", 8): "10 9 8 7 6 5 4 3 2 1",
+    }
+
+    def test_rule_matches_the_search_through_eight_symbols(self):
+        # every irreducible permutation, class by class: each walk ends at a
+        # standard permutation of its class, and on every table of a
+        # hyperelliptic family with no unmarked 0 the verdict is the search's
+        worst = {}
+        decided = {}
+        for d in range(3, 9):
+            for diagram in _standard_classes(d):
+                table = diagram.table
+                ends = set()
+                for key in table:
+                    end, moves = _to_standard(key)
+                    worst[d] = max(worst.get(d, 0), moves)
+                    ends.add(end)
+                assert all(end[d + 1] == d and end[-1] == 1 for end in ends)
+                assert all(end in table for end in ends)
+                rep = GenPerm._of(next(iter(table)))
+                st, marked = stratum(rep), singularity_profile(rep).marked
+                if HYP not in stratum_components(st) or st.orders.count(0) > (
+                    marked == 0
+                ):
+                    continue
+                ref = _hyperelliptic_table(st, marked)
+                ref_end = _to_standard(ref)[0]
+                if _holds(ref, rep._key, 10**7):
+                    assert ends == {ref_end}, rep
+                else:
+                    assert ref_end not in ends, rep
+                decided[d] = decided.get(d, 0) + len(table)
+        # the cap is met at every size
+        assert worst == {d: _standard_cap(d) for d in range(3, 9)}
+        assert decided == {4: 7, 5: 26, 6: 185, 7: 570, 8: 8_104}
+
+    def test_one_standard_permutation_per_hyperelliptic_class(self):
+        found = {}
+        for g in range(2, 6):
+            for orders, marked in [
+                ((2 * g - 2,), 2 * g - 2),
+                ((g - 1, g - 1), g - 1),
+                ((2 * g - 2, 0), 0),
+                ((g - 1, g - 1, 0), 0),
+            ]:
+                st = Stratum(StratumKind.ABELIAN, orders)
+                d = st.d
+                if d > 10:
+                    continue
+                ref = _hyperelliptic_table(st, marked)
+                held = _bfs_rows(ref, 10**7)
+                standard = [key for key in held if key[d + 1] == d and key[-1] == 1]
+                assert standard == [_to_standard(ref)[0]], st
+                found[st.text, marked] = " ".join(map(str, standard[0][d + 1 :]))
+        assert found == self.STANDARD
+
+    def test_cap_raises_the_typed_error(self, monkeypatch):
+        import rauzy.induction
+
+        key = key_of((1, 2, 3, 4), (2, 4, 1, 3))
+        assert _to_standard(key) == (key_of((1, 2, 3, 4), (4, 3, 2, 1)), 3)
+        monkeypatch.setattr(rauzy.induction, "_standard_cap", lambda d: 2)
+        with pytest.raises(MoveCapExceeded):
+            _to_standard(key)
+        with pytest.raises(Reducible):
+            _to_standard(key_of((1, 2, 3), (2, 1, 3)))
+        # a label the rule decides raises it too, as a RauzyError
+        with pytest.raises(RauzyError):
+            component_label(parse("1 2 3 4 5 6 7 8 9 / 2 4 1 6 5 7 9 3 8"))
 
 
 # H(6,0), marked order 6: a vertex of the even-spin class whose bottom row
@@ -502,16 +612,23 @@ H60_MARKED_ZERO_EVEN = "1 2 3 4 5 6 7 8 9 / 2 4 3 8 7 6 5 9 1"
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Sizes of the breadth-first searches that return and of the classes
-    built."""
+    """Sizes of the breadth-first searches that return: the vertices of a
+    vertex search, the pairs of a search over row-exchange pairs; and the
+    sizes of the classes built."""
     import rauzy.classes
 
-    record = {"bfs": [], "classes": []}
+    record = {"bfs": [], "pairs": [], "classes": []}
     bfs, build = rauzy.classes._bfs_rows, rauzy.classes.rauzy_class
+    pair_search = rauzy.classes._pair_search
 
     def counting_bfs(seed, budget, stop=None):
         table = bfs(seed, budget, stop)
         record["bfs"].append(len(table))
+        return table
+
+    def counting_pairs(seed, budget, target=None):
+        table = pair_search(seed, budget, target)
+        record["pairs"].append(len(table.pairs))
         return table
 
     def counting_class(seed, budget=10**7):
@@ -520,6 +637,7 @@ def searches(monkeypatch):
         return diagram
 
     monkeypatch.setattr(rauzy.classes, "_bfs_rows", counting_bfs)
+    monkeypatch.setattr(rauzy.classes, "_pair_search", counting_pairs)
     monkeypatch.setattr(rauzy.classes, "rauzy_class", counting_class)
     return record
 
@@ -603,10 +721,9 @@ class TestForgetRegularPoint:
 
     def test_pair_table_builds_no_class(self, searches):
         assert component_label(parse(H60_EVEN)) is EVEN
-        # the search stops at the seed; the search from the reversal in
-        # H(6) closes its class of 2^7 - 1 vertices without meeting the
-        # merged table
-        assert searches == {"bfs": [1, 127], "classes": []}
+        # the search stops at the seed; H(6) has no unmarked 0, so the
+        # standard-permutation rule decides the merged table with no search
+        assert searches == {"bfs": [1], "pairs": [], "classes": []}
 
     def test_pairless_vertex_builds_no_class(self, searches):
         p = parse(H60_EVEN_PAIRLESS)
@@ -614,8 +731,8 @@ class TestForgetRegularPoint:
         assert same_class_bfs(p, parse(H60_EVEN))
         searches["bfs"].clear()
         assert component_label(p) is EVEN
-        # one move reaches a vertex with a pair, then the H(6) search
-        assert searches == {"bfs": [2, 127], "classes": []}
+        # one move reaches a vertex with a pair, then the H(6) rule
+        assert searches == {"bfs": [2], "pairs": [], "classes": []}
 
     def test_one_search_tests_each_vertex_once(self, searches, monkeypatch):
         import rauzy.invariants
@@ -636,8 +753,8 @@ class TestForgetRegularPoint:
             assert label() is EVEN
             # with or without the class, one search from p stops at its
             # second vertex and tests each of the two once; then the H(6)
-            # search
-            assert searches["bfs"] == [2, 127]
+            # rule, which searches nothing
+            assert searches["bfs"] == [2]
             assert len(forgets) == 2
 
     def test_lone_zero_label_searches_the_hyperelliptic_class(self, searches):
@@ -645,10 +762,11 @@ class TestForgetRegularPoint:
         assert stratum(p).text == "H(6,0)"
         assert singularity_profile(p).marked == 0
         assert component_label(p) is EVEN
-        # the search from the symmetric table closes the 135-vertex
-        # hyperelliptic class with marked order 0, not the 2,679-vertex
-        # class of the table
-        assert searches == {"bfs": [135], "classes": []}
+        # the only order-0 point is the marked one, so the
+        # standard-permutation rule decides: no search, neither of the
+        # 135-vertex hyperelliptic class with marked order 0 nor of the
+        # 2,679-vertex class of the table
+        assert searches == {"bfs": [], "pairs": [], "classes": []}
         assert _scan_label(rauzy_class(p).table) is EVEN
 
     def test_lone_zero_class_forgets_no_point(self, monkeypatch):
@@ -674,9 +792,9 @@ class TestForgetRegularPoint:
         assert component_label(hyp) is HYP
         searches["bfs"].clear()
         assert not same_class_fast(even, hyp)
-        # each table stops at its first vertex with a pair; the H(6) search
-        # from the reversal meets the hyperelliptic table at its 106th vertex
-        assert searches == {"bfs": [1, 127, 1, 106], "classes": []}
+        # each table stops at its first vertex with a pair, and the H(6)
+        # rule decides each merged table
+        assert searches == {"bfs": [1, 1], "pairs": [], "classes": []}
 
     @pytest.mark.parametrize("kind", ["iet", "quad"])
     def test_random_merges_past_seven_symbols(self, kind):
@@ -720,9 +838,10 @@ class TestForgetRegularPoint:
         assert component_label(p) is NONHYP
         # the seed holds the cycle and merges into Q6_NONHYP; the search
         # from the symmetric table of Q(-1,-1,6) closes its 347-vertex class
-        # without meeting it, where the search from the symmetric table of
-        # Q(-1,-1,0,6) would close a class of 2,429
-        assert searches == {"bfs": [1, 347], "classes": []}
+        # in 174 row-exchange pairs without meeting it, where the search
+        # from the symmetric table of Q(-1,-1,0,6) would close a class of
+        # 2,429
+        assert searches == {"bfs": [1], "pairs": [174], "classes": []}
 
     def test_every_generalized_merge_matches_the_class_scan(self):
         # Q(-1,-1,0,6) is the only family stratum through seven symbols with
@@ -827,14 +946,46 @@ class TestHalfTranslationFamilies:
         # the verifier, which holds the class, looks the symmetric table up
         # in it and searches nothing
         monkeypatch.setattr(rauzy.classes, "_bfs_rows", forbidden)
+        monkeypatch.setattr(rauzy.classes, "_pair_search", forbidden)
         assert [label_for_class(table, st) for table in classes] == labels
+
+    def test_pair_search_matches_the_vertex_search(self):
+        # Tables of Q(-1,-1,6), the only family stratum of generalized tables
+        # through six symbols, each searched for from the symmetric table of
+        # its marked order, as a label searches: the stopping search over
+        # row-exchange pairs gives the answer of the vertex search with a
+        # budget of the symmetric table's class size, and with one less both
+        # raise on a table that class does not hold.  Every table of three
+        # classes is searched, and every 32nd of the 4,832-vertex class,
+        # each of whose tables closes the 347-vertex class.
+        st = parse_stratum("Q(-1,-1,6)")
+        refs = {m: _hyperelliptic_table(st, m) for m in (-1, 6)}
+        sizes = {m: len(_bfs_rows(ref, 10**7)) for m, ref in refs.items()}
+        assert sizes == {-1: 60, 6: 347}
+        searched = held = 0
+        for table in _stratum_classes(st.text, 6, (-1, 6)):
+            keys = list(table)
+            for key in keys[::32] if len(keys) == 4832 else keys:
+                marked = _known_profile(key).marked
+                ref, size = refs[marked], sizes[marked]
+                found = key in _pair_search(ref, size, key)
+                assert found == (key in _bfs_rows(ref, size, stop=key.__eq__)), key
+                if not found:
+                    with pytest.raises(BudgetExceeded):
+                        _pair_search(ref, size - 1, key)
+                    with pytest.raises(BudgetExceeded):
+                        _bfs_rows(ref, size - 1, stop=key.__eq__)
+                searched += 1
+                held += found
+        assert (searched, held) == (60 + 347 + 1118 + 151, 60 + 347)
 
     def test_labels_build_no_class(self, searches):
         assert component_label(parse(Q6_NONHYP)) is NONHYP
         assert component_label(parse(Q6_HYP)) is HYP
-        # the search closes the 347-vertex hyperelliptic class without
-        # meeting the first table, and meets the second at its third vertex
-        assert searches == {"bfs": [347, 3], "classes": []}
+        # the search over row-exchange pairs closes the 347-vertex
+        # hyperelliptic class in 174 pairs without meeting the first table,
+        # and meets the second at its third pair
+        assert searches == {"bfs": [], "pairs": [174, 3], "classes": []}
 
     def test_search_stays_near_the_hyperelliptic_class(self):
         # The search from the symmetric table closes its 347-vertex class;
@@ -877,7 +1028,7 @@ class TestHalfTranslationFamilies:
         assert same_class_fast(hyp, parse("1 1 2 3 4 5 / 5 4 3 2 6 6"))
         # the second pair is the symmetric table itself, where the search
         # stops at its seed
-        assert searches == {"bfs": [3, 347, 3, 1], "classes": []}
+        assert searches == {"bfs": [], "pairs": [3, 174, 3, 1], "classes": []}
 
 
 class TestExceptionalSplit:
@@ -888,16 +1039,17 @@ class TestExceptionalSplit:
     classes and comparing their smallest vertices within each marked
     order.  A label must come out the same without enumerating or
     partitioning the stratum, and without building a class: one search
-    from the table stops at the least table of its stratum and marked
-    order, the smallest vertex of the ``exceptional-a`` class, or closes
-    the ``exceptional-b`` class without meeting it.
+    over row-exchange pairs from the table stops at the least table of its
+    stratum and marked order, the smallest vertex of the ``exceptional-a``
+    class, or closes the ``exceptional-b`` class without meeting it.
+    ``searched`` counts the pairs of that search.
     """
 
     CLASSES = [
-        ("1 2 1 / 3 2 4 3 5 4 6 7 6 7 5", -1, 6898, 2170, ComponentLabel.EXCEPTIONAL_A),
-        ("1 2 1 / 3 2 4 5 6 3 7 4 5 6 7", -1, 684, 684, ComponentLabel.EXCEPTIONAL_B),
-        ("1 1 / 2 3 2 3 4 5 4 5 6 7 6 7", 9, 89046, 316, ComponentLabel.EXCEPTIONAL_A),
-        ("1 1 / 2 3 2 3 4 5 6 7 4 5 6 7", 9, 11682, 11682, ComponentLabel.EXCEPTIONAL_B),
+        ("1 2 1 / 3 2 4 3 5 4 6 7 6 7 5", -1, 6898, 873, ComponentLabel.EXCEPTIONAL_A),
+        ("1 2 1 / 3 2 4 5 6 3 7 4 5 6 7", -1, 684, 342, ComponentLabel.EXCEPTIONAL_B),
+        ("1 1 / 2 3 2 3 4 5 4 5 6 7 6 7", 9, 89046, 281, ComponentLabel.EXCEPTIONAL_A),
+        ("1 1 / 2 3 2 3 4 5 6 7 4 5 6 7", 9, 11682, 5841, ComponentLabel.EXCEPTIONAL_B),
     ]
 
     @pytest.mark.parametrize(
@@ -916,6 +1068,7 @@ class TestExceptionalSplit:
         assert len(held) == size
         assert _smallest_vertex(held) == smallest
         searches["bfs"].clear()
+        searches["pairs"].clear()
         monkeypatch.setattr(rauzy.classes, "class_partition", forbidden)
         monkeypatch.setattr(rauzy.classes, "enumerate_irreducible", forbidden)
         monkeypatch.setattr(rauzy.classes, "rauzy_class", forbidden)
@@ -927,22 +1080,42 @@ class TestExceptionalSplit:
             moved = r1(smallest)
         assert moved != smallest
         last = []
-        bfs = rauzy.classes._bfs_rows  # the counting search of the fixture
+        pair_search = rauzy.classes._pair_search  # the counting search of the fixture
 
-        def ends(seed, budget, stop=None):
-            found = bfs(seed, budget, stop)
-            last.append(next(reversed(found)))
+        def ends(seed, budget, target=None):
+            found = pair_search(seed, budget, target)
+            last.append(next(reversed(found.pairs)))
             return found
 
-        monkeypatch.setattr(rauzy.classes, "_bfs_rows", ends)
+        monkeypatch.setattr(rauzy.classes, "_pair_search", ends)
         assert component_label(moved) is label
-        assert searches == {"bfs": [searched], "classes": []}
-        # an a-search ends at the smallest vertex, a b-search elsewhere
-        ends_at_smallest = last == [smallest._key]
+        assert searches == {"bfs": [], "pairs": [searched], "classes": []}
+        # an a-search ends at the pair of the smallest vertex, a b-search
+        # elsewhere
+        ends_at_smallest = last == [_pair_of(smallest._key)[0]]
         assert ends_at_smallest == (label is ComponentLabel.EXCEPTIONAL_A)
         # the verifier holds the class and looks the least table up in it
         monkeypatch.setattr(rauzy.classes, "_bfs_rows", forbidden)
+        monkeypatch.setattr(rauzy.classes, "_pair_search", forbidden)
         assert label_for_class(held, st) is label
+
+    @pytest.mark.parametrize(
+        "table, marked, size, searched, label", CLASSES, ids=["-1a", "-1b", "9a", "9b"]
+    )
+    def test_pair_search_matches_the_vertex_search(
+        self, table, marked, size, searched, label
+    ):
+        # from vertices spread over each class toward the least table of its
+        # marked order, as the split searches: the stopping search over
+        # row-exchange pairs and the vertex search give the class's answer
+        # within a budget of its size
+        held = rauzy_class(parse(table)).table
+        least = _least_table(parse_stratum("Q(-1,9)"), marked)
+        assert (least in held) == (label is ComponentLabel.EXCEPTIONAL_A)
+        keys = sorted(held)
+        for key in keys[:: len(keys) // 4]:
+            assert (least in _pair_search(key, size, least)) == (least in held), key
+            assert (least in _bfs_rows(key, size, stop=least.__eq__)) == (least in held)
 
     def test_least_table_within_the_budget(self):
         # The least table of Q(-1,9) with marked order 9 is the 962nd

@@ -153,8 +153,13 @@ def test_diagram_is_unhashable_and_builds_its_parts_once():
 
 
 def test_import_loads_no_introspection_module():
-    # -S: no site start-up hooks, whose imports would not be rauzy's
-    code = "import sys, rauzy, rauzy.cli; print(' '.join(sorted(sys.modules)))"
+    # -S: no site start-up hooks, whose imports would not be rauzy's; then
+    # the JSON report of one table, which prints its JSON by hand
+    code = (
+        "import sys, rauzy, rauzy.cli; print(' '.join(sorted(sys.modules)))\n"
+        "rauzy.cli.main(['--output', 'json', 'invariants', '1 1 / 2 2 3 4 3 4 5 6 5 6'])\n"
+        "print(' '.join(sorted(sys.modules)))"
+    )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     run = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -164,8 +169,11 @@ def test_import_loads_no_introspection_module():
         timeout=60,
         check=True,
     )
-    loaded = set(run.stdout.split())
+    first, *report, last = run.stdout.splitlines()
+    loaded = set(first.split())
     assert "rauzy.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
     assert loaded.isdisjoint({"argparse", "gettext", "locale"})
     assert loaded.isdisjoint({"fractions", "decimal", "json"})
+    assert report[-2:] == ['  "component": "non-hyperelliptic"', "}"]
+    assert "json" not in last.split()

@@ -40,9 +40,17 @@ def test_help(name, capsys, monkeypatch):
 
 def test_label_scaling_wraps_existing_names():
     wrapped = load("label_scaling").WRAPPED
-    assert len(wrapped) == 4
+    assert len(wrapped) == 5
     for name in wrapped:
         assert callable(getattr(rauzy.invariants, name)), name
+
+
+def test_label_scaling_names_the_rule_apart_from_the_search():
+    decided = load("label_scaling").decided
+    calls = ["_component_label", "_spin_parity", "_hyperelliptic_table"]
+    assert decided(calls) == "hyperelliptic search"
+    assert decided(calls + ["_to_standard", "_to_standard"]) == "hyperelliptic rule"
+    assert decided(calls + ["_to_standard", "_component_label"]) == "forget-a-point"
 
 
 def test_label_scaling_prints_a_maximum_for_each_rule():
