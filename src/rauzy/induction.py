@@ -27,20 +27,26 @@ loser ``x``, the last symbol of the losing row, so every other symbol
 keeps its order of first occurrence, and the
 renumbering is one rotation: ``x`` goes to ``m``, one more than the number
 of distinct symbols before its new first occurrence, and the symbols
-between shift by one.  ``bytes.translate`` applies it
-(:func:`_renumbered`).  :func:`_move0` and :func:`_move1` are the rules
-of single moves (:func:`_table_move`, :func:`r0`, :func:`r1`,
-:func:`rv_step`).  A class search takes both moves of a key in one call
-from the kernel :func:`_successors` gives for its class: slices and one
-:func:`_rotation` table per bottom winner for permutations
-(:func:`_move1_tables`), and for other tables one body that makes both
-moves by the same rules after one lookup of the row separator, with no
-call per move.  A whole permutation class is closed by the kernel of
-:func:`_cycles` instead, one move-0 cycle per call, with the same slices
-and tables, and :func:`_to_standard` walks a permutation to a standard
-one with them.  A whole generalized class moves one table per row-exchange
-pair (:func:`rauzy.classes._pair_search`): raw move 1 is move 0
-conjugated by the exchange.
+between shift by one.  ``bytes.translate`` applies it with the table
+:func:`_rotation` makes.
+
+:func:`_move0` and :func:`_move1` are the one rule of each move on a
+generalized table.  Each takes the key, its separator index and a
+``rotation(x, m)`` that returns the translation table of the rotation
+``x -> m``; it calls ``rotation`` at most once, and only when the move
+renumbers, so a caller can cache the tables or renumber other data
+alongside.  Every single move goes through them, :func:`r0` and
+:func:`r1` by :func:`_table_move`, and so does :func:`rv_step`; so does a
+class search of tables that are not permutations, by the kernel of
+:func:`_successors`, with a per-search cache of :func:`_rotation`.  A
+permutation class search moves by a separate slice algorithm, chosen by
+the kind of its seed: slices and one :func:`_rotation` table per bottom
+winner (:func:`_move1_tables`).  A whole permutation class is closed by
+the kernel of :func:`_cycles` instead, one move-0 cycle per call, with
+the same slices and tables, and :func:`_to_standard` walks a permutation
+to a standard one with them.  A whole generalized class moves one table
+per row-exchange pair (:func:`rauzy.classes._pair_search`): raw move 1 is
+move 0 conjugated by the exchange.
 
 The induction itself is :func:`rv_step`, one step on a suspension vector,
 whose real parts are the interval lengths.  It is exact: it reads the
@@ -49,7 +55,8 @@ compares, subtracts and renumbers the parts as integers in one list, and
 returns one tuple over the same denominator, so a long run of steps makes
 no ``Fraction``; halting is detected by exact equality.  It has already
 told the two end symbols apart, so it makes its move with :func:`_move0`
-or :func:`_move1` from the separator index of the key.
+or :func:`_move1` from the separator index of the key, and renumbers the
+parts through the ``rotation`` it passes.
 """
 from __future__ import annotations
 
@@ -78,26 +85,35 @@ def _rotation(x: int, m: int) -> bytes:
     return _IDENT[:x] + _IDENT[m : m + 1] + _IDENT[x:m] + _IDENT[m + 1 :]
 
 
-def _table_move(key: bytes, which: int) -> Optional[tuple[bytes, int, int]]:
-    """Move ``which`` on a reduced key, renumbered; None when undefined.
+def _table_move(key: bytes, which: int) -> Optional[bytes]:
+    """Move ``which`` on a reduced key: the renumbered key, or None when
+    undefined.
 
-    Returns the moved key and the rotation ``x -> m`` that reduced it,
-    ``x`` the loser.  Both moves are undefined when the rows end in the
-    same symbol; otherwise :func:`_move0` or :func:`_move1` makes the move
-    from the index ``i`` of the row separator, and :func:`_renumbered`
-    reduces it.  Reduced numbering counts symbols: the top row holds ``k``
-    distinct symbols, ``k`` its largest, so ``d - k`` symbols lie in the
-    bottom row alone and ``len(top) - k`` in the top row alone.
+    Both moves are undefined when the rows end in the same symbol;
+    otherwise :func:`_move0` or :func:`_move1` makes the move from the
+    index ``i`` of the row separator and renumbers with the tables of
+    :func:`_rotation`.
     """
     i = key.index(0)
     if key[i - 1] == key[-1]:
         return None
-    return (_move1 if which else _move0)(key, i)
+    return (_move1 if which else _move0)(key, i, _rotation)
 
 
-def _move0(key: bytes, i: int) -> Optional[tuple[bytes, int, int]]:
-    """Move 0 of :func:`_table_move` on a key whose rows end in different
-    symbols, ``i`` its separator index; None when undefined."""
+def _move0(
+    key: bytes, i: int, rotation: Callable[[int, int], bytes]
+) -> Optional[bytes]:
+    """Move 0 on a key whose rows end in different symbols, ``i`` its
+    separator index: the renumbered key, or None when undefined.
+
+    The loser ``x`` is the last bottom symbol.  When the move changes its
+    number to ``m``, the raw key is translated by the table
+    ``rotation(x, m)``, the one call of ``rotation``; otherwise the raw key
+    is reduced and ``rotation`` is not called.  Reduced numbering counts
+    symbols: the top row holds ``k`` distinct symbols, ``k`` its largest,
+    so ``d - k`` symbols lie in the bottom row alone and ``len(top) - k``
+    in the top row alone.
+    """
     x = key[-1]
     winner = key[i - 1]
     p = key.find(winner, i + 1) + 1  # just after it in the bottom row
@@ -110,45 +126,43 @@ def _move0(key: bytes, i: int) -> Optional[tuple[bytes, int, int]]:
         p = key.index(winner)  # just before it
     raw = key[:p] + key[-1:] + key[p:-1]
     if key.index(x) <= p:
-        return raw, x, x
-    return _renumbered(raw, x, p)  # x now first occurs at p
+        return raw
+    # x now first occurs at p: the distinct symbols before it are those up
+    # to the largest, except x
+    before = max(key[:p]) if p else 0
+    m = before + 1 - (x < before)
+    return raw if m == x else raw.translate(rotation(x, m))
 
 
-def _move1(key: bytes, i: int) -> Optional[tuple[bytes, int, int]]:
-    """Move 1 of :func:`_table_move` on a key whose rows end in different
-    symbols, ``i`` its separator index; None when undefined."""
+def _move1(
+    key: bytes, i: int, rotation: Callable[[int, int], bytes]
+) -> Optional[bytes]:
+    """Move 1 on a key whose rows end in different symbols, ``i`` its
+    separator index: the renumbered key, or None when undefined.
+
+    The loser ``x`` is the last top symbol; the key is renumbered through
+    ``rotation`` as :func:`_move0` does it.
+    """
     x = key[i - 1]
-    winner = key[-1]
-    p = key.index(winner) + 1
+    p = key.index(key[-1]) + 1
     if p < i:  # just after it in the top row
         raw = key[:p] + key[i - 1 : i] + key[p : i - 1] + key[i:]
         if key.index(x) <= p:
-            return raw, x, x
-        return _renumbered(raw, x, p)
-    # into the bottom row, just before it, if another symbol has both
-    # occurrences in the top row
-    twice = key.index(x) < i - 1  # x keeps an occurrence in the top row
-    if i - max(key[:i]) <= twice:
-        return None
-    raw = key[: i - 1] + key[i : p - 1] + key[i - 1 : i] + key[p - 1 :]
-    if twice:
-        return raw, x, x
-    return _renumbered(raw, x, raw.index(x))
-
-
-def _renumbered(raw: bytes, x: int, p: int) -> tuple[bytes, int, int]:
-    """The raw move ``raw`` renumbered, with its rotation ``x -> m``.
-
-    The move helpers return a raw move as it is, with the identity
-    rotation, unless it moved the first occurrence of ``x``; it then comes
-    here with that occurrence's new index ``p``.  By reduced numbering, the
-    distinct symbols before it are those up to the largest, ``before``,
-    except ``x``, which fixes ``m``; :func:`_rotation` gives the
-    translation table.
-    """
-    before = max(raw[:p]) if p else 0
+            return raw
+    else:
+        # into the bottom row, just before it, if another symbol has both
+        # occurrences in the top row
+        twice = key.index(x) < i - 1  # x keeps an occurrence in the top row
+        if i - max(key[:i]) <= twice:
+            return None
+        raw = key[: i - 1] + key[i : p - 1] + key[i - 1 : i] + key[p - 1 :]
+        if twice:
+            return raw
+        p = raw.index(x)
+    # x now first occurs at p >= 1
+    before = max(raw[:p])
     m = before + 1 - (x < before)
-    return (raw if m == x else raw.translate(_rotation(x, m))), x, m
+    return raw if m == x else raw.translate(rotation(x, m))
 
 
 def _move1_tables(d: int) -> list[bytes]:
@@ -175,11 +189,11 @@ def _successors(
     keeps the top row, so the raw key is reduced; its move 1 is one
     translation of :func:`_move1_tables`.
     Both moves are undefined exactly when the bottom row ends in ``d``.
-    Any other table makes both moves in one body, by the rules of
-    :func:`_move0` and :func:`_move1` after the separator lookup and end
-    test of :func:`_table_move`, made once.  A class search meets the
-    same few renumberings ``(x, m)`` at vertex after vertex, so the kernel
-    keeps a cache of :func:`_rotation`.
+    Any other table looks up its row separator and tests the row ends as
+    :func:`_table_move` does, once for both moves, then moves by the rules
+    :func:`_move0` and :func:`_move1`.  A class search meets the same few
+    renumberings ``(x, m)`` at vertex after vertex, so the rotation it
+    passes them is a cache of :func:`_rotation`, one per search.
     """
     d = len(seed) // 2
     head = bytes(range(1, d + 1)) + b"\0"
@@ -188,45 +202,9 @@ def _successors(
 
         def table_moves(key: bytes) -> tuple[Optional[bytes], Optional[bytes]]:
             i = key.index(0)
-            a, b = key[i - 1], key[-1]  # the last letters of the two rows
-            if a == b:
+            if key[i - 1] == key[-1]:
                 return None, None
-            # move 0, b the loser: just after the other a in the bottom row,
-            # else just before it in the top row if another symbol has both
-            # occurrences in the bottom row
-            p = key.find(a, i + 1) + 1
-            if not p:
-                k = max(key[:i])
-                p = -1 if len(key) // 2 - k <= (b > k) else key.index(a)
-            if p < 0:
-                moved0 = None
-            else:
-                moved0 = key[:p] + key[-1:] + key[p:-1]
-                if key.index(b) > p:  # b now first occurs at p: renumber
-                    before = max(key[:p]) if p else 0
-                    m = before + 1 - (b < before)
-                    if m != b:
-                        moved0 = moved0.translate(rotation(b, m))
-            # move 1, a the loser: just after the other b in the top row,
-            # else just before it in the bottom row if another symbol has
-            # both occurrences in the top row
-            p = key.index(b) + 1
-            if p < i:
-                moved1 = key[:p] + key[i - 1 : i] + key[p : i - 1] + key[i:]
-                first = key.index(a) > p
-            else:
-                first = key.index(a) == i - 1  # a leaves the top row
-                if i - max(key[:i]) <= (not first):
-                    return moved0, None
-                moved1 = key[: i - 1] + key[i : p - 1] + key[i - 1 : i] + key[p - 1 :]
-                if first:
-                    p = moved1.index(a)
-            if first:  # a now first occurs at p >= 1: renumber
-                before = max(moved1[:p])
-                m = before + 1 - (a < before)
-                if m != a:
-                    moved1 = moved1.translate(rotation(a, m))
-            return moved0, moved1
+            return _move0(key, i, rotation), _move1(key, i, rotation)
 
         return table_moves
     lookups = _move1_tables(d)
@@ -353,7 +331,7 @@ def r0(p: GenPerm) -> Optional[GenPerm]:
     1 2 1 3 4 3 / 2 4 5 5
     """
     moved = _table_move(p._key, 0)
-    return None if moved is None else GenPerm._of(moved[0])
+    return None if moved is None else GenPerm._of(moved)
 
 
 def r1(p: GenPerm) -> Optional[GenPerm]:
@@ -364,7 +342,7 @@ def r1(p: GenPerm) -> Optional[GenPerm]:
     1 2 3 2 4 / 3 4 5 5 1
     """
     moved = _table_move(p._key, 1)
-    return None if moved is None else GenPerm._of(moved[0])
+    return None if moved is None else GenPerm._of(moved)
 
 
 def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum]:
@@ -377,8 +355,12 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     symbol's pair moves to its new number, and the pairs between shift by
     one.  The step copies the integer parts of ``zeta`` into one list,
     where symbol ``s`` has its real part at ``s`` and its imaginary part at
-    ``d + s``, rotates the real and the imaginary block alike, and keeps
-    the denominator; ``zeta`` itself is not changed.
+    ``d + s``, and subtracts there before it moves.  The move is
+    :func:`_move0` or :func:`_move1`; the ``rotation`` the step passes
+    rotates the real and the imaginary block of the list by the same
+    ``x -> m`` before it returns the table of :func:`_rotation`, so the
+    parts are renumbered exactly when the key is.  The denominator stays;
+    ``zeta`` itself is not changed.
 
     >>> from fractions import Fraction
     >>> from .combinat import parse
@@ -406,15 +388,17 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
         which, longer, shorter, length, move = 0, a, b, ra - rb, _move0
     else:
         which, longer, shorter, length, move = 1, b, a, rb - ra, _move1
-    moved = move(key, i)
-    if moved is None:
-        raise UndefinedMove(f"move {which} undefined at {p}")
-    moved_key, x, m = moved  # x is the shorter symbol, the loser
     d = len(parts) // 2
     new = list(parts)
     new[longer] = length
     new[d + longer] -= parts[d + shorter]
-    if m != x:
+
+    def rotation(x: int, m: int) -> bytes:
         new.insert(m, new.pop(x))
         new.insert(d + m, new.pop(d + x))
-    return GenPerm._of(moved_key), SuspensionDatum._of(tuple(new))
+        return _rotation(x, m)
+
+    moved = move(key, i, rotation)
+    if moved is None:
+        raise UndefinedMove(f"move {which} undefined at {p}")
+    return GenPerm._of(moved), SuspensionDatum._of(tuple(new))

@@ -29,7 +29,7 @@ from rauzy.errors import (
     RauzyError,
     UndefinedMove,
 )
-from rauzy.induction import _successors, _table_move
+from rauzy.induction import _move0, _move1, _rotation, _successors, _table_move
 from rauzy.suspension import SuspensionDatum
 
 
@@ -142,7 +142,7 @@ def test_trusted_kernel_matches_validated_reduction():
     # table of six, the vertices of the d=6 class searches, is what the
     # validating reduction makes of the raw move on rows, and the
     # renumbering is the single rotation x -> m of the loser x, the last
-    # symbol of the losing row.
+    # symbol of the losing row, asked of ``rotation`` at most once.
     from itertools import chain
 
     from rauzy.combinat import all_reduced_tables
@@ -152,18 +152,27 @@ def test_trusted_kernel_matches_validated_reduction():
     for key in chain(*map(all_reduced_tables, range(1, 6)), six):
         rows = rows_of(key)
         d = len(key) // 2
+        i = key.index(0)
         both = _successors(key)(key)
-        for which, raw_move in ((0, _move0_raw), (1, _move1_raw)):
+        for which, raw_move, move in ((0, _move0_raw, _move0), (1, _move1_raw, _move1)):
             raw = raw_move(*rows)
             got = _table_move(key, which)
             if raw is None:
                 assert got is None and both[which] is None, rows
                 continue
-            moved, x, m = got
+            calls = []
+
+            def logged(x, m):
+                calls.append((x, m))
+                return _rotation(x, m)
+
+            moved = move(key, i, logged)
             want = reduce(*raw)
             assert rows_of(moved) == (want.top, want.bottom), rows
-            assert both[which] == moved, rows
-            assert x == rows[1 - which][-1]
+            assert both[which] == got == moved, rows
+            loser = rows[1 - which][-1]
+            assert len(calls) <= 1 and all(x == loser != m for x, m in calls), rows
+            x, m = calls[0] if calls else (loser, loser)
             assert _renumbering(raw) == _rotation_map(d, x, m), (rows, which)
             checked += 1
     assert checked > 10_000 + 28_642
@@ -184,8 +193,7 @@ def test_permutation_kernel_matches_renumbering_kernel():
         for bottom in permutations(top):
             key = GenPerm(top, bottom)._key
             for which, raw_move in ((0, _move0_raw), (1, _move1_raw)):
-                moved = _table_move(key, which)
-                want = None if moved is None else moved[0]
+                want = _table_move(key, which)
                 assert kernel(key)[which] == want, (bottom, which)
                 raw = raw_move(top, bottom)
                 assert (raw is None) == (want is None)
@@ -196,10 +204,11 @@ def test_permutation_kernel_matches_renumbering_kernel():
 
 
 def test_one_body_kernel_matches_the_single_moves():
-    # The generalized kernel of a class search makes both moves in one
-    # body; on every irreducible generalized table through six symbols, the
-    # shapes l <= m of the pruned search and their row exchanges, it gives
-    # the keys of the single moves.
+    # The generalized kernel of a class search makes both moves with the
+    # rules of single moves; on every irreducible generalized table through
+    # six symbols, the shapes l <= m of the pruned search and their row
+    # exchanges, it gives what the validating reduction makes of the raw
+    # moves on rows.
     from rauzy.combinat import _irreducible_tables, _reduced
 
     counts = {}
@@ -211,13 +220,44 @@ def test_one_body_kernel_matches_the_single_moves():
         kernel = _successors(min(keys))
         assert kernel.__name__ == "table_moves"
         for key in keys:
+            rows = rows_of(key)
             want = tuple(
-                None if moved is None else moved[0]
-                for moved in (_table_move(key, 0), _table_move(key, 1))
+                None if raw is None else reduce(*raw)._key
+                for raw in (_move0_raw(*rows), _move1_raw(*rows))
             )
-            assert kernel(key) == want, rows_of(key)
+            assert kernel(key) == want, rows
         counts[d] = len(keys)
     assert counts == {3: 4, 4: 86, 5: 1_572, 6: 28_642}
+
+
+def test_every_route_moves_through_the_single_rules(monkeypatch):
+    # One rule per move on generalized tables: a class search, r0 and r1,
+    # and the induction step all reach _move0 and _move1.
+    import rauzy.induction as induction
+    from rauzy.classes import rauzy_class
+
+    calls = {}
+    for name in ("_move0", "_move1"):
+        rule = getattr(induction, name)
+
+        def counted(*args, _rule=rule, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _rule(*args)
+
+        monkeypatch.setattr(induction, name, counted)
+
+    p = parse("1 2 3 4 3 / 2 4 5 5 1")
+    assert len(rauzy_class(p)) > 1
+    assert calls["_move0"] > 0 and calls["_move1"] > 0
+    calls.clear()
+    assert r0(p) is not None and r1(p) is not None
+    assert calls == {"_move0": 1, "_move1": 1}
+    calls.clear()
+    q, zeta = p, random_suspension(p, Random(1))
+    for _ in range(20):
+        q, zeta = rv_step(q, zeta)
+    assert calls["_move0"] > 0 and calls["_move1"] > 0
+    assert sum(calls.values()) == 20, calls
 
 
 def test_kernel_choice_follows_the_kind():
