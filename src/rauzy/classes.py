@@ -235,9 +235,12 @@ def _pair_search(
     of ``tau v``.  With a ``target``, the search stops as soon as the pairs
     found hold it: its pair with its bit, or its pair in a certified class.
     The partial table then reads as a class does, and holds ``target``; a
-    table that does not hold it is the whole class.  The budget counts
-    ``2 pairs - fixed``, at most the size of a certified class, and the
-    pair that holds ``target`` is never over it.
+    table that does not hold it is the whole class.  One budget unit is one
+    table reached: the budget counts ``pairs`` while the class is not
+    certified tau-closed, since a pair then stands for the one table the
+    search reached, and ``2 pairs - fixed`` once it is, the tables of the
+    partial table either way; the pair that holds ``target`` is never over
+    it.
     """
     moves = _successors(seed)
     d = len(seed) // 2
@@ -248,7 +251,7 @@ def _pair_search(
     pairs = {key: bit}
     if key == goal and (closed or bit == goal_bit):
         return _PairTable(seed, pairs, closed, fixed)
-    if 2 - fixed > budget:
+    if budget < 1:
         raise BudgetExceeded(f"class exceeds the {budget}-vertex budget")
     queue = deque([key])
     while queue:
@@ -279,7 +282,7 @@ def _pair_search(
                 pairs.get(goal) == goal_bit or closed and goal in pairs
             ):
                 return _PairTable(seed, pairs, closed, fixed)
-            if 2 * len(pairs) - fixed > budget:
+            if (2 * len(pairs) - fixed if closed else len(pairs)) > budget:
                 raise BudgetExceeded(f"class exceeds the {budget}-vertex budget")
     return _PairTable(seed, pairs, closed, fixed)
 

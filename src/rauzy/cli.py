@@ -62,10 +62,12 @@ commands:
 options (before the command):
   -h, --help            show this help message and exit
   --budget INT          vertex budget of class enumeration and membership
-                        searches, table budget of the reference-table
-                        searches of component labels, and budget of the
-                        seed keys verify holds (default: RAUZY_BUDGET or
-                        10**7)
+                        searches, one unit per table reached (a search over
+                        row-exchange pairs counts both tables of a pair only
+                        once it knows the class holds both), table budget
+                        of the reference-table searches of component
+                        labels, and budget of the seed keys verify holds
+                        (default: RAUZY_BUDGET or 10**7)
   --output {text,json,dot}
                         output format (default: RAUZY_OUTPUT or text)
 """

@@ -53,10 +53,12 @@ whose real parts are the interval lengths.  It is exact: it reads the
 vector's one tuple of integers, the common denominator and then the parts,
 compares, subtracts and renumbers the parts as integers in one list, and
 returns one tuple over the same denominator, so a long run of steps makes
-no ``Fraction``; halting is detected by exact equality.  It has already
-told the two end symbols apart, so it makes its move with :func:`_move0`
-or :func:`_move1` from the separator index of the key, and renumbers the
-parts through the ``rotation`` it passes.
+no ``Fraction``; halting is detected by exact equality.  A step makes a
+suspension vector over the moved table, so the vector it returns carries
+that key, and a run of steps checks at most the vector it starts from.  It
+has already told the two end symbols apart, so it makes its move with
+:func:`_move0` or :func:`_move1` from the separator index of the key, and
+renumbers the parts through the ``rotation`` it passes.
 """
 from __future__ import annotations
 
@@ -64,14 +66,8 @@ from functools import cache
 from typing import Callable, Optional
 
 from .combinat import _IDENT, GenPerm
-from .errors import (
-    InductionHalt,
-    InvalidSuspension,
-    MoveCapExceeded,
-    Reducible,
-    UndefinedMove,
-)
-from .suspension import SuspensionDatum, _valid_parts
+from .errors import InductionHalt, MoveCapExceeded, Reducible, UndefinedMove
+from .suspension import SuspensionDatum, _parts_over
 
 
 def _rotation(x: int, m: int) -> bytes:
@@ -362,6 +358,13 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     parts are renumbered exactly when the key is.  The denominator stays;
     ``zeta`` itself is not changed.
 
+    That the result is a suspension vector is the induction lemma (Veech,
+    *Ann. of Math.* 115, 1982, for permutations; Boissy-Lanneau, *ETDS* 29,
+    2009, for generalized permutations), so the vector returned is over
+    the moved key and the next step takes it as it is.  Any other ``zeta``
+    is checked over ``p`` first, and one that fails raises
+    :class:`InvalidSuspension`.
+
     >>> from fractions import Fraction
     >>> from .combinat import parse
     >>> p = parse("1 2 / 2 1")
@@ -373,9 +376,7 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     ((Fraction(3, 2), Fraction(1, 1)), (Fraction(1, 1), Fraction(-1, 2)))
     """
     key = p._key
-    parts = _valid_parts(p, zeta)
-    if parts is None:
-        raise InvalidSuspension(f"not a suspension vector over {p}")
+    parts = _parts_over(p, zeta)
     i = key.index(0)
     a = key[i - 1]
     b = key[-1]
@@ -401,4 +402,4 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     moved = move(key, i, rotation)
     if moved is None:
         raise UndefinedMove(f"move {which} undefined at {p}")
-    return GenPerm._of(moved), SuspensionDatum._of(tuple(new))
+    return GenPerm._of(moved), SuspensionDatum._of(tuple(new), moved)

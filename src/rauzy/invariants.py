@@ -23,10 +23,13 @@ Component labels follow the classification of stratum components, which
 (*Invent. Math.* 153, 2003) for orientable strata, with at most three
 components (hyperelliptic, and for all-even degrees an even and an odd
 spin structure); Lanneau (*Ann. Sci. ENS* 41, 2008) for half-translation
-strata, with at most two; and Masur–Smillie (*Comment. Math. Helv.* 68,
-1993) for the four empty half-translation strata ``Q(0)``, ``Q(-1,1)``,
-``Q(4)`` and ``Q(3,1)``, with none.  The component count, the label of a
-class and the verifier's check are all read off that list.
+strata, with at most two, among them the five exceptional strata
+``Q(12)``, ``Q(-1,9)``, ``Q(-1,3,6)``, ``Q(-1,3,3,3)`` and ``Q(3,9)``,
+whose two components no known invariant splits; and Masur–Smillie
+(*Comment. Math. Helv.* 68, 1993) for the four empty half-translation
+strata ``Q(0)``, ``Q(-1,1)``, ``Q(4)`` and ``Q(3,1)``, with none.  The
+component count, the label of a class and the verifier's check are all
+read off that list.
 
 Spin parity is the Arf invariant of the quadratic form that takes the
 value 1 on every symbol curve, over the mod-2 intersection form of those
@@ -463,6 +466,7 @@ _EXCEPTIONAL_QUADRATIC = {
     (-1, 9),
     (-1, 3, 6),
     (-1, 3, 3, 3),
+    (3, 9),
 }
 
 _EMPTY_QUADRATIC = {(), (-1, 1), (4,), (1, 3)}
@@ -509,7 +513,7 @@ def stratum_components(st: Stratum) -> tuple[ComponentLabel, ...]:
     Half-translation strata follow Lanneau: six connected strata of genus
     at most 2 lie in the hyperelliptic families, the other strata of
     those families have a hyperelliptic and a non-hyperelliptic
-    component, four exceptional strata have two components, and the rest
+    component, five exceptional strata have two components, and the rest
     are connected.  ``Q(0)``, ``Q(-1,1)``, ``Q(4)`` and ``Q(3,1)`` are
     empty (Masur–Smillie).
 

@@ -47,6 +47,12 @@ or ``im``, and rationals only in the text of the polygon exports.  Entries
 given to the constructor must be ``int`` or ``Fraction``; anything else
 raises :class:`~rauzy.errors.InvalidSuspension` there.  Those four are the
 only places that import ``fractions``, so ``import rauzy`` does not load it.
+A datum also carries the key of the table it is known to be valid over:
+the one a witness was checked over, or the one an induction step moved
+to, since a step turns a suspension vector into a suspension vector
+(Veech, *Ann. of Math.* 115, 1982; Boissy-Lanneau, cited above).  The
+induction step and the polygon take a datum over its own table as it is,
+and check any other one; :func:`check_suspension` checks every time.
 
 Witnesses returned by :func:`find_suspension` always yield an embedded
 polygon.  The slack-normalised imaginary system already keeps every
@@ -86,7 +92,9 @@ class SuspensionDatum:
     the imaginary parts, each times ``scale``.  The denominator need not be
     the least one (an induction step keeps its input's), so equality,
     hashing and printing go through the reduced fractions: two data are
-    equal exactly when their vectors are.
+    equal exactly when their vectors are.  A datum made here is over no
+    table; one that a witness or an induction step makes is over the key of
+    its table, and equality ignores it.
 
     >>> from fractions import Fraction
     >>> zeta = SuspensionDatum(((Fraction(1, 2), 1), (Fraction(3, 4), -1)))
@@ -96,17 +104,22 @@ class SuspensionDatum:
     (Fraction(3, 4), Fraction(-1, 1))
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ("_parts", "_over")
 
     def __init__(self, values) -> None:
         scale, flat = _scaled([v for pair in values for v in pair])
         self._parts = (scale, *flat[0::2], *flat[1::2])
+        self._over = None
 
     @classmethod
-    def _of(cls, parts: tuple[int, ...]) -> SuspensionDatum:
-        """The datum of ``(scale, re_1, ..., re_d, im_1, ..., im_d)``, not checked."""
+    def _of(
+        cls, parts: tuple[int, ...], over: Optional[bytes] = None
+    ) -> SuspensionDatum:
+        """The datum of ``(scale, re_1, ..., re_d, im_1, ..., im_d)``, not
+        checked; ``over`` is the key of a table it is known to be valid over."""
         datum = cls.__new__(cls)
         datum._parts = parts
+        datum._over = over
         return datum
 
     def _pairs(self) -> zip:
@@ -255,6 +268,7 @@ def _valid_parts(p: GenPerm, zeta: SuspensionDatum) -> Optional[tuple[int, ...]]
     """The integer parts of ``zeta``, laid out as in :class:`SuspensionDatum`.
 
     Returns None when ``zeta`` fails one of the four conditions over ``p``.
+    Every call checks in full; :func:`_parts_over` trusts a datum over ``p``.
     """
     parts = zeta._parts
     top, _, bottom = p._key.partition(b"\0")
@@ -285,12 +299,28 @@ def _valid_parts(p: GenPerm, zeta: SuspensionDatum) -> Optional[tuple[int, ...]]
     return parts
 
 
+def _parts_over(p: GenPerm, zeta: SuspensionDatum) -> tuple[int, ...]:
+    """The integer parts of ``zeta``, a suspension vector over ``p``.
+
+    A datum over the key of ``p`` is taken as it is; any other is checked
+    by :func:`_valid_parts`, and one that fails raises
+    :class:`InvalidSuspension`.
+    """
+    if zeta._over == p._key:
+        return zeta._parts
+    parts = _valid_parts(p, zeta)
+    if parts is None:
+        raise InvalidSuspension(f"not a suspension vector over {p}")
+    return parts
+
+
 def _witness(p: GenPerm, choose: linprog.IntervalChooser) -> SuspensionDatum:
     """The suspension vector of both systems solved with ``choose``.
 
     ``choose`` picks every variable but the pivot of each balance
     equality, which the equality fixes.  The two solutions are joined over
-    their least common denominator, and the datum is checked.
+    their least common denominator, and the datum is checked; it is over
+    the key of ``p``.
     """
     d = p.d
     ims = linprog.solve(d, *_imag_system(p), choose=choose)
@@ -302,7 +332,7 @@ def _witness(p: GenPerm, choose: linprog.IntervalChooser) -> SuspensionDatum:
     scale = lcm(res[0], ims[0])
     parts = [scale] + [v * (scale // s) for s, nums in (res, ims) for v in nums]
     g = gcd(*parts)
-    datum = SuspensionDatum._of(tuple([v // g for v in parts]))
+    datum = SuspensionDatum._of(tuple([v // g for v in parts]), p._key)
     if not check_suspension(p, datum):
         raise RuntimeError(f"solver produced an invalid suspension for {p}")
     return datum
@@ -339,7 +369,7 @@ def random_suspension(p: GenPerm, rng: Random) -> Optional[SuspensionDatum]:
         (a, b), (c, e) = lo, hi
         return (a * e * (16 - r) + c * b * r, 16 * b * e)
 
-    return SuspensionDatum._of((1, *_witness(p, pick)._parts[1:]))
+    return SuspensionDatum._of((1, *_witness(p, pick)._parts[1:]), p._key)
 
 
 def check_suspension(p: GenPerm, zeta: SuspensionDatum) -> bool:
@@ -393,9 +423,7 @@ class SuspensionPolygon(NamedTuple):
 
 def build_polygon(p: GenPerm, zeta: SuspensionDatum) -> SuspensionPolygon:
     """Suspension polygon of a valid vector over ``p``."""
-    parts = _valid_parts(p, zeta)
-    if parts is None:
-        raise InvalidSuspension(f"not a suspension vector over {p}")
+    parts = _parts_over(p, zeta)
     d = len(parts) // 2
 
     def line(row: tuple[int, ...]) -> tuple[Point, ...]:

@@ -10,6 +10,7 @@ from conftest import iet_perms, irreducible_genperms, rows_of
 
 from rauzy import (
     PermKind,
+    build_polygon,
     find_suspension,
     check_suspension,
     format_perm,
@@ -455,6 +456,73 @@ class TestRvStep:
             except InductionHalt:
                 break
             assert check_suspension(current, z)
+
+    def test_steps_are_over_their_tables(self, monkeypatch):
+        # A step makes a suspension vector over the moved table, so rv_step
+        # marks its output as over that key and the next step takes it
+        # unchecked.  check_suspension, which checks in full every time, is
+        # the oracle of every output: every irreducible generalized table
+        # through five symbols and every permutation through six, up to 100
+        # steps from a random vector.
+        import rauzy.suspension
+
+        valid = rauzy.suspension._valid_parts
+        calls = []
+
+        def counting(p, zeta):
+            calls.append(p)
+            return valid(p, zeta)
+
+        tables = steps = 0
+        for kind, most in ((PermKind.QUADRATIC, 5), (PermKind.IET, 6)):
+            for d in range(2, most + 1):
+                for p in enumerate_irreducible(d, kind):
+                    z = random_suspension(p, Random(d))
+                    assert z._over == p._key
+                    q = p
+                    monkeypatch.setattr(rauzy.suspension, "_valid_parts", counting)
+                    for _ in range(100):
+                        try:
+                            q, z = rv_step(q, z)
+                        except InductionHalt:
+                            break
+                        assert z._over == q._key
+                        steps += 1
+                    monkeypatch.setattr(rauzy.suspension, "_valid_parts", valid)
+                    assert check_suspension(q, z)
+                    tables += 1
+        assert calls == []  # no step checked its input again
+        assert tables > 2000 and steps > 70000, (tables, steps)
+
+    def test_vectors_over_other_tables_are_checked(self):
+        # the vector a step made over q, passed with another table of the
+        # same size, is checked in full over that table
+        p = parse("1 1 / 2 3 2 4 3 4")
+        q, z = rv_step(p, random_suspension(p, Random(5)))
+        assert z._over == q._key and check_suspension(q, z)
+        others = [r for r in enumerate_irreducible(p.d, PermKind.QUADRATIC) if r != q]
+        invalid = [r for r in others if not check_suspension(r, z)]
+        valid = [r for r in others if check_suspension(r, z)]
+        assert invalid and valid
+        for r in invalid:
+            with pytest.raises(InvalidSuspension):
+                rv_step(r, z)
+            with pytest.raises(InvalidSuspension):
+                build_polygon(r, z)
+        for r in valid:
+            try:
+                r_next, moved = rv_step(r, z)
+            except InductionHalt:
+                continue
+            assert moved._over == r_next._key and check_suspension(r_next, moved)
+        with pytest.raises(DimensionMismatch):
+            rv_step(parse("1 2 / 2 1"), z)
+        # a vector the caller builds is over no table, and checked
+        built = SuspensionDatum(z.values)
+        assert built == z and built._over is None
+        assert rv_step(q, built) == rv_step(q, z)
+        with pytest.raises(InvalidSuspension):
+            rv_step(invalid[0], built)
 
     def test_long_runs_keep_their_inputs_and_agree_with_fractions(self):
         # Two random vectors, the second over the denominator 7: each step

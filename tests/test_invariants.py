@@ -128,6 +128,7 @@ class TestStratumType:
             "Q(-1,9)": (ComponentLabel.EXCEPTIONAL_A, ComponentLabel.EXCEPTIONAL_B),
             "Q(-1,3,6)": (ComponentLabel.EXCEPTIONAL_A, ComponentLabel.EXCEPTIONAL_B),
             "Q(-1,3,3,3)": (ComponentLabel.EXCEPTIONAL_A, ComponentLabel.EXCEPTIONAL_B),
+            "Q(3,9)": (ComponentLabel.EXCEPTIONAL_A, ComponentLabel.EXCEPTIONAL_B),
             # empty strata (Masur-Smillie), with and without marked points
             "Q(0)": (),
             "Q(0,0)": (),
@@ -995,6 +996,15 @@ class TestHalfTranslationFamilies:
         with pytest.raises(BudgetExceeded):
             component_label(p, budget=346)
 
+    def test_budget_counts_the_tables_reached(self):
+        # The search from the symmetric table meets Q6_HYP at its third pair
+        # before it knows the class is tau-closed, so each pair stands for
+        # the one table reached: two pairs are held at the last budget check.
+        p = parse(Q6_HYP)
+        assert component_label(p, budget=2) is HYP
+        with pytest.raises(BudgetExceeded):
+            component_label(p, budget=1)
+
     def test_table_search_within_the_budget(self):
         # The symmetric table of Q(-1,-1,0,6) with marked order -1 is the
         # 82nd table the search tries.
@@ -1141,3 +1151,17 @@ class TestExceptionalSplit:
         }
         assert root[0] == root[2] != root[1] == root[3]
         assert reducible == 2_212
+
+
+def test_q39_has_two_classes_of_marked_order_nine():
+    # Q(3,9) is exceptional: A and B, both of marked order 9, lie in two
+    # classes.  A's class has 640,764 vertices, so B is looked up by its key
+    # in the class table; no vertex is wrapped.
+    a = parse("1 2 3 2 4 / 5 6 7 8 1 8 9 4 7 3 6 9 5")
+    b = parse("1 2 3 1 4 5 6 5 2 7 6 8 4 8 7 / 9 3 9")
+    st = parse_stratum("Q(3,9)")
+    assert stratum(a) == stratum(b) == st
+    assert singularity_profile(a).marked == singularity_profile(b).marked == 9
+    held = rauzy_class(a).table
+    assert len(held) == 640_764
+    assert a._key in held and b._key not in held

@@ -4,7 +4,8 @@ Each script is loaded as a module, so its imports run but its ``main``
 does not; the argparse scripts print their help; and the private names
 that ``label_scaling.py`` wraps by string still exist.  A rename in the
 package then fails here rather than on the next run of a script.  One
-tiny run of ``label_scaling.py`` checks the lines it prints, and
+tiny run of ``label_scaling.py`` checks the lines it prints, one of
+``rv_walks.py`` checks its line and its exit status, and
 ``code_lines.py`` counts the code lines of a small source exactly and stops
 without a traceback when its reader closes the pipe.
 """
@@ -79,6 +80,20 @@ def test_label_scaling_prints_a_maximum_for_each_rule():
         assert len(rules) >= 2, line
         assert sum(int(count) for _, count, _ in rules) == 10, line
         assert max(float(worst) for _, _, worst in rules) == overall, line
+
+
+def test_rv_walks_checks_every_step(capsys, monkeypatch):
+    rv_walks = load("rv_walks")
+    argv = ["rv_walks.py", "--kind", "quad", "--d", "5", "--count", "4", "--steps", "30"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert rv_walks.main() == 0
+    line = capsys.readouterr().out
+    assert re.match(r"quad d=5: 4 tables, (\d+) steps, (\d+) halts, 0 invalid, ", line), line
+    # a vector that fails its check makes the run fail
+    monkeypatch.setattr(rv_walks, "check_suspension", lambda p, zeta: False)
+    assert rv_walks.main() == 1
+    out, err = capsys.readouterr()
+    assert " 0 invalid" not in out and err.startswith("invalid vector after step 1: ")
 
 
 def test_code_lines_counts_code_only():

@@ -103,12 +103,14 @@ class TestDatum:
         moved = SuspensionDatum._of((6, 6, 18, 12, -4))
         assert all(zeta != moved for zeta in forms)
 
-    def test_one_slot(self):
+    def test_two_slots(self):
         zeta = SuspensionDatum(((Fraction(1, 3), 1), (Fraction(2, 3), Fraction(-1, 3))))
-        assert SuspensionDatum.__slots__ == ("_parts",)
+        assert SuspensionDatum.__slots__ == ("_parts", "_over")
         assert not hasattr(zeta, "__dict__")
         # the denominator, the real parts, then the imaginary parts
         assert zeta._parts == (3, 1, 2, 3, -1)
+        # a datum the caller builds is over no table
+        assert zeta._over is None
         with pytest.raises(AttributeError):
             zeta.scale = 3
 
