@@ -25,8 +25,9 @@ label made, the outermost rule first:
 
 * ``forget-a-point``: the label is that of a table one stratum down;
 * ``exceptional``: a search toward the least table of the stratum;
-* ``hyperelliptic rule``: the move rule to a standard permutation, from the
-  table and from a symmetric hyperelliptic table, with no search;
+* ``hyperelliptic rule``: the move rule to a standard permutation from the
+  table, whose end is compared with the literal standard permutation of
+  the hyperelliptic class, with no search;
 * ``hyperelliptic search``: a search from a symmetric hyperelliptic table;
 * ``spin``: spin parity, with no search;
 * ``one component``: the stratum has one component.

@@ -10,10 +10,12 @@ here every vector a step returns is checked over its table by
 
     python scripts/rv_walks.py --kind quad --d 10 --count 200 --steps 1000
 
-Prints one line: the tables, steps, halts and invalid vectors, the steps
-per second of the walks (the checks not counted), the time of the walks
-and of the checks, and the peak resident memory (``ru_maxrss``).  Exits 1
-when any vector fails its check.
+Each table's two witnesses, ``find_suspension`` and the seeded
+``random_suspension`` the walk starts from, are timed too.  Prints one
+line: the tables, steps, halts and invalid vectors, the witnesses per
+second and the steps per second of the walks (the checks not counted), the
+time of the witnesses, the walks and the checks, and the peak resident
+memory (``ru_maxrss``).  Exits 1 when any vector fails its check.
 """
 import argparse
 import resource
@@ -22,7 +24,7 @@ import time
 from pathlib import Path
 from random import Random
 
-from rauzy import check_suspension, random_suspension, rv_step
+from rauzy import check_suspension, find_suspension, random_suspension, rv_step
 from rauzy.errors import InductionHalt
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -41,9 +43,12 @@ def main() -> int:
         parser.error("--count and --steps must be at least 1")
 
     steps = halts = invalid = 0
-    walking = checking = 0.0
+    witnessing = walking = checking = 0.0
     for index, p in enumerate(random_tables(args.kind, args.d, args.count, args.seed)):
+        start = time.perf_counter()
+        find_suspension(p)
         q, z = p, random_suspension(p, Random(f"{args.seed}:{index}"))
+        witnessing += time.perf_counter() - start
         for _ in range(args.steps):
             start = time.perf_counter()
             try:
@@ -63,7 +68,8 @@ def main() -> int:
     rate = steps / walking if walking else 0.0
     print(
         f"{args.kind} d={args.d}: {args.count} tables, {steps} steps, {halts} halts, "
-        f"{invalid} invalid, {rate:,.0f} steps/s (walks {walking:.2f}s, "
+        f"{invalid} invalid, {2 * args.count / witnessing:,.0f} witnesses/s, "
+        f"{rate:,.0f} steps/s (witnesses {witnessing:.2f}s, walks {walking:.2f}s, "
         f"checks {checking:.2f}s), peak {peak:.0f} MiB"
     )
     return 1 if invalid else 0

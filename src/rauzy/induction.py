@@ -376,7 +376,7 @@ def rv_step(p: GenPerm, zeta: SuspensionDatum) -> tuple[GenPerm, SuspensionDatum
     ((Fraction(3, 2), Fraction(1, 1)), (Fraction(1, 1), Fraction(-1, 2)))
     """
     key = p._key
-    parts = _parts_over(p, zeta)
+    parts = zeta._parts if zeta._over == key else _parts_over(p, zeta)
     i = key.index(0)
     a = key[i - 1]
     b = key[-1]

@@ -45,8 +45,9 @@ hold a reference table of the stratum and marked order?  The reference is
 the least table (:func:`_least_table`) in an exceptional stratum and a
 symmetric hyperelliptic table (:func:`_hyperelliptic_table`) elsewhere.
 One search between the two tables answers it, over row-exchange pairs for
-generalized tables; for a permutation with no unmarked 0, two walks of a
-move rule to a standard permutation answer it with no search.  A class is
+generalized tables; for a permutation with no unmarked 0, one walk of a
+move rule to the standard permutation of the hyperelliptic class, a
+literal, answers it with no search.  A class is
 built only in genus 2.  :func:`label_for_class` applies it to a class that the caller
 holds, and looks the reference table up in that class instead.
 """
@@ -716,6 +717,24 @@ def _hyperelliptic_table(
     return None
 
 
+def _standard_hyperelliptic(d: int, marked: int) -> bytes:
+    """The key of the standard permutation of the hyperelliptic class on
+    ``d`` symbols with marked order ``marked`` and no unmarked 0.
+
+    It is the reversal, or with a marked 0 the bottom row ``d, d-2, ...,
+    2, d-1, 1``: the end of :func:`rauzy.induction._to_standard` from the
+    table of :func:`_hyperelliptic_table`, checked through ten symbols on
+    every such class and through twenty on the strata that random
+    permutations meet.
+
+    >>> from .combinat import GenPerm, format_perm
+    >>> format_perm(GenPerm._of(_standard_hyperelliptic(5, 0)))
+    '1 2 3 4 5 / 5 3 2 4 1'
+    """
+    bottom = range(d, 0, -1) if marked else (d, *range(d - 2, 1, -1), d - 1, 1)
+    return bytes((*range(1, d + 1), 0, *bottom))
+
+
 def label_for_class(
     keys: Collection[bytes], st: Optional[Stratum] = None, budget: int = 10**7
 ) -> ComponentLabel:
@@ -793,14 +812,14 @@ def _component_label(
     * otherwise the class is hyperelliptic exactly when it holds the
       symmetric table :func:`_hyperelliptic_table` finds.  For a
       permutation whose stratum has no unmarked 0, the move rule of
-      :func:`rauzy.induction._to_standard` walks from ``p`` and from that
-      table to a standard permutation of each one's class; a hyperelliptic
-      class with no unmarked 0 holds exactly one (checked through ten
-      symbols), so ``p`` is hyperelliptic exactly when the two walks end
-      at the same one.  Otherwise the search runs from that table, whose
-      class is the small one, and stops at ``p``.  Bare central symmetry
-      is not enough: symmetric vertices also occur in non-hyperelliptic
-      classes.
+      :func:`rauzy.induction._to_standard` walks from ``p`` to a standard
+      permutation of its class; a hyperelliptic class with no unmarked 0
+      holds exactly one (checked through ten symbols), the literal of
+      :func:`_standard_hyperelliptic`, so ``p`` is hyperelliptic exactly
+      when its walk ends there, and no symmetric table is searched for.
+      Otherwise the search runs from that table, whose class is the small
+      one, and stops at ``p``.  Bare central symmetry is not enough:
+      symmetric vertices also occur in non-hyperelliptic classes.
 
     A class that fails the hyperelliptic test has the spin label found
     above, or ``non-hyperelliptic`` where spin does not apply; with no
@@ -848,15 +867,13 @@ def _component_label(
         if merged is not None:
             q = GenPerm._of(merged)
             return _component_label(q, stratum(q), budget)
+    if keys is None and st.kind is StratumKind.ABELIAN and not unmarked_zero:
+        found = _to_standard(p._key)[0] == _standard_hyperelliptic(st.d, marked)
+        return ComponentLabel.HYPERELLIPTIC if found else label
     ref = _hyperelliptic_table(st, marked, budget)
     if ref is None:
         raise RuntimeError(
             f"{st.text} has no symmetric hyperelliptic table with marked order {marked}"
         )
-    if keys is not None:
-        found = ref in keys
-    elif st.kind is StratumKind.ABELIAN and not unmarked_zero:
-        found = _to_standard(ref)[0] == _to_standard(p._key)[0]
-    else:
-        found = _holds(ref, p._key, budget)
+    found = ref in keys if keys is not None else _holds(ref, p._key, budget)
     return ComponentLabel.HYPERELLIPTIC if found else label

@@ -4,24 +4,28 @@ Systems are lists of inequality rows ``(coeffs, const)`` meaning
 ``sum(coeffs[i] * x[i]) + const >= 0`` with integer entries, plus at most
 one equality row with the analogous meaning; the suspension systems need
 only one, the balance of the top and bottom sums.  Both questions run one
-elimination pass, in descending variable order over the integers, and rows
-are gcd-normalised and deduplicated after every step.  The equality is
-held among the rows as itself and its negation.  Its highest variable, the
-pivot, is removed by substituting the equality into every row that reads
-it; every other variable is removed by Fourier-Motzkin elimination.  This
-is exact and fast at the dimensions used here (at most a couple dozen
-variables).  The system is feasible when the pass meets no contradiction.
+elimination pass, in descending variable order over the integers, that
+touches each row once: a row is gcd-normalised as soon as it is made and
+goes into the bucket of its highest variable, deduplicated there, and the
+pass reads it when it eliminates that variable.  The equality is held
+among the rows as itself and its negation.  Its highest variable, the
+pivot, is removed by substituting the equality into every row of the
+pivot's bucket; every other variable is removed by Fourier-Motzkin
+elimination within its bucket.  This is exact and fast at the dimensions
+used here (at most a couple dozen variables).  The system is feasible
+when the pass meets no contradiction.
 
-Witness extraction records the intermediate projections of that pass,
-then assigns variables forward: at each step the recorded projection
-yields the exact feasible interval for the next variable given the values
-already chosen, and a caller-supplied rule picks a value in it.  The pivot
-is not handed to the rule: the equality's two rows make its interval a
-point, which is taken as it is.  The values are held as integers over one
-positive common denominator, and :func:`solve` returns them so.  The
-bounds handed to the rule and the value it picks are integer pairs too
-(:data:`Ratio`), so no ``Fraction`` is made.  With the default rule the
-witness is deterministic and preferentially built from small integers.
+Witness extraction keeps the buckets, then assigns variables forward: the
+bucket of each variable holds exactly the rows of the projection onto it
+and the variables before it that read it, so with the values already
+chosen it yields the exact feasible interval of the variable, and a
+caller-supplied rule picks a value in it.  The pivot is not handed to the
+rule: the equality's two rows make its interval a point, which is taken as
+it is.  The values are held as integers over one positive common
+denominator, and :func:`solve` returns them so.  The bounds handed to the
+rule and the value it picks are integer pairs too (:data:`Ratio`), so no
+``Fraction`` is made.  With the default rule the witness is deterministic
+and preferentially built from small integers.
 """
 from __future__ import annotations
 
@@ -56,89 +60,82 @@ def _norm(coeffs: Sequence[int], const: int) -> Row | None:
     return (tuple(coeffs), const)
 
 
-def _combine(pos: Row, neg: Row, j: int) -> Row | None:
-    """Eliminate variable ``j`` from a (positive, negative) coefficient pair."""
-    a = pos[0][j]
-    b = -neg[0][j]
-    coeffs = [b * p + a * n for p, n in zip(pos[0], neg[0])]
-    return _norm(coeffs, b * pos[1] + a * neg[1])
-
-
-def _eliminate(rows: set[Row], j: int, eq: Row | None = None) -> set[Row]:
-    """The rows with variable ``j`` removed.
-
-    Without ``eq`` this is one Fourier-Motzkin step: every row with a
-    positive coefficient at ``j`` is combined with every row with a
-    negative one.  With ``eq``, an equality row whose coefficient at ``j``
-    is positive, the equality is substituted instead: a row reading ``j``
-    is multiplied by that positive coefficient and the equality times the
-    row's coefficient is subtracted, so the row keeps its direction.  The
-    equality's own two rows become tautologies and drop out.
-    """
-    out = {r for r in rows if r[0][j] == 0}
-    if eq is not None:
-        lead = eq[0][j]
-        for coeffs, const in rows:
-            f = coeffs[j]
-            if f:
-                row = _norm(
-                    [lead * a - f * b for a, b in zip(coeffs, eq[0])],
-                    lead * const - f * eq[1],
-                )
-                if row is not None:
-                    out.add(row)
-        return out
-    pos = [r for r in rows if r[0][j] > 0]
-    neg = [r for r in rows if r[0][j] < 0]
-    for p in pos:
-        for n in neg:
-            row = _combine(p, n, j)
-            if row is not None:
-                out.add(row)
-    return out
-
-
-def _system(
-    ineqs: Sequence[Row], eq: Optional[Row]
-) -> tuple[set[Row], Optional[Row], int]:
-    """The normalised rows, the equality and the variable it is solved for.
-
-    The equality is held in the rows as itself and its negation, and is
-    returned with a positive coefficient at its highest variable, the
-    pivot; the pivot is -1 when there is no equality.  Both halves are
-    normalised because ``_norm`` reads a constant row ``0 >= -c`` with
-    ``c > 0`` as a tautology: ``0 = c`` is a contradiction only through
-    the other half.
-    """
-    rows = set()
-    for coeffs, const in ineqs:
-        row = _norm(coeffs, const)
-        if row is not None:
-            rows.add(row)
-    if eq is None:
-        return rows, None, -1
-    halves = [_norm(eq[0], eq[1]), _norm([-a for a in eq[0]], -eq[1])]
-    if halves[0] is None:
-        return rows, None, -1
-    rows.update(halves)
-    pivot = max(k for k, a in enumerate(halves[0][0]) if a)
-    return rows, max(halves, key=lambda r: r[0][pivot]), pivot
-
-
 def _projections(
     nvars: int, ineqs: Sequence[Row], eq: Optional[Row]
 ) -> Optional[tuple[list[set[Row]], int]]:
-    """The rows before each step of the elimination pass, the last variable's
-    first, and the pivot; None when a step meets a contradiction."""
+    """The rows of the elimination pass by highest variable, and the pivot;
+    None when the pass meets a contradiction.
+
+    ``buckets[j]`` holds every row the pass makes whose highest variable
+    is ``j``, cut after that variable: exactly the rows of the projection
+    onto ``x_0 .. x_j`` that read ``x_j``, because a row's highest
+    variable decides the step that eliminates it.  A row is made,
+    gcd-normalised (a constant of 1 or -1 makes it primitive, and it skips
+    ``gcd``) and put into its bucket at once, and the pass reads it once,
+    at that step.  A row with no variable left is a tautology or a
+    contradiction.  The equality, turned to a positive coefficient at its
+    highest variable, the pivot (-1 when it has none), is substituted
+    into every other row of the pivot's bucket: the row is multiplied by
+    that coefficient and the equality times the row's coefficient is
+    subtracted, so the row keeps its direction.  The equality and its
+    negation then join the bucket.  Every other variable is removed by
+    Fourier-Motzkin elimination: each row of its bucket with a positive
+    coefficient there is combined with each with a negative one.
+    """
+    buckets: list[set[Row]] = [set() for _ in range(nvars)]
+    made = ineqs
+    pivot = -1
     try:
-        rows, eq, pivot = _system(ineqs, eq)
-        stack = []
-        for j in range(nvars - 1, -1, -1):
-            stack.append(rows)
-            rows = _eliminate(rows, j, eq if j == pivot else None)
+        if eq is not None:
+            coeffs, shift = eq
+            pivot = len(coeffs) - 1
+            while pivot >= 0 and not coeffs[pivot]:
+                pivot -= 1
+            coeffs = coeffs[: pivot + 1]
+            if pivot >= 0 and coeffs[pivot] < 0:
+                coeffs, shift = [-a for a in coeffs], -shift
+            eq = _norm(coeffs, shift)
+            negation = _norm([-a for a in coeffs], -shift)
+        for j in range(nvars - 1, -2, -1):
+            # the rows made by the last step, or the input rows: none reads
+            # a variable past j
+            for coeffs, const in made:
+                top = j
+                while top >= 0 and not coeffs[top]:
+                    top -= 1
+                if top < 0:
+                    if const < 0:
+                        raise _Contradiction
+                    continue
+                row = coeffs[: top + 1]
+                if const != 1 and const != -1:
+                    g = gcd(*row, const)
+                    if g > 1:
+                        row = [a // g for a in row]
+                        const //= g
+                buckets[top].add((tuple(row), const))
+            if j < 0:
+                return buckets, pivot
+            rows = buckets[j]
+            made = []
+            if j == pivot:
+                base, shift = eq
+                lead = base[j]
+                for c, k in rows:
+                    f = c[j]
+                    made.append(([lead * x - f * y for x, y in zip(c, base)], lead * k - f * shift))
+                rows.add(eq)
+                rows.add(negation)
+                continue
+            pos = [r for r in rows if r[0][j] > 0]
+            for neg, m in rows:
+                b = -neg[j]
+                if b > 0:
+                    for c, k in pos:
+                        a = c[j]
+                        made.append(([b * x + a * y for x, y in zip(c, neg)], b * k + a * m))
     except _Contradiction:
         return None
-    return stack, pivot
 
 
 def feasible(nvars: int, ineqs: Sequence[Row], eq: Optional[Row] = None) -> bool:
@@ -181,7 +178,9 @@ def solve(
     value in the (possibly unbounded) exact feasible interval of each
     variable in turn, save the equality's pivot, whose interval is the
     point the equality fixes; the projection guarantees any value in the
-    interval extends to a full solution.  Bounds and value are
+    interval extends to a full solution.  The interval of ``x_j`` is read
+    off the bucket ``j`` of :func:`_projections` alone: its rows are the
+    rows of the projection that bound ``x_j``.  Bounds and value are
     :data:`Ratio` pairs, None for a missing bound, and the value is
     reduced before it joins the common denominator.
 
@@ -195,20 +194,18 @@ def solve(
     projections = _projections(nvars, ineqs, eq)
     if projections is None:
         return None
-    stack, pivot = projections
+    buckets, pivot = projections
 
     # The values chosen so far are ``nums[k] / scale`` over one common
     # denominator.  A bound ``n / (m * scale)`` with ``m > 0`` is held as
     # ``(n, m)``, so bounds are compared by cross-multiplying integers.
     nums: list[int] = []
     scale = 1
-    for j in range(nvars):
+    for j, rows in enumerate(buckets):
         lo: Optional[tuple[int, int]] = None
         hi: Optional[tuple[int, int]] = None
-        for coeffs, const in stack.pop():
+        for coeffs, const in rows:
             a = coeffs[j]
-            if a == 0:
-                continue
             rest = const * scale + sum(map(mul, coeffs, nums))
             # The row reads a * x_j + rest / scale >= 0: x_j >= -rest / (a * scale)
             # when a > 0, x_j <= rest / (-a * scale) when a < 0.

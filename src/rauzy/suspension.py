@@ -72,7 +72,7 @@ from random import Random
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import linprog
-from .combinat import GenPerm, irreducible_rows
+from .combinat import GenPerm, is_irreducible
 from .errors import DegeneratePolygon, DimensionMismatch, InvalidSuspension
 
 if TYPE_CHECKING:
@@ -186,65 +186,71 @@ def _ratio(x: int, scale: int) -> str:
 def _occurrence_balance(p: GenPerm) -> list[int]:
     """Per symbol: (top occurrences) - (bottom occurrences), in -2..2."""
     c = [0] * p.d
-    for s in p.top:
+    top, _, bottom = p._key.partition(b"\0")
+    for s in top:
         c[s - 1] += 1
-    for s in p.bottom:
+    for s in bottom:
         c[s - 1] -= 1
     return c
 
 
-def _imag_system(p: GenPerm) -> tuple[list, Optional[linprog.Row]]:
-    """Inequality rows and the balance equality for the imaginary parts.
+def _systems(p: GenPerm) -> tuple[bytes, bytes, list[linprog.Row], Optional[linprog.Row]]:
+    """The rows of ``p``, the imaginary parts' inequality rows, and the
+    balance equality of both systems.
 
     The variables are the tau entries; the equality, None when every
-    symbol balances, says the two lines end at one height.  Strict
-    inequalities are normalised to closed ones with slack 1, which is
-    equivalent by homogeneity; witnesses therefore keep every interior
-    vertex at distance >= 1 from the horizontal axis.
+    symbol balances, says the two lines end at one height and that the top
+    and bottom sums of the lengths agree.  Strict inequalities are
+    normalised to closed ones with slack 1, which is equivalent by
+    homogeneity; witnesses therefore keep every interior vertex at
+    distance >= 1 from the horizontal axis.
     """
-    d = p.d
+    top, _, bottom = p._key.partition(b"\0")
+    d = len(p._key) // 2
     ineqs = []
-    acc = [0] * d
-    for s in p.top[:-1]:
-        acc[s - 1] += 1
-        ineqs.append((tuple(acc), -1))
-    acc = [0] * d
-    for s in p.bottom[:-1]:
-        acc[s - 1] -= 1
-        ineqs.append((tuple(acc), -1))
+    for row, sign in ((top, 1), (bottom, -1)):
+        acc = [0] * d
+        for s in row[:-1]:
+            acc[s - 1] += sign
+            ineqs.append((tuple(acc), -1))
     balance = tuple(_occurrence_balance(p))
-    return ineqs, (balance, 0) if any(balance) else None
+    return top, bottom, ineqs, (balance, 0) if any(balance) else None
 
 
-def _real_system(p: GenPerm, ims: list[int]) -> tuple[list, Optional[linprog.Row]]:
-    """Inequality rows and the balance equality for the lengths.
+def _real_rows(top: bytes, bottom: bytes, ims: list[int]) -> list[linprog.Row]:
+    """Inequality rows for the lengths of the table ``top / bottom``.
 
-    The equality, None when every symbol balances, says the top and bottom
-    sums of the lengths agree.  Given the imaginary parts ``ims`` times any
-    positive number, one fold-guard row is added when the total height is
-    nonzero: the edge climbing (or descending) to the common right endpoint
-    must cross level zero no earlier than the other line's last interior
-    vertex.  Together with the unit margins on interior heights this makes
-    the polygon embedded.
+    Every length is at least 1.  Given the imaginary parts ``ims`` times
+    any positive number, one fold-guard row is added when the total height
+    is nonzero: the edge climbing (or descending) to the common right
+    endpoint must cross level zero no earlier than the other line's last
+    interior vertex.  Together with the unit margins on interior heights
+    this makes the polygon embedded.
     """
-    d = p.d
-    ineqs = []
-    for k in range(d):
-        row = [0] * d
-        row[k] = 1
-        ineqs.append((tuple(row), -1))
-    total = sum(ims[s - 1] for s in p.top)
+    d = len(ims)
+    ineqs = [((0,) * k + (1,) + (0,) * (d - 1 - k), -1) for k in range(d)]
+    total = sum(ims[s - 1] for s in top)
     if total:
         # the line whose last edge crosses level zero, and the other line
         sign = 1 if total > 0 else -1
-        crossing, other = (p.bottom, p.top) if total > 0 else (p.top, p.bottom)
+        crossing, other = (bottom, top) if total > 0 else (top, bottom)
         depth = -sign * sum(ims[s - 1] for s in crossing[:-1])  # > 0
         row = [0] * d
         row[other[-1] - 1] += sign * total + depth
         row[crossing[-1] - 1] -= sign * total
         ineqs.append((tuple(row), 0))
-    balance = tuple(_occurrence_balance(p))
-    return ineqs, (balance, 0) if any(balance) else None
+    return ineqs
+
+
+def _imag_system(p: GenPerm) -> tuple[list, Optional[linprog.Row]]:
+    """Inequality rows and the balance equality for the imaginary parts."""
+    return _systems(p)[2:]
+
+
+def _real_system(p: GenPerm, ims: list[int]) -> tuple[list, Optional[linprog.Row]]:
+    """Inequality rows and the balance equality for the lengths."""
+    top, bottom, _, eq = _systems(p)
+    return _real_rows(top, bottom, ims), eq
 
 
 def _scaled(values) -> tuple[int, list[int]]:
@@ -317,16 +323,18 @@ def _parts_over(p: GenPerm, zeta: SuspensionDatum) -> tuple[int, ...]:
 def _witness(p: GenPerm, choose: linprog.IntervalChooser) -> SuspensionDatum:
     """The suspension vector of both systems solved with ``choose``.
 
-    ``choose`` picks every variable but the pivot of each balance
-    equality, which the equality fixes.  The two solutions are joined over
-    their least common denominator, and the datum is checked; it is over
-    the key of ``p``.
+    The key is split into its rows and the balance equality is built once,
+    for both systems.  ``choose`` picks every variable but the pivot of
+    each balance equality, which the equality fixes.  The two solutions
+    are joined over their least common denominator, and the datum is
+    checked; it is over the key of ``p``.
     """
     d = p.d
-    ims = linprog.solve(d, *_imag_system(p), choose=choose)
+    top, bottom, ineqs, eq = _systems(p)
+    ims = linprog.solve(d, ineqs, eq, choose)
     if ims is None:
         raise RuntimeError(f"imaginary system unexpectedly infeasible for {p}")
-    res = linprog.solve(d, *_real_system(p, ims[1]), choose=choose)
+    res = linprog.solve(d, _real_rows(top, bottom, ims[1]), eq, choose)
     if res is None:
         raise RuntimeError(f"fold-guarded length system infeasible for {p}")
     scale = lcm(res[0], ims[0])
@@ -344,7 +352,7 @@ def find_suspension(p: GenPerm) -> Optional[SuspensionDatum]:
     Deterministic for a fixed input; the witness additionally keeps the
     polygon of :func:`build_polygon` embedded.
     """
-    if not irreducible_rows(p.top, p.bottom):
+    if not is_irreducible(p):
         return None
     return _witness(p, linprog.canonical_choice)
 
@@ -355,7 +363,7 @@ def random_suspension(p: GenPerm, rng: Random) -> Optional[SuspensionDatum]:
     Its entries are integers, its ``scale`` 1: the conditions allow the
     rescaling.
     """
-    if not irreducible_rows(p.top, p.bottom):
+    if not is_irreducible(p):
         return None
 
     def pick(lo: Optional[linprog.Ratio], hi: Optional[linprog.Ratio]) -> linprog.Ratio:

@@ -57,6 +57,7 @@ from rauzy.invariants import (
     _known_profile,
     _least_table,
     _rotation_data,
+    _standard_hyperelliptic,
     central_involution,
     label_for_class,
 )
@@ -345,15 +346,18 @@ class TestComponentLabel:
 
         # a label that needs the hyperelliptic test has no default
         monkeypatch.setattr(rauzy.invariants, "_hyperelliptic_table", lambda *a: None)
+        with pytest.raises(RuntimeError, match=r"Q\(-1,-1,6\) .* marked order 6"):
+            component_label(parse(Q6_NONHYP))
         for table, message in [
-            (Q6_NONHYP, r"Q\(-1,-1,6\) .* marked order 6"),
-            ("1 2 3 4 5 6 7 8 9 / 2 4 1 6 5 7 9 3 8", r"H\(3,3\) .* marked order 3"),
+            (Q6_HYP, r"Q\(-1,-1,6\) .* marked order 6"),
+            ("1 2 3 4 5 6 7 8 / 8 7 6 5 4 3 2 1", r"H\(6\) .* marked order 6"),
         ]:
+            keys = rauzy_class(parse(table)).table
             with pytest.raises(RuntimeError, match=message):
-                component_label(parse(table))
-        keys = rauzy_class(parse(Q6_HYP)).table
-        with pytest.raises(RuntimeError, match="no symmetric hyperelliptic table"):
-            label_for_class(keys)
+                label_for_class(keys)
+        # a permutation with no unmarked 0 compares its walk's end with a
+        # literal and needs no symmetric table
+        assert component_label(parse("1 2 3 4 5 6 7 8 9 / 2 4 1 6 5 7 9 3 8")) is NONHYP
 
 
 def _smallest_vertex(table):
@@ -556,6 +560,8 @@ class TestStandardRule:
                     continue
                 ref = _hyperelliptic_table(st, marked)
                 ref_end = _to_standard(ref)[0]
+                # the literal the label compares with is that walk's end
+                assert _standard_hyperelliptic(d, marked) == ref_end, rep
                 if _holds(ref, rep._key, 10**7):
                     assert ends == {ref_end}, rep
                 else:
@@ -582,6 +588,7 @@ class TestStandardRule:
                 held = _bfs_rows(ref, 10**7)
                 standard = [key for key in held if key[d + 1] == d and key[-1] == 1]
                 assert standard == [_to_standard(ref)[0]], st
+                assert standard == [_standard_hyperelliptic(d, marked)], st
                 found[st.text, marked] = " ".join(map(str, standard[0][d + 1 :]))
         assert found == self.STANDARD
 

@@ -1,9 +1,12 @@
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from random import Random
 
 from hypothesis import given, settings, strategies as st
 
+from rauzy import PermKind
+from rauzy.classes import enumerate_irreducible
 from rauzy.linprog import (
     _Contradiction,
     _norm,
@@ -11,6 +14,7 @@ from rauzy.linprog import (
     feasible,
     solve,
 )
+from rauzy.suspension import _imag_system, _real_system
 
 
 def _residuals(rows, solution):
@@ -168,3 +172,153 @@ def test_integer_elimination_matches_fraction_oracle():
                 assert _residuals([eq], sol) == [0], (nvars, ineqs, eq)
         branches[eq is not None, want] += 1
     assert min(branches.values()) >= 100, branches
+
+
+# The level-by-level pass that ``linprog`` ran before its rows went into
+# buckets by highest variable: every step re-partitions all the rows it
+# still holds, and the forward pass reads each level whole, skipping the
+# rows that do not read its variable.  Kept as the oracle of the bucketed
+# pass, which must give the same intervals, chooser calls and solutions.
+
+
+def _oracle_combine(pos, neg, j):
+    a = pos[0][j]
+    b = -neg[0][j]
+    coeffs = [b * p + a * n for p, n in zip(pos[0], neg[0])]
+    return _norm(coeffs, b * pos[1] + a * neg[1])
+
+
+def _oracle_eliminate(rows, j, eq=None):
+    out = {r for r in rows if r[0][j] == 0}
+    if eq is not None:
+        lead = eq[0][j]
+        for coeffs, const in rows:
+            f = coeffs[j]
+            if f:
+                row = _norm(
+                    [lead * a - f * b for a, b in zip(coeffs, eq[0])],
+                    lead * const - f * eq[1],
+                )
+                if row is not None:
+                    out.add(row)
+        return out
+    pos = [r for r in rows if r[0][j] > 0]
+    neg = [r for r in rows if r[0][j] < 0]
+    for p in pos:
+        for n in neg:
+            row = _oracle_combine(p, n, j)
+            if row is not None:
+                out.add(row)
+    return out
+
+
+def _oracle_system(ineqs, eq):
+    rows = set()
+    for coeffs, const in ineqs:
+        row = _norm(coeffs, const)
+        if row is not None:
+            rows.add(row)
+    if eq is None:
+        return rows, None, -1
+    halves = [_norm(eq[0], eq[1]), _norm([-a for a in eq[0]], -eq[1])]
+    if halves[0] is None:
+        return rows, None, -1
+    rows.update(halves)
+    pivot = max(k for k, a in enumerate(halves[0][0]) if a)
+    return rows, max(halves, key=lambda r: r[0][pivot]), pivot
+
+
+def _oracle_solve(nvars, ineqs, eq=None, choose=canonical_choice):
+    """``solve`` on the level-by-level pass; False when infeasible."""
+    try:
+        rows, eq, pivot = _oracle_system(ineqs, eq)
+        stack = []
+        for j in range(nvars - 1, -1, -1):
+            stack.append(rows)
+            rows = _oracle_eliminate(rows, j, eq if j == pivot else None)
+    except _Contradiction:
+        return False
+    nums = []
+    scale = 1
+    for j in range(nvars):
+        lo = hi = None
+        for coeffs, const in stack.pop():
+            a = coeffs[j]
+            if a == 0:
+                continue
+            rest = const * scale + sum(map(mul, coeffs, nums))
+            if a > 0:
+                if lo is None or -rest * lo[1] > lo[0] * a:
+                    lo = (-rest, a)
+            elif hi is None or rest * hi[1] < hi[0] * -a:
+                hi = (rest, -a)
+        assert lo is None or hi is None or lo[0] * hi[1] <= hi[0] * lo[1]
+        if j == pivot:
+            num, den = lo[0], lo[1] * scale
+        else:
+            num, den = choose(
+                None if lo is None else (lo[0], lo[1] * scale),
+                None if hi is None else (hi[0], hi[1] * scale),
+            )
+        g = gcd(num, den)
+        num //= g
+        den //= g
+        if scale % den:
+            grow = den // gcd(scale, den)
+            nums = [v * grow for v in nums]
+            scale *= grow
+        nums.append(num * (scale // den))
+    return scale, nums
+
+
+def _seeded_chooser(seed, calls):
+    """A seeded random pick in each interval; logs the bounds by value."""
+    rng = Random(seed)
+
+    def choose(lo, hi):
+        calls.append(tuple(None if b is None else Fraction(*b) for b in (lo, hi)))
+        if lo is None:
+            lo = (rng.randint(-8, 0), 1) if hi is None else (hi[0] - rng.randint(0, 4) * hi[1], hi[1])
+        if hi is None:
+            hi = (lo[0] + rng.randint(0, 4) * lo[1], lo[1])
+        r = rng.randint(0, 8)
+        return (lo[0] * hi[1] * (8 - r) + hi[0] * lo[1] * r, 8 * lo[1] * hi[1])
+
+    return choose
+
+
+def _agrees_with_oracle(nvars, ineqs, eq, seed):
+    """Both passes on one system: the same feasibility, the same canonical
+    solution, and the same chooser calls and solution with a seeded chooser."""
+    want = _oracle_solve(nvars, ineqs, eq)
+    assert feasible(nvars, ineqs, eq) == (want is not False), (nvars, ineqs, eq)
+    got = solve(nvars, ineqs, eq)
+    assert got == (want or None), (nvars, ineqs, eq)
+    calls, oracle_calls = [], []
+    got = solve(nvars, ineqs, eq, _seeded_chooser(seed, calls))
+    want = _oracle_solve(nvars, ineqs, eq, _seeded_chooser(seed, oracle_calls))
+    assert got == (want or None) and calls == oracle_calls, (nvars, ineqs, eq)
+    return got
+
+
+def test_bucketed_pass_matches_level_oracle_on_random_systems():
+    rng = Random("linprog:equalities")
+    feasible_count = 0
+    for index in range(3_000):
+        nvars = rng.randint(1, 6)
+        ineqs, eq = _random_system(rng, nvars, rng.randint(0, 6), rng.choice((1, 3, 9)))
+        feasible_count += _agrees_with_oracle(nvars, ineqs, eq, index) is not None
+    assert 500 <= feasible_count <= 2_500, feasible_count
+
+
+def test_bucketed_pass_matches_level_oracle_on_suspension_systems():
+    sizes = [(PermKind.IET, d) for d in range(2, 6)]
+    sizes += [(PermKind.QUADRATIC, d) for d in range(3, 6)]
+    tables = 0
+    for kind, d in sizes:
+        for p in enumerate_irreducible(d, kind):
+            ims = _agrees_with_oracle(d, *_imag_system(p), str(p))
+            assert ims is not None, p
+            assert _agrees_with_oracle(d, *_real_system(p, ims[1]), str(p)) is not None, p
+            tables += 1
+    assert tables == 88 + 1_662

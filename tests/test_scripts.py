@@ -88,7 +88,11 @@ def test_rv_walks_checks_every_step(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", argv)
     assert rv_walks.main() == 0
     line = capsys.readouterr().out
-    assert re.match(r"quad d=5: 4 tables, (\d+) steps, (\d+) halts, 0 invalid, ", line), line
+    assert re.match(
+        r"quad d=5: 4 tables, (\d+) steps, (\d+) halts, 0 invalid, [\d,]+ witnesses/s, "
+        r"[\d,]+ steps/s ",
+        line,
+    ), line
     # a vector that fails its check makes the run fail
     monkeypatch.setattr(rv_walks, "check_suspension", lambda p, zeta: False)
     assert rv_walks.main() == 1

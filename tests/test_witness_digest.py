@@ -4,12 +4,16 @@ The digests below were computed with ``scripts/witness_digest.py`` before
 the suspension path moved to integer arithmetic.  Any change to a
 ``find_suspension`` or ``random_suspension`` vector, a ``polygon_json``
 export, a ``geometric_profile`` or an ``rv_step`` run from an irreducible
-table with at most five symbols changes one of them.
+table with at most five symbols changes one of them; ``SAMPLED`` pins
+seeded random generalized tables with six and seven symbols the same way.
 """
+import hashlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from conftest import load_script
 
 from rauzy import PermKind
 
@@ -37,3 +41,23 @@ def digest_script():
 @pytest.mark.parametrize("kind, d", sorted(PINNED, key=lambda key: (key[0].value, key[1])))
 def test_witness_digest_is_pinned(digest_script, kind, d):
     assert digest_script.witness_digest(d, kind) == PINNED[(kind, d)]
+
+
+# sha256 of the ``_table_record`` lines of 150 seeded random generalized
+# tables per size, drawn by ``scripts/label_scaling.py``'s ``random_tables``
+# (kind "quad", seed 52), the sizes the benchmark's ``suspension`` workload
+# runs; computed at commit 3cca53d, before the elimination pass of
+# ``linprog`` put its rows into buckets by highest variable
+SAMPLED = {
+    6: "6f8fcb7ce43bc30b041e140ab58abc152c7f475e5d62d15680a98319247a2376",
+    7: "2a86fec8e2a5b8e80b1c64faa2d03a7173831b6a4e874c1945d4ebddf4e7fcbb",
+}
+
+
+@pytest.mark.parametrize("d", sorted(SAMPLED))
+def test_sampled_witness_digest_is_pinned(digest_script, d):
+    """Byte identity of the witness path at six and seven symbols."""
+    h = hashlib.sha256()
+    for p in load_script("label_scaling").random_tables("quad", d, 150, 52):
+        h.update(digest_script._table_record(p).encode())
+    assert h.hexdigest() == SAMPLED[d]
