@@ -54,12 +54,13 @@ component label) and checks the expected structure: each group must hold
 exactly one class per distinct singularity order, matched bijectively by
 marked order, and each stratum must show exactly the component labels
 that :func:`rauzy.invariants.stratum_components` lists.  A label that
-needs the class asks whether it holds a reference table
-(:func:`rauzy.invariants.label_for_class`): a lookup in a class the
-verifier holds, and otherwise :func:`_holds`, a search that stops there:
-over row-exchange pairs (:func:`_pair_search`) for generalized tables,
-vertex by vertex (:func:`_bfs_rows`) for permutations.  The vertex search
-of :func:`same_class_bfs` is the tests' oracle of the pair search.
+needs the class (:func:`rauzy.invariants.label_for_class`) walks a move
+rule from one vertex for a permutation, and searches nothing.  For a
+generalized table it asks whether the class holds a reference table: a
+lookup in a class the verifier holds, and otherwise :func:`_holds`, one
+search over row-exchange pairs (:func:`_pair_search`) that stops there.
+The vertex search of :func:`same_class_bfs` is the tests' oracle of the
+pair search.
 """
 from __future__ import annotations
 
@@ -224,21 +225,24 @@ class _PairTable(Mapping):
 def _pair_search(
     seed: bytes, budget: int, target: Optional[bytes] = None
 ) -> _PairTable:
-    """The class of the generalized key ``seed``, by one search over its pairs.
+    """The class of the key ``seed``, by one search over its pairs.
 
-    Raw move 1 is move 0 conjugated by tau (:mod:`rauzy.induction`), so the
-    moves of ``tau v`` are the exchanges of those of ``v``, with 0 and 1
-    swapped: they reach the same two pairs with the bit flipped.  Only the
-    pair key's two moves are made, breadth first.  A class is certified
-    tau-closed when it holds a table equal to its exchange, or when one
-    pair is reached with both bits: tau maps the class of ``v`` onto that
-    of ``tau v``.  With a ``target``, the search stops as soon as the pairs
-    found hold it: its pair with its bit, or its pair in a certified class.
-    The partial table then reads as a class does, and holds ``target``; a
-    table that does not hold it is the whole class.  One budget unit is one
-    table reached: the budget counts ``pairs`` while the class is not
-    certified tau-closed, since a pair then stands for the one table the
-    search reached, and ``2 pairs - fixed`` once it is, the tables of the
+    The exchange of a permutation is a permutation, so the search serves
+    tables of both kinds; a whole permutation class is closed by move-0
+    cycles instead (:func:`_bfs_rows`).  Raw move 1 is move 0 conjugated
+    by tau (:mod:`rauzy.induction`), so the moves of ``tau v`` are the
+    exchanges of those of ``v``, with 0 and 1 swapped: they reach the same
+    two pairs with the bit flipped.  Only the pair key's two moves are
+    made, breadth first.  A class is certified tau-closed when it holds a
+    table equal to its exchange, or when one pair is reached with both
+    bits: tau maps the class of ``v`` onto that of ``tau v``.  With a
+    ``target``, the search stops as soon as the pairs found hold it: its
+    pair with its bit, or its pair in a certified class.  The partial
+    table then reads as a class does, and holds ``target``; a table that
+    does not hold it is the whole class.  One budget unit is one table
+    reached: the budget counts ``pairs`` while the class is not certified
+    tau-closed, since a pair then stands for the one table the search
+    reached, and ``2 pairs - fixed`` once it is, the tables of the
     partial table either way; the pair that holds ``target`` is never over
     it.
     """
@@ -288,15 +292,15 @@ def _pair_search(
 
 
 def _bfs_rows(
-    seed: bytes, budget: int, stop: Optional[Callable[[bytes], bool]] = None
+    seed: bytes, budget: int, stop: Optional[Callable[[bytes], object]] = None
 ) -> Mapping[bytes, None]:
     """Vertex keys of the class of the key ``seed``, the seed first.
 
     With ``stop``, the search goes breadth first and ends at the first
-    vertex, the seed included, whose key passes it; the partial table then
-    holds it as its last key.  A search that returns a table with no such
-    key has built the class.  A class of more than ``budget`` vertices
-    raises :class:`BudgetExceeded`.
+    vertex, the seed included, whose key it returns a true value for; the
+    partial table then holds it as its last key.  A search that returns a
+    table with no such key has built the class.  A class of more than
+    ``budget`` vertices raises :class:`BudgetExceeded`.
 
     A whole class of generalized tables is one search over row-exchange
     pairs, :func:`_pair_search`, returned as its :class:`_PairTable`.  A
@@ -328,14 +332,11 @@ def _bfs_rows(
     while queue:
         for nxt in moves(queue.popleft()):
             if nxt is not None and nxt not in seen:
-                if stop(nxt):
-                    seen[nxt] = None
-                    return seen
-                if len(seen) >= budget:
-                    raise BudgetExceeded(
-                        f"class exceeds the {budget}-vertex budget"
-                    )
                 seen[nxt] = None
+                if stop(nxt):
+                    return seen
+                if len(seen) > budget:
+                    raise BudgetExceeded(f"class exceeds the {budget}-vertex budget")
                 queue.append(nxt)
     return seen
 
@@ -343,14 +344,10 @@ def _bfs_rows(
 def _holds(seed: bytes, target: bytes, budget: int) -> bool:
     """Whether the class of ``seed`` holds ``target``, by a search that stops there.
 
-    A class of generalized tables is searched over its row-exchange pairs
-    (:func:`_pair_search`), a permutation class vertex by vertex
-    (:func:`_bfs_rows`).  A class of more than ``budget`` vertices that does
-    not hold ``target`` raises :class:`BudgetExceeded`.
+    The class of a table of either kind is searched over its row-exchange
+    pairs (:func:`_pair_search`).  A class of more than ``budget`` tables
+    that does not hold ``target`` raises :class:`BudgetExceeded`.
     """
-    d = len(seed) // 2
-    if seed[d] == 0 and seed[d - 1] == d:  # a reduced permutation: top row 1 ... d
-        return target in _bfs_rows(seed, budget, stop=target.__eq__)
     return target in _pair_search(seed, budget, target)
 
 

@@ -42,7 +42,7 @@ class BudgetExceeded(RauzyError):
 
 
 class MoveCapExceeded(RauzyError):
-    """A move rule did not reach its end within its cap of moves."""
+    """A move rule did not reach its goal within its cap of moves."""
 
 
 class InductionHalt(RauzyError):

@@ -38,18 +38,24 @@ witness and splits the spin components.  One symplectic reduction over
 GF(2) finds it, each basis vector carrying the value of the form on it,
 so the form is never recomputed.  :func:`_component_label` is the
 one procedure that decides a label, and it lists the rules with their
-sources.  :func:`component_label` applies it to one table.  Where spin
-parity does not decide, a label asks one question, because a component
-and a marked order fix the class (Boissy, arXiv:0904.3826): does the class
-hold a reference table of the stratum and marked order?  The reference is
-the least table (:func:`_least_table`) in an exceptional stratum and a
-symmetric hyperelliptic table (:func:`_hyperelliptic_table`) elsewhere.
-One search between the two tables answers it, over row-exchange pairs for
-generalized tables; for a permutation with no unmarked 0, one walk of a
-move rule to the standard permutation of the hyperelliptic class, a
-literal, answers it with no search.  A class is
-built only in genus 2.  :func:`label_for_class` applies it to a class that the caller
-holds, and looks the reference table up in that class instead.
+sources.  :func:`component_label` applies it to one table, and
+:func:`label_for_class` to a class that the caller holds.
+
+Where spin parity does not decide, a permutation's label is read off the
+move rule of :func:`rauzy.induction._to_standard`, which walks to a
+standard permutation of the class (every class holds one: Rauzy, *Acta
+Arith.* 34, 1979), with no search.  A regular point to forget lies on the
+table, at the walk's end or one move 0 past it, and the label is that of
+the merged table one stratum down; with no unmarked 0, the class is
+hyperelliptic exactly when the walk ends at the literal standard
+permutation of :func:`_standard_hyperelliptic`.  A generalized table asks
+one question instead, because a component and a marked order fix the
+class (Boissy, arXiv:0904.3826): does the class hold a reference table of
+the stratum and marked order?  The reference is the least table
+(:func:`_least_table`) in an exceptional stratum and a symmetric
+hyperelliptic table (:func:`_hyperelliptic_table`) elsewhere.  One search
+over row-exchange pairs between the two tables answers it, or a lookup in
+the class that the caller holds.  A class is built only in genus 2.
 """
 from __future__ import annotations
 
@@ -66,8 +72,8 @@ from .combinat import (
     irreducible_rows,
     is_irreducible,
 )
-from .errors import BudgetExceeded, NotAbelian, OddDegreePresent, Reducible
-from .induction import _to_standard
+from .errors import BudgetExceeded, MoveCapExceeded, NotAbelian, OddDegreePresent, Reducible
+from .induction import _table_move, _to_standard
 
 # ---------------------------------------------------------------------------
 # Strata
@@ -674,7 +680,10 @@ def _hyperelliptic_table(
     and level 0 is the reversal; a half-translation table doubles at least
     one.  The symmetric hyperelliptic tables lie at low levels, so the
     search ends early.  A search that tries more than ``budget`` tables
-    raises :class:`BudgetExceeded`.
+    raises :class:`BudgetExceeded`.  Labels call it for half-translation
+    tables alone: a permutation's label compares with the literal of
+    :func:`_standard_hyperelliptic`, and the orientable search is that
+    literal's oracle in the tests.
 
     >>> from .combinat import GenPerm, format_perm
     >>> key = _hyperelliptic_table(parse_stratum("Q(-1,-1,6)"), 6)
@@ -741,12 +750,13 @@ def label_for_class(
     """Component label of a class, given by its vertex keys.
 
     Stratum, marked order and spin parity are the same on every vertex, so
-    :func:`_component_label` decides on any one of them, with ``keys`` as
-    its class, in which a rule that needs the class looks the key of its
-    reference table up.  A caller that holds the stratum ``st`` of the
-    class passes it, and no corner is walked.  ``budget`` bounds the
-    reference-table searches and any search one stratum down, as in
-    :func:`component_label`.
+    :func:`_component_label` decides on the first of them, with ``keys`` as
+    its class.  A permutation's label reads no other key: the move rule
+    decides it from that vertex alone.  A rule that needs the class of a
+    generalized table looks the key of its reference table up in ``keys``.
+    A caller that holds the stratum ``st`` of the class passes it, and no
+    corner is walked.  ``budget`` bounds the reference-table searches and
+    any search one stratum down, as in :func:`component_label`.
     """
     rep = GenPerm._of(next(iter(keys)))
     return _component_label(rep, stratum(rep) if st is None else st, budget, keys)
@@ -756,10 +766,11 @@ def component_label(p: GenPerm, budget: int = 10**7) -> ComponentLabel:
     """Connected-component label of the suspension surface of ``p``.
 
     The rules are those of :func:`_component_label`; where spin parity
-    does not decide, the class of ``p`` is searched for a reference table
-    of its stratum and marked order.  A search or a class that needs more
-    than ``budget`` vertices, or a search for a reference table that tries
-    more than ``budget`` tables, raises :class:`BudgetExceeded`.
+    does not decide, a permutation walks a move rule, and the class of a
+    generalized table is searched for a reference table of its stratum and
+    marked order.  A search or a class that needs more than ``budget``
+    vertices, or a search for a reference table that tries more than
+    ``budget`` tables, raises :class:`BudgetExceeded`.
 
     >>> from .combinat import parse
     >>> p = parse("1 2 3 4 5 6 7 8 9 / 2 4 3 8 7 6 5 9 1")
@@ -778,13 +789,16 @@ def _component_label(
     """The label of ``p``, whose stratum ``st`` is known.
 
     ``keys`` is the class of ``p``, as vertex keys, when the caller holds
-    it.  A component and a marked order fix the class (Boissy,
-    arXiv:0904.3826; Lanneau, *Comment. Math. Helv.* 79, 2004), so a rule
-    that needs the class asks one question: does it hold a reference table
-    of the stratum and marked order of ``p``?  With ``keys`` the answer is
-    a lookup; otherwise one search within ``budget`` vertices, from one of
-    the two tables, stops at the other (:func:`rauzy.classes._holds`), or
-    for a permutation two walks of a move rule answer with no search.  Only genus 2 builds a class.  The
+    it; only a generalized table reads it.  A component and a marked order
+    fix the class (Boissy, arXiv:0904.3826; Lanneau, *Comment. Math. Helv.*
+    79, 2004), so a rule that needs the class of a generalized table asks
+    one question: does it hold a reference table of the stratum and marked
+    order of ``p``?  With ``keys`` the answer is a lookup; otherwise one
+    search within ``budget`` tables, from one of the two tables, stops at
+    the other (:func:`rauzy.classes._holds`).  A permutation searches
+    nothing: it walks the move rule of :func:`rauzy.induction._to_standard`
+    to a standard permutation of its class, which every class holds
+    (Rauzy, *Acta Arith.* 34, 1979).  Only genus 2 builds a class.  The
     rules, in order:
 
     * a stratum with one component has that label;
@@ -803,27 +817,29 @@ def _component_label(
       the spin label, and the hyperelliptic parity gives ``hyperelliptic``
       when no spin component has it (genus 3);
     * in a stratum of either kind with an order-0 point other than the
-      marked one, a vertex with a regular point to forget
+      marked one, a table with a regular point to forget
       (:func:`_forget_regular_point`) has the label of its merged table,
       one stratum down, since marked points do not change the components
-      (Kontsevich–Zorich; Lanneau, *Ann. Sci. ENS* 41, 2008); a search
-      from ``p`` stops at the first such vertex, even when ``keys`` is
-      given;
-    * otherwise the class is hyperelliptic exactly when it holds the
-      symmetric table :func:`_hyperelliptic_table` finds.  For a
-      permutation whose stratum has no unmarked 0, the move rule of
-      :func:`rauzy.induction._to_standard` walks from ``p`` to a standard
-      permutation of its class; a hyperelliptic class with no unmarked 0
-      holds exactly one (checked through ten symbols), the literal of
-      :func:`_standard_hyperelliptic`, so ``p`` is hyperelliptic exactly
-      when its walk ends there, and no symmetric table is searched for.
-      Otherwise the search runs from that table, whose class is the small
-      one, and stops at ``p``.  Bare central symmetry is not enough:
-      symmetric vertices also occur in non-hyperelliptic classes.
+      (Kontsevich–Zorich; Lanneau, *Ann. Sci. ENS* 41, 2008).  A
+      permutation tries ``p``, the end ``e`` of its walk and the move-0
+      image of ``e``, and takes the first that merges; when none does, the
+      label raises :class:`MoveCapExceeded`, which no permutation through
+      ten symbols does (``scripts/standard_rule.py --forget``).  A
+      generalized table searches its class from ``p`` for the first such
+      vertex, even when ``keys`` is given;
+    * otherwise a permutation is hyperelliptic exactly when its walk ends
+      at the literal of :func:`_standard_hyperelliptic`: a hyperelliptic
+      class with no unmarked 0 holds that one standard permutation
+      (checked through ten symbols).  A generalized class is hyperelliptic
+      exactly when it holds the symmetric table
+      :func:`_hyperelliptic_table` finds; the search runs from that table,
+      whose class is the small one, and stops at ``p``.  Bare central
+      symmetry is not enough: symmetric vertices also occur in
+      non-hyperelliptic classes.
 
     A class that fails the hyperelliptic test has the spin label found
     above, or ``non-hyperelliptic`` where spin does not apply; with no
-    symmetric table to test, the label raises ``RuntimeError``.
+    symmetric table to test, a generalized label raises ``RuntimeError``.
     """
     from .classes import _bfs_rows, _holds, rauzy_class
 
@@ -854,20 +870,23 @@ def _component_label(
     else:
         label = ComponentLabel.NON_HYPERELLIPTIC
     marked = _known_profile(p._key).marked
-    unmarked_zero = st.orders.count(0) > (marked == 0)
-    if unmarked_zero:
-        merged = None
-
-        def forgets(key: bytes) -> bool:
-            nonlocal merged
-            merged = _forget_regular_point(key)
-            return merged is not None
-
-        _bfs_rows(p._key, budget, stop=forgets)
+    if st.orders.count(0) > (marked == 0):  # an unmarked 0 to forget
+        if st.kind is StratumKind.ABELIAN:
+            merged = _forget_regular_point(p._key)
+            if merged is None:
+                end = _to_standard(p._key)[0]
+                merged = _forget_regular_point(end) or _forget_regular_point(
+                    _table_move(end, 0)
+                )
+            if merged is None:
+                raise MoveCapExceeded(f"the walk from {p} meets no point to forget")
+        else:
+            last = next(reversed(_bfs_rows(p._key, budget, stop=_forget_regular_point)))
+            merged = _forget_regular_point(last)
         if merged is not None:
             q = GenPerm._of(merged)
             return _component_label(q, stratum(q), budget)
-    if keys is None and st.kind is StratumKind.ABELIAN and not unmarked_zero:
+    if st.kind is StratumKind.ABELIAN:
         found = _to_standard(p._key)[0] == _standard_hyperelliptic(st.d, marked)
         return ComponentLabel.HYPERELLIPTIC if found else label
     ref = _hyperelliptic_table(st, marked, budget)

@@ -2,6 +2,7 @@ import json
 import tracemalloc
 from collections import deque
 from itertools import permutations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,8 @@ from rauzy import (
 from rauzy.classes import (
     RauzyDiagram,
     _bfs_rows,
+    _holds,
+    _pair_search,
     _PairTable,
     _seeded_classes,
     _seeds,
@@ -224,6 +227,42 @@ class TestRauzyClass:
                 fixed += table.fixed
             totals[d] = pairs, fixed
         assert totals == {3: (2, 0), 4: (44, 2), 5: (789, 6), 6: (14_347, 52)}
+
+    def test_pair_search_matches_the_cycle_closure_on_permutations(self):
+        # Every permutation class through seven symbols, from the standard
+        # permutations: the search over row-exchange pairs holds the keys
+        # of the cycle closure, the seed first, and certifies the class
+        # closed under the exchange.  _holds, one pair search that stops at
+        # its target, agrees with the vertex search on sampled pairs of
+        # tables within a class and across two.
+        rng = Random(53)
+        sizes = []
+        within = across = 0
+        for d in range(2, 8):
+            top = tuple(range(1, d + 1))
+            held: set[bytes] = set()
+            classes = []
+            for middle in permutations(top[1:-1]):
+                seed = key_of(top, (d, *middle, 1))
+                if seed in held:
+                    continue
+                table = _bfs_rows(seed, 10**7)
+                pairs = _pair_search(seed, 10**7)
+                assert pairs.closed and next(iter(pairs)) == seed
+                assert len(pairs) == len(table) and set(pairs) == table.keys()
+                held.update(table)
+                classes.append(list(table))
+                sizes.append(len(table))
+            for _ in range(20):
+                first, second = rng.choice(classes), rng.choice(classes)
+                a, b = rng.choice(first), rng.choice(second)
+                same = same_class_bfs(GenPerm._of(a), GenPerm._of(b))
+                assert same == (first is second) == _holds(a, b, 10**7), (a, b)
+                within += same
+                across += not same
+        assert len(sizes) == 1 + 1 + 2 + 4 + 7 + 13
+        assert sum(sizes) == 1 + 3 + 13 + 71 + 461 + 3_447
+        assert (within, across) == (59, 61)
 
     def test_pair_table_reads_as_its_vertex_keys(self):
         # the pairs of the four-vertex class, decoded: equal to the dict of

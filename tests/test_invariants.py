@@ -52,6 +52,7 @@ from rauzy.errors import (
 from rauzy.induction import _standard_cap, _to_standard, r0, r1
 from rauzy.invariants import (
     _forget_regular_point,
+    _hyperelliptic_parity,
     _hyperelliptic_table,
     _is_hyperelliptic_vertex,
     _known_profile,
@@ -346,18 +347,16 @@ class TestComponentLabel:
 
         # a label that needs the hyperelliptic test has no default
         monkeypatch.setattr(rauzy.invariants, "_hyperelliptic_table", lambda *a: None)
-        with pytest.raises(RuntimeError, match=r"Q\(-1,-1,6\) .* marked order 6"):
+        message = r"Q\(-1,-1,6\) .* marked order 6"
+        with pytest.raises(RuntimeError, match=message):
             component_label(parse(Q6_NONHYP))
-        for table, message in [
-            (Q6_HYP, r"Q\(-1,-1,6\) .* marked order 6"),
-            ("1 2 3 4 5 6 7 8 / 8 7 6 5 4 3 2 1", r"H\(6\) .* marked order 6"),
-        ]:
-            keys = rauzy_class(parse(table)).table
-            with pytest.raises(RuntimeError, match=message):
-                label_for_class(keys)
+        with pytest.raises(RuntimeError, match=message):
+            label_for_class(rauzy_class(parse(Q6_HYP)).table)
         # a permutation with no unmarked 0 compares its walk's end with a
-        # literal and needs no symmetric table
+        # literal and needs no symmetric table, with or without its class
         assert component_label(parse("1 2 3 4 5 6 7 8 9 / 2 4 1 6 5 7 9 3 8")) is NONHYP
+        keys = rauzy_class(parse("1 2 3 4 5 6 7 8 / 8 7 6 5 4 3 2 1")).table
+        assert label_for_class(keys) is HYP
 
 
 def _smallest_vertex(table):
@@ -396,9 +395,9 @@ def _standard_classes(d):
 class TestHyperellipticFamilies:
     """Labels in the orientable strata with a hyperelliptic component.
 
-    Spin parity, the forget rule and a search from one symmetric table of
-    the stratum and marked order decide them from one table; a scan of the
-    whole class for a hyperelliptic vertex is the second route.
+    Spin parity, the forget rule and the walk of the move rule to a
+    standard permutation decide them from one table; a scan of the whole
+    class for a hyperelliptic vertex is the second route.
     """
 
     def test_table_route_matches_the_class_scan(self, monkeypatch):
@@ -436,7 +435,7 @@ class TestHyperellipticFamilies:
                     lone += st.genus > 2 and st.orders.count(0) == 1 and marked == 0
                     if 0 not in st.orders:
                         continue
-                    # a vertex with no regular point to forget searches for one
+                    # a vertex with no regular point to forget walks to one
                     key = next(
                         (k for k in table if _forget_regular_point(k) is None), None
                     )
@@ -729,18 +728,21 @@ class TestForgetRegularPoint:
 
     def test_pair_table_builds_no_class(self, searches):
         assert component_label(parse(H60_EVEN)) is EVEN
-        # the search stops at the seed; H(6) has no unmarked 0, so the
+        # the table itself merges; H(6) has no unmarked 0, so the
         # standard-permutation rule decides the merged table with no search
-        assert searches == {"bfs": [1], "pairs": [], "classes": []}
+        assert searches == {"bfs": [], "pairs": [], "classes": []}
 
     def test_pairless_vertex_builds_no_class(self, searches):
         p = parse(H60_EVEN_PAIRLESS)
         assert _forget_regular_point(p._key) is None
         assert same_class_bfs(p, parse(H60_EVEN))
         searches["bfs"].clear()
+        end = _to_standard(p._key)[0]
+        assert rows_of(end)[1] == (9, 8, 4, 7, 3, 5, 6, 2, 1)
+        assert _forget_regular_point(end) is not None
         assert component_label(p) is EVEN
-        # one move reaches a vertex with a pair, then the H(6) rule
-        assert searches == {"bfs": [2], "pairs": [], "classes": []}
+        # the walk's end has a pair, then the H(6) rule: no search
+        assert searches == {"bfs": [], "pairs": [], "classes": []}
 
     def test_one_search_tests_each_vertex_once(self, searches, monkeypatch):
         import rauzy.invariants
@@ -759,11 +761,11 @@ class TestForgetRegularPoint:
             searches["bfs"].clear()
             forgets.clear()
             assert label() is EVEN
-            # with or without the class, one search from p stops at its
-            # second vertex and tests each of the two once; then the H(6)
-            # rule, which searches nothing
-            assert searches["bfs"] == [2]
-            assert len(forgets) == 2
+            # with or without the class, p and then the end of its walk
+            # are tested, and the end merges; then the H(6) rule, which
+            # searches nothing
+            assert searches["bfs"] == []
+            assert forgets == [p._key, _to_standard(p._key)[0]]
 
     def test_lone_zero_label_searches_the_hyperelliptic_class(self, searches):
         p = parse(H60_MARKED_ZERO_EVEN)
@@ -800,9 +802,9 @@ class TestForgetRegularPoint:
         assert component_label(hyp) is HYP
         searches["bfs"].clear()
         assert not same_class_fast(even, hyp)
-        # each table stops at its first vertex with a pair, and the H(6)
-        # rule decides each merged table
-        assert searches == {"bfs": [1, 1], "pairs": [], "classes": []}
+        # each table merges itself, and the H(6) rule decides each merged
+        # table: no search
+        assert searches == {"bfs": [], "pairs": [], "classes": []}
 
     @pytest.mark.parametrize("kind", ["iet", "quad"])
     def test_random_merges_past_seven_symbols(self, kind):
@@ -883,6 +885,129 @@ class TestForgetRegularPoint:
             merges += found
         assert merges == 38_142
 
+
+
+def _search_label(key, memo):
+    """A permutation's label by the searches that the move rule replaced.
+
+    Spin parity as in the label; then, with an unmarked 0, a breadth-first
+    search of the class for the first vertex with a regular point to
+    forget, whose merged table is labelled one stratum down; otherwise a
+    search from the symmetric table of ``_hyperelliptic_table`` that stops
+    at ``key``.  ``memo`` maps the keys labelled so far to their labels.
+    """
+    if key in memo:
+        return memo[key]
+    p = GenPerm._of(key)
+    st, marked = stratum(p), singularity_profile(p).marked
+    components = stratum_components(st)
+    if len(components) == 1:
+        label = components[0]
+    else:
+        parity = spin_parity(p) if ODD in components else None
+        label = NONHYP if parity is None else (ODD if parity else EVEN)
+        # the hyperelliptic parity leaves the label open
+        if HYP in components and parity in (None, _hyperelliptic_parity(st.genus)):
+            if label not in components:  # genus 3
+                label = HYP
+            elif st.orders.count(0) > (marked == 0):
+                table = _bfs_rows(key, 10**7, stop=_forget_regular_point)
+                merged = _forget_regular_point(next(reversed(table)))
+                label = _search_label(merged, memo)
+            elif _holds(_hyperelliptic_table(st, marked), key, 10**7):
+                label = HYP
+    memo[key] = label
+    return label
+
+
+class TestPermutationLabelRoute:
+    """Permutation labels by the move rule alone, against the searches.
+
+    With an unmarked 0, the label forgets a point on ``p``, on the end of
+    its walk to a standard permutation or on the move-0 image of that end;
+    with none, it compares the walk's end with a literal.  The searches it
+    replaced are the oracle.
+    """
+
+    def test_walk_matches_the_search_route_through_eight_symbols(self):
+        memo = {}
+        tables = labelled = 0
+        for d in range(3, 9):
+            for diagram in _standard_classes(d):
+                table = diagram.table
+                rep = GenPerm._of(next(iter(table)))
+                st, marked = stratum(rep), singularity_profile(rep).marked
+                if st.orders.count(0) <= (marked == 0):
+                    continue
+                label = label_for_class(table)
+                # a stratum of one component returns before any rule, and
+                # in genus 2 builds the class
+                several = len(stratum_components(st)) > 1
+                for key in table:
+                    assert _search_label(key, memo) is label, key
+                    if several:
+                        assert component_label(GenPerm._of(key)) is label, key
+                        labelled += 1
+                tables += len(table)
+        assert tables == 20_311
+        assert labelled == 10_335
+
+    def test_permutation_labels_search_nothing(self, monkeypatch):
+        import rauzy.classes
+        import rauzy.invariants
+
+        random_tables = load_script("label_scaling").random_tables
+        memo = {}
+        tables = []  # (table, (stratum, marked order, label by the searches))
+
+        def add(p):
+            marked = singularity_profile(p).marked
+            tables.append((p, (stratum(p), marked, _search_label(p._key, memo))))
+
+        for d in range(9, 13):
+            # random tables and the hyperelliptic reversal with its move-0 image
+            top = tuple(range(1, d + 1))
+            reversal = GenPerm(top, top[::-1])
+            for p in [*random_tables("iet", d, 40, 53), reversal, r0(reversal)]:
+                st = stratum(p)
+                if st.genus >= 3 and len(stratum_components(st)) > 1:
+                    add(p)
+        add(parse(H60_HYP))
+        zeros = sum(st.orders.count(0) > (marked == 0) for _, (st, marked, _) in tables)
+        labels = [label for _, (_, _, label) in tables]
+        assert (len(tables), zeros) == (91, 47)
+        assert {label: labels.count(label) for label in labels} == {
+            EVEN: 23,
+            ODD: 53,
+            HYP: 11,
+            NONHYP: 4,
+        }
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a permutation label searched")
+
+        for name in ("_bfs_rows", "_pair_search", "_holds", "rauzy_class"):
+            monkeypatch.setattr(rauzy.classes, name, forbidden)
+        monkeypatch.setattr(rauzy.invariants, "_hyperelliptic_table", forbidden)
+        for (p, data), (q, other) in zip(tables, tables[1:] + tables[:1]):
+            label = data[2]
+            assert component_label(p) is label, p
+            near = [p._key] + [m._key for m in (r0(p), r1(p)) if m is not None]
+            assert label_for_class(near) is label, p
+            assert same_class_fast(p, r0(p) or r1(p)), p
+            assert same_class_fast(p, q) == (data == other), (p, q)
+
+    def test_no_point_to_forget_raises_the_typed_error(self, capsys, monkeypatch):
+        import rauzy.invariants
+        from rauzy.cli import main
+
+        p = parse(H60_EVEN)
+        monkeypatch.setattr(rauzy.invariants, "_forget_regular_point", lambda key: None)
+        with pytest.raises(MoveCapExceeded):
+            component_label(p)
+        assert main(["invariants", H60_EVEN]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "forget" in err
 
 def _family_strata(max_d):
     """Half-translation strata with a hyperelliptic and a non-hyperelliptic

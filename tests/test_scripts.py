@@ -5,9 +5,10 @@ does not; the argparse scripts print their help; and the private names
 that ``label_scaling.py`` wraps by string still exist.  A rename in the
 package then fails here rather than on the next run of a script.  One
 tiny run of ``label_scaling.py`` checks the lines it prints, one of
-``rv_walks.py`` checks its line and its exit status, and
-``code_lines.py`` counts the code lines of a small source exactly and stops
-without a traceback when its reader closes the pipe.
+``rv_walks.py`` checks its line and its exit status, as does one of
+``standard_rule.py --forget``, and ``code_lines.py`` counts the code
+lines of a small source exactly and stops without a traceback when its
+reader closes the pipe.
 """
 import os
 import re
@@ -99,6 +100,25 @@ def test_rv_walks_checks_every_step(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert " 0 invalid" not in out and err.startswith("invalid vector after step 1: ")
 
+
+
+def test_standard_rule_forgets_by_walking(capsys, monkeypatch):
+    standard_rule = load("standard_rule")
+    argv = ["standard_rule.py", "--forget", "--min-d", "3", "--max-d", "6"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert standard_rule.main() == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "d=6: 276 tables with an unmarked 0, 250 at the start, 24 at the end, "
+        "2 by move 0, 0 failures, 0 mismatches ("
+    )
+    # a label that tells the two merged tables apart fails the run
+    monkeypatch.setattr(standard_rule, "component_label", lambda p: p._key)
+    assert standard_rule.main() == 1
+    assert " 0 mismatches" not in capsys.readouterr().out.splitlines()[-1]
+    # so does a walk that merges nowhere
+    monkeypatch.setattr(standard_rule, "_forget_regular_point", lambda key: None)
+    assert standard_rule.main() == 1
+    assert ", 276 failures, 0 mismatches (" in capsys.readouterr().out
 
 def test_code_lines_counts_code_only():
     source = '''"""Module docstring,
