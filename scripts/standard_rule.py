@@ -46,7 +46,7 @@ import time
 from itertools import permutations
 from random import Random
 
-from rauzy.classes import _bfs_rows
+from rauzy.classes import _bfs_rows, rauzy_class
 from rauzy.combinat import GenPerm, irreducible_rows
 from rauzy.induction import _standard_cap, _table_move, _to_standard
 from rauzy.invariants import (
@@ -104,7 +104,10 @@ def rule_line(d: int, count: int, seed: int) -> int:
             continue
         if (st, marked) not in references:
             ref = _hyperelliptic_table(st, marked)
-            references[st, marked] = _to_standard(ref)[0], _bfs_rows(ref, 10**7)
+            references[st, marked] = (
+                _to_standard(ref)[0],
+                rauzy_class(GenPerm._of(ref)).table,
+            )
         ref_end, held = references[st, marked]
         decided += 1
         hyperelliptic += key in held

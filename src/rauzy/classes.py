@@ -5,18 +5,20 @@ verifier.
 A class is the smallest set of reduced generalized permutations containing
 a seed and closed under both moves, held as its vertex set: the key of
 each vertex, the one field of its ``GenPerm`` (:mod:`rauzy.combinat`),
-with no move target.  A whole permutation class closes by move-0 cycles,
-the seed first: move 0 rotates the bottom-row letters after ``d``, so one
-call of the kernel of :func:`rauzy.induction._cycles` adds a whole cycle
-and gives its move-1 images.  A whole class of generalized tables is
+with no move target.  :func:`rauzy_class` builds a whole class by one of
+two searches.  A permutation class closes by move-0 cycles, the seed
+first, in :func:`rauzy.induction._cycle_closure`: move 0 rotates the
+bottom-row letters after ``d``, so a whole cycle comes in at once, with
+its move-1 images, all made by slices.  A class of generalized tables is
 searched over row-exchange pairs ``{v, tau v}`` (tau below): the moves of
 ``tau v`` are the exchanges of those of ``v`` with 0 and 1 swapped, so
 only one member of each pair is moved, and the class is held as its pairs
-in a :class:`_PairTable`, which decodes the members when iterated.
-Stopping searches go breadth first.  Every search takes both moves of a
-key in one call from the kernel of :func:`rauzy.induction._successors`.
-A class's ``GenPerm`` vertices wrap the keys when read, and its edges are
-made then from that kernel.
+in a :class:`_PairTable`, which decodes the members when iterated.  A
+search that stops goes breadth first (:func:`_bfs_rows`).  The pair
+search, the stopping search and the edges of a class take both moves of a
+key in one call from the kernel of :func:`rauzy.induction._successors`,
+the one rule of each move.  A class's ``GenPerm`` vertices wrap the keys
+when read, and its edges are made then from that kernel.
 
 The verifier builds every class of a given size and kind, one at a time,
 from seeds, the irreducible tables whose bottom row ends with 1, and
@@ -60,7 +62,7 @@ generalized table it asks whether the class holds a reference table: a
 lookup in a class the verifier holds, and otherwise :func:`_holds`, one
 search over row-exchange pairs (:func:`_pair_search`) that stops there.
 The vertex search of :func:`same_class_bfs` is the tests' oracle of the
-pair search.
+pair search and of the cycle closure.
 """
 from __future__ import annotations
 
@@ -84,7 +86,7 @@ from .combinat import (
     is_irreducible,
 )
 from .errors import BudgetExceeded, ReducibleSeed, TooManySymbols
-from .induction import _cycles, _successors
+from .induction import _cycle_closure, _successors
 from .invariants import (
     ComponentLabel,
     Stratum,
@@ -139,7 +141,7 @@ class RauzyDiagram:
         return p._key in self.table
 
     def edge_count(self) -> int:
-        moves = _successors(next(iter(self.table)))
+        moves = _successors()
         return sum(t is not None for key in self.table for t in moves(key))
 
     @cached_property
@@ -148,7 +150,7 @@ class RauzyDiagram:
 
     @cached_property
     def edges(self) -> dict[GenPerm, tuple[Optional[GenPerm], Optional[GenPerm]]]:
-        moves = _successors(next(iter(self.table)))
+        moves = _successors()
         at = {v._key: v for v in self.vertices}
         return {v: tuple(map(at.get, moves(key))) for key, v in at.items()}  # None stays None
 
@@ -229,24 +231,25 @@ def _pair_search(
 
     The exchange of a permutation is a permutation, so the search serves
     tables of both kinds; a whole permutation class is closed by move-0
-    cycles instead (:func:`_bfs_rows`).  Raw move 1 is move 0 conjugated
-    by tau (:mod:`rauzy.induction`), so the moves of ``tau v`` are the
-    exchanges of those of ``v``, with 0 and 1 swapped: they reach the same
-    two pairs with the bit flipped.  Only the pair key's two moves are
-    made, breadth first.  A class is certified tau-closed when it holds a
-    table equal to its exchange, or when one pair is reached with both
-    bits: tau maps the class of ``v`` onto that of ``tau v``.  With a
-    ``target``, the search stops as soon as the pairs found hold it: its
-    pair with its bit, or its pair in a certified class.  The partial
-    table then reads as a class does, and holds ``target``; a table that
-    does not hold it is the whole class.  One budget unit is one table
-    reached: the budget counts ``pairs`` while the class is not certified
-    tau-closed, since a pair then stands for the one table the search
-    reached, and ``2 pairs - fixed`` once it is, the tables of the
-    partial table either way; the pair that holds ``target`` is never over
-    it.
+    cycles instead (:func:`rauzy.induction._cycle_closure`).  Raw move 1
+    is move 0 conjugated by tau (:mod:`rauzy.induction`), so the moves of
+    ``tau v`` are the exchanges of those of ``v``, with 0 and 1 swapped:
+    they reach the same two pairs with the bit flipped.  Only the pair
+    key's two moves are made, by the kernel of
+    :func:`rauzy.induction._successors`, breadth first.  A class is
+    certified tau-closed when it holds a table equal to its exchange, or
+    when one pair is reached with both bits: tau maps the class of ``v``
+    onto that of ``tau v``.  With a ``target``, the search stops as soon
+    as the pairs found hold it: its pair with its bit, or its pair in a
+    certified class.  The partial table then reads as a class does, and
+    holds ``target``; a table that does not hold it is the whole class.
+    One budget unit is one table reached: the budget counts ``pairs``
+    while the class is not certified tau-closed, since a pair then stands
+    for the one table the search reached, and ``2 pairs - fixed`` once it
+    is, the tables of the partial table either way; the pair that holds
+    ``target`` is never over it.
     """
-    moves = _successors(seed)
+    moves = _successors()
     d = len(seed) // 2
     key, bit = _pair_of(seed)
     goal, goal_bit = (None, 0) if target is None else _pair_of(target)
@@ -292,39 +295,22 @@ def _pair_search(
 
 
 def _bfs_rows(
-    seed: bytes, budget: int, stop: Optional[Callable[[bytes], object]] = None
-) -> Mapping[bytes, None]:
-    """Vertex keys of the class of the key ``seed``, the seed first.
+    seed: bytes, budget: int, stop: Callable[[bytes], object]
+) -> dict[bytes, None]:
+    """Vertex keys of the class of the key ``seed``, breadth first, the seed
+    first, up to the first that ``stop`` holds.
 
-    With ``stop``, the search goes breadth first and ends at the first
-    vertex, the seed included, whose key it returns a true value for; the
-    partial table then holds it as its last key.  A search that returns a
-    table with no such key has built the class.  A class of more than
-    ``budget`` vertices raises :class:`BudgetExceeded`.
-
-    A whole class of generalized tables is one search over row-exchange
-    pairs, :func:`_pair_search`, returned as its :class:`_PairTable`.  A
-    whole permutation class closes by move-0 cycles, with the kernel of
-    :func:`rauzy.induction._cycles`: a pending key not yet held brings in
-    its whole cycle, which no held key shares, as the cycles partition the
-    class, and leaves pending the move-1 images of the cycle not yet held.
-    The budget is checked once per cycle.
+    The search ends at the first vertex, the seed included, whose key
+    ``stop`` returns a true value for; the partial table then holds it as
+    its last key.  A search that returns a table with no such key has built
+    the class.  A class of more than ``budget`` vertices raises
+    :class:`BudgetExceeded`.  Both moves of a key come from the kernel of
+    :func:`rauzy.induction._successors`, the one rule of each move, so a
+    search that never stops is the tests' oracle of the whole-class
+    searches: the cycle closure, which moves by slices, and the pair
+    search, which moves one member of each pair.
     """
-    if stop is None:
-        close = _cycles(seed)
-        if close is None:
-            return _pair_search(seed, budget)
-        seen: dict[bytes, None] = {}
-        pending = deque([seed])  # first in, first out: fewer wait than in a stack
-        push = pending.append
-        while pending:
-            key = pending.popleft()
-            if key not in seen:
-                close(key, seen, push)
-                if len(seen) > budget:
-                    raise BudgetExceeded(f"class exceeds the {budget}-vertex budget")
-        return seen
-    moves = _successors(seed)
+    moves = _successors()
     seen = {seed: None}
     if stop(seed):
         return seen
@@ -352,11 +338,13 @@ def _holds(seed: bytes, target: bytes, budget: int) -> bool:
 
 
 def rauzy_class(seed: GenPerm, budget: int = 10**7) -> RauzyDiagram:
-    """Closure of ``seed`` under both moves, by :func:`_bfs_rows`.
+    """Closure of ``seed`` under both moves.
 
-    The diagram's table is a dict for a permutation class, and for a class
-    of generalized tables the :class:`_PairTable` of its row-exchange
-    pairs, whose length and lookups need no decoding.
+    A permutation class is closed by move-0 cycles
+    (:func:`rauzy.induction._cycle_closure`) and held as a dict; a class of
+    generalized tables is searched over its row-exchange pairs
+    (:func:`_pair_search`) and held as their :class:`_PairTable`, whose
+    length and lookups need no decoding.
 
     >>> from .combinat import parse
     >>> len(rauzy_class(parse("1 2 3 4 / 4 3 2 1")))
@@ -364,15 +352,23 @@ def rauzy_class(seed: GenPerm, budget: int = 10**7) -> RauzyDiagram:
     """
     if not is_irreducible(seed):
         raise ReducibleSeed(f"{seed} admits no suspension")
-    return RauzyDiagram(_bfs_rows(seed._key, budget))
+    search = _cycle_closure if seed.kind is PermKind.IET else _pair_search
+    return RauzyDiagram(search(seed._key, budget))
 
 
 def same_class_bfs(p1: GenPerm, p2: GenPerm, budget: int = 10**7) -> bool:
-    """Membership test by explicit closure, with early exit."""
+    """Membership test by explicit closure, with early exit.
+
+    Moves keep the size and the kind, so tables that differ in either are
+    in different classes.  Otherwise the class of ``p1`` is searched
+    breadth first, by the one rule of each move (:func:`_bfs_rows`), until
+    it meets ``p2``: the oracle of the whole-class searches and of
+    :func:`same_class_fast`.
+    """
     for p in (p1, p2):
         if not is_irreducible(p):
             raise ReducibleSeed(f"{p} admits no suspension")
-    if p1.d != p2.d:
+    if p1.d != p2.d or p1.kind is not p2.kind:
         return False
     target = p2._key
     return target in _bfs_rows(p1._key, budget, stop=target.__eq__)

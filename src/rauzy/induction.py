@@ -36,17 +36,19 @@ generalized table.  Each takes the key, its separator index and a
 ``x -> m``; it calls ``rotation`` at most once, and only when the move
 renumbers, so a caller can cache the tables or renumber other data
 alongside.  Every single move goes through them, :func:`r0` and
-:func:`r1` by :func:`_table_move`, and so does :func:`rv_step`; so does a
-class search of tables that are not permutations, by the kernel of
-:func:`_successors`, with a per-search cache of :func:`_rotation`.  A
-permutation class search moves by a separate slice algorithm, chosen by
-the kind of its seed: slices and one :func:`_rotation` table per bottom
-winner (:func:`_move1_tables`).  A whole permutation class is closed by
-the kernel of :func:`_cycles` instead, one move-0 cycle per call, with
-the same slices and tables, and :func:`_to_standard` walks a permutation
-to a standard one with them.  A whole generalized class moves one table
-per row-exchange pair (:func:`rauzy.classes._pair_search`): raw move 1 is
+:func:`r1` by :func:`_table_move`, and so does :func:`rv_step`; so do
+the edges of a class and every class search but one, by the kernel of
+:func:`_successors`, with a per-kernel cache of :func:`_rotation`.  The
+search over row-exchange pairs (:func:`rauzy.classes._pair_search`), which
+builds a whole generalized class, moves one table per pair: raw move 1 is
 move 0 conjugated by the exchange.
+
+Two loops move permutations by slices instead, with one :func:`_rotation`
+table per bottom winner (:func:`_move1_tables`): :func:`_cycle_closure`,
+the search that closes a whole permutation class one move-0 cycle at a
+time, and :func:`_to_standard`, which walks a permutation to a standard
+one.  The stopping search of :func:`rauzy.classes._bfs_rows`, which moves
+by the one rule, is the tests' oracle of the cycle closure.
 
 The induction itself is :func:`rv_step`, one step on a suspension vector,
 whose real parts are the interval lengths.  It is exact: it reads the
@@ -62,11 +64,12 @@ renumbers the parts through the ``rotation`` it passes.
 """
 from __future__ import annotations
 
+from collections import deque
 from functools import cache
 from typing import Callable, Optional
 
 from .combinat import _IDENT, GenPerm
-from .errors import InductionHalt, MoveCapExceeded, Reducible, UndefinedMove
+from .errors import BudgetExceeded, InductionHalt, MoveCapExceeded, Reducible, UndefinedMove
 from .suspension import SuspensionDatum, _parts_over
 
 
@@ -161,6 +164,28 @@ def _move1(
     return raw if m == x else raw.translate(rotation(x, m))
 
 
+def _successors() -> Callable[[bytes], tuple[Optional[bytes], Optional[bytes]]]:
+    """The move kernel of a class search, and of the edges of a class: both
+    moves of a key, renumbered.
+
+    The kernel looks up the row separator and tests the row ends as
+    :func:`_table_move` does, once for both moves, then moves by the rules
+    :func:`_move0` and :func:`_move1`, for tables of both kinds.  A class
+    search meets the same few renumberings ``(x, m)`` at vertex after
+    vertex, so the rotation it passes them is a cache of :func:`_rotation`,
+    one per kernel.
+    """
+    rotation = cache(_rotation)
+
+    def moves(key: bytes) -> tuple[Optional[bytes], Optional[bytes]]:
+        i = key.index(0)
+        if key[i - 1] == key[-1]:
+            return None, None
+        return _move0(key, i, rotation), _move1(key, i, rotation)
+
+    return moves
+
+
 def _move1_tables(d: int) -> list[bytes]:
     """The move-1 translation table of a permutation per bottom winner ``w < d``.
 
@@ -168,96 +193,56 @@ def _move1_tables(d: int) -> list[bytes]:
     ``1 ... w, d, w+1 ... d-1``; renumbering sends ``s <= w`` to ``s``,
     ``d`` to ``w + 1`` and ``w < s < d`` to ``s + 1``: the rotation
     ``d -> w + 1``, one table :func:`_rotation` per ``w``, applied to the
-    bottom row.
+    bottom row.  The two slice loops, :func:`_cycle_closure` and
+    :func:`_to_standard`, make their move-1 images with these tables.
     """
     return [_rotation(d, w + 1) for w in range(d)]
 
 
-def _successors(
-    seed: bytes,
-) -> Callable[[bytes], tuple[Optional[bytes], Optional[bytes]]]:
-    """The move kernel of a breadth-first class search, and of the edges of
-    a class: both moves of a key, renumbered.
-
-    Moves keep a permutation a permutation, so the kernel chosen for the
-    seed holds on its whole class; its translation tables are built for
-    this search.  A permutation's top row is ``1 ... d``.  Its move 0
-    keeps the top row, so the raw key is reduced; its move 1 is one
-    translation of :func:`_move1_tables`.
-    Both moves are undefined exactly when the bottom row ends in ``d``.
-    Any other table looks up its row separator and tests the row ends as
-    :func:`_table_move` does, once for both moves, then moves by the rules
-    :func:`_move0` and :func:`_move1`.  A class search meets the same few
-    renumberings ``(x, m)`` at vertex after vertex, so the rotation it
-    passes them is a cache of :func:`_rotation`, one per search.
-    """
-    d = len(seed) // 2
-    head = bytes(range(1, d + 1)) + b"\0"
-    if not seed.startswith(head):
-        rotation = cache(_rotation)
-
-        def table_moves(key: bytes) -> tuple[Optional[bytes], Optional[bytes]]:
-            i = key.index(0)
-            if key[i - 1] == key[-1]:
-                return None, None
-            return _move0(key, i, rotation), _move1(key, i, rotation)
-
-        return table_moves
-    lookups = _move1_tables(d)
-
-    def perm_moves(key: bytes) -> tuple[Optional[bytes], Optional[bytes]]:
-        w = key[-1]
-        if w == d:
-            return None, None
-        k = key.index(d, d + 1) + 1
-        return (
-            key[:k] + key[-1:] + key[k:-1],
-            head + key[d + 1 :].translate(lookups[w]),
-        )
-
-    return perm_moves
-
-
-def _cycles(
-    seed: bytes,
-) -> Optional[Callable[[bytes, dict[bytes, None], Callable[[bytes], None]], None]]:
-    """The cycle kernel of a whole-class search from a permutation key;
-    None for any other table.
+def _cycle_closure(seed: bytes, budget: int) -> dict[bytes, None]:
+    """The vertex keys of the class of the permutation key ``seed``, the
+    seed first, closed by move-0 cycles.
 
     Move 0 on a permutation key moves the last bottom letter to just after
     ``d``: it rotates the bottom-row letters after ``d`` by one place and
     keeps the rest of the key.  The move-0 arrows of a class are therefore
-    disjoint cycles: a key and the other rotations of that segment.  The
-    kernel ``close(key, seen, push)`` adds the whole 0-cycle of ``key`` to
-    ``seen``, the key first and then its move-0 images in turn, and passes
-    to ``push`` the move-1 image of each member, as :func:`_successors`
-    makes it, that ``seen`` does not hold yet.  A key whose bottom row ends
-    in ``d`` moves nowhere: its cycle is itself, with no move-1 image.
-    A whole-class search makes one call per cycle, not one per vertex.
+    disjoint cycles, a key and the other rotations of that segment, which
+    partition the class.  A pending key not yet held brings in its whole
+    cycle, the key first and then its move-0 images in turn, and leaves
+    pending, first in and first out, the move-1 image of each member not
+    yet held: one translation of :func:`_move1_tables` of the bottom row,
+    the top row being ``1 ... d``.  A key whose bottom row ends in ``d``
+    moves nowhere: its cycle is itself, with no move-1 image.  A class of
+    more than ``budget`` vertices raises :class:`BudgetExceeded`, checked
+    once per cycle.
     """
     d = len(seed) // 2
-    head = bytes(range(1, d + 1)) + b"\0"
-    if not seed.startswith(head):
-        return None
-    lookups = _move1_tables(d)
     start = d + 1
-
-    def close(key: bytes, seen: dict[bytes, None], push: Callable[[bytes], None]) -> None:
+    head = seed[:start]
+    lookups = _move1_tables(d)
+    seen: dict[bytes, None] = {}
+    pending = deque([seed])  # first in, first out: fewer wait than in a stack
+    push = pending.append
+    while pending:
+        key = pending.popleft()
+        if key in seen:
+            continue
         k = key.index(d, start) + 1
         before, after = key[:k], key[k:]
         if not after:
             seen[key] = None
-            return
-        s = len(after)
-        twice = after + after
-        for j in range(s, 0, -1):
-            member = before + twice[j : j + s]
-            seen[member] = None
-            image = head + member[start:].translate(lookups[after[j - 1]])
-            if image not in seen:
-                push(image)
-
-    return close
+        else:
+            s = len(after)
+            twice = after + after
+            for j in range(s, 0, -1):
+                member = before + twice[j : j + s]
+                seen[member] = None
+                image = head + member[start:].translate(lookups[after[j - 1]])
+                if image not in seen:
+                    push(image)
+        if len(seen) > budget:
+            raise BudgetExceeded(f"class exceeds the {budget}-vertex budget")
+    return seen
 
 
 def _standard_cap(d: int) -> int:
@@ -286,8 +271,9 @@ def _to_standard(key: bytes) -> tuple[bytes, int]:
 
     Moves keep the class, so the end is a standard permutation of the class
     of ``key``; every class holds one (Rauzy, *Acta Arith.* 34, 1979).  The
-    moves are those of the permutation kernel of :func:`_successors`, with
-    its slices and :func:`_move1_tables`.  More than :func:`_standard_cap`
+    moves are slices, as in :func:`_cycle_closure`: move 0 moves the last
+    bottom letter to just after ``d``, and move 1 is one translation of
+    :func:`_move1_tables`.  More than :func:`_standard_cap`
     moves raise :class:`MoveCapExceeded`; the rule never loops.
 
     >>> from .combinat import format_perm, parse

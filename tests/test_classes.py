@@ -33,7 +33,7 @@ from rauzy.classes import (
 )
 from rauzy.errors import BudgetExceeded, ReducibleSeed
 from rauzy.combinat import GenPerm, _irreducible_tables
-from rauzy.induction import r0, r1
+from rauzy.induction import _cycle_closure, r0, r1
 
 FIGURE_PERM_BOTTOMS = {
     (4, 3, 2, 1),
@@ -164,7 +164,7 @@ class TestRauzyClass:
 
     def test_bfs_rows_order(self):
         seed = GenPerm((1, 2, 3, 4, 5), (5, 3, 2, 4, 1))._key
-        table = _bfs_rows(seed, 10**7)
+        table = rauzy_class(GenPerm._of(seed)).table
         assert next(iter(table)) == seed
         assert set(table.values()) == {None}
         assert _bfs_rows(seed, 10**7, stop=seed.__eq__) == {seed: None}
@@ -177,9 +177,10 @@ class TestRauzyClass:
 
     def test_cycle_closure_matches_the_breadth_first_class(self):
         # Every permutation class through eight symbols, from the standard
-        # permutations: the whole-class search closes by move-0 cycles, a
-        # search with a stop that never fires goes breadth first, and both
-        # give the same keys, the seed first.
+        # permutations: the whole-class search closes by move-0 cycles,
+        # moving by slices, a search with a stop that never fires goes
+        # breadth first by the one rule of each move, and both give the
+        # same keys, the seed first.
         never = lambda key: False
         sizes = []
         for d in range(2, 9):
@@ -189,7 +190,7 @@ class TestRauzyClass:
                 seed = key_of(top, (d, *middle, 1))
                 if seed in held:
                     continue
-                table = _bfs_rows(seed, 10**7)
+                table = rauzy_class(GenPerm._of(seed)).table
                 assert next(iter(table)) == seed
                 assert table.keys() == _bfs_rows(seed, 10**7, stop=never).keys()
                 held.update(table)
@@ -211,7 +212,7 @@ class TestRauzyClass:
             for seed in _seeds(_irreducible_tables(d)):
                 if seed in held:
                     continue
-                table = _bfs_rows(seed, 10**7)
+                table = rauzy_class(GenPerm._of(seed)).table
                 assert isinstance(table, _PairTable) and table.closed
                 keys = list(table)
                 oracle = _bfs_rows(seed, 10**7, stop=never)
@@ -246,7 +247,7 @@ class TestRauzyClass:
                 seed = key_of(top, (d, *middle, 1))
                 if seed in held:
                     continue
-                table = _bfs_rows(seed, 10**7)
+                table = rauzy_class(GenPerm._of(seed)).table
                 pairs = _pair_search(seed, 10**7)
                 assert pairs.closed and next(iter(pairs)) == seed
                 assert len(pairs) == len(table) and set(pairs) == table.keys()
@@ -280,14 +281,22 @@ class TestRauzyClass:
     )
     def test_budget_edges_on_both_paths(self, text, size):
         # a class of exactly the budget passes and one vertex more raises,
-        # whether the search closes cycles, goes over row-exchange pairs,
-        # goes breadth first to the end or stops nowhere; the class of
+        # whether the search closes cycles (permutations only), goes over
+        # row-exchange pairs (tables of both kinds) or goes breadth first
+        # and stops nowhere, and so does the class built; the class of
         # 1 2 2 / 3 3 4 4 1 is 4 pairs, one of them 1 1 2 2 / 3 3 4 4 alone
-        seed = parse(text)._key
-        for stop in (None, lambda key: False):
-            assert len(_bfs_rows(seed, size, stop)) == size
+        p = parse(text)
+        never = lambda key: False
+        searches = [_pair_search, lambda seed, budget: _bfs_rows(seed, budget, never)]
+        if p.kind is PermKind.IET:
+            searches.append(_cycle_closure)
+        for search in searches:
+            assert len(search(p._key, size)) == size
             with pytest.raises(BudgetExceeded):
-                _bfs_rows(seed, size - 1, stop)
+                search(p._key, size - 1)
+        assert len(rauzy_class(p, size)) == size
+        with pytest.raises(BudgetExceeded):
+            rauzy_class(p, size - 1)
 
 
 class TestSameClass:
@@ -300,6 +309,15 @@ class TestSameClass:
     def test_different_sizes(self):
         assert not same_class_bfs(parse("1 2 3 4 / 4 3 2 1"), parse("1 2 / 2 1"))
         assert not same_class_fast(parse("1 2 3 4 / 4 3 2 1"), parse("1 2 / 2 1"))
+
+    def test_different_kinds(self):
+        # moves keep the kind, so a permutation and a generalized table of
+        # one size are in different classes, told apart with no search
+        p, q = parse("1 2 3 4 5 / 5 4 3 2 1"), parse("1 1 / 2 2 3 3 4 4 5 5")
+        assert p.d == q.d and p.kind is not q.kind
+        assert not same_class_bfs(p, q, budget=1)
+        assert not same_class_bfs(q, p, budget=1)
+        assert not same_class_fast(p, q, budget=1)
 
     def test_generalized_members(self):
         assert same_class_bfs(parse("1 1 2 / 2 3 3"), parse("1 1 2 2 / 3 3"))

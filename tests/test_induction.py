@@ -154,7 +154,7 @@ def test_trusted_kernel_matches_validated_reduction():
         rows = rows_of(key)
         d = len(key) // 2
         i = key.index(0)
-        both = _successors(key)(key)
+        both = _successors()(key)
         for which, raw_move, move in ((0, _move0_raw, _move0), (1, _move1_raw, _move1)):
             raw = raw_move(*rows)
             got = _table_move(key, which)
@@ -180,22 +180,22 @@ def test_trusted_kernel_matches_validated_reduction():
 
 
 def test_permutation_kernel_matches_renumbering_kernel():
-    # The class search moves permutations by slices and one translation
-    # table per bottom winner; on every reduced permutation through seven
+    # The kernel of a class search moves permutations by the rules of
+    # single moves too; on every reduced permutation through seven
     # symbols, reducible ones and undefined moves included, it gives the
-    # renumbered key and the reduction of the raw move.
+    # renumbered key of each single move and the reduction of the raw move.
     from itertools import permutations
 
+    kernel = _successors()
     undefined = 0
     for d in range(1, 8):
         top = tuple(range(1, d + 1))
-        kernel = _successors(GenPerm(top, top)._key)
-        assert kernel.__name__ == "perm_moves"
         for bottom in permutations(top):
             key = GenPerm(top, bottom)._key
+            both = kernel(key)
             for which, raw_move in ((0, _move0_raw), (1, _move1_raw)):
                 want = _table_move(key, which)
-                assert kernel(key)[which] == want, (bottom, which)
+                assert both[which] == want, (bottom, which)
                 raw = raw_move(top, bottom)
                 assert (raw is None) == (want is None)
                 if raw is not None:
@@ -218,8 +218,7 @@ def test_one_body_kernel_matches_the_single_moves():
         for key in _irreducible_tables(d):
             i = key.index(0)
             keys.update((key, _reduced(key[i + 1 :] + b"\0" + key[:i])))
-        kernel = _successors(min(keys))
-        assert kernel.__name__ == "table_moves"
+        kernel = _successors()
         for key in keys:
             rows = rows_of(key)
             want = tuple(
@@ -233,9 +232,12 @@ def test_one_body_kernel_matches_the_single_moves():
 
 def test_every_route_moves_through_the_single_rules(monkeypatch):
     # One rule per move on generalized tables: a class search, r0 and r1,
-    # and the induction step all reach _move0 and _move1.
+    # and the induction step all reach _move0 and _move1.  On permutations
+    # the stopping search, the pair search and the edges of a class reach
+    # them too; only the two slice loops, the cycle closure of a whole
+    # class and the walk to a standard permutation, reach neither.
     import rauzy.induction as induction
-    from rauzy.classes import rauzy_class
+    from rauzy.classes import _pair_search, rauzy_class, same_class_bfs
 
     calls = {}
     for name in ("_move0", "_move1"):
@@ -259,16 +261,22 @@ def test_every_route_moves_through_the_single_rules(monkeypatch):
         q, zeta = rv_step(q, zeta)
     assert calls["_move0"] > 0 and calls["_move1"] > 0
     assert sum(calls.values()) == 20, calls
-
-
-def test_kernel_choice_follows_the_kind():
-    from rauzy.combinat import GenPerm, all_reduced_tables
-
-    for d in range(1, 5):
-        for key in all_reduced_tables(d):
-            iet = GenPerm._of(key).kind is PermKind.IET
-            kernel = _successors(key)
-            assert kernel.__name__ == ("perm_moves" if iet else "table_moves")
+    perm, other = parse("1 2 3 4 / 4 3 2 1"), parse("1 2 3 4 / 2 4 1 3")
+    calls.clear()
+    diagram = rauzy_class(perm)
+    assert len(diagram) == 7
+    assert induction._to_standard(other._key) == (perm._key, 3)
+    assert calls == {}
+    routes = {
+        "same_class_bfs": lambda: same_class_bfs(perm, other),
+        "edges": lambda: diagram.edges,
+        "edge_count": diagram.edge_count,
+        "_pair_search": lambda: _pair_search(perm._key, 10**7),
+    }
+    for name, route in routes.items():
+        calls.clear()
+        assert route(), name
+        assert set(calls) == {"_move0", "_move1"}, name
 
 
 def test_symbol_limit_is_a_typed_error():

@@ -584,7 +584,7 @@ class TestStandardRule:
                 if d > 10:
                     continue
                 ref = _hyperelliptic_table(st, marked)
-                held = _bfs_rows(ref, 10**7)
+                held = rauzy_class(GenPerm._of(ref)).table
                 standard = [key for key in held if key[d + 1] == d and key[-1] == 1]
                 assert standard == [_to_standard(ref)[0]], st
                 assert standard == [_standard_hyperelliptic(d, marked)], st
@@ -619,16 +619,18 @@ H60_MARKED_ZERO_EVEN = "1 2 3 4 5 6 7 8 9 / 2 4 3 8 7 6 5 9 1"
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Sizes of the breadth-first searches that return: the vertices of a
-    vertex search, the pairs of a search over row-exchange pairs; and the
-    sizes of the classes built."""
+    """Sizes of the searches that return: the vertices of a stopping vertex
+    search, the pairs of a search over row-exchange pairs, whole or
+    stopping; and the sizes of the classes built.  A generalized class
+    built shows its pair search too; a permutation class, closed by move-0
+    cycles, shows no search."""
     import rauzy.classes
 
     record = {"bfs": [], "pairs": [], "classes": []}
     bfs, build = rauzy.classes._bfs_rows, rauzy.classes.rauzy_class
     pair_search = rauzy.classes._pair_search
 
-    def counting_bfs(seed, budget, stop=None):
+    def counting_bfs(seed, budget, stop):
         table = bfs(seed, budget, stop)
         record["bfs"].append(len(table))
         return table
@@ -986,7 +988,9 @@ class TestPermutationLabelRoute:
         def forbidden(*args, **kwargs):
             raise AssertionError("a permutation label searched")
 
-        for name in ("_bfs_rows", "_pair_search", "_holds", "rauzy_class"):
+        for name in (
+            "_bfs_rows", "_pair_search", "_holds", "rauzy_class", "_cycle_closure"
+        ):
             monkeypatch.setattr(rauzy.classes, name, forbidden)
         monkeypatch.setattr(rauzy.invariants, "_hyperelliptic_table", forbidden)
         for (p, data), (q, other) in zip(tables, tables[1:] + tables[:1]):
@@ -1093,7 +1097,7 @@ class TestHalfTranslationFamilies:
         # each of whose tables closes the 347-vertex class.
         st = parse_stratum("Q(-1,-1,6)")
         refs = {m: _hyperelliptic_table(st, m) for m in (-1, 6)}
-        sizes = {m: len(_bfs_rows(ref, 10**7)) for m, ref in refs.items()}
+        sizes = {m: len(rauzy_class(GenPerm._of(ref))) for m, ref in refs.items()}
         assert sizes == {-1: 60, 6: 347}
         searched = held = 0
         for table in _stratum_classes(st.text, 6, (-1, 6)):
